@@ -204,7 +204,8 @@ def vip(ctx, fixture_name, kind, mode, grid, tol, config_path):
             sols = mvip_solutions(fx.cone_oracle, ground, tol)
         else:
             sols = svip_solutions(fx.relation, ground, fx.cone_oracle,
-                                  ball_on_empty=(mode == "G"), tol=tol)
+                                  ball_on_empty=(mode == "G"), tol=tol,
+                                  contour_sampler=fx.contour_sampler)
     except (UnknownFixture, CapabilityError, ValueError) as exc:
         _fail_config(str(exc))
         return

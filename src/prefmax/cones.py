@@ -10,12 +10,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import chain, product
 
 import numpy as np
 from scipy.optimize import nnls
 
-from .points import GroundSet, Point, dot, norm, scale, sub
-from .relations import Relation, holds, strictly_prefers
+from .points import GroundSet, Point, axis_lattice, dot, norm, scale, sub
+from .relations import Relation, holds, strictly_better_mask
 
 DEFAULT_TOL = 1e-9
 STRICT_MARGIN = 1e-7
@@ -127,8 +128,9 @@ class ContourSample:
 
 def sample_contour(rel: Relation, x: Point, ground) -> ContourSample:
     """Strictly-preferred points of `ground`, as a membership sample at x."""
-    pts = tuple(y for y in ground if strictly_prefers(rel, y, x))
-    return ContourSample(x, pts)
+    pts = list(ground)
+    mask = strictly_better_mask(rel, x, [p.coords for p in pts])
+    return ContourSample(x, tuple(p for p, ok in zip(pts, mask) if ok))
 
 
 def box_sample(rel: Relation, x: Point, radius: float, step: float) -> ContourSample:
@@ -136,21 +138,17 @@ def box_sample(rel: Relation, x: Point, radius: float, step: float) -> ContourSa
 
     The box has the given radius per axis; within distance 0.1 of the base
     point the lattice step is halved, since membership failures concentrate
-    there.
+    there. The candidates are the coarse lattice, then the fine lattice's
+    points not already in it, each in row-major order; strict preference is
+    evaluated for all of them in one `strictly_better_mask` call, and only
+    accepted candidates become Points.
     """
-    axes = [(c - radius, c + radius, step) for c in x.coords]
-    coarse = GroundSet.grid(axes)
+    coarse = product(*(axis_lattice(c - radius, c + radius, step) for c in x.coords))
     fine_r = min(0.1, radius)
-    fine = GroundSet.grid([(c - fine_r, c + fine_r, step / 2.0) for c in x.coords])
-    seen = set()
-    pts = []
-    for y in list(coarse) + list(fine):
-        if y.coords in seen:
-            continue
-        seen.add(y.coords)
-        if strictly_prefers(rel, y, x):
-            pts.append(y)
-    return ContourSample(x, tuple(pts))
+    fine = product(*(axis_lattice(c - fine_r, c + fine_r, step / 2.0) for c in x.coords))
+    candidates = list(dict.fromkeys(chain(coarse, fine)))
+    mask = strictly_better_mask(rel, x, candidates)
+    return ContourSample(x, tuple(Point(y) for y, ok in zip(candidates, mask) if ok))
 
 
 def normal_membership(sample: ContourSample, xstar, tol: float = DEFAULT_TOL) -> bool:
@@ -174,7 +172,7 @@ def normal_membership_many(sample: ContourSample, probes, tol: float = DEFAULT_T
     P = np.asarray(probes, dtype=float)
     if sample.is_empty:
         return np.ones(P.shape[0], dtype=bool)
-    D = np.array([sub(y, sample.base) for y in sample.points], dtype=float)
+    D = np.array([y.coords for y in sample.points]) - np.array(sample.base.coords)
     inner = P @ D.T
     thresh = tol * (1.0 + np.linalg.norm(P, axis=1)[:, None] * np.linalg.norm(D, axis=1)[None, :])
     return np.all(inner <= thresh, axis=1)
@@ -267,8 +265,7 @@ def body_from_sample(sample: ContourSample, tol: float = DEFAULT_TOL) -> ConvexB
     if sample.is_empty:
         return ConvexBody(sample.base.dim, tuple(Point(tuple(v)) for v in net))
     member = normal_membership_many(sample, net, tol)
-    keep = [Point(tuple(v)) for v, ok in zip(net, member) if ok]
-    return ConvexBody(sample.base.dim, tuple(keep))
+    return ConvexBody(sample.base.dim, tuple(Point(tuple(v)) for v in net[member].tolist()))
 
 
 def complete_equivalence_check(rel: Relation, x: Point, probes, ground: GroundSet,

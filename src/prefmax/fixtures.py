@@ -166,7 +166,7 @@ def _kinked_threshold() -> Fixture:
 def _vee_peak() -> Fixture:
     """Distance-to-0.7 utility on the unit interval: a single kinked peak."""
     u = lambda x: -abs(x[0] - 0.7)
-    rel = Relation.from_utility("vee-peak", 1, u, lipschitz=1.0, quasiconcave=True)
+    rel = Relation.from_utility("vee-peak", 1, u)
 
     def oracle(p: Point) -> Cone:
         if _eq(p[0], 0.7):
@@ -211,7 +211,7 @@ def _radial_bowl() -> Fixture:
     """
     a = (1.0, 2.0)
     u = lambda x: -math.hypot(x[0] - a[0], x[1] - a[1])
-    rel = Relation.from_utility("radial-bowl", 2, u, lipschitz=1.0, quasiconcave=True)
+    rel = Relation.from_utility("radial-bowl", 2, u)
 
     def direction(p: Point):
         # strictly-better sets are empty only exactly at the peak; snapping
@@ -268,7 +268,7 @@ def _twin_plateau() -> Fixture:
     """Utility flat at zero on [-1, 1] and falling off outside: a continuum
     of maximal elements, so the Minty set must be empty."""
     u = lambda x: -max(abs(x[0]) - 1.0, 0.0)
-    rel = Relation.from_utility("twin-plateau", 1, u, lipschitz=1.0, quasiconcave=True)
+    rel = Relation.from_utility("twin-plateau", 1, u)
 
     def oracle(p: Point) -> Cone:
         if p[0] > 1.0 + _EQ_TOL:

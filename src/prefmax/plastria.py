@@ -14,11 +14,9 @@ from typing import Callable
 
 import numpy as np
 
-from .cones import ContourSample, sample_contour
+from .cones import DEFAULT_TOL, ContourSample, sample_contour
 from .points import GroundSet, Point, dot, norm, scale, sub
 from .relations import PropertyReport, Relation, maximal_elements, strictly_prefers
-
-DEFAULT_TOL = 1e-9
 
 # Assumption flags, named by content:
 #   negative_iff_better  -- f(x,y) < 0 exactly on the strictly-better set of x

@@ -81,7 +81,9 @@ def check_same_dim(*items) -> int:
     return dims.pop()
 
 
-def _axis_lattice(lo: float, hi: float, step: float) -> list[float]:
+def axis_lattice(lo: float, hi: float, step: float) -> list[float]:
+    """Coordinates lo + i * step inside [lo, hi], rounded to the lattice
+    decimals; grids and box samples take their coordinates from here."""
     if step <= 0:
         raise ValueError(f"grid step must be positive, got {step}")
     if hi < lo:
@@ -159,7 +161,7 @@ class GroundSet:
             if len(a) != 3:
                 raise ValueError(f"axis clause must be (lo, hi[, step]), got {a}")
             full.append((float(a[0]), float(a[1]), float(a[2])))
-        lattices = [_axis_lattice(lo, hi, step) for lo, hi, step in full]
+        lattices = [axis_lattice(lo, hi, step) for lo, hi, step in full]
         points = tuple(Point(c) for c in product(*lattices))
         return cls(points, axes=tuple(full))
 

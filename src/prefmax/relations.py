@@ -42,8 +42,6 @@ class Relation:
     kind: str  # "predicate" | "utility" | "tabular"
     predicate: Callable[[tuple, tuple], bool] | None = None
     utility: Callable[[tuple], float] | None = None
-    lipschitz: float | None = None
-    quasiconcave: bool = False
     table_ground: tuple[Point, ...] | None = None
     table: tuple[tuple[bool, ...], ...] | None = None
     _table_index: dict = field(default_factory=dict, repr=False, compare=False)
@@ -53,10 +51,8 @@ class Relation:
         return cls(name=name, dim=dim, kind="predicate", predicate=rule)
 
     @classmethod
-    def from_utility(cls, name: str, dim: int, u, lipschitz: float | None = None,
-                     quasiconcave: bool = False) -> "Relation":
-        return cls(name=name, dim=dim, kind="utility", utility=u,
-                   lipschitz=lipschitz, quasiconcave=quasiconcave)
+    def from_utility(cls, name: str, dim: int, u) -> "Relation":
+        return cls(name=name, dim=dim, kind="utility", utility=u)
 
     @classmethod
     def from_table(cls, name: str, ground, matrix) -> "Relation":
@@ -70,11 +66,11 @@ class Relation:
         rel._table_index.update({p.coords: i for i, p in enumerate(ground)})
         return rel
 
-    def _lookup(self, p: Point) -> int:
+    def _lookup(self, coords: tuple) -> int:
         try:
-            return self._table_index[p.coords]
+            return self._table_index[coords]
         except KeyError:
-            raise ValueError(f"point {p} is not in the tabular ground set") from None
+            raise ValueError(f"point {Point(coords)} is not in the tabular ground set") from None
 
 
 def holds(rel: Relation, x: Point, y: Point) -> bool:
@@ -85,12 +81,38 @@ def holds(rel: Relation, x: Point, y: Point) -> bool:
         return bool(rel.predicate(x.coords, y.coords))
     if rel.kind == "utility":
         return rel.utility(x.coords) >= rel.utility(y.coords)
-    return rel.table[rel._lookup(x)][rel._lookup(y)]
+    return rel.table[rel._lookup(x.coords)][rel._lookup(y.coords)]
 
 
 def strictly_prefers(rel: Relation, y: Point, x: Point) -> bool:
     """Whether y is strictly preferred to x (y weakly beats x but not back)."""
     return holds(rel, y, x) and not holds(rel, x, y)
+
+
+def strictly_better_mask(rel: Relation, x: Point, candidates) -> list[bool]:
+    """`strictly_prefers(rel, y, x)` for every coordinate tuple y in
+    `candidates`, without building a Point per candidate.
+
+    A utility is called once per candidate and compared as u(y) > u(x), which
+    equals "u(y) >= u(x) and not u(x) >= u(y)" for floats, NaN included; a
+    predicate sees the raw tuples; a table is indexed by coordinates.
+    """
+    candidates = list(candidates)
+    if not candidates:
+        return []
+    if x.dim != rel.dim or set(map(len, candidates)) != {rel.dim}:
+        raise ValueError(f"dimension mismatch: relation is {rel.dim}-dimensional")
+    xc = x.coords
+    if rel.kind == "utility":
+        u = rel.utility
+        ux = u(xc)
+        return [u(y) > ux for y in candidates]
+    if rel.kind == "predicate":
+        rule = rel.predicate
+        return [bool(rule(y, xc)) and not rule(xc, y) for y in candidates]
+    i = rel._lookup(xc)
+    rows = [rel._lookup(y) for y in candidates]
+    return [rel.table[j][i] and not rel.table[i][j] for j in rows]
 
 
 def contour(rel: Relation, x: Point, ground: GroundSet, which: str) -> list[Point]:

@@ -21,7 +21,7 @@ from .cones import (
     cone_unit_hull,
     sample_contour,
 )
-from .points import GroundSet, Point, dot, norm, scale, sub
+from .points import GroundSet, Point, dot, norm, sub
 from .relations import PropertyReport, Relation, maximal_elements
 
 ConeOracle = Callable[[Point], Cone]
@@ -79,14 +79,41 @@ def _subgradient_search(body: ConvexBody, xhat: Point, X, tol: float,
     return None
 
 
+# Upper bound on the entries of one block's inner-product matrix in the
+# Stampacchia midpoint sweep (at least one midpoint per block).
+_SWEEP_ENTRIES = 1 << 16
+
+
+def _rowdot(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """Sum over the last axis of A * B (broadcast), coordinate by coordinate
+    from the left, so that each entry rounds exactly as the scalar `dot`."""
+    out = A[..., 0] * B[..., 0]
+    for k in range(1, A.shape[-1]):
+        out = out + A[..., k] * B[..., k]
+    return out
+
+
+def _first_passing(W: np.ndarray, D: np.ndarray, floor: np.ndarray) -> int | None:
+    """Index of the first row w of W with no row d of D where w . d < floor[d]."""
+    fails = _rowdot(W[:, None, :], D[None, :, :]) < floor
+    hits = np.flatnonzero(~fails.any(axis=1))
+    return int(hits[0]) if hits.size else None
+
+
 def svip_membership(body: ConvexBody, xhat: Point, X: GroundSet | list,
                     tol: float = DEFAULT_TOL) -> VipCertificate | None:
     """Certificate that xhat solves the Stampacchia problem for this body.
 
     The witness search is a finite sweep: the zero vector first (a trivial
     solution whenever the body contains it), then body vertices, then
-    pairwise vertex midpoints; in dimension 3 a projected-subgradient
-    feasibility search replaces the enumeration.
+    pairwise vertex midpoints (i, j), i < j, in row-major order; in
+    dimension 3 a projected-subgradient feasibility search replaces the
+    enumeration. Vertices and midpoints are tested as arrays,
+    w . (y - xhat) >= -tol (1 + ||y - xhat||) over all y at once; the
+    midpoints go in consecutive blocks of that order, so memory stays
+    O(|V| |X|) and the sweep still stops at the first block with a passing
+    candidate. The witness is the first candidate that passes, the same one
+    a one-at-a-time sweep returns.
     """
     if body.is_empty:
         return None
@@ -98,16 +125,19 @@ def svip_membership(body: ConvexBody, xhat: Point, X: GroundSet | list,
         if w is not None:
             return VipCertificate(xhat, "stampacchia", w, tol)
         return None
-    for v in body.vertices:
-        if _passes_all(v, xhat, X, tol):
-            return VipCertificate(xhat, "stampacchia", v, tol)
-    n = len(body.vertices)
-    for i in range(n):
-        vi = body.vertices[i]
-        for j in range(i + 1, n):
-            mid = tuple(0.5 * (a + b) for a, b in zip(vi, body.vertices[j]))
-            if _passes_all(mid, xhat, X, tol):
-                return VipCertificate(xhat, "stampacchia", Point(mid), tol)
+    V = np.array([v.coords for v in body.vertices])
+    D = np.array([tuple(y) for y in X], dtype=float).reshape(-1, xhat.dim) - np.array(xhat.coords)
+    floor = -tol * (1.0 + np.sqrt(_rowdot(D, D)))
+    k = _first_passing(V, D, floor)
+    if k is not None:
+        return VipCertificate(xhat, "stampacchia", body.vertices[k], tol)
+    I, J = np.triu_indices(len(V), 1)
+    block = max(1, _SWEEP_ENTRIES // max(1, len(D)))
+    for s in range(0, len(I), block):
+        mids = 0.5 * (V[I[s:s + block]] + V[J[s:s + block]])
+        k = _first_passing(mids, D, floor)
+        if k is not None:
+            return VipCertificate(xhat, "stampacchia", Point(tuple(mids[k].tolist())), tol)
     return None
 
 
@@ -120,20 +150,50 @@ def certificate_valid(cert: VipCertificate, body: ConvexBody, X, tol: float | No
     return _passes_all(cert.witness.coords, cert.solution, X, tol)
 
 
-_AXIS_FAN_CACHE: dict[int, list[tuple[float, ...]]] = {}
+@dataclass(frozen=True)
+class _ConeField:
+    """One cone per ground point, as arrays: the ground coordinates, every
+    generator scaled to unit length with the row of its ground point, and
+    the rows whose cone is all of R^n. Zero cones contribute nothing."""
+
+    ground: np.ndarray  # (n, dim)
+    units: np.ndarray  # (m, dim)
+    owner: np.ndarray  # (m,) row in `ground`
+    full: np.ndarray  # rows with a full cone
 
 
-def _axis_fan(dim: int) -> list[tuple[float, ...]]:
-    fan = _AXIS_FAN_CACHE.get(dim)
-    if fan is None:
-        fan = []
-        for i in range(dim):
-            for s in (1.0, -1.0):
-                v = [0.0] * dim
-                v[i] = s
-                fan.append(tuple(v))
-        _AXIS_FAN_CACHE[dim] = fan
-    return fan
+def _cone_field(cone_oracle: ConeOracle, X, dim: int) -> _ConeField:
+    """Call the oracle once per ground point and stack the cones."""
+    pts = list(X)
+    gens, owner, full = [], [], []
+    for i, y in enumerate(pts):
+        cone = cone_oracle(y)
+        if cone.tag == "full":
+            full.append(i)
+        elif cone.tag == "generated":
+            gens.extend(g.coords for g in cone.generators)
+            owner.extend([i] * len(cone.generators))
+    G = np.array(gens, dtype=float).reshape(-1, dim)
+    ground = np.array([y.coords for y in pts], dtype=float).reshape(-1, dim)
+    return _ConeField(ground, G * (1.0 / np.sqrt(_rowdot(G, G)))[:, None],
+                      np.array(owner, dtype=int), np.array(full, dtype=int))
+
+
+def _minty_holds(field: _ConeField, xhat: tuple, tol: float) -> bool:
+    """<g, xhat - y> <= tol (1 + ||xhat - y||) for every unit generator g of
+    every cone in the field. A full cone is probed with the axis fan, whose
+    worst case is max_i |d_i|, and with d / ||d|| itself when d != 0."""
+    D = np.array(xhat, dtype=float) - field.ground
+    nd = np.sqrt(_rowdot(D, D))
+    ceiling = tol * (1.0 + nd)
+    if np.any(_rowdot(field.units, D[field.owner]) > ceiling[field.owner]):
+        return False
+    F, c, nf = D[field.full], ceiling[field.full], nd[field.full]
+    if np.any(np.abs(F).max(axis=1) > c):
+        return False
+    moved = nf > 0.0
+    F, c = F[moved], c[moved]
+    return not np.any(_rowdot(F * (1.0 / nf[moved])[:, None], F) > c)
 
 
 def mvip_membership(cone_oracle: ConeOracle, xhat: Point, X: GroundSet | list,
@@ -142,28 +202,24 @@ def mvip_membership(cone_oracle: ConeOracle, xhat: Point, X: GroundSet | list,
 
     Checking generators suffices by cone convexity. Full cones are probed
     with the axis fan plus the direction xhat - y itself, which is the exact
-    worst case (a full cone fails precisely when xhat != y).
+    worst case (a full cone fails precisely when xhat != y). The field is
+    built with one oracle call per point of X.
     """
-    for y in X:
-        d = sub(xhat, y)
-        nd = norm(d)
-        cone = cone_oracle(y)
-        if cone.tag == "zero":
-            continue
-        if cone.tag == "full":
-            dirs = list(_axis_fan(xhat.dim))
-            if nd > 0.0:
-                dirs.append(scale(d, 1.0 / nd))
-        else:
-            dirs = [scale(g, 1.0 / norm(g)) for g in cone.generators]
-        for g in dirs:
-            if dot(g, d) > tol * (1.0 + nd):
-                return False
-    return True
+    return _minty_holds(_cone_field(cone_oracle, X, xhat.dim), xhat.coords, tol)
 
 
 def mvip_solutions(cone_oracle: ConeOracle, X: GroundSet, tol: float = DEFAULT_TOL) -> list[Point]:
-    return [x for x in X if mvip_membership(cone_oracle, x, X, tol)]
+    """The points of X that solve the Minty problem, in ground order.
+
+    The oracle is called once per ground point (n calls, not one per pair);
+    each candidate is then tested against the whole stacked field in one
+    array expression, with the same inequalities as `mvip_membership`.
+    """
+    pts = list(X)
+    if not pts:
+        return []
+    field = _cone_field(cone_oracle, pts, pts[0].dim)
+    return [x for x in pts if _minty_holds(field, x.coords, tol)]
 
 
 def bodies_for_ground(rel: Relation, X: GroundSet, cone_oracle: ConeOracle | None = None,
@@ -175,6 +231,11 @@ def bodies_for_ground(rel: Relation, X: GroundSet, cone_oracle: ConeOracle | Non
     Without an oracle, pass a contour_sampler that looks beyond the feasible
     grid: a base point that sees only one strictly-better grid point would
     otherwise get a half-space cone, an artifact of the coarse sample.
+    A sample is evaluated as arrays (one `strictly_better_mask` call over its
+    candidates, then the whole unit net against the displacement matrix in
+    `body_from_sample`); vertices keep the unit net's order, so the
+    Stampacchia sweep meets its candidates, and returns its witnesses, in
+    the same order as a point-by-point evaluation would.
     """
     bodies = {}
     hull_cache: dict[tuple, ConvexBody] = {}

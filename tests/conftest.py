@@ -1,7 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from prefmax import get_fixture
+
+# Differential tests compare array kernels with scalar references example by
+# example; a fixed example sequence and no per-example deadline keep them
+# reproducible on a slow or loaded machine. Apply with
+# `@settings.get_profile("differential")`.
+settings.register_profile("differential", derandomize=True, deadline=None)
 
 
 @pytest.fixture

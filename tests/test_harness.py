@@ -9,8 +9,12 @@ from prefmax import (
     descend_fixture,
     emit_report,
     emit_trace,
+    fixture_names,
+    get_fixture,
     load_trace_json,
+    mvip_solutions,
     run_experiment,
+    svip_solutions,
 )
 from prefmax.cli import main
 from prefmax.descent import DescentConfig, StepSchedule, run_descent
@@ -29,8 +33,6 @@ def test_kinked_suite_passes():
 
 
 def test_all_default_suites_pass():
-    from prefmax import fixture_names
-
     for name in fixture_names():
         report = run_experiment(ExperimentSpec(fixture=name))
         assert report.all_passed, (name, [v for v in report.verdicts if not v.passed])
@@ -195,6 +197,33 @@ def test_cli_vip_commands():
                                   "--kind", "svip", "--mode", "G"])
     assert result.exit_code == 0
     assert "101 of 101" in result.output
+
+
+def _library_vip(name: str, kind: str):
+    """The library call `run_experiment` makes for the fixture's svip/mvip checks."""
+    fx = get_fixture(name)
+    if kind == "mvip":
+        return mvip_solutions(fx.cone_oracle, fx.default_ground, 1e-9)
+    return svip_solutions(fx.relation, fx.default_ground, fx.cone_oracle, ball_on_empty=False,
+                          tol=1e-9, contour_sampler=fx.contour_sampler)
+
+
+@pytest.mark.parametrize("kind", ("svip", "mvip"))
+@pytest.mark.parametrize("name", fixture_names())
+def test_cli_vip_lists_the_library_solutions(name, kind):
+    result = runner.invoke(main, ["vip", "--fixture", name, "--kind", kind])
+    if kind == "mvip" and get_fixture(name).cone_oracle is None:
+        assert result.exit_code == 2  # the harness refuses the same request
+        with pytest.raises(CapabilityError):
+            run_experiment(ExperimentSpec(fixture=name, suite=("mvip",)))
+        return
+    assert result.exit_code == 0
+    expected = _library_vip(name, kind)
+    lines = result.output.splitlines()
+    n = len(get_fixture(name).default_ground)
+    assert lines[0] == f"{kind} solutions: {len(expected)} of {n} points"
+    listed = [line.strip() for line in lines[1:] if not line.strip().startswith("...")]
+    assert listed == [",".join(repr(c) for c in p.coords) for p in expected[:20]]
 
 
 def test_cli_config_file_supplies_defaults(tmp_path):
