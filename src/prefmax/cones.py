@@ -10,16 +10,33 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import chain, product
+from itertools import chain, compress, product
 
 import numpy as np
 from scipy.optimize import nnls
 
-from .points import GroundSet, Point, axis_lattice, dot, norm, scale, sub
+from .points import GroundSet, Point, axis_lattice, coord_array, ground_array, norm, scale
 from .relations import Relation, holds, strictly_better_mask
 
 DEFAULT_TOL = 1e-9
 STRICT_MARGIN = 1e-7
+
+# Size of the evenly spaced subset of sampled displacements that every probe
+# meets before the rest in `normal_cone_test`.
+_SCREEN_ROWS = 16
+
+
+def _rowdot(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """Sum over the last axis of A * B (broadcast), coordinate by coordinate
+    from the left, so that each entry rounds exactly as the scalar `dot`."""
+    out = A[..., 0] * B[..., 0]
+    for k in range(1, A.shape[-1]):
+        out = out + A[..., k] * B[..., k]
+    return out
+
+
+def _rows(arr: np.ndarray) -> tuple:
+    return tuple(map(tuple, arr.tolist()))
 
 
 @dataclass(frozen=True)
@@ -86,51 +103,71 @@ class Cone:
         return net[keep]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ConvexBody:
-    """A compact convex polytope given by its vertex list (possibly empty)."""
+    """A compact convex polytope given by its vertices (possibly none), stored
+    as a read-only (k, dim) array; Points, tuples or an array are accepted."""
 
     dim: int
-    vertices: tuple[Point, ...]
+    vertices: np.ndarray
+
+    def __post_init__(self):
+        object.__setattr__(self, "vertices", coord_array(self.vertices, self.dim))
+
+    def __eq__(self, other):
+        if not isinstance(other, ConvexBody):
+            return NotImplemented
+        return self.dim == other.dim and _rows(self.vertices) == _rows(other.vertices)
+
+    def __hash__(self):
+        return hash((self.dim, _rows(self.vertices)))
 
     @property
     def is_empty(self) -> bool:
-        return not self.vertices
+        return not len(self.vertices)
 
     def contains(self, query, tol: float = DEFAULT_TOL) -> bool:
         """Convex-combination feasibility over the vertices, within tol."""
         if self.is_empty:
             return False
         q = np.asarray(tuple(query), dtype=float)
-        V = np.array([v.coords for v in self.vertices], dtype=float)
+        V = self.vertices
         A = np.r_[V.T, np.ones((1, V.shape[0]))]
         b = np.r_[q, 1.0]
         _, resid = nnls(A, b)
         return resid <= tol * (1.0 + float(np.linalg.norm(q)))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ContourSample:
-    """A finite sample of the strictly-better set of a base point."""
+    """A finite sample of the strictly-better set of a base point, stored as a
+    read-only (m, dim) array; Points, tuples or an array are accepted."""
 
     base: Point
-    points: tuple[Point, ...]
+    points: np.ndarray
 
     def __post_init__(self):
-        for p in self.points:
-            if p.dim != self.base.dim:
-                raise ValueError("contour sample dimension mismatch")
+        object.__setattr__(self, "points", coord_array(self.points, self.base.dim))
+
+    def __eq__(self, other):
+        if not isinstance(other, ContourSample):
+            return NotImplemented
+        return self.base == other.base and _rows(self.points) == _rows(other.points)
+
+    def __hash__(self):
+        return hash((self.base, _rows(self.points)))
 
     @property
     def is_empty(self) -> bool:
-        return not self.points
+        return not len(self.points)
 
 
 def sample_contour(rel: Relation, x: Point, ground) -> ContourSample:
     """Strictly-preferred points of `ground`, as a membership sample at x."""
-    pts = list(ground)
-    mask = strictly_better_mask(rel, x, [p.coords for p in pts])
-    return ContourSample(x, tuple(p for p, ok in zip(pts, mask) if ok))
+    if not isinstance(ground, GroundSet):
+        ground = list(ground)
+    mask = strictly_better_mask(rel, x, [p.coords for p in ground])
+    return ContourSample(x, ground_array(ground, x.dim)[np.array(mask, dtype=bool)])
 
 
 def box_sample(rel: Relation, x: Point, radius: float, step: float) -> ContourSample:
@@ -140,42 +177,68 @@ def box_sample(rel: Relation, x: Point, radius: float, step: float) -> ContourSa
     point the lattice step is halved, since membership failures concentrate
     there. The candidates are the coarse lattice, then the fine lattice's
     points not already in it, each in row-major order; strict preference is
-    evaluated for all of them in one `strictly_better_mask` call, and only
-    accepted candidates become Points.
+    evaluated for all of them in one `strictly_better_mask` call, and the
+    accepted candidates, in that order, become the rows of the sample's
+    coordinate array.
     """
     coarse = product(*(axis_lattice(c - radius, c + radius, step) for c in x.coords))
     fine_r = min(0.1, radius)
     fine = product(*(axis_lattice(c - fine_r, c + fine_r, step / 2.0) for c in x.coords))
     candidates = list(dict.fromkeys(chain(coarse, fine)))
     mask = strictly_better_mask(rel, x, candidates)
-    return ContourSample(x, tuple(Point(y) for y, ok in zip(candidates, mask) if ok))
+    return ContourSample(x, list(compress(candidates, mask)))
+
+
+def normal_cone_test(sample: ContourSample, probes, rhs) -> np.ndarray:
+    """For each probe x* (a row of `probes`), whether <x*, d> <= rhs holds at
+    every sampled displacement d = y - x into the strictly-better set.
+
+    `normal_membership(_many)`, `strict_normal_membership` and
+    `plastria.plastria_membership` are this kernel with three right-hand
+    sides: tol (1 + ||x*|| ||d||), -margin ||d|| and gap(x, y) + tol (1 + ||d||).
+    `rhs(pn, dn, rows)` returns the thresholds for the sampled points
+    `sample.points[rows]`, given the probe norms `pn` as a column and the
+    norms `dn` of their displacements. Inner products and norms are summed
+    coordinate by coordinate, so each entry rounds as the scalar `dot` and
+    `norm` do.
+
+    The displacements are met in three stages: the first one, the rest of an
+    evenly spaced screen of at most _SCREEN_ROWS, then all others. A stage
+    tests only the probes that passed the stages before it, so the verdicts
+    are those of one test against every displacement, while most failing
+    probes, and a failing single probe, stop early (and `rhs` is evaluated
+    only where a stage looks). An empty sample accepts every probe.
+    """
+    P = np.asarray(probes, dtype=float)
+    if P.ndim != 2 or P.shape[1] != sample.base.dim:
+        raise ValueError("query dimension mismatch")
+    ok = np.ones(len(P), dtype=bool)
+    if sample.is_empty:
+        return ok
+    Y, base = sample.points, np.array(sample.base.coords)
+    pn = np.sqrt(_rowdot(P, P))[:, None]
+    step = -(-len(Y) // _SCREEN_ROWS)
+    rest = np.ones(len(Y), dtype=bool)
+    rest[::step] = False
+    for rows in (slice(0, 1), slice(step, None, step), rest):
+        live = np.flatnonzero(ok)
+        if not live.size:
+            break
+        D = Y[rows] - base
+        inner = _rowdot(P[live][:, None, :], D[None, :, :])
+        ok[live] = ~(inner > rhs(pn[live], np.sqrt(_rowdot(D, D)), rows)).any(axis=1)
+    return ok
 
 
 def normal_membership(sample: ContourSample, xstar, tol: float = DEFAULT_TOL) -> bool:
     """Whether xstar makes a nonpositive inner product with every sampled
     displacement into the strictly-better set (scale-aware slack)."""
-    xs = tuple(xstar)
-    if len(xs) != sample.base.dim:
-        raise ValueError("query dimension mismatch")
-    if sample.is_empty:
-        return True
-    nxs = norm(xs)
-    for y in sample.points:
-        d = sub(y, sample.base)
-        if dot(xs, d) > tol * (1.0 + nxs * norm(d)):
-            return False
-    return True
+    return bool(normal_membership_many(sample, [tuple(xstar)], tol)[0])
 
 
 def normal_membership_many(sample: ContourSample, probes, tol: float = DEFAULT_TOL):
-    """Vectorised normal_membership over an (m, dim) array of probes."""
-    P = np.asarray(probes, dtype=float)
-    if sample.is_empty:
-        return np.ones(P.shape[0], dtype=bool)
-    D = np.array([y.coords for y in sample.points]) - np.array(sample.base.coords)
-    inner = P @ D.T
-    thresh = tol * (1.0 + np.linalg.norm(P, axis=1)[:, None] * np.linalg.norm(D, axis=1)[None, :])
-    return np.all(inner <= thresh, axis=1)
+    """normal_membership over an (m, dim) array of probes."""
+    return normal_cone_test(sample, probes, lambda pn, dn, rows: tol * (1.0 + pn * dn))
 
 
 def strict_normal_membership(sample: ContourSample, xstar, margin: float = STRICT_MARGIN) -> bool:
@@ -183,16 +246,8 @@ def strict_normal_membership(sample: ContourSample, xstar, margin: float = STRIC
     margin of -margin * ||y - x|| at every sampled point."""
     if margin <= 0:
         raise ValueError("margin must be positive")
-    xs = tuple(xstar)
-    if len(xs) != sample.base.dim:
-        raise ValueError("query dimension mismatch")
-    if sample.is_empty:
-        return True
-    for y in sample.points:
-        d = sub(y, sample.base)
-        if dot(xs, d) > -margin * norm(d):
-            return False
-    return True
+    return bool(normal_cone_test(sample, [tuple(xstar)],
+                                 lambda pn, dn, rows: -margin * dn)[0])
 
 
 @lru_cache(maxsize=None)
@@ -233,15 +288,13 @@ def cone_unit_hull(cone: Cone, ball_on_empty: bool = False,
     counterexample fixture); otherwise the cone alone decides.
     """
     net = unit_net(cone.dim)
-    if ball_on_empty and contour_empty:
-        return ConvexBody(cone.dim, tuple(Point(tuple(v)) for v in net))
+    if (ball_on_empty and contour_empty) or cone.tag == "full":
+        return ConvexBody(cone.dim, net)
     if cone.tag == "zero":
         return ConvexBody(cone.dim, ())
-    if cone.tag == "full":
-        return ConvexBody(cone.dim, tuple(Point(tuple(v)) for v in net))
     if len(cone.generators) == 1:
         g = cone.generators[0]
-        return ConvexBody(cone.dim, (Point(scale(g, 1.0 / norm(g))),))
+        return ConvexBody(cone.dim, (scale(g, 1.0 / norm(g)),))
     verts: list[tuple] = []
     seen = set()
     for g in cone.generators:
@@ -254,30 +307,30 @@ def cone_unit_hull(cone: Cone, ball_on_empty: bool = False,
         if u not in seen:
             seen.add(u)
             verts.append(u)
-    return ConvexBody(cone.dim, tuple(Point(u) for u in verts))
+    return ConvexBody(cone.dim, verts)
 
 
 def body_from_sample(sample: ContourSample, tol: float = DEFAULT_TOL) -> ConvexBody:
     """Unit hull of the sampled normal cone (net directions passing the
-    membership test). An empty sample leaves the cone unconstrained, so the
-    body is the unit ball."""
+    membership test), as the rows of the net that pass, in net order. An
+    empty sample leaves the cone unconstrained, so the body is the unit ball:
+    the whole net."""
     net = unit_net(sample.base.dim)
     if sample.is_empty:
-        return ConvexBody(sample.base.dim, tuple(Point(tuple(v)) for v in net))
-    member = normal_membership_many(sample, net, tol)
-    return ConvexBody(sample.base.dim, tuple(Point(tuple(v)) for v in net[member].tolist()))
+        return ConvexBody(sample.base.dim, net)
+    return ConvexBody(sample.base.dim, net[normal_membership_many(sample, net, tol)])
 
 
 def complete_equivalence_check(rel: Relation, x: Point, probes, ground: GroundSet,
                                tol: float = DEFAULT_TOL) -> bool:
     """For a complete relation, membership in the sampled normal cone must
     coincide with: every ground point on the strictly-positive side of the
-    probe is weakly worse than x. Returns False on the first disagreement."""
+    probe is weakly worse than x. Both sides are evaluated for all probes at
+    once."""
     sample = sample_contour(rel, x, ground)
-    for xstar in probes:
-        xs = tuple(xstar)
-        lhs = normal_membership(sample, xs, tol)
-        rhs = all(holds(rel, x, y) for y in ground if dot(xs, sub(y, x)) > 0.0)
-        if lhs != rhs:
-            return False
-    return True
+    P = np.array([tuple(p) for p in probes], dtype=float).reshape(-1, x.dim)
+    lhs = normal_membership_many(sample, P, tol)
+    ahead = _rowdot(P[:, None, :], (ground_array(ground, x.dim) - np.array(x.coords))[None]) > 0.0
+    worse = np.array([holds(rel, x, y) for y in ground], dtype=bool)
+    rhs = ~(ahead & ~worse).any(axis=1)
+    return bool(np.array_equal(lhs, rhs))

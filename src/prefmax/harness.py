@@ -100,11 +100,6 @@ def _set_verdict(check: str, actual: set, expected: set) -> Verdict:
     return Verdict(check, False, f"extra={extra} missing={missing}")
 
 
-def _ball_on_empty(fixture: Fixture, spec: ExperimentSpec) -> bool:
-    mode = spec.mode or fixture.expectations.get("svip_mode", "T")
-    return mode == "G"
-
-
 def _run_check(name: str, fixture: Fixture, ground: GroundSet, spec: ExperimentSpec) -> Verdict:
     rel = fixture.relation
     exp = fixture.expectations
@@ -136,7 +131,7 @@ def _run_check(name: str, fixture: Fixture, ground: GroundSet, spec: ExperimentS
 
     if name in ("svip", "svip-all"):
         sols = svip_solutions(rel, ground, fixture.cone_oracle,
-                              ball_on_empty=_ball_on_empty(fixture, spec), tol=spec.tol,
+                              ball_on_empty=spec.mode == "G", tol=spec.tol,
                               contour_sampler=fixture.contour_sampler)
         actual = _coords_set(sols)
         expected = _coords_set(ground) if name == "svip-all" else _expected_set(exp.get("svip", ()))
@@ -144,7 +139,7 @@ def _run_check(name: str, fixture: Fixture, ground: GroundSet, spec: ExperimentS
 
     if name == "svip-inclusion":
         report = svip_inclusion_check(rel, ground, spec.tol, fixture.cone_oracle,
-                                      ball_on_empty=_ball_on_empty(fixture, spec),
+                                      ball_on_empty=spec.mode == "G",
                                       contour_sampler=fixture.contour_sampler)
         expected = exp.get("svip_subset_me", True)
         ok = report.holds == expected

@@ -14,8 +14,8 @@ from typing import Callable
 
 import numpy as np
 
-from .cones import DEFAULT_TOL, ContourSample, sample_contour
-from .points import GroundSet, Point, dot, norm, scale, sub
+from .cones import DEFAULT_TOL, ContourSample, normal_cone_test, sample_contour
+from .points import GroundSet, Point, norm, scale, sub
 from .relations import PropertyReport, Relation, maximal_elements, strictly_prefers
 
 # Assumption flags, named by content:
@@ -109,18 +109,16 @@ def plastria_membership(gap: GapFunction, sample: ContourSample, xstar,
                         tol: float = DEFAULT_TOL) -> bool:
     """Whether xstar lies in the gap-relaxed normal cone at the sample base:
     <xstar, y - x> <= f(x, y) for every sampled strictly-better y. An empty
-    sample (a maximal base point) accepts everything."""
-    xs = tuple(xstar)
-    if len(xs) != sample.base.dim:
-        raise ValueError("query dimension mismatch")
-    if sample.is_empty:
-        return True
+    sample (a maximal base point) accepts everything. The gap is evaluated
+    only at the displacements the kernel tests."""
     x = sample.base.coords
-    for y in sample.points:
-        d = sub(y, x)
-        if dot(xs, d) > gap(x, y.coords) + tol * (1.0 + norm(d)):
-            return False
-    return True
+    Y = sample.points
+
+    def rhs(pn, dn, rows):
+        gaps = [gap(x, y) for y in map(tuple, Y[rows].tolist())]
+        return np.array(gaps, dtype=float) + tol * (1.0 + dn)
+
+    return bool(normal_cone_test(sample, [tuple(xstar)], rhs)[0])
 
 
 def plastria_subgradient(gap: GapFunction, x: Point, ustar) -> Point:

@@ -6,6 +6,8 @@ import math
 from dataclasses import dataclass
 from itertools import product
 
+import numpy as np
+
 # Absolute per-coordinate tolerance for treating two generated points as equal.
 COORD_ATOL = 1e-12
 
@@ -81,6 +83,31 @@ def check_same_dim(*items) -> int:
     return dims.pop()
 
 
+def coord_array(rows, dim: int) -> np.ndarray:
+    """Rows of coordinates (Points, tuples or an array) as a read-only
+    (m, dim) float array. Shape and finiteness are checked once for the whole
+    array, and fail with ValueError as `Point` does for one point."""
+    if isinstance(rows, np.ndarray):
+        arr = np.array(rows, dtype=float)
+    else:
+        rows = [tuple(r) for r in rows]
+        arr = np.array(rows, dtype=float) if rows else np.empty((0, dim))
+    if arr.ndim != 2 or arr.shape[1] != dim:
+        raise ValueError(f"dimension mismatch: expected rows of {dim} coordinates")
+    if not np.isfinite(arr).all():
+        raise ValueError("non-finite coordinate")
+    arr.flags.writeable = False
+    return arr
+
+
+def ground_array(X, dim: int) -> np.ndarray:
+    """Coordinates of the points of X as an (n, dim) array; a GroundSet
+    supplies its cached array."""
+    if isinstance(X, GroundSet):
+        return X.array()
+    return np.array([tuple(y) for y in X], dtype=float).reshape(-1, dim)
+
+
 def axis_lattice(lo: float, hi: float, step: float) -> list[float]:
     """Coordinates lo + i * step inside [lo, hi], rounded to the lattice
     decimals; grids and box samples take their coordinates from here."""
@@ -128,6 +155,15 @@ class GroundSet:
             idx = frozenset(p.coords for p in self.points)
             object.__setattr__(self, "_idx", idx)
         return idx
+
+    def array(self) -> np.ndarray:
+        """The coordinates as a read-only (n, dim) float array, built once."""
+        arr = getattr(self, "_arr", None)
+        if arr is None:
+            arr = np.array([p.coords for p in self.points], dtype=float)
+            arr.flags.writeable = False
+            object.__setattr__(self, "_arr", arr)
+        return arr
 
     def resolution(self) -> float:
         """Smallest positive spacing; half of this is the segment-membership slack."""

@@ -61,10 +61,8 @@ class Relation:
         matrix = tuple(tuple(bool(v) for v in row) for row in matrix)
         if len(matrix) != len(ground) or any(len(row) != len(ground) for row in matrix):
             raise ValueError("tabular matrix must be square with side |ground|")
-        rel = cls(name=name, dim=dim, kind="tabular",
-                  table_ground=ground, table=matrix)
-        rel._table_index.update({p.coords: i for i, p in enumerate(ground)})
-        return rel
+        return cls(name=name, dim=dim, kind="tabular", table_ground=ground, table=matrix,
+                   _table_index={p.coords: i for i, p in enumerate(ground)})
 
     def _lookup(self, coords: tuple) -> int:
         try:

@@ -17,11 +17,12 @@ from .cones import (
     Cone,
     ConvexBody,
     DEFAULT_TOL,
+    _rowdot,
     body_from_sample,
     cone_unit_hull,
     sample_contour,
 )
-from .points import GroundSet, Point, dot, norm, sub
+from .points import GroundSet, Point, dot, ground_array, norm, sub
 from .relations import PropertyReport, Relation, maximal_elements
 
 ConeOracle = Callable[[Point], Cone]
@@ -58,8 +59,8 @@ def _subgradient_search(body: ConvexBody, xhat: Point, X, tol: float,
     """Projected subgradient descent on the max-violation function over the
     simplex of vertex weights. Used in dimension 3, where vertex/midpoint
     enumeration is not attempted."""
-    V = np.array([v.coords for v in body.vertices], dtype=float)
-    D = np.array([sub(y, xhat) for y in X], dtype=float)
+    V = body.vertices
+    D = ground_array(X, xhat.dim) - np.array(xhat.coords)
     slack = tol * (1.0 + np.linalg.norm(D, axis=1))
     w = np.full(V.shape[0], 1.0 / V.shape[0])
     best_w, best_phi = w.copy(), np.inf
@@ -82,15 +83,6 @@ def _subgradient_search(body: ConvexBody, xhat: Point, X, tol: float,
 # Upper bound on the entries of one block's inner-product matrix in the
 # Stampacchia midpoint sweep (at least one midpoint per block).
 _SWEEP_ENTRIES = 1 << 16
-
-
-def _rowdot(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """Sum over the last axis of A * B (broadcast), coordinate by coordinate
-    from the left, so that each entry rounds exactly as the scalar `dot`."""
-    out = A[..., 0] * B[..., 0]
-    for k in range(1, A.shape[-1]):
-        out = out + A[..., k] * B[..., k]
-    return out
 
 
 def _first_passing(W: np.ndarray, D: np.ndarray, floor: np.ndarray) -> int | None:
@@ -125,12 +117,12 @@ def svip_membership(body: ConvexBody, xhat: Point, X: GroundSet | list,
         if w is not None:
             return VipCertificate(xhat, "stampacchia", w, tol)
         return None
-    V = np.array([v.coords for v in body.vertices])
-    D = np.array([tuple(y) for y in X], dtype=float).reshape(-1, xhat.dim) - np.array(xhat.coords)
+    V = body.vertices
+    D = ground_array(X, xhat.dim) - np.array(xhat.coords)
     floor = -tol * (1.0 + np.sqrt(_rowdot(D, D)))
     k = _first_passing(V, D, floor)
     if k is not None:
-        return VipCertificate(xhat, "stampacchia", body.vertices[k], tol)
+        return VipCertificate(xhat, "stampacchia", Point(tuple(V[k].tolist())), tol)
     I, J = np.triu_indices(len(V), 1)
     block = max(1, _SWEEP_ENTRIES // max(1, len(D)))
     for s in range(0, len(I), block):
@@ -164,9 +156,10 @@ class _ConeField:
 
 def _cone_field(cone_oracle: ConeOracle, X, dim: int) -> _ConeField:
     """Call the oracle once per ground point and stack the cones."""
-    pts = list(X)
+    if not isinstance(X, GroundSet):
+        X = list(X)
     gens, owner, full = [], [], []
-    for i, y in enumerate(pts):
+    for i, y in enumerate(X):
         cone = cone_oracle(y)
         if cone.tag == "full":
             full.append(i)
@@ -174,8 +167,7 @@ def _cone_field(cone_oracle: ConeOracle, X, dim: int) -> _ConeField:
             gens.extend(g.coords for g in cone.generators)
             owner.extend([i] * len(cone.generators))
     G = np.array(gens, dtype=float).reshape(-1, dim)
-    ground = np.array([y.coords for y in pts], dtype=float).reshape(-1, dim)
-    return _ConeField(ground, G * (1.0 / np.sqrt(_rowdot(G, G)))[:, None],
+    return _ConeField(ground_array(X, dim), G * (1.0 / np.sqrt(_rowdot(G, G)))[:, None],
                       np.array(owner, dtype=int), np.array(full, dtype=int))
 
 
@@ -218,7 +210,7 @@ def mvip_solutions(cone_oracle: ConeOracle, X: GroundSet, tol: float = DEFAULT_T
     pts = list(X)
     if not pts:
         return []
-    field = _cone_field(cone_oracle, pts, pts[0].dim)
+    field = _cone_field(cone_oracle, X if isinstance(X, GroundSet) else pts, pts[0].dim)
     return [x for x in pts if _minty_holds(field, x.coords, tol)]
 
 
@@ -231,11 +223,12 @@ def bodies_for_ground(rel: Relation, X: GroundSet, cone_oracle: ConeOracle | Non
     Without an oracle, pass a contour_sampler that looks beyond the feasible
     grid: a base point that sees only one strictly-better grid point would
     otherwise get a half-space cone, an artifact of the coarse sample.
-    A sample is evaluated as arrays (one `strictly_better_mask` call over its
-    candidates, then the whole unit net against the displacement matrix in
-    `body_from_sample`); vertices keep the unit net's order, so the
-    Stampacchia sweep meets its candidates, and returns its witnesses, in
-    the same order as a point-by-point evaluation would.
+    Samples and bodies stay coordinate arrays: a sample is one
+    `strictly_better_mask` call over its candidates, and its body is the
+    rows of the unit net that pass the screened membership kernel in
+    `body_from_sample`, in net order. The Stampacchia sweep therefore meets
+    its candidates, and returns its witnesses, in the same order as a
+    point-by-point evaluation would; only a witness becomes a Point.
     """
     bodies = {}
     hull_cache: dict[tuple, ConvexBody] = {}

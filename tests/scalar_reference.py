@@ -1,10 +1,12 @@
 """Scalar reference implementations of the array kernels in prefmax.
 
 These are the per-pair Python loops that `box_sample`, `sample_contour`, the
-2-D Stampacchia vertex/midpoint sweep and the Minty field test replaced.
-They build a Point per lattice candidate, call `strictly_prefers` per pair
-and the cone oracle per (xhat, y) pair. The differential tests hold the
-array versions to these, result for result.
+normal-cone membership kernel, the 2-D Stampacchia vertex/midpoint sweep and
+the Minty field test replaced. They build a Point per lattice candidate,
+call `strictly_prefers` per pair, test one sampled point at a time with the
+tuple helpers of `prefmax.points`, and call the cone oracle per (xhat, y)
+pair. The differential tests hold the array versions to these, result for
+result.
 """
 
 from __future__ import annotations
@@ -32,6 +34,49 @@ def box_sample_ref(rel, x: Point, radius: float, step: float) -> ContourSample:
     return ContourSample(x, tuple(pts))
 
 
+def normal_membership_ref(sample, xstar, tol: float) -> bool:
+    xs = tuple(xstar)
+    if len(xs) != sample.base.dim:
+        raise ValueError("query dimension mismatch")
+    if sample.is_empty:
+        return True
+    nxs = norm(xs)
+    for y in sample.points.tolist():
+        d = sub(y, sample.base)
+        if dot(xs, d) > tol * (1.0 + nxs * norm(d)):
+            return False
+    return True
+
+
+def strict_normal_membership_ref(sample, xstar, margin: float) -> bool:
+    if margin <= 0:
+        raise ValueError("margin must be positive")
+    xs = tuple(xstar)
+    if len(xs) != sample.base.dim:
+        raise ValueError("query dimension mismatch")
+    if sample.is_empty:
+        return True
+    for y in sample.points.tolist():
+        d = sub(y, sample.base)
+        if dot(xs, d) > -margin * norm(d):
+            return False
+    return True
+
+
+def plastria_membership_ref(gap, sample, xstar, tol: float) -> bool:
+    xs = tuple(xstar)
+    if len(xs) != sample.base.dim:
+        raise ValueError("query dimension mismatch")
+    if sample.is_empty:
+        return True
+    x = sample.base.coords
+    for y in sample.points.tolist():
+        d = sub(y, x)
+        if dot(xs, d) > gap(x, tuple(y)) + tol * (1.0 + norm(d)):
+            return False
+    return True
+
+
 def _passes_all(w, xhat: Point, X, tol: float) -> bool:
     for y in X:
         d = sub(y, xhat)
@@ -47,14 +92,15 @@ def svip_sweep_ref(body, xhat: Point, X, tol: float) -> VipCertificate | None:
     zero = (0.0,) * xhat.dim
     if body.contains(zero, tol):
         return VipCertificate(xhat, "stampacchia", Point(zero), tol)
-    for v in body.vertices:
+    vertices = [Point(tuple(v)) for v in body.vertices.tolist()]
+    for v in vertices:
         if _passes_all(v, xhat, X, tol):
             return VipCertificate(xhat, "stampacchia", v, tol)
-    n = len(body.vertices)
+    n = len(vertices)
     for i in range(n):
-        vi = body.vertices[i]
+        vi = vertices[i]
         for j in range(i + 1, n):
-            mid = tuple(0.5 * (a + b) for a, b in zip(vi, body.vertices[j]))
+            mid = tuple(0.5 * (a + b) for a, b in zip(vi, vertices[j]))
             if _passes_all(mid, xhat, X, tol):
                 return VipCertificate(xhat, "stampacchia", Point(mid), tol)
     return None

@@ -1,3 +1,5 @@
+from dataclasses import FrozenInstanceError
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,6 +8,7 @@ from hypothesis import strategies as st
 from prefmax import (
     Cone,
     ContourSample,
+    ConvexBody,
     GroundSet,
     box_sample,
     body_from_sample,
@@ -26,6 +29,72 @@ def line_sample(base, lo, hi, step=0.01, exclude=()):
     pts = tuple(pt(round(float(v), 12)) for v in xs
                 if all(abs(v - e) > 1e-9 for e in exclude))
     return ContourSample(pt(base), pts)
+
+
+# ------------------------------------------------ sample and body arrays
+
+
+# each builds a 2-D sample or body from the given rows
+MAKERS = pytest.mark.parametrize("make", [lambda rows: ContourSample(pt(0.0, 0.0), rows),
+                                          lambda rows: ConvexBody(2, rows)],
+                                 ids=["sample", "body"])
+
+
+@MAKERS
+def test_arrays_reject_non_finite_coordinates(make):
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError):
+            make([(1.0, 2.0), (bad, 0.0)])
+        with pytest.raises(ValueError):
+            make(np.array([[0.5, bad]]))
+
+
+@MAKERS
+def test_arrays_reject_a_wrong_dimension(make):
+    for bad in ([(1.0,)], [(1.0, 2.0, 3.0)], [(1.0, 2.0), (1.0,)], np.zeros((2, 3)),
+                np.zeros(2)):
+        with pytest.raises(ValueError):
+            make(bad)
+
+
+def test_arrays_are_read_only_copies():
+    rows = np.array([[1.0, 2.0], [3.0, 4.0]])
+    sample = ContourSample(pt(0.0, 0.0), rows)
+    body = ConvexBody(2, rows)
+    rows[0, 0] = 9.0  # the caller's array is copied, not kept
+    for arr in (sample.points, body.vertices):
+        assert arr.shape == (2, 2) and arr.dtype == float
+        assert arr[0, 0] == 1.0
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[0, 0] = 5.0
+    with pytest.raises(FrozenInstanceError):
+        sample.points = rows
+    with pytest.raises(FrozenInstanceError):
+        body.vertices = rows
+
+
+def test_arrays_accept_points_tuples_and_arrays_alike():
+    as_points = ContourSample(pt(0.0, 1.0), (pt(0.5, 1.0), pt(0.25, -2.0)))
+    as_tuples = ContourSample(pt(0.0, 1.0), [(0.5, 1), (0.25, -2.0)])
+    as_array = ContourSample(pt(0.0, 1.0), np.array([[0.5, 1.0], [0.25, -2.0]]))
+    assert as_points == as_tuples == as_array
+    assert hash(as_points) == hash(as_array)
+    assert ContourSample(pt(1.0), ()).points.shape == (0, 1)
+    assert ConvexBody(3, ()).vertices.shape == (0, 3)
+
+
+def test_equality_compares_base_and_coordinates_in_order():
+    sample = ContourSample(pt(0.0, 0.0), [(1.0, 0.0), (0.0, 1.0)])
+    assert sample == ContourSample(pt(0.0, 0.0), [(1.0, 0.0), (0.0, 1.0)])
+    assert sample != ContourSample(pt(0.0, 0.5), [(1.0, 0.0), (0.0, 1.0)])
+    assert sample != ContourSample(pt(0.0, 0.0), [(1.0, 0.0), (0.0, 1.5)])
+    assert sample != ContourSample(pt(0.0, 0.0), [(0.0, 1.0), (1.0, 0.0)])
+    assert sample != ContourSample(pt(0.0, 0.0), [(1.0, 0.0)])
+    body = ConvexBody(2, [(1.0, 0.0), (0.0, 1.0)])
+    assert body == ConvexBody(2, (pt(1.0, 0.0), pt(0.0, 1.0)))
+    assert body != ConvexBody(2, [(0.0, 1.0), (1.0, 0.0)])
+    assert ConvexBody(2, ()) != ContourSample(pt(0.0, 0.0), ())
 
 
 # ----------------------------------------------------------- weak membership
@@ -182,7 +251,7 @@ def test_membership_closed_along_sequences(vee, favored):
 
 def test_unit_hull_full_1d():
     body = cone_unit_hull(Cone.full(1))
-    assert {v.coords for v in body.vertices} == {(-1.0,), (1.0,)}
+    assert {tuple(v) for v in body.vertices.tolist()} == {(-1.0,), (1.0,)}
     assert body.contains((0.3,)) and body.contains((-1.0,))
     assert not body.contains((1.2,))
 
@@ -213,7 +282,7 @@ def test_unit_hull_ball_on_empty_flag():
 def test_body_from_sample_matches_closed_form(vee):
     g = vee.default_ground
     ray_body = body_from_sample(sample_contour(vee.relation, pt(0.3), g))
-    assert {v.coords for v in ray_body.vertices} == {(-1.0,)}
+    assert {tuple(v) for v in ray_body.vertices.tolist()} == {(-1.0,)}
     ball_body = body_from_sample(sample_contour(vee.relation, pt(0.7), g))
     assert ball_body.contains((0.0,)) and ball_body.contains((1.0,))
 
@@ -308,7 +377,7 @@ def test_hull_closed_across_the_kink(vee):
     # bodies left of the peak are the single vertex -1; the peak's body is
     # the full interval, so it still contains the limit of those vertices
     body_left = body_from_sample(sample_contour(vee.relation, pt(0.69), vee.default_ground))
-    assert {v.coords for v in body_left.vertices} == {(-1.0,)}
+    assert {tuple(v) for v in body_left.vertices.tolist()} == {(-1.0,)}
     body_peak = body_from_sample(sample_contour(vee.relation, pt(0.7), vee.default_ground))
     assert body_peak.contains((-1.0,))
 

@@ -1,9 +1,11 @@
 """Array kernels against their scalar references (tests/scalar_reference.py).
 
-Contour samples must hold the same points in the same order, Stampacchia
-sweeps must return the same witness (or None), and Minty sweeps the same
-solution list, on every fixture in both hull modes, on random tabular
-relations and on random bodies and cone fields.
+Contour samples must hold the same points in the same order, the screened
+membership kernel must give every probe the same verdict under all three
+right-hand sides, Stampacchia sweeps must return the same witness (or None),
+and Minty sweeps the same solution list, on every fixture in both hull
+modes, on random tabular relations and on random samples, bodies and cone
+fields.
 """
 
 import numpy as np
@@ -13,20 +15,28 @@ from hypothesis import strategies as st
 
 from prefmax import (
     Cone,
+    ContourSample,
     ConvexBody,
+    GapFunction,
     GroundSet,
     Point,
+    body_from_sample,
     box_sample,
     fixture_names,
     get_fixture,
     mvip_membership,
     mvip_solutions,
+    normal_membership,
+    normal_membership_many,
+    plastria_membership,
     pt,
     random_tabular_relation,
     sample_contour,
+    strict_normal_membership,
     strictly_prefers,
     svip_membership,
 )
+from prefmax.cones import _SCREEN_ROWS, unit_net
 from prefmax.relations import strictly_better_mask
 from prefmax.vip import bodies_for_ground
 
@@ -34,7 +44,10 @@ from scalar_reference import (
     box_sample_ref,
     mvip_membership_ref,
     mvip_solutions_ref,
+    normal_membership_ref,
+    plastria_membership_ref,
     sample_contour_ref,
+    strict_normal_membership_ref,
     svip_sweep_ref,
 )
 
@@ -94,6 +107,157 @@ def test_mask_rejects_foreign_and_mismatched_points():
     with pytest.raises(ValueError):
         strictly_better_mask(rel, pt(0.0), [(1.0, 0.0)])
     assert strictly_better_mask(rel, pt(0.0, 0.0), []) == []
+
+
+# ------------------------------------------------------ membership kernel
+
+
+def _assert_memberships_match(sample, probes, tols=TOLS, gap=None):
+    """Every wrapper of the kernel against its scalar loop, probe by probe."""
+    P = np.array(probes, dtype=float).reshape(-1, sample.base.dim)
+    for tol in tols:
+        want = [normal_membership_ref(sample, p, tol) for p in probes]
+        assert [normal_membership(sample, p, tol) for p in probes] == want
+        assert normal_membership_many(sample, P, tol).tolist() == want
+        if gap is not None:
+            assert [plastria_membership(gap, sample, p, tol) for p in probes] \
+                == [plastria_membership_ref(gap, sample, p, tol) for p in probes]
+    for margin in (1e-7, 0.5):
+        assert [strict_normal_membership(sample, p, margin) for p in probes] \
+            == [strict_normal_membership_ref(sample, p, margin) for p in probes]
+
+
+def _fixture_probes(dim, seed):
+    rng = np.random.default_rng(seed)
+    quarter = rng.integers(-8, 9, size=(6, dim)) / 4.0
+    return [tuple(p) for p in np.r_[unit_net(dim)[::9], quarter, rng.uniform(-3.0, 3.0, (6, dim))]]
+
+
+@settings(DIFFERENTIAL, max_examples=25)
+@given(st.sampled_from(FIXTURES), st.integers(0, 10 ** 6))
+def test_fixture_box_sample_memberships_match(name, pick):
+    fx = get_fixture(name)
+    ground = list(fx.default_ground)
+    x = ground[pick % len(ground)]
+    _assert_memberships_match(fx.contour_sampler(x), _fixture_probes(x.dim, pick), gap=fx.gap)
+
+
+@pytest.mark.parametrize("name", FIXTURES)
+def test_fixture_ground_sample_memberships_match(name):
+    fx = get_fixture(name)
+    for i, x in enumerate(list(fx.default_ground)[::23]):
+        sample = sample_contour(fx.relation, x, fx.default_ground)
+        _assert_memberships_match(sample, _fixture_probes(x.dim, i), gap=fx.gap)
+
+
+@pytest.mark.parametrize("name", FIXTURES)
+def test_fixture_bodies_are_the_net_rows_the_scalar_test_accepts(name):
+    # the whole unit net through the screen, as body_from_sample runs it
+    fx = get_fixture(name)
+    for x in list(fx.default_ground)[::17]:
+        sample = fx.contour_sampler(x)
+        net = unit_net(x.dim)
+        want = [tuple(v) for v in net.tolist() if normal_membership_ref(sample, v, 1e-9)]
+        assert [tuple(v) for v in body_from_sample(sample).vertices.tolist()] == want
+
+
+@st.composite
+def _samples_and_probes(draw):
+    # up to three times the screen size, so samples fall short of the screen,
+    # fill it exactly, and leave rows for the confirming pass; quarter-lattice
+    # coordinates make exact-zero inner products, where tol 0 decides on the
+    # sign alone
+    dim = draw(st.integers(1, 2))
+    point = st.tuples(*[_coord] * dim)
+    base = pt(*draw(point))
+    rows = draw(st.lists(point, max_size=3 * _SCREEN_ROWS))
+    probes = draw(st.lists(point, min_size=1, max_size=12))
+    return ContourSample(base, rows), probes
+
+
+# the gap keeps the relaxed test away from both trivial outcomes: it is
+# negative towards (1, ...), positive against it, and zero across it
+_TILTED_GAP = GapFunction(lambda x, y: 0.5 * (x[0] - y[0]), lipschitz=1.0)
+
+
+@DIFFERENTIAL
+@given(_samples_and_probes())
+def test_random_sample_memberships_match(case):
+    sample, probes = case
+    _assert_memberships_match(sample, probes, TOLS + (1e-3,), gap=_TILTED_GAP)
+
+
+def _line_sample(n):
+    return ContourSample(pt(0.0, 0.0), [(1.0 + k, 0.25 * k) for k in range(n)])
+
+
+def test_membership_on_an_empty_sample_accepts_every_probe():
+    sample = ContourSample(pt(0.5, -0.5), ())
+    probes = [(1.0, 2.0), (-3.0, 0.0), (0.0, 0.0)]
+    assert normal_membership_many(sample, probes).tolist() == [True] * 3
+    _assert_memberships_match(sample, probes, gap=_TILTED_GAP)
+    with pytest.raises(ValueError):
+        normal_membership(sample, (1.0,))
+
+
+def test_membership_below_the_screen_size():
+    sample = _line_sample(_SCREEN_ROWS - 3)
+    _assert_memberships_match(sample, [tuple(v) for v in unit_net(2)], gap=_TILTED_GAP)
+
+
+def test_screen_removes_every_probe():
+    # every probe points into the sample, so each fails on the first row,
+    # which the screen always holds
+    sample = _line_sample(4 * _SCREEN_ROWS)
+    probes = [(1.0, 0.0), (0.5, 1.0), (2.0, -1.0)]
+    assert normal_membership_many(sample, probes).tolist() == [False] * 3
+    _assert_memberships_match(sample, probes, gap=_TILTED_GAP)
+
+
+def test_screen_removes_no_probe_and_the_rest_decide():
+    # all rows but row 1 lie on the ray (-1, 0); row 1, which the screen
+    # (every 4th row of 4 * _SCREEN_ROWS) skips, is the only one that rejects
+    # (0, 1), so that verdict comes from the confirming pass alone
+    rows = [(-1.0 - k, 0.0) for k in range(4 * _SCREEN_ROWS)]
+    rows[1] = (0.0, 1.0)
+    sample = ContourSample(pt(0.0, 0.0), rows)
+    probes = [(0.0, 1.0), (1.0, 0.0), (1.0, -0.5)]
+    assert normal_membership_many(sample, probes).tolist() == [False, True, True]
+    _assert_memberships_match(sample, probes, gap=_TILTED_GAP)
+
+
+def test_normal_threshold_rounds_as_the_scalar_form():
+    # <x*, d> = a sits within one rounding of tol (1 + a); the scalar form
+    # tol * (1 + ||x*|| ||d||) accepts a and rejects the next float up,
+    # while tol + tol * ||x*|| ||d|| would do the opposite
+    tol, a = 0.680185478530374, 2.126812364256493
+    sample = ContourSample(pt(0.0), [(1.0,)])
+    for probe, member in (((a,), True), ((np.nextafter(a, 3.0),), False)):
+        assert normal_membership(sample, probe, tol) is member
+        assert normal_membership_ref(sample, probe, tol) is member
+
+
+def test_inner_products_round_as_the_scalar_dot():
+    # x * x rounds, and -1 * fl(x * x) + x * x cancels to exactly 0 when both
+    # products round first, as the scalar dot does; a fused multiply-add
+    # (which a BLAS matrix product may use) keeps the rounding error instead
+    x = 1.4554425309821815
+    sample = ContourSample(pt(0.0, 0.0), [(x * x, x)])
+    probe = (-1.0, x)
+    assert normal_membership_many(sample, [probe], 0.0).tolist() == [True]
+    assert normal_membership_ref(sample, probe, 0.0) is True
+
+
+def test_plastria_membership_evaluates_the_gap_only_where_the_kernel_looks():
+    # a negative gap rejects the zero probe at the first displacement; a
+    # positive one lets it pass, after one gap call per sampled point
+    sample = _line_sample(4 * _SCREEN_ROWS)
+    for value, member, expected_calls in ((-1.0, False, 1), (1.0, True, len(sample.points))):
+        calls = []
+        gap = GapFunction(lambda x, y: calls.append(y) or value, lipschitz=1.0)
+        assert plastria_membership(gap, sample, (0.0, 0.0)) is member
+        assert sorted(calls) == sorted(map(tuple, sample.points.tolist()))[:expected_calls]
+        assert plastria_membership_ref(gap, sample, (0.0, 0.0), 1e-9) is member
 
 
 # --------------------------------------------------------------- Stampacchia
