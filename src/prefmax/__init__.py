@@ -53,6 +53,7 @@ from .relations import (
     holds,
     maxima,
     maximal_elements,
+    preference_matrix,
     random_tabular_relation,
     strictly_prefers,
 )

@@ -16,7 +16,7 @@ import numpy as np
 from scipy.optimize import nnls
 
 from .points import GroundSet, Point, axis_lattice, coord_array, ground_array, norm, scale
-from .relations import Relation, holds, strictly_better_mask
+from .relations import Relation, preference_matrix, strictly_better_mask
 
 DEFAULT_TOL = 1e-9
 STRICT_MARGIN = 1e-7
@@ -163,11 +163,21 @@ class ContourSample:
 
 
 def sample_contour(rel: Relation, x: Point, ground) -> ContourSample:
-    """Strictly-preferred points of `ground`, as a membership sample at x."""
+    """Strictly-preferred points of `ground` (a GroundSet or Points), as a
+    membership sample at x: the rows of the ground's coordinate array that
+    one `strictly_better_mask` call accepts, in ground order."""
     if not isinstance(ground, GroundSet):
         ground = list(ground)
-    mask = strictly_better_mask(rel, x, [p.coords for p in ground])
-    return ContourSample(x, ground_array(ground, x.dim)[np.array(mask, dtype=bool)])
+        mask = strictly_better_mask(rel, x, [p.coords for p in ground])
+    else:
+        mask = strictly_better_mask(rel, x, ground)
+    return ContourSample(x, ground_array(ground, x.dim)[mask])
+
+
+def _lattice(axes: list[list[float]]) -> np.ndarray:
+    """The product of per-axis coordinates as an (m, dim) array, in the
+    row-major order of `itertools.product`."""
+    return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, len(axes))
 
 
 def box_sample(rel: Relation, x: Point, radius: float, step: float) -> ContourSample:
@@ -179,14 +189,24 @@ def box_sample(rel: Relation, x: Point, radius: float, step: float) -> ContourSa
     points not already in it, each in row-major order; strict preference is
     evaluated for all of them in one `strictly_better_mask` call, and the
     accepted candidates, in that order, become the rows of the sample's
-    coordinate array.
+    coordinate array. A utility scores the candidates as coordinate tuples;
+    predicates and tables get the lattice as an array, where a fine point is
+    in the coarse lattice exactly when each of its coordinates is on that
+    axis's coarse lattice.
     """
-    coarse = product(*(axis_lattice(c - radius, c + radius, step) for c in x.coords))
     fine_r = min(0.1, radius)
-    fine = product(*(axis_lattice(c - fine_r, c + fine_r, step / 2.0) for c in x.coords))
-    candidates = list(dict.fromkeys(chain(coarse, fine)))
-    mask = strictly_better_mask(rel, x, candidates)
-    return ContourSample(x, list(compress(candidates, mask)))
+    coarse = [axis_lattice(c - radius, c + radius, step) for c in x.coords]
+    fine = [axis_lattice(c - fine_r, c + fine_r, step / 2.0) for c in x.coords]
+    if rel.kind == "utility":
+        candidates = list(dict.fromkeys(chain(product(*coarse), product(*fine))))
+        mask = strictly_better_mask(rel, x, candidates)
+        return ContourSample(x, list(compress(candidates, mask.tolist())))
+    F = _lattice(fine)
+    known = np.ones(len(F), dtype=bool)
+    for k, axis in enumerate(coarse):
+        known &= np.isin(F[:, k], axis)
+    candidates = np.concatenate([_lattice(coarse), F[~known]])
+    return ContourSample(x, candidates[strictly_better_mask(rel, x, candidates)])
 
 
 def normal_cone_test(sample: ContourSample, probes, rhs) -> np.ndarray:
@@ -331,6 +351,6 @@ def complete_equivalence_check(rel: Relation, x: Point, probes, ground: GroundSe
     P = np.array([tuple(p) for p in probes], dtype=float).reshape(-1, x.dim)
     lhs = normal_membership_many(sample, P, tol)
     ahead = _rowdot(P[:, None, :], (ground_array(ground, x.dim) - np.array(x.coords))[None]) > 0.0
-    worse = np.array([holds(rel, x, y) for y in ground], dtype=bool)
+    worse = preference_matrix(rel, [x], ground)[0]
     rhs = ~(ahead & ~worse).any(axis=1)
     return bool(np.array_equal(lhs, rhs))

@@ -87,9 +87,8 @@ def _band_threshold() -> Fixture:
     point even though the relation is neither complete nor transitive."""
 
     def rule(x, y):
-        if _eq(x[0], 3.5) and _eq(y[0], 2.0):
-            return False
-        return y[0] / 2.0 + 2.0 <= x[0] + _EQ_TOL and x[0] <= 4.0 + _EQ_TOL
+        excluded = _eq(x[0], 3.5) & _eq(y[0], 2.0)
+        return ~excluded & (y[0] / 2.0 + 2.0 <= x[0] + _EQ_TOL) & (x[0] <= 4.0 + _EQ_TOL)
 
     rel = Relation.from_predicate("band-threshold", 1, rule)
     return Fixture(
@@ -114,7 +113,7 @@ def _favored_one() -> Fixture:
     points are maximal, and the cone collapses to {0} at the favored one."""
 
     def rule(x, y):
-        return _eq(y[0], x[0]) or _eq(y[0], 1.0)
+        return _eq(y[0], x[0]) | _eq(y[0], 1.0)
 
     rel = Relation.from_predicate("favored-one", 1, rule)
 
@@ -140,9 +139,8 @@ def _kinked_threshold() -> Fixture:
     though every finite window has an undominated top edge."""
 
     def rule(x, y):
-        if _eq(x[0], 0.0) and _eq(y[0], 0.0):
-            return True
-        return x[0] >= y[0] - _EQ_TOL and not _eq(y[0], 0.0)
+        both_zero = _eq(x[0], 0.0) & _eq(y[0], 0.0)
+        return both_zero | ((x[0] >= y[0] - _EQ_TOL) & ~_eq(y[0], 0.0))
 
     rel = Relation.from_predicate("kinked-threshold", 1, rule)
 
@@ -245,7 +243,7 @@ def _mutual_zero() -> Fixture:
     and every point is maximal; the zero gap function fits it exactly."""
 
     def rule(x, y):
-        return all(_eq(c, 0.0) for c in x) and all(_eq(c, 0.0) for c in y)
+        return _eq(x[0], 0.0) & _eq(x[1], 0.0) & _eq(y[0], 0.0) & _eq(y[1], 0.0)
 
     rel = Relation.from_predicate("mutual-zero", 2, rule)
     return Fixture(
@@ -300,7 +298,7 @@ def _twin_plateau() -> Fixture:
 
 
 def _line_rule(x, y):
-    return _eq(x[1], 0.0) and _eq(y[1], 0.0) and x[0] >= y[0] - _EQ_TOL
+    return _eq(x[1], 0.0) & _eq(y[1], 0.0) & (x[0] >= y[0] - _EQ_TOL)
 
 
 def _line_cone(p: Point) -> Cone:

@@ -14,9 +14,9 @@ from typing import Callable
 
 import numpy as np
 
-from .cones import DEFAULT_TOL, ContourSample, normal_cone_test, sample_contour
-from .points import GroundSet, Point, norm, scale, sub
-from .relations import PropertyReport, Relation, maximal_elements, strictly_prefers
+from .cones import DEFAULT_TOL, ContourSample, normal_cone_test
+from .points import GroundSet, Point, ground_array, norm, scale, sub
+from .relations import PropertyReport, Relation, preference_matrix
 
 # Assumption flags, named by content:
 #   negative_iff_better  -- f(x,y) < 0 exactly on the strictly-better set of x
@@ -75,22 +75,26 @@ def audit_gap_flags(gap: GapFunction, rel: Relation, ground: GroundSet,
 
     Violated flags are downgraded on the returned copy and a warning names
     the offending pair; upper semicontinuity stays as declared (it is not
-    decidable by sampling).
+    decidable by sampling). Strict preference between sampled points is
+    read off one preference matrix of the ground; the gap is called per
+    sample, in sample order.
     """
     rng = rng or np.random.default_rng(0)
     pts = list(ground)
     n = len(pts)
     idx = rng.integers(0, n, size=(samples, 3))
+    W = preference_matrix(rel, pts)
+    strict = W & ~W.T  # strict[i, j]: point i strictly preferred to point j
     downgrades: dict[str, bool] = {}
     for i, j, k in idx:
         x, y, z = pts[int(i)], pts[int(j)], pts[int(k)]
         fxy = gap(x.coords, y.coords)
         if gap.negative_iff_better and "negative_iff_better" not in downgrades:
-            if (fxy < 0.0) != strictly_prefers(rel, y, x):
+            if (fxy < 0.0) != strict[j, i]:
                 downgrades["negative_iff_better"] = False
                 warnings.warn(f"gap sign (negative side) disagrees with the relation at ({x}, {y})")
         if gap.positive_iff_worse and "positive_iff_worse" not in downgrades:
-            if (fxy > 0.0) != strictly_prefers(rel, x, y):
+            if (fxy > 0.0) != strict[i, j]:
                 downgrades["positive_iff_worse"] = False
                 warnings.warn(f"gap sign (positive side) disagrees with the relation at ({x}, {y})")
         if gap.lipschitz_bound and "lipschitz_bound" not in downgrades:
@@ -99,7 +103,7 @@ def audit_gap_flags(gap: GapFunction, rel: Relation, ground: GroundSet,
                 warnings.warn(f"gap exceeds its Lipschitz bound at ({x}, {y})")
         if gap.order_compatible and "order_compatible" not in downgrades:
             dominates = gap(x.coords, z.coords) > gap(y.coords, z.coords)
-            if strictly_prefers(rel, x, y) and not dominates:
+            if strict[i, j] and not dominates:
                 downgrades["order_compatible"] = False
                 warnings.warn(f"strict preference without f-dominance at ({x}, {y}, {z})")
     return replace(gap, **downgrades) if downgrades else gap
@@ -138,6 +142,8 @@ def zero_maximality_check(gap: GapFunction, rel: Relation, ground: GroundSet,
 
     Requires the two sign flags; the audit runs first and, if either fails,
     the check is skipped with a precondition report carrying the verdict.
+    Each base's sample is its row of one strict preference matrix of the
+    ground, and the base is maximal when that row is empty.
     """
     audited = audit_gap_flags(gap, rel, ground, rng=rng)
     if not (audited.negative_iff_better and audited.positive_iff_worse):
@@ -145,11 +151,14 @@ def zero_maximality_check(gap: GapFunction, rel: Relation, ground: GroundSet,
                   if not getattr(audited, n)]
         return PropertyReport("zero_maximality_precondition", False,
                               detail=f"sign flags failed the sampled audit: {', '.join(failed)}")
-    maximal = {p.coords for p in maximal_elements(rel, ground)}
+    W = preference_matrix(rel, ground)
+    better = W.T & ~W  # better[i, j]: ground point j strictly preferred to point i
+    G = ground_array(ground, ground.dim)
     zero = (0.0,) * ground.dim
-    for x in ground:
-        member = plastria_membership(gap, sample_contour(rel, x, ground), zero, tol)
-        if member != (x.coords in maximal):
+    for x, row in zip(ground, better):
+        maximal = not row.any()
+        member = plastria_membership(gap, ContourSample(x, G[row]), zero, tol)
+        if member != maximal:
             return PropertyReport("zero_maximality", False, (x,),
-                                  detail=f"membership={member}, maximal={x.coords in maximal}")
+                                  detail=f"membership={member}, maximal={maximal}")
     return PropertyReport("zero_maximality", True)

@@ -1,20 +1,22 @@
 """Binary preference relations, contour sets, and brute-force property checks.
 
 A relation is evaluated through `holds(rel, x, y)` meaning "x is at least as
-good as y". Everything here is exhaustive over finite ground sets; witnesses
-are the first failure in lexicographic ground order, so reports are
-reproducible.
+good as y". Every query here, from one pair to a property check, goes
+through one evaluator over blocks of coordinate rows, which is exact for
+each backing (see `_holds`). Everything is exhaustive over finite ground
+sets; witnesses are the first failure in lexicographic ground order, so
+reports are reproducible.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import combinations
+from itertools import combinations, islice
 from typing import Callable
 
 import numpy as np
 
-from .points import GroundSet, Point, check_same_dim, dot, norm, sub
+from .points import GroundSet, Point, check_same_dim
 
 PROPERTIES = (
     "reflexive",
@@ -26,25 +28,34 @@ PROPERTIES = (
     "convex_strict_upper",
 )
 
+# Upper bound on the entries of one block of a relation sweep (at least one
+# row per block), so that a sweep's temporaries stay O(block) however large
+# the ground is.
+_SWEEP_ENTRIES = 1 << 16
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, eq=False)
 class Relation:
     """A preference relation on R^n.
 
     One of three backings:
-      * predicate  -- a deterministic closed-form rule on coordinate pairs;
+      * predicate  -- a deterministic closed-form rule on coordinate columns
+        (see `_holds` for the contract);
       * utility    -- x is weakly preferred to y iff u(x) >= u(y);
-      * tabular    -- a boolean matrix over an explicit finite ground set.
+      * tabular    -- a read-only boolean matrix over an explicit finite
+        ground set.
+
+    Relations compare and hash by identity.
     """
 
     name: str
     dim: int
     kind: str  # "predicate" | "utility" | "tabular"
-    predicate: Callable[[tuple, tuple], bool] | None = None
+    predicate: Callable[[tuple, tuple], np.ndarray] | None = None
     utility: Callable[[tuple], float] | None = None
     table_ground: tuple[Point, ...] | None = None
-    table: tuple[tuple[bool, ...], ...] | None = None
-    _table_index: dict = field(default_factory=dict, repr=False, compare=False)
+    table: np.ndarray | None = None
+    _table_index: dict = field(default_factory=dict, repr=False)
 
     @classmethod
     def from_predicate(cls, name: str, dim: int, rule) -> "Relation":
@@ -58,11 +69,15 @@ class Relation:
     def from_table(cls, name: str, ground, matrix) -> "Relation":
         ground = tuple(ground)
         dim = check_same_dim(*ground)
-        matrix = tuple(tuple(bool(v) for v in row) for row in matrix)
+        index = {p.coords: i for i, p in enumerate(ground)}
+        if len(index) != len(ground):
+            raise ValueError("tabular ground points must be distinct")
         if len(matrix) != len(ground) or any(len(row) != len(ground) for row in matrix):
             raise ValueError("tabular matrix must be square with side |ground|")
-        return cls(name=name, dim=dim, kind="tabular", table_ground=ground, table=matrix,
-                   _table_index={p.coords: i for i, p in enumerate(ground)})
+        table = np.array(matrix, dtype=bool)
+        table.flags.writeable = False
+        return cls(name=name, dim=dim, kind="tabular", table_ground=ground, table=table,
+                   _table_index=index)
 
     def _lookup(self, coords: tuple) -> int:
         try:
@@ -71,46 +86,122 @@ class Relation:
             raise ValueError(f"point {Point(coords)} is not in the tabular ground set") from None
 
 
-def holds(rel: Relation, x: Point, y: Point) -> bool:
-    """Whether x is weakly preferred to y."""
-    if x.dim != rel.dim or y.dim != rel.dim:
+# ------------------------------------------------------------------ evaluator
+
+
+def _operand(rel: Relation, rows) -> np.ndarray:
+    """What the evaluator reads of each row, one entry per row along axis 0:
+    the utility score, the table index, or the coordinates (predicates).
+
+    rows: a GroundSet, a sequence of coordinate tuples, or an (m, dim)
+    array. The utility is called once per row, on a coordinate tuple.
+    """
+    if isinstance(rows, GroundSet):
+        ok = rows.dim == rel.dim
+    elif isinstance(rows, np.ndarray):
+        ok = rows.ndim == 2 and rows.shape[1] == rel.dim
+    else:
+        ok = set(map(len, rows)) <= {rel.dim}
+    if not ok:
         raise ValueError(f"dimension mismatch: relation is {rel.dim}-dimensional")
     if rel.kind == "predicate":
-        return bool(rel.predicate(x.coords, y.coords))
+        if isinstance(rows, GroundSet):
+            return rows.array()
+        return np.asarray(rows, dtype=float).reshape(len(rows), rel.dim)
+    if isinstance(rows, GroundSet):
+        rows = [p.coords for p in rows.points]
+    elif isinstance(rows, np.ndarray):
+        rows = map(tuple, rows.tolist())
     if rel.kind == "utility":
-        return rel.utility(x.coords) >= rel.utility(y.coords)
-    return rel.table[rel._lookup(x.coords)][rel._lookup(y.coords)]
+        u = rel.utility
+        return np.array([u(r) for r in rows], dtype=float)
+    return np.array([rel._lookup(r) for r in rows], dtype=np.intp)
+
+
+def _holds(rel: Relation, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """holds(rel, A_i, B_j) for the rows of operands a and b (see `_operand`),
+    broadcast together along their leading axes: `_holds(rel, a[:, None],
+    b[None])` is the matrix W[i, j], and two operands of one length give
+    holds row by row.
+
+    Each backing is exact: utility scores compare as u(x) >= u(y), a table
+    is read at the indices, and a predicate gets x and y as tuples of
+    coordinate columns (x[0], x[1], ... are float arrays that broadcast
+    against y's) and returns a boolean array, combined with `&`, `|` and `~`.
+    A rule written for scalars (`and`, `or`, `if`) fails on these arrays.
+    """
+    if rel.kind == "utility":
+        return a >= b
+    if rel.kind == "tabular":
+        return rel.table[a, b]
+    x = tuple(a[..., k] for k in range(rel.dim))
+    y = tuple(b[..., k] for k in range(rel.dim))
+    shape = np.broadcast_shapes(a.shape[:-1], b.shape[:-1])
+    return np.broadcast_to(np.asarray(rel.predicate(x, y), dtype=bool), shape)
+
+
+def _strict(rel: Relation, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """strictly_prefers(rel, A_i, B_j), broadcast as `_holds`. Utility scores
+    compare as u(x) > u(y), which equals "u(x) >= u(y) and not u(y) >= u(x)"
+    for floats, NaN included."""
+    if rel.kind == "utility":
+        return a > b
+    return _holds(rel, a, b) & ~_holds(rel, b, a)
+
+
+def _row_blocks(n: int, width: int):
+    """Consecutive slices of range(n) with at most _SWEEP_ENTRIES // width
+    rows each (at least one)."""
+    step = max(1, _SWEEP_ENTRIES // max(1, width))
+    return [slice(s, s + step) for s in range(0, n, step)]
+
+
+def _matrix(rel: Relation, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """W[i, j] = holds(rel, A_i, B_j), evaluated in row blocks."""
+    W = np.empty((len(a), len(b)), dtype=bool)
+    for blk in _row_blocks(len(a), len(b)):
+        W[blk] = _holds(rel, a[blk, None], b[None])
+    return W
+
+
+def _ground(ground) -> tuple:
+    """The Points of a ground (a GroundSet or an iterable of Points), and the
+    rows `_operand` takes for them."""
+    if isinstance(ground, GroundSet):
+        return ground.points, ground
+    pts = list(ground)
+    return pts, [p.coords for p in pts]
+
+
+def preference_matrix(rel: Relation, ground, cols=None) -> np.ndarray:
+    """The boolean matrix W[i, j] = holds(rel, ground[i], cols[j]), built in
+    row blocks; `cols` defaults to the ground itself, giving n x n. Both are
+    GroundSets or sequences of Points. Nothing is kept between calls."""
+    a = _operand(rel, _ground(ground)[1])
+    return _matrix(rel, a, a if cols is None else _operand(rel, _ground(cols)[1]))
+
+
+def holds(rel: Relation, x: Point, y: Point) -> bool:
+    """Whether x is weakly preferred to y: a 1 x 1 call of the evaluator."""
+    return bool(_holds(rel, _operand(rel, [x.coords]), _operand(rel, [y.coords]))[0])
 
 
 def strictly_prefers(rel: Relation, y: Point, x: Point) -> bool:
     """Whether y is strictly preferred to x (y weakly beats x but not back)."""
-    return holds(rel, y, x) and not holds(rel, x, y)
+    return bool(_strict(rel, _operand(rel, [y.coords]), _operand(rel, [x.coords]))[0])
 
 
-def strictly_better_mask(rel: Relation, x: Point, candidates) -> list[bool]:
-    """`strictly_prefers(rel, y, x)` for every coordinate tuple y in
-    `candidates`, without building a Point per candidate.
-
-    A utility is called once per candidate and compared as u(y) > u(x), which
-    equals "u(y) >= u(x) and not u(x) >= u(y)" for floats, NaN included; a
-    predicate sees the raw tuples; a table is indexed by coordinates.
-    """
-    candidates = list(candidates)
-    if not candidates:
-        return []
-    if x.dim != rel.dim or set(map(len, candidates)) != {rel.dim}:
-        raise ValueError(f"dimension mismatch: relation is {rel.dim}-dimensional")
-    xc = x.coords
-    if rel.kind == "utility":
-        u = rel.utility
-        ux = u(xc)
-        return [u(y) > ux for y in candidates]
-    if rel.kind == "predicate":
-        rule = rel.predicate
-        return [bool(rule(y, xc)) and not rule(xc, y) for y in candidates]
-    i = rel._lookup(xc)
-    rows = [rel._lookup(y) for y in candidates]
-    return [rel.table[j][i] and not rel.table[i][j] for j in rows]
+def strictly_better_mask(rel: Relation, x: Point, candidates) -> np.ndarray:
+    """`strictly_prefers(rel, y, x)` for every row y of `candidates` (a
+    GroundSet, coordinate tuples or an (m, dim) array), as a boolean array,
+    without building a Point per candidate: the utility is called once per
+    candidate and once at x, a predicate meets all candidates as columns,
+    and a table is indexed by coordinates. Empty candidates give an empty
+    mask."""
+    if not len(candidates):
+        return np.zeros(0, dtype=bool)
+    base = _operand(rel, [x.coords])
+    return _strict(rel, _operand(rel, candidates), base)
 
 
 def contour(rel: Relation, x: Point, ground: GroundSet, which: str) -> list[Point]:
@@ -121,17 +212,13 @@ def contour(rel: Relation, x: Point, ground: GroundSet, which: str) -> list[Poin
     """
     if x.dim != ground.dim:
         raise ValueError("dimension mismatch between point and ground set")
-    preds = {
-        "U": lambda y: holds(rel, y, x),
-        "Us": lambda y: strictly_prefers(rel, y, x),
-        "L": lambda y: holds(rel, x, y),
-        "Ls": lambda y: strictly_prefers(rel, x, y),
-    }
-    try:
-        pred = preds[which]
-    except KeyError:
-        raise ValueError(f"unknown contour selector {which!r}") from None
-    return [y for y in ground if pred(y)]
+    if which not in ("U", "Us", "L", "Ls"):
+        raise ValueError(f"unknown contour selector {which!r}")
+    pts, rows = _ground(ground)
+    g, p = _operand(rel, rows), _operand(rel, [x.coords])
+    test = _strict if which.endswith("s") else _holds
+    mask = test(rel, g, p) if which.startswith("U") else test(rel, p, g)
+    return [pts[i] for i in np.flatnonzero(mask)]
 
 
 @dataclass(frozen=True)
@@ -144,17 +231,6 @@ class PropertyReport:
 
     def __bool__(self) -> bool:
         return self.holds
-
-
-def _segment_gap(g: Point, p: Point, q: Point) -> float:
-    """Distance from g to the segment [p, q]."""
-    d = sub(q, p)
-    dd = dot(d, d)
-    if dd == 0.0:
-        return norm(sub(g, p))
-    t = max(0.0, min(1.0, dot(sub(g, p), d) / dd))
-    proj = tuple(pc + t * dc for pc, dc in zip(p, d))
-    return norm(sub(g, proj))
 
 
 def _contour_is_grid_convex(points: list[Point], ground: GroundSet, slack: float) -> tuple[Point, ...] | None:
@@ -194,82 +270,113 @@ def _contour_is_grid_convex(points: list[Point], ground: GroundSet, slack: float
     return None
 
 
+def _first(mask: np.ndarray):
+    """Row-major index of the first True entry of mask, or None."""
+    hits = np.flatnonzero(mask)
+    return np.unravel_index(int(hits[0]), mask.shape) if hits.size else None
+
+
 def check_property(rel: Relation, ground: GroundSet, prop: str, m: int | None = None) -> PropertyReport:
-    """Exhaustive verdict for a relation property over a finite ground set."""
-    pts = list(ground)
-    if prop == "reflexive":
-        for x in pts:
-            if not holds(rel, x, x):
-                return PropertyReport(prop, False, (x,))
-        return PropertyReport(prop, True)
+    """Exhaustive verdict for a relation property over a finite ground set.
 
-    if prop == "complete":
-        for i, x in enumerate(pts):
-            for y in pts[i:]:
-                if not holds(rel, x, y) and not holds(rel, y, x):
-                    return PropertyReport(prop, False, (x, y))
-        return PropertyReport(prop, True)
-
-    if prop == "transitive":
-        for x in pts:
-            xy = [y for y in pts if holds(rel, x, y)]
-            for y in xy:
-                for z in pts:
-                    if holds(rel, y, z) and not holds(rel, x, z):
-                        return PropertyReport(prop, False, (x, y, z))
-        return PropertyReport(prop, True)
-
+    Each property is read off blocks of the preference matrix; its witness
+    is the first failure in the order of the per-pair definition (ground
+    order, then the later arguments in ground order).
+    """
+    if prop not in PROPERTIES:
+        raise ValueError(f"unknown property {prop!r}; expected one of {PROPERTIES}")
+    pts, rows = _ground(ground)
+    n = len(pts)
     if prop == "mfip":
         if m is None or m < 1:
             raise ValueError("mfip requires a positive m")
-        if m > len(pts):
+        if m > n:
             raise ValueError("exhaustive m-FIP needs m <= |ground|")
-        for combo in combinations(pts, m):
-            if not any(all(holds(rel, x, xi) for xi in combo) for x in pts):
-                return PropertyReport(prop, False, combo, m=m)
+    g = _operand(rel, rows)
+
+    if prop == "reflexive":
+        hit = _first(~_holds(rel, g, g))
+        return PropertyReport(prop, True) if hit is None else PropertyReport(prop, False, (pts[hit[0]],))
+
+    if prop == "complete":
+        # pairs (x, y) with y at or after x, neither weakly preferred
+        for blk in _row_blocks(n, n):
+            bad = ~_holds(rel, g[blk, None], g[None]) & ~_holds(rel, g[None], g[blk, None])
+            hit = _first(np.triu(bad, blk.start))
+            if hit is not None:
+                return PropertyReport(prop, False, (pts[blk.start + hit[0]], pts[hit[1]]))
+        return PropertyReport(prop, True)
+
+    if prop == "transitive":
+        # x beats y, y beats z, x does not beat z: row x of W @ W against W
+        W = _matrix(rel, g, g)
+        for blk in _row_blocks(n, n):
+            bad = np.flatnonzero((np.matmul(W[blk], W) & ~W[blk]).any(axis=1))
+            if bad.size:
+                x = W[blk.start + bad[0]]
+                for yb in _row_blocks(n, n):
+                    hit = _first(x[yb, None] & W[yb] & ~x[None])
+                    if hit is not None:
+                        return PropertyReport(prop, False, (pts[blk.start + bad[0]],
+                                                            pts[yb.start + hit[0]], pts[hit[1]]))
+        return PropertyReport(prop, True)
+
+    if prop == "mfip":
+        # combinations in lexicographic order, in chunks: a combination fails
+        # when no ground point weakly beats all of its members
+        W = _matrix(rel, g, g)
+        combos = combinations(range(n), m)
+        per = max(1, _SWEEP_ENTRIES // (n * m))
+        while chunk := list(islice(combos, per)):
+            C = np.array(chunk, dtype=np.intp)
+            miss = np.flatnonzero(~W[:, C].all(axis=2).any(axis=0))
+            if miss.size:
+                return PropertyReport(prop, False, tuple(pts[i] for i in C[miss[0]]), m=m)
         return PropertyReport(prop, True, m=m)
 
     if prop == "fip":
-        # Over a finite ground the full family is the binding one; walk the
-        # upper contours in ground order and report the first empty prefix.
-        common = set(p.coords for p in pts)
-        taken = []
-        for x in pts:
-            taken.append(x)
-            common &= {y.coords for y in pts if holds(rel, y, x)}
-            if not common:
-                return PropertyReport(prop, False, tuple(taken))
-        return PropertyReport(prop, True)
+        # Over a finite ground the full family is the binding one: the upper
+        # contours of the first k + 1 ground points share a point while some
+        # y is weakly preferred to each of them, so the first empty prefix
+        # ends at the largest count, over y, of leading points y beats.
+        reach = np.empty(n, dtype=np.intp)
+        for blk in _row_blocks(n, n):
+            fails = ~_holds(rel, g[blk, None], g[None])
+            reach[blk] = np.where(fails.any(axis=1), fails.argmax(axis=1), n)
+        k = int(reach.max()) if n else n
+        return PropertyReport(prop, True) if k == n else PropertyReport(prop, False, tuple(pts[:k + 1]))
 
-    if prop in ("convex_upper", "convex_strict_upper"):
-        which = "U" if prop == "convex_upper" else "Us"
-        slack = ground.resolution() / 2.0
-        for x in pts:
-            cont = contour(rel, x, ground, which)
+    # convex_upper, convex_strict_upper
+    test = _holds if prop == "convex_upper" else _strict
+    slack = ground.resolution() / 2.0
+    for blk in _row_blocks(n, n):
+        for r, row in enumerate(test(rel, g[None], g[blk, None])):
+            cont = [pts[j] for j in np.flatnonzero(row)]
             bad = _contour_is_grid_convex(cont, ground, slack)
             if bad is not None:
-                return PropertyReport(prop, False, (x,) + bad)
-        return PropertyReport(prop, True)
-
-    raise ValueError(f"unknown property {prop!r}; expected one of {PROPERTIES}")
+                return PropertyReport(prop, False, (pts[blk.start + r],) + bad)
+    return PropertyReport(prop, True)
 
 
 def maximal_elements(rel: Relation, ground: GroundSet) -> list[Point]:
-    """Points with no strictly better point in the ground set (O(n^2) sweep)."""
-    out = []
-    for x in ground:
-        if not any(strictly_prefers(rel, y, x) for y in ground):
-            out.append(x)
-    return out
+    """Points with no strictly better point in the ground set, from row
+    blocks of the strict preference matrix."""
+    pts, rows = _ground(ground)
+    g = _operand(rel, rows)
+    dominated = np.zeros(len(pts), dtype=bool)
+    for blk in _row_blocks(len(pts), len(pts)):
+        dominated[blk] = _strict(rel, g[None], g[blk, None]).any(axis=1)
+    return [pts[i] for i in np.flatnonzero(~dominated)]
 
 
 def maxima(rel: Relation, ground: GroundSet) -> list[Point]:
     """Points weakly preferred to every ground point."""
-    out = []
-    for x in ground:
-        if all(holds(rel, x, y) for y in ground):
-            out.append(x)
-    return out
+    pts, rows = _ground(ground)
+    g = _operand(rel, rows)
+    top = np.zeros(len(pts), dtype=bool)
+    for blk in _row_blocks(len(pts), len(pts)):
+        top[blk] = _holds(rel, g[blk, None], g[None]).all(axis=1)
+    return [pts[i] for i in np.flatnonzero(top)]
 
 
 def random_tabular_relation(rng: np.random.Generator, n: int, style: str = "uniform",

@@ -1,36 +1,223 @@
 """Scalar reference implementations of the array kernels in prefmax.
 
-These are the per-pair Python loops that `box_sample`, `sample_contour`, the
-normal-cone membership kernel, the 2-D Stampacchia vertex/midpoint sweep and
-the Minty field test replaced. They build a Point per lattice candidate,
-call `strictly_prefers` per pair, test one sampled point at a time with the
-tuple helpers of `prefmax.points`, and call the cone oracle per (xhat, y)
-pair. The differential tests hold the array versions to these, result for
-result.
+These are the per-pair Python loops that the relation sweeps, `box_sample`,
+`sample_contour`, the normal-cone membership kernel, the 2-D Stampacchia
+vertex/midpoint sweep and the Minty field test replaced. Relations are
+evaluated one pair at a time through `scalar_holds`, which for predicate
+fixtures uses the scalar rules the fixtures were first written with;
+samples build a Point per lattice candidate; membership tests meet one
+sampled point at a time with the tuple helpers of `prefmax.points`; the
+Minty test calls the cone oracle per (xhat, y) pair. The differential tests
+hold the array versions to these, result for result and witness for
+witness.
 """
 
 from __future__ import annotations
 
-from prefmax import ContourSample, GroundSet, Point, VipCertificate, strictly_prefers
+import warnings
+from dataclasses import replace
+from itertools import combinations
+
+import numpy as np
+
+from prefmax import ContourSample, GroundSet, Point, PropertyReport, VipCertificate
 from prefmax.points import dot, norm, scale, sub
+from prefmax.relations import _contour_is_grid_convex
+
+# ------------------------------------------------- scalar fixture rules
+
+_EQ_TOL = 1e-9
 
 
-def sample_contour_ref(rel, x: Point, ground) -> ContourSample:
-    return ContourSample(x, tuple(y for y in ground if strictly_prefers(rel, y, x)))
+def _eq(a: float, b: float) -> bool:
+    return abs(a - b) <= _EQ_TOL
 
 
-def box_sample_ref(rel, x: Point, radius: float, step: float) -> ContourSample:
+def band_threshold_rule(x, y):
+    if _eq(x[0], 3.5) and _eq(y[0], 2.0):
+        return False
+    return y[0] / 2.0 + 2.0 <= x[0] + _EQ_TOL and x[0] <= 4.0 + _EQ_TOL
+
+
+def favored_one_rule(x, y):
+    return _eq(y[0], x[0]) or _eq(y[0], 1.0)
+
+
+def kinked_threshold_rule(x, y):
+    if _eq(x[0], 0.0) and _eq(y[0], 0.0):
+        return True
+    return x[0] >= y[0] - _EQ_TOL and not _eq(y[0], 0.0)
+
+
+def mutual_zero_rule(x, y):
+    return all(_eq(c, 0.0) for c in x) and all(_eq(c, 0.0) for c in y)
+
+
+def line_rule(x, y):
+    return _eq(x[1], 0.0) and _eq(y[1], 0.0) and x[0] >= y[0] - _EQ_TOL
+
+
+SCALAR_RULES = {
+    "band-threshold": band_threshold_rule,
+    "favored-one": favored_one_rule,
+    "kinked-threshold": kinked_threshold_rule,
+    "mutual-zero": mutual_zero_rule,
+    "halfline-plane": line_rule,
+    "segment-line": line_rule,
+}
+
+
+def scalar_holds(rel, rule=None):
+    """holds(x, y) on Points for `rel`, one pair per call: the scalar `rule`
+    (by default the fixture's, from SCALAR_RULES) on coordinate tuples, two
+    utility calls, or one read of the table as nested lists."""
+    if rel.kind == "predicate":
+        rule = rule or SCALAR_RULES[rel.name]
+        return lambda x, y: bool(rule(x.coords, y.coords))
+    if rel.kind == "utility":
+        u = rel.utility
+        return lambda x, y: u(x.coords) >= u(y.coords)
+    index = {p.coords: i for i, p in enumerate(rel.table_ground)}
+    table = rel.table.tolist()
+    return lambda x, y: table[index[x.coords]][index[y.coords]]
+
+
+def strictly_prefers_ref(h, y: Point, x: Point) -> bool:
+    return h(y, x) and not h(x, y)
+
+
+# ------------------------------------------------------ relation sweeps
+
+
+def strictly_better_mask_ref(h, x: Point, candidates) -> list[bool]:
+    return [strictly_prefers_ref(h, Point(tuple(y)), x) for y in candidates]
+
+
+def contour_ref(h, x: Point, ground, which: str) -> list[Point]:
+    preds = {
+        "U": lambda y: h(y, x),
+        "Us": lambda y: strictly_prefers_ref(h, y, x),
+        "L": lambda y: h(x, y),
+        "Ls": lambda y: strictly_prefers_ref(h, x, y),
+    }
+    return [y for y in ground if preds[which](y)]
+
+
+def maximal_elements_ref(h, ground) -> list[Point]:
+    return [x for x in ground if not any(strictly_prefers_ref(h, y, x) for y in ground)]
+
+
+def maxima_ref(h, ground) -> list[Point]:
+    return [x for x in ground if all(h(x, y) for y in ground)]
+
+
+def check_property_ref(h, ground, prop: str, m: int | None = None) -> PropertyReport:
+    pts = list(ground)
+    if prop == "reflexive":
+        for x in pts:
+            if not h(x, x):
+                return PropertyReport(prop, False, (x,))
+        return PropertyReport(prop, True)
+    if prop == "complete":
+        for i, x in enumerate(pts):
+            for y in pts[i:]:
+                if not h(x, y) and not h(y, x):
+                    return PropertyReport(prop, False, (x, y))
+        return PropertyReport(prop, True)
+    if prop == "transitive":
+        for x in pts:
+            xy = [y for y in pts if h(x, y)]
+            for y in xy:
+                for z in pts:
+                    if h(y, z) and not h(x, z):
+                        return PropertyReport(prop, False, (x, y, z))
+        return PropertyReport(prop, True)
+    if prop == "mfip":
+        for combo in combinations(pts, m):
+            if not any(all(h(x, xi) for xi in combo) for x in pts):
+                return PropertyReport(prop, False, combo, m=m)
+        return PropertyReport(prop, True, m=m)
+    if prop == "fip":
+        common = set(p.coords for p in pts)
+        taken = []
+        for x in pts:
+            taken.append(x)
+            common &= {y.coords for y in pts if h(y, x)}
+            if not common:
+                return PropertyReport(prop, False, tuple(taken))
+        return PropertyReport(prop, True)
+    which = "U" if prop == "convex_upper" else "Us"
+    slack = ground.resolution() / 2.0
+    for x in pts:
+        bad = _contour_is_grid_convex(contour_ref(h, x, ground, which), ground, slack)
+        if bad is not None:
+            return PropertyReport(prop, False, (x,) + bad)
+    return PropertyReport(prop, True)
+
+
+def audit_gap_flags_ref(gap, h, ground, rng=None, samples: int = 1000):
+    rng = rng or np.random.default_rng(0)
+    pts = list(ground)
+    idx = rng.integers(0, len(pts), size=(samples, 3))
+    downgrades = {}
+    for i, j, k in idx:
+        x, y, z = pts[int(i)], pts[int(j)], pts[int(k)]
+        fxy = gap(x.coords, y.coords)
+        if gap.negative_iff_better and "negative_iff_better" not in downgrades:
+            if (fxy < 0.0) != strictly_prefers_ref(h, y, x):
+                downgrades["negative_iff_better"] = False
+                warnings.warn(f"gap sign (negative side) disagrees with the relation at ({x}, {y})")
+        if gap.positive_iff_worse and "positive_iff_worse" not in downgrades:
+            if (fxy > 0.0) != strictly_prefers_ref(h, x, y):
+                downgrades["positive_iff_worse"] = False
+                warnings.warn(f"gap sign (positive side) disagrees with the relation at ({x}, {y})")
+        if gap.lipschitz_bound and "lipschitz_bound" not in downgrades:
+            if abs(fxy) > gap.lipschitz * norm(sub(x, y)) * (1.0 + 1e-9) + 1e-12:
+                downgrades["lipschitz_bound"] = False
+                warnings.warn(f"gap exceeds its Lipschitz bound at ({x}, {y})")
+        if gap.order_compatible and "order_compatible" not in downgrades:
+            dominates = gap(x.coords, z.coords) > gap(y.coords, z.coords)
+            if strictly_prefers_ref(h, x, y) and not dominates:
+                downgrades["order_compatible"] = False
+                warnings.warn(f"strict preference without f-dominance at ({x}, {y}, {z})")
+    return replace(gap, **downgrades) if downgrades else gap
+
+
+def zero_maximality_check_ref(gap, h, ground, tol: float = 1e-9, rng=None) -> PropertyReport:
+    audited = audit_gap_flags_ref(gap, h, ground, rng=rng)
+    if not (audited.negative_iff_better and audited.positive_iff_worse):
+        failed = [n for n in ("negative_iff_better", "positive_iff_worse")
+                  if not getattr(audited, n)]
+        return PropertyReport("zero_maximality_precondition", False,
+                              detail=f"sign flags failed the sampled audit: {', '.join(failed)}")
+    maximal = {p.coords for p in maximal_elements_ref(h, ground)}
+    zero = (0.0,) * ground.dim
+    for x in ground:
+        sample = sample_contour_ref(h, x, ground)
+        member = plastria_membership_ref(gap, sample, zero, tol)
+        if member != (x.coords in maximal):
+            return PropertyReport("zero_maximality", False, (x,),
+                                  detail=f"membership={member}, maximal={x.coords in maximal}")
+    return PropertyReport("zero_maximality", True)
+
+
+# ------------------------------------------------------ contour samples
+
+
+def sample_contour_ref(h, x: Point, ground) -> ContourSample:
+    return ContourSample(x, tuple(y for y in ground if strictly_prefers_ref(h, y, x)))
+
+
+def box_candidates(x: Point, radius: float, step: float) -> list[Point]:
+    """The coarse box lattice, then the fine points not already in it."""
     coarse = GroundSet.grid([(c - radius, c + radius, step) for c in x.coords])
     fine_r = min(0.1, radius)
     fine = GroundSet.grid([(c - fine_r, c + fine_r, step / 2.0) for c in x.coords])
-    seen = set()
-    pts = []
-    for y in list(coarse) + list(fine):
-        if y.coords in seen:
-            continue
-        seen.add(y.coords)
-        if strictly_prefers(rel, y, x):
-            pts.append(y)
+    return list(dict.fromkeys(list(coarse) + list(fine)))
+
+
+def box_sample_ref(h, x: Point, radius: float, step: float) -> ContourSample:
+    pts = [y for y in box_candidates(x, radius, step) if strictly_prefers_ref(h, y, x)]
     return ContourSample(x, tuple(pts))
 
 

@@ -1,12 +1,18 @@
 """Array kernels against their scalar references (tests/scalar_reference.py).
 
-Contour samples must hold the same points in the same order, the screened
+Every relation sweep (maximal elements, maxima, contours, property checks
+with their witnesses, the preference matrix, the gap audit and the
+zero-maximality check) must match its per-pair loop, and every fixture's
+column rule its scalar rule, on all fixtures, random tables and random
+column rules, across block boundaries. Contour samples must hold the same points in the same order, the screened
 membership kernel must give every probe the same verdict under all three
 right-hand sides, Stampacchia sweeps must return the same witness (or None),
 and Minty sweeps the same solution list, on every fixture in both hull
 modes, on random tabular relations and on random samples, bodies and cone
 fields.
 """
+
+import warnings
 
 import numpy as np
 import pytest
@@ -20,41 +26,62 @@ from prefmax import (
     GapFunction,
     GroundSet,
     Point,
+    Relation,
+    audit_gap_flags,
     body_from_sample,
     box_sample,
+    check_property,
+    contour,
     fixture_names,
     get_fixture,
+    maxima,
+    maximal_elements,
     mvip_membership,
     mvip_solutions,
     normal_membership,
     normal_membership_many,
     plastria_membership,
+    preference_matrix,
     pt,
     random_tabular_relation,
     sample_contour,
     strict_normal_membership,
     strictly_prefers,
     svip_membership,
+    zero_gap,
+    zero_maximality_check,
 )
+from prefmax import relations
 from prefmax.cones import _SCREEN_ROWS, unit_net
-from prefmax.relations import strictly_better_mask
+from prefmax.relations import PROPERTIES, strictly_better_mask
 from prefmax.vip import bodies_for_ground
 
 from scalar_reference import (
+    SCALAR_RULES,
+    audit_gap_flags_ref,
+    box_candidates,
     box_sample_ref,
+    check_property_ref,
+    contour_ref,
+    maxima_ref,
+    maximal_elements_ref,
     mvip_membership_ref,
     mvip_solutions_ref,
     normal_membership_ref,
     plastria_membership_ref,
     sample_contour_ref,
+    scalar_holds,
     strict_normal_membership_ref,
+    strictly_better_mask_ref,
     svip_sweep_ref,
+    zero_maximality_check_ref,
 )
 
 DIFFERENTIAL = settings(settings.get_profile("differential"), max_examples=60)
 FIXTURES = fixture_names()
 CONE_FIXTURES = [n for n in FIXTURES if get_fixture(n).cone_oracle is not None]
 TOLS = (0.0, 1e-9)
+PREDICATE_FIXTURES = [n for n in FIXTURES if get_fixture(n).relation.kind == "predicate"]
 
 
 # ------------------------------------------------------------ contour samples
@@ -67,7 +94,7 @@ def test_fixture_box_samples_match(name, pick):
     ground = list(fx.default_ground)
     x = ground[pick % len(ground)]
     got = fx.contour_sampler(x)
-    assert got == box_sample_ref(fx.relation, x, fx.sample_radius, fx.sample_step)
+    assert got == box_sample_ref(scalar_holds(fx.relation), x, fx.sample_radius, fx.sample_step)
 
 
 @DIFFERENTIAL
@@ -77,7 +104,8 @@ def test_box_samples_match_at_other_radii_and_steps(name, pick, radius, step):
     fx = get_fixture(name)
     ground = list(fx.default_ground)
     x = ground[pick % len(ground)]
-    assert box_sample(fx.relation, x, radius, step) == box_sample_ref(fx.relation, x, radius, step)
+    assert box_sample(fx.relation, x, radius, step) \
+        == box_sample_ref(scalar_holds(fx.relation), x, radius, step)
 
 
 @pytest.mark.parametrize("name", FIXTURES)
@@ -85,7 +113,7 @@ def test_fixture_ground_samples_match(name):
     fx = get_fixture(name)
     for x in list(fx.default_ground)[::7]:
         assert sample_contour(fx.relation, x, fx.default_ground) \
-            == sample_contour_ref(fx.relation, x, fx.default_ground)
+            == sample_contour_ref(scalar_holds(fx.relation), x, fx.default_ground)
 
 
 @DIFFERENTIAL
@@ -95,9 +123,10 @@ def test_tabular_samples_and_masks_match(n, style, dim, seed):
     rel = random_tabular_relation(np.random.default_rng(seed), n, style, dim)
     ground = GroundSet.explicit(rel.table_ground)
     coords = [y.coords for y in ground]
+    h = scalar_holds(rel)
     for x in ground:
-        assert sample_contour(rel, x, ground) == sample_contour_ref(rel, x, ground)
-        assert strictly_better_mask(rel, x, coords) == [strictly_prefers(rel, y, x) for y in ground]
+        assert sample_contour(rel, x, ground) == sample_contour_ref(h, x, ground)
+        assert strictly_better_mask(rel, x, coords).tolist() == [strictly_prefers(rel, y, x) for y in ground]
 
 
 def test_mask_rejects_foreign_and_mismatched_points():
@@ -106,7 +135,7 @@ def test_mask_rejects_foreign_and_mismatched_points():
         strictly_better_mask(rel, pt(0.0), [(0.5,)])
     with pytest.raises(ValueError):
         strictly_better_mask(rel, pt(0.0), [(1.0, 0.0)])
-    assert strictly_better_mask(rel, pt(0.0, 0.0), []) == []
+    assert strictly_better_mask(rel, pt(0.0, 0.0), []).tolist() == []
 
 
 # ------------------------------------------------------ membership kernel
@@ -415,3 +444,205 @@ def test_random_1d_minty_fields_match(field, tol):
     X = GroundSet.explicit(pt(x) for x, _ in field)
     oracle = lambda y: cones[y.coords]
     assert mvip_solutions(oracle, X, tol) == mvip_solutions_ref(oracle, X, tol)
+
+
+# ------------------------------------------------------------ relation sweeps
+
+
+# the anchors of the fixtures' `_eq`, each with the points 1e-9 +- 1e-12 away
+# on both sides: just inside and just outside the equality tolerance
+_ANCHORS = (0.0, 1.0, 2.0, 3.5, 4.0)
+
+
+def _near(anchors):
+    return [a + s * (1e-9 + t) for a in anchors for s in (1.0, -1.0)
+            for t in (-1e-12, 0.0, 1e-12)] + list(anchors)
+
+
+def _rule_points(fx):
+    pts = list(fx.default_ground) + list(fx.me_ground())
+    if fx.relation.dim == 1:
+        pts += [pt(v) for v in _near(_ANCHORS)]
+    else:
+        pts += [pt(a, b) for a in _near((0.0, 1.0)) for b in _near((0.0, 1.0))]
+        pts += [pt(a, b) for a in _near(_ANCHORS) for b in _near((0.0,))]
+    return list(dict.fromkeys(pts))
+
+
+def _columns(P, axis):
+    return tuple(np.expand_dims(P[:, k], axis) for k in range(P.shape[1]))
+
+
+@pytest.mark.parametrize("name", PREDICATE_FIXTURES)
+def test_column_rules_match_the_scalar_rules(name):
+    fx = get_fixture(name)
+    rule, scalar = fx.relation.predicate, SCALAR_RULES[name]
+    pts = _rule_points(fx)
+    P = np.array([p.coords for p in pts])
+    got = np.broadcast_to(rule(_columns(P, 1), _columns(P, 0)), (len(pts), len(pts)))
+    assert got.tolist() == [[bool(scalar(x.coords, y.coords)) for y in pts] for x in pts]
+    # box-sample candidates against their base, both ways round
+    for x in list(fx.default_ground)[::11]:
+        C = box_candidates(x, fx.sample_radius, fx.sample_step)
+        A, b = np.array([c.coords for c in C]), tuple(np.array([v]) for v in x.coords)
+        assert np.broadcast_to(rule(tuple(A.T), b), (len(C),)).tolist() \
+            == [bool(scalar(c.coords, x.coords)) for c in C]
+        assert np.broadcast_to(rule(b, tuple(A.T)), (len(C),)).tolist() \
+            == [bool(scalar(x.coords, c.coords)) for c in C]
+
+
+def _assert_sweeps_match(rel, ground, h, every=1, props_size=24):
+    """Every relation sweep against its per-pair loop, on one ground."""
+    pts = list(ground)
+    assert maximal_elements(rel, ground) == maximal_elements_ref(h, ground)
+    assert maxima(rel, ground) == maxima_ref(h, ground)
+    assert preference_matrix(rel, ground).tolist() == [[h(x, y) for y in pts] for x in pts]
+    coords = [y.coords for y in pts]
+    for x in pts[::every]:
+        assert preference_matrix(rel, [x], ground).tolist() == [[h(x, y) for y in pts]]
+        assert strictly_better_mask(rel, x, coords).tolist() == strictly_better_mask_ref(h, x, coords)
+        for which in ("U", "Us", "L", "Ls"):
+            assert contour(rel, x, ground, which) == contour_ref(h, x, ground, which)
+        assert sample_contour(rel, x, ground) == sample_contour_ref(h, x, ground)
+    small = GroundSet.explicit(pts[::-(-len(pts) // props_size)])
+    for prop in PROPERTIES:
+        if prop == "mfip":
+            for m in range(1, min(3, len(small)) + 1):
+                g = small if m < 3 else GroundSet.explicit(list(small)[:12])
+                assert check_property(rel, g, prop, m) == check_property_ref(h, g, prop, m)
+        else:
+            assert check_property(rel, small, prop) == check_property_ref(h, small, prop)
+
+
+def _recorded(fn, *args, **kwargs):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        result = fn(*args, **kwargs)
+    return result, [str(w.message) for w in caught]
+
+
+# a gap whose sign follows the first coordinate, so the audit downgrades
+# flags (with warnings) on most relations and keeps them on a few
+_AXIS_GAP = GapFunction(lambda x, y: x[0] - y[0], 1.0, negative_iff_better=True,
+                        positive_iff_worse=True, lipschitz_bound=True, order_compatible=True)
+
+
+def _assert_gap_checks_match(gap, rel, ground, h, seed):
+    got, want = (_recorded(audit, gap, rel_or_h, ground, np.random.default_rng(seed))
+                 for audit, rel_or_h in ((audit_gap_flags, rel), (audit_gap_flags_ref, h)))
+    assert (got[0].flags(), got[1]) == (want[0].flags(), want[1])
+    got = _recorded(zero_maximality_check, gap, rel, ground, rng=np.random.default_rng(seed))
+    want = _recorded(zero_maximality_check_ref, gap, h, ground, rng=np.random.default_rng(seed))
+    assert got == want
+
+
+@pytest.mark.parametrize("name", FIXTURES)
+def test_fixture_sweeps_match(name):
+    fx = get_fixture(name)
+    h = scalar_holds(fx.relation)
+    _assert_sweeps_match(fx.relation, fx.default_ground, h, every=7)
+    assert maximal_elements(fx.relation, fx.me_ground()) == maximal_elements_ref(h, fx.me_ground())
+    for i, gap in enumerate((fx.gap, zero_gap(), _AXIS_GAP)):
+        if gap is not None:
+            _assert_gap_checks_match(gap, fx.relation, fx.default_ground, h, seed=i)
+
+
+@DIFFERENTIAL
+@given(st.integers(1, 12), st.sampled_from(("uniform", "closure", "utility")),
+       st.integers(1, 3), st.integers(0, 2 ** 32 - 1))
+def test_tabular_sweeps_match(n, style, dim, seed):
+    rel = random_tabular_relation(np.random.default_rng(seed), n, style, dim)
+    ground = GroundSet.explicit(rel.table_ground)
+    h = scalar_holds(rel)
+    _assert_sweeps_match(rel, ground, h)
+    for gap in (zero_gap(), _AXIS_GAP):
+        _assert_gap_checks_match(gap, rel, ground, h, seed)
+
+
+# random rules over coordinate columns, each with its scalar twin: atoms
+# compare a coordinate with a shifted coordinate of the other point, test
+# one coordinate against a quarter-lattice value within 1e-9, or bound the
+# distance along one axis; `not`, `and` and `or` combine them
+
+
+def _rule_tree(dim):
+    k = st.integers(0, dim - 1)
+    leaf = st.one_of(
+        st.tuples(st.just("ge"), k, k, _quarter),
+        st.tuples(st.just("eq"), st.sampled_from((0, 1)), k, _quarter),
+        st.tuples(st.just("near"), k, st.sampled_from((0.0, 0.25, 0.5))),
+    )
+    return st.recursive(leaf, lambda sub: st.one_of(
+        st.tuples(st.just("not"), sub),
+        st.tuples(st.sampled_from(("and", "or")), sub, sub)), max_leaves=5)
+
+
+def _evaluate(tree, x, y, columns):
+    op = tree[0]
+    if op == "ge":
+        return x[tree[1]] >= y[tree[2]] + tree[3]
+    if op == "eq":
+        return abs((x, y)[tree[1]][tree[2]] - tree[3]) <= 1e-9
+    if op == "near":
+        return abs(x[tree[1]] - y[tree[1]]) <= tree[2]
+    if op == "not":
+        inner = _evaluate(tree[1], x, y, columns)
+        return ~inner if columns else not inner
+    a, b = _evaluate(tree[1], x, y, columns), _evaluate(tree[2], x, y, columns)
+    if columns:
+        return a & b if op == "and" else a | b
+    return (a and b) if op == "and" else (a or b)
+
+
+@st.composite
+def _column_rule_cases(draw):
+    dim = draw(st.integers(1, 2))
+    tree = draw(_rule_tree(dim))
+    ground = draw(st.lists(st.tuples(*[_quarter] * dim), min_size=1, max_size=16, unique=True))
+    rel = Relation.from_predicate("random-rule", dim, lambda x, y: _evaluate(tree, x, y, True))
+    h = scalar_holds(rel, rule=lambda x, y: _evaluate(tree, x, y, False))
+    return rel, GroundSet.explicit(pt(*p) for p in ground), h
+
+
+@DIFFERENTIAL
+@given(_column_rule_cases(), st.integers(0, 2 ** 32 - 1))
+def test_random_column_rules_match(case, seed):
+    rel, ground, h = case
+    _assert_sweeps_match(rel, ground, h)
+    _assert_gap_checks_match(_AXIS_GAP, rel, ground, h, seed)
+    for x in list(ground)[:3]:
+        assert box_sample(rel, x, 0.5, 0.25) == box_sample_ref(h, x, 0.5, 0.25)
+
+
+def test_sweeps_cross_a_block_boundary(kinked):
+    # kinked-threshold's extended ground has 301 points, so its 301 x 301
+    # matrix spans two blocks
+    rel, ground = kinked.relation, kinked.me_ground()
+    assert len(ground) ** 2 > relations._SWEEP_ENTRIES
+    h = scalar_holds(rel)
+    pts = list(ground)
+    assert maximal_elements(rel, ground) == maximal_elements_ref(h, ground)
+    assert maxima(rel, ground) == maxima_ref(h, ground)
+    assert preference_matrix(rel, ground).tolist() == [[h(x, y) for y in pts] for x in pts]
+    for prop in ("reflexive", "complete", "fip"):
+        assert check_property(rel, ground, prop) == check_property_ref(h, ground, prop)
+
+
+@pytest.mark.parametrize("entries", (1, 7, 64))
+def test_every_sweep_matches_in_small_blocks(entries, monkeypatch, band):
+    # blocks of a row or a few, so each witness search crosses blocks
+    monkeypatch.setattr(relations, "_SWEEP_ENTRIES", entries)
+    rng = np.random.default_rng(entries)
+    for style in ("uniform", "closure", "utility"):
+        rel = random_tabular_relation(rng, 9, style)
+        _assert_sweeps_match(rel, GroundSet.explicit(rel.table_ground), scalar_holds(rel))
+    _assert_sweeps_match(band.relation, band.default_ground, scalar_holds(band.relation))
+    wells = Relation.from_utility("twin-wells", 1, lambda x: -min(abs(x[0] - 0.2), abs(x[0] - 0.8)))
+    _assert_sweeps_match(wells, GroundSet.grid([(0.0, 1.0, 0.05)]), scalar_holds(wells))
+
+
+def test_a_scalar_rule_fails_loudly_on_columns():
+    # `and`/`or` ask an array for one truth value
+    rel = Relation.from_predicate("scalar", 1, SCALAR_RULES["favored-one"])
+    with pytest.raises(ValueError):
+        maximal_elements(rel, GroundSet.grid([(0.0, 1.0, 0.25)]))

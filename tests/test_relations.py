@@ -45,6 +45,13 @@ def test_tabular_point_not_in_ground():
         holds(rel, pt(2.0), pt(0.0))
 
 
+def test_tabular_ground_points_must_be_distinct():
+    # with a repeated point, one row would answer for both copies
+    with pytest.raises(ValueError, match="distinct"):
+        Relation.from_table("dup", [pt(0.0), pt(1.0), pt(0.0)],
+                            [[1, 0, 0], [1, 1, 1], [0, 1, 1]])
+
+
 # ------------------------------------------------------ strictly_prefers
 
 
@@ -153,7 +160,7 @@ def zero_or_self():
     # weakly-better sets are {0, x}: never convex on a grid, but the strict
     # ones are singletons or empty
     def rule(x, y):
-        return abs(x[0]) <= 1e-9 or abs(x[0] - y[0]) <= 1e-9
+        return (abs(x[0]) <= 1e-9) | (abs(x[0] - y[0]) <= 1e-9)
 
     return Relation.from_predicate("zero-or-self", 1, rule)
 
@@ -162,11 +169,10 @@ def origin_favors_half():
     # weakly-better sets are intervals or singletons; the strict one at 0 is
     # an interval with its midpoint removed
     def rule(x, y):
-        if abs(y[0]) <= 1e-9:
-            return True
-        if abs(y[0] - 0.5) <= 1e-9:
-            return abs(x[0]) <= 1e-9
-        return abs(x[0] - y[0]) <= 1e-9
+        y_zero = abs(y[0]) <= 1e-9
+        y_half = ~y_zero & (abs(y[0] - 0.5) <= 1e-9)
+        y_other = ~y_zero & ~y_half
+        return y_zero | (y_half & (abs(x[0]) <= 1e-9)) | (y_other & (abs(x[0] - y[0]) <= 1e-9))
 
     return Relation.from_predicate("origin-favors-half", 1, rule)
 
