@@ -169,7 +169,7 @@ def descend(ctx, fixture_name, x0, theta0, schedule, max_iters, eps, trace_path,
     click.echo(f"termination={trace.termination} iterations={len(trace) - 1} "
                f"final={','.join(repr(c) for c in final.coords)}")
     if trace.reference is not None:
-        click.echo(f"distance_to_reference={trace.distances()[-1]!r}")
+        click.echo(f"distance_to_reference={trace.rows[-1].dist!r}")
     if trace_path:
         fmt = "json" if trace_path.endswith(".json") else "csv"
         emit_trace(trace, fmt, trace_path)

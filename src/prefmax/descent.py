@@ -9,10 +9,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import repeat
+from operator import mul, sub
 from typing import Callable
 
 from .plastria import GapFunction
-from .points import Point, norm, scale, sub
+from .points import Point
 
 
 class ScheduleValidationError(ValueError):
@@ -128,60 +130,72 @@ class DescentTrace:
     def distances(self) -> list[float]:
         if self.reference is None:
             raise ValueError("trace has no reference point")
-        return [norm(sub(r.x, self.reference)) for r in self.rows]
+        ref = tuple(self.reference)
+        return [_dist(r.x, ref) for r in self.rows]
 
 
-def run_descent(oracle: Callable[[Point], tuple], x1: Point, schedule: StepSchedule,
+def _norm(a) -> float:
+    return math.sqrt(sum(map(mul, a, a)))
+
+
+def _dist(a, b) -> float:
+    """||a - b||, summed coordinate by coordinate from the first."""
+    t = list(map(sub, a, b))
+    return math.sqrt(sum(map(mul, t, t)))
+
+
+def run_descent(oracle: Callable[[tuple], tuple], x1: Point, schedule: StepSchedule,
                 config: DescentConfig, reference: Point | None = None,
                 gap: GapFunction | None = None) -> DescentTrace:
     """Iterate x_{k+1} = x_k - theta_k * x_k^* until the oracle returns zero,
     the cone element's norm drops to eps, or the iteration budget runs out.
 
-    The oracle must return a cone element of norm at most L; violations are
-    hard errors, not clamped, since the step-square budget depends on the
-    bound.
+    The oracle receives the iterate's coordinates as a tuple of floats and
+    must return a cone element of norm at most L; violations are hard
+    errors, not clamped, since the step-square budget depends on the bound.
+    A non-finite oracle output or iterate raises ValueError, as `Point`
+    does. Each iterate's distance to the reference is computed once: the
+    distance of x_{k+1} found for row k's Fejer residual is row k+1's.
     """
     schedule.validate()
     L = config.lipschitz
+    bound = L * (1.0 + 1e-12)
+    eps = config.eps
+    theta_of = schedule.theta
+    ref = tuple(reference) if reference is not None else None
+    with_gap = gap is not None and ref is not None
     rows: list[TraceRow] = []
-
-    def diag(x: Point):
-        d = norm(sub(x, reference)) if reference is not None else None
-        g = gap(x.coords, reference.coords) if (gap is not None and reference is not None) else None
-        return d, g
-
-    x = x1
+    point, x = x1, tuple(x1)
+    d = _dist(x, ref) if ref is not None else None
     termination = "maxIters"
     for k in range(1, config.max_iters + 1):
         xs = tuple(oracle(x))
-        nxs = norm(xs)
-        if nxs > L * (1.0 + 1e-12):
+        nxs = _norm(xs)
+        if nxs > bound:
             raise OracleNormViolation(
                 f"oracle output norm {nxs} exceeds the declared bound {L} at iteration {k}")
-        d, g = diag(x)
+        g = gap(x, ref) if with_gap else None
         if nxs == 0.0:
-            rows.append(TraceRow(k, x, Point(xs), None, d, g, None))
             termination = "zeroSubgradient"
-            break
-        if config.eps > 0.0 and nxs <= config.eps:
-            rows.append(TraceRow(k, x, Point(xs), None, d, g, None))
+        elif eps > 0.0 and nxs <= eps:
             termination = "normBelowEps"
-            break
-        theta = schedule.theta(k)
-        if theta is None:
-            rows.append(TraceRow(k, x, Point(xs), None, d, g, None))
+        elif (theta := theta_of(k)) is None:
             termination = "maxIters"
-            break
-        x_next = Point(sub(x, scale(xs, theta)))
-        residual = None
-        if reference is not None:
-            d_next = norm(sub(x_next, reference))
-            residual = d_next * d_next - d * d - theta * theta * L * L
-        rows.append(TraceRow(k, x, Point(xs), theta, d, g, residual))
-        x = x_next
+        else:
+            point_next = Point(tuple(map(sub, x, map(mul, xs, repeat(theta)))))
+            x_next = point_next.coords
+            d_next = residual = None
+            if ref is not None:
+                d_next = _dist(x_next, ref)
+                residual = d_next * d_next - d * d - theta * theta * L * L
+            rows.append(TraceRow(k, point, Point(xs), theta, d, g, residual))
+            point, x, d = point_next, x_next, d_next
+            continue
+        rows.append(TraceRow(k, point, Point(xs), None, d, g, None))
+        break
     else:
-        d, g = diag(x)
-        rows.append(TraceRow(config.max_iters + 1, x, None, None, d, g, None))
+        g = gap(x, ref) if with_gap else None
+        rows.append(TraceRow(config.max_iters + 1, point, None, None, d, g, None))
     return DescentTrace(tuple(rows), termination, reference=reference, lipschitz=L)
 
 
@@ -190,15 +204,21 @@ def quasi_fejer_check(trace: DescentTrace, reference: Point, L: float,
     """The quasi-Fejer inequality, recomputed along the trace: each squared
     distance to the reference may grow by at most theta_k^2 L^2 plus a
     relative slack. The reference must be a maximal point the caller trusts
-    to lie in every iterate's strictly-better set."""
+    to lie in every iterate's strictly-better set. Distances are recomputed
+    from the iterates, once per iterate, not read from the trace."""
+    ref = tuple(reference)
+    d_prev = None
     for prev, nxt in zip(trace.rows, trace.rows[1:]):
         if prev.theta is None:
+            d_prev = None
             continue
-        d_prev = norm(sub(prev.x, reference))
-        d_next = norm(sub(nxt.x, reference))
+        if d_prev is None:
+            d_prev = _dist(prev.x, ref)
+        d_next = _dist(nxt.x, ref)
         budget = prev.theta * prev.theta * L * L
         if d_next * d_next > d_prev * d_prev + budget + slack * (1.0 + d_prev * d_prev):
             return False
+        d_prev = d_next
     return True
 
 
@@ -216,6 +236,6 @@ def reconstruction_residuals(trace: DescentTrace) -> list[float]:
     for prev, nxt in zip(trace.rows, trace.rows[1:]):
         if prev.theta is None or prev.xstar is None:
             continue
-        predicted = sub(prev.x, scale(prev.xstar, prev.theta))
-        out.append(norm(sub(nxt.x, predicted)) / (1.0 + norm(prev.x)))
+        predicted = map(sub, prev.x, map(mul, prev.xstar, repeat(prev.theta)))
+        out.append(_dist(nxt.x, predicted) / (1.0 + _norm(prev.x)))
     return out

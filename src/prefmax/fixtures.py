@@ -11,13 +11,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from operator import mul
 from typing import Callable
 
 import numpy as np
 
 from .cones import Cone, box_sample, normal_membership_many
 from .plastria import GapFunction, gap_from_utility, zero_gap
-from .points import GroundSet, Point, norm, sub
+from .points import GroundSet, Point
 from .relations import Relation
 
 _EQ_TOL = 1e-9
@@ -44,7 +45,7 @@ class Fixture:
     default_ground: GroundSet
     cone_oracle: Callable[[Point], Cone] | None = None
     gap: GapFunction | None = None
-    descent_direction: Callable[[Point], tuple | None] | None = None
+    descent_direction: Callable[[tuple], tuple | None] | None = None
     reference: Point | None = None
     lsc: bool = False
     complete: bool = False
@@ -63,20 +64,20 @@ class Fixture:
             return self.default_ground.extended(self.me_margin)
         return self.default_ground
 
-    def descent_oracle(self) -> Callable[[Point], tuple]:
-        """Cone-element oracle of norm at most L: the scaled strict normal
-        direction, or zero at maximal points."""
+    def descent_oracle(self) -> Callable[[tuple], tuple]:
+        """Cone-element oracle of norm at most L on coordinate tuples: the
+        scaled strict normal direction, or zero at maximal points."""
         if self.gap is None or self.descent_direction is None:
             raise ValueError(f"fixture {self.name!r} has no descent capability")
         L = self.gap.lipschitz
         direction = self.descent_direction
 
-        def oracle(x: Point) -> tuple:
+        def oracle(x: tuple) -> tuple:
             d = direction(x)
             if d is None:
-                return (0.0,) * x.dim
-            nd = norm(d)
-            return tuple(c * (L / nd) for c in d)
+                return (0.0,) * len(x)
+            s = L / math.sqrt(sum(map(mul, d, d)))
+            return tuple([c * s for c in d])
 
         return oracle
 
@@ -171,7 +172,7 @@ def _vee_peak() -> Fixture:
             return Cone.full(1)
         return Cone.ray((-1.0,)) if p[0] < 0.7 else Cone.ray((1.0,))
 
-    def direction(p: Point):
+    def direction(p: tuple):
         if p[0] == 0.7:
             return None
         return (-1.0,) if p[0] < 0.7 else (1.0,)
@@ -211,12 +212,12 @@ def _radial_bowl() -> Fixture:
     u = lambda x: -math.hypot(x[0] - a[0], x[1] - a[1])
     rel = Relation.from_utility("radial-bowl", 2, u)
 
-    def direction(p: Point):
+    def direction(p: tuple):
         # strictly-better sets are empty only exactly at the peak; snapping
         # within a tolerance would cut descent runs short at near-tangency
         # steps, where the distance genuinely collapses by many decades
-        d = sub(p, a)
-        return None if norm(d) == 0.0 else d
+        d = (p[0] - a[0], p[1] - a[1])
+        return None if d[0] * d[0] + d[1] * d[1] == 0.0 else d
 
     return Fixture(
         name="radial-bowl",
@@ -275,7 +276,7 @@ def _twin_plateau() -> Fixture:
             return Cone.ray((-1.0,))
         return Cone.full(1)
 
-    def direction(p: Point):
+    def direction(p: tuple):
         if p[0] > 1.0 + _EQ_TOL:
             return (1.0,)
         if p[0] < -1.0 - _EQ_TOL:

@@ -59,7 +59,6 @@ class RunReport:
     command: str
     fixture: str
     verdicts: tuple[Verdict, ...]
-    artifacts: tuple[str, ...] = ()
     wall_time_s: float = 0.0
 
     @property
@@ -79,7 +78,6 @@ class RunReport:
                 {"check": v.check, "pass": v.passed, "detail": v.detail}
                 for v in self.verdicts
             ],
-            "artifacts": list(self.artifacts),
             "wall_time_s": self.wall_time_s,
         }
 

@@ -28,9 +28,9 @@ class Point:
     def __post_init__(self):
         if len(self.coords) < 1:
             raise ValueError("point needs at least one coordinate")
-        if any(not math.isfinite(c) for c in self.coords):
+        if not all(map(math.isfinite, self.coords)):
             raise ValueError(f"non-finite coordinate in {self.coords}")
-        object.__setattr__(self, "coords", tuple(float(c) for c in self.coords))
+        object.__setattr__(self, "coords", tuple(map(float, self.coords)))
 
     @property
     def dim(self) -> int:
@@ -56,10 +56,6 @@ def dot(a, b) -> float:
 
 def sub(a, b) -> tuple[float, ...]:
     return tuple(x - y for x, y in zip(a, b))
-
-
-def add(a, b) -> tuple[float, ...]:
-    return tuple(x + y for x, y in zip(a, b))
 
 
 def scale(a, s: float) -> tuple[float, ...]:

@@ -6,14 +6,17 @@ vertex/midpoint sweep and the Minty field test replaced. Relations are
 evaluated one pair at a time through `scalar_holds`, which for predicate
 fixtures uses the scalar rules the fixtures were first written with;
 samples build a Point per lattice candidate; membership tests meet one
-sampled point at a time with the tuple helpers of `prefmax.points`; the
-Minty test calls the cone oracle per (xhat, y) pair. The differential tests
-hold the array versions to these, result for result and witness for
-witness.
+sampled point at a time with the original tuple helpers (defined below); the
+Minty test calls the cone oracle per (xhat, y) pair. The descent loop, its
+fixture oracle and its diagnostics are the original ones: Points per iterate
+and a distance recomputed wherever one is needed. The differential tests
+hold the array versions and the tuple descent loop to these, result for
+result and witness for witness, row for row.
 """
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import replace
 from itertools import combinations
@@ -21,8 +24,27 @@ from itertools import combinations
 import numpy as np
 
 from prefmax import ContourSample, GroundSet, Point, PropertyReport, VipCertificate
-from prefmax.points import dot, norm, scale, sub
+from prefmax.descent import DescentTrace, OracleNormViolation, TraceRow
 from prefmax.relations import _contour_is_grid_convex
+
+# ------------------------------------------------------ tuple helpers
+
+
+def dot(a, b) -> float:
+    return sum(x * y for x, y in zip(a, b))
+
+
+def sub(a, b) -> tuple[float, ...]:
+    return tuple(x - y for x, y in zip(a, b))
+
+
+def scale(a, s: float) -> tuple[float, ...]:
+    return tuple(x * s for x in a)
+
+
+def norm(a) -> float:
+    return math.sqrt(sum(x * x for x in a))
+
 
 # ------------------------------------------------- scalar fixture rules
 
@@ -324,3 +346,106 @@ def mvip_membership_ref(cone_oracle, xhat: Point, X, tol: float) -> bool:
 
 def mvip_solutions_ref(cone_oracle, X, tol: float) -> list[Point]:
     return [x for x in X if mvip_membership_ref(cone_oracle, x, X, tol)]
+
+
+# ------------------------------------------------------------- descent
+
+
+def _radial_direction_ref(p: Point):
+    d = sub(p, (1.0, 2.0))
+    return None if norm(d) == 0.0 else d
+
+
+ORIGINAL_DIRECTIONS = {"radial-bowl": _radial_direction_ref}
+
+
+def descent_oracle_ref(fixture):
+    """The original `Fixture.descent_oracle`: a Point in, L / ||d|| taken per
+    coordinate. Radial-bowl uses its original direction; the other fixtures'
+    directions only read coordinates, so they take Points as they are."""
+    L = fixture.gap.lipschitz
+    direction = ORIGINAL_DIRECTIONS.get(fixture.name, fixture.descent_direction)
+
+    def oracle(x: Point) -> tuple:
+        d = direction(x)
+        if d is None:
+            return (0.0,) * x.dim
+        nd = norm(d)
+        return tuple(c * (L / nd) for c in d)
+
+    return oracle
+
+
+def run_descent_ref(oracle, x1: Point, schedule, config, reference=None,
+                    gap=None) -> DescentTrace:
+    schedule.validate()
+    L = config.lipschitz
+    rows = []
+
+    def diag(x: Point):
+        d = norm(sub(x, reference)) if reference is not None else None
+        g = gap(x.coords, reference.coords) if (gap is not None and reference is not None) else None
+        return d, g
+
+    x = x1
+    termination = "maxIters"
+    for k in range(1, config.max_iters + 1):
+        xs = tuple(oracle(x))
+        nxs = norm(xs)
+        if nxs > L * (1.0 + 1e-12):
+            raise OracleNormViolation(
+                f"oracle output norm {nxs} exceeds the declared bound {L} at iteration {k}")
+        d, g = diag(x)
+        if nxs == 0.0:
+            rows.append(TraceRow(k, x, Point(xs), None, d, g, None))
+            termination = "zeroSubgradient"
+            break
+        if config.eps > 0.0 and nxs <= config.eps:
+            rows.append(TraceRow(k, x, Point(xs), None, d, g, None))
+            termination = "normBelowEps"
+            break
+        theta = schedule.theta(k)
+        if theta is None:
+            rows.append(TraceRow(k, x, Point(xs), None, d, g, None))
+            termination = "maxIters"
+            break
+        x_next = Point(sub(x, scale(xs, theta)))
+        residual = None
+        if reference is not None:
+            d_next = norm(sub(x_next, reference))
+            residual = d_next * d_next - d * d - theta * theta * L * L
+        rows.append(TraceRow(k, x, Point(xs), theta, d, g, residual))
+        x = x_next
+    else:
+        d, g = diag(x)
+        rows.append(TraceRow(config.max_iters + 1, x, None, None, d, g, None))
+    return DescentTrace(tuple(rows), termination, reference=reference, lipschitz=L)
+
+
+def distances_ref(trace: DescentTrace) -> list[float]:
+    if trace.reference is None:
+        raise ValueError("trace has no reference point")
+    return [norm(sub(r.x, trace.reference)) for r in trace.rows]
+
+
+def quasi_fejer_check_ref(trace: DescentTrace, reference: Point, L: float,
+                          slack: float = 1e-10) -> bool:
+    for prev, nxt in zip(trace.rows, trace.rows[1:]):
+        if prev.theta is None:
+            continue
+        d_prev = norm(sub(prev.x, reference))
+        d_next = norm(sub(nxt.x, reference))
+        budget = prev.theta * prev.theta * L * L
+        if d_next * d_next > d_prev * d_prev + budget + slack * (1.0 + d_prev * d_prev):
+            return False
+    return True
+
+
+def reconstruction_residuals_ref(trace: DescentTrace) -> list[float]:
+    out = []
+    for prev, nxt in zip(trace.rows, trace.rows[1:]):
+        if prev.theta is None or prev.xstar is None:
+            continue
+        predicted = sub(prev.x, scale(prev.xstar, prev.theta))
+        out.append(norm(sub(nxt.x, predicted)) / (1.0 + norm(prev.x)))
+    return out

@@ -16,7 +16,8 @@ from prefmax import (
     run_descent,
 )
 from prefmax.descent import DescentTrace, TraceRow, reconstruction_residuals
-from prefmax.points import norm, sub
+
+from scalar_reference import norm, sub
 
 
 # ----------------------------------------------------------------- schedules

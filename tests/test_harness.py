@@ -72,6 +72,14 @@ def test_report_json_schema(tmp_path):
     assert payload["verdicts"][0]["check"] == "maximal"
 
 
+def test_report_json_keys(tmp_path):
+    report = run_experiment(ExperimentSpec(fixture="vee-peak", suite=("maximal",)))
+    path = tmp_path / "report.json"
+    emit_report(report, str(path))
+    payload = json.loads(path.read_text())
+    assert set(payload) == {"schema", "command", "fixture", "verdicts", "wall_time_s"}
+
+
 # ------------------------------------------------------------------- traces
 
 
@@ -166,6 +174,18 @@ def test_cli_descend_and_trace(tmp_path):
     assert result.exit_code == 0, result.output
     assert "termination=" in result.output
     assert path.exists()
+
+
+@pytest.mark.parametrize("name, x0", [("radial-bowl", (0.3, -0.2)), ("vee-peak", (2.1,))])
+@pytest.mark.parametrize("max_iters", (50, 10_000))
+def test_cli_descend_prints_the_final_distance(name, x0, max_iters):
+    result = runner.invoke(main, ["descend", "--fixture", name,
+                                  "--x0", ",".join(repr(c) for c in x0),
+                                  "--max-iters", str(max_iters)])
+    assert result.exit_code == 0, result.output
+    trace = descend_fixture(name, x0, max_iters=max_iters)
+    line = result.output.splitlines()[1]
+    assert line == f"distance_to_reference={trace.distances()[-1]!r}"
 
 
 def test_cli_descend_capability_error():

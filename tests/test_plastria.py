@@ -19,7 +19,8 @@ from prefmax import (
     zero_gap,
     zero_maximality_check,
 )
-from prefmax.points import norm
+
+from scalar_reference import norm
 
 
 def right_tail_sample(base: float, hi: float, step: float = 0.01) -> ContourSample:

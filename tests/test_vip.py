@@ -14,8 +14,9 @@ from prefmax import (
     svip_solutions,
     uniqueness_check,
 )
-from prefmax.points import dot, norm, scale, sub
 from prefmax.vip import bodies_for_ground
+
+from scalar_reference import dot, norm, scale, sub
 
 
 def coords(points):
