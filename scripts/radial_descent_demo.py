@@ -25,7 +25,7 @@ def main() -> int:
 
     dists = trace.distances()
     print(f"start (0, 0), target {tuple(target.coords)}")
-    print(f"termination: {trace.termination} after {len(trace.rows) - 1} steps "
+    print(f"termination: {trace.termination} after {len(trace) - 1} steps "
           f"({runtime * 1000:.0f} ms)")
     print(f"final point: {tuple(trace.final_point.coords)}")
     print(f"final distance: {dists[-1]:.3e}")

@@ -165,11 +165,10 @@ def descend(ctx, fixture_name, x0, theta0, schedule, max_iters, eps, trace_path,
     except (UnknownFixture, CapabilityError, ScheduleValidationError, ValueError, OSError) as exc:
         _fail_config(str(exc))
         return
-    final = trace.final_point
     click.echo(f"termination={trace.termination} iterations={len(trace) - 1} "
-               f"final={','.join(repr(c) for c in final.coords)}")
+               f"final={','.join(map(repr, trace.xs[-1]))}")
     if trace.reference is not None:
-        click.echo(f"distance_to_reference={trace.rows[-1].dist!r}")
+        click.echo(f"distance_to_reference={trace.dists[-1]!r}")
     if trace_path:
         fmt = "json" if trace_path.endswith(".json") else "csv"
         emit_trace(trace, fmt, trace_path)

@@ -9,12 +9,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import repeat
+from functools import cached_property
+from itertools import count, repeat
 from operator import mul, sub
 from typing import Callable
 
 from .plastria import GapFunction
-from .points import Point
+from .points import Point, float_coords
 
 
 class ScheduleValidationError(ValueError):
@@ -115,23 +116,69 @@ class TraceRow:
 
 @dataclass(frozen=True)
 class DescentTrace:
-    rows: tuple[TraceRow, ...]
+    """A descent run kept as parallel columns; entry i of each is row k = i + 1.
+
+    xs holds the iterates' coordinate tuples and xstars the cone elements'
+    (None on the row after a spent budget); thetas the step taken (None where
+    the run stopped); dists, gaps and residuals the distance and gap to the
+    reference and the quasi-Fejer residual d_{k+1}^2 - d_k^2 - theta_k^2 L^2
+    (None without a reference). `rows` builds Points and TraceRows from the
+    columns on first access.
+    """
+
+    xs: tuple[tuple[float, ...], ...]
+    xstars: tuple[tuple[float, ...] | None, ...]
+    thetas: tuple[float | None, ...]
+    dists: tuple[float | None, ...]
+    gaps: tuple[float | None, ...]
+    residuals: tuple[float | None, ...]
     termination: str  # "zeroSubgradient" | "maxIters" | "normBelowEps"
     reference: Point | None = None
     lipschitz: float | None = None
 
+    def __post_init__(self):
+        n = len(self.xs)
+        if any(len(c) != n for c in (self.xstars, self.thetas, self.dists, self.gaps,
+                                     self.residuals)):
+            raise ValueError("trace columns differ in length")
+
+    @classmethod
+    def from_rows(cls, rows, termination: str, reference: Point | None = None,
+                  lipschitz: float | None = None) -> "DescentTrace":
+        """The trace of TraceRows numbered k = 1..n."""
+        rows = tuple(rows)
+        for k, r in enumerate(rows, 1):
+            if r.k != k:
+                raise ValueError(f"row {k} has k = {r.k!r}; trace rows are numbered 1..n")
+        return cls(tuple(r.x.coords for r in rows),
+                   tuple(None if r.xstar is None else r.xstar.coords for r in rows),
+                   tuple(r.theta for r in rows), tuple(r.dist for r in rows),
+                   tuple(r.gap for r in rows), tuple(r.fejer_residual for r in rows),
+                   termination, reference=reference, lipschitz=lipschitz)
+
+    def records(self):
+        """(k, x, xstar, theta, dist, gap, residual) per row, read off the columns."""
+        return zip(count(1), self.xs, self.xstars, self.thetas, self.dists, self.gaps,
+                   self.residuals)
+
+    @cached_property
+    def rows(self) -> tuple[TraceRow, ...]:
+        return tuple(
+            TraceRow(k, Point(x), None if xstar is None else Point(xstar), theta, d, g, r)
+            for k, x, xstar, theta, d, g, r in self.records())
+
     def __len__(self) -> int:
-        return len(self.rows)
+        return len(self.xs)
 
     @property
     def final_point(self) -> Point:
-        return self.rows[-1].x
+        return Point(self.xs[-1])
 
     def distances(self) -> list[float]:
         if self.reference is None:
             raise ValueError("trace has no reference point")
         ref = tuple(self.reference)
-        return [_dist(r.x, ref) for r in self.rows]
+        return [_dist(x, ref) for x in self.xs]
 
 
 def _norm(a) -> float:
@@ -153,9 +200,10 @@ def run_descent(oracle: Callable[[tuple], tuple], x1: Point, schedule: StepSched
     The oracle receives the iterate's coordinates as a tuple of floats and
     must return a cone element of norm at most L; violations are hard
     errors, not clamped, since the step-square budget depends on the bound.
-    A non-finite oracle output or iterate raises ValueError, as `Point`
-    does. Each iterate's distance to the reference is computed once: the
-    distance of x_{k+1} found for row k's Fejer residual is row k+1's.
+    A non-finite iterate or oracle output raises ValueError, as `Point`
+    does, the iterate checked first; both are stored as float tuples. Each
+    iterate's distance to the reference is computed once: the distance of
+    x_{k+1} found for row k's Fejer residual is row k+1's.
     """
     schedule.validate()
     L = config.lipschitz
@@ -164,13 +212,13 @@ def run_descent(oracle: Callable[[tuple], tuple], x1: Point, schedule: StepSched
     theta_of = schedule.theta
     ref = tuple(reference) if reference is not None else None
     with_gap = gap is not None and ref is not None
-    rows: list[TraceRow] = []
-    point, x = x1, tuple(x1)
+    rows: list[tuple] = []  # (x, xstar, theta, dist, gap, residual) per row
+    x = tuple(x1)
     d = _dist(x, ref) if ref is not None else None
     termination = "maxIters"
     for k in range(1, config.max_iters + 1):
-        xs = tuple(oracle(x))
-        nxs = _norm(xs)
+        xstar = tuple(oracle(x))
+        nxs = _norm(xstar)
         if nxs > bound:
             raise OracleNormViolation(
                 f"oracle output norm {nxs} exceeds the declared bound {L} at iteration {k}")
@@ -182,21 +230,20 @@ def run_descent(oracle: Callable[[tuple], tuple], x1: Point, schedule: StepSched
         elif (theta := theta_of(k)) is None:
             termination = "maxIters"
         else:
-            point_next = Point(tuple(map(sub, x, map(mul, xs, repeat(theta)))))
-            x_next = point_next.coords
+            x_next = float_coords(tuple(map(sub, x, map(mul, xstar, repeat(theta)))))
             d_next = residual = None
             if ref is not None:
                 d_next = _dist(x_next, ref)
                 residual = d_next * d_next - d * d - theta * theta * L * L
-            rows.append(TraceRow(k, point, Point(xs), theta, d, g, residual))
-            point, x, d = point_next, x_next, d_next
+            rows.append((x, float_coords(xstar), theta, d, g, residual))
+            x, d = x_next, d_next
             continue
-        rows.append(TraceRow(k, point, Point(xs), None, d, g, None))
+        rows.append((x, float_coords(xstar), None, d, g, None))
         break
     else:
         g = gap(x, ref) if with_gap else None
-        rows.append(TraceRow(config.max_iters + 1, point, None, None, d, g, None))
-    return DescentTrace(tuple(rows), termination, reference=reference, lipschitz=L)
+        rows.append((x, None, None, d, g, None))
+    return DescentTrace(*zip(*rows), termination, reference=reference, lipschitz=L)
 
 
 def quasi_fejer_check(trace: DescentTrace, reference: Point, L: float,
@@ -207,15 +254,16 @@ def quasi_fejer_check(trace: DescentTrace, reference: Point, L: float,
     to lie in every iterate's strictly-better set. Distances are recomputed
     from the iterates, once per iterate, not read from the trace."""
     ref = tuple(reference)
+    xs = trace.xs
     d_prev = None
-    for prev, nxt in zip(trace.rows, trace.rows[1:]):
-        if prev.theta is None:
+    for theta, x, x_next in zip(trace.thetas, xs, xs[1:]):
+        if theta is None:
             d_prev = None
             continue
         if d_prev is None:
-            d_prev = _dist(prev.x, ref)
-        d_next = _dist(nxt.x, ref)
-        budget = prev.theta * prev.theta * L * L
+            d_prev = _dist(x, ref)
+        d_next = _dist(x_next, ref)
+        budget = theta * theta * L * L
         if d_next * d_next > d_prev * d_prev + budget + slack * (1.0 + d_prev * d_prev):
             return False
         d_prev = d_next
@@ -224,18 +272,19 @@ def quasi_fejer_check(trace: DescentTrace, reference: Point, L: float,
 
 def gap_convergence_stat(trace: DescentTrace, gap: GapFunction, reference: Point) -> float:
     """Max |f(x_k, reference)| over the last 5 percent of the iterates."""
-    if not trace.rows:
+    if not trace.xs:
         raise ValueError("empty trace")
-    tail = max(1, math.ceil(0.05 * len(trace.rows)))
-    return max(abs(gap(r.x.coords, reference.coords)) for r in trace.rows[-tail:])
+    tail = max(1, math.ceil(0.05 * len(trace.xs)))
+    return max(abs(gap(x, reference.coords)) for x in trace.xs[-tail:])
 
 
 def reconstruction_residuals(trace: DescentTrace) -> list[float]:
     """Relative residuals of x_{k+1} = x_k - theta_k x_k^* along the trace."""
     out = []
-    for prev, nxt in zip(trace.rows, trace.rows[1:]):
-        if prev.theta is None or prev.xstar is None:
+    xs = trace.xs
+    for theta, xstar, x, x_next in zip(trace.thetas, trace.xstars, xs, xs[1:]):
+        if theta is None or xstar is None:
             continue
-        predicted = map(sub, prev.x, map(mul, prev.xstar, repeat(prev.theta)))
-        out.append(_dist(nxt.x, predicted) / (1.0 + _norm(prev.x)))
+        predicted = map(sub, x, map(mul, xstar, repeat(theta)))
+        out.append(_dist(x_next, predicted) / (1.0 + _norm(x)))
     return out

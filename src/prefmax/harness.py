@@ -11,10 +11,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cones import normal_membership, strict_normal_membership
-from .descent import DescentConfig, DescentTrace, StepSchedule, TraceRow, run_descent
+from .descent import DescentConfig, DescentTrace, StepSchedule, run_descent
 from .fixtures import Fixture, get_fixture
 from .plastria import zero_maximality_check
-from .points import GroundSet, Point
+from .points import GroundSet, Point, float_coords
 from .relations import check_property, maximal_elements, maxima
 from .vip import mvip_solutions, svip_inclusion_check, svip_solutions, uniqueness_check
 
@@ -237,8 +237,8 @@ def _fmt(value: float | None) -> str:
     return "" if value is None else repr(value)
 
 
-def _fmt_point(p: Point | None) -> str:
-    return "" if p is None else ";".join(repr(c) for c in p.coords)
+def _fmt_coords(coords: tuple | None) -> str:
+    return "" if coords is None else ";".join(map(repr, coords))
 
 
 def _atomic_write(path: str, payload: str) -> None:
@@ -258,9 +258,9 @@ def emit_trace(trace: DescentTrace, fmt: str, path: str) -> str:
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(TRACE_COLUMNS)
-        for r in trace.rows:
-            writer.writerow([r.k, _fmt_point(r.x), _fmt_point(r.xstar), _fmt(r.theta),
-                             _fmt(r.dist), _fmt(r.gap), _fmt(r.fejer_residual)])
+        for k, x, xstar, theta, d, g, r in trace.records():
+            writer.writerow([k, _fmt_coords(x), _fmt_coords(xstar), _fmt(theta),
+                             _fmt(d), _fmt(g), _fmt(r)])
         _atomic_write(path, buf.getvalue())
         return path
     if fmt == "json":
@@ -271,15 +271,15 @@ def emit_trace(trace: DescentTrace, fmt: str, path: str) -> str:
             "lipschitz": trace.lipschitz,
             "rows": [
                 {
-                    "k": r.k,
-                    "x": list(r.x.coords),
-                    "xstar": list(r.xstar.coords) if r.xstar else None,
-                    "theta": r.theta,
-                    "dist_to_ref": r.dist,
-                    "gap_to_ref": r.gap,
-                    "fejer_residual": r.fejer_residual,
+                    "k": k,
+                    "x": list(x),
+                    "xstar": list(xstar) if xstar is not None else None,
+                    "theta": theta,
+                    "dist_to_ref": d,
+                    "gap_to_ref": g,
+                    "fejer_residual": r,
                 }
-                for r in trace.rows
+                for k, x, xstar, theta, d, g, r in trace.records()
             ],
         }
         _atomic_write(path, json.dumps(payload, indent=1))
@@ -288,22 +288,41 @@ def emit_trace(trace: DescentTrace, fmt: str, path: str) -> str:
 
 
 def load_trace_json(path: str) -> DescentTrace:
+    """Read a trace `emit_trace` wrote as JSON. A file that is not one raises
+    ValueError naming the file and the fault: bad JSON, another schema, a
+    missing key, no rows, or rows not numbered k = 1..n. A non-finite
+    coordinate raises the ValueError a Point gives."""
     with open(path) as fh:
-        payload = json.load(fh)
-    rows = tuple(
-        TraceRow(
-            k=r["k"],
-            x=Point(tuple(r["x"])),
-            xstar=Point(tuple(r["xstar"])) if r["xstar"] is not None else None,
-            theta=r["theta"],
-            dist=r["dist_to_ref"],
-            gap=r["gap_to_ref"],
-            fejer_residual=r["fejer_residual"],
-        )
-        for r in payload["rows"]
-    )
+        try:
+            payload = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{path}: not a JSON trace: {exc}") from exc
+    if not isinstance(payload, dict):
+        raise ValueError(f"{path}: not a JSON trace: the top level is not an object")
+    for key in ("schema", "termination", "reference", "lipschitz", "rows"):
+        if key not in payload:
+            raise ValueError(f"{path}: trace has no {key!r} key")
+    if payload["schema"] != SCHEMA_VERSION:
+        raise ValueError(f"{path}: trace schema {payload['schema']!r}, expected {SCHEMA_VERSION}")
+    rows = payload["rows"]
+    if not isinstance(rows, list) or not rows:
+        raise ValueError(f"{path}: trace has no rows")
+    records = []
+    for k, r in enumerate(rows, 1):
+        if not isinstance(r, dict):
+            raise ValueError(f"{path}: row {k} is not an object")
+        for key in TRACE_COLUMNS:
+            if key not in r:
+                raise ValueError(f"{path}: row {k} has no {key!r} key")
+        if r["k"] != k:
+            raise ValueError(f"{path}: row {k} has k = {r['k']!r}; "
+                             f"rows must be numbered 1..{len(rows)}")
+        xstar = r["xstar"]
+        records.append((float_coords(tuple(r["x"])),
+                        None if xstar is None else float_coords(tuple(xstar)),
+                        r["theta"], r["dist_to_ref"], r["gap_to_ref"], r["fejer_residual"]))
     ref = Point(tuple(payload["reference"])) if payload["reference"] else None
-    return DescentTrace(rows, payload["termination"], reference=ref,
+    return DescentTrace(*zip(*records), payload["termination"], reference=ref,
                         lipschitz=payload["lipschitz"])
 
 

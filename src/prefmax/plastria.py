@@ -23,9 +23,8 @@ from .relations import PropertyReport, Relation, preference_matrix
 #   positive_iff_worse   -- f(x,y) > 0 exactly when x is strictly better than y
 #   lipschitz_bound      -- |f(x,y)| <= L ||x-y||
 #   order_compatible     -- strict preference matches pointwise f-dominance
-#   usc_first_argument   -- upper semicontinuity in x (declared, not sampled)
 FLAG_NAMES = ("negative_iff_better", "positive_iff_worse", "lipschitz_bound",
-              "order_compatible", "usc_first_argument")
+              "order_compatible")
 
 
 @dataclass(frozen=True)
@@ -36,7 +35,6 @@ class GapFunction:
     positive_iff_worse: bool = False
     lipschitz_bound: bool = False
     order_compatible: bool = False
-    usc_first_argument: bool = False
 
     def __post_init__(self):
         if self.lipschitz <= 0:
@@ -55,8 +53,7 @@ def gap_from_utility(u: Callable[[tuple], float], lipschitz: float) -> GapFuncti
         raise ValueError("Lipschitz bound must be positive")
     return GapFunction(lambda x, y: u(x) - u(y), lipschitz,
                        negative_iff_better=True, positive_iff_worse=True,
-                       lipschitz_bound=True, order_compatible=True,
-                       usc_first_argument=True)
+                       lipschitz_bound=True, order_compatible=True)
 
 
 def zero_gap(lipschitz: float = 1.0) -> GapFunction:
@@ -64,8 +61,7 @@ def zero_gap(lipschitz: float = 1.0) -> GapFunction:
     classical normal cone."""
     return GapFunction(lambda x, y: 0.0, lipschitz,
                        negative_iff_better=True, positive_iff_worse=True,
-                       lipschitz_bound=True, order_compatible=True,
-                       usc_first_argument=True)
+                       lipschitz_bound=True, order_compatible=True)
 
 
 def audit_gap_flags(gap: GapFunction, rel: Relation, ground: GroundSet,
@@ -74,10 +70,9 @@ def audit_gap_flags(gap: GapFunction, rel: Relation, ground: GroundSet,
     """Sampled self-audit of the declared sign/Lipschitz/order flags.
 
     Violated flags are downgraded on the returned copy and a warning names
-    the offending pair; upper semicontinuity stays as declared (it is not
-    decidable by sampling). Strict preference between sampled points is
-    read off one preference matrix of the ground; the gap is called per
-    sample, in sample order.
+    the offending pair. Strict preference between sampled points is read
+    off one preference matrix of the ground; the gap is called per sample,
+    in sample order.
     """
     rng = rng or np.random.default_rng(0)
     pts = list(ground)

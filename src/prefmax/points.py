@@ -26,11 +26,7 @@ class Point:
     coords: tuple[float, ...]
 
     def __post_init__(self):
-        if len(self.coords) < 1:
-            raise ValueError("point needs at least one coordinate")
-        if not all(map(math.isfinite, self.coords)):
-            raise ValueError(f"non-finite coordinate in {self.coords}")
-        object.__setattr__(self, "coords", tuple(map(float, self.coords)))
+        object.__setattr__(self, "coords", float_coords(self.coords))
 
     @property
     def dim(self) -> int:
@@ -48,6 +44,16 @@ class Point:
 
 def pt(*coords: float) -> Point:
     return Point(tuple(coords))
+
+
+def float_coords(coords: tuple) -> tuple[float, ...]:
+    """`coords` as a tuple of floats, as a Point holds them. Raises
+    ValueError without a coordinate or with a non-finite one."""
+    if len(coords) < 1:
+        raise ValueError("point needs at least one coordinate")
+    if not all(map(math.isfinite, coords)):
+        raise ValueError(f"non-finite coordinate in {coords}")
+    return tuple(map(float, coords))
 
 
 def dot(a, b) -> float:

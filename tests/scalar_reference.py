@@ -8,14 +8,18 @@ fixtures uses the scalar rules the fixtures were first written with;
 samples build a Point per lattice candidate; membership tests meet one
 sampled point at a time with the original tuple helpers (defined below); the
 Minty test calls the cone oracle per (xhat, y) pair. The descent loop, its
-fixture oracle and its diagnostics are the original ones: Points per iterate
-and a distance recomputed wherever one is needed. The differential tests
+fixture oracle, its diagnostics and the trace writer are the original ones:
+Points and a TraceRow per iterate, a distance recomputed wherever one is
+needed, and trace files written row by row. The differential tests
 hold the array versions and the tuple descent loop to these, result for
 result and witness for witness, row for row.
 """
 
 from __future__ import annotations
 
+import csv
+import io
+import json
 import math
 import warnings
 from dataclasses import replace
@@ -25,6 +29,7 @@ import numpy as np
 
 from prefmax import ContourSample, GroundSet, Point, PropertyReport, VipCertificate
 from prefmax.descent import DescentTrace, OracleNormViolation, TraceRow
+from prefmax.harness import SCHEMA_VERSION, TRACE_COLUMNS
 from prefmax.relations import _contour_is_grid_convex
 
 # ------------------------------------------------------ tuple helpers
@@ -419,7 +424,7 @@ def run_descent_ref(oracle, x1: Point, schedule, config, reference=None,
     else:
         d, g = diag(x)
         rows.append(TraceRow(config.max_iters + 1, x, None, None, d, g, None))
-    return DescentTrace(tuple(rows), termination, reference=reference, lipschitz=L)
+    return DescentTrace.from_rows(rows, termination, reference=reference, lipschitz=L)
 
 
 def distances_ref(trace: DescentTrace) -> list[float]:
@@ -449,3 +454,47 @@ def reconstruction_residuals_ref(trace: DescentTrace) -> list[float]:
         predicted = sub(prev.x, scale(prev.xstar, prev.theta))
         out.append(norm(sub(nxt.x, predicted)) / (1.0 + norm(prev.x)))
     return out
+
+
+def emit_trace_ref(trace: DescentTrace, fmt: str, path: str) -> str:
+    """The original `emit_trace`, which wrote a trace row by row from its
+    TraceRows and Points."""
+    def fmt_value(value):
+        return "" if value is None else repr(value)
+
+    def fmt_point(p):
+        return "" if p is None else ";".join(repr(c) for c in p.coords)
+
+    if fmt == "csv":
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(TRACE_COLUMNS)
+        for r in trace.rows:
+            writer.writerow([r.k, fmt_point(r.x), fmt_point(r.xstar), fmt_value(r.theta),
+                             fmt_value(r.dist), fmt_value(r.gap), fmt_value(r.fejer_residual)])
+        text = buf.getvalue()
+    elif fmt == "json":
+        payload = {
+            "schema": SCHEMA_VERSION,
+            "termination": trace.termination,
+            "reference": list(trace.reference.coords) if trace.reference else None,
+            "lipschitz": trace.lipschitz,
+            "rows": [
+                {
+                    "k": r.k,
+                    "x": list(r.x.coords),
+                    "xstar": list(r.xstar.coords) if r.xstar else None,
+                    "theta": r.theta,
+                    "dist_to_ref": r.dist,
+                    "gap_to_ref": r.gap,
+                    "fejer_residual": r.fejer_residual,
+                }
+                for r in trace.rows
+            ],
+        }
+        text = json.dumps(payload, indent=1)
+    else:
+        raise ValueError(f"unknown trace format {fmt!r}; expected csv or json")
+    with open(path, "w", newline="") as fh:
+        fh.write(text)
+    return path

@@ -11,6 +11,7 @@ from prefmax import (
     StepSchedule,
     descend_fixture,
     gap_convergence_stat,
+    gap_from_utility,
     pt,
     quasi_fejer_check,
     run_descent,
@@ -137,7 +138,7 @@ def test_quasi_fejer_rejects_adversarial_trace():
         TraceRow(1, pt(0.0), pt(-1.0), 1.0),
         TraceRow(2, pt(1.0), None, None),
     )
-    trace = DescentTrace(rows, "maxIters", reference=pt(0.0), lipschitz=0.1)
+    trace = DescentTrace.from_rows(rows, "maxIters", reference=pt(0.0), lipschitz=0.1)
     assert not quasi_fejer_check(trace, pt(0.0), L=0.1)
 
 
@@ -154,9 +155,20 @@ def test_gap_stat_flags_short_runs(radial):
     assert stat > 0.9 * d1  # ten harmonic steps barely dent a far start
 
 
+@pytest.mark.parametrize("n, tail", [(1, 1), (20, 1), (21, 2), (40, 2), (41, 3)])
+def test_gap_stat_reads_exactly_the_last_five_percent(n, tail):
+    # |gap| to the origin is |x|: row k holds k, except 100 on the row just
+    # before the tail of ceil(0.05 n) rows, which the statistic must not read
+    gap = gap_from_utility(lambda x: -abs(x[0]), 1.0)
+    xs = [100.0 if k == n - tail else float(k) for k in range(1, n + 1)]
+    rows = [TraceRow(k, pt(x), None, None) for k, x in enumerate(xs, 1)]
+    trace = DescentTrace.from_rows(rows, "maxIters")
+    assert gap_convergence_stat(trace, gap, pt(0.0)) == float(n)
+
+
 def test_gap_stat_rejects_empty_trace(radial):
     with pytest.raises(ValueError):
-        gap_convergence_stat(DescentTrace((), "maxIters"), radial.gap, pt(1.0, 2.0))
+        gap_convergence_stat(DescentTrace.from_rows((), "maxIters"), radial.gap, pt(1.0, 2.0))
 
 
 def test_radial_distance_monotone_then_step_bounded():

@@ -269,11 +269,12 @@ def test_diagnostics_match_on_arbitrary_traces(dim, seed, n, stranded, slack):
         rows.append(TraceRow(k, pt(*x.tolist()), xstar, theta))
         x = 0.8 * x + rng.normal(scale=0.3, size=dim)
     reference = pt(*rng.uniform(-0.5, 0.5, size=dim).tolist())
-    trace = DescentTrace(tuple(rows), "maxIters", reference=reference, lipschitz=1.0)
+    trace = DescentTrace.from_rows(tuple(rows), "maxIters", reference=reference, lipschitz=1.0)
     assert _reprs(trace.distances()) == _reprs(distances_ref(trace))
     assert _reprs(reconstruction_residuals(trace)) == _reprs(reconstruction_residuals_ref(trace))
     for m in range(1, n + 1):  # every prefix, so each pair decides one verdict
-        prefix = DescentTrace(trace.rows[:m], "maxIters", reference=reference, lipschitz=1.0)
+        prefix = DescentTrace.from_rows(trace.rows[:m], "maxIters", reference=reference,
+                                        lipschitz=1.0)
         for L in (0.1, 1.0):
             assert (quasi_fejer_check(prefix, reference, L, slack)
                     == quasi_fejer_check_ref(prefix, reference, L, slack))
