@@ -57,6 +57,15 @@ def _fail_config(message: str):
     sys.exit(2)
 
 
+def _write(emit, *args) -> None:
+    """`emit(*args)`, whose last argument is the output path; a path that
+    cannot be written is a configuration error."""
+    try:
+        emit(*args)
+    except OSError as exc:
+        _fail_config(f"cannot write {args[-1]}: {exc.strerror or exc}")
+
+
 @click.group()
 def main():
     """Find and certify maximal elements of preference relations."""
@@ -120,7 +129,7 @@ def check(ctx, fixture_name, suite, grid, tol, seed, json_path, mode, config_pat
         status = "PASS" if v.passed else "FAIL"
         click.echo(f"{status} {v.check}: {v.detail}")
     if json_path:
-        emit_report(report, json_path)
+        _write(emit_report, report, json_path)
         click.echo(f"report written to {json_path}")
     sys.exit(report.exit_code)
 
@@ -171,7 +180,7 @@ def descend(ctx, fixture_name, x0, theta0, schedule, max_iters, eps, trace_path,
         click.echo(f"distance_to_reference={trace.dists[-1]!r}")
     if trace_path:
         fmt = "json" if trace_path.endswith(".json") else "csv"
-        emit_trace(trace, fmt, trace_path)
+        _write(emit_trace, trace, fmt, trace_path)
         click.echo(f"trace written to {trace_path}")
     sys.exit(0)
 

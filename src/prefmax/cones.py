@@ -10,7 +10,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import chain, compress, product
 
 import numpy as np
 from scipy.optimize import nnls
@@ -186,22 +185,15 @@ def box_sample(rel: Relation, x: Point, radius: float, step: float) -> ContourSa
     The box has the given radius per axis; within distance 0.1 of the base
     point the lattice step is halved, since membership failures concentrate
     there. The candidates are the coarse lattice, then the fine lattice's
-    points not already in it, each in row-major order; strict preference is
-    evaluated for all of them in one `strictly_better_mask` call, and the
-    accepted candidates, in that order, become the rows of the sample's
-    coordinate array. A utility scores the candidates as coordinate tuples;
-    predicates and tables get the lattice as an array, where a fine point is
-    in the coarse lattice exactly when each of its coordinates is on that
-    axis's coarse lattice.
+    points not already in it (a fine point is in the coarse lattice exactly
+    when each of its coordinates is on that axis's coarse lattice), each in
+    row-major order, as one array. Strict preference is evaluated for all of
+    them in one `strictly_better_mask` call, and the accepted candidates, in
+    that order, become the rows of the sample's coordinate array.
     """
     fine_r = min(0.1, radius)
     coarse = [axis_lattice(c - radius, c + radius, step) for c in x.coords]
-    fine = [axis_lattice(c - fine_r, c + fine_r, step / 2.0) for c in x.coords]
-    if rel.kind == "utility":
-        candidates = list(dict.fromkeys(chain(product(*coarse), product(*fine))))
-        mask = strictly_better_mask(rel, x, candidates)
-        return ContourSample(x, list(compress(candidates, mask.tolist())))
-    F = _lattice(fine)
+    F = _lattice([axis_lattice(c - fine_r, c + fine_r, step / 2.0) for c in x.coords])
     known = np.ones(len(F), dtype=bool)
     for k, axis in enumerate(coarse):
         known &= np.isin(F[:, k], axis)

@@ -45,6 +45,8 @@ class ExperimentSpec:
             raise ValueError("tolerance must be nonnegative")
         if self.mode not in (None, "T", "G"):
             raise ValueError("mode must be 'T' or 'G'")
+        if self.seed < 0:
+            raise ValueError(f"seed must be nonnegative, got {self.seed}")
 
 
 @dataclass(frozen=True)
@@ -242,10 +244,17 @@ def _fmt_coords(coords: tuple | None) -> str:
 
 
 def _atomic_write(path: str, payload: str) -> None:
+    """Write `payload` to a temporary file beside `path`, then move it over
+    `path`. On failure the OSError propagates and no temporary file is left
+    behind."""
     tmp = f"{path}.tmp.{os.getpid()}"
-    with open(tmp, "w", newline="") as fh:
-        fh.write(payload)
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "w", newline="") as fh:
+            fh.write(payload)
+        os.replace(tmp, path)
+    finally:
+        if os.path.lexists(tmp):
+            os.remove(tmp)
 
 
 TRACE_COLUMNS = ("k", "x", "xstar", "theta", "dist_to_ref", "gap_to_ref", "fejer_residual")

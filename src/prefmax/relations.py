@@ -33,6 +33,11 @@ PROPERTIES = (
 # the ground is.
 _SWEEP_ENTRIES = 1 << 16
 
+# Ulp bound of a utility's column form: columns(y) may differ from u(y) by
+# at most K * spacing(|columns(y)|), or by at most K floats (see
+# `strictly_better_mask`).
+K = 4
+
 
 @dataclass(frozen=True, eq=False)
 class Relation:
@@ -41,7 +46,9 @@ class Relation:
     One of three backings:
       * predicate  -- a deterministic closed-form rule on coordinate columns
         (see `_holds` for the contract);
-      * utility    -- x is weakly preferred to y iff u(x) >= u(y);
+      * utility    -- x is weakly preferred to y iff u(x) >= u(y); an
+        optional column form scores coordinate columns within K ulps of u
+        (see `strictly_better_mask`);
       * tabular    -- a read-only boolean matrix over an explicit finite
         ground set.
 
@@ -53,6 +60,7 @@ class Relation:
     kind: str  # "predicate" | "utility" | "tabular"
     predicate: Callable[[tuple, tuple], np.ndarray] | None = None
     utility: Callable[[tuple], float] | None = None
+    columns: Callable[[tuple], np.ndarray] | None = None
     table_ground: tuple[Point, ...] | None = None
     table: np.ndarray | None = None
     _table_index: dict = field(default_factory=dict, repr=False)
@@ -62,8 +70,8 @@ class Relation:
         return cls(name=name, dim=dim, kind="predicate", predicate=rule)
 
     @classmethod
-    def from_utility(cls, name: str, dim: int, u) -> "Relation":
-        return cls(name=name, dim=dim, kind="utility", utility=u)
+    def from_utility(cls, name: str, dim: int, u, columns=None) -> "Relation":
+        return cls(name=name, dim=dim, kind="utility", utility=u, columns=columns)
 
     @classmethod
     def from_table(cls, name: str, ground, matrix) -> "Relation":
@@ -89,13 +97,7 @@ class Relation:
 # ------------------------------------------------------------------ evaluator
 
 
-def _operand(rel: Relation, rows) -> np.ndarray:
-    """What the evaluator reads of each row, one entry per row along axis 0:
-    the utility score, the table index, or the coordinates (predicates).
-
-    rows: a GroundSet, a sequence of coordinate tuples, or an (m, dim)
-    array. The utility is called once per row, on a coordinate tuple.
-    """
+def _check_rows(rel: Relation, rows) -> None:
     if isinstance(rows, GroundSet):
         ok = rows.dim == rel.dim
     elif isinstance(rows, np.ndarray):
@@ -104,10 +106,26 @@ def _operand(rel: Relation, rows) -> np.ndarray:
         ok = set(map(len, rows)) <= {rel.dim}
     if not ok:
         raise ValueError(f"dimension mismatch: relation is {rel.dim}-dimensional")
+
+
+def _coordinates(rel: Relation, rows) -> np.ndarray:
+    """The rows (as `_operand` takes them) as an (m, dim) float array."""
+    _check_rows(rel, rows)
+    if isinstance(rows, GroundSet):
+        return rows.array()
+    return np.asarray(rows, dtype=float).reshape(len(rows), rel.dim)
+
+
+def _operand(rel: Relation, rows) -> np.ndarray:
+    """What the evaluator reads of each row, one entry per row along axis 0:
+    the utility score, the table index, or the coordinates (predicates).
+
+    rows: a GroundSet, a sequence of coordinate tuples, or an (m, dim)
+    array. The utility is called once per row, on a coordinate tuple.
+    """
     if rel.kind == "predicate":
-        if isinstance(rows, GroundSet):
-            return rows.array()
-        return np.asarray(rows, dtype=float).reshape(len(rows), rel.dim)
+        return _coordinates(rel, rows)
+    _check_rows(rel, rows)
     if isinstance(rows, GroundSet):
         rows = [p.coords for p in rows.points]
     elif isinstance(rows, np.ndarray):
@@ -194,14 +212,32 @@ def strictly_prefers(rel: Relation, y: Point, x: Point) -> bool:
 def strictly_better_mask(rel: Relation, x: Point, candidates) -> np.ndarray:
     """`strictly_prefers(rel, y, x)` for every row y of `candidates` (a
     GroundSet, coordinate tuples or an (m, dim) array), as a boolean array,
-    without building a Point per candidate: the utility is called once per
-    candidate and once at x, a predicate meets all candidates as columns,
-    and a table is indexed by coordinates. Empty candidates give an empty
-    mask."""
+    without building a Point per candidate: a predicate meets all candidates
+    as columns, a table is indexed by coordinates, and a utility is called
+    once at x and, without a column form, once per candidate. Empty
+    candidates give an empty mask.
+
+    A utility's column form scores all candidates at once, and the score s
+    of y is trusted only where |s - u(x)| > K * spacing(max(|s|, |u(x)|));
+    every other candidate, a non-finite score among them, is scored again
+    by u. Given the contract that s is at most K ulps from u(y), either
+    |s - u(y)| <= K * spacing(|s|) or at most K floats apart, u(y) then lies
+    on the same side of u(x) as s, so every bit equals the scalar one.
+    """
     if not len(candidates):
         return np.zeros(0, dtype=bool)
     base = _operand(rel, [x.coords])
-    return _strict(rel, _operand(rel, candidates), base)
+    if rel.columns is None:
+        return _strict(rel, _operand(rel, candidates), base)
+    Y = _coordinates(rel, candidates)
+    sx = float(base[0])
+    s = np.broadcast_to(np.asarray(rel.columns(tuple(Y.T)), dtype=float), (len(Y),))
+    with np.errstate(invalid="ignore", over="ignore"):
+        sure = np.abs(s - sx) > K * np.spacing(np.maximum(np.abs(s), abs(sx)))
+    mask = sure & (s > sx)
+    redo = np.flatnonzero(~sure)
+    mask[redo] = [rel.utility(y) > sx for y in map(tuple, Y[redo].tolist())]
+    return mask
 
 
 def contour(rel: Relation, x: Point, ground: GroundSet, which: str) -> list[Point]:

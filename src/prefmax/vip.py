@@ -85,11 +85,30 @@ def _subgradient_search(body: ConvexBody, xhat: Point, X, tol: float,
 _SWEEP_ENTRIES = 1 << 16
 
 
-def _first_passing(W: np.ndarray, D: np.ndarray, floor: np.ndarray) -> int | None:
-    """Index of the first row w of W with no row d of D where w . d < floor[d]."""
-    fails = _rowdot(W[:, None, :], D[None, :, :]) < floor
+def _first_passing(fails: np.ndarray) -> int | None:
+    """Index of the first row of `fails` (candidates by displacements) with
+    no failure."""
     hits = np.flatnonzero(~fails.any(axis=1))
     return int(hits[0]) if hits.size else None
+
+
+def _refuted(M: np.ndarray, V: np.ndarray, D: np.ndarray, floor: np.ndarray) -> bool:
+    """Whether some displacement d refutes every vertex by more than the
+    rounding of a midpoint's inner product can make up: floor - M[v, d] >
+    8 eps sum_k |v_k| |d_k| for every vertex v. M holds the computed
+    products <v, d> (vertices by displacements).
+
+    A midpoint m = (v + w) / 2 is rounded once per coordinate and its
+    product once per term, so its computed product is within about
+    2.5 eps (S_v + S_w) / 2 of the mean of the vertices' computed products,
+    where S_v = sum_k |v_k| |d_k|; with a margin of 8 eps S_v at every vertex
+    it stays below the floor (barring underflow), and the sweep would
+    reject every midpoint at d. The test is written as a difference, which
+    rounds monotonically, so a computed pass is an exact one. Near-ties fall
+    through to the sweep.
+    """
+    slack = (8.0 * np.finfo(float).eps) * _rowdot(np.abs(V)[:, None, :], np.abs(D)[None, :, :])
+    return bool(((floor - M) > slack).all(axis=0).any())
 
 
 def svip_membership(body: ConvexBody, xhat: Point, X: GroundSet | list,
@@ -101,11 +120,18 @@ def svip_membership(body: ConvexBody, xhat: Point, X: GroundSet | list,
     pairwise vertex midpoints (i, j), i < j, in row-major order; in
     dimension 3 a projected-subgradient feasibility search replaces the
     enumeration. Vertices and midpoints are tested as arrays,
-    w . (y - xhat) >= -tol (1 + ||y - xhat||) over all y at once; the
-    midpoints go in consecutive blocks of that order, so memory stays
-    O(|V| |X|) and the sweep still stops at the first block with a passing
-    candidate. The witness is the first candidate that passes, the same one
-    a one-at-a-time sweep returns.
+    w . (y - xhat) >= -tol (1 + ||y - xhat||) over all y at once.
+
+    In dimensions 1 and 2 the vertex products M are computed once and used
+    twice: for the vertex sweep, and for a Farkas screen (`_refuted`) that
+    returns None, without the midpoint sweep, when one displacement fails
+    every vertex by more than a midpoint's rounding can recover. Such a
+    displacement fails every point of the body, and every midpoint the sweep
+    would compute. Otherwise the midpoints go in consecutive blocks of their
+    order, so memory stays O(|V| |X|) and the sweep still stops at the
+    first block with a passing candidate. The witness is the first
+    candidate that passes, the same one a one-at-a-time sweep returns, and
+    None comes exactly where that sweep finds no witness.
     """
     if body.is_empty:
         return None
@@ -120,14 +146,17 @@ def svip_membership(body: ConvexBody, xhat: Point, X: GroundSet | list,
     V = body.vertices
     D = ground_array(X, xhat.dim) - np.array(xhat.coords)
     floor = -tol * (1.0 + np.sqrt(_rowdot(D, D)))
-    k = _first_passing(V, D, floor)
+    M = _rowdot(V[:, None, :], D[None, :, :])
+    k = _first_passing(M < floor)
     if k is not None:
         return VipCertificate(xhat, "stampacchia", Point(tuple(V[k].tolist())), tol)
+    if _refuted(M, V, D, floor):
+        return None
     I, J = np.triu_indices(len(V), 1)
     block = max(1, _SWEEP_ENTRIES // max(1, len(D)))
     for s in range(0, len(I), block):
         mids = 0.5 * (V[I[s:s + block]] + V[J[s:s + block]])
-        k = _first_passing(mids, D, floor)
+        k = _first_passing(_rowdot(mids[:, None, :], D[None, :, :]) < floor)
         if k is not None:
             return VipCertificate(xhat, "stampacchia", Point(tuple(mids[k].tolist())), tol)
     return None

@@ -23,13 +23,14 @@ import json
 import math
 import warnings
 from dataclasses import replace
-from itertools import combinations
+from itertools import chain, combinations, product
 
 import numpy as np
 
-from prefmax import ContourSample, GroundSet, Point, PropertyReport, VipCertificate
+from prefmax import ContourSample, Point, PropertyReport, VipCertificate
 from prefmax.descent import DescentTrace, OracleNormViolation, TraceRow
 from prefmax.harness import SCHEMA_VERSION, TRACE_COLUMNS
+from prefmax.points import axis_lattice
 from prefmax.relations import _contour_is_grid_convex
 
 # ------------------------------------------------------ tuple helpers
@@ -235,16 +236,19 @@ def sample_contour_ref(h, x: Point, ground) -> ContourSample:
     return ContourSample(x, tuple(y for y in ground if strictly_prefers_ref(h, y, x)))
 
 
-def box_candidates(x: Point, radius: float, step: float) -> list[Point]:
-    """The coarse box lattice, then the fine points not already in it."""
-    coarse = GroundSet.grid([(c - radius, c + radius, step) for c in x.coords])
+def box_candidates(x: Point, radius: float, step: float) -> list[tuple]:
+    """The coarse box lattice, then the fine points not already in it, as
+    coordinate tuples de-duplicated with `dict.fromkeys`."""
     fine_r = min(0.1, radius)
-    fine = GroundSet.grid([(c - fine_r, c + fine_r, step / 2.0) for c in x.coords])
-    return list(dict.fromkeys(list(coarse) + list(fine)))
+    coarse = [axis_lattice(c - radius, c + radius, step) for c in x.coords]
+    fine = [axis_lattice(c - fine_r, c + fine_r, step / 2.0) for c in x.coords]
+    return list(dict.fromkeys(chain(product(*coarse), product(*fine))))
 
 
 def box_sample_ref(h, x: Point, radius: float, step: float) -> ContourSample:
-    pts = [y for y in box_candidates(x, radius, step) if strictly_prefers_ref(h, y, x)]
+    """The tuple lattice path `box_sample` once took for utilities, for every
+    backing: one `h` comparison per candidate, both ways round."""
+    pts = [y for y in box_candidates(x, radius, step) if strictly_prefers_ref(h, Point(y), x)]
     return ContourSample(x, tuple(pts))
 
 

@@ -263,3 +263,46 @@ def test_cli_bad_config_exits_2(tmp_path):
     cfg.write_text("this line has no equals sign\n")
     result = runner.invoke(main, ["check", "--fixture", "vee-peak", "--config", str(cfg)])
     assert result.exit_code == 2
+
+
+def _leftovers(root):
+    return sorted(p.name for p in root.rglob("*.tmp.*"))
+
+
+def test_cli_check_json_in_a_missing_directory_exits_2(tmp_path):
+    path = tmp_path / "missing" / "r.json"
+    result = runner.invoke(main, ["check", "--fixture", "radial-bowl", "--suite", "maximal",
+                                  "--json", str(path)])
+    assert result.exit_code == 2
+    assert f"error: cannot write {path}: " in result.output
+    assert not path.exists() and _leftovers(tmp_path) == []
+
+
+def test_cli_descend_trace_in_a_missing_directory_exits_2(tmp_path):
+    path = tmp_path / "missing" / "t.json"
+    result = runner.invoke(main, ["descend", "--fixture", "radial-bowl", "--x0", "0,0",
+                                  "--max-iters", "50", "--trace", str(path)])
+    assert result.exit_code == 2
+    assert f"error: cannot write {path}: " in result.output
+    assert not path.exists() and _leftovers(tmp_path) == []
+
+
+def test_a_failed_replace_leaves_no_temporary_file(tmp_path):
+    # the temporary file is written, then cannot replace a directory
+    target = tmp_path / "taken"
+    target.mkdir()
+    result = runner.invoke(main, ["check", "--fixture", "vee-peak", "--suite", "maximal",
+                                  "--json", str(target)])
+    assert result.exit_code == 2
+    assert f"error: cannot write {target}: " in result.output
+    assert _leftovers(tmp_path) == []
+
+
+@pytest.mark.parametrize("suite", ("maximal", "zero-maximality", "cones"))
+def test_a_negative_seed_is_rejected_for_every_suite(suite):
+    with pytest.raises(ValueError, match="seed"):
+        run_experiment(ExperimentSpec(fixture="vee-peak", suite=(suite,), seed=-3))
+    result = runner.invoke(main, ["check", "--fixture", "vee-peak", "--suite", suite,
+                                  "--seed", "-3"])
+    assert result.exit_code == 2
+    assert "error: seed must be nonnegative" in result.output

@@ -51,7 +51,7 @@ from prefmax import (
     zero_gap,
     zero_maximality_check,
 )
-from prefmax import relations
+from prefmax import relations, vip
 from prefmax.cones import _SCREEN_ROWS, unit_net
 from prefmax.relations import PROPERTIES, strictly_better_mask
 from prefmax.vip import bodies_for_ground
@@ -82,6 +82,7 @@ FIXTURES = fixture_names()
 CONE_FIXTURES = [n for n in FIXTURES if get_fixture(n).cone_oracle is not None]
 TOLS = (0.0, 1e-9)
 PREDICATE_FIXTURES = [n for n in FIXTURES if get_fixture(n).relation.kind == "predicate"]
+UTILITY_FIXTURES = [n for n in FIXTURES if get_fixture(n).relation.kind == "utility"]
 
 
 # ------------------------------------------------------------ contour samples
@@ -136,6 +137,126 @@ def test_mask_rejects_foreign_and_mismatched_points():
     with pytest.raises(ValueError):
         strictly_better_mask(rel, pt(0.0), [(1.0, 0.0)])
     assert strictly_better_mask(rel, pt(0.0, 0.0), []).tolist() == []
+
+
+# ------------------------------------------------- utility column forms
+
+
+@pytest.mark.parametrize("name", UTILITY_FIXTURES)
+def test_utility_box_samples_match_at_every_base(name):
+    fx = get_fixture(name)
+    h = scalar_holds(fx.relation)
+    for x in fx.default_ground:
+        got = fx.contour_sampler(x)
+        assert got.points.tolist() \
+            == box_sample_ref(h, x, fx.sample_radius, fx.sample_step).points.tolist()
+
+
+# radial-bowl's peak is (1, 2): on a lattice of eighths around it the
+# candidates (1 + a, 2 + b), (1 - a, 2 + b) and (1 + b, 2 + a) score exactly
+# alike, and many tie with the base
+_eighth = st.integers(-16, 16).map(lambda i: i / 8.0)
+
+
+@DIFFERENTIAL
+@given(st.one_of(st.tuples(_eighth, _eighth), st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0))),
+       st.sampled_from((0.125, 0.25, 0.5, 1.0)), st.sampled_from((0.0625, 0.125, 0.25)))
+def test_radial_box_samples_match_on_a_lattice_with_ties(offset, radius, step):
+    rel = get_fixture("radial-bowl").relation
+    x = pt(1.0 + offset[0], 2.0 + offset[1])
+    assert box_sample(rel, x, radius, step).points.tolist() \
+        == box_sample_ref(scalar_holds(rel), x, radius, step).points.tolist()
+
+
+def _counted(u):
+    calls = []
+
+    def counted(y):
+        calls.append(y)
+        return u(y)
+
+    return counted, calls
+
+
+def test_ties_are_scored_by_u_and_the_rest_by_columns(radial):
+    u, calls = _counted(radial.relation.utility)
+    rel = Relation.from_utility("counted", 2, u, columns=radial.relation.columns)
+    x = pt(1.5, 2.5)
+    C = np.array(box_candidates(x, radial.sample_radius, radial.sample_step))
+    mask = strictly_better_mask(rel, x, C)
+    rescored = len(calls) - 1  # and the base
+    assert 0 < rescored < len(C) // 10
+    ux = radial.relation.utility(x.coords)
+    assert mask.tolist() == [radial.relation.utility(tuple(y)) > ux for y in C.tolist()]
+    # the mirror images of every re-scored candidate tie with it exactly
+    assert (1.5, 2.5) in calls and (0.5, 2.5) in calls and (1.5, 1.5) in calls
+
+
+def _points_of(fx):
+    pts = {p.coords for p in fx.default_ground} | {p.coords for p in fx.me_ground()}
+    for x in fx.default_ground:
+        pts.update(box_candidates(x, fx.sample_radius, fx.sample_step))
+    return np.array(sorted(pts))
+
+
+@pytest.mark.parametrize("name", UTILITY_FIXTURES)
+def test_column_forms_keep_the_ulp_contract(name):
+    rel = get_fixture(name).relation
+    Y = _points_of(get_fixture(name))
+    s = rel.columns(tuple(Y.T))
+    u = np.array([rel.utility(y) for y in map(tuple, Y.tolist())])
+    assert s.shape == u.shape and np.isfinite(s).all()
+    assert (np.abs(s - u) <= relations.K * np.spacing(np.abs(s))).all()
+
+
+def _moved(u, shift):
+    """A column form that scores each row with u and moves the score by up
+    to K = 4 floats, the documented bound: all up, all down, or by a
+    per-point amount in [-K, K]."""
+    K = 4
+
+    def columns(x):
+        rows = list(zip(*(c.tolist() for c in x)))
+        s = np.array([u(y) for y in rows])
+        if shift == "mixed":
+            k = np.array([hash(y) % (2 * K + 1) - K for y in rows])
+        else:
+            k = np.full(len(rows), K if shift == "up" else -K)
+        for _ in range(K):
+            s = np.where(k > 0, np.nextafter(s, np.inf), np.where(k < 0, np.nextafter(s, -np.inf), s))
+            k = k - np.sign(k)
+        return s
+
+    return columns
+
+
+@pytest.mark.parametrize("shift", ("up", "down", "mixed"))
+@pytest.mark.parametrize("name", UTILITY_FIXTURES)
+def test_a_column_form_k_floats_off_gives_the_scalar_masks(name, shift):
+    fx = get_fixture(name)
+    u = fx.relation.utility
+    rel = Relation.from_utility("moved", fx.relation.dim, u, columns=_moved(u, shift))
+    for x in list(fx.default_ground)[::4]:
+        C = box_candidates(x, fx.sample_radius, fx.sample_step)
+        assert strictly_better_mask(rel, x, C).tolist() == [u(y) > u(x.coords) for y in C]
+
+
+@pytest.mark.parametrize("bad", (np.nan, np.inf, -np.inf))
+def test_non_finite_scores_fall_back_to_u(radial, bad):
+    u, calls = _counted(radial.relation.utility)
+    spoil = lambda x: np.where(np.arange(len(x[0])) % 3 == 0, bad, radial.relation.columns(x))
+    rel = Relation.from_utility("spoiled", 2, u, columns=spoil)
+    x = pt(0.25, 1.5)
+    C = box_candidates(x, radial.sample_radius, radial.sample_step)
+    assert strictly_better_mask(rel, x, C).tolist() \
+        == [radial.relation.utility(y) > radial.relation.utility(x.coords) for y in C]
+    assert set(C[::3]) <= set(calls)
+    assert box_sample(rel, x, radial.sample_radius, radial.sample_step) == radial.contour_sampler(x)
+
+
+def test_a_constant_column_form_broadcasts():
+    rel = Relation.from_utility("flat", 1, lambda x: 0.0, columns=lambda x: 0.0)
+    assert strictly_better_mask(rel, pt(0.5), [(0.0,), (1.0,)]).tolist() == [False, False]
 
 
 # ------------------------------------------------------ membership kernel
@@ -295,15 +416,29 @@ def test_plastria_membership_evaluates_the_gap_only_where_the_kernel_looks():
 # without a cone oracle the hull mode does not enter the bodies
 @pytest.mark.parametrize("name,mode", [(n, m) for n in FIXTURES for m in ("T", "G")
                                        if m == "T" or get_fixture(n).cone_oracle is not None])
-def test_fixture_witnesses_match(name, mode):
+def test_fixture_witnesses_match(name, mode, monkeypatch):
     fx = get_fixture(name)
     ground = fx.default_ground
     bodies = bodies_for_ground(fx.relation, ground, fx.cone_oracle, ball_on_empty=(mode == "G"),
                                contour_sampler=fx.contour_sampler)
-    for x in ground:
-        for tol in TOLS:
-            body = bodies[x.coords]
-            assert svip_membership(body, x, ground, tol) == svip_sweep_ref(body, x, ground, tol)
+    cases = [(bodies[x.coords], x, tol) for x in ground for tol in TOLS]
+    screened = [svip_membership(body, x, ground, tol) for body, x, tol in cases]
+    monkeypatch.setattr(vip, "_refuted", lambda *args: False)
+    unscreened = [svip_membership(body, x, ground, tol) for body, x, tol in cases]
+    reference = [svip_sweep_ref(body, x, ground, tol) for body, x, tol in cases]
+    assert screened == reference
+    assert unscreened == reference
+
+
+def test_the_screen_refutes_most_radial_bases(radial, monkeypatch):
+    ground = radial.default_ground
+    bodies = bodies_for_ground(radial.relation, ground, contour_sampler=radial.contour_sampler)
+    verdicts = []
+    screen = vip._refuted
+    monkeypatch.setattr(vip, "_refuted", lambda *args: verdicts.append(screen(*args)) or verdicts[-1])
+    sols = [x for x in ground if svip_membership(bodies[x.coords], x, ground) is not None]
+    assert sols == [radial.reference]
+    assert sum(verdicts) == len(ground) - 1
 
 
 _quarter = st.sampled_from((-1.0, -0.5, -0.25, 0.0, 0.25, 0.5, 1.0))
@@ -351,6 +486,36 @@ def test_midpoint_witness_found_after_vertices_fail():
     cert = svip_membership(body, pt(0.0, 0.0), X, 0.0)
     assert cert is not None and cert.witness == pt(0.0, 1.0)
     assert cert == svip_sweep_ref(body, pt(0.0, 0.0), X, 0.0)
+
+
+def test_a_near_tie_falls_through_the_screen_to_the_midpoint():
+    # both vertices fail at d by one rounding error (their products compute
+    # to -1.1e-16 < 0), while their midpoint's product computes to 0.0 and
+    # passes: within the screen's slack, so the sweep decides
+    v, w = pt(0.422128466173938, 0.4241708158072166), pt(0.4069278311689689, 0.4088966368131169)
+    X = [pt(1.2351047705900675, -1.2291578367575862)]
+    xhat = pt(0.0, 0.0)
+    body = ConvexBody(2, (v, w))
+    mid = Point(tuple(0.5 * (a + b) for a, b in zip(v, w)))
+    cert = svip_membership(body, xhat, X, 0.0)
+    assert cert is not None and cert.witness == mid
+    assert cert == svip_sweep_ref(body, xhat, X, 0.0)
+
+
+def test_the_screen_refutes_only_where_every_midpoint_fails():
+    # the same vertices against -d fail by far more than the slack
+    body = ConvexBody(2, (pt(0.42, 0.43), pt(0.40, 0.41)))
+    X = [pt(0.0, 0.0), pt(-1.0, -1.0)]
+    assert svip_membership(body, pt(0.0, 0.0), X, 0.0) is None
+    assert svip_sweep_ref(body, pt(0.0, 0.0), X, 0.0) is None
+
+
+def test_3d_has_no_screen_and_accepts_within_tol():
+    # the only vertex fails the floor at d by 5e-4, which the 3-D search
+    # accepts within tol = 1e-3; a screen would refute the base
+    body = ConvexBody(3, ((1.0, 0.0, 0.0),))
+    cert = svip_membership(body, pt(0.0, 0.0, 0.0), [pt(-1.5e-3, 0.0, 0.0)], 1e-3)
+    assert cert is not None and cert.witness == pt(1.0, 0.0, 0.0)
 
 
 def test_midpoint_sweep_returns_the_first_witness_across_blocks():
@@ -484,11 +649,11 @@ def test_column_rules_match_the_scalar_rules(name):
     # box-sample candidates against their base, both ways round
     for x in list(fx.default_ground)[::11]:
         C = box_candidates(x, fx.sample_radius, fx.sample_step)
-        A, b = np.array([c.coords for c in C]), tuple(np.array([v]) for v in x.coords)
+        A, b = np.array(C), tuple(np.array([v]) for v in x.coords)
         assert np.broadcast_to(rule(tuple(A.T), b), (len(C),)).tolist() \
-            == [bool(scalar(c.coords, x.coords)) for c in C]
+            == [bool(scalar(c, x.coords)) for c in C]
         assert np.broadcast_to(rule(b, tuple(A.T)), (len(C),)).tolist() \
-            == [bool(scalar(x.coords, c.coords)) for c in C]
+            == [bool(scalar(x.coords, c)) for c in C]
 
 
 def _assert_sweeps_match(rel, ground, h, every=1, props_size=24):
