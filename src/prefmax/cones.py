@@ -9,10 +9,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 import numpy as np
-from scipy.optimize import nnls
 
 from .points import GroundSet, Point, axis_lattice, coord_array, ground_array, norm, scale
 from .relations import Relation, preference_matrix, strictly_better_mask
@@ -23,6 +22,27 @@ STRICT_MARGIN = 1e-7
 # Size of the evenly spaced subset of sampled displacements that every probe
 # meets before the rest in `normal_cone_test`.
 _SCREEN_ROWS = 16
+
+# `Cone.contains_many` accepts a residual up to max(tol, _CONE_FLOOR), and
+# leaves to NNLS every residual within _CONE_SLACK of that threshold (the
+# closed form and NNLS each round it by a few eps).
+_CONE_FLOOR = 1e-10
+_CONE_SLACK = 1e-12
+
+# NNLS (Lawson-Hanson) drops the second generator of a near-antipodal pair
+# as linearly dependent. Measured on scipy's nnls in the plane, it drops
+# every pair of unit generators whose cross product is below about 48 eps,
+# keeps every pair above about 102 eps, and in between decides by rounding.
+# The closed form spans a pair's wedge above _PAIR_SPANS, ignores it below
+# _PAIR_DEPENDENT, and leaves the queries that only a pair between the two
+# would put in the cone to NNLS.
+_PAIR_DEPENDENT = 32 * np.finfo(float).eps
+_PAIR_SPANS = 128 * np.finfo(float).eps
+
+# Slack of `_hull_screen`'s bounds, relative to 1 + ||q|| + max ||v||: it
+# covers the rounding of the bounds and of the NNLS residual, which is a few
+# eps on these problems.
+_HULL_SLACK = 1e-12
 
 
 def _rowdot(A: np.ndarray, B: np.ndarray) -> np.ndarray:
@@ -78,28 +98,78 @@ class Cone:
         return cls(gens[0].dim, "generated", gens)
 
     def contains(self, query) -> bool:
-        """Conic-combination membership; invariant under positive scaling."""
-        q = tuple(query)
-        nq = norm(q)
-        if nq <= self.tol:
-            return True
-        if self.tag == "full":
-            return True
-        if self.tag == "zero":
-            return False
-        qhat = np.asarray(scale(q, 1.0 / nq))
-        G = np.array([scale(g, 1.0 / norm(g)) for g in self.generators]).T
-        _, resid = nnls(G, qhat)
-        return resid <= max(self.tol, 1e-10)
+        """Conic-combination membership; invariant under positive scaling.
+        One row of `contains_many`."""
+        return bool(self.contains_many([tuple(query)])[0])
+
+    def contains_many(self, queries) -> np.ndarray:
+        """Membership of each row q of an (m, dim) array, as a bool array.
+
+        q is in the cone when ||q|| <= tol, or when the residual of
+        q / ||q|| against the cone of the unit generators, its distance to
+        that cone (what NNLS minimises), is at most max(tol, 1e-10). A full
+        cone holds every q and a zero cone only those with ||q|| <= tol.
+
+        In 1-D the residual is 0 when some generator has q's sign, else 1.
+        In 2-D it is 0 when q / ||q|| lies in the wedge of a pair of unit
+        generators (g_i, g_j) with cross(g_i, g_j) > 128 eps; otherwise it
+        is the distance to the nearest generator ray, |cross(q, g)| where
+        <q, g> >= 0 and 1 where <q, g> < 0. The cutoff leaves out the
+        near-antipodal pairs that NNLS treats as dependent. NNLS decides
+        the rows the closed form cannot: a residual within 1e-12 of the
+        threshold, a wedge only a pair in NNLS's rank band (cross product
+        between 32 and 128 eps) would span, and every row in 3-D.
+        """
+        Q = np.asarray(queries, dtype=float)
+        if Q.ndim != 2 or Q.shape[1] != self.dim:
+            raise ValueError("query dimension mismatch")
+        nq = np.sqrt(_rowdot(Q, Q))
+        out = nq <= self.tol
+        if self.tag != "generated":
+            return out | (self.tag == "full")
+        if not np.isfinite(Q).all():
+            raise ValueError("non-finite query")
+        live = ~out
+        G = np.array([g.coords for g in self.generators])
+        G = G * (1.0 / np.sqrt(_rowdot(G, G)))[:, None]
+        Q = Q[live] * (1.0 / nq[live])[:, None]
+        thr = max(self.tol, _CONE_FLOOR)
+        resid, unsure = _cone_residuals(G, Q)
+        verdict = resid <= thr
+        unsure |= np.abs(resid - thr) <= _CONE_SLACK
+        if unsure.any():
+            from scipy.optimize import nnls
+
+            verdict[unsure] = [nnls(G.T, q)[1] <= thr for q in Q[unsure]]
+        out[live] = verdict
+        return out
 
     def unit_directions(self, net: np.ndarray) -> np.ndarray:
         """Rows of `net` (unit vectors) lying in the cone."""
-        if self.tag == "full":
-            return net
-        if self.tag == "zero":
-            return net[:0]
-        keep = [i for i in range(net.shape[0]) if self.contains(tuple(net[i]))]
-        return net[keep]
+        return net[self.contains_many(net)]
+
+
+def _cone_residuals(G: np.ndarray, Q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The closed forms of `Cone.contains_many`: the distance from each unit
+    row of Q to the cone of the unit rows of G, and a mask of the rows they
+    leave to NNLS (a wedge of a pair in the rank band; every row in 3-D)."""
+    if G.shape[1] == 1:
+        resid = np.where((np.outer(G[:, 0], Q[:, 0]) > 0.0).any(axis=0), 0.0, 1.0)
+        return resid, np.zeros(len(Q), dtype=bool)
+    if G.shape[1] != 2:
+        return np.zeros(len(Q)), np.ones(len(Q), dtype=bool)
+    C = np.outer(G[:, 0], Q[:, 1]) - np.outer(G[:, 1], Q[:, 0])  # cross(g, q)
+    D = np.outer(G[:, 0], Q[:, 0]) + np.outer(G[:, 1], Q[:, 1])  # <g, q>
+    pairs = np.outer(G[:, 0], G[:, 1]) - np.outer(G[:, 1], G[:, 0])  # cross(g_i, g_j)
+
+    def in_wedge(mask):
+        I, J = np.nonzero(mask)
+        return ((C[I] >= 0.0) & (C[J] <= 0.0)).any(axis=0)
+
+    spans = in_wedge(pairs > _PAIR_SPANS)
+    resid = np.where(spans, 0.0, np.where(D >= 0.0, np.abs(C), 1.0).min(axis=0))
+    band = (pairs > _PAIR_DEPENDENT) & (pairs <= _PAIR_SPANS)
+    return resid, ~spans & in_wedge(band)
 
 
 @dataclass(frozen=True, eq=False)
@@ -126,15 +196,79 @@ class ConvexBody:
         return not len(self.vertices)
 
     def contains(self, query, tol: float = DEFAULT_TOL) -> bool:
-        """Convex-combination feasibility over the vertices, within tol."""
+        """Convex-combination feasibility over the vertices, within tol: the
+        NNLS residual of [V^T; 1] lam = [q; 1], lam >= 0, is at most
+        tol (1 + ||q||). In 1-D and 2-D `_hull_screen` settles every query
+        whose residual is bounded clear of that threshold; the others
+        (near-ties, and at tol = 0 every query in the hull) are solved."""
         if self.is_empty:
             return False
         q = np.asarray(tuple(query), dtype=float)
-        V = self.vertices
-        A = np.r_[V.T, np.ones((1, V.shape[0]))]
-        b = np.r_[q, 1.0]
-        _, resid = nnls(A, b)
-        return resid <= tol * (1.0 + float(np.linalg.norm(q)))
+        if q.shape != (self.dim,) or not np.isfinite(q).all():
+            raise ValueError("query must be a finite point of the body's dimension")
+        thr = tol * (1.0 + math.sqrt(q @ q))
+        if self.dim <= 2:
+            verdict = _hull_screen(self.vertices, q, thr)
+            if verdict is not None:
+                return verdict
+        from scipy.optimize import nnls
+
+        A = np.r_[self.vertices.T, np.ones((1, len(self.vertices)))]
+        return nnls(A, np.r_[q, 1.0])[1] <= thr
+
+
+def _hull_screen(V: np.ndarray, q: np.ndarray, thr: float) -> bool | None:
+    """`ConvexBody.contains`' verdict in 1-D and 2-D where bounds on the
+    NNLS residual r decide it, else None.
+
+    r is the distance from (q, 1) to the cone of the points (v, 1). In 1-D
+    that cone lies in the plane with the rays (lo, 1) and (hi, 1), and r is
+    exact: 0 for lo <= q <= hi, else the distance to the nearer ray. In 2-D
+    bounds decide. r <= ||p - q|| for every point p of the hull (weights
+    summing to 1). For a unit d with m = min_v <v - q, d> > 0 and
+    a = min_v <v, d>, weights summing to s give <p - q, d> >= m + (s - 1) a,
+    so r >= m / sqrt(1 + a^2). The angles of v - q around q pick p and d: if
+    the largest gap between them is below pi, q is interior (r = 0);
+    otherwise p is the point nearest q on the chord across the gap, a hull
+    segment, and d bisects the occupied arc. Each coordinate of v - q is
+    rounded once, so the angles are within a few eps of the true ones, and a
+    q wrongly taken as interior is within that much of the hull.
+
+    True needs an upper bound at most thr less the slack, False a lower
+    bound above thr plus the slack. The slack covers the rounding of the
+    bounds and of NNLS, so at tol = 0 every query in the hull goes to NNLS.
+    """
+    if V.shape[1] == 1:
+        x, lo, hi = float(q[0]), float(V.min()), float(V.max())
+        slack = _HULL_SLACK * (1.0 + abs(x) + max(abs(lo), abs(hi)))
+        if lo <= x <= hi:
+            return True if slack <= thr else None
+        r = min(abs(x - v) / math.sqrt(1.0 + v * v) if x * v + 1.0 > 0.0
+                else math.sqrt(x * x + 1.0) for v in (lo, hi))
+        if r + slack <= thr:
+            return True
+        return False if r > thr + slack else None
+    slack = _HULL_SLACK * (1.0 + math.sqrt(q @ q) + math.sqrt(_rowdot(V, V).max()))
+    W = V - q
+    if math.sqrt(_rowdot(W, W).min()) + slack <= thr:
+        return True
+    ang = np.arctan2(W[:, 1], W[:, 0])
+    order = np.argsort(ang)
+    ang = ang[order]
+    gaps = np.concatenate((ang[1:], [ang[0] + 2.0 * math.pi])) - ang
+    k = int(np.argmax(gaps))
+    if gaps[k] < math.pi:
+        return True if slack <= thr else None
+    a, b = W[order[k]], W[order[(k + 1) % len(W)]]
+    ab = b - a
+    den = float(ab @ ab)
+    p = a + (min(1.0, max(0.0, float(-a @ ab) / den)) if den > 0.0 else 0.0) * ab
+    if math.sqrt(p @ p) + slack <= thr:
+        return True
+    phi = math.atan2(b[1], b[0]) + 0.5 * (2.0 * math.pi - gaps[k])
+    d = np.array([math.cos(phi), math.sin(phi)])
+    r = float((W @ d).min()) / math.sqrt(1.0 + float((V @ d).min()) ** 2)
+    return False if r > thr + slack else None
 
 
 @dataclass(frozen=True, eq=False)
@@ -179,25 +313,32 @@ def _lattice(axes: list[list[float]]) -> np.ndarray:
     return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, len(axes))
 
 
+def _box_candidates(x: Point, radius: float, step: float) -> np.ndarray:
+    """The candidates of `box_sample` as an (m, dim) array: the coarse
+    lattice, then the fine lattice's points not already in it, each in
+    row-major order. A fine point is in the coarse lattice exactly when each
+    of its coordinates is on that axis's coarse lattice (float ==, through
+    a set per axis), so the mask is built per axis and expanded in the
+    lattice's order."""
+    fine_r = min(0.1, radius)
+    coarse = [axis_lattice(c - radius, c + radius, step) for c in x.coords]
+    fine = [axis_lattice(c - fine_r, c + fine_r, step / 2.0) for c in x.coords]
+    on_coarse = [np.array([c in axis for c in f], dtype=bool)
+                 for axis, f in zip(map(set, coarse), fine)]
+    known = reduce(np.logical_and.outer, on_coarse).ravel()
+    return np.concatenate([_lattice(coarse), _lattice(fine)[~known]])
+
+
 def box_sample(rel: Relation, x: Point, radius: float, step: float) -> ContourSample:
     """Contour sample over a grid box centred at x, refined near the base.
 
     The box has the given radius per axis; within distance 0.1 of the base
     point the lattice step is halved, since membership failures concentrate
-    there. The candidates are the coarse lattice, then the fine lattice's
-    points not already in it (a fine point is in the coarse lattice exactly
-    when each of its coordinates is on that axis's coarse lattice), each in
-    row-major order, as one array. Strict preference is evaluated for all of
-    them in one `strictly_better_mask` call, and the accepted candidates, in
-    that order, become the rows of the sample's coordinate array.
+    there. Strict preference is evaluated for all of `_box_candidates` in one
+    `strictly_better_mask` call, and the accepted candidates, in that order,
+    become the rows of the sample's coordinate array.
     """
-    fine_r = min(0.1, radius)
-    coarse = [axis_lattice(c - radius, c + radius, step) for c in x.coords]
-    F = _lattice([axis_lattice(c - fine_r, c + fine_r, step / 2.0) for c in x.coords])
-    known = np.ones(len(F), dtype=bool)
-    for k, axis in enumerate(coarse):
-        known &= np.isin(F[:, k], axis)
-    candidates = np.concatenate([_lattice(coarse), F[~known]])
+    candidates = _box_candidates(x, radius, step)
     return ContourSample(x, candidates[strictly_better_mask(rel, x, candidates)])
 
 

@@ -58,7 +58,8 @@ def _subgradient_search(body: ConvexBody, xhat: Point, X, tol: float,
                         iters: int = 10_000) -> Point | None:
     """Projected subgradient descent on the max-violation function over the
     simplex of vertex weights. Used in dimension 3, where vertex/midpoint
-    enumeration is not attempted."""
+    enumeration is not attempted. The best point found is returned only if
+    it meets the floor at every point of X, as `certificate_valid` checks."""
     V = body.vertices
     D = ground_array(X, xhat.dim) - np.array(xhat.coords)
     slack = tol * (1.0 + np.linalg.norm(D, axis=1))
@@ -75,9 +76,8 @@ def _subgradient_search(body: ConvexBody, xhat: Point, X, tol: float,
             break
         g = -(V @ D[i])
         w = _project_simplex(w - (0.5 / np.sqrt(k)) * g / (np.linalg.norm(g) + 1e-12))
-    if best_phi <= tol:
-        return Point(tuple(V.T @ best_w))
-    return None
+    w = tuple(V.T @ best_w)
+    return Point(w) if _passes_all(w, xhat, X, tol) else None
 
 
 # Upper bound on the entries of one block's inner-product matrix in the

@@ -2,7 +2,8 @@
 
 These are the per-pair Python loops that the relation sweeps, `box_sample`,
 `sample_contour`, the normal-cone membership kernel, the 2-D Stampacchia
-vertex/midpoint sweep and the Minty field test replaced. Relations are
+vertex/midpoint sweep and the Minty field test replaced, and the NNLS solves
+that the closed-form cone and hull membership tests replaced in 1-D and 2-D. Relations are
 evaluated one pair at a time through `scalar_holds`, which for predicate
 fixtures uses the scalar rules the fixtures were first written with;
 samples build a Point per lattice candidate; membership tests meet one
@@ -26,8 +27,10 @@ from dataclasses import replace
 from itertools import chain, combinations, product
 
 import numpy as np
+from scipy.optimize import nnls
 
-from prefmax import ContourSample, Point, PropertyReport, VipCertificate
+from prefmax import ContourSample, ConvexBody, Point, PropertyReport, VipCertificate
+from prefmax.cones import _lattice, unit_net
 from prefmax.descent import DescentTrace, OracleNormViolation, TraceRow
 from prefmax.harness import SCHEMA_VERSION, TRACE_COLUMNS
 from prefmax.points import axis_lattice
@@ -250,6 +253,77 @@ def box_sample_ref(h, x: Point, radius: float, step: float) -> ContourSample:
     backing: one `h` comparison per candidate, both ways round."""
     pts = [y for y in box_candidates(x, radius, step) if strictly_prefers_ref(h, Point(y), x)]
     return ContourSample(x, tuple(pts))
+
+
+def box_candidates_isin_ref(x: Point, radius: float, step: float) -> np.ndarray:
+    """`box_sample`'s candidate array with the fine points on the coarse
+    lattice found by `np.isin`, column by column."""
+    fine_r = min(0.1, radius)
+    coarse = [axis_lattice(c - radius, c + radius, step) for c in x.coords]
+    F = _lattice([axis_lattice(c - fine_r, c + fine_r, step / 2.0) for c in x.coords])
+    known = np.ones(len(F), dtype=bool)
+    for k, axis in enumerate(coarse):
+        known &= np.isin(F[:, k], axis)
+    return np.concatenate([_lattice(coarse), F[~known]])
+
+
+def cone_residual_ref(cone, query) -> float:
+    """The NNLS residual of q / ||q|| against the unit generators of a
+    generated cone: the distance from q / ||q|| to the cone."""
+    q = tuple(query)
+    qhat = np.asarray(scale(q, 1.0 / norm(q)))
+    G = np.array([scale(g, 1.0 / norm(g)) for g in cone.generators]).T
+    return nnls(G, qhat)[1]
+
+
+def cone_contains_ref(cone, query) -> bool:
+    """`Cone.contains` as one NNLS solve: `cone_residual_ref` against
+    max(tol, 1e-10)."""
+    q = tuple(query)
+    if norm(q) <= cone.tol:
+        return True
+    if cone.tag == "full":
+        return True
+    if cone.tag == "zero":
+        return False
+    return cone_residual_ref(cone, q) <= max(cone.tol, 1e-10)
+
+
+def cone_unit_hull_ref(cone, ball_on_empty: bool = False,
+                       contour_empty: bool = False) -> ConvexBody:
+    """`cone_unit_hull` with the net rows tested one `cone_contains_ref`
+    call at a time."""
+    net = unit_net(cone.dim)
+    if (ball_on_empty and contour_empty) or cone.tag == "full":
+        return ConvexBody(cone.dim, net)
+    if cone.tag == "zero":
+        return ConvexBody(cone.dim, ())
+    if len(cone.generators) == 1:
+        g = cone.generators[0]
+        return ConvexBody(cone.dim, (scale(g, 1.0 / norm(g)),))
+    verts = []
+    rows = [tuple(round(c, 12) for c in scale(g, 1.0 / norm(g))) for g in cone.generators]
+    rows += [tuple(round(float(c), 12) for c in row) for row in net
+             if cone_contains_ref(cone, tuple(row))]
+    for u in rows:
+        if u not in verts:
+            verts.append(u)
+    return ConvexBody(cone.dim, verts)
+
+
+def hull_residual_ref(body, query) -> float:
+    """The NNLS residual of [V^T; 1] lam = [q; 1] over lam >= 0."""
+    V = body.vertices
+    A = np.r_[V.T, np.ones((1, V.shape[0]))]
+    return nnls(A, np.r_[np.asarray(tuple(query), dtype=float), 1.0])[1]
+
+
+def body_contains_ref(body, query, tol: float) -> bool:
+    """`ConvexBody.contains` as one NNLS solve."""
+    if body.is_empty:
+        return False
+    q = np.asarray(tuple(query), dtype=float)
+    return hull_residual_ref(body, q) <= tol * (1.0 + float(np.linalg.norm(q)))
 
 
 def normal_membership_ref(sample, xstar, tol: float) -> bool:

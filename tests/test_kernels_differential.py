@@ -27,9 +27,11 @@ from prefmax import (
     GroundSet,
     Point,
     Relation,
+    VipCertificate,
     audit_gap_flags,
     body_from_sample,
     box_sample,
+    certificate_valid,
     check_property,
     contour,
     fixture_names,
@@ -510,12 +512,35 @@ def test_the_screen_refutes_only_where_every_midpoint_fails():
     assert svip_sweep_ref(body, pt(0.0, 0.0), X, 0.0) is None
 
 
-def test_3d_has_no_screen_and_accepts_within_tol():
-    # the only vertex fails the floor at d by 5e-4, which the 3-D search
-    # accepts within tol = 1e-3; a screen would refute the base
+def test_3d_returns_no_witness_beyond_the_floor():
+    # the only vertex fails the floor at d by 5e-4; the 3-D search must not
+    # return it as a witness, which `certificate_valid` would reject
     body = ConvexBody(3, ((1.0, 0.0, 0.0),))
-    cert = svip_membership(body, pt(0.0, 0.0, 0.0), [pt(-1.5e-3, 0.0, 0.0)], 1e-3)
-    assert cert is not None and cert.witness == pt(1.0, 0.0, 0.0)
+    X = [pt(-1.5e-3, 0.0, 0.0)]
+    assert not certificate_valid(VipCertificate(pt(0.0, 0.0, 0.0), "stampacchia",
+                                                pt(1.0, 0.0, 0.0), 1e-3), body, X)
+    assert svip_membership(body, pt(0.0, 0.0, 0.0), X, 1e-3) is None
+
+
+unit_coord = st.floats(-1.0, 1.0, allow_nan=False)
+point_3d = st.tuples(unit_coord, unit_coord, unit_coord)
+
+
+@settings(settings.get_profile("differential"), max_examples=12)
+@given(st.lists(point_3d, min_size=1, max_size=4), st.lists(point_3d, min_size=1, max_size=5),
+       st.sampled_from((0.0, 1e-9, 1e-3)))
+def test_every_3d_certificate_is_valid(verts, ground, tol):
+    # at tol = 0 only the inequalities are re-checked: a witness that is a
+    # rounded convex combination of vertices has an NNLS hull residual of
+    # a few eps, which a zero threshold rejects
+    body, X, xhat = ConvexBody(3, verts), [Point(g) for g in ground], pt(0.0, 0.0, 0.0)
+    cert = svip_membership(body, xhat, X, tol)
+    if cert is None:
+        return
+    if tol > 0.0:
+        assert certificate_valid(cert, body, X)
+    else:
+        assert vip._passes_all(cert.witness.coords, xhat, X, tol)
 
 
 def test_midpoint_sweep_returns_the_first_witness_across_blocks():
