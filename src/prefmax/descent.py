@@ -11,6 +11,7 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import count, repeat
+from math import isfinite
 from operator import mul, sub
 from typing import Callable
 
@@ -54,12 +55,19 @@ class StepSchedule:
 
     def validate(self) -> None:
         if self.kind == "harmonic":
+            if not isfinite(self.theta0):
+                raise ScheduleValidationError(
+                    f"harmonic schedule needs a finite theta0, got {self.theta0!r}")
             if self.theta0 <= 0:
                 raise ScheduleValidationError("harmonic schedule needs theta0 > 0")
             return
         if self.kind == "list":
             if not self.values:
                 raise ScheduleValidationError("explicit schedule is empty")
+            for k, v in enumerate(self.values, 1):
+                if not isfinite(v):
+                    raise ScheduleValidationError(
+                        f"explicit schedule has a non-finite step {v!r} at k = {k}")
             if any(v <= 0 for v in self.values):
                 raise ScheduleValidationError("explicit schedule has a nonpositive step")
             return
@@ -97,8 +105,12 @@ class DescentConfig:
     def __post_init__(self):
         if self.max_iters < 1:
             raise ValueError("max_iters must be at least 1")
+        if not isfinite(self.lipschitz):
+            raise ValueError(f"lipschitz must be finite, got {self.lipschitz!r}")
         if self.lipschitz <= 0:
             raise ValueError("Lipschitz bound must be positive")
+        if not isfinite(self.eps):
+            raise ValueError(f"eps must be finite, got {self.eps!r}")
         if self.eps < 0:
             raise ValueError("eps must be nonnegative")
 
@@ -200,10 +212,15 @@ def run_descent(oracle: Callable[[tuple], tuple], x1: Point, schedule: StepSched
     The oracle receives the iterate's coordinates as a tuple of floats and
     must return a cone element of norm at most L; violations are hard
     errors, not clamped, since the step-square budget depends on the bound.
-    A non-finite iterate or oracle output raises ValueError, as `Point`
-    does, the iterate checked first; both are stored as float tuples. Each
-    iterate's distance to the reference is computed once: the distance of
-    x_{k+1} found for row k's Fejer residual is row k+1's.
+    Its output is read once per step and converted with `float`. A
+    non-finite iterate or oracle output raises ValueError, as `Point` does,
+    the iterate checked first. Each step is validated from the two norms it
+    computes anyway: a finite ||x*|| means every coordinate of x* is finite,
+    and a finite distance from x_{k+1} to the reference means the same for
+    x_{k+1}. Only where one of them is not finite, or there is no reference,
+    are the coordinates checked one by one. Each iterate's distance to the
+    reference is computed once: the distance of x_{k+1} found for row k's
+    Fejer residual is row k+1's.
     """
     schedule.validate()
     L = config.lipschitz
@@ -212,12 +229,13 @@ def run_descent(oracle: Callable[[tuple], tuple], x1: Point, schedule: StepSched
     theta_of = schedule.theta
     ref = tuple(reference) if reference is not None else None
     with_gap = gap is not None and ref is not None
-    rows: list[tuple] = []  # (x, xstar, theta, dist, gap, residual) per row
+    xs, xstars, thetas, dists, gaps, residuals = [], [], [], [], [], []
     x = tuple(x1)
     d = _dist(x, ref) if ref is not None else None
     termination = "maxIters"
     for k in range(1, config.max_iters + 1):
-        xstar = tuple(oracle(x))
+        out = tuple(oracle(x))
+        xstar = tuple(map(float, out))
         nxs = _norm(xstar)
         if nxs > bound:
             raise OracleNormViolation(
@@ -230,20 +248,43 @@ def run_descent(oracle: Callable[[tuple], tuple], x1: Point, schedule: StepSched
         elif (theta := theta_of(k)) is None:
             termination = "maxIters"
         else:
-            x_next = float_coords(tuple(map(sub, x, map(mul, xstar, repeat(theta)))))
+            x_next = tuple(map(sub, x, map(mul, xstar, repeat(theta))))
             d_next = residual = None
             if ref is not None:
                 d_next = _dist(x_next, ref)
                 residual = d_next * d_next - d * d - theta * theta * L * L
-            rows.append((x, float_coords(xstar), theta, d, g, residual))
+            if d_next is None or not (isfinite(d_next) and isfinite(nxs)):
+                _check_step(x, out, theta)
+            xs.append(x)
+            xstars.append(xstar)
+            thetas.append(theta)
+            dists.append(d)
+            gaps.append(g)
+            residuals.append(residual)
             x, d = x_next, d_next
             continue
-        rows.append((x, float_coords(xstar), None, d, g, None))
+        xstar = float_coords(out)
         break
     else:
+        xstar = None
         g = gap(x, ref) if with_gap else None
-        rows.append((x, None, None, d, g, None))
-    return DescentTrace(*zip(*rows), termination, reference=reference, lipschitz=L)
+    xs.append(x)
+    xstars.append(xstar)
+    thetas.append(None)
+    dists.append(d)
+    gaps.append(g)
+    residuals.append(None)
+    return DescentTrace(tuple(xs), tuple(xstars), tuple(thetas), tuple(dists), tuple(gaps),
+                        tuple(residuals), termination, reference=reference, lipschitz=L)
+
+
+def _check_step(x: tuple, out: tuple, theta: float) -> None:
+    """The coordinate checks of one step, for a step its norms cannot vouch
+    for: the iterate x - theta x* first, then the oracle output, each
+    computed from the output as the oracle returned it, so that a ValueError
+    shows the values as a Point made from them would."""
+    float_coords(tuple(map(sub, x, map(mul, out, repeat(theta)))))
+    float_coords(out)
 
 
 def quasi_fejer_check(trace: DescentTrace, reference: Point, L: float,

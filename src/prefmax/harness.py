@@ -2,11 +2,12 @@
 
 from __future__ import annotations
 
-import csv
 import json
 import os
 import time
 from dataclasses import dataclass
+from itertools import count
+from math import isfinite
 
 import numpy as np
 
@@ -243,6 +244,27 @@ def _fmt_coords(coords: tuple | None) -> str:
     return "" if coords is None else ";".join(map(repr, coords))
 
 
+def _json_value(value) -> str:
+    """The text `json.dumps` writes for one trace value: float.__repr__ for a
+    finite float, and json's own text for everything else (null, NaN,
+    Infinity, -Infinity, an int)."""
+    if value is None:
+        return "null"
+    if type(value) is float and isfinite(value):
+        return float.__repr__(value)
+    return json.dumps(value)
+
+
+def _json_coords(coords: tuple | None) -> str:
+    """A coordinate list as `json.dumps(..., indent=1)` lays it out inside a
+    trace row."""
+    if coords is None:
+        return "null"
+    if not coords:
+        return "[]"
+    return "[\n    " + ",\n    ".join(map(_json_value, coords)) + "\n   ]"
+
+
 def _atomic_write(path: str, payload: str) -> None:
     """Write `payload` to a temporary file beside `path`, then move it over
     `path`. On failure the OSError propagates and no temporary file is left
@@ -260,17 +282,31 @@ def _atomic_write(path: str, payload: str) -> None:
 TRACE_COLUMNS = ("k", "x", "xstar", "theta", "dist_to_ref", "gap_to_ref", "fejer_residual")
 
 
+_CSV_ROW = "%d,%s,%s,%s,%s,%s,%s\n"
+
+_JSON_ROW = ('{\n   "k": %d,\n   "x": %s,\n   "xstar": %s,\n   "theta": %s,\n'
+             '   "dist_to_ref": %s,\n   "gap_to_ref": %s,\n   "fejer_residual": %s\n  }')
+
+
+def _formatted(trace: DescentTrace, coords, value):
+    """Each row's fields as text: k, then x and xstar through `coords`, then
+    theta, dist, gap and residual through `value`."""
+    return zip(count(1), map(coords, trace.xs), map(coords, trace.xstars),
+               *(map(value, column) for column in (trace.thetas, trace.dists, trace.gaps,
+                                                   trace.residuals)))
+
+
 def emit_trace(trace: DescentTrace, fmt: str, path: str) -> str:
-    """Write a trace as CSV (plot-ready columns) or JSON; atomic replace."""
+    """Write a trace as CSV (plot-ready columns) or JSON; atomic replace.
+
+    Rows are formatted straight from the columns, one template per row. The
+    CSV is what `csv.writer` writes for these rows: no field holds a comma,
+    a quote or a line break, so none is quoted. The JSON is what
+    `json.dumps(payload, indent=1)` writes; its header and trailer come from
+    json itself, around a one-row placeholder."""
     if fmt == "csv":
-        import io
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(TRACE_COLUMNS)
-        for k, x, xstar, theta, d, g, r in trace.records():
-            writer.writerow([k, _fmt_coords(x), _fmt_coords(xstar), _fmt(theta),
-                             _fmt(d), _fmt(g), _fmt(r)])
-        _atomic_write(path, buf.getvalue())
+        rows = map(_CSV_ROW.__mod__, _formatted(trace, _fmt_coords, _fmt))
+        _atomic_write(path, ",".join(TRACE_COLUMNS) + "\n" + "".join(rows))
         return path
     if fmt == "json":
         payload = {
@@ -278,20 +314,14 @@ def emit_trace(trace: DescentTrace, fmt: str, path: str) -> str:
             "termination": trace.termination,
             "reference": list(trace.reference.coords) if trace.reference else None,
             "lipschitz": trace.lipschitz,
-            "rows": [
-                {
-                    "k": k,
-                    "x": list(x),
-                    "xstar": list(xstar) if xstar is not None else None,
-                    "theta": theta,
-                    "dist_to_ref": d,
-                    "gap_to_ref": g,
-                    "fejer_residual": r,
-                }
-                for k, x, xstar, theta, d, g, r in trace.records()
-            ],
+            "rows": [0] if len(trace) else [],
         }
-        _atomic_write(path, json.dumps(payload, indent=1))
+        text = json.dumps(payload, indent=1)
+        if len(trace):
+            head, _, tail = text.rpartition("0")
+            rows = map(_JSON_ROW.__mod__, _formatted(trace, _json_coords, _json_value))
+            text = head + ",\n  ".join(rows) + tail
+        _atomic_write(path, text)
         return path
     raise ValueError(f"unknown trace format {fmt!r}; expected csv or json")
 

@@ -8,6 +8,7 @@ f is identically zero it reduces to the classical normal cone.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, replace
 from typing import Callable
@@ -37,6 +38,8 @@ class GapFunction:
     order_compatible: bool = False
 
     def __post_init__(self):
+        if not math.isfinite(self.lipschitz):
+            raise ValueError(f"lipschitz must be finite, got {self.lipschitz!r}")
         if self.lipschitz <= 0:
             raise ValueError("Lipschitz bound must be positive")
 
@@ -49,8 +52,6 @@ class GapFunction:
 
 def gap_from_utility(u: Callable[[tuple], float], lipschitz: float) -> GapFunction:
     """The gap u(x) - u(y); satisfies every assumption when u is Lipschitz."""
-    if lipschitz <= 0:
-        raise ValueError("Lipschitz bound must be positive")
     return GapFunction(lambda x, y: u(x) - u(y), lipschitz,
                        negative_iff_better=True, positive_iff_worse=True,
                        lipschitz_bound=True, order_compatible=True)

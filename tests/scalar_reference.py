@@ -11,7 +11,9 @@ sampled point at a time with the original tuple helpers (defined below); the
 Minty test calls the cone oracle per (xhat, y) pair. The descent loop, its
 fixture oracle, its diagnostics and the trace writer are the original ones:
 Points and a TraceRow per iterate, a distance recomputed wherever one is
-needed, and trace files written row by row. The differential tests
+needed, and trace files written row by row; `emit_trace_columns_ref` is the
+writer that came between, with `csv.writer` and `json.dumps` over the
+columns. The differential tests
 hold the array versions and the tuple descent loop to these, result for
 result and witness for witness, row for row.
 """
@@ -568,6 +570,51 @@ def emit_trace_ref(trace: DescentTrace, fmt: str, path: str) -> str:
                     "fejer_residual": r.fejer_residual,
                 }
                 for r in trace.rows
+            ],
+        }
+        text = json.dumps(payload, indent=1)
+    else:
+        raise ValueError(f"unknown trace format {fmt!r}; expected csv or json")
+    with open(path, "w", newline="") as fh:
+        fh.write(text)
+    return path
+
+
+def emit_trace_columns_ref(trace: DescentTrace, fmt: str, path: str) -> str:
+    """The columnar `emit_trace` that `emit_trace_ref` gave way to: the same
+    fields read off `trace.records()`, one `csv.writer` call per row, and
+    `json.dumps(payload, indent=1)` over a list of row dicts."""
+    def fmt_value(value):
+        return "" if value is None else repr(value)
+
+    def fmt_coords(coords):
+        return "" if coords is None else ";".join(map(repr, coords))
+
+    if fmt == "csv":
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(TRACE_COLUMNS)
+        for k, x, xstar, theta, d, g, r in trace.records():
+            writer.writerow([k, fmt_coords(x), fmt_coords(xstar), fmt_value(theta),
+                             fmt_value(d), fmt_value(g), fmt_value(r)])
+        text = buf.getvalue()
+    elif fmt == "json":
+        payload = {
+            "schema": SCHEMA_VERSION,
+            "termination": trace.termination,
+            "reference": list(trace.reference.coords) if trace.reference else None,
+            "lipschitz": trace.lipschitz,
+            "rows": [
+                {
+                    "k": k,
+                    "x": list(x),
+                    "xstar": list(xstar) if xstar is not None else None,
+                    "theta": theta,
+                    "dist_to_ref": d,
+                    "gap_to_ref": g,
+                    "fejer_residual": r,
+                }
+                for k, x, xstar, theta, d, g, r in trace.records()
             ],
         }
         text = json.dumps(payload, indent=1)

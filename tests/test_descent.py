@@ -84,6 +84,36 @@ def test_config_validation():
         DescentConfig(lipschitz=1.0, eps=-1.0)
 
 
+NON_FINITE = (math.nan, math.inf, -math.inf)
+
+
+@pytest.mark.parametrize("value", NON_FINITE, ids=repr)
+def test_non_finite_parameters_are_rejected(value):
+    """Each names its parameter. A nan Lipschitz bound would turn the oracle
+    norm check off (nothing exceeds nan), and a nan step would move every
+    iterate to nan."""
+    with pytest.raises(ValueError, match=r"^lipschitz must be finite, got "):
+        DescentConfig(lipschitz=value)
+    with pytest.raises(ValueError, match=r"^eps must be finite, got "):
+        DescentConfig(lipschitz=1.0, eps=value)
+    with pytest.raises(ValueError, match=r"^lipschitz must be finite, got "):
+        gap_from_utility(lambda x: 0.0, value)
+    with pytest.raises(ScheduleValidationError, match=r"^harmonic schedule needs a finite theta0"):
+        StepSchedule.harmonic(value).validate()
+    with pytest.raises(ScheduleValidationError,
+                       match=r"^explicit schedule has a non-finite step .* at k = 2$"):
+        StepSchedule.explicit([0.5, value, 0.25]).validate()
+
+
+def test_a_nan_lipschitz_bound_no_longer_lets_a_long_oracle_run():
+    with pytest.raises(ValueError, match="lipschitz"):
+        run_descent(lambda x: (1e6,), pt(0.0), StepSchedule.harmonic(1.0),
+                    DescentConfig(lipschitz=math.nan, max_iters=3))
+    with pytest.raises(OracleNormViolation, match="at iteration 1$"):
+        run_descent(lambda x: (1e6,), pt(0.0), StepSchedule.harmonic(1.0),
+                    DescentConfig(lipschitz=1.0, max_iters=3))
+
+
 # ---------------------------------------------------------------- iteration
 
 

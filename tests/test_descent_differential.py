@@ -315,10 +315,10 @@ def test_norm_violation_at_the_same_iteration(at, dim):
 
 
 @pytest.mark.parametrize("bad, L, expected", [
-    ((math.nan,), 1.0, ValueError),
+    ((math.nan,), 1.0, ValueError),  # a nan norm passes the bound: the iterate is not finite
     ((0.5, math.nan), 1.0, ValueError),
     ((math.inf, math.nan), 1.0, ValueError),
-    ((-math.inf,), math.inf, ValueError),  # no bound to catch it: the iterate is not finite
+    ((-math.inf,), 1.0, OracleNormViolation),  # the bound is finite, so an infinite norm exceeds it
     ((math.inf,), 1.0, OracleNormViolation),  # its norm exceeds the bound first, as in the Point loop
 ])
 @pytest.mark.parametrize("schedule", (StepSchedule.harmonic(1.0), StepSchedule.explicit([0.5])))
@@ -337,3 +337,129 @@ def test_overflowing_iterate_raises_value_error(x1, out):
                                   StepSchedule.explicit([1e308]), DescentConfig(1.0, max_iters=5),
                                   ValueError)
     assert "non-finite coordinate" in message
+
+
+# ------------------------------------------- oracle outputs and fallbacks
+#
+# The loop converts the oracle's output with float and validates a step from
+# its two norms, checking coordinates one by one only where a norm is not
+# finite or there is no reference. These runs reach every branch of that.
+
+
+def _constant(value):
+    return lambda x: value
+
+
+OUTPUTS = {
+    "ints": (1, 0),
+    "mixed-int-float": (0, -0.75),
+    "numpy-ints": np.array([0, -1]),
+    "numpy-floats": np.array([0.6, -0.8]),
+    "numpy-float64-tuple": (np.float64(-0.28), np.float64(0.96)),
+    "list": [0.8, 0.6],
+}
+
+
+@pytest.mark.parametrize("with_reference", (True, False))
+@pytest.mark.parametrize("schedule", (StepSchedule.harmonic(1.0),
+                                      StepSchedule.explicit([0.5, 0.25, 0.125])),
+                         ids=("harmonic", "runs-out"))
+@pytest.mark.parametrize("name", sorted(OUTPUTS))
+def test_oracle_output_types_give_the_same_trace(name, schedule, with_reference):
+    out = OUTPUTS[name]
+    reference = pt(0.5, -1.0) if with_reference else None
+    gap = gap_from_utility(lambda x: -math.hypot(*x), 1.0) if with_reference else None
+    trace = assert_same_run(_constant(out), _constant(out), pt(2.0, 1.0), schedule,
+                            DescentConfig(1.0, max_iters=30), reference, gap,
+                            (pt(0.0, 0.0),))
+    assert all(type(c) is float for xs in trace.xstars if xs is not None for c in xs)
+
+
+BAD_OUTPUTS = {
+    "nan": (math.nan, 0.0),
+    "nan-second": (0.5, math.nan),
+    "numpy-nan": np.array([math.nan, 0.25]),
+    "numpy-float64-nan": (np.float64(0.25), np.float64(math.nan)),
+    "inf": (math.inf, 0.0),
+    "-inf": (0.0, -math.inf),
+    "numpy-inf": np.array([0.0, math.inf]),
+    "inf-nan": (math.inf, math.nan),
+    "empty": (),
+    "numpy-empty": np.array([]),
+}
+
+
+@pytest.mark.parametrize("at", (1, 2, 5))
+@pytest.mark.parametrize("with_reference", (True, False))
+@pytest.mark.parametrize("schedule", (StepSchedule.harmonic(1.0), StepSchedule.explicit([0.5])),
+                         ids=("harmonic", "runs-out"))
+@pytest.mark.parametrize("name", sorted(BAD_OUTPUTS))
+def test_bad_oracle_output_fails_the_same_way(name, schedule, with_reference, at):
+    """The same exception with the same message, after the same oracle
+    calls. With the one-step schedule a bad output on call 2 comes when the
+    steps have run out, and fails as the stored cone element; one on call 5
+    never comes."""
+    make = switching_oracle((0.6, -0.8), BAD_OUTPUTS[name], at)
+    reference = pt(0.0, 0.0) if with_reference else None
+    gap = gap_from_utility(lambda x: -math.hypot(*x), 1.0) if with_reference else None
+    trace = assert_same_run(make(), make(), pt(1.0, 1.0), schedule,
+                            DescentConfig(1.0, max_iters=20), reference, gap)
+    assert (trace is None) == (at < 5 or schedule.kind == "harmonic")
+
+
+@pytest.mark.parametrize("with_reference", (True, False))
+def test_an_empty_output_still_needs_a_coordinate(with_reference):
+    reference = pt(0.0) if with_reference else None
+    with pytest.raises(ValueError, match="^point needs at least one coordinate$"):
+        run_descent(lambda x: (), pt(1.0), StepSchedule.harmonic(1.0),
+                    DescentConfig(1.0, max_iters=5), reference)
+
+
+@pytest.mark.parametrize("x1, reference", [
+    ((1.5e308, 1.5e308), (-1.5e308, -1.5e308)),  # the differences overflow
+    ((1e308, 1e308), (0.0, 0.0)),  # the squares overflow
+    ((-1e200,), (1e200,)),
+])
+@pytest.mark.parametrize("schedule", (StepSchedule.harmonic(1.0),
+                                      StepSchedule.explicit([0.5, 0.25, 0.125])),
+                         ids=("harmonic", "runs-out"))
+def test_finite_iterates_whose_distance_overflows_still_run(x1, reference, schedule):
+    dim = len(x1)
+    out = (0.6, -0.8)[:dim] if dim == 2 else (1.0,)
+    trace = assert_same_run(_constant(out), _constant(out), pt(*x1), schedule,
+                            DescentConfig(1.0, max_iters=12), pt(*reference), None,
+                            (pt(*reference),))
+    assert trace.dists[0] == math.inf
+    assert len(trace) == (13 if schedule.kind == "harmonic" else 4)
+
+
+@pytest.mark.parametrize("at", (1, 4))
+@pytest.mark.parametrize("with_reference", (True, False))
+def test_an_iterate_that_overflows_fails_the_same_way(at, with_reference):
+    # a finite output whose step takes the iterate past the largest float
+    make = switching_oracle((0.0, 1e-100), (-1.0, 0.0), at)
+    reference = pt(0.0, 0.0) if with_reference else None
+    message = assert_same_failure(make, pt(1.7e308, 0.0), StepSchedule.explicit([1e308] * 6),
+                                  DescentConfig(1.0, max_iters=10), ValueError, reference)
+    assert message.startswith("non-finite coordinate in (inf, ")
+
+
+@pytest.mark.parametrize("form", ("tuple", "list", "array"))
+@pytest.mark.parametrize("dim", (1, 2, 3))
+def test_runs_without_a_reference_match(dim, form):
+    oracle = affine_field(dim, 11 + dim, 1.5, form)
+    trace = assert_same_run(oracle, oracle, pt(*(2.5,) * dim), StepSchedule.harmonic(0.75),
+                            DescentConfig(1.5, max_iters=300), None, None,
+                            (pt(*(0.0,) * dim),))
+    assert trace.reference is None and set(trace.dists) == {None}
+
+
+@pytest.mark.parametrize("with_reference", (True, False))
+def test_a_longer_output_is_checked_beyond_the_iterate(with_reference):
+    # the step reads as many coordinates as the iterate has, so only the
+    # coordinate check of the output itself sees the nan in its tail
+    make = switching_oracle((0.5, 0.0), (0.5, math.nan), 2)
+    message = assert_same_failure(make, pt(1.0), StepSchedule.harmonic(1.0),
+                                  DescentConfig(1.0, max_iters=10), ValueError,
+                                  pt(0.0) if with_reference else None)
+    assert message == "non-finite coordinate in (0.5, nan)"

@@ -209,6 +209,28 @@ def test_cli_descend_constant_schedule_rejected():
     assert "inadmissible" in result.output
 
 
+@pytest.mark.parametrize("option, value, message", [
+    ("--theta0", "nan", "harmonic schedule needs a finite theta0, got nan"),
+    ("--theta0", "inf", "harmonic schedule needs a finite theta0, got inf"),
+    ("--eps", "nan", "eps must be finite, got nan"),
+])
+def test_cli_descend_rejects_non_finite_parameters(option, value, message):
+    result = runner.invoke(main, ["descend", "--fixture", "vee-peak", "--x0", "0.1",
+                                  option, value])
+    assert result.exit_code == 2
+    assert f"error: {message}" in result.output
+    assert "non-finite coordinate" not in result.output
+
+
+def test_cli_descend_rejects_a_non_finite_listed_step(tmp_path):
+    sched = tmp_path / "steps.txt"
+    sched.write_text("0.5\nnan\n")
+    result = runner.invoke(main, ["descend", "--fixture", "vee-peak", "--x0", "0.1",
+                                  "--schedule", f"list:{sched}"])
+    assert result.exit_code == 2
+    assert "error: explicit schedule has a non-finite step nan at k = 2" in result.output
+
+
 def test_cli_vip_commands():
     result = runner.invoke(main, ["vip", "--fixture", "vee-peak", "--kind", "mvip"])
     assert result.exit_code == 0

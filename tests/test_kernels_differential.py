@@ -530,17 +530,15 @@ point_3d = st.tuples(unit_coord, unit_coord, unit_coord)
 @given(st.lists(point_3d, min_size=1, max_size=4), st.lists(point_3d, min_size=1, max_size=5),
        st.sampled_from((0.0, 1e-9, 1e-3)))
 def test_every_3d_certificate_is_valid(verts, ground, tol):
-    # at tol = 0 only the inequalities are re-checked: a witness that is a
-    # rounded convex combination of vertices has an NNLS hull residual of
-    # a few eps, which a zero threshold rejects
+    # at tol = 0 too: a witness that is a rounded convex combination of
+    # vertices has an NNLS hull residual of a few eps, which the hull test's
+    # rounding floor accepts
     body, X, xhat = ConvexBody(3, verts), [Point(g) for g in ground], pt(0.0, 0.0, 0.0)
     cert = svip_membership(body, xhat, X, tol)
     if cert is None:
         return
-    if tol > 0.0:
-        assert certificate_valid(cert, body, X)
-    else:
-        assert vip._passes_all(cert.witness.coords, xhat, X, tol)
+    assert certificate_valid(cert, body, X)
+    assert vip._passes_all(cert.witness.coords, xhat, X, tol)
 
 
 def test_midpoint_sweep_returns_the_first_witness_across_blocks():

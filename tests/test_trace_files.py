@@ -1,7 +1,10 @@
 """Columnar descent traces: trace files, loading and rows built on demand.
 
-`emit_trace` writes from the trace's columns; the original row-by-row writer
-(`emit_trace_ref` in tests/scalar_reference.py) must produce the same bytes.
+`emit_trace` formats the trace's columns straight into text; the original
+row-by-row writer and the columnar writer with `csv.writer` and `json.dumps`
+(`emit_trace_ref` and `emit_trace_columns_ref` in tests/scalar_reference.py)
+must produce the same bytes, non-finite distances, gaps and residuals
+included.
 `load_trace_json` must give back the written trace, and reject a file that
 is not one with a ValueError naming the file and the fault.
 """
@@ -10,19 +13,24 @@ import json
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from prefmax import (
     DescentConfig,
     StepSchedule,
     descend_fixture,
     emit_trace,
+    gap_from_utility,
     load_trace_json,
     pt,
     run_descent,
 )
 from prefmax.descent import DescentTrace, TraceRow
 
-from scalar_reference import emit_trace_ref
+from scalar_reference import emit_trace_columns_ref, emit_trace_ref
+
+REFERENCE_WRITERS = (emit_trace_ref, emit_trace_columns_ref)
 
 
 def _no_reference_run():
@@ -37,7 +45,21 @@ def _eps_stop():
                        reference=pt(0.0, 0.0))
 
 
+def _three_d_run():
+    return run_descent(lambda x: (0.6, 0.0, -0.8), pt(1.0, 2.0, 3.0),
+                       StepSchedule.harmonic(0.5), DescentConfig(1.0, max_iters=60),
+                       reference=pt(0.0, 0.5, 1.0),
+                       gap=gap_from_utility(lambda x: -math.sqrt(sum(c * c for c in x)), 1.0))
+
+
+def _one_row_stop():
+    return run_descent(lambda x: (0.0, 0.0), pt(0.25, -4.0), StepSchedule.harmonic(1.0),
+                       DescentConfig(1.0, max_iters=10), reference=pt(1.0, 2.0))
+
+
 TRACES = {
+    "3-D": _three_d_run,
+    "one-row": _one_row_stop,
     "radial-bowl": lambda: descend_fixture("radial-bowl", (0.0, 0.0), max_iters=10_000),
     "radial-bowl-budget": lambda: descend_fixture("radial-bowl", (-2.5, 4.0), max_iters=300),
     "vee-peak": lambda: descend_fixture("vee-peak", (2.1,), max_iters=5_000),
@@ -62,10 +84,100 @@ def test_the_cases_cover_every_termination():
 
 @pytest.mark.parametrize("fmt", ("csv", "json"))
 def test_trace_files_are_byte_identical_to_the_row_writer(trace, fmt, tmp_path):
-    new, ref = tmp_path / f"new.{fmt}", tmp_path / f"ref.{fmt}"
+    assert_same_files(trace, fmt, tmp_path)
+
+
+def assert_same_files(trace, fmt, directory):
+    """emit_trace's file has the bytes of each reference writer's."""
+    new = directory / f"new.{fmt}"
     emit_trace(trace, fmt, str(new))
-    emit_trace_ref(trace, fmt, str(ref))
-    assert new.read_bytes() == ref.read_bytes()
+    for writer in REFERENCE_WRITERS:
+        ref = directory / f"ref.{fmt}"
+        writer(trace, fmt, str(ref))
+        assert new.read_bytes() == ref.read_bytes(), writer.__name__
+
+
+def _columns_trace(xs, xstars, thetas, dists, gaps, residuals, termination="maxIters",
+                   reference=None, lipschitz=1.0):
+    return DescentTrace(tuple(xs), tuple(xstars), tuple(thetas), tuple(dists), tuple(gaps),
+                        tuple(residuals), termination, reference=reference,
+                        lipschitz=lipschitz)
+
+
+EDGE_TRACES = {
+    # one row, after a budget of zero steps was spent: no cone element
+    "one-row-spent-budget": _columns_trace([(0.5,)], [None], [None], [None], [None], [None]),
+    "one-row-3-D": _columns_trace([(1.0, -2.0, 3e-300)], [(0.0, 0.0, 0.0)], [None], [2.5],
+                                  [-0.0], [None], "zeroSubgradient", pt(0.0, 0.0, 0.0)),
+    "non-finite-values": _columns_trace(
+        [(0.0, 1.0), (-0.5, 1.25), (-1.0, 1.5), (1e308, -1e-320)],
+        [(0.5, -0.25), (0.5, -0.25), (1.0, 0.0), None],
+        [1.0, 1.0, 0.5, None],
+        [math.nan, math.inf, -math.inf, 1.5],
+        [math.inf, -math.inf, math.nan, None],
+        [-math.inf, math.nan, math.inf, None],
+        reference=pt(1e308, 1e308), lipschitz=2.0),
+    "no-rows": _columns_trace([], [], [], [], [], []),
+}
+
+
+@pytest.mark.parametrize("fmt", ("csv", "json"))
+@pytest.mark.parametrize("name", sorted(EDGE_TRACES))
+def test_edge_trace_files_are_byte_identical(name, fmt, tmp_path):
+    assert_same_files(EDGE_TRACES[name], fmt, tmp_path)
+
+
+def test_non_finite_values_are_written_as_json_and_csv_write_them(tmp_path):
+    trace = EDGE_TRACES["non-finite-values"]
+    emit_trace(trace, "json", str(tmp_path / "t.json"))
+    emit_trace(trace, "csv", str(tmp_path / "t.csv"))
+    text = (tmp_path / "t.json").read_text()
+    for word in ("NaN", "Infinity", "-Infinity"):
+        assert f'"dist_to_ref": {word},' in text
+    lines = (tmp_path / "t.csv").read_text().splitlines()
+    assert lines[1:4] == ["1,0.0;1.0,0.5;-0.25,1.0,nan,inf,-inf",
+                          "2,-0.5;1.25,0.5;-0.25,1.0,inf,-inf,nan",
+                          "3,-1.0;1.5,1.0;0.0,0.5,-inf,nan,inf"]
+
+
+def test_a_finite_run_whose_distances_overflow_writes_the_same_files(tmp_path):
+    # every iterate is finite, but its distance to the reference overflows to
+    # inf, and the Fejer residual inf - inf is nan
+    trace = run_descent(lambda x: (-0.6, -0.8), pt(1.5e308, 1.5e308),
+                        StepSchedule.explicit([0.5, 0.25]), DescentConfig(1.0, max_iters=5),
+                        reference=pt(-1.5e308, -1.5e308))
+    assert trace.dists == (math.inf,) * 3
+    assert all(math.isnan(r) for r in trace.residuals[:2])
+    for fmt in ("csv", "json"):
+        assert_same_files(trace, fmt, tmp_path)
+
+
+finite = st.floats(allow_nan=False, allow_infinity=False)
+anything = st.floats()
+
+
+@st.composite
+def column_traces(draw):
+    """Random float columns of one dimension; thetas finite or None, the
+    other values any float, nan and infinities included, or None."""
+    dim = draw(st.integers(1, 3))
+    n = draw(st.integers(1, 12))
+    coords = st.tuples(*(finite,) * dim)
+    column = st.lists(st.one_of(st.none(), anything), min_size=n, max_size=n)
+    reference = draw(st.one_of(st.none(), coords.map(lambda c: pt(*c))))
+    return _columns_trace(
+        draw(st.lists(coords, min_size=n, max_size=n)),
+        draw(st.lists(st.one_of(st.none(), coords), min_size=n, max_size=n)),
+        draw(st.lists(st.one_of(st.none(), finite), min_size=n, max_size=n)),
+        draw(column), draw(column), draw(column),
+        draw(st.sampled_from(("zeroSubgradient", "maxIters", "normBelowEps"))),
+        reference, draw(st.one_of(st.none(), finite)))
+
+
+@settings(settings.get_profile("differential"), max_examples=150)
+@given(column_traces(), st.sampled_from(("csv", "json")))
+def test_random_column_traces_give_byte_identical_files(tmp_path_factory, trace, fmt):
+    assert_same_files(trace, fmt, tmp_path_factory.mktemp("trace"))
 
 
 def test_json_trace_loads_back_to_the_written_trace(trace, tmp_path):

@@ -14,7 +14,7 @@ from prefmax import (
     svip_solutions,
     uniqueness_check,
 )
-from prefmax.vip import bodies_for_ground
+from prefmax.vip import VipCertificate, bodies_for_ground
 
 from scalar_reference import dot, norm, scale, sub
 
@@ -207,3 +207,62 @@ def test_hull_cache_shares_bodies(segment):
                                segment.cone_oracle, ball_on_empty=True)
     distinct = {id(b) for b in bodies.values()}
     assert len(distinct) == 1  # one shared half-plane hull
+
+
+# ------------------------------------------------- certificates at tol 0
+
+
+def _unit_bodies(dim, n, seed):
+    """n random bodies of 2 to 6 unit vertices, with a few ground points each
+    on the side of the vertices' mean (so most have a witness, and the 3-D
+    search finds it in few iterations)."""
+    rng = np.random.default_rng(seed)
+    for _ in range(n):
+        V = rng.normal(size=(int(rng.integers(2, 7)), dim))
+        V /= np.linalg.norm(V, axis=1)[:, None]
+        Y = rng.uniform(-1.0, 1.0, size=(int(rng.integers(1, 6)), dim))
+        Y *= np.sign(Y @ V.mean(axis=0))[:, None]
+        yield ConvexBody(dim, V), [pt(*y) for y in Y.tolist()]
+
+
+def test_tol_zero_midpoint_and_3d_witnesses_are_valid():
+    """A witness that is a convex combination of vertices up to rounding (a
+    vertex midpoint, or V^T lam in 3-D) passes the re-check at tol 0; its
+    NNLS hull residual is a few eps, not exactly 0."""
+    for dim, n in ((2, 300), (3, 100)):
+        checked = 0
+        for body, X in _unit_bodies(dim, n, seed=dim):
+            xhat = pt(*(0.0,) * dim)
+            cert = svip_membership(body, xhat, X, 0.0)
+            if cert is None or not any(cert.witness.coords):
+                continue
+            checked += 1
+            assert certificate_valid(cert, body, X), (body, X, cert)
+        assert checked >= 40
+
+
+def test_midpoint_witness_is_valid_at_tol_zero():
+    body = ConvexBody(2, ((0.1, 0.7), (0.7, 0.1)))
+    # NNLS leaves a hull residual of a few eps for this rounded midpoint
+    w = 0.5 * (body.vertices[0] + body.vertices[1])
+    cert = VipCertificate(pt(0.0, 0.0), "stampacchia", pt(*w.tolist()), 0.0)
+    assert certificate_valid(cert, body, [pt(1.0, 1.0)])
+
+
+def test_a_witness_just_outside_the_body_is_still_rejected():
+    body = ConvexBody(2, ((0.1, 0.7), (0.7, 0.1)))
+    out = 1e-9 / np.sqrt(2.0)
+    for w in ((0.4 + out, 0.4 + out), (0.4 - out, 0.4 - out), (0.7 + 1e-9, 0.1)):
+        cert = VipCertificate(pt(0.0, 0.0), "stampacchia", pt(*w), 0.0)
+        assert not certificate_valid(cert, body, [pt(1.0, 1.0)]), w
+    cert = VipCertificate(pt(0.0, 0.0, 0.0), "stampacchia", pt(0.5, 0.5, 1e-9), 0.0)
+    assert not certificate_valid(cert, ConvexBody(3, ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0))),
+                                 [pt(1.0, 1.0, 1.0)])
+
+
+def test_the_floor_does_not_relax_the_inequalities():
+    body = ConvexBody(2, ((0.1, 0.7), (0.7, 0.1)))
+    w = pt(*(0.5 * (body.vertices[0] + body.vertices[1])).tolist())
+    # <w, y - xhat> = -1e-12, below the tol-0 floor of 0
+    y = pt(-1e-12 / w[0], 0.0)
+    assert not certificate_valid(VipCertificate(pt(0.0, 0.0), "stampacchia", w, 0.0), body, [y])
