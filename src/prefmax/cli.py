@@ -1,8 +1,8 @@
 """Command-line harness: fixture listing, check suites, descent runs, VIP sweeps.
 
 Exit codes: 0 all checks pass, 1 at least one check fails, 2 configuration
-error (unknown fixture, bad grid spec, capability mismatch, invalid
-tolerance).
+error (unknown fixture, bad grid spec or config file, capability mismatch,
+invalid tolerance).
 """
 
 from __future__ import annotations
@@ -11,23 +11,21 @@ import sys
 
 import click
 
-from .descent import ScheduleValidationError, StepSchedule
+from .descent import StepSchedule
 from .fixtures import UnknownFixture, fixture_names, get_fixture
 from .harness import (
-    CapabilityError,
     ExperimentSpec,
     descend_fixture,
     emit_report,
     emit_trace,
     run_experiment,
+    vip_solutions,
 )
 from .points import parse_grid_spec
 
 
-def _load_config(path: str | None) -> dict[str, str]:
+def _load_config(path: str) -> dict[str, str]:
     """Key=value configuration file (TOML-style scalars, # comments)."""
-    if path is None:
-        return {}
     cfg = {}
     try:
         with open(path) as fh:
@@ -44,12 +42,24 @@ def _load_config(path: str | None) -> dict[str, str]:
     return cfg
 
 
-def _merged(ctx: click.Context, cfg: dict, name: str, value, cast):
-    """Explicit flags win; config supplies values for untouched defaults."""
-    source = ctx.get_parameter_source(name)
-    if source == click.core.ParameterSource.DEFAULT and name in cfg:
-        return cast(cfg[name])
-    return value
+def _config_option(*keys: str):
+    """`--config PATH`: a key = value file whose values become the defaults
+    of the options named by `keys`. Click converts and checks them as it
+    does the flags' values, and a flag on the command line wins. Any other
+    key is a configuration error."""
+
+    def load(ctx: click.Context, param: click.Parameter, path: str | None) -> None:
+        if path is None:
+            return
+        cfg = _load_config(path)
+        for key in cfg:
+            if key not in keys:
+                raise ValueError(
+                    f"{path}: unknown key {key!r}; {ctx.info_name} reads {', '.join(keys)}")
+        ctx.default_map = cfg
+
+    return click.option("--config", default=None, is_eager=True, expose_value=False,
+                        callback=load, help="key = value defaults file")
 
 
 def _fail_config(message: str):
@@ -66,7 +76,19 @@ def _write(emit, *args) -> None:
         _fail_config(f"cannot write {args[-1]}: {exc.strerror or exc}")
 
 
-@click.group()
+class _Main(click.Group):
+    """The command group. Every command runs inside its error boundary, where
+    a rejected request (an unknown fixture, a bad value or config file, a
+    missing capability) becomes exit code 2."""
+
+    def invoke(self, ctx: click.Context):
+        try:
+            return super().invoke(ctx)
+        except (UnknownFixture, ValueError, OSError) as exc:
+            _fail_config(str(exc))
+
+
+@click.group(cls=_Main)
 def main():
     """Find and certify maximal elements of preference relations."""
 
@@ -94,37 +116,26 @@ def fixtures_list():
         click.echo(f"{name:18s} dim={fx.relation.dim} [{flagstr}] {fx.notes}")
 
 
+def _parse_grid(ctx: click.Context, param: click.Parameter, spec: str | None):
+    return parse_grid_spec(spec) if spec else None
+
+
 @main.command()
 @click.option("--fixture", "fixture_name", required=True)
 @click.option("--suite", default=None, help="Comma-separated check names")
-@click.option("--grid", default=None, help="lo:hi:step[,lo:hi:step...] ground override")
+@click.option("--grid", default=None, callback=_parse_grid,
+              help="lo:hi:step[,lo:hi:step...] ground override")
 @click.option("--tol", default=1e-9, type=float, show_default=True)
 @click.option("--seed", default=0, type=int, show_default=True)
 @click.option("--json", "json_path", default=None, help="Write the report as JSON")
 @click.option("--mode", default=None, type=click.Choice(["T", "G"]), help="Hull variant")
-@click.option("--config", "config_path", default=None, help="key=value defaults file")
-@click.pass_context
-def check(ctx, fixture_name, suite, grid, tol, seed, json_path, mode, config_path):
+@_config_option("suite", "grid", "tol", "seed", "mode")
+def check(fixture_name, suite, grid, tol, seed, json_path, mode):
     """Run a fixture's check suite and report one verdict per check."""
-    try:
-        cfg = _load_config(config_path)
-        suite = _merged(ctx, cfg, "suite", suite, str)
-        grid = _merged(ctx, cfg, "grid", grid, str)
-        tol = _merged(ctx, cfg, "tol", tol, float)
-        seed = _merged(ctx, cfg, "seed", seed, int)
-        mode = _merged(ctx, cfg, "mode", mode, str)
-        spec = ExperimentSpec(
-            fixture=fixture_name,
-            suite=tuple(s.strip() for s in suite.split(",")) if suite else None,
-            ground=parse_grid_spec(grid) if grid else None,
-            tol=tol,
-            seed=seed,
-            mode=mode,
-        )
-        report = run_experiment(spec)
-    except (UnknownFixture, CapabilityError, ValueError) as exc:
-        _fail_config(str(exc))
-        return
+    report = run_experiment(ExperimentSpec(
+        fixture=fixture_name,
+        suite=tuple(s.strip() for s in suite.split(",")) if suite else None,
+        ground=grid, tol=tol, seed=seed, mode=mode))
     for v in report.verdicts:
         status = "PASS" if v.passed else "FAIL"
         click.echo(f"{status} {v.check}: {v.detail}")
@@ -156,24 +167,14 @@ def _parse_schedule(text: str, theta0: float) -> StepSchedule:
 @click.option("--max-iters", default=10_000, type=int, show_default=True)
 @click.option("--eps", default=0.0, type=float, show_default=True)
 @click.option("--trace", "trace_path", default=None, help="Output .csv or .json trace")
-@click.option("--config", "config_path", default=None, help="key=value defaults file")
-@click.pass_context
-def descend(ctx, fixture_name, x0, theta0, schedule, max_iters, eps, trace_path, config_path):
+@_config_option("theta0", "schedule", "max_iters", "eps")
+def descend(fixture_name, x0, theta0, schedule, max_iters, eps, trace_path):
     """Run the cone-descent iteration on a gap-equipped fixture."""
-    try:
-        cfg = _load_config(config_path)
-        theta0 = _merged(ctx, cfg, "theta0", theta0, float)
-        schedule = _merged(ctx, cfg, "schedule", schedule, str)
-        max_iters = _merged(ctx, cfg, "max_iters", max_iters, int)
-        eps = _merged(ctx, cfg, "eps", eps, float)
-        coords = tuple(float(c) for c in x0.split(","))
-        sched = _parse_schedule(schedule, theta0)
-        sched.validate()
-        trace = descend_fixture(fixture_name, coords, theta0=theta0, schedule=sched,
-                                max_iters=max_iters, eps=eps)
-    except (UnknownFixture, CapabilityError, ScheduleValidationError, ValueError, OSError) as exc:
-        _fail_config(str(exc))
-        return
+    coords = tuple(float(c) for c in x0.split(","))
+    sched = _parse_schedule(schedule, theta0)
+    sched.validate()
+    trace = descend_fixture(fixture_name, coords, theta0=theta0, schedule=sched,
+                            max_iters=max_iters, eps=eps)
     click.echo(f"termination={trace.termination} iterations={len(trace) - 1} "
                f"final={','.join(map(repr, trace.xs[-1]))}")
     if trace.reference is not None:
@@ -189,34 +190,14 @@ def descend(ctx, fixture_name, x0, theta0, schedule, max_iters, eps, trace_path,
 @click.option("--fixture", "fixture_name", required=True)
 @click.option("--kind", required=True, type=click.Choice(["svip", "mvip"]))
 @click.option("--mode", default="T", type=click.Choice(["T", "G"]), show_default=True)
-@click.option("--grid", default=None, help="lo:hi:step[,lo:hi:step...] ground override")
+@click.option("--grid", default=None, callback=_parse_grid,
+              help="lo:hi:step[,lo:hi:step...] ground override")
 @click.option("--tol", default=1e-9, type=float, show_default=True)
-@click.option("--config", "config_path", default=None, help="key=value defaults file")
-@click.pass_context
-def vip(ctx, fixture_name, kind, mode, grid, tol, config_path):
+@_config_option("mode", "grid", "tol")
+def vip(fixture_name, kind, mode, grid, tol):
     """Enumerate the Stampacchia or Minty solution set over a fixture grid."""
-    from .vip import mvip_solutions, svip_solutions
-
-    try:
-        cfg = _load_config(config_path)
-        mode = _merged(ctx, cfg, "mode", mode, str)
-        grid = _merged(ctx, cfg, "grid", grid, str)
-        tol = _merged(ctx, cfg, "tol", tol, float)
-        if tol < 0:
-            raise ValueError("tolerance must be nonnegative")
-        fx = get_fixture(fixture_name)
-        ground = parse_grid_spec(grid) if grid else fx.default_ground
-        if kind == "mvip":
-            if fx.cone_oracle is None:
-                raise CapabilityError(f"fixture {fixture_name!r} has no cone oracle")
-            sols = mvip_solutions(fx.cone_oracle, ground, tol)
-        else:
-            sols = svip_solutions(fx.relation, ground, fx.cone_oracle,
-                                  ball_on_empty=(mode == "G"), tol=tol,
-                                  contour_sampler=fx.contour_sampler)
-    except (UnknownFixture, CapabilityError, ValueError) as exc:
-        _fail_config(str(exc))
-        return
+    ground, sols = vip_solutions(
+        ExperimentSpec(fixture=fixture_name, ground=grid, tol=tol, mode=mode), kind)
     click.echo(f"{kind} solutions: {len(sols)} of {len(ground)} points")
     for p in sols[:20]:
         click.echo("  " + ",".join(repr(c) for c in p.coords))

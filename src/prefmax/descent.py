@@ -16,7 +16,7 @@ from operator import mul, sub
 from typing import Callable
 
 from .plastria import GapFunction
-from .points import Point, float_coords
+from .points import Point, dist, float_coords, norm
 
 
 class ScheduleValidationError(ValueError):
@@ -190,17 +190,7 @@ class DescentTrace:
         if self.reference is None:
             raise ValueError("trace has no reference point")
         ref = tuple(self.reference)
-        return [_dist(x, ref) for x in self.xs]
-
-
-def _norm(a) -> float:
-    return math.sqrt(sum(map(mul, a, a)))
-
-
-def _dist(a, b) -> float:
-    """||a - b||, summed coordinate by coordinate from the first."""
-    t = list(map(sub, a, b))
-    return math.sqrt(sum(map(mul, t, t)))
+        return [dist(x, ref) for x in self.xs]
 
 
 def run_descent(oracle: Callable[[tuple], tuple], x1: Point, schedule: StepSchedule,
@@ -231,12 +221,12 @@ def run_descent(oracle: Callable[[tuple], tuple], x1: Point, schedule: StepSched
     with_gap = gap is not None and ref is not None
     xs, xstars, thetas, dists, gaps, residuals = [], [], [], [], [], []
     x = tuple(x1)
-    d = _dist(x, ref) if ref is not None else None
+    d = dist(x, ref) if ref is not None else None
     termination = "maxIters"
     for k in range(1, config.max_iters + 1):
         out = tuple(oracle(x))
         xstar = tuple(map(float, out))
-        nxs = _norm(xstar)
+        nxs = norm(xstar)
         if nxs > bound:
             raise OracleNormViolation(
                 f"oracle output norm {nxs} exceeds the declared bound {L} at iteration {k}")
@@ -251,7 +241,7 @@ def run_descent(oracle: Callable[[tuple], tuple], x1: Point, schedule: StepSched
             x_next = tuple(map(sub, x, map(mul, xstar, repeat(theta))))
             d_next = residual = None
             if ref is not None:
-                d_next = _dist(x_next, ref)
+                d_next = dist(x_next, ref)
                 residual = d_next * d_next - d * d - theta * theta * L * L
             if d_next is None or not (isfinite(d_next) and isfinite(nxs)):
                 _check_step(x, out, theta)
@@ -302,8 +292,8 @@ def quasi_fejer_check(trace: DescentTrace, reference: Point, L: float,
             d_prev = None
             continue
         if d_prev is None:
-            d_prev = _dist(x, ref)
-        d_next = _dist(x_next, ref)
+            d_prev = dist(x, ref)
+        d_next = dist(x_next, ref)
         budget = theta * theta * L * L
         if d_next * d_next > d_prev * d_prev + budget + slack * (1.0 + d_prev * d_prev):
             return False
@@ -327,5 +317,5 @@ def reconstruction_residuals(trace: DescentTrace) -> list[float]:
         if theta is None or xstar is None:
             continue
         predicted = map(sub, x, map(mul, xstar, repeat(theta)))
-        out.append(_dist(x_next, predicted) / (1.0 + _norm(x)))
+        out.append(dist(x_next, predicted) / (1.0 + norm(x)))
     return out

@@ -102,7 +102,6 @@ def _band_threshold() -> Fixture:
             "maxima": ((4.0,),),
             "fip": True,
             "transitive": False,
-            "transitive_witness": ((3.5,), (3.0,), (2.0,)),
         },
         default_suite=("maxima", "fip", "transitive"),
         notes="intersection property without completeness or transitivity",
@@ -349,7 +348,6 @@ def _segment_line() -> Fixture:
         sample_step=0.1,
         expectations={
             "me": ((1.0, 0.0),),
-            "svip_all": True,
             "svip_subset_me": False,
         },
         default_suite=("maximal", "svip-all", "svip-inclusion", "cones"),

@@ -124,17 +124,12 @@ def _run_check(name: str, fixture: Fixture, ground: GroundSet, spec: ExperimentS
         return _set_verdict(name, actual, _expected_set(exp.get("maxima", ())))
 
     if name in ("mvip", "mvip-empty"):
-        if fixture.cone_oracle is None:
-            raise CapabilityError(f"fixture {fixture.name!r} has no cone oracle")
-        actual = _coords_set(mvip_solutions(fixture.cone_oracle, ground, spec.tol))
+        actual = _coords_set(vip_solutions(spec, "mvip")[1])
         expected = set() if name == "mvip-empty" else _expected_set(exp.get("mvip", ()))
         return _set_verdict(name, actual, expected)
 
     if name in ("svip", "svip-all"):
-        sols = svip_solutions(rel, ground, fixture.cone_oracle,
-                              ball_on_empty=spec.mode == "G", tol=spec.tol,
-                              contour_sampler=fixture.contour_sampler)
-        actual = _coords_set(sols)
+        actual = _coords_set(vip_solutions(spec, "svip")[1])
         expected = _coords_set(ground) if name == "svip-all" else _expected_set(exp.get("svip", ()))
         return _set_verdict(name, actual, expected)
 
@@ -201,6 +196,22 @@ def _run_check(name: str, fixture: Fixture, ground: GroundSet, spec: ExperimentS
                        f"query {query} weakly accepted, strictly rejected at {tested} base points")
 
     raise CapabilityError(f"unknown check {name!r}; known: {', '.join(KNOWN_CHECKS)}")
+
+
+def vip_solutions(spec: ExperimentSpec, kind: str) -> tuple[GroundSet, list[Point]]:
+    """The ground of `spec` and the Stampacchia ("svip") or Minty ("mvip")
+    solutions on it, with the fixture's cones and contour sampler; mode G
+    gives an empty contour the ball. The svip/mvip checks and `prefmax vip`
+    both list these."""
+    fixture = get_fixture(spec.fixture)
+    ground = spec.ground if spec.ground is not None else fixture.default_ground
+    if kind == "mvip":
+        if fixture.cone_oracle is None:
+            raise CapabilityError(f"fixture {fixture.name!r} has no cone oracle")
+        return ground, mvip_solutions(fixture.cone_oracle, ground, spec.tol)
+    return ground, svip_solutions(fixture.relation, ground, fixture.cone_oracle,
+                                  ball_on_empty=spec.mode == "G", tol=spec.tol,
+                                  contour_sampler=fixture.contour_sampler)
 
 
 def run_experiment(spec: ExperimentSpec) -> RunReport:

@@ -16,7 +16,7 @@ from typing import Callable
 import numpy as np
 
 from .cones import DEFAULT_TOL, ContourSample, normal_cone_test
-from .points import GroundSet, Point, ground_array, norm, scale, sub
+from .points import GroundSet, Point, dist, ground_array, norm, scale
 from .relations import PropertyReport, Relation, preference_matrix
 
 # Assumption flags, named by content:
@@ -94,7 +94,7 @@ def audit_gap_flags(gap: GapFunction, rel: Relation, ground: GroundSet,
                 downgrades["positive_iff_worse"] = False
                 warnings.warn(f"gap sign (positive side) disagrees with the relation at ({x}, {y})")
         if gap.lipschitz_bound and "lipschitz_bound" not in downgrades:
-            if abs(fxy) > gap.lipschitz * norm(sub(x, y)) * (1.0 + 1e-9) + 1e-12:
+            if abs(fxy) > gap.lipschitz * dist(x, y) * (1.0 + 1e-9) + 1e-12:
                 downgrades["lipschitz_bound"] = False
                 warnings.warn(f"gap exceeds its Lipschitz bound at ({x}, {y})")
         if gap.order_compatible and "order_compatible" not in downgrades:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from itertools import product
 
@@ -69,7 +70,13 @@ def scale(a, s: float) -> tuple[float, ...]:
 
 
 def norm(a) -> float:
-    return math.sqrt(sum(x * x for x in a))
+    return math.sqrt(sum(map(operator.mul, a, a)))
+
+
+def dist(a, b) -> float:
+    """||a - b||, summed coordinate by coordinate from the first."""
+    t = list(map(operator.sub, a, b))
+    return math.sqrt(sum(map(operator.mul, t, t)))
 
 
 def points_close(a: Point, b: Point, atol: float = COORD_ATOL) -> bool:
@@ -174,7 +181,7 @@ class GroundSet:
         res = math.inf
         for i, p in enumerate(self.points):
             for q in self.points[i + 1:]:
-                d = norm(sub(p, q))
+                d = dist(p, q)
                 if 0 < d < res:
                     res = d
         return res

@@ -13,6 +13,7 @@ from prefmax import (
     get_fixture,
     load_trace_json,
     mvip_solutions,
+    registry,
     run_experiment,
     svip_solutions,
 )
@@ -176,7 +177,16 @@ def test_cli_descend_and_trace(tmp_path):
     assert path.exists()
 
 
-@pytest.mark.parametrize("name, x0", [("radial-bowl", (0.3, -0.2)), ("vee-peak", (2.1,))])
+def _descend_starts():
+    """Two starts on every gap-equipped fixture, and two off the diagonal."""
+    starts = [("radial-bowl", (0.3, -0.2)), ("vee-peak", (2.1,))]
+    for fx in registry(self_test=False).values():
+        if fx.gap is not None:
+            starts += [(fx.name, (s,) * fx.relation.dim) for s in (-1.5, 0.3)]
+    return starts
+
+
+@pytest.mark.parametrize("name, x0", _descend_starts())
 @pytest.mark.parametrize("max_iters", (50, 10_000))
 def test_cli_descend_prints_the_final_distance(name, x0, max_iters):
     result = runner.invoke(main, ["descend", "--fixture", name,
@@ -184,8 +194,11 @@ def test_cli_descend_prints_the_final_distance(name, x0, max_iters):
                                   "--max-iters", str(max_iters)])
     assert result.exit_code == 0, result.output
     trace = descend_fixture(name, x0, max_iters=max_iters)
-    line = result.output.splitlines()[1]
-    assert line == f"distance_to_reference={trace.distances()[-1]!r}"
+    expected = [f"termination={trace.termination} iterations={len(trace) - 1} "
+                f"final={','.join(map(repr, trace.final_point.coords))}"]
+    if trace.reference is not None:
+        expected.append(f"distance_to_reference={trace.distances()[-1]!r}")
+    assert result.stdout.splitlines() == expected
 
 
 def test_cli_descend_capability_error():
@@ -280,11 +293,97 @@ def test_cli_config_file_supplies_defaults(tmp_path):
     assert explicit.exit_code == 0  # explicit flag beats the config value
 
 
-def test_cli_bad_config_exits_2(tmp_path):
-    cfg = tmp_path / "bad.cfg"
-    cfg.write_text("this line has no equals sign\n")
-    result = runner.invoke(main, ["check", "--fixture", "vee-peak", "--config", str(cfg)])
+# Each command's base invocation; for each config key it reads, a value that
+# changes its output, and values it must reject.
+COMMANDS = {
+    "check": ["check", "--fixture", "vee-peak"],
+    "descend": ["descend", "--fixture", "vee-peak", "--x0", "2.1"],
+    "vip": ["vip", "--fixture", "vee-peak", "--kind", "svip"],
+}
+CONFIG_KEYS = {
+    "check": {"suite": "maximal,cones", "grid": "0:0.5:0.01", "tol": "0.5", "seed": "7",
+              "mode": "G"},
+    "descend": {"theta0": "0.5", "schedule": "constant", "max_iters": "30", "eps": "2"},
+    "vip": {"mode": "G", "grid": "0:0.5:0.01", "tol": "0.5"},
+}
+# No fixture's output depends on these keys; their rejected values show that
+# a config value for them is read.
+UNSEEN_KEYS = ("seed", "mode")
+REJECTED = [("check", "mode", "X"), ("vip", "mode", "X"), ("check", "tol", "abc"),
+            ("vip", "tol", "abc"), ("check", "tol", "-1"), ("vip", "tol", "-1"),
+            ("check", "seed", "1.5"), ("descend", "max_iters", "1.5"),
+            ("descend", "theta0", "abc")]
+
+
+def _with_config(tmp_path, args, text):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(text)
+    return runner.invoke(main, args + ["--config", str(cfg)])
+
+
+def _flag(key):
+    return "--" + key.replace("_", "-")
+
+
+@pytest.mark.parametrize("command, key, value", [
+    (command, key, value) for command, keys in CONFIG_KEYS.items()
+    for key, value in keys.items()] + REJECTED)
+def test_a_config_value_acts_as_its_flag(tmp_path, command, key, value):
+    args = COMMANDS[command]
+    flag = runner.invoke(main, args + [_flag(key), value])
+    config = _with_config(tmp_path, args, f"{key} = {value}\n")
+    assert (config.exit_code, config.stdout, config.stderr) == \
+        (flag.exit_code, flag.stdout, flag.stderr)
+    if (command, key, value) in REJECTED:
+        assert flag.exit_code == 2
+    elif key not in UNSEEN_KEYS:
+        default = runner.invoke(main, args)
+        assert (flag.exit_code, flag.stdout) != (default.exit_code, default.stdout)
+
+
+@pytest.mark.parametrize("command", sorted(COMMANDS))
+def test_a_flag_beats_the_config(tmp_path, command):
+    # the config's value is never converted, so it cannot fail
+    key, value = next(iter(CONFIG_KEYS[command].items()))
+    args = COMMANDS[command] + [_flag(key), value]
+    flag = runner.invoke(main, args)
+    both = _with_config(tmp_path, args, f"{key} = nonsense\n")
+    assert (both.exit_code, both.stdout) == (flag.exit_code, flag.stdout)
+
+
+@pytest.mark.parametrize("command", sorted(COMMANDS))
+@pytest.mark.parametrize("key", ("tolerance", "fixture"))
+def test_an_unknown_config_key_exits_2(tmp_path, command, key):
+    result = _with_config(tmp_path, COMMANDS[command], f"{key} = vee-peak\n")
     assert result.exit_code == 2
+    assert f"run.cfg: unknown key {key!r}" in result.output
+
+
+@pytest.mark.parametrize("command", sorted(COMMANDS))
+def test_cli_bad_config_exits_2(tmp_path, command):
+    result = _with_config(tmp_path, COMMANDS[command], "# comment\ngrid 0:1:0.01\n")
+    assert result.exit_code == 2
+    assert "run.cfg:2: expected key = value" in result.output
+
+
+def test_a_missing_config_file_exits_2(tmp_path):
+    result = runner.invoke(main, COMMANDS["check"] + ["--config", str(tmp_path / "none.cfg")])
+    assert result.exit_code == 2
+    assert "cannot read config" in result.output
+
+
+# ------------------------------------------------------ CLI-harness parity
+
+
+@pytest.mark.parametrize("mode", (None, "T", "G"))
+@pytest.mark.parametrize("name", fixture_names())
+def test_cli_check_prints_the_harness_verdicts(name, mode):
+    result = runner.invoke(main, ["check", "--fixture", name]
+                           + (["--mode", mode] if mode else []))
+    report = run_experiment(ExperimentSpec(fixture=name, mode=mode))
+    assert result.stdout.splitlines() == [
+        f"{'PASS' if v.passed else 'FAIL'} {v.check}: {v.detail}" for v in report.verdicts]
+    assert result.exit_code == report.exit_code
 
 
 def _leftovers(root):
