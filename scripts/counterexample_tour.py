@@ -20,10 +20,10 @@ from prefmax import (
 def segment_inclusion_failure() -> None:
     fx = get_fixture("segment-line")
     g = fx.default_ground
-    sols = svip_solutions(fx.relation, g, fx.cone_oracle, ball_on_empty=True)
+    sols = svip_solutions(fx.relation, g, fx.cone_oracle)
     me = maximal_elements(fx.relation, g)
     print("== segment-line: solution set vs maximal set ==")
-    print(f"ball-on-empty solution set: {len(sols)} of {len(g)} grid points")
+    print(f"Stampacchia solution set: {len(sols)} of {len(g)} grid points")
     print(f"maximal elements: {[tuple(p.coords) for p in me]}")
     print("every interior segment point is certified yet only the right end "
           "is maximal, so certification does not imply maximality here\n")

@@ -62,7 +62,6 @@ from .vip import (
     certificate_valid,
     mvip_membership,
     mvip_solutions,
-    svip_inclusion_check,
     svip_membership,
     svip_solutions,
     uniqueness_check,

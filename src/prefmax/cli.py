@@ -128,14 +128,13 @@ def _parse_grid(ctx: click.Context, param: click.Parameter, spec: str | None):
 @click.option("--tol", default=1e-9, type=float, show_default=True)
 @click.option("--seed", default=0, type=int, show_default=True)
 @click.option("--json", "json_path", default=None, help="Write the report as JSON")
-@click.option("--mode", default=None, type=click.Choice(["T", "G"]), help="Hull variant")
-@_config_option("suite", "grid", "tol", "seed", "mode")
-def check(fixture_name, suite, grid, tol, seed, json_path, mode):
+@_config_option("suite", "grid", "tol", "seed")
+def check(fixture_name, suite, grid, tol, seed, json_path):
     """Run a fixture's check suite and report one verdict per check."""
     report = run_experiment(ExperimentSpec(
         fixture=fixture_name,
         suite=tuple(s.strip() for s in suite.split(",")) if suite else None,
-        ground=grid, tol=tol, seed=seed, mode=mode))
+        ground=grid, tol=tol, seed=seed))
     for v in report.verdicts:
         status = "PASS" if v.passed else "FAIL"
         click.echo(f"{status} {v.check}: {v.detail}")
@@ -189,15 +188,14 @@ def descend(fixture_name, x0, theta0, schedule, max_iters, eps, trace_path):
 @main.command()
 @click.option("--fixture", "fixture_name", required=True)
 @click.option("--kind", required=True, type=click.Choice(["svip", "mvip"]))
-@click.option("--mode", default="T", type=click.Choice(["T", "G"]), show_default=True)
 @click.option("--grid", default=None, callback=_parse_grid,
               help="lo:hi:step[,lo:hi:step...] ground override")
 @click.option("--tol", default=1e-9, type=float, show_default=True)
-@_config_option("mode", "grid", "tol")
-def vip(fixture_name, kind, mode, grid, tol):
+@_config_option("grid", "tol")
+def vip(fixture_name, kind, grid, tol):
     """Enumerate the Stampacchia or Minty solution set over a fixture grid."""
     ground, sols = vip_solutions(
-        ExperimentSpec(fixture=fixture_name, ground=grid, tol=tol, mode=mode), kind)
+        ExperimentSpec(fixture=fixture_name, ground=grid, tol=tol), kind)
     click.echo(f"{kind} solutions: {len(sols)} of {len(ground)} points")
     for p in sols[:20]:
         click.echo("  " + ",".join(repr(c) for c in p.coords))

@@ -432,16 +432,17 @@ def unit_net(dim: int) -> np.ndarray:
     raise ValueError("unit nets are only built for dimensions 1-3")
 
 
-def cone_unit_hull(cone: Cone, ball_on_empty: bool = False,
-                   contour_empty: bool = False) -> ConvexBody:
+def cone_unit_hull(cone: Cone) -> ConvexBody:
     """Hull of the cone's unit-sphere slice, as a vertex polytope.
 
-    With ball_on_empty set, an empty strictly-better set yields the closed
-    unit ball regardless of the cone (the alternative map used by the
-    counterexample fixture); otherwise the cone alone decides.
+    A full cone (the normal cone of an empty strictly-better set) gives the
+    whole unit net, the ball; a zero cone gives the empty body. A cone that
+    holds a direction and its opposite, such as the generators (-1, 0),
+    (0, 1), (0, -1) of segment-line's on-axis points, gives a body that
+    contains zero.
     """
     net = unit_net(cone.dim)
-    if (ball_on_empty and contour_empty) or cone.tag == "full":
+    if cone.tag == "full":
         return ConvexBody(cone.dim, net)
     if cone.tag == "zero":
         return ConvexBody(cone.dim, ())

@@ -59,10 +59,11 @@ class Fixture:
     def contour_sampler(self, x: Point):
         return box_sample(self.relation, x, self.sample_radius, self.sample_step)
 
-    def me_ground(self) -> GroundSet:
-        if self.me_margin > 0:
-            return self.default_ground.extended(self.me_margin)
-        return self.default_ground
+    def me_ground(self, ground: GroundSet | None = None) -> GroundSet:
+        """The ground on which the maximal elements of a window are decided:
+        `ground` (default: the fixture's) extended by `me_margin`."""
+        ground = self.default_ground if ground is None else ground
+        return ground.extended(self.me_margin) if self.me_margin > 0 else ground
 
     def descent_oracle(self) -> Callable[[tuple], tuple]:
         """Cone-element oracle of norm at most L on coordinate tuples: the
@@ -334,8 +335,9 @@ def _halfline_plane() -> Fixture:
 def _segment_line() -> Fixture:
     """The same on-axis order restricted to the unit segment of the axis.
 
-    The ball-on-empty hull variant certifies every segment point as a
-    Stampacchia solution while only the right endpoint is maximal, so the
+    Every segment point's cone is generated by (-1, 0), (0, 1) and (0, -1),
+    so its unit hull contains zero, and zero certifies every segment point
+    as a Stampacchia solution while only the right endpoint is maximal: the
     inclusion check is expected to fail here."""
     rel = Relation.from_predicate("segment-line", 2, _line_rule)
     return Fixture(
@@ -415,7 +417,7 @@ def registry(self_test: bool = True) -> dict[str, Fixture]:
 
 
 def get_fixture(name: str) -> Fixture:
-    reg = registry()
+    reg = registry(self_test=False)
     try:
         return reg[name]
     except KeyError:

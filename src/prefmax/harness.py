@@ -13,11 +13,11 @@ import numpy as np
 
 from .cones import normal_membership, strict_normal_membership
 from .descent import DescentConfig, DescentTrace, StepSchedule, run_descent
-from .fixtures import Fixture, get_fixture
+from .fixtures import Fixture, get_fixture, self_test_fixture
 from .plastria import zero_maximality_check
 from .points import GroundSet, Point, float_coords
 from .relations import check_property, maximal_elements, maxima
-from .vip import mvip_solutions, svip_inclusion_check, svip_solutions, uniqueness_check
+from .vip import mvip_solutions, svip_solutions, uniqueness_check
 
 SCHEMA_VERSION = 1
 
@@ -39,13 +39,10 @@ class ExperimentSpec:
     ground: GroundSet | None = None
     tol: float = 1e-9
     seed: int = 0
-    mode: str | None = None  # "T" | "G" hull variant for the Stampacchia sweeps
 
     def __post_init__(self):
-        if self.tol < 0:
-            raise ValueError("tolerance must be nonnegative")
-        if self.mode not in (None, "T", "G"):
-            raise ValueError("mode must be 'T' or 'G'")
+        if not (isfinite(self.tol) and self.tol >= 0):
+            raise ValueError(f"tolerance must be finite and nonnegative, got {self.tol}")
         if self.seed < 0:
             raise ValueError(f"seed must be nonnegative, got {self.seed}")
 
@@ -106,9 +103,9 @@ def _run_check(name: str, fixture: Fixture, ground: GroundSet, spec: ExperimentS
     exp = fixture.expectations
 
     if name == "maximal":
-        me_ground = fixture.me_ground() if spec.ground is None else ground
         window = _coords_set(ground)
-        actual = {p.coords for p in maximal_elements(rel, me_ground) if p.coords in window}
+        actual = {p.coords for p in maximal_elements(rel, fixture.me_ground(ground))
+                  if p.coords in window}
         if exp.get("me") == "all":
             expected = window
         elif "me" in exp:
@@ -134,19 +131,23 @@ def _run_check(name: str, fixture: Fixture, ground: GroundSet, spec: ExperimentS
         return _set_verdict(name, actual, expected)
 
     if name == "svip-inclusion":
-        report = svip_inclusion_check(rel, ground, spec.tol, fixture.cone_oracle,
-                                      ball_on_empty=spec.mode == "G",
-                                      contour_sampler=fixture.contour_sampler)
+        # the Stampacchia problem is posed on the window, so its solutions
+        # meet the window's own maximal set, not the extended ground's
+        svip = vip_solutions(spec, "svip")[1]
+        me = _coords_set(maximal_elements(rel, ground))
+        violators = sum(p.coords not in me for p in svip)
+        held = violators == 0
+        counts = (f"{len(svip)} solutions, all maximal" if held
+                  else f"{violators} of {len(svip)} solutions not maximal")
         expected = exp.get("svip_subset_me", True)
-        ok = report.holds == expected
-        tag = "held" if report.holds else "failed"
-        return Verdict(name, ok, f"inclusion {tag} (expected {'hold' if expected else 'failure'}); {report.detail}")
+        return Verdict(name, held == expected, f"inclusion {'held' if held else 'failed'} "
+                       f"(expected {'hold' if expected else 'failure'}); {counts}")
 
     if name == "uniqueness":
         if fixture.cone_oracle is None:
             raise CapabilityError(f"fixture {fixture.name!r} has no cone oracle")
-        me_ground = fixture.me_ground() if fixture.me_margin > 0 else None
-        got = uniqueness_check(rel, fixture.cone_oracle, ground, spec.tol, me_ground=me_ground)
+        got = uniqueness_check(rel, fixture.cone_oracle, ground, spec.tol,
+                               me_ground=fixture.me_ground(ground))
         expected = exp.get("uniqueness", True)
         return Verdict(name, got == expected, f"equivalence={got}, expected {expected}")
 
@@ -159,7 +160,6 @@ def _run_check(name: str, fixture: Fixture, ground: GroundSet, spec: ExperimentS
         return Verdict(name, report.holds == expected, report.detail or report.prop)
 
     if name == "cones":
-        from .fixtures import self_test_fixture
         if fixture.cone_oracle is None:
             raise CapabilityError(f"fixture {fixture.name!r} has no cone oracle")
         try:
@@ -200,17 +200,15 @@ def _run_check(name: str, fixture: Fixture, ground: GroundSet, spec: ExperimentS
 
 def vip_solutions(spec: ExperimentSpec, kind: str) -> tuple[GroundSet, list[Point]]:
     """The ground of `spec` and the Stampacchia ("svip") or Minty ("mvip")
-    solutions on it, with the fixture's cones and contour sampler; mode G
-    gives an empty contour the ball. The svip/mvip checks and `prefmax vip`
-    both list these."""
+    solutions on it, with the fixture's cones and contour sampler. The svip,
+    mvip and svip-inclusion checks and `prefmax vip` all use these."""
     fixture = get_fixture(spec.fixture)
     ground = spec.ground if spec.ground is not None else fixture.default_ground
     if kind == "mvip":
         if fixture.cone_oracle is None:
             raise CapabilityError(f"fixture {fixture.name!r} has no cone oracle")
         return ground, mvip_solutions(fixture.cone_oracle, ground, spec.tol)
-    return ground, svip_solutions(fixture.relation, ground, fixture.cone_oracle,
-                                  ball_on_empty=spec.mode == "G", tol=spec.tol,
+    return ground, svip_solutions(fixture.relation, ground, fixture.cone_oracle, tol=spec.tol,
                                   contour_sampler=fixture.contour_sampler)
 
 

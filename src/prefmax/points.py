@@ -120,6 +120,9 @@ def ground_array(X, dim: int) -> np.ndarray:
 def axis_lattice(lo: float, hi: float, step: float) -> list[float]:
     """Coordinates lo + i * step inside [lo, hi], rounded to the lattice
     decimals; grids and box samples take their coordinates from here."""
+    for what, value in (("bound", lo), ("bound", hi), ("step", step)):
+        if not math.isfinite(value):
+            raise ValueError(f"grid {what} must be finite, got {value}")
     if step <= 0:
         raise ValueError(f"grid step must be positive, got {step}")
     if hi < lo:

@@ -23,7 +23,7 @@ from .cones import (
     sample_contour,
 )
 from .points import GroundSet, Point, dot, ground_array, norm, sub
-from .relations import PropertyReport, Relation, maximal_elements
+from .relations import Relation, maximal_elements
 
 ConeOracle = Callable[[Point], Cone]
 
@@ -268,9 +268,8 @@ def mvip_solutions(cone_oracle: ConeOracle, X: GroundSet, tol: float = DEFAULT_T
     return [x for x in pts if _minty_holds(field, x.coords, tol)]
 
 
-def bodies_for_ground(rel: Relation, X: GroundSet, cone_oracle: ConeOracle | None = None,
-                      ball_on_empty: bool = False, tol: float = DEFAULT_TOL,
-                      contour_sampler=None):
+def bodies_for_ground(rel: Relation, X: GroundSet, cone_oracle: ConeOracle | None = None, *,
+                      tol: float = DEFAULT_TOL, contour_sampler=None):
     """Per-point convex bodies for the Stampacchia sweep, from closed-form
     cones when available, else from sampled normal cones.
 
@@ -290,46 +289,33 @@ def bodies_for_ground(rel: Relation, X: GroundSet, cone_oracle: ConeOracle | Non
     for x in X:
         if cone_oracle is not None:
             cone = cone_oracle(x)
-            key = (cone.tag, cone.generators, cone.tag == "full")
+            key = (cone.tag, cone.generators)
             body = hull_cache.get(key)
             if body is None:
-                body = cone_unit_hull(cone, ball_on_empty=ball_on_empty,
-                                      contour_empty=cone.tag == "full")
-                hull_cache[key] = body
+                body = hull_cache[key] = cone_unit_hull(cone)
         else:
             body = body_from_sample(sampler(x), tol)
         bodies[x.coords] = body
     return bodies
 
 
-def svip_solutions(rel: Relation, X: GroundSet, cone_oracle: ConeOracle | None = None,
-                   ball_on_empty: bool = False, tol: float = DEFAULT_TOL,
-                   contour_sampler=None) -> list[Point]:
-    bodies = bodies_for_ground(rel, X, cone_oracle, ball_on_empty, tol, contour_sampler)
-    out = []
-    for x in X:
-        if svip_membership(bodies[x.coords], x, X, tol) is not None:
-            out.append(x)
-    return out
+def svip_solutions(rel: Relation, X: GroundSet, cone_oracle: ConeOracle | None = None, *,
+                   tol: float = DEFAULT_TOL, contour_sampler=None,
+                   ball_on_empty: bool = False) -> list[Point]:
+    """The points of X that solve the Stampacchia problem, in ground order,
+    with the bodies of `bodies_for_ground`.
 
-
-def svip_inclusion_check(rel: Relation, X: GroundSet, tol: float = DEFAULT_TOL,
-                         cone_oracle: ConeOracle | None = None,
-                         ball_on_empty: bool = False,
-                         contour_sampler=None) -> PropertyReport:
-    """Whether every Stampacchia solution is a maximal element of X.
-
-    Callers assert lower semicontinuity of the relation where they expect the
-    inclusion to hold; the counterexample fixture is expected to fail it.
+    `ball_on_empty` stays only because `bench/ops.py` still passes it as
+    False. It chose a hull variant that gave an empty strictly-better set
+    the ball, but such a set's normal cone is full, and the hull of a full
+    cone is already the ball; the variant changed no body and was removed,
+    so True raises ValueError.
     """
-    svip = svip_solutions(rel, X, cone_oracle, ball_on_empty, tol, contour_sampler)
-    me = {p.coords for p in maximal_elements(rel, X)}
-    violators = [p for p in svip if p.coords not in me]
-    if violators:
-        return PropertyReport("svip_subset_maximal", False, (violators[0],),
-                              detail=f"{len(violators)} of {len(svip)} solutions not maximal")
-    return PropertyReport("svip_subset_maximal", True,
-                          detail=f"{len(svip)} solutions, all maximal")
+    if ball_on_empty:
+        raise ValueError(f"ball_on_empty={ball_on_empty!r} is not supported: "
+                         "the hull of a full cone is already the ball")
+    bodies = bodies_for_ground(rel, X, cone_oracle, tol=tol, contour_sampler=contour_sampler)
+    return [x for x in X if svip_membership(bodies[x.coords], x, X, tol) is not None]
 
 
 def uniqueness_check(rel: Relation, cone_oracle: ConeOracle, X: GroundSet,

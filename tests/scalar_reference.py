@@ -291,12 +291,11 @@ def cone_contains_ref(cone, query) -> bool:
     return cone_residual_ref(cone, q) <= max(cone.tol, 1e-10)
 
 
-def cone_unit_hull_ref(cone, ball_on_empty: bool = False,
-                       contour_empty: bool = False) -> ConvexBody:
+def cone_unit_hull_ref(cone) -> ConvexBody:
     """`cone_unit_hull` with the net rows tested one `cone_contains_ref`
     call at a time."""
     net = unit_net(cone.dim)
-    if (ball_on_empty and contour_empty) or cone.tag == "full":
+    if cone.tag == "full":
         return ConvexBody(cone.dim, net)
     if cone.tag == "zero":
         return ConvexBody(cone.dim, ())

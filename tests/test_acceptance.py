@@ -93,7 +93,7 @@ def test_criterion_04_favored_one_cones():
 def test_criterion_05_segment_counterexample():
     fx = get_fixture("segment-line")
     g = fx.default_ground
-    sols = svip_solutions(fx.relation, g, fx.cone_oracle, ball_on_empty=True)
+    sols = svip_solutions(fx.relation, g, fx.cone_oracle)
     me = maximal_elements(fx.relation, g)
     ok = len(sols) == len(g) and [p.coords for p in me] == [(1.0, 0.0)]
     verdict(5, ok, f"solution set fills all {len(sols)}/{len(g)} segment points, "
@@ -111,19 +111,16 @@ def test_criterion_06_kinked_threshold_sets():
 
 
 def test_criterion_07_inclusion_on_lsc_fixtures():
-    from prefmax import fixture_names, svip_inclusion_check
+    from prefmax import ExperimentSpec, fixture_names, run_experiment
 
     violations = []
     checked = []
     for name in fixture_names():
-        fx = get_fixture(name)
-        if not fx.lsc:
+        if not get_fixture(name).lsc:
             continue
-        report = svip_inclusion_check(fx.relation, fx.default_ground, 1e-9,
-                                      fx.cone_oracle,
-                                      contour_sampler=fx.contour_sampler)
+        (report,) = run_experiment(ExperimentSpec(name, suite=("svip-inclusion",))).verdicts
         checked.append(name)
-        if not report.holds:
+        if not report.detail.startswith("inclusion held"):
             violations.append((name, report.detail))
     verdict(7, len(checked) >= 5 and not violations,
             f"solutions are maximal on all of: {', '.join(checked)}")

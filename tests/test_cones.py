@@ -271,14 +271,6 @@ def test_unit_hull_halfplane_contains_vertical_and_zero():
     assert not body.contains((0.2, 0.1))
 
 
-def test_unit_hull_ball_on_empty_flag():
-    cone = Cone.generated(((-1.0, 0.0),))
-    body = cone_unit_hull(cone, ball_on_empty=True, contour_empty=True)
-    assert body.contains((0.9, 0.0)) and body.contains((0.0, 0.0))
-    body = cone_unit_hull(cone, ball_on_empty=True, contour_empty=False)
-    assert not body.contains((0.9, 0.0))
-
-
 def test_body_from_sample_matches_closed_form(vee):
     g = vee.default_ground
     ray_body = body_from_sample(sample_contour(vee.relation, pt(0.3), g))

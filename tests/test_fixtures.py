@@ -1,6 +1,7 @@
 import pytest
 
-from prefmax import UnknownFixture, fixture_names, get_fixture, pt
+from prefmax import GroundSet, UnknownFixture, fixture_names, get_fixture, pt
+from prefmax import fixtures
 from prefmax.fixtures import self_test_fixture
 
 
@@ -60,6 +61,29 @@ def test_descent_oracle_norm_bound(vee, radial):
 def test_me_ground_extension_only_for_unbounded(kinked, vee):
     assert len(kinked.me_ground()) > len(kinked.default_ground)
     assert vee.me_ground() is vee.default_ground
+
+
+@pytest.mark.parametrize("name", fixture_names())
+def test_me_ground_extends_the_given_window(name):
+    fx = get_fixture(name)
+    assert fx.me_ground() == fx.me_ground(fx.default_ground)
+    # a window other than the default, at twice the step
+    window = GroundSet.grid([(lo, hi, 2 * step) for lo, hi, step in fx.default_ground.axes])
+    got = fx.me_ground(window)
+    assert got == (window.extended(fx.me_margin) if fx.me_margin > 0 else window)
+    assert set(window) <= set(got)
+
+
+def test_get_fixture_does_not_run_the_self_test(monkeypatch):
+    calls = []
+    monkeypatch.setattr(fixtures, "_REGISTRY", None)
+    monkeypatch.setattr(fixtures, "_SELF_TEST_DONE", False)
+    monkeypatch.setattr(fixtures, "self_test_fixture", lambda fx: calls.append(fx.name))
+    get_fixture("vee-peak")
+    fixture_names()
+    assert calls == []
+    fixtures.registry()
+    assert calls == list(fixtures.registry(self_test=False))
 
 
 def test_contour_sampler_sees_beyond_the_window(kinked):

@@ -12,6 +12,7 @@ from prefmax import (
     fixture_names,
     get_fixture,
     load_trace_json,
+    maximal_elements,
     mvip_solutions,
     registry,
     run_experiment,
@@ -52,6 +53,12 @@ def test_unknown_check_is_config_error():
 def test_negative_tolerance_rejected():
     with pytest.raises(ValueError):
         ExperimentSpec(fixture="vee-peak", tol=-1.0)
+
+
+@pytest.mark.parametrize("tol", (float("nan"), float("inf"), float("-inf"), -1e-12))
+def test_a_tolerance_that_is_not_finite_and_nonnegative_is_named(tol):
+    with pytest.raises(ValueError, match=f"finite and nonnegative, got {tol}$"):
+        ExperimentSpec(fixture="vee-peak", tol=tol)
 
 
 def test_grid_override_changes_the_verdict():
@@ -144,9 +151,12 @@ def test_cli_fixtures_list():
 
 
 def test_cli_check_pass_and_fail():
-    ok = runner.invoke(main, ["check", "--fixture", "kinked-threshold"])
-    assert ok.exit_code == 0, ok.output
-    assert "PASS maximal" in ok.output
+    # on a custom window too, kinked-threshold's edge 1.0 is beaten from
+    # beyond the window, so it is not maximal
+    for grid in ([], ["--grid", "-1:1:0.02"]):
+        ok = runner.invoke(main, ["check", "--fixture", "kinked-threshold"] + grid)
+        assert ok.exit_code == 0, ok.output
+        assert "PASS maximal: 1 points as expected" in ok.output
     bad = runner.invoke(main, ["check", "--fixture", "vee-peak",
                                "--suite", "maximal", "--grid", "0:0.5:0.01"])
     assert bad.exit_code == 1
@@ -248,8 +258,7 @@ def test_cli_vip_commands():
     result = runner.invoke(main, ["vip", "--fixture", "vee-peak", "--kind", "mvip"])
     assert result.exit_code == 0
     assert "1 of 101" in result.output
-    result = runner.invoke(main, ["vip", "--fixture", "segment-line",
-                                  "--kind", "svip", "--mode", "G"])
+    result = runner.invoke(main, ["vip", "--fixture", "segment-line", "--kind", "svip"])
     assert result.exit_code == 0
     assert "101 of 101" in result.output
 
@@ -259,8 +268,8 @@ def _library_vip(name: str, kind: str):
     fx = get_fixture(name)
     if kind == "mvip":
         return mvip_solutions(fx.cone_oracle, fx.default_ground, 1e-9)
-    return svip_solutions(fx.relation, fx.default_ground, fx.cone_oracle, ball_on_empty=False,
-                          tol=1e-9, contour_sampler=fx.contour_sampler)
+    return svip_solutions(fx.relation, fx.default_ground, fx.cone_oracle, tol=1e-9,
+                          contour_sampler=fx.contour_sampler)
 
 
 @pytest.mark.parametrize("kind", ("svip", "mvip"))
@@ -301,18 +310,30 @@ COMMANDS = {
     "vip": ["vip", "--fixture", "vee-peak", "--kind", "svip"],
 }
 CONFIG_KEYS = {
-    "check": {"suite": "maximal,cones", "grid": "0:0.5:0.01", "tol": "0.5", "seed": "7",
-              "mode": "G"},
+    "check": {"suite": "maximal,cones", "grid": "0:0.5:0.01", "tol": "0.5", "seed": "7"},
     "descend": {"theta0": "0.5", "schedule": "constant", "max_iters": "30", "eps": "2"},
-    "vip": {"mode": "G", "grid": "0:0.5:0.01", "tol": "0.5"},
+    "vip": {"grid": "0:0.5:0.01", "tol": "0.5"},
 }
 # No fixture's output depends on these keys; their rejected values show that
 # a config value for them is read.
-UNSEEN_KEYS = ("seed", "mode")
-REJECTED = [("check", "mode", "X"), ("vip", "mode", "X"), ("check", "tol", "abc"),
-            ("vip", "tol", "abc"), ("check", "tol", "-1"), ("vip", "tol", "-1"),
-            ("check", "seed", "1.5"), ("descend", "max_iters", "1.5"),
-            ("descend", "theta0", "abc")]
+UNSEEN_KEYS = ("seed",)
+# Rejected values, each with the part of its message that names it.
+REJECTED = {
+    ("check", "tol", "abc"): "'abc' is not a valid float",
+    ("vip", "tol", "abc"): "'abc' is not a valid float",
+    ("check", "tol", "-1"): "tolerance must be finite and nonnegative, got -1.0",
+    ("vip", "tol", "-1"): "tolerance must be finite and nonnegative, got -1.0",
+    ("check", "tol", "nan"): "tolerance must be finite and nonnegative, got nan",
+    ("check", "tol", "inf"): "tolerance must be finite and nonnegative, got inf",
+    ("vip", "tol", "nan"): "tolerance must be finite and nonnegative, got nan",
+    ("vip", "tol", "inf"): "tolerance must be finite and nonnegative, got inf",
+    ("check", "grid", "0:inf:0.1"): "grid bound must be finite, got inf",
+    ("vip", "grid", "0:nan:0.1"): "grid bound must be finite, got nan",
+    ("check", "grid", "0:1:inf"): "grid step must be finite, got inf",
+    ("check", "seed", "1.5"): "'1.5' is not a valid integer",
+    ("descend", "max_iters", "1.5"): "'1.5' is not a valid integer",
+    ("descend", "theta0", "abc"): "'abc' is not a valid float",
+}
 
 
 def _with_config(tmp_path, args, text):
@@ -327,7 +348,7 @@ def _flag(key):
 
 @pytest.mark.parametrize("command, key, value", [
     (command, key, value) for command, keys in CONFIG_KEYS.items()
-    for key, value in keys.items()] + REJECTED)
+    for key, value in keys.items()] + list(REJECTED))
 def test_a_config_value_acts_as_its_flag(tmp_path, command, key, value):
     args = COMMANDS[command]
     flag = runner.invoke(main, args + [_flag(key), value])
@@ -336,6 +357,7 @@ def test_a_config_value_acts_as_its_flag(tmp_path, command, key, value):
         (flag.exit_code, flag.stdout, flag.stderr)
     if (command, key, value) in REJECTED:
         assert flag.exit_code == 2
+        assert REJECTED[command, key, value] in flag.stderr
     elif key not in UNSEEN_KEYS:
         default = runner.invoke(main, args)
         assert (flag.exit_code, flag.stdout) != (default.exit_code, default.stdout)
@@ -352,11 +374,18 @@ def test_a_flag_beats_the_config(tmp_path, command):
 
 
 @pytest.mark.parametrize("command", sorted(COMMANDS))
-@pytest.mark.parametrize("key", ("tolerance", "fixture"))
+@pytest.mark.parametrize("key", ("tolerance", "fixture", "mode"))
 def test_an_unknown_config_key_exits_2(tmp_path, command, key):
-    result = _with_config(tmp_path, COMMANDS[command], f"{key} = vee-peak\n")
+    result = _with_config(tmp_path, COMMANDS[command], f"{key} = T\n")
     assert result.exit_code == 2
     assert f"run.cfg: unknown key {key!r}" in result.output
+
+
+@pytest.mark.parametrize("command", ("check", "vip"))
+def test_the_removed_mode_flag_exits_2(command):
+    result = runner.invoke(main, COMMANDS[command] + ["--mode", "T"])
+    assert result.exit_code == 2
+    assert "No such option '--mode'" in result.output
 
 
 @pytest.mark.parametrize("command", sorted(COMMANDS))
@@ -375,15 +404,30 @@ def test_a_missing_config_file_exits_2(tmp_path):
 # ------------------------------------------------------ CLI-harness parity
 
 
-@pytest.mark.parametrize("mode", (None, "T", "G"))
 @pytest.mark.parametrize("name", fixture_names())
-def test_cli_check_prints_the_harness_verdicts(name, mode):
-    result = runner.invoke(main, ["check", "--fixture", name]
-                           + (["--mode", mode] if mode else []))
-    report = run_experiment(ExperimentSpec(fixture=name, mode=mode))
+def test_cli_check_prints_the_harness_verdicts(name):
+    result = runner.invoke(main, ["check", "--fixture", name])
+    report = run_experiment(ExperimentSpec(fixture=name))
     assert result.stdout.splitlines() == [
         f"{'PASS' if v.passed else 'FAIL'} {v.check}: {v.detail}" for v in report.verdicts]
-    assert result.exit_code == report.exit_code
+    assert result.exit_code == report.exit_code == 0
+
+
+@pytest.mark.parametrize("name", fixture_names())
+def test_svip_inclusion_compares_the_listing_with_the_window_maxima(name):
+    # the verdict's counts come from the Stampacchia listing of `prefmax vip`
+    # and the maximal set of the window itself
+    fx = get_fixture(name)
+    (verdict,) = run_experiment(ExperimentSpec(name, suite=("svip-inclusion",))).verdicts
+    svip = _library_vip(name, "svip")
+    me = {p.coords for p in maximal_elements(fx.relation, fx.default_ground)}
+    violators = sum(p.coords not in me for p in svip)
+    held = violators == 0
+    counts = (f"{len(svip)} solutions, all maximal" if held
+              else f"{violators} of {len(svip)} solutions not maximal")
+    assert verdict.detail.startswith(f"inclusion {'held' if held else 'failed'} ")
+    assert verdict.detail.endswith(f"; {counts}")
+    assert verdict.passed == (held == fx.expectations.get("svip_subset_me", True))
 
 
 def _leftovers(root):

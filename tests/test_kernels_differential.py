@@ -415,13 +415,11 @@ def test_plastria_membership_evaluates_the_gap_only_where_the_kernel_looks():
 # --------------------------------------------------------------- Stampacchia
 
 
-# without a cone oracle the hull mode does not enter the bodies
-@pytest.mark.parametrize("name,mode", [(n, m) for n in FIXTURES for m in ("T", "G")
-                                       if m == "T" or get_fixture(n).cone_oracle is not None])
-def test_fixture_witnesses_match(name, mode, monkeypatch):
+@pytest.mark.parametrize("name", FIXTURES)
+def test_fixture_witnesses_match(name, monkeypatch):
     fx = get_fixture(name)
     ground = fx.default_ground
-    bodies = bodies_for_ground(fx.relation, ground, fx.cone_oracle, ball_on_empty=(mode == "G"),
+    bodies = bodies_for_ground(fx.relation, ground, fx.cone_oracle,
                                contour_sampler=fx.contour_sampler)
     cases = [(bodies[x.coords], x, tol) for x in ground for tol in TOLS]
     screened = [svip_membership(body, x, ground, tol) for body, x, tol in cases]

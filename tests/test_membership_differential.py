@@ -125,10 +125,9 @@ def test_2d_near_ties_match_nnls(cone, q, ulps):
 
 
 @DIFFERENTIAL
-@given(st.one_of(cones_1d(), cones_2d()), st.booleans())
-def test_unit_hulls_match_vertex_for_vertex(cone, ball):
-    got = cone_unit_hull(cone, ball_on_empty=ball)
-    assert got.vertices.tolist() == cone_unit_hull_ref(cone, ball_on_empty=ball).vertices.tolist()
+@given(st.one_of(cones_1d(), cones_2d()))
+def test_unit_hulls_match_vertex_for_vertex(cone):
+    assert cone_unit_hull(cone).vertices.tolist() == cone_unit_hull_ref(cone).vertices.tolist()
 
 
 @pytest.mark.parametrize("tag", ["full", "zero"])
@@ -150,10 +149,7 @@ def test_fixture_cones_match_nnls_over_the_unit_net(name):
             continue
         seen.add(key)
         assert_matches_nnls(cone, np.r_[unit_net(x.dim), rng.uniform(-3.0, 3.0, (20, x.dim))])
-        for ball in (False, True):
-            full = cone.tag == "full"
-            assert (cone_unit_hull(cone, ball, full).vertices.tolist()
-                    == cone_unit_hull_ref(cone, ball, full).vertices.tolist())
+        assert cone_unit_hull(cone).vertices.tolist() == cone_unit_hull_ref(cone).vertices.tolist()
 
 
 def test_near_antipodal_pairs_follow_nnls_through_its_rank_band():
@@ -200,7 +196,7 @@ def bodies_2d(draw):
     if kind == "arc":
         start, length = draw(st.integers(0, 359)), draw(st.integers(1, 360))
         return ConvexBody(2, unit_net(2)[(start + np.arange(length)) % 360])
-    return cone_unit_hull(draw(cones_2d()), ball_on_empty=draw(st.booleans()))
+    return cone_unit_hull(draw(cones_2d()))
 
 
 def queries(body: ConvexBody, extra) -> list[tuple]:
@@ -254,21 +250,20 @@ def test_near_ties_match_nnls(body, data, ulps):
 
 @pytest.mark.parametrize("name", FIXTURES)
 def test_fixture_bodies_match_nnls(name):
-    # every body of the Stampacchia sweeps (closed-form cones and samples,
-    # both hull modes) at the first 40 `queries`: zero, vertices and near them
+    # every body of the Stampacchia sweeps (closed-form cones and samples)
+    # at the first 40 `queries`: zero, vertices and near them
     fx = get_fixture(name)
     X = fx.default_ground
     oracles = [fx.cone_oracle] if fx.cone_oracle is not None else []
     seen = set()
     for oracle in oracles + [None]:
-        for ball in (False, True):
-            sampler = None if oracle is not None else fx.contour_sampler
-            for body in bodies_for_ground(fx.relation, X, oracle, ball, contour_sampler=sampler).values():
-                if body in seen:
-                    continue
-                seen.add(body)
-                for tol in (0.0, 1e-9):
-                    assert_body_matches_nnls(body, queries(body, ())[:40], tol)
+        sampler = None if oracle is not None else fx.contour_sampler
+        for body in bodies_for_ground(fx.relation, X, oracle, contour_sampler=sampler).values():
+            if body in seen:
+                continue
+            seen.add(body)
+            for tol in (0.0, 1e-9):
+                assert_body_matches_nnls(body, queries(body, ())[:40], tol)
 
 
 def test_1d_residual_is_the_distance_to_the_nearer_ray():
@@ -288,14 +283,13 @@ def test_the_screen_settles_fixture_zero_and_vertex_queries(name):
     fx = get_fixture(name)
     oracles = [fx.cone_oracle] if fx.cone_oracle is not None else []
     for oracle in oracles + [None]:
-        for ball in (False, True):
-            sampler = None if oracle is not None else fx.contour_sampler
-            bodies = bodies_for_ground(fx.relation, fx.default_ground, oracle, ball,
-                                       contour_sampler=sampler)
-            for body in {b for b in bodies.values() if not b.is_empty}:
-                V = body.vertices
-                for q in [np.zeros(body.dim)] + [v + h for v in V[:5] for h in (0.0, 1e-11, -1e-11)]:
-                    assert _hull_screen(V, q, 1e-9) is not None
+        sampler = None if oracle is not None else fx.contour_sampler
+        bodies = bodies_for_ground(fx.relation, fx.default_ground, oracle,
+                                   contour_sampler=sampler)
+        for body in {b for b in bodies.values() if not b.is_empty}:
+            V = body.vertices
+            for q in [np.zeros(body.dim)] + [v + h for v in V[:5] for h in (0.0, 1e-11, -1e-11)]:
+                assert _hull_screen(V, q, 1e-9) is not None
 
 
 def test_body_query_is_checked():

@@ -5,6 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from prefmax import GroundSet, Point, parse_grid_spec, points_close, pt
+from prefmax.points import axis_lattice
 
 
 def test_point_rejects_nan_and_empty():
@@ -52,8 +53,25 @@ def test_extended_keeps_lattice_alignment():
 def test_parse_grid_spec():
     g = parse_grid_spec("0:1:0.5,0:0:1")
     assert g.dim == 2 and len(g) == 3
-    with pytest.raises(ValueError):
-        parse_grid_spec("0:1:0.5:7")
+    for spec, message in (("0:1:0.5:7", "bad grid clause"),
+                          ("0:inf:0.1", "grid bound must be finite, got inf"),
+                          ("nan:1:0.1", "grid bound must be finite, got nan"),
+                          ("0:1:inf", "grid step must be finite, got inf")):
+        with pytest.raises(ValueError, match=message):
+            parse_grid_spec(spec)
+
+
+@pytest.mark.parametrize("lo, hi, step, message", [
+    (math.nan, 1.0, 0.1, "grid bound must be finite, got nan"),
+    (-math.inf, 1.0, 0.1, "grid bound must be finite, got -inf"),
+    (0.0, math.nan, 0.1, "grid bound must be finite, got nan"),
+    (0.0, math.inf, 0.1, "grid bound must be finite, got inf"),
+    (0.0, 1.0, math.nan, "grid step must be finite, got nan"),
+    (0.0, 1.0, math.inf, "grid step must be finite, got inf"),
+])
+def test_axis_lattice_names_a_non_finite_value(lo, hi, step, message):
+    with pytest.raises(ValueError, match=message):
+        axis_lattice(lo, hi, step)
 
 
 def test_explicit_requires_distinct():

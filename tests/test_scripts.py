@@ -26,7 +26,7 @@ def test_counterexample_tour(capsys):
     # run as `python scripts/counterexample_tour.py` would; a SystemExit fails the test
     runpy.run_path(str(SCRIPTS / "counterexample_tour.py"), run_name="__main__")
     out = capsys.readouterr().out
-    assert "ball-on-empty solution set: 101 of 101 grid points" in out
+    assert "Stampacchia solution set: 101 of 101 grid points" in out
     assert "maximal elements: [(1.0, 0.0)]" in out
     assert "maximal elements on the window: [(0.0,)]\nMinty solutions: []" in out
     for x in (0.0, 0.5, 1.0):

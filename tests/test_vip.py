@@ -1,15 +1,17 @@
 import numpy as np
+import pytest
 
 from prefmax import (
     Cone,
     ConvexBody,
+    ExperimentSpec,
     GroundSet,
     certificate_valid,
     maximal_elements,
     mvip_membership,
     mvip_solutions,
     pt,
-    svip_inclusion_check,
+    run_experiment,
     svip_membership,
     svip_solutions,
     uniqueness_check,
@@ -28,7 +30,7 @@ def coords(points):
 
 def test_segment_certificate_witness_is_zero(segment):
     g = segment.default_ground
-    bodies = bodies_for_ground(segment.relation, g, segment.cone_oracle, ball_on_empty=True)
+    bodies = bodies_for_ground(segment.relation, g, segment.cone_oracle)
     x = pt(0.5, 0.0)
     cert = svip_membership(bodies[x.coords], x, g)
     assert cert is not None
@@ -50,15 +52,30 @@ def test_vee_sweep_certifies_only_peak(vee):
     assert coords(sols) == {(0.7,)}
 
 
+def test_ball_on_empty_is_accepted_only_as_false(segment):
+    args = (segment.relation, segment.default_ground, segment.cone_oracle)
+    assert svip_solutions(*args, ball_on_empty=False) == svip_solutions(*args)
+    with pytest.raises(ValueError, match="ball_on_empty=True"):
+        svip_solutions(*args, ball_on_empty=True)
+
+
+@pytest.mark.parametrize("sweep", (bodies_for_ground, svip_solutions))
+def test_a_stale_positional_flag_is_a_type_error(segment, sweep):
+    # `tol` is keyword-only, so an old positional hull-mode bool cannot
+    # bind to it
+    with pytest.raises(TypeError, match="positional argument"):
+        sweep(segment.relation, segment.default_ground, segment.cone_oracle, True)
+
+
 def test_empty_body_never_certifies():
     body = ConvexBody(1, ())
     assert svip_membership(body, pt(0.0), [pt(0.0), pt(1.0)]) is None
 
 
 def test_all_returned_certificates_revalidate(segment, vee):
-    for fx, ball in ((segment, True), (vee, False)):
+    for fx in (segment, vee):
         g = fx.default_ground
-        bodies = bodies_for_ground(fx.relation, g, fx.cone_oracle, ball_on_empty=ball)
+        bodies = bodies_for_ground(fx.relation, g, fx.cone_oracle)
         for x in list(g)[::10]:
             cert = svip_membership(bodies[x.coords], x, g)
             if cert is not None:
@@ -124,26 +141,28 @@ def test_generator_check_consistent_with_random_cone_elements(rng):
 # -------------------------------------------------------- inclusion checks
 
 
+def _inclusion(name: str) -> str:
+    """The detail of the harness's svip-inclusion verdict for a fixture."""
+    (verdict,) = run_experiment(ExperimentSpec(name, suite=("svip-inclusion",))).verdicts
+    return verdict.detail
+
+
 def test_favored_inclusion_equality(favored):
     g = favored.default_ground
     sols = svip_solutions(favored.relation, g, favored.cone_oracle)
     me = maximal_elements(favored.relation, g)
     assert coords(sols) == coords(me)
-    assert svip_inclusion_check(favored.relation, g, cone_oracle=favored.cone_oracle).holds
+    assert _inclusion("favored-one").startswith("inclusion held")
 
 
-def test_segment_inclusion_fails_with_witness(segment):
-    rep = svip_inclusion_check(segment.relation, segment.default_ground,
-                               cone_oracle=segment.cone_oracle, ball_on_empty=True)
-    assert not rep.holds
-    violator = rep.witness[0]
-    assert violator.coords != (1.0, 0.0)
+def test_segment_inclusion_fails_off_the_right_end():
+    # every point but the maximal right end (1, 0) violates the inclusion
+    assert _inclusion("segment-line") == \
+        "inclusion failed (expected failure); 100 of 101 solutions not maximal"
 
 
-def test_radial_inclusion_with_sampled_bodies(radial):
-    rep = svip_inclusion_check(radial.relation, radial.default_ground,
-                               contour_sampler=radial.contour_sampler)
-    assert rep.holds
+def test_radial_inclusion_with_sampled_bodies():
+    assert _inclusion("radial-bowl").startswith("inclusion held")
 
 
 # ------------------------------------------------------------- uniqueness
@@ -203,8 +222,7 @@ def test_necessary_inequality_fails_without_completeness(kinked):
 
 
 def test_hull_cache_shares_bodies(segment):
-    bodies = bodies_for_ground(segment.relation, segment.default_ground,
-                               segment.cone_oracle, ball_on_empty=True)
+    bodies = bodies_for_ground(segment.relation, segment.default_ground, segment.cone_oracle)
     distinct = {id(b) for b in bodies.values()}
     assert len(distinct) == 1  # one shared half-plane hull
 
