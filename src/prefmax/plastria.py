@@ -16,16 +16,13 @@ from typing import Callable
 import numpy as np
 
 from .cones import DEFAULT_TOL, ContourSample, normal_cone_test
-from .points import GroundSet, Point, dist, ground_array, norm, scale
+from .points import GroundSet, Point, ground_array, norm, scale
 from .relations import PropertyReport, Relation, preference_matrix
 
-# Assumption flags, named by content:
+# Sign flags, named by content:
 #   negative_iff_better  -- f(x,y) < 0 exactly on the strictly-better set of x
 #   positive_iff_worse   -- f(x,y) > 0 exactly when x is strictly better than y
-#   lipschitz_bound      -- |f(x,y)| <= L ||x-y||
-#   order_compatible     -- strict preference matches pointwise f-dominance
-FLAG_NAMES = ("negative_iff_better", "positive_iff_worse", "lipschitz_bound",
-              "order_compatible")
+FLAG_NAMES = ("negative_iff_better", "positive_iff_worse")
 
 
 @dataclass(frozen=True)
@@ -34,8 +31,6 @@ class GapFunction:
     lipschitz: float
     negative_iff_better: bool = False
     positive_iff_worse: bool = False
-    lipschitz_bound: bool = False
-    order_compatible: bool = False
 
     def __post_init__(self):
         if not math.isfinite(self.lipschitz):
@@ -51,58 +46,43 @@ class GapFunction:
 
 
 def gap_from_utility(u: Callable[[tuple], float], lipschitz: float) -> GapFunction:
-    """The gap u(x) - u(y); satisfies every assumption when u is Lipschitz."""
+    """The gap u(x) - u(y); satisfies both sign flags."""
     return GapFunction(lambda x, y: u(x) - u(y), lipschitz,
-                       negative_iff_better=True, positive_iff_worse=True,
-                       lipschitz_bound=True, order_compatible=True)
+                       negative_iff_better=True, positive_iff_worse=True)
 
 
 def zero_gap(lipschitz: float = 1.0) -> GapFunction:
     """The identically-zero gap; the membership test then coincides with the
     classical normal cone."""
     return GapFunction(lambda x, y: 0.0, lipschitz,
-                       negative_iff_better=True, positive_iff_worse=True,
-                       lipschitz_bound=True, order_compatible=True)
+                       negative_iff_better=True, positive_iff_worse=True)
 
 
 def audit_gap_flags(gap: GapFunction, rel: Relation, ground: GroundSet,
                     rng: np.random.Generator | None = None,
                     samples: int = 1000) -> GapFunction:
-    """Sampled self-audit of the declared sign/Lipschitz/order flags.
+    """Sampled self-audit of the declared sign flags.
 
-    Violated flags are downgraded on the returned copy and a warning names
-    the offending pair. Strict preference between sampled points is read
-    off one preference matrix of the ground; the gap is called per sample,
-    in sample order.
+    Violated flags are downgraded on the returned copy, and a warning names
+    the first offending pair on each side. Strict preference between
+    sampled points is read off one preference matrix of the ground; the gap
+    is called once per sampled pair, in sample order.
     """
     rng = rng or np.random.default_rng(0)
     pts = list(ground)
-    n = len(pts)
-    idx = rng.integers(0, n, size=(samples, 3))
+    I, J = rng.integers(0, len(pts), size=(samples, 2)).T
     W = preference_matrix(rel, pts)
     strict = W & ~W.T  # strict[i, j]: point i strictly preferred to point j
-    downgrades: dict[str, bool] = {}
-    for i, j, k in idx:
-        x, y, z = pts[int(i)], pts[int(j)], pts[int(k)]
-        fxy = gap(x.coords, y.coords)
-        if gap.negative_iff_better and "negative_iff_better" not in downgrades:
-            if (fxy < 0.0) != strict[j, i]:
-                downgrades["negative_iff_better"] = False
-                warnings.warn(f"gap sign (negative side) disagrees with the relation at ({x}, {y})")
-        if gap.positive_iff_worse and "positive_iff_worse" not in downgrades:
-            if (fxy > 0.0) != strict[i, j]:
-                downgrades["positive_iff_worse"] = False
-                warnings.warn(f"gap sign (positive side) disagrees with the relation at ({x}, {y})")
-        if gap.lipschitz_bound and "lipschitz_bound" not in downgrades:
-            if abs(fxy) > gap.lipschitz * dist(x, y) * (1.0 + 1e-9) + 1e-12:
-                downgrades["lipschitz_bound"] = False
-                warnings.warn(f"gap exceeds its Lipschitz bound at ({x}, {y})")
-        if gap.order_compatible and "order_compatible" not in downgrades:
-            dominates = gap(x.coords, z.coords) > gap(y.coords, z.coords)
-            if strict[i, j] and not dominates:
-                downgrades["order_compatible"] = False
-                warnings.warn(f"strict preference without f-dominance at ({x}, {y}, {z})")
-    return replace(gap, **downgrades) if downgrades else gap
+    f = np.array([gap(pts[i].coords, pts[j].coords) for i, j in zip(I.tolist(), J.tolist())])
+    found = []
+    for name, side, bad in (("negative_iff_better", "negative", (f < 0.0) != strict[J, I]),
+                            ("positive_iff_worse", "positive", (f > 0.0) != strict[I, J])):
+        if getattr(gap, name) and bad.any():
+            found.append((int(np.argmax(bad)), name, side))
+    for k, name, side in sorted(found):
+        warnings.warn(f"gap sign ({side} side) disagrees with the relation "
+                      f"at ({pts[I[k]]}, {pts[J[k]]})")
+    return replace(gap, **{name: False for _, name, _ in found}) if found else gap
 
 
 def plastria_membership(gap: GapFunction, sample: ContourSample, xstar,
@@ -142,9 +122,8 @@ def zero_maximality_check(gap: GapFunction, rel: Relation, ground: GroundSet,
     ground, and the base is maximal when that row is empty.
     """
     audited = audit_gap_flags(gap, rel, ground, rng=rng)
-    if not (audited.negative_iff_better and audited.positive_iff_worse):
-        failed = [n for n in ("negative_iff_better", "positive_iff_worse")
-                  if not getattr(audited, n)]
+    failed = [n for n in FLAG_NAMES if not getattr(audited, n)]
+    if failed:
         return PropertyReport("zero_maximality_precondition", False,
                               detail=f"sign flags failed the sampled audit: {', '.join(failed)}")
     W = preference_matrix(rel, ground)

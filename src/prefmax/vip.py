@@ -44,40 +44,25 @@ def _passes_all(w, xhat: Point, X, tol: float) -> bool:
     return True
 
 
-def _project_simplex(v: np.ndarray) -> np.ndarray:
-    u = np.sort(v)[::-1]
-    css = np.cumsum(u) - 1.0
-    ks = np.arange(1, len(v) + 1)
-    cond = u - css / ks > 0
-    rho = ks[cond][-1]
-    theta = css[cond][-1] / rho
-    return np.maximum(v - theta, 0.0)
+def _lp_witness(V: np.ndarray, D: np.ndarray, floor: np.ndarray) -> tuple | None:
+    """Phase-1 LP over the vertex weights lam on the simplex: minimise t
+    subject to D V^T lam + t >= floor. The bound t >= -1 keeps the LP
+    bounded when X is empty. t* <= 0 gives the witness V^T lam, with lam
+    clipped at 0 and renormalised; t* > 0 means no point of the body meets
+    every floor. A solve that does not end optimal raises RuntimeError."""
+    from scipy.optimize import linprog
 
-
-def _subgradient_search(body: ConvexBody, xhat: Point, X, tol: float,
-                        iters: int = 10_000) -> Point | None:
-    """Projected subgradient descent on the max-violation function over the
-    simplex of vertex weights. Used in dimension 3, where vertex/midpoint
-    enumeration is not attempted. The best point found is returned only if
-    it meets the floor at every point of X, as `certificate_valid` checks."""
-    V = body.vertices
-    D = ground_array(X, xhat.dim) - np.array(xhat.coords)
-    slack = tol * (1.0 + np.linalg.norm(D, axis=1))
-    w = np.full(V.shape[0], 1.0 / V.shape[0])
-    best_w, best_phi = w.copy(), np.inf
-    for k in range(1, iters + 1):
-        margins = D @ (V.T @ w)
-        viol = -margins - slack
-        i = int(np.argmax(viol))
-        phi = float(viol[i])
-        if phi < best_phi:
-            best_phi, best_w = phi, w.copy()
-        if phi <= 0.0:
-            break
-        g = -(V @ D[i])
-        w = _project_simplex(w - (0.5 / np.sqrt(k)) * g / (np.linalg.norm(g) + 1e-12))
-    w = tuple(V.T @ best_w)
-    return Point(w) if _passes_all(w, xhat, X, tol) else None
+    k = len(V)
+    res = linprog(np.r_[np.zeros(k), 1.0],
+                  A_ub=-np.c_[D @ V.T, np.ones(len(D))], b_ub=-floor,
+                  A_eq=np.r_[np.ones(k), 0.0][None, :], b_eq=[1.0],
+                  bounds=[(0.0, None)] * k + [(-1.0, None)], method="highs")
+    if res.status != 0:
+        raise RuntimeError(f"Stampacchia witness LP did not solve: {res.message}")
+    if res.fun > 0.0:
+        return None
+    lam = np.maximum(res.x[:k], 0.0)
+    return tuple((V.T @ (lam / lam.sum())).tolist())
 
 
 # Upper bound on the entries of one block's inner-product matrix in the
@@ -117,10 +102,11 @@ def svip_membership(body: ConvexBody, xhat: Point, X: GroundSet | list,
 
     The witness search is a finite sweep: the zero vector first (a trivial
     solution whenever the body contains it), then body vertices, then
-    pairwise vertex midpoints (i, j), i < j, in row-major order; in
-    dimension 3 a projected-subgradient feasibility search replaces the
-    enumeration. Vertices and midpoints are tested as arrays,
-    w . (y - xhat) >= -tol (1 + ||y - xhat||) over all y at once.
+    pairwise vertex midpoints (i, j), i < j, in row-major order. Vertices
+    and midpoints are tested as arrays, w . (y - xhat) >= -tol (1 + ||y -
+    xhat||) over all y at once. In dimension 3 one phase-1 LP (`_lp_witness`)
+    replaces the enumeration: it decides whether some point of the body
+    meets every floor, and its witness is re-checked at `tol`.
 
     In dimensions 1 and 2 the vertex products M are computed once and used
     twice: for the vertex sweep, and for a Farkas screen (`_refuted`) that
@@ -138,14 +124,14 @@ def svip_membership(body: ConvexBody, xhat: Point, X: GroundSet | list,
     zero = (0.0,) * xhat.dim
     if body.contains(zero, tol):
         return VipCertificate(xhat, "stampacchia", Point(zero), tol)
-    if body.dim >= 3:
-        w = _subgradient_search(body, xhat, X, tol)
-        if w is not None:
-            return VipCertificate(xhat, "stampacchia", w, tol)
-        return None
     V = body.vertices
     D = ground_array(X, xhat.dim) - np.array(xhat.coords)
     floor = -tol * (1.0 + np.sqrt(_rowdot(D, D)))
+    if body.dim >= 3:
+        w = _lp_witness(V, D, floor)
+        if w is not None and _passes_all(w, xhat, X, tol):
+            return VipCertificate(xhat, "stampacchia", Point(w), tol)
+        return None
     M = _rowdot(V[:, None, :], D[None, :, :])
     k = _first_passing(M < floor)
     if k is not None:

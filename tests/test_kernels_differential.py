@@ -7,12 +7,13 @@ column rule its scalar rule, on all fixtures, random tables and random
 column rules, across block boundaries. Contour samples must hold the same points in the same order, the screened
 membership kernel must give every probe the same verdict under all three
 right-hand sides, Stampacchia sweeps must return the same witness (or None),
-and Minty sweeps the same solution list, on every fixture in both hull
-modes, on random tabular relations and on random samples, bodies and cone
-fields.
+and Minty sweeps the same solution list, on every fixture, on random
+tabular relations and on random samples, bodies and cone fields. The 3-D
+Stampacchia decider is checked against a grid of vertex weights.
 """
 
 import warnings
+from itertools import product
 
 import numpy as np
 import pytest
@@ -539,6 +540,29 @@ def test_every_3d_certificate_is_valid(verts, ground, tol):
     assert vip._passes_all(cert.witness.coords, xhat, X, tol)
 
 
+# weights i/12 on the simplex, one array per vertex count
+_SIMPLEX_TWELFTHS = {k: np.array([c for c in product(range(13), repeat=k) if sum(c) == 12]) / 12.0
+                     for k in range(1, 5)}
+
+
+@DIFFERENTIAL
+@given(st.lists(point_3d, min_size=1, max_size=4, unique=True),
+       st.lists(point_3d, max_size=6), point_3d, st.sampled_from((0.0, 1e-9)))
+def test_3d_decider_certifies_wherever_a_simplex_grid_point_does(verts, ground, x, tol):
+    # an independent reference: if a grid point of the body clears every
+    # floor by 1e-6, the body has a witness and the decider must find one
+    body, X, xhat = ConvexBody(3, verts), [Point(g) for g in ground], Point(x)
+    cert = svip_membership(body, xhat, X, tol)
+    D = np.array(ground, dtype=float).reshape(-1, 3) - np.array(x)
+    floor = -tol * (1.0 + np.linalg.norm(D, axis=1))
+    W = _SIMPLEX_TWELFTHS[len(body.vertices)] @ body.vertices
+    if ((W @ D.T - floor) >= 1e-6).all(axis=1).any():
+        assert cert is not None
+    if cert is not None:
+        assert certificate_valid(cert, body, X)
+        assert vip._passes_all(cert.witness.coords, xhat, X, tol)
+
+
 def test_midpoint_sweep_returns_the_first_witness_across_blocks():
     # unit vertices at 0..39 degrees; two ground points leave only witness
     # directions between 30.4 and 30.6 degrees, met by the midpoints (i, j)
@@ -710,7 +734,7 @@ def _recorded(fn, *args, **kwargs):
 # a gap whose sign follows the first coordinate, so the audit downgrades
 # flags (with warnings) on most relations and keeps them on a few
 _AXIS_GAP = GapFunction(lambda x, y: x[0] - y[0], 1.0, negative_iff_better=True,
-                        positive_iff_worse=True, lipschitz_bound=True, order_compatible=True)
+                        positive_iff_worse=True)
 
 
 def _assert_gap_checks_match(gap, rel, ground, h, seed):

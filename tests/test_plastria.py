@@ -185,8 +185,7 @@ def test_zero_maximality_skips_on_bad_sign_flags(kinked):
 
 def test_audit_downgrades_bad_flags(kinked):
     bad = GapFunction(lambda x, y: y[0] ** 2 - x[0] ** 2, lipschitz=20.0,
-                      negative_iff_better=True, positive_iff_worse=True,
-                      lipschitz_bound=False, order_compatible=False)
+                      negative_iff_better=True, positive_iff_worse=True)
     with pytest.warns(UserWarning):
         audited = audit_gap_flags(bad, kinked.relation, kinked.default_ground)
     assert not audited.negative_iff_better

@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -82,7 +84,7 @@ def test_all_returned_certificates_revalidate(segment, vee):
                 assert certificate_valid(cert, bodies[x.coords], g)
 
 
-def test_dim3_subgradient_search_feasible_and_not():
+def test_dim3_witness_search_feasible_and_not():
     body = ConvexBody(3, (pt(1.0, 0.0, 0.0), pt(0.0, 1.0, 0.0)))
     xhat = pt(0.0, 0.0, 0.0)
     feasible_ground = [xhat, pt(-1.0, 1.0, 0.0)]
@@ -91,6 +93,25 @@ def test_dim3_subgradient_search_feasible_and_not():
     assert certificate_valid(cert, body, feasible_ground)
     infeasible_ground = [xhat, pt(-1.0, -1.0, 0.0)]
     assert svip_membership(body, xhat, infeasible_ground) is None
+
+
+@pytest.mark.parametrize("dim", (1, 2, 3))
+def test_an_empty_ground_gets_a_certificate(dim):
+    # zero is outside the body, so the witness comes from the vertex sweep
+    # or the 3-D LP, with no floor to meet
+    body = ConvexBody(dim, ((1.0,) + (0.0,) * (dim - 1),))
+    cert = svip_membership(body, pt(*(0.0,) * dim), [])
+    assert cert is not None and certificate_valid(cert, body, [])
+
+
+def test_a_witness_lp_that_does_not_solve_raises(monkeypatch):
+    import scipy.optimize
+
+    monkeypatch.setattr(scipy.optimize, "linprog", lambda *args, **kwargs: SimpleNamespace(
+        status=4, message="Numerical difficulties encountered."))
+    body = ConvexBody(3, ((1.0, 0.0, 0.0),))
+    with pytest.raises(RuntimeError, match="Numerical difficulties"):
+        svip_membership(body, pt(0.0, 0.0, 0.0), [pt(-1.0, 0.0, 0.0)])
 
 
 # ------------------------------------------------------------------- Minty
@@ -232,8 +253,7 @@ def test_hull_cache_shares_bodies(segment):
 
 def _unit_bodies(dim, n, seed):
     """n random bodies of 2 to 6 unit vertices, with a few ground points each
-    on the side of the vertices' mean (so most have a witness, and the 3-D
-    search finds it in few iterations)."""
+    on the side of the vertices' mean (so most have a witness)."""
     rng = np.random.default_rng(seed)
     for _ in range(n):
         V = rng.normal(size=(int(rng.integers(2, 7)), dim))
