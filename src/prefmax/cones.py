@@ -44,6 +44,15 @@ _PAIR_SPANS = 128 * np.finfo(float).eps
 # eps on these problems.
 _HULL_SLACK = 1e-12
 
+# `body_from_sample` (2-D) passes a net row unchecked when its nearest
+# sampled direction is more than a right angle plus this margin away; the
+# margin covers the rounding of the angles, a few eps.
+_WEDGE_MARGIN = 1e-9
+
+# Per-axis box lattices kept by `_box_axis`: a 31 x 31 grid of bases with
+# one radius and step needs 62.
+_BOX_AXES = 256
+
 
 def _rowdot(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     """Sum over the last axis of A * B (broadcast), coordinate by coordinate
@@ -307,24 +316,40 @@ def sample_contour(rel: Relation, x: Point, ground) -> ContourSample:
     return ContourSample(x, ground_array(ground, x.dim)[mask])
 
 
-def _lattice(axes: list[list[float]]) -> np.ndarray:
-    """The product of per-axis coordinates as an (m, dim) array, in the
-    row-major order of `itertools.product`."""
-    return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, len(axes))
+def _lattice(axes) -> np.ndarray:
+    """The product of per-axis coordinate arrays as an (m, dim) array, in
+    the row-major order of `itertools.product`: column k is axis k
+    broadcast along the others."""
+    out = np.empty([len(a) for a in axes] + [len(axes)])
+    for k, a in enumerate(axes):
+        out[..., k] = np.reshape(a, [-1 if j == k else 1 for j in range(len(axes))])
+    return out.reshape(-1, len(axes))
+
+
+@lru_cache(maxsize=_BOX_AXES)
+def _box_axis(c: float, radius: float, step: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One axis of `_box_candidates` at coordinate c, as read-only arrays:
+    the coarse lattice, the fine lattice, and the mask of the fine points on
+    the coarse lattice (float ==, through a set). Bases on a grid share
+    their coordinates, so a sweep builds each axis once."""
+    fine_r = min(0.1, radius)
+    coarse = axis_lattice(c - radius, c + radius, step)
+    fine = axis_lattice(c - fine_r, c + fine_r, step / 2.0)
+    on_coarse = set(coarse)
+    arrays = (np.array(coarse, dtype=float), np.array(fine, dtype=float),
+              np.array([v in on_coarse for v in fine], dtype=bool))
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
 
 
 def _box_candidates(x: Point, radius: float, step: float) -> np.ndarray:
     """The candidates of `box_sample` as an (m, dim) array: the coarse
     lattice, then the fine lattice's points not already in it, each in
     row-major order. A fine point is in the coarse lattice exactly when each
-    of its coordinates is on that axis's coarse lattice (float ==, through
-    a set per axis), so the mask is built per axis and expanded in the
-    lattice's order."""
-    fine_r = min(0.1, radius)
-    coarse = [axis_lattice(c - radius, c + radius, step) for c in x.coords]
-    fine = [axis_lattice(c - fine_r, c + fine_r, step / 2.0) for c in x.coords]
-    on_coarse = [np.array([c in axis for c in f], dtype=bool)
-                 for axis, f in zip(map(set, coarse), fine)]
+    of its coordinates is on that axis's coarse lattice, so the mask is
+    built per axis (`_box_axis`) and expanded in the lattice's order."""
+    coarse, fine, on_coarse = zip(*(_box_axis(c, radius, step) for c in x.coords))
     known = reduce(np.logical_and.outer, on_coarse).ravel()
     return np.concatenate([_lattice(coarse), _lattice(fine)[~known]])
 
@@ -464,15 +489,74 @@ def cone_unit_hull(cone: Cone) -> ConvexBody:
     return ConvexBody(cone.dim, verts)
 
 
+def _exceeds(U: np.ndarray, D: np.ndarray, tol: float) -> np.ndarray:
+    """<u, d> > tol (1 + ||u|| ||d||) for the rows u of U and d of D,
+    broadcast together: `normal_membership_many`'s rejection in the
+    kernel's own float operations, so each entry is its verdict on that
+    pair."""
+    return _rowdot(U, D) > tol * (1.0 + np.sqrt(_rowdot(U, U)) * np.sqrt(_rowdot(D, D)))
+
+
+@lru_cache(maxsize=None)
+def _net_angles() -> np.ndarray:
+    """The angles of the 2-D unit net's rows, from arctan2."""
+    net = unit_net(2)
+    return np.arctan2(net[:, 1], net[:, 0])
+
+
+def _nearest_directions(D: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """For each row of the 2-D unit net, the index of the row of D whose
+    direction is nearest on the circle, and the angle between the two: the
+    displacement angles are sorted once, and each net angle is placed among
+    them with `searchsorted`, its two neighbours wrapping around."""
+    theta = _net_angles()
+    ang = np.arctan2(D[:, 1], D[:, 0])
+    order = np.argsort(ang)
+    i = np.searchsorted(ang[order], theta)
+    near = order[np.stack((i - 1, i % len(ang)))]
+    gap = np.abs(theta - ang[near])
+    gap = np.minimum(gap, 2.0 * math.pi - gap)
+    pick = (gap[1] < gap[0]).astype(int)
+    cols = np.arange(len(theta))
+    return near[pick, cols], gap[pick, cols]
+
+
 def body_from_sample(sample: ContourSample, tol: float = DEFAULT_TOL) -> ConvexBody:
-    """Unit hull of the sampled normal cone (net directions passing the
-    membership test), as the rows of the net that pass, in net order. An
-    empty sample leaves the cone unconstrained, so the body is the unit ball:
-    the whole net."""
-    net = unit_net(sample.base.dim)
+    """Unit hull of the sampled normal cone, as the rows u of the unit net
+    that pass `normal_membership_many` (<u, d> <= tol (1 + ||u|| ||d||) at
+    every sampled displacement d), in net order. An empty sample leaves the
+    cone unconstrained, so the body is the unit ball: the whole net.
+
+    3-D runs that kernel. In 2-D each net row u is met first by the
+    displacement nearest to it in angle (`_nearest_directions`), and an
+    exact filter gives the kernel's verdict without the net x sample
+    product:
+    - u passes if it is more than a right angle plus 1e-9 from every
+      displacement, at tol >= 0. The margin covers the rounding of the
+      angles, so the exact products a = u_1 d_1 and b = u_2 d_2 have
+      a + b < 0 at every d. Rounding is monotone, so fl(a) <= -fl(b), the
+      computed <u, d> is at most 0, and 0 is at most the threshold.
+    - u fails if it fails against its nearest displacement: `_exceeds` is
+      the kernel's float expression for that pair.
+    Every other row (near a right angle to some displacement, or with a
+    large tol / ||d||), and both rows in 1-D, meets every displacement in
+    one direct product.
+    """
+    dim = sample.base.dim
+    net = unit_net(dim)
     if sample.is_empty:
-        return ConvexBody(sample.base.dim, net)
-    return ConvexBody(sample.base.dim, net[normal_membership_many(sample, net, tol)])
+        return ConvexBody(dim, net)
+    if dim == 3:
+        return ConvexBody(dim, net[normal_membership_many(sample, net, tol)])
+    D = sample.points - np.array(sample.base.coords)
+    fails = np.zeros(len(net), dtype=bool)
+    direct = ~fails
+    if dim == 2:
+        near, gap = _nearest_directions(D)
+        fails = _exceeds(net, D[near], tol)
+        direct = ~fails & ~((gap > 0.5 * math.pi + _WEDGE_MARGIN) & (tol >= 0))
+    fails[direct] = _exceeds(net[direct][:, None], D[None], tol).any(axis=1)
+    return ConvexBody(dim, net[~fails])
 
 
 def complete_equivalence_check(rel: Relation, x: Point, probes, ground: GroundSet,

@@ -264,8 +264,9 @@ def bodies_for_ground(rel: Relation, X: GroundSet, cone_oracle: ConeOracle | Non
     otherwise get a half-space cone, an artifact of the coarse sample.
     Samples and bodies stay coordinate arrays: a sample is one
     `strictly_better_mask` call over its candidates, and its body is the
-    rows of the unit net that pass the screened membership kernel in
-    `body_from_sample`, in net order. The Stampacchia sweep therefore meets
+    rows of the unit net that the membership kernel accepts, in net order
+    (`body_from_sample`: an exact angular filter in 1-D and 2-D, the
+    screened kernel in 3-D). The Stampacchia sweep therefore meets
     its candidates, and returns its witnesses, in the same order as a
     point-by-point evaluation would; only a witness becomes a Point.
     """

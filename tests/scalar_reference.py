@@ -32,7 +32,7 @@ import numpy as np
 from scipy.optimize import nnls
 
 from prefmax import ContourSample, ConvexBody, Point, PropertyReport, VipCertificate
-from prefmax.cones import _lattice, unit_net
+from prefmax.cones import unit_net
 from prefmax.descent import DescentTrace, OracleNormViolation, TraceRow
 from prefmax.harness import SCHEMA_VERSION, TRACE_COLUMNS
 from prefmax.points import axis_lattice
@@ -248,16 +248,22 @@ def box_sample_ref(h, x: Point, radius: float, step: float) -> ContourSample:
     return ContourSample(x, tuple(pts))
 
 
+def _product_array(axes, dim: int) -> np.ndarray:
+    return np.array(list(product(*axes)), dtype=float).reshape(-1, dim)
+
+
 def box_candidates_isin_ref(x: Point, radius: float, step: float) -> np.ndarray:
-    """`box_sample`'s candidate array with the fine points on the coarse
-    lattice found by `np.isin`, column by column."""
+    """`box_sample`'s candidate array, each lattice built with
+    `itertools.product` and every axis with its own `axis_lattice` call,
+    with the fine points on the coarse lattice found by `np.isin`, column
+    by column."""
     fine_r = min(0.1, radius)
     coarse = [axis_lattice(c - radius, c + radius, step) for c in x.coords]
-    F = _lattice([axis_lattice(c - fine_r, c + fine_r, step / 2.0) for c in x.coords])
+    F = _product_array([axis_lattice(c - fine_r, c + fine_r, step / 2.0) for c in x.coords], x.dim)
     known = np.ones(len(F), dtype=bool)
     for k, axis in enumerate(coarse):
         known &= np.isin(F[:, k], axis)
-    return np.concatenate([_lattice(coarse), F[~known]])
+    return np.concatenate([_product_array(coarse, x.dim), F[~known]])
 
 
 def cone_residual_ref(cone, query) -> float:

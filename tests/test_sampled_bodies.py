@@ -1,0 +1,195 @@
+"""Sampled cone bodies and box-sample lattices against their references.
+
+In 1-D and 2-D, `body_from_sample` settles most net rows without the
+net x sample product: a 2-D row far from every sampled direction passes, and
+a row that fails against its nearest displacement fails. The rows it keeps
+must be those the membership kernel (`normal_membership_many`) and its
+scalar reference accept, in net order, on samples built to sit on the
+filter's edges. `_box_candidates` takes each axis's lattices from a cache
+shared across bases, and must still give the `np.isin` reference's
+candidates.
+"""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from prefmax import ContourSample, Point, body_from_sample, get_fixture, normal_membership_many
+from prefmax import cones
+from prefmax.cones import _box_axis, _box_candidates, unit_net
+from prefmax.points import axis_lattice
+from prefmax.vip import bodies_for_ground
+
+from scalar_reference import box_candidates_isin_ref, normal_membership_ref
+
+DIFFERENTIAL = settings(settings.get_profile("differential"), max_examples=80)
+TOLS = (0.0, 1e-9, 1e-3, 0.5)
+
+# 10^e for e in [-10, 1]: below, at and above every tolerance in TOLS
+magnitude = st.floats(-10.0, 1.0).map(lambda e: 10.0 ** e)
+
+
+def _assert_body_is_the_kernels(sample, tol):
+    net = unit_net(sample.base.dim)
+    got = body_from_sample(sample, tol).vertices.tolist()
+    assert got == net[normal_membership_many(sample, net, tol)].tolist()
+    assert got == [v for v in net.tolist() if normal_membership_ref(sample, v, tol)]
+
+
+# rotations past a right angle, on both sides of the filter's 1e-9 margin
+SKEWS = (0.0, 1e-15, -1e-15, 1e-12, -1e-12, 2e-9, -2e-9, 1e-6, -1e-6, 1e-3, -1e-3)
+
+
+@st.composite
+def wedge_samples(draw):
+    # directions within a span of net rows from row k: along a row, along an
+    # axis (as lattice displacements lie), at or near right angles to a row
+    # (rows the filter leaves to the direct product, or certifies just past
+    # the margin), exactly opposite row k, or between rows; a span of 179,
+    # 180 or 181 rows puts the sample just inside, on and just past a half
+    # turn
+    net = unit_net(2)
+    k = draw(st.one_of(st.sampled_from((0, 90, 180, 270)), st.integers(0, 359)))
+    span = draw(st.sampled_from((0, 1, 90, 179, 180, 181, 270, 359)))
+    rows = []
+    for _ in range(draw(st.integers(0, 64))):
+        j = (k + draw(st.integers(0, span))) % 360
+        kind = draw(st.sampled_from(("along", "axis", "right", "skew", "opposite", "between",
+                                     "zero")))
+        if kind == "along":
+            u = net[j]
+        elif kind == "axis":
+            u = np.array(draw(st.sampled_from(((1.0, 0.0), (0.0, 1.0), (-1.0, 0.0), (0.0, -1.0)))))
+        elif kind == "right":
+            u = np.array([-net[j][1], net[j][0]])
+        elif kind == "skew":
+            a = (math.radians(j) + draw(st.sampled_from((0.5, -0.5))) * math.pi
+                 + draw(st.sampled_from(SKEWS)))
+            u = np.array([math.cos(a), math.sin(a)])
+        elif kind == "opposite":
+            u = -net[k]
+        elif kind == "between":
+            a = math.radians(k + draw(st.floats(0.0, 1.0)) * span)
+            u = np.array([math.cos(a), math.sin(a)])
+        else:
+            u = np.zeros(2)
+        rows.append(tuple((draw(magnitude) * u).tolist()))
+    base = draw(st.sampled_from(((0.0, 0.0), (0.3, -1.7))))
+    return ContourSample(Point(base), [tuple(b + d for b, d in zip(base, r)) for r in rows])
+
+
+@DIFFERENTIAL
+@given(wedge_samples(), st.sampled_from(TOLS))
+def test_2d_bodies_are_the_net_rows_the_kernel_accepts(sample, tol):
+    _assert_body_is_the_kernels(sample, tol)
+
+
+@DIFFERENTIAL
+@given(st.lists(st.tuples(st.sampled_from((-1.0, 0.0, 1.0)), magnitude), max_size=64),
+       st.sampled_from((0.0, 0.3)), st.sampled_from(TOLS))
+def test_1d_bodies_are_the_net_rows_the_kernel_accepts(rows, base, tol):
+    sample = ContourSample(Point((base,)), [(base + s * m,) for s, m in rows])
+    _assert_body_is_the_kernels(sample, tol)
+
+
+@pytest.mark.parametrize("tol", [-1e-9, -0.1])
+def test_a_negative_tol_passes_no_row_unchecked(tol):
+    # below 0 the threshold is negative, so a row more than a right angle
+    # from every displacement (here rows 91 to 269) may still fail
+    sample = ContourSample(Point((0.0, 0.0)), [(1.0, 0.0), (2.0, 1e-3)])
+    _assert_body_is_the_kernels(sample, tol)
+
+
+def test_the_filter_leaves_few_rows_to_the_direct_product(monkeypatch):
+    # radial-bowl's default bodies from box samples: the full product would
+    # send 360 rows per non-empty sample (168 of them); the filter sends 120
+    calls = []
+    exceeds = cones._exceeds
+
+    def spy(U, D, tol):
+        out = exceeds(U, D, tol)
+        if out.ndim == 2:
+            calls.append(out.shape[0])
+        return out
+
+    monkeypatch.setattr(cones, "_exceeds", spy)
+    fx = get_fixture("radial-bowl")
+    bodies = bodies_for_ground(fx.relation, fx.default_ground, contour_sampler=fx.contour_sampler)
+    assert len(bodies) == 169 and len(calls) == 168
+    assert sum(calls) <= 200
+
+
+def test_1d_and_2d_bodies_do_not_run_the_kernel(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("kernel called")
+
+    monkeypatch.setattr(cones, "normal_membership_many", refuse)
+    monkeypatch.setattr(cones, "normal_cone_test", refuse)
+    for name in ("band-threshold", "radial-bowl"):
+        fx = get_fixture(name)
+        for x in list(fx.default_ground)[::7]:
+            body_from_sample(fx.contour_sampler(x))
+
+
+def test_3d_bodies_run_the_kernel(monkeypatch):
+    seen = []
+    kernel = cones.normal_membership_many
+
+    def spy(sample, probes, tol):
+        seen.append(len(probes))
+        return kernel(sample, probes, tol)
+
+    monkeypatch.setattr(cones, "normal_membership_many", spy)
+    sample = ContourSample(Point((0.0, 0.0, 0.0)), [(1.0, 0.0, 0.0), (0.0, 1.0, 1.0)])
+    net = unit_net(3)
+    assert body_from_sample(sample).vertices.tolist() == [
+        v for v in net.tolist() if normal_membership_ref(sample, v, 1e-9)]
+    assert seen == [len(net)]
+
+
+# ------------------------------------------------------ box-lattice cache
+
+
+def _candidates_match(x, radius, step):
+    got = _box_candidates(x, radius, step)
+    assert got.tobytes() == box_candidates_isin_ref(x, radius, step).tobytes()
+
+
+def test_box_candidates_on_bases_that_share_coordinates():
+    # a grid's bases, twice over, interleaved with other radii and steps on
+    # the same coordinates
+    _box_axis.cache_clear()
+    bases = [Point((a, b)) for a in (-0.5, 0.0, 0.5) for b in (0.5, 1.0, 1.5)]
+    for _ in range(2):
+        for x in bases:
+            for radius, step in ((2.0, 0.1), (0.3, 0.1), (2.0, 0.05), (1.0, 0.3)):
+                _candidates_match(x, radius, step)
+    assert _box_axis.cache_info().hits > 0
+
+
+def test_box_axis_key_separates_radius_and_step():
+    for radius, step in ((1.0, 0.1), (1.0, 0.01), (0.5, 0.1), (0.05, 0.01)):
+        coarse, fine, _ = _box_axis(0.3, radius, step)
+        assert coarse.tolist() == axis_lattice(0.3 - radius, 0.3 + radius, step)
+        fine_r = min(0.1, radius)
+        assert fine.tolist() == axis_lattice(0.3 - fine_r, 0.3 + fine_r, step / 2.0)
+    assert len(_box_axis(0.3, 1.0, 0.1)[0]) != len(_box_axis(0.3, 1.0, 0.01)[0])
+
+
+def test_cached_box_axes_are_read_only():
+    for a in _box_axis(0.7, 2.0, 0.1):
+        with pytest.raises(ValueError):
+            a[0] = a[-1]
+
+
+@pytest.mark.parametrize("first", [0.0, -0.0])
+def test_signed_zero_coordinates_give_the_same_candidates(first):
+    # 0.0 and -0.0 share a cache entry; either sign, asked first, gives the
+    # reference's candidates bit for bit
+    _box_axis.cache_clear()
+    for c in (first, -first):
+        for x in (Point((c, 0.5)), Point((0.5, c)), Point((c,))):
+            _candidates_match(x, 1.0, 0.1)
