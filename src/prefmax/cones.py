@@ -56,10 +56,11 @@ _BOX_AXES = 256
 
 def _rowdot(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     """Sum over the last axis of A * B (broadcast), coordinate by coordinate
-    from the left, so that each entry rounds exactly as the scalar `dot`."""
+    from the left, so that each entry rounds exactly as the scalar `dot`.
+    The sum accumulates in the first product's array."""
     out = A[..., 0] * B[..., 0]
     for k in range(1, A.shape[-1]):
-        out = out + A[..., k] * B[..., k]
+        out += A[..., k] * B[..., k]
     return out
 
 
@@ -117,7 +118,8 @@ class Cone:
         q is in the cone when ||q|| <= tol, or when the residual of
         q / ||q|| against the cone of the unit generators, its distance to
         that cone (what NNLS minimises), is at most max(tol, 1e-10). A full
-        cone holds every q and a zero cone only those with ||q|| <= tol.
+        cone holds every q and a zero cone only those with ||q|| <= tol. A
+        row that is not finite raises ValueError, whatever the cone.
 
         In 1-D the residual is 0 when some generator has q's sign, else 1.
         In 2-D it is 0 when q / ||q|| lies in the wedge of a pair of unit
@@ -132,12 +134,12 @@ class Cone:
         Q = np.asarray(queries, dtype=float)
         if Q.ndim != 2 or Q.shape[1] != self.dim:
             raise ValueError("query dimension mismatch")
+        if not np.isfinite(Q).all():
+            raise ValueError("non-finite query")
         nq = np.sqrt(_rowdot(Q, Q))
         out = nq <= self.tol
         if self.tag != "generated":
             return out | (self.tag == "full")
-        if not np.isfinite(Q).all():
-            raise ValueError("non-finite query")
         live = ~out
         G = np.array([g.coords for g in self.generators])
         G = G * (1.0 / np.sqrt(_rowdot(G, G)))[:, None]
@@ -385,11 +387,14 @@ def normal_cone_test(sample: ContourSample, probes, rhs) -> np.ndarray:
     tests only the probes that passed the stages before it, so the verdicts
     are those of one test against every displacement, while most failing
     probes, and a failing single probe, stop early (and `rhs` is evaluated
-    only where a stage looks). An empty sample accepts every probe.
+    only where a stage looks). An empty sample accepts every finite probe;
+    a probe that is not finite raises ValueError.
     """
     P = np.asarray(probes, dtype=float)
     if P.ndim != 2 or P.shape[1] != sample.base.dim:
         raise ValueError("query dimension mismatch")
+    if not np.isfinite(P).all():
+        raise ValueError("non-finite probe")
     ok = np.ones(len(P), dtype=bool)
     if sample.is_empty:
         return ok

@@ -128,12 +128,27 @@ def zero_maximality_check(gap: GapFunction, rel: Relation, ground: GroundSet,
                               detail=f"sign flags failed the sampled audit: {', '.join(failed)}")
     W = preference_matrix(rel, ground)
     better = W.T & ~W  # better[i, j]: ground point j strictly preferred to point i
-    G = ground_array(ground, ground.dim)
-    zero = (0.0,) * ground.dim
+    rows = ground_array(ground, ground.dim).tolist()
     for x, row in zip(ground, better):
-        maximal = not row.any()
-        member = plastria_membership(gap, ContourSample(x, G[row]), zero, tol)
+        ys = [rows[j] for j in np.flatnonzero(row).tolist()]
+        maximal = not ys
+        member = _zero_member(gap, x.coords, ys, tol)
         if member != maximal:
             return PropertyReport("zero_maximality", False, (x,),
                                   detail=f"membership={member}, maximal={maximal}")
     return PropertyReport("zero_maximality", True)
+
+
+def _zero_member(gap: GapFunction, x: tuple, ys: list, tol: float) -> bool:
+    """`plastria_membership` of the zero probe at base x with the sample ys.
+    <0, d> is exactly +-0, so the probe fails at y exactly when gap(x, y) +
+    tol (1 + ||d||) < 0, d = y - x; the rows are met in order, and the
+    first failure decides. ||d|| is summed coordinate by coordinate from
+    the first, as the kernel sums it."""
+    for y in ys:
+        dd = 0.0
+        for a, b in zip(x, y):
+            dd = dd + (b - a) * (b - a)
+        if gap(x, y) + tol * (1.0 + math.sqrt(dd)) < 0.0:
+            return False
+    return True

@@ -65,9 +65,20 @@ def _lp_witness(V: np.ndarray, D: np.ndarray, floor: np.ndarray) -> tuple | None
     return tuple((V.T @ (lam / lam.sum())).tolist())
 
 
-# Upper bound on the entries of one block's inner-product matrix in the
-# Stampacchia midpoint sweep (at least one midpoint per block).
-_SWEEP_ENTRIES = 1 << 16
+# Entry budget of one block of the stacked sweeps: the floats of the array
+# a block is computed on. The Stampacchia vertex sweep takes whole bases
+# (vertex rows times ground points; at least one base), the midpoint sweep
+# midpoints of one base (times ground points; at least one), and the Minty
+# test candidates (times cone generators; at least one), a quarter of the
+# budget, since it holds about four arrays of that size at once where the
+# vertex sweep holds one. At 2^14 entries (128 KB) a block stays
+# cache-sized and the working memory stays near that of the one-point
+# sweeps, while a block still spreads its fixed numpy cost over several
+# bases. A base whose vertex products alone exceed the budget gets a block
+# of its own, as large as its one-base sweep.
+_SWEEP_ENTRIES = 1 << 14
+
+_EPS8 = 8.0 * float(np.finfo(float).eps)
 
 
 def _first_passing(fails: np.ndarray) -> int | None:
@@ -77,11 +88,13 @@ def _first_passing(fails: np.ndarray) -> int | None:
     return int(hits[0]) if hits.size else None
 
 
-def _refuted(M: np.ndarray, V: np.ndarray, D: np.ndarray, floor: np.ndarray) -> bool:
-    """Whether some displacement d refutes every vertex by more than the
-    rounding of a midpoint's inner product can make up: floor - M[v, d] >
-    8 eps sum_k |v_k| |d_k| for every vertex v. M holds the computed
-    products <v, d> (vertices by displacements).
+def _refuted(S: np.ndarray, V: np.ndarray, D: np.ndarray) -> np.ndarray:
+    """For each base of a block, whether some displacement d refutes every
+    vertex v by more than the rounding of a midpoint's inner product can
+    make up: S[v, d] = floor - <v, d> > 8 eps sum_k |v_k| |d_k|. S holds the
+    computed margins (bases by vertices by displacements), V the vertices
+    (bases by vertices by coordinates) and D the displacements (bases by
+    displacements by coordinates).
 
     A midpoint m = (v + w) / 2 is rounded once per coordinate and its
     product once per term, so its computed product is within about
@@ -91,61 +104,164 @@ def _refuted(M: np.ndarray, V: np.ndarray, D: np.ndarray, floor: np.ndarray) -> 
     reject every midpoint at d. The test is written as a difference, which
     rounds monotonically, so a computed pass is an exact one. Near-ties fall
     through to the sweep.
+
+    Each base is first tested only at its displacement with the largest
+    smallest margin, where the slack is computed for its vertices alone;
+    that settles a refuted base unless its margins there are within
+    rounding. Only a base that it leaves open meets every displacement, so
+    the verdicts are those of the test at every displacement.
     """
-    slack = (8.0 * np.finfo(float).eps) * _rowdot(np.abs(V)[:, None, :], np.abs(D)[None, :, :])
-    return bool(((floor - M) > slack).all(axis=0).any())
+    at = np.arange(len(S))
+    j = S.min(axis=1).argmax(axis=1)
+    refuted = (S[at, :, j] > _EPS8 * _rowdot(np.abs(V), np.abs(D[at, j])[:, None, :])).all(axis=1)
+    rest = np.flatnonzero(~refuted)
+    if rest.size:
+        slack = _EPS8 * _rowdot(np.abs(V[rest])[:, :, None, :], np.abs(D[rest])[:, None, :, :])
+        refuted[rest] = (S[rest] > slack).all(axis=1).any(axis=1)
+    return refuted
 
 
-def svip_membership(body: ConvexBody, xhat: Point, X: GroundSet | list,
-                    tol: float = DEFAULT_TOL) -> VipCertificate | None:
-    """Certificate that xhat solves the Stampacchia problem for this body.
+def _vertex_block(Vs: list, B: np.ndarray, G: np.ndarray, tol: float):
+    """The vertex sweep and the Farkas screen for a block of bases xhat, the
+    rows of B, with the vertex arrays Vs, against the ground rows G. Returns
+    each base's first passing vertex (or None) and whether the screen
+    refutes it; only bases without a passing vertex meet the screen.
 
-    The witness search is a finite sweep: the zero vector first (a trivial
-    solution whenever the body contains it), then body vertices, then
-    pairwise vertex midpoints (i, j), i < j, in row-major order. Vertices
-    and midpoints are tested as arrays, w . (y - xhat) >= -tol (1 + ||y -
-    xhat||) over all y at once. In dimension 3 one phase-1 LP (`_lp_witness`)
-    replaces the enumeration: it decides whether some point of the body
-    meets every floor, and its witness is re-checked at `tol`.
-
-    In dimensions 1 and 2 the vertex products M are computed once and used
-    twice: for the vertex sweep, and for a Farkas screen (`_refuted`) that
-    returns None, without the midpoint sweep, when one displacement fails
-    every vertex by more than a midpoint's rounding can recover. Such a
-    displacement fails every point of the body, and every midpoint the sweep
-    would compute. Otherwise the midpoints go in consecutive blocks of their
-    order, so memory stays O(|V| |X|) and the sweep still stops at the
-    first block with a passing candidate. The witness is the first
-    candidate that passes, the same one a one-at-a-time sweep returns, and
-    None comes exactly where that sweep finds no witness.
+    The vertex arrays are stacked into one (bases, vertices, dim) array, in
+    which a base with fewer vertices than the block's most repeats its last
+    vertex: that moves neither its first passing vertex nor the screen's
+    verdict. Each base's displacements are G - xhat, and products are
+    summed coordinate by coordinate, so every entry rounds as in a one-base
+    sweep. A vertex fails at d when floor - <v, d> > 0, which holds exactly
+    when <v, d> < floor.
     """
-    if body.is_empty:
-        return None
-    zero = (0.0,) * xhat.dim
-    if body.contains(zero, tol):
-        return VipCertificate(xhat, "stampacchia", Point(zero), tol)
-    V = body.vertices
-    D = ground_array(X, xhat.dim) - np.array(xhat.coords)
+    counts = np.array([len(V) for V in Vs])
+    starts = np.cumsum(counts) - counts
+    V = np.concatenate(Vs)[starts[:, None] + np.minimum(np.arange(counts.max()), counts[:, None] - 1)]
+    D = G - B[:, None, :]
     floor = -tol * (1.0 + np.sqrt(_rowdot(D, D)))
-    if body.dim >= 3:
-        w = _lp_witness(V, D, floor)
-        if w is not None and _passes_all(w, xhat, X, tol):
-            return VipCertificate(xhat, "stampacchia", Point(w), tol)
-        return None
-    M = _rowdot(V[:, None, :], D[None, :, :])
-    k = _first_passing(M < floor)
-    if k is not None:
-        return VipCertificate(xhat, "stampacchia", Point(tuple(V[k].tolist())), tol)
-    if _refuted(M, V, D, floor):
-        return None
+    S = _rowdot(V[:, :, None, :], D[:, None, :, :])
+    np.subtract(floor[:, None, :], S, out=S)
+    passing = ~(S > 0.0).any(axis=2)
+    firsts = [V[b, k] if passing[b, k] else None
+              for b, k in enumerate(passing.argmax(axis=1).tolist())]
+    live = np.flatnonzero(~passing.any(axis=1))
+    refuted = np.zeros(len(Vs), dtype=bool)
+    if live.size == len(Vs):
+        refuted = _refuted(S, V, D)
+    elif live.size:
+        refuted[live] = _refuted(S[live], V[live], D[live])
+    return firsts, refuted
+
+
+def _midpoint_witness(V: np.ndarray, D: np.ndarray, floor: np.ndarray) -> np.ndarray | None:
+    """The first pairwise vertex midpoint (i, j), i < j, in row-major order
+    that meets every floor, or None. The midpoints go in consecutive blocks
+    of that order within the entry budget, and the sweep stops at the first
+    block with a passing midpoint."""
     I, J = np.triu_indices(len(V), 1)
     block = max(1, _SWEEP_ENTRIES // max(1, len(D)))
     for s in range(0, len(I), block):
         mids = 0.5 * (V[I[s:s + block]] + V[J[s:s + block]])
         k = _first_passing(_rowdot(mids[:, None, :], D[None, :, :]) < floor)
         if k is not None:
-            return VipCertificate(xhat, "stampacchia", Point(tuple(mids[k].tolist())), tol)
+            return mids[k]
     return None
+
+
+def _stampacchia(bodies: list, B: np.ndarray, G: np.ndarray, tol: float) -> list:
+    """Stampacchia witnesses (coordinate tuples, or None) for the bases
+    xhat, the rows of B, with the bodies `bodies`, against the ground rows
+    G. Each base gets the witness of the sequential search: zero if its
+    body contains it, else its first passing vertex, else its first passing
+    midpoint (in 3-D, the LP's witness), or None.
+
+    The stages run for all bases at once, and each passes on only the bases
+    it leaves open:
+    1. Zero: an empty body has no witness, and zero is the witness of a
+       body that contains it. `ConvexBody.contains` runs once per distinct
+       body object; bases on a grid share bodies.
+    2. In 1-D and 2-D, the vertex sweep and the Farkas screen
+       (`_vertex_block`), in blocks of whole bases within the entry budget.
+       The bases go in order of vertex count, so that little is padded. A
+       base's witness is its first passing vertex, and a refuted base has
+       none.
+    3. One base at a time: the midpoint sweep in 1-D and 2-D, and in 3-D one
+       phase-1 LP (`_lp_witness`), whose witness is re-checked at tol.
+    """
+    dim = B.shape[1]
+    zero = (0.0,) * dim
+    found: list = [None] * len(B)
+    holds_zero: dict[int, bool] = {}
+    open_ = []
+    for i, body in enumerate(bodies):
+        if body.is_empty:
+            continue
+        if id(body) not in holds_zero:
+            holds_zero[id(body)] = body.contains(zero, tol)
+        if holds_zero[id(body)]:
+            found[i] = zero
+        else:
+            open_.append(i)
+    if dim <= 2 and open_:
+        open_.sort(key=lambda i: len(bodies[i].vertices))
+        sizes = [len(bodies[i].vertices) * len(G) for i in open_]
+        rest, s = [], 0
+        while s < len(open_):
+            e = s + 1
+            while e < len(open_) and (e + 1 - s) * sizes[e] <= _SWEEP_ENTRIES:
+                e += 1
+            block = open_[s:e]
+            firsts, refuted = _vertex_block([bodies[i].vertices for i in block], B[block], G, tol)
+            for i, v, no in zip(block, firsts, refuted.tolist()):
+                if v is not None:
+                    found[i] = tuple(v.tolist())
+                elif not no:
+                    rest.append(i)
+            s = e
+        open_ = rest
+    for i in open_:
+        V = bodies[i].vertices
+        D = G - B[i]
+        floor = -tol * (1.0 + np.sqrt(_rowdot(D, D)))
+        if dim <= 2:
+            m = _midpoint_witness(V, D, floor)
+            if m is not None:
+                found[i] = tuple(m.tolist())
+        else:
+            w = _lp_witness(V, D, floor)
+            if w is not None and _passes_all(w, tuple(B[i].tolist()), G.tolist(), tol):
+                found[i] = w
+    return found
+
+
+def svip_membership(body: ConvexBody, xhat: Point, X: GroundSet | list,
+                    tol: float = DEFAULT_TOL) -> VipCertificate | None:
+    """Certificate that xhat solves the Stampacchia problem for this body:
+    a witness w in the body with w . (y - xhat) >= -tol (1 + ||y - xhat||)
+    for every y in X, or None.
+
+    This is the one-base call of the stages `svip_solutions` runs for a
+    whole ground (`_stampacchia`). The witness search is a finite sweep:
+    the zero vector first (a trivial solution whenever the body contains
+    it), then body vertices, then pairwise vertex midpoints (i, j), i < j,
+    in row-major order, each tested as an array against all y at once. In
+    dimension 3 one phase-1 LP (`_lp_witness`) replaces the enumeration: it
+    decides whether some point of the body meets every floor, and its
+    witness is re-checked at `tol`.
+
+    In dimensions 1 and 2 the vertex products are computed once and used
+    twice: for the vertex sweep, and for a Farkas screen (`_refuted`) that
+    returns None, without the midpoint sweep, when one displacement fails
+    every vertex by more than a midpoint's rounding can recover. Such a
+    displacement fails every point of the body, and every midpoint the sweep
+    would compute. The midpoints go in blocks within the entry budget. The
+    witness is the first candidate that passes, the same one a
+    one-at-a-time sweep returns, and None comes exactly where that sweep
+    finds no witness.
+    """
+    w = _stampacchia([body], np.array([xhat.coords], dtype=float), ground_array(X, xhat.dim), tol)[0]
+    return None if w is None else VipCertificate(xhat, "stampacchia", Point(w), tol)
 
 
 # Rounding floor of `certificate_valid`'s hull test, in units of
@@ -184,14 +300,13 @@ def certificate_valid(cert: VipCertificate, body: ConvexBody, X, tol: float | No
 
 @dataclass(frozen=True)
 class _ConeField:
-    """One cone per ground point, as arrays: the ground coordinates, every
-    generator scaled to unit length with the row of its ground point, and
-    the rows whose cone is all of R^n. Zero cones contribute nothing."""
+    """One cone per ground point, as arrays: every generator scaled to unit
+    length, with the ground point of its cone, and the ground points whose
+    cone is all of R^n. Zero cones contribute nothing."""
 
-    ground: np.ndarray  # (n, dim)
     units: np.ndarray  # (m, dim)
-    owner: np.ndarray  # (m,) row in `ground`
-    full: np.ndarray  # rows with a full cone
+    at: np.ndarray  # (m, dim) the ground point of each generator's cone
+    full: np.ndarray  # (f, dim) ground points with a full cone
 
 
 def _cone_field(cone_oracle: ConeOracle, X, dim: int) -> _ConeField:
@@ -207,25 +322,36 @@ def _cone_field(cone_oracle: ConeOracle, X, dim: int) -> _ConeField:
             gens.extend(g.coords for g in cone.generators)
             owner.extend([i] * len(cone.generators))
     G = np.array(gens, dtype=float).reshape(-1, dim)
-    return _ConeField(ground_array(X, dim), G * (1.0 / np.sqrt(_rowdot(G, G)))[:, None],
-                      np.array(owner, dtype=int), np.array(full, dtype=int))
+    ground = ground_array(X, dim)
+    return _ConeField(G * (1.0 / np.sqrt(_rowdot(G, G)))[:, None],
+                      ground[np.array(owner, dtype=int)], ground[np.array(full, dtype=int)])
 
 
-def _minty_holds(field: _ConeField, xhat: tuple, tol: float) -> bool:
-    """<g, xhat - y> <= tol (1 + ||xhat - y||) for every unit generator g of
-    every cone in the field. A full cone is probed with the axis fan, whose
-    worst case is max_i |d_i|, and with d / ||d|| itself when d != 0."""
-    D = np.array(xhat, dtype=float) - field.ground
-    nd = np.sqrt(_rowdot(D, D))
-    ceiling = tol * (1.0 + nd)
-    if np.any(_rowdot(field.units, D[field.owner]) > ceiling[field.owner]):
-        return False
-    F, c, nf = D[field.full], ceiling[field.full], nd[field.full]
-    if np.any(np.abs(F).max(axis=1) > c):
-        return False
-    moved = nf > 0.0
-    F, c = F[moved], c[moved]
-    return not np.any(_rowdot(F * (1.0 / nf[moved])[:, None], F) > c)
+def _minty_holds(field: _ConeField, C: np.ndarray, tol: float) -> np.ndarray:
+    """For each candidate xhat, a row of C: whether <g, xhat - y> <= tol (1 +
+    ||xhat - y||) for every unit generator g of the cone at every ground
+    point y. A full cone is probed with the axis fan, whose worst case is
+    max_i |d_i|, and with d / ||d|| itself when d = xhat - y != 0.
+
+    The candidates go in blocks, each tested against the whole stacked
+    field in one expression; a block's candidates times the field's
+    generators and full cones stay within a quarter of the entry budget.
+    Each entry is computed from xhat - y as a one-candidate test computes
+    it."""
+    holds = np.empty(len(C), dtype=bool)
+    block = max(1, _SWEEP_ENTRIES // (4 * max(1, len(field.units) + len(field.full))))
+    for s in range(0, len(C), block):
+        X = C[s:s + block, None, :]
+        D = X - field.at
+        fails = (_rowdot(field.units, D) > tol * (1.0 + np.sqrt(_rowdot(D, D)))).any(axis=1)
+        F = X - field.full
+        nf = np.sqrt(_rowdot(F, F))
+        ceiling = tol * (1.0 + nf)
+        fails |= (np.abs(F).max(axis=2) > ceiling).any(axis=1)
+        moved = nf > 0.0
+        own = _rowdot(F * (1.0 / np.where(moved, nf, 1.0))[..., None], F)
+        holds[s:s + block] = ~(fails | (moved & (own > ceiling)).any(axis=1))
+    return holds
 
 
 def mvip_membership(cone_oracle: ConeOracle, xhat: Point, X: GroundSet | list,
@@ -235,23 +361,29 @@ def mvip_membership(cone_oracle: ConeOracle, xhat: Point, X: GroundSet | list,
     Checking generators suffices by cone convexity. Full cones are probed
     with the axis fan plus the direction xhat - y itself, which is the exact
     worst case (a full cone fails precisely when xhat != y). The field is
-    built with one oracle call per point of X.
+    built with one oracle call per point of X, and xhat is tested as the
+    one-row block of `_minty_holds`, the test `mvip_solutions` runs.
     """
-    return _minty_holds(_cone_field(cone_oracle, X, xhat.dim), xhat.coords, tol)
+    C = np.array([xhat.coords], dtype=float)
+    return bool(_minty_holds(_cone_field(cone_oracle, X, xhat.dim), C, tol)[0])
 
 
 def mvip_solutions(cone_oracle: ConeOracle, X: GroundSet, tol: float = DEFAULT_TOL) -> list[Point]:
     """The points of X that solve the Minty problem, in ground order.
 
-    The oracle is called once per ground point (n calls, not one per pair);
-    each candidate is then tested against the whole stacked field in one
-    array expression, with the same inequalities as `mvip_membership`.
+    The oracle is called once per ground point (n calls, not one per pair).
+    The candidates, every point of X, are then tested against the stacked
+    field in blocks (`_minty_holds`), with the inequalities of
+    `mvip_membership`: each block is one array expression over its
+    candidates and all generators, bounded by the entry budget.
     """
     pts = list(X)
     if not pts:
         return []
-    field = _cone_field(cone_oracle, X if isinstance(X, GroundSet) else pts, pts[0].dim)
-    return [x for x in pts if _minty_holds(field, x.coords, tol)]
+    dim = pts[0].dim
+    X = X if isinstance(X, GroundSet) else pts
+    holds = _minty_holds(_cone_field(cone_oracle, X, dim), ground_array(X, dim), tol)
+    return [x for x, h in zip(pts, holds.tolist()) if h]
 
 
 def bodies_for_ground(rel: Relation, X: GroundSet, cone_oracle: ConeOracle | None = None, *,
@@ -292,6 +424,14 @@ def svip_solutions(rel: Relation, X: GroundSet, cone_oracle: ConeOracle | None =
     """The points of X that solve the Stampacchia problem, in ground order,
     with the bodies of `bodies_for_ground`.
 
+    Every point of X is decided in the stacked stages of `_stampacchia`,
+    whose one-base call is `svip_membership`, so a point is returned
+    exactly where `svip_membership` gives it a certificate. The zero test
+    runs once per distinct body object; the vertex sweep and the Farkas
+    screen run for blocks of bases at once, within the entry budget
+    `_SWEEP_ENTRIES`; only a base that neither decides goes on alone, to
+    the midpoint sweep (1-D, 2-D) or the LP (3-D).
+
     `ball_on_empty` stays only because `bench/ops.py` still passes it as
     False. It chose a hull variant that gave an empty strictly-better set
     the ball, but such a set's normal cone is full, and the hull of a full
@@ -302,7 +442,12 @@ def svip_solutions(rel: Relation, X: GroundSet, cone_oracle: ConeOracle | None =
         raise ValueError(f"ball_on_empty={ball_on_empty!r} is not supported: "
                          "the hull of a full cone is already the ball")
     bodies = bodies_for_ground(rel, X, cone_oracle, tol=tol, contour_sampler=contour_sampler)
-    return [x for x in X if svip_membership(bodies[x.coords], x, X, tol) is not None]
+    pts = list(X)
+    if not pts:
+        return []
+    G = ground_array(X if isinstance(X, GroundSet) else pts, pts[0].dim)
+    found = _stampacchia([bodies[x.coords] for x in pts], G, G, tol)
+    return [x for x, w in zip(pts, found) if w is not None]
 
 
 def uniqueness_check(rel: Relation, cone_oracle: ConeOracle, X: GroundSet,

@@ -49,6 +49,27 @@ def test_arrays_reject_non_finite_coordinates(make):
             make(np.array([[0.5, bad]]))
 
 
+@pytest.mark.parametrize("bad", (np.nan, np.inf, -np.inf))
+def test_non_finite_probes_raise_instead_of_getting_a_verdict(bad):
+    # a NaN or infinite probe has no place in a normal cone: every membership
+    # test and every cone kind raises, an empty sample and a full or zero
+    # cone included, as `ConvexBody.contains` does
+    probe = (bad, 0.0)
+    tests = [lambda s: normal_membership(s, probe), lambda s: normal_membership_many(s, [probe]),
+             lambda s: strict_normal_membership(s, probe)]
+    for sample in (ContourSample(pt(0.0, 0.0), [(1.0, 0.0)]), ContourSample(pt(0.0, 0.0), ())):
+        for test in tests:
+            with pytest.raises(ValueError):
+                test(sample)
+    for cone in (Cone.full(2), Cone.zero(2), Cone.ray((1.0, 0.0))):
+        with pytest.raises(ValueError):
+            cone.contains(probe)
+        with pytest.raises(ValueError):
+            cone.contains_many([(0.0, 1.0), probe])
+    with pytest.raises(ValueError):
+        ConvexBody(2, [(1.0, 0.0)]).contains(probe)
+
+
 @MAKERS
 def test_arrays_reject_a_wrong_dimension(make):
     for bad in ([(1.0,)], [(1.0, 2.0, 3.0)], [(1.0, 2.0), (1.0,)], np.zeros((2, 3)),

@@ -17,7 +17,7 @@ from itertools import product
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from prefmax import (
@@ -416,19 +416,32 @@ def test_plastria_membership_evaluates_the_gap_only_where_the_kernel_looks():
 # --------------------------------------------------------------- Stampacchia
 
 
+def _stacked_certificates(bodies, X, tol):
+    """The certificates the stacked stages give every base of X at once."""
+    G = np.array([x.coords for x in X], dtype=float).reshape(len(X), -1)
+    found = vip._stampacchia([bodies[x.coords] for x in X], G, G, tol)
+    return [None if w is None else VipCertificate(x, "stampacchia", Point(w), tol)
+            for x, w in zip(X, found)]
+
+
 @pytest.mark.parametrize("name", FIXTURES)
 def test_fixture_witnesses_match(name, monkeypatch):
+    # the one-base call and the whole-ground stages give every base the
+    # reference sweep's witness, with the screen and without it
     fx = get_fixture(name)
     ground = fx.default_ground
+    pts = list(ground)
     bodies = bodies_for_ground(fx.relation, ground, fx.cone_oracle,
                                contour_sampler=fx.contour_sampler)
-    cases = [(bodies[x.coords], x, tol) for x in ground for tol in TOLS]
-    screened = [svip_membership(body, x, ground, tol) for body, x, tol in cases]
-    monkeypatch.setattr(vip, "_refuted", lambda *args: False)
-    unscreened = [svip_membership(body, x, ground, tol) for body, x, tol in cases]
-    reference = [svip_sweep_ref(body, x, ground, tol) for body, x, tol in cases]
-    assert screened == reference
-    assert unscreened == reference
+    reference = {tol: [svip_sweep_ref(bodies[x.coords], x, ground, tol) for x in pts]
+                 for tol in TOLS}
+    for screen in (True, False):
+        if not screen:
+            monkeypatch.setattr(vip, "_refuted", lambda S, V, D: np.zeros(len(S), dtype=bool))
+        for tol in TOLS:
+            assert [svip_membership(bodies[x.coords], x, ground, tol) for x in pts] \
+                == reference[tol]
+            assert _stacked_certificates(bodies, pts, tol) == reference[tol]
 
 
 def test_the_screen_refutes_most_radial_bases(radial, monkeypatch):
@@ -437,9 +450,12 @@ def test_the_screen_refutes_most_radial_bases(radial, monkeypatch):
     verdicts = []
     screen = vip._refuted
     monkeypatch.setattr(vip, "_refuted", lambda *args: verdicts.append(screen(*args)) or verdicts[-1])
-    sols = [x for x in ground if svip_membership(bodies[x.coords], x, ground) is not None]
-    assert sols == [radial.reference]
-    assert sum(verdicts) == len(ground) - 1
+    monkeypatch.setattr(vip, "bodies_for_ground", lambda *args, **kwargs: bodies)
+    assert vip.svip_solutions(radial.relation, ground) == [radial.reference]
+    # every base but the reference, whose body holds zero, meets the screen
+    # in a block, and the screen refutes each of them
+    verdicts = np.concatenate(verdicts)
+    assert len(verdicts) == verdicts.sum() == len(ground) - 1
 
 
 _quarter = st.sampled_from((-1.0, -0.5, -0.25, 0.0, 0.25, 0.5, 1.0))
@@ -462,6 +478,102 @@ def _bodies_and_grounds(draw):
     if draw(st.booleans()):
         ground.append(xhat.coords)  # xhat is itself a point of X
     return ConvexBody(2, tuple(dict.fromkeys(verts))), xhat, [Point(p) for p in dict.fromkeys(ground)]
+
+
+# block budgets that put one base, or a few, in each block of the stacked
+# sweeps, and the default
+_BUDGETS = st.sampled_from((1, 7, 64, vip._SWEEP_ENTRIES))
+
+
+@st.composite
+def _stacked_grounds(draw):
+    # a ground of 1-D or 2-D points, each with a body from a small pool:
+    # bodies are shared across bases or copied into distinct equal objects,
+    # and the pool holds empty bodies, bodies that contain zero (the unit
+    # net) and bodies that do not (vertices in an arc narrower than a
+    # half-turn), with quarter-lattice points that make exact-zero products;
+    # a pair (q, 1), (-q, 1) over a base on the ground's lowest row fails
+    # at both vertices while its midpoint (0, 1) passes
+    dim = draw(st.integers(1, 2))
+    point = st.tuples(*[draw(st.sampled_from((_quarter, _coord)))] * dim)
+    ground = draw(st.lists(point, min_size=1, max_size=20, unique=True))
+    pool = []
+    for kind in draw(st.lists(st.sampled_from(("empty", "net", "arc", "pair", "points")),
+                              min_size=1, max_size=4)):
+        if kind == "empty":
+            pool.append(ConvexBody(dim, ()))
+        elif kind == "net":
+            pool.append(ConvexBody(dim, unit_net(dim)))
+        elif kind == "pair" and dim == 2:
+            q = draw(st.sampled_from((0.25, 0.5, 1.0)))
+            pool.append(ConvexBody(2, ((q, 1.0), (-q, 1.0))))
+        elif kind == "arc" and dim == 2:
+            arc, start = draw(st.floats(0.1, 3.0)), draw(st.floats(0.0, 2 * np.pi))
+            angles = draw(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=8))
+            pool.append(ConvexBody(2, tuple(dict.fromkeys(
+                (np.cos(start + arc * a), np.sin(start + arc * a)) for a in angles))))
+        else:
+            verts = draw(st.lists(st.tuples(*[_quarter] * dim), min_size=1, max_size=5,
+                                  unique=True))
+            pool.append(ConvexBody(dim, verts))
+    bodies = {}
+    for p in ground:
+        body = pool[draw(st.integers(0, len(pool) - 1))]
+        bodies[p] = ConvexBody(dim, body.vertices) if draw(st.booleans()) else body
+    return [Point(p) for p in ground], bodies
+
+
+# the base (0, -1) fails both vertices of the pair and gets the midpoint
+# (0, 1), in a block with bases whose vertices pass and one, (0, 1), that
+# the screen refutes
+_PAIR = ConvexBody(2, ((0.5, 1.0), (-0.5, 1.0)))
+_MIDPOINT_CASE = ([pt(-1.0, -1.0), pt(0.0, -1.0), pt(1.0, -1.0), pt(0.0, 1.0)],
+                  {(-1.0, -1.0): _PAIR, (0.0, -1.0): _PAIR, (1.0, -1.0): _PAIR,
+                   (0.0, 1.0): ConvexBody(2, ((0.0, 1.0),))})
+
+
+@DIFFERENTIAL
+@given(_stacked_grounds(), st.sampled_from((0.0, 1e-9, 1e-3)), _BUDGETS)
+@example(_MIDPOINT_CASE, 0.0, vip._SWEEP_ENTRIES)
+@example(_MIDPOINT_CASE, 1e-9, 1)
+def test_stacked_stampacchia_matches_the_per_base_sweep(case, tol, budget):
+    X, bodies = case
+    reference = [svip_sweep_ref(bodies[x.coords], x, X, tol) for x in X]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(vip, "_SWEEP_ENTRIES", budget)
+        assert _stacked_certificates(bodies, X, tol) == reference
+        mp.setattr(vip, "bodies_for_ground", lambda *args, **kwargs: bodies)
+        assert vip.svip_solutions(None, X, tol=tol) \
+            == [x for x, cert in zip(X, reference) if cert is not None]
+
+
+def test_stacked_stampacchia_in_3d_goes_through_the_lp(monkeypatch):
+    # a 3-D ground whose bases share an empty body, a body with zero, and
+    # two bodies without zero, one of which meets every floor and one not:
+    # only these two reach the LP, and each base's verdict is its own
+    # one-base certificate's, which re-validates
+    X = [Point(p) for p in product((0.0, 1.0), repeat=3)]
+    empty, ball = ConvexBody(3, ()), ConvexBody(3, unit_net(3))
+    up = ConvexBody(3, ((0.0, 0.0, 1.0), (0.6, 0.0, 0.8)))
+    tilted = ConvexBody(3, ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0)))
+    bodies = {x.coords: (empty, ball, up, tilted)[i % 4] for i, x in enumerate(X)}
+    calls = []
+    lp = vip._lp_witness
+    monkeypatch.setattr(vip, "_lp_witness", lambda *args: calls.append(args) or lp(*args))
+    monkeypatch.setattr(vip, "bodies_for_ground", lambda *args, **kwargs: bodies)
+    for tol in (0.0, 1e-9):
+        calls.clear()
+        certs = [svip_membership(bodies[x.coords], x, X, tol) for x in X]
+        assert len(calls) == 4
+        calls.clear()
+        assert _stacked_certificates(bodies, X, tol) == certs
+        assert len(calls) == 4
+        assert vip.svip_solutions(None, X, tol=tol) \
+            == [x for x, cert in zip(X, certs) if cert is not None]
+        assert all(certificate_valid(c, bodies[c.solution.coords], X) for c in certs if c)
+        # (0, 1, 0) with `up` has the witness (0, 0, 1); (1, 1, 1) with
+        # `tilted` has none: (0, 0, 0) lies behind it on both of its axes
+        assert certs[2] is not None and certs[7] is None
 
 
 @DIFFERENTIAL
@@ -585,11 +697,14 @@ def test_midpoint_sweep_returns_the_first_witness_across_blocks():
 
 
 @pytest.mark.parametrize("name", CONE_FIXTURES)
-def test_fixture_minty_sets_match(name):
+def test_fixture_minty_sets_match(name, monkeypatch):
     fx = get_fixture(name)
+    budgets = (vip._SWEEP_ENTRIES, 997)  # the default blocks, and blocks of a few candidates
     for tol in TOLS:
-        assert mvip_solutions(fx.cone_oracle, fx.default_ground, tol) \
-            == mvip_solutions_ref(fx.cone_oracle, fx.default_ground, tol)
+        reference = mvip_solutions_ref(fx.cone_oracle, fx.default_ground, tol)
+        for budget in budgets:
+            monkeypatch.setattr(vip, "_SWEEP_ENTRIES", budget)
+            assert mvip_solutions(fx.cone_oracle, fx.default_ground, tol) == reference
 
 
 def test_minty_calls_the_oracle_once_per_ground_point(kinked):
@@ -632,28 +747,32 @@ _cone2 = st.one_of(st.just(Cone.full(2)), st.just(Cone.zero(2)),
 @DIFFERENTIAL
 @given(st.lists(st.tuples(_point2, _cone2), min_size=1, max_size=25,
                 unique_by=lambda item: item[0]),
-       _point2, st.sampled_from(TOLS + (0.5,)))
-def test_random_2d_minty_fields_match(field, outside, tol):
+       _point2, st.sampled_from(TOLS + (1e-3, 0.5)), _BUDGETS)
+def test_random_2d_minty_fields_match(field, outside, tol, budget):
     cones = {Point(p).coords: cone for p, cone in field}
     X = [Point(p) for p in cones]
     oracle = lambda y: cones[y.coords]
-    assert mvip_solutions(oracle, X, tol) == mvip_solutions_ref(oracle, X, tol)
-    # a candidate that need not lie in X
-    xhat = Point(outside)
-    assert mvip_membership(oracle, xhat, X, tol) == mvip_membership_ref(oracle, xhat, X, tol)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(vip, "_SWEEP_ENTRIES", budget)
+        assert mvip_solutions(oracle, X, tol) == mvip_solutions_ref(oracle, X, tol)
+        # a candidate that need not lie in X
+        xhat = Point(outside)
+        assert mvip_membership(oracle, xhat, X, tol) == mvip_membership_ref(oracle, xhat, X, tol)
 
 
 @DIFFERENTIAL
 @given(st.lists(st.tuples(_quarter, st.sampled_from(("full", "zero", "left", "right", "both"))),
                 min_size=1, max_size=20, unique_by=lambda item: item[0]),
-       st.sampled_from(TOLS + (0.5,)))
-def test_random_1d_minty_fields_match(field, tol):
+       st.sampled_from(TOLS + (1e-3, 0.5)), _BUDGETS)
+def test_random_1d_minty_fields_match(field, tol, budget):
     make = {"full": Cone.full(1), "zero": Cone.zero(1), "left": Cone.ray((-1.0,)),
             "right": Cone.ray((2.0,)), "both": Cone.generated(((-0.5,), (3.0,)))}
     cones = {(x,): make[kind] for x, kind in field}
     X = GroundSet.explicit(pt(x) for x, _ in field)
     oracle = lambda y: cones[y.coords]
-    assert mvip_solutions(oracle, X, tol) == mvip_solutions_ref(oracle, X, tol)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(vip, "_SWEEP_ENTRIES", budget)
+        assert mvip_solutions(oracle, X, tol) == mvip_solutions_ref(oracle, X, tol)
 
 
 # ------------------------------------------------------------ relation sweeps
@@ -746,6 +865,21 @@ def _assert_gap_checks_match(gap, rel, ground, h, seed):
     assert got == want
 
 
+def test_zero_maximality_at_the_exact_threshold():
+    # at base 0 the gap is exactly -tol (1 + ||d||), so the zero probe's
+    # product, +-0, meets the threshold and passes: membership holds at a
+    # base that is not maximal, and the report names it
+    tol = 0.5
+    gap = GapFunction(lambda x, y: -tol * (1.0 + abs(y[0] - x[0])) if y[0] > x[0]
+                      else float(y[0] < x[0]), 1.0,
+                      negative_iff_better=True, positive_iff_worse=True)
+    rel = Relation.from_utility("rising", 1, lambda x: x[0])
+    ground = GroundSet.explicit([pt(0.0), pt(1.0)])
+    report = zero_maximality_check(gap, rel, ground, tol)
+    assert report == zero_maximality_check_ref(gap, scalar_holds(rel), ground, tol)
+    assert report.witness == (pt(0.0),) and report.detail == "membership=True, maximal=False"
+
+
 @pytest.mark.parametrize("name", FIXTURES)
 def test_fixture_sweeps_match(name):
     fx = get_fixture(name)
@@ -755,6 +889,13 @@ def test_fixture_sweeps_match(name):
     for i, gap in enumerate((fx.gap, zero_gap(), _AXIS_GAP)):
         if gap is not None:
             _assert_gap_checks_match(gap, fx.relation, fx.default_ground, h, seed=i)
+    # at tol 0.05, vee-peak's and twin-plateau's reports name a failing base
+    for tol in (0.0, 0.05) if fx.gap is not None else ():
+        got, want = (_recorded(check, fx.gap, rel_or_h, fx.default_ground, tol,
+                               rng=np.random.default_rng(0))
+                     for check, rel_or_h in ((zero_maximality_check, fx.relation),
+                                             (zero_maximality_check_ref, h)))
+        assert got == want
 
 
 @DIFFERENTIAL
