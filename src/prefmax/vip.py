@@ -22,7 +22,7 @@ from .cones import (
     cone_unit_hull,
     sample_contour,
 )
-from .points import GroundSet, Point, dot, ground_array, norm, sub
+from .points import GroundSet, Point, ground_array, norm
 from .relations import Relation, maximal_elements
 
 ConeOracle = Callable[[Point], Cone]
@@ -36,20 +36,14 @@ class VipCertificate:
     tol: float
 
 
-def _passes_all(w, xhat: Point, X, tol: float) -> bool:
-    for y in X:
-        d = sub(y, xhat)
-        if dot(w, d) < -tol * (1.0 + norm(d)):
-            return False
-    return True
-
-
-def _lp_witness(V: np.ndarray, D: np.ndarray, floor: np.ndarray) -> tuple | None:
+def _lp_witness(V: np.ndarray, D: np.ndarray, floor: np.ndarray) -> np.ndarray | None:
     """Phase-1 LP over the vertex weights lam on the simplex: minimise t
     subject to D V^T lam + t >= floor. The bound t >= -1 keeps the LP
-    bounded when X is empty. t* <= 0 gives the witness V^T lam, with lam
-    clipped at 0 and renormalised; t* > 0 means no point of the body meets
-    every floor. A solve that does not end optimal raises RuntimeError."""
+    bounded when X is empty. t* <= 0 gives the candidate V^T lam, with lam
+    clipped at 0 and renormalised, which is the witness if it meets every
+    floor as the other stages test it; t* > 0 means no point of the body
+    meets every floor. A solve that does not end optimal raises
+    RuntimeError."""
     from scipy.optimize import linprog
 
     k = len(V)
@@ -62,7 +56,8 @@ def _lp_witness(V: np.ndarray, D: np.ndarray, floor: np.ndarray) -> tuple | None
     if res.fun > 0.0:
         return None
     lam = np.maximum(res.x[:k], 0.0)
-    return tuple((V.T @ (lam / lam.sum())).tolist())
+    w = V.T @ (lam / lam.sum())
+    return None if (_rowdot(w, D) < floor).any() else w
 
 
 # Entry budget of one block of the stacked sweeps: the floats of the array
@@ -174,20 +169,23 @@ def _stampacchia(bodies: list, B: np.ndarray, G: np.ndarray, tol: float) -> list
     xhat, the rows of B, with the bodies `bodies`, against the ground rows
     G. Each base gets the witness of the sequential search: zero if its
     body contains it, else its first passing vertex, else its first passing
-    midpoint (in 3-D, the LP's witness), or None.
+    midpoint, else the LP's witness, or None.
 
-    The stages run for all bases at once, and each passes on only the bases
-    it leaves open:
+    The stages are the same in every dimension. They run for all bases at
+    once, and each passes on only the bases it leaves open:
     1. Zero: an empty body has no witness, and zero is the witness of a
        body that contains it. `ConvexBody.contains` runs once per distinct
        body object; bases on a grid share bodies.
-    2. In 1-D and 2-D, the vertex sweep and the Farkas screen
-       (`_vertex_block`), in blocks of whole bases within the entry budget.
-       The bases go in order of vertex count, so that little is padded. A
-       base's witness is its first passing vertex, and a refuted base has
-       none.
-    3. One base at a time: the midpoint sweep in 1-D and 2-D, and in 3-D one
-       phase-1 LP (`_lp_witness`), whose witness is re-checked at tol.
+    2. The vertex sweep and the Farkas screen (`_vertex_block`), in blocks
+       of whole bases within the entry budget. The bases go in order of
+       vertex count, so that little is padded. A base's witness is its
+       first passing vertex, and a refuted base has none.
+    3. One base at a time, the midpoint sweep (`_midpoint_witness`).
+    4. Last, one phase-1 LP (`_lp_witness`), which decides whether any
+       point of the body meets every floor. It comes after the midpoints
+       because its witness is a rounded convex combination: at tol 0 a
+       midpoint can meet a floor of exactly 0 that the LP's point misses
+       by rounding.
     """
     dim = B.shape[1]
     zero = (0.0,) * dim
@@ -203,35 +201,26 @@ def _stampacchia(bodies: list, B: np.ndarray, G: np.ndarray, tol: float) -> list
             found[i] = zero
         else:
             open_.append(i)
-    if dim <= 2 and open_:
-        open_.sort(key=lambda i: len(bodies[i].vertices))
-        sizes = [len(bodies[i].vertices) * len(G) for i in open_]
-        rest, s = [], 0
-        while s < len(open_):
-            e = s + 1
-            while e < len(open_) and (e + 1 - s) * sizes[e] <= _SWEEP_ENTRIES:
-                e += 1
-            block = open_[s:e]
-            firsts, refuted = _vertex_block([bodies[i].vertices for i in block], B[block], G, tol)
-            for i, v, no in zip(block, firsts, refuted.tolist()):
-                if v is not None:
-                    found[i] = tuple(v.tolist())
-                elif not no:
-                    rest.append(i)
-            s = e
-        open_ = rest
-    for i in open_:
-        V = bodies[i].vertices
-        D = G - B[i]
-        floor = -tol * (1.0 + np.sqrt(_rowdot(D, D)))
-        if dim <= 2:
-            m = _midpoint_witness(V, D, floor)
-            if m is not None:
-                found[i] = tuple(m.tolist())
-        else:
-            w = _lp_witness(V, D, floor)
-            if w is not None and _passes_all(w, tuple(B[i].tolist()), G.tolist(), tol):
-                found[i] = w
+    open_.sort(key=lambda i: len(bodies[i].vertices))
+    sizes = [len(bodies[i].vertices) * len(G) for i in open_]
+    s = 0
+    while s < len(open_):
+        e = s + 1
+        while e < len(open_) and (e + 1 - s) * sizes[e] <= _SWEEP_ENTRIES:
+            e += 1
+        block = open_[s:e]
+        firsts, refuted = _vertex_block([bodies[i].vertices for i in block], B[block], G, tol)
+        for i, w, no in zip(block, firsts, refuted.tolist()):
+            if w is None and not no:
+                V = bodies[i].vertices
+                D = G - B[i]
+                floor = -tol * (1.0 + np.sqrt(_rowdot(D, D)))
+                w = _midpoint_witness(V, D, floor)
+                if w is None:
+                    w = _lp_witness(V, D, floor)
+            if w is not None:
+                found[i] = tuple(w.tolist())
+        s = e
     return found
 
 
@@ -242,23 +231,21 @@ def svip_membership(body: ConvexBody, xhat: Point, X: GroundSet | list,
     for every y in X, or None.
 
     This is the one-base call of the stages `svip_solutions` runs for a
-    whole ground (`_stampacchia`). The witness search is a finite sweep:
-    the zero vector first (a trivial solution whenever the body contains
-    it), then body vertices, then pairwise vertex midpoints (i, j), i < j,
-    in row-major order, each tested as an array against all y at once. In
-    dimension 3 one phase-1 LP (`_lp_witness`) replaces the enumeration: it
-    decides whether some point of the body meets every floor, and its
-    witness is re-checked at `tol`.
+    whole ground (`_stampacchia`), the same in every dimension. The witness
+    search is a finite sweep: the zero vector first (a trivial solution
+    whenever the body contains it), then body vertices, then pairwise
+    vertex midpoints (i, j), i < j, in row-major order, each tested as an
+    array against all y at once. Last, one phase-1 LP (`_lp_witness`)
+    decides whether some point of the body meets every floor; its witness
+    must meet every floor as the sweeps test them.
 
-    In dimensions 1 and 2 the vertex products are computed once and used
-    twice: for the vertex sweep, and for a Farkas screen (`_refuted`) that
-    returns None, without the midpoint sweep, when one displacement fails
-    every vertex by more than a midpoint's rounding can recover. Such a
-    displacement fails every point of the body, and every midpoint the sweep
-    would compute. The midpoints go in blocks within the entry budget. The
-    witness is the first candidate that passes, the same one a
-    one-at-a-time sweep returns, and None comes exactly where that sweep
-    finds no witness.
+    The vertex products are computed once and used twice: for the vertex
+    sweep, and for a Farkas screen (`_refuted`) that returns None, without
+    the midpoint sweep or the LP, when one displacement fails every vertex
+    by more than a midpoint's rounding can recover. Such a displacement
+    fails every point of the body. The midpoints go in blocks within the
+    entry budget. Where a vertex or midpoint passes, the witness is the
+    first that passes, the same one a one-at-a-time sweep returns.
     """
     w = _stampacchia([body], np.array([xhat.coords], dtype=float), ground_array(X, xhat.dim), tol)[0]
     return None if w is None else VipCertificate(xhat, "stampacchia", Point(w), tol)
@@ -275,16 +262,18 @@ def certificate_valid(cert: VipCertificate, body: ConvexBody, X, tol: float | No
 
     The hull test alone has a rounding floor: its NNLS residual may be up to
     c eps (1 + max ||v||), c = 64, whatever the tolerance. Witnesses are
-    vertices, midpoints 0.5 (v + w) rounded once per coordinate, or in 3-D
-    V^T lam for weights on the simplex, so one that is a convex combination
-    in exact arithmetic is only one in floats up to a few eps (1 + max ||v||),
-    and NNLS rounds its residual by as much again. Over 6,000 such points of
+    vertices, midpoints 0.5 (v + w) rounded once per coordinate, or the
+    LP's V^T lam for weights on the simplex, so one that is a convex
+    combination in exact arithmetic is only one in floats up to a few
+    eps (1 + max ||v||), and NNLS rounds its residual by as much again. Over 6,000 such points of
     random bodies in 2-D and 3-D (2 to 59 vertices, magnitudes 1e-4 to 1e4)
     and the witnesses `svip_membership` returned at tol 0 on 400 more, the
     largest residual was 2.8 eps (1 + max ||v||). c = 64 leaves a factor of
     20 above that and stays far below any distance a tolerance means to
     resolve: a unit body still rejects a point 1e-9 outside. The
-    inequalities are checked at `tol` itself.
+    inequalities are checked at `tol` itself, with the floor test that
+    `_stampacchia`'s stages run: products and norms summed coordinate by
+    coordinate, so each rounds as the scalar `dot` and `norm`.
     """
     tol = cert.tol if tol is None else tol
     if cert.witness is None or body.is_empty:
@@ -295,7 +284,8 @@ def certificate_valid(cert: VipCertificate, body: ConvexBody, X, tol: float | No
     # contains() scales its tolerance by 1 + ||w||; the floor is absolute
     if not body.contains(w, max(tol, floor / (1.0 + norm(w)))):
         return False
-    return _passes_all(w, cert.solution, X, tol)
+    D = ground_array(X, len(w)) - np.array(cert.solution.coords, dtype=float)
+    return not (_rowdot(np.array(w), D) < -tol * (1.0 + np.sqrt(_rowdot(D, D)))).any()
 
 
 @dataclass(frozen=True)
@@ -430,7 +420,7 @@ def svip_solutions(rel: Relation, X: GroundSet, cone_oracle: ConeOracle | None =
     runs once per distinct body object; the vertex sweep and the Farkas
     screen run for blocks of bases at once, within the entry budget
     `_SWEEP_ENTRIES`; only a base that neither decides goes on alone, to
-    the midpoint sweep (1-D, 2-D) or the LP (3-D).
+    the midpoint sweep and then the LP, in every dimension.
 
     `ball_on_empty` stays only because `bench/ops.py` still passes it as
     False. It chose a hull variant that gave an empty strictly-better set

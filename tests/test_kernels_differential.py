@@ -6,10 +6,12 @@ zero-maximality check) must match its per-pair loop, and every fixture's
 column rule its scalar rule, on all fixtures, random tables and random
 column rules, across block boundaries. Contour samples must hold the same points in the same order, the screened
 membership kernel must give every probe the same verdict under all three
-right-hand sides, Stampacchia sweeps must return the same witness (or None),
-and Minty sweeps the same solution list, on every fixture, on random
-tabular relations and on random samples, bodies and cone fields. The 3-D
-Stampacchia decider is checked against a grid of vertex weights.
+right-hand sides, Stampacchia sweeps must return the same witness wherever
+the vertex and midpoint sweep finds one (and elsewhere None or a certificate
+that re-validates), and Minty sweeps the same solution list, on every
+fixture, on random tabular relations and on random samples, bodies and cone
+fields. The Stampacchia decider is checked in 2-D and 3-D against a grid of
+vertex weights.
 """
 
 import warnings
@@ -61,6 +63,7 @@ from prefmax.vip import bodies_for_ground
 
 from scalar_reference import (
     SCALAR_RULES,
+    _passes_all,
     audit_gap_flags_ref,
     box_candidates,
     box_sample_ref,
@@ -416,6 +419,15 @@ def test_plastria_membership_evaluates_the_gap_only_where_the_kernel_looks():
 # --------------------------------------------------------------- Stampacchia
 
 
+def _agrees_with_the_sweep(cert, reference, body, X, tol):
+    """Whether a certificate is the reference sweep's where that sweep
+    certifies; where it finds none, the LP may still find a witness inside
+    the body, which must then re-validate, also in scalar arithmetic."""
+    if reference is not None or cert is None:
+        return cert == reference
+    return certificate_valid(cert, body, X) and _passes_all(cert.witness.coords, cert.solution, X, tol)
+
+
 def _stacked_certificates(bodies, X, tol):
     """The certificates the stacked stages give every base of X at once."""
     G = np.array([x.coords for x in X], dtype=float).reshape(len(X), -1)
@@ -538,49 +550,58 @@ _MIDPOINT_CASE = ([pt(-1.0, -1.0), pt(0.0, -1.0), pt(1.0, -1.0), pt(0.0, 1.0)],
 @example(_MIDPOINT_CASE, 1e-9, 1)
 def test_stacked_stampacchia_matches_the_per_base_sweep(case, tol, budget):
     X, bodies = case
-    reference = [svip_sweep_ref(bodies[x.coords], x, X, tol) for x in X]
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(vip, "_SWEEP_ENTRIES", budget)
-        assert _stacked_certificates(bodies, X, tol) == reference
+        certs = _stacked_certificates(bodies, X, tol)
+        for x, cert in zip(X, certs):
+            reference = svip_sweep_ref(bodies[x.coords], x, X, tol)
+            assert _agrees_with_the_sweep(cert, reference, bodies[x.coords], X, tol)
         mp.setattr(vip, "bodies_for_ground", lambda *args, **kwargs: bodies)
         assert vip.svip_solutions(None, X, tol=tol) \
-            == [x for x, cert in zip(X, reference) if cert is not None]
+            == [x for x, cert in zip(X, certs) if cert is not None]
 
 
-def test_stacked_stampacchia_in_3d_goes_through_the_lp(monkeypatch):
+def test_stacked_stampacchia_in_3d_settles_each_base_at_its_stage(monkeypatch):
     # a 3-D ground whose bases share an empty body, a body with zero, and
-    # two bodies without zero, one of which meets every floor and one not:
-    # only these two reach the LP, and each base's verdict is its own
-    # one-base certificate's, which re-validates
+    # two bodies without zero: `up` passes at its vertex (0, 0, 1) from
+    # both of its bases, `tilted` at (1, 0, 0) from (0, 1, 1), and from
+    # (1, 1, 1) the displacement to (0, 0, 0) fails both vertices of
+    # `tilted`, so the screen refutes it; no base reaches the midpoint
+    # sweep or the LP, and each base's verdict is its own one-base
+    # certificate's, which re-validates
     X = [Point(p) for p in product((0.0, 1.0), repeat=3)]
     empty, ball = ConvexBody(3, ()), ConvexBody(3, unit_net(3))
     up = ConvexBody(3, ((0.0, 0.0, 1.0), (0.6, 0.0, 0.8)))
     tilted = ConvexBody(3, ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0)))
     bodies = {x.coords: (empty, ball, up, tilted)[i % 4] for i, x in enumerate(X)}
-    calls = []
-    lp = vip._lp_witness
-    monkeypatch.setattr(vip, "_lp_witness", lambda *args: calls.append(args) or lp(*args))
+    zero, top, east = (0.0, 0.0, 0.0), (0.0, 0.0, 1.0), (1.0, 0.0, 0.0)
+    expected = [None, zero, top, east, None, zero, top, None]
+    screened, late = [], []
+    screen = vip._refuted
+    monkeypatch.setattr(vip, "_refuted", lambda *args: screened.append(screen(*args)) or screened[-1])
+    monkeypatch.setattr(vip, "_midpoint_witness", lambda *args: late.append(args))
+    monkeypatch.setattr(vip, "_lp_witness", lambda *args: late.append(args))
     monkeypatch.setattr(vip, "bodies_for_ground", lambda *args, **kwargs: bodies)
     for tol in (0.0, 1e-9):
-        calls.clear()
+        screened.clear()
         certs = [svip_membership(bodies[x.coords], x, X, tol) for x in X]
-        assert len(calls) == 4
-        calls.clear()
+        assert [c and c.witness.coords for c in certs] == expected
+        assert np.concatenate(screened).tolist() == [True]
+        screened.clear()
         assert _stacked_certificates(bodies, X, tol) == certs
-        assert len(calls) == 4
+        assert np.concatenate(screened).tolist() == [True]
+        assert not late
         assert vip.svip_solutions(None, X, tol=tol) \
             == [x for x, cert in zip(X, certs) if cert is not None]
         assert all(certificate_valid(c, bodies[c.solution.coords], X) for c in certs if c)
-        # (0, 1, 0) with `up` has the witness (0, 0, 1); (1, 1, 1) with
-        # `tilted` has none: (0, 0, 0) lies behind it on both of its axes
-        assert certs[2] is not None and certs[7] is None
 
 
 @DIFFERENTIAL
 @given(_bodies_and_grounds(), st.sampled_from((0.0, 1e-9, 1e-3)))
 def test_random_2d_witnesses_match(case, tol):
     body, xhat, X = case
-    assert svip_membership(body, xhat, X, tol) == svip_sweep_ref(body, xhat, X, tol)
+    assert _agrees_with_the_sweep(svip_membership(body, xhat, X, tol),
+                                  svip_sweep_ref(body, xhat, X, tol), body, X, tol)
 
 
 @DIFFERENTIAL
@@ -633,6 +654,20 @@ def test_3d_returns_no_witness_beyond_the_floor():
     assert svip_membership(body, pt(0.0, 0.0, 0.0), X, 1e-3) is None
 
 
+def test_an_lp_point_that_misses_a_floor_by_rounding_is_no_witness():
+    # at tol 0 the two floors pin w_x = 0, met only at (0, 1/3) of the
+    # segment, which neither vertex nor the midpoint is; the LP's point is
+    # a rounded convex combination whose w_x may come out off zero by
+    # rounding (1.1e-16 with HiGHS here), and then it must not be returned
+    body = ConvexBody(2, ((-1.0, 1.0), (2.0, -1.0)))
+    X, xhat = [pt(1.0, 0.0), pt(-1.0, 0.0)], pt(0.0, 0.0)
+    cert = svip_membership(body, xhat, X, 0.0)
+    assert cert is None or (certificate_valid(cert, body, X)
+                            and _passes_all(cert.witness.coords, xhat, X, 0.0))
+    cert = svip_membership(body, xhat, X, 1e-9)
+    assert cert is not None and certificate_valid(cert, body, X)
+
+
 unit_coord = st.floats(-1.0, 1.0, allow_nan=False)
 point_3d = st.tuples(unit_coord, unit_coord, unit_coord)
 
@@ -649,7 +684,7 @@ def test_every_3d_certificate_is_valid(verts, ground, tol):
     if cert is None:
         return
     assert certificate_valid(cert, body, X)
-    assert vip._passes_all(cert.witness.coords, xhat, X, tol)
+    assert _passes_all(cert.witness.coords, xhat, X, tol)
 
 
 # weights i/12 on the simplex, one array per vertex count
@@ -657,22 +692,25 @@ _SIMPLEX_TWELFTHS = {k: np.array([c for c in product(range(13), repeat=k) if sum
                      for k in range(1, 5)}
 
 
+@pytest.mark.parametrize("dim", (2, 3))
 @DIFFERENTIAL
 @given(st.lists(point_3d, min_size=1, max_size=4, unique=True),
        st.lists(point_3d, max_size=6), point_3d, st.sampled_from((0.0, 1e-9)))
-def test_3d_decider_certifies_wherever_a_simplex_grid_point_does(verts, ground, x, tol):
+def test_the_decider_certifies_wherever_a_simplex_grid_point_does(dim, verts, ground, x, tol):
     # an independent reference: if a grid point of the body clears every
-    # floor by 1e-6, the body has a witness and the decider must find one
-    body, X, xhat = ConvexBody(3, verts), [Point(g) for g in ground], Point(x)
+    # floor by 1e-6, the body has a witness and the stages must find one;
+    # in 2-D the points are the 3-D draws without their last coordinate
+    verts, ground, x = [v[:dim] for v in verts], [g[:dim] for g in ground], x[:dim]
+    body, X, xhat = ConvexBody(dim, verts), [Point(g) for g in ground], Point(x)
     cert = svip_membership(body, xhat, X, tol)
-    D = np.array(ground, dtype=float).reshape(-1, 3) - np.array(x)
+    D = np.array(ground, dtype=float).reshape(-1, dim) - np.array(x)
     floor = -tol * (1.0 + np.linalg.norm(D, axis=1))
     W = _SIMPLEX_TWELFTHS[len(body.vertices)] @ body.vertices
     if ((W @ D.T - floor) >= 1e-6).all(axis=1).any():
         assert cert is not None
     if cert is not None:
         assert certificate_valid(cert, body, X)
-        assert vip._passes_all(cert.witness.coords, xhat, X, tol)
+        assert _passes_all(cert.witness.coords, xhat, X, tol)
 
 
 def test_midpoint_sweep_returns_the_first_witness_across_blocks():

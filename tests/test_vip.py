@@ -1,3 +1,4 @@
+import math
 from types import SimpleNamespace
 
 import numpy as np
@@ -8,6 +9,8 @@ from prefmax import (
     ConvexBody,
     ExperimentSpec,
     GroundSet,
+    Relation,
+    box_sample,
     certificate_valid,
     maximal_elements,
     mvip_membership,
@@ -18,6 +21,7 @@ from prefmax import (
     svip_solutions,
     uniqueness_check,
 )
+from prefmax import vip
 from prefmax.vip import VipCertificate, bodies_for_ground
 
 from scalar_reference import dot, norm, scale, sub
@@ -104,14 +108,55 @@ def test_an_empty_ground_gets_a_certificate(dim):
     assert cert is not None and certificate_valid(cert, body, [])
 
 
+def _triangle(dim):
+    """A triangle whose witnesses are all inside it: every vertex and every
+    vertex midpoint fails one of the two displacements, while (1.9, 0.95)
+    clears both by about 0.09 (in 3-D, the same with a zero third
+    coordinate)."""
+    lift = lambda *c: pt(*c, *(0.0,) * (dim - 2))
+    body = ConvexBody(dim, (lift(1.0, 0.0), lift(3.0, 0.0), lift(2.0, 3.0)))
+    return body, lift(0.0, 0.0), [lift(1.0, -1.9), lift(-1.0, 2.1)]
+
+
+@pytest.mark.parametrize("dim", (2, 3))
+@pytest.mark.parametrize("tol", (0.0, 1e-9))
+def test_a_witness_inside_the_body_is_found_by_the_lp(dim, tol, monkeypatch):
+    body, xhat, X = _triangle(dim)
+    calls = []
+    lp = vip._lp_witness
+    monkeypatch.setattr(vip, "_lp_witness", lambda *args: calls.append(args) or lp(*args))
+    cert = svip_membership(body, xhat, X, tol)
+    assert len(calls) == 1
+    assert cert is not None and certificate_valid(cert, body, X)
+
+
 def test_a_witness_lp_that_does_not_solve_raises(monkeypatch):
     import scipy.optimize
 
     monkeypatch.setattr(scipy.optimize, "linprog", lambda *args, **kwargs: SimpleNamespace(
         status=4, message="Numerical difficulties encountered."))
-    body = ConvexBody(3, ((1.0, 0.0, 0.0),))
+    body, xhat, X = _triangle(2)
     with pytest.raises(RuntimeError, match="Numerical difficulties"):
-        svip_membership(body, pt(0.0, 0.0, 0.0), [pt(-1.0, 0.0, 0.0)])
+        svip_membership(body, xhat, X)
+
+
+def test_a_3d_bowl_is_decided_before_the_lp(monkeypatch):
+    # u = -||x - a|| on the 7^3 grid of step 0.25 around a, with sampled
+    # bodies: the zero test, the vertex sweep and the screen decide every
+    # base, and the solution set is the peak
+    a = (1.0, 2.0, 0.5)
+    rel = Relation.from_utility(
+        "bowl-3d", 3, lambda x: -math.dist(x, a),
+        columns=lambda x: -np.sqrt((x[0] - a[0]) ** 2 + (x[1] - a[1]) ** 2 + (x[2] - a[2]) ** 2))
+    ground = GroundSet.grid([(c - 0.75, c + 0.75, 0.25) for c in a])
+    late = []
+    monkeypatch.setattr(vip, "_midpoint_witness", lambda *args: late.append(args))
+    monkeypatch.setattr(vip, "_lp_witness", lambda *args: late.append(args))
+    for tol in (0.0, 1e-9):
+        sols = svip_solutions(rel, ground, tol=tol,
+                              contour_sampler=lambda x: box_sample(rel, x, 1.0, 0.25))
+        assert len(ground) == 343 and coords(sols) == {a}
+    assert not late
 
 
 # ------------------------------------------------------------------- Minty
