@@ -19,10 +19,6 @@ from .relations import Relation, preference_matrix, strictly_better_mask
 DEFAULT_TOL = 1e-9
 STRICT_MARGIN = 1e-7
 
-# Size of the evenly spaced subset of sampled displacements that every probe
-# meets before the rest in `normal_cone_test`.
-_SCREEN_ROWS = 16
-
 # `Cone.contains_many` accepts a residual up to max(tol, _CONE_FLOOR), and
 # leaves to NNLS every residual within _CONE_SLACK of that threshold (the
 # closed form and NNLS each round it by a few eps).
@@ -374,20 +370,13 @@ def normal_cone_test(sample: ContourSample, probes, rhs) -> np.ndarray:
     every sampled displacement d = y - x into the strictly-better set.
 
     `normal_membership(_many)`, `strict_normal_membership` and
-    `plastria.plastria_membership` are this kernel with three right-hand
+    `plastria.plastria_membership` are this test with three right-hand
     sides: tol (1 + ||x*|| ||d||), -margin ||d|| and gap(x, y) + tol (1 + ||d||).
-    `rhs(pn, dn, rows)` returns the thresholds for the sampled points
-    `sample.points[rows]`, given the probe norms `pn` as a column and the
-    norms `dn` of their displacements. Inner products and norms are summed
-    coordinate by coordinate, so each entry rounds as the scalar `dot` and
-    `norm` do.
-
-    The displacements are met in three stages: the first one, the rest of an
-    evenly spaced screen of at most _SCREEN_ROWS, then all others. A stage
-    tests only the probes that passed the stages before it, so the verdicts
-    are those of one test against every displacement, while most failing
-    probes, and a failing single probe, stop early (and `rhs` is evaluated
-    only where a stage looks). An empty sample accepts every finite probe;
+    `rhs(pn, dn)` returns the thresholds for every sampled point, given the
+    probe norms `pn` as a column and the norms `dn` of the displacements.
+    Every probe meets every displacement in one product. Inner products and
+    norms are summed coordinate by coordinate, so each entry rounds as the
+    scalar `dot` and `norm` do. An empty sample accepts every finite probe;
     a probe that is not finite raises ValueError.
     """
     P = np.asarray(probes, dtype=float)
@@ -395,22 +384,11 @@ def normal_cone_test(sample: ContourSample, probes, rhs) -> np.ndarray:
         raise ValueError("query dimension mismatch")
     if not np.isfinite(P).all():
         raise ValueError("non-finite probe")
-    ok = np.ones(len(P), dtype=bool)
     if sample.is_empty:
-        return ok
-    Y, base = sample.points, np.array(sample.base.coords)
+        return np.ones(len(P), dtype=bool)
+    D = sample.points - np.array(sample.base.coords)
     pn = np.sqrt(_rowdot(P, P))[:, None]
-    step = -(-len(Y) // _SCREEN_ROWS)
-    rest = np.ones(len(Y), dtype=bool)
-    rest[::step] = False
-    for rows in (slice(0, 1), slice(step, None, step), rest):
-        live = np.flatnonzero(ok)
-        if not live.size:
-            break
-        D = Y[rows] - base
-        inner = _rowdot(P[live][:, None, :], D[None, :, :])
-        ok[live] = ~(inner > rhs(pn[live], np.sqrt(_rowdot(D, D)), rows)).any(axis=1)
-    return ok
+    return ~(_rowdot(P[:, None], D[None]) > rhs(pn, np.sqrt(_rowdot(D, D)))).any(axis=1)
 
 
 def normal_membership(sample: ContourSample, xstar, tol: float = DEFAULT_TOL) -> bool:
@@ -421,7 +399,7 @@ def normal_membership(sample: ContourSample, xstar, tol: float = DEFAULT_TOL) ->
 
 def normal_membership_many(sample: ContourSample, probes, tol: float = DEFAULT_TOL):
     """normal_membership over an (m, dim) array of probes."""
-    return normal_cone_test(sample, probes, lambda pn, dn, rows: tol * (1.0 + pn * dn))
+    return normal_cone_test(sample, probes, lambda pn, dn: tol * (1.0 + pn * dn))
 
 
 def strict_normal_membership(sample: ContourSample, xstar, margin: float = STRICT_MARGIN) -> bool:
@@ -430,7 +408,7 @@ def strict_normal_membership(sample: ContourSample, xstar, margin: float = STRIC
     if margin <= 0:
         raise ValueError("margin must be positive")
     return bool(normal_cone_test(sample, [tuple(xstar)],
-                                 lambda pn, dn, rows: -margin * dn)[0])
+                                 lambda pn, dn: -margin * dn)[0])
 
 
 @lru_cache(maxsize=None)
@@ -532,27 +510,24 @@ def body_from_sample(sample: ContourSample, tol: float = DEFAULT_TOL) -> ConvexB
     every sampled displacement d), in net order. An empty sample leaves the
     cone unconstrained, so the body is the unit ball: the whole net.
 
-    3-D runs that kernel. In 2-D each net row u is met first by the
-    displacement nearest to it in angle (`_nearest_directions`), and an
-    exact filter gives the kernel's verdict without the net x sample
-    product:
+    Each row's verdict is `_exceeds`, the kernel's float expression, against
+    every displacement in one direct product. In 2-D an exact filter first
+    settles most rows, each met by the displacement nearest to it in angle
+    (`_nearest_directions`):
     - u passes if it is more than a right angle plus 1e-9 from every
       displacement, at tol >= 0. The margin covers the rounding of the
       angles, so the exact products a = u_1 d_1 and b = u_2 d_2 have
       a + b < 0 at every d. Rounding is monotone, so fl(a) <= -fl(b), the
       computed <u, d> is at most 0, and 0 is at most the threshold.
-    - u fails if it fails against its nearest displacement: `_exceeds` is
-      the kernel's float expression for that pair.
-    Every other row (near a right angle to some displacement, or with a
-    large tol / ||d||), and both rows in 1-D, meets every displacement in
-    one direct product.
+    - u fails if it fails against its nearest displacement.
+    Only the rows it leaves (near a right angle to some displacement, or
+    with a large tol / ||d||) meet the whole sample; in 1-D and 3-D every
+    row does.
     """
     dim = sample.base.dim
     net = unit_net(dim)
     if sample.is_empty:
         return ConvexBody(dim, net)
-    if dim == 3:
-        return ConvexBody(dim, net[normal_membership_many(sample, net, tol)])
     D = sample.points - np.array(sample.base.coords)
     fails = np.zeros(len(net), dtype=bool)
     direct = ~fails

@@ -195,15 +195,25 @@ def _run_check(name: str, fixture: Fixture, ground: GroundSet, spec: ExperimentS
         return Verdict(name, True,
                        f"query {query} weakly accepted, strictly rejected at {tested} base points")
 
-    raise CapabilityError(f"unknown check {name!r}; known: {', '.join(KNOWN_CHECKS)}")
+
+def _fixture_and_ground(spec: ExperimentSpec) -> tuple[Fixture, GroundSet]:
+    """The fixture `spec` names and its ground: the spec's, else the
+    fixture's default. A ground of another dimension than the fixture's
+    raises CapabilityError."""
+    fixture = get_fixture(spec.fixture)
+    ground = spec.ground if spec.ground is not None else fixture.default_ground
+    if ground.dim != fixture.relation.dim:
+        raise CapabilityError(
+            f"fixture {fixture.name!r} is {fixture.relation.dim}-dimensional, "
+            f"got a grid of dim {ground.dim}")
+    return fixture, ground
 
 
 def vip_solutions(spec: ExperimentSpec, kind: str) -> tuple[GroundSet, list[Point]]:
     """The ground of `spec` and the Stampacchia ("svip") or Minty ("mvip")
     solutions on it, with the fixture's cones and contour sampler. The svip,
     mvip and svip-inclusion checks and `prefmax vip` all use these."""
-    fixture = get_fixture(spec.fixture)
-    ground = spec.ground if spec.ground is not None else fixture.default_ground
+    fixture, ground = _fixture_and_ground(spec)
     if kind == "mvip":
         if fixture.cone_oracle is None:
             raise CapabilityError(f"fixture {fixture.name!r} has no cone oracle")
@@ -215,8 +225,7 @@ def vip_solutions(spec: ExperimentSpec, kind: str) -> tuple[GroundSet, list[Poin
 def run_experiment(spec: ExperimentSpec) -> RunReport:
     """Run a named check suite against a fixture, in deterministic order."""
     started = time.perf_counter()
-    fixture = get_fixture(spec.fixture)
-    ground = spec.ground if spec.ground is not None else fixture.default_ground
+    fixture, ground = _fixture_and_ground(spec)
     suite = spec.suite if spec.suite else fixture.default_suite
     if not suite:
         raise CapabilityError(f"fixture {spec.fixture!r} declares no default suite; pass one")

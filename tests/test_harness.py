@@ -263,6 +263,26 @@ def test_cli_vip_commands():
     assert "101 of 101" in result.output
 
 
+@pytest.mark.parametrize("args, grid, dims", [
+    (["vip", "--fixture", "twin-plateau", "--kind", "mvip"], "0:1:0.5,0:1:0.5", (1, 2)),
+    (["vip", "--fixture", "vee-peak", "--kind", "svip"], "0:1:0.5,0:1:0.5", (1, 2)),
+    (["check", "--fixture", "vee-peak", "--suite", "cones"], "0:1:0.5,0:1:0.5", (1, 2)),
+    (["check", "--fixture", "radial-bowl"], "0:1:0.5", (2, 1)),
+])
+def test_a_grid_of_another_dimension_exits_2(args, grid, dims):
+    from prefmax.harness import vip_solutions
+    from prefmax.points import parse_grid_spec
+
+    message = f"is {dims[0]}-dimensional, got a grid of dim {dims[1]}"
+    result = runner.invoke(main, args + ["--grid", grid])
+    assert result.exit_code == 2 and message in result.output
+    spec = ExperimentSpec(fixture=args[2], ground=parse_grid_spec(grid))
+    with pytest.raises(CapabilityError, match=message):
+        run_experiment(spec)
+    with pytest.raises(CapabilityError, match=message):
+        vip_solutions(spec, "svip")
+
+
 def _library_vip(name: str, kind: str):
     """The library call `run_experiment` makes for the fixture's svip/mvip checks."""
     fx = get_fixture(name)

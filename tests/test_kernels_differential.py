@@ -4,9 +4,9 @@ Every relation sweep (maximal elements, maxima, contours, property checks
 with their witnesses, the preference matrix, the gap audit and the
 zero-maximality check) must match its per-pair loop, and every fixture's
 column rule its scalar rule, on all fixtures, random tables and random
-column rules, across block boundaries. Contour samples must hold the same points in the same order, the screened
+column rules, across block boundaries. Contour samples must hold the same points in the same order, the
 membership kernel must give every probe the same verdict under all three
-right-hand sides, Stampacchia sweeps must return the same witness wherever
+right-hand sides, in 1-D, 2-D and 3-D, Stampacchia sweeps must return the same witness wherever
 the vertex and midpoint sweep finds one (and elsewhere None or a certificate
 that re-validates), and Minty sweeps the same solution list, on every
 fixture, on random tabular relations and on random samples, bodies and cone
@@ -57,7 +57,7 @@ from prefmax import (
     zero_maximality_check,
 )
 from prefmax import relations, vip
-from prefmax.cones import _SCREEN_ROWS, unit_net
+from prefmax.cones import unit_net
 from prefmax.relations import PROPERTIES, strictly_better_mask
 from prefmax.vip import bodies_for_ground
 
@@ -308,7 +308,7 @@ def test_fixture_ground_sample_memberships_match(name):
 
 @pytest.mark.parametrize("name", FIXTURES)
 def test_fixture_bodies_are_the_net_rows_the_scalar_test_accepts(name):
-    # the whole unit net through the screen, as body_from_sample runs it
+    # the whole unit net, as body_from_sample tests it
     fx = get_fixture(name)
     for x in list(fx.default_ground)[::17]:
         sample = fx.contour_sampler(x)
@@ -319,14 +319,13 @@ def test_fixture_bodies_are_the_net_rows_the_scalar_test_accepts(name):
 
 @st.composite
 def _samples_and_probes(draw):
-    # up to three times the screen size, so samples fall short of the screen,
-    # fill it exactly, and leave rows for the confirming pass; quarter-lattice
+    # samples of 0 to 48 rows, in 1-D, 2-D and 3-D; quarter-lattice
     # coordinates make exact-zero inner products, where tol 0 decides on the
     # sign alone
-    dim = draw(st.integers(1, 2))
+    dim = draw(st.integers(1, 3))
     point = st.tuples(*[_coord] * dim)
     base = pt(*draw(point))
-    rows = draw(st.lists(point, max_size=3 * _SCREEN_ROWS))
+    rows = draw(st.lists(point, max_size=48))
     probes = draw(st.lists(point, min_size=1, max_size=12))
     return ContourSample(base, rows), probes
 
@@ -356,25 +355,23 @@ def test_membership_on_an_empty_sample_accepts_every_probe():
         normal_membership(sample, (1.0,))
 
 
-def test_membership_below_the_screen_size():
-    sample = _line_sample(_SCREEN_ROWS - 3)
+def test_membership_on_a_short_sample():
+    sample = _line_sample(13)
     _assert_memberships_match(sample, [tuple(v) for v in unit_net(2)], gap=_TILTED_GAP)
 
 
-def test_screen_removes_every_probe():
-    # every probe points into the sample, so each fails on the first row,
-    # which the screen always holds
-    sample = _line_sample(4 * _SCREEN_ROWS)
+def test_every_probe_fails_from_the_first_row():
+    # every probe points into the sample, so each fails on the first row
+    sample = _line_sample(64)
     probes = [(1.0, 0.0), (0.5, 1.0), (2.0, -1.0)]
     assert normal_membership_many(sample, probes).tolist() == [False] * 3
     _assert_memberships_match(sample, probes, gap=_TILTED_GAP)
 
 
-def test_screen_removes_no_probe_and_the_rest_decide():
-    # all rows but row 1 lie on the ray (-1, 0); row 1, which the screen
-    # (every 4th row of 4 * _SCREEN_ROWS) skips, is the only one that rejects
-    # (0, 1), so that verdict comes from the confirming pass alone
-    rows = [(-1.0 - k, 0.0) for k in range(4 * _SCREEN_ROWS)]
+def test_one_row_alone_rejects_a_probe():
+    # all rows but row 1 lie on the ray (-1, 0); row 1 is the only one that
+    # rejects (0, 1), and no row rejects the other two probes
+    rows = [(-1.0 - k, 0.0) for k in range(64)]
     rows[1] = (0.0, 1.0)
     sample = ContourSample(pt(0.0, 0.0), rows)
     probes = [(0.0, 1.0), (1.0, 0.0), (1.0, -0.5)]
@@ -404,15 +401,15 @@ def test_inner_products_round_as_the_scalar_dot():
     assert normal_membership_ref(sample, probe, 0.0) is True
 
 
-def test_plastria_membership_evaluates_the_gap_only_where_the_kernel_looks():
-    # a negative gap rejects the zero probe at the first displacement; a
-    # positive one lets it pass, after one gap call per sampled point
-    sample = _line_sample(4 * _SCREEN_ROWS)
-    for value, member, expected_calls in ((-1.0, False, 1), (1.0, True, len(sample.points))):
+def test_plastria_membership_evaluates_the_gap_once_per_sampled_row():
+    # a negative gap rejects the zero probe and a positive one lets it pass,
+    # each after one gap call per sampled point, in sample order
+    sample = _line_sample(64)
+    for value, member in ((-1.0, False), (1.0, True)):
         calls = []
         gap = GapFunction(lambda x, y: calls.append(y) or value, lipschitz=1.0)
         assert plastria_membership(gap, sample, (0.0, 0.0)) is member
-        assert sorted(calls) == sorted(map(tuple, sample.points.tolist()))[:expected_calls]
+        assert calls == list(map(tuple, sample.points.tolist()))
         assert plastria_membership_ref(gap, sample, (0.0, 0.0), 1e-9) is member
 
 

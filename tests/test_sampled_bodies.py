@@ -1,11 +1,11 @@
 """Sampled cone bodies and box-sample lattices against their references.
 
-In 1-D and 2-D, `body_from_sample` settles most net rows without the
-net x sample product: a 2-D row far from every sampled direction passes, and
-a row that fails against its nearest displacement fails. The rows it keeps
+In 2-D, `body_from_sample` settles most net rows without the net x sample
+product: a row far from every sampled direction passes, and a row that fails
+against its nearest displacement fails. In every dimension the rows it keeps
 must be those the membership kernel (`normal_membership_many`) and its
 scalar reference accept, in net order, on samples built to sit on the
-filter's edges. `_box_candidates` takes each axis's lattices from a cache
+filter's edges and on random 3-D samples. `_box_candidates` takes each axis's lattices from a cache
 shared across bases, and must still give the `np.isin` reference's
 candidates.
 """
@@ -14,7 +14,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from prefmax import ContourSample, Point, body_from_sample, get_fixture, normal_membership_many
@@ -134,20 +134,25 @@ def test_1d_and_2d_bodies_do_not_run_the_kernel(monkeypatch):
             body_from_sample(fx.contour_sampler(x))
 
 
-def test_3d_bodies_run_the_kernel(monkeypatch):
-    seen = []
-    kernel = cones.normal_membership_many
-
-    def spy(sample, probes, tol):
-        seen.append(len(probes))
-        return kernel(sample, probes, tol)
-
-    monkeypatch.setattr(cones, "normal_membership_many", spy)
+def test_3d_bodies_are_the_net_rows_the_scalar_test_accepts():
     sample = ContourSample(Point((0.0, 0.0, 0.0)), [(1.0, 0.0, 0.0), (0.0, 1.0, 1.0)])
     net = unit_net(3)
     assert body_from_sample(sample).vertices.tolist() == [
         v for v in net.tolist() if normal_membership_ref(sample, v, 1e-9)]
-    assert seen == [len(net)]
+
+
+# quarter-lattice coordinates put displacements at exact right angles to
+# net rows, where tol 0 decides on the sign of an exact zero
+_coord3 = st.one_of(st.integers(-8, 8).map(lambda k: k / 4.0), st.floats(-2.0, 2.0))
+_point3 = st.tuples(_coord3, _coord3, _coord3)
+
+
+@DIFFERENTIAL
+@given(_point3, st.lists(_point3, max_size=40), st.sampled_from((0.0, 1e-9, 1e-3)))
+@example(base=(0.0, 0.0, 0.0), rows=[], tol=0.0)
+@example(base=(0.0, 0.0, 0.0), rows=[(1.0, 1.0, 0.0), (0.0, -1.0, 1.0)], tol=0.0)
+def test_random_3d_bodies_are_the_net_rows_the_kernel_accepts(base, rows, tol):
+    _assert_body_is_the_kernels(ContourSample(Point(base), rows), tol)
 
 
 # ------------------------------------------------------ box-lattice cache
