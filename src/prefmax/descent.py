@@ -10,10 +10,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import count, repeat
+from itertools import chain, count, repeat
 from math import isfinite
 from operator import mul, sub
 from typing import Callable
+
+import numpy as np
 
 from .plastria import GapFunction
 from .points import Point, dist, float_coords, norm
@@ -189,8 +191,7 @@ class DescentTrace:
     def distances(self) -> list[float]:
         if self.reference is None:
             raise ValueError("trace has no reference point")
-        ref = tuple(self.reference)
-        return [dist(x, ref) for x in self.xs]
+        return _distance_column(self.xs, tuple(self.reference)).tolist()
 
 
 def run_descent(oracle: Callable[[tuple], tuple], x1: Point, schedule: StepSchedule,
@@ -204,13 +205,15 @@ def run_descent(oracle: Callable[[tuple], tuple], x1: Point, schedule: StepSched
     errors, not clamped, since the step-square budget depends on the bound.
     Its output is read once per step and converted with `float`. A
     non-finite iterate or oracle output raises ValueError, as `Point` does,
-    the iterate checked first. Each step is validated from the two norms it
-    computes anyway: a finite ||x*|| means every coordinate of x* is finite,
-    and a finite distance from x_{k+1} to the reference means the same for
-    x_{k+1}. Only where one of them is not finite, or there is no reference,
-    are the coordinates checked one by one. Each iterate's distance to the
-    reference is computed once: the distance of x_{k+1} found for row k's
-    Fejer residual is row k+1's.
+    the iterate checked first. The loop keeps only what the next step
+    needs: the oracle and gap calls, ||x*|| and its bound, theta_k and
+    x_{k+1}. Each step is screened by two numbers: a finite ||x*|| means
+    every coordinate of x* is finite, and a finite sum of x_{k+1}'s
+    coordinates means the same for x_{k+1}. Only where one of them is not
+    finite are the coordinates checked one by one. The distance and Fejer
+    residual columns are computed after the loop, in one array pass over
+    the stacked iterates (`_fejer_columns`), bit for bit as the scalar
+    `points.dist` and `d'*d' - d*d - theta*theta*L*L` give them.
     """
     schedule.validate()
     L = config.lipschitz
@@ -219,9 +222,8 @@ def run_descent(oracle: Callable[[tuple], tuple], x1: Point, schedule: StepSched
     theta_of = schedule.theta
     ref = tuple(reference) if reference is not None else None
     with_gap = gap is not None and ref is not None
-    xs, xstars, thetas, dists, gaps, residuals = [], [], [], [], [], []
+    xs, xstars, thetas, gaps = [], [], [], []
     x = tuple(x1)
-    d = dist(x, ref) if ref is not None else None
     termination = "maxIters"
     for k in range(1, config.max_iters + 1):
         out = tuple(oracle(x))
@@ -239,19 +241,13 @@ def run_descent(oracle: Callable[[tuple], tuple], x1: Point, schedule: StepSched
             termination = "maxIters"
         else:
             x_next = tuple(map(sub, x, map(mul, xstar, repeat(theta))))
-            d_next = residual = None
-            if ref is not None:
-                d_next = dist(x_next, ref)
-                residual = d_next * d_next - d * d - theta * theta * L * L
-            if d_next is None or not (isfinite(d_next) and isfinite(nxs)):
+            if not (isfinite(nxs) and isfinite(sum(x_next))):
                 _check_step(x, out, theta)
             xs.append(x)
             xstars.append(xstar)
             thetas.append(theta)
-            dists.append(d)
             gaps.append(g)
-            residuals.append(residual)
-            x, d = x_next, d_next
+            x = x_next
             continue
         xstar = float_coords(out)
         break
@@ -261,11 +257,44 @@ def run_descent(oracle: Callable[[tuple], tuple], x1: Point, schedule: StepSched
     xs.append(x)
     xstars.append(xstar)
     thetas.append(None)
-    dists.append(d)
     gaps.append(g)
-    residuals.append(None)
-    return DescentTrace(tuple(xs), tuple(xstars), tuple(thetas), tuple(dists), tuple(gaps),
-                        tuple(residuals), termination, reference=reference, lipschitz=L)
+    if ref is None:
+        dists = residuals = (None,) * len(xs)
+    else:
+        dists, residuals = _fejer_columns(xs, thetas, ref, L)
+    return DescentTrace(tuple(xs), tuple(xstars), tuple(thetas), dists, tuple(gaps),
+                        residuals, termination, reference=reference, lipschitz=L)
+
+
+def _distance_column(xs, ref: tuple) -> np.ndarray:
+    """||x - ref|| for every iterate x, as `points.dist` computes it: the
+    squared differences summed coordinate by coordinate from the first,
+    then a correctly rounded square root. Differences and squares that
+    overflow give inf or nan, as Python floats do, without a warning."""
+    dim = len(ref)
+    if set(map(len, xs)) - {dim}:
+        # rows of another length (an oracle output shorter than the
+        # iterate shortens every later iterate): `dist` pairs coordinates
+        # up to the shorter of the two, row by row
+        return np.array([dist(x, ref) for x in xs], dtype=float)
+    X = np.fromiter(chain.from_iterable(xs), float, len(xs) * dim).reshape(-1, dim)
+    with np.errstate(over="ignore", invalid="ignore"):
+        T = X - np.array(ref, dtype=float)
+        sq = T[:, 0] * T[:, 0]
+        for j in range(1, dim):
+            sq = sq + T[:, j] * T[:, j]
+        return np.sqrt(sq)
+
+
+def _fejer_columns(xs, thetas, ref: tuple, L: float) -> tuple[tuple, tuple]:
+    """The dists and residuals columns of a run's trace. Every row but the
+    last took a step, and its residual d_{k+1}^2 - d_k^2 - theta_k^2 L^2 is
+    evaluated left to right, as the scalar expression is."""
+    D = _distance_column(xs, ref)
+    T = np.fromiter(thetas, float, len(thetas) - 1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        R = D[1:] * D[1:] - D[:-1] * D[:-1] - T * T * L * L
+    return tuple(D.tolist()), (*R.tolist(), None)
 
 
 def _check_step(x: tuple, out: tuple, theta: float) -> None:
@@ -283,22 +312,15 @@ def quasi_fejer_check(trace: DescentTrace, reference: Point, L: float,
     distance to the reference may grow by at most theta_k^2 L^2 plus a
     relative slack. The reference must be a maximal point the caller trusts
     to lie in every iterate's strictly-better set. Distances are recomputed
-    from the iterates, once per iterate, not read from the trace."""
-    ref = tuple(reference)
-    xs = trace.xs
-    d_prev = None
-    for theta, x, x_next in zip(trace.thetas, xs, xs[1:]):
-        if theta is None:
-            d_prev = None
-            continue
-        if d_prev is None:
-            d_prev = dist(x, ref)
-        d_next = dist(x_next, ref)
-        budget = theta * theta * L * L
-        if d_next * d_next > d_prev * d_prev + budget + slack * (1.0 + d_prev * d_prev):
-            return False
-        d_prev = d_next
-    return True
+    from the iterates in one array pass (`_distance_column`), not read from
+    the trace. A row without a step reads its theta as nan, and a nan
+    budget fails no comparison, so such a row decides nothing."""
+    D = _distance_column(trace.xs, tuple(reference))
+    T = np.array(trace.thetas[:-1], dtype=float)
+    prev, nxt = D[:-1], D[1:]
+    with np.errstate(over="ignore", invalid="ignore"):
+        grown = nxt * nxt > prev * prev + T * T * L * L + slack * (1.0 + prev * prev)
+    return not grown.any()
 
 
 def gap_convergence_stat(trace: DescentTrace, gap: GapFunction, reference: Point) -> float:

@@ -384,12 +384,14 @@ def _build_registry() -> dict[str, Fixture]:
 
 
 def self_test_fixture(fixture: Fixture, probes: int = 100, bases: int = 5,
-                      seed: int = 12345, tol: float = 1e-9) -> None:
-    """Closed-form cones must agree with sampled membership on random probes."""
+                      seed: int = 12345, tol: float = 1e-9,
+                      ground: GroundSet | None = None) -> None:
+    """Closed-form cones must agree with sampled membership on random probes,
+    at bases picked from `ground` (default: the fixture's)."""
     if fixture.cone_oracle is None:
         return
     rng = np.random.default_rng(seed)
-    ground = list(fixture.default_ground)
+    ground = list(fixture.default_ground if ground is None else ground)
     picks = {0, len(ground) // 2, len(ground) - 1}
     while len(picks) < min(bases, len(ground)):
         picks.add(int(rng.integers(0, len(ground))))

@@ -163,7 +163,7 @@ def _run_check(name: str, fixture: Fixture, ground: GroundSet, spec: ExperimentS
         if fixture.cone_oracle is None:
             raise CapabilityError(f"fixture {fixture.name!r} has no cone oracle")
         try:
-            self_test_fixture(fixture, seed=spec.seed or 12345, tol=spec.tol)
+            self_test_fixture(fixture, seed=spec.seed or 12345, tol=spec.tol, ground=ground)
         except AssertionError as exc:
             return Verdict(name, False, str(exc))
         return Verdict(name, True, "closed-form cones match sampled membership")

@@ -46,9 +46,23 @@ class GapFunction:
 
 
 def gap_from_utility(u: Callable[[tuple], float], lipschitz: float) -> GapFunction:
-    """The gap u(x) - u(y); satisfies both sign flags."""
-    return GapFunction(lambda x, y: u(x) - u(y), lipschitz,
-                       negative_iff_better=True, positive_iff_worse=True)
+    """The gap u(x) - u(y); satisfies both sign flags.
+
+    u(x) is evaluated first, as the plain expression does. u(y) is kept for
+    the last y by identity: a descent run asks about one reference tuple at
+    every step, so u(reference) is computed once. `GapFunction` passes
+    tuples, which cannot change under the same identity."""
+    memo = (object(), None)  # the last y and u(y), replaced as one tuple
+
+    def fn(x, y):
+        nonlocal memo
+        ux = u(x)
+        last = memo
+        if last[0] is not y:
+            last = memo = (y, u(y))
+        return ux - last[1]
+
+    return GapFunction(fn, lipschitz, negative_iff_better=True, positive_iff_worse=True)
 
 
 def zero_gap(lipschitz: float = 1.0) -> GapFunction:

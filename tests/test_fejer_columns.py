@@ -1,0 +1,149 @@
+"""The descent trace's column pass against the scalar reference loop.
+
+`run_descent` computes its dists and residuals columns after the loop, in
+one numpy pass over the stacked iterates, and `DescentTrace.distances()` and
+`quasi_fejer_check` use the same kernel. Each is compared by repr with
+tests/scalar_reference.py, which recomputes every distance with Python
+floats, on traces in 1-D to 3-D: coordinates near 1e154-1e308, where the
+differences and squares overflow, and rows without a step in mid-trace.
+"""
+
+import math
+from dataclasses import replace
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from prefmax import DescentConfig, OracleNormViolation, StepSchedule, pt, quasi_fejer_check
+from prefmax.descent import DescentTrace, TraceRow, run_descent
+
+from scalar_reference import distances_ref, quasi_fejer_check_ref, run_descent_ref
+
+DIFFERENTIAL = settings(settings.get_profile("differential"), max_examples=80)
+
+# 1e154 squared is about the largest float; 1e300 differences of opposite
+# signs overflow too
+SCALES = (1.0, 1e-150, 1e154, 1e200, 1e300, 1e308)
+
+
+@st.composite
+def coordinates(draw):
+    return draw(st.floats(-1.7, 1.7)) * draw(st.sampled_from(SCALES))
+
+
+@st.composite
+def points(draw, dim):
+    """Half the time uniform coordinates of one scale from a drawn seed, so
+    that the order in which their squares are summed shows; else
+    hypothesis' own coordinates (0, tiny, bounds), scales mixed."""
+    if draw(st.booleans()):
+        return pt(*(draw(coordinates()) for _ in range(dim)))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    return pt(*(rng.uniform(-1.7, 1.7, size=dim) * draw(st.sampled_from(SCALES))).tolist())
+
+
+def _reprs(items):
+    return [repr(item) for item in items]
+
+
+@st.composite
+def traces(draw):
+    """A trace as `load_trace_json` may return one: any finite iterates,
+    and a step or none on any row."""
+    dim = draw(st.integers(1, 3))
+    n = draw(st.integers(1, 30))
+    xs = draw(st.lists(points(dim), min_size=n, max_size=n))
+    thetas = draw(st.lists(st.one_of(st.none(), st.floats(1e-3, 1.0), coordinates()),
+                           min_size=n, max_size=n))
+    reference = draw(points(dim))
+    rows = tuple(TraceRow(k, x, None, theta) for k, (x, theta) in enumerate(zip(xs, thetas), 1))
+    return DescentTrace.from_rows(rows, "maxIters", reference=reference, lipschitz=1.0)
+
+
+@DIFFERENTIAL
+@given(traces(), st.sampled_from((1e-3, 1.0, 1e154)), st.sampled_from((0.0, 1e-10, 1.0)),
+       st.data())
+def test_distances_and_the_fejer_check_match_on_any_trace(trace, L, slack, data):
+    assert _reprs(trace.distances()) == _reprs(distances_ref(trace))
+    probe = data.draw(points(len(trace.reference.coords)))
+    for m in range(1, len(trace) + 1):  # every prefix, so each pair decides one verdict
+        prefix = DescentTrace.from_rows(trace.rows[:m], "maxIters", reference=trace.reference,
+                                        lipschitz=1.0)
+        for reference in (trace.reference, probe):
+            assert (quasi_fejer_check(prefix, reference, L, slack)
+                    == quasi_fejer_check_ref(prefix, reference, L, slack))
+
+
+def _outcome(run, oracle, x1, schedule, config, reference):
+    try:
+        return run(oracle, x1, schedule, config, reference)
+    except (ValueError, OracleNormViolation) as exc:
+        return type(exc), str(exc)
+
+
+@DIFFERENTIAL
+@given(st.integers(1, 3), st.data())
+def test_run_columns_match_the_scalar_loop(dim, data):
+    """Runs with steps up to 1e308 from starts up to 1.7e308: distances
+    and residuals that overflow, and iterates that do, which must fail at
+    the same step with the same message."""
+    x1 = data.draw(points(dim))
+    reference = data.draw(points(dim))
+    direction = data.draw(points(dim))
+    norm = math.sqrt(sum(c * c for c in direction))
+    out = (tuple(c / norm for c in direction) if 0.0 < norm < math.inf
+           else (1.0,) + (0.0,) * (dim - 1))
+    steps = data.draw(st.lists(st.one_of(st.floats(1e-3, 1.0), st.sampled_from((0.5, 1e308)),
+                                         coordinates().map(abs).filter(lambda t: t > 0.0)),
+                               min_size=1, max_size=12))
+    schedule = StepSchedule.explicit(steps)
+    config = DescentConfig(1.0, max_iters=data.draw(st.sampled_from((20, 5))))
+    new = _outcome(run_descent, lambda x: out, x1, schedule, config, reference)
+    ref = _outcome(run_descent_ref, lambda x: out, x1, schedule, config, reference)
+    if isinstance(ref, tuple):
+        assert new == ref
+        return
+    assert _reprs(new.rows) == _reprs(ref.rows)
+    assert _reprs(new.distances()) == _reprs(distances_ref(ref))
+    for slack in (0.0, 1e-10):
+        assert (quasi_fejer_check(new, reference, 1.0, slack)
+                == quasi_fejer_check_ref(ref, reference, 1.0, slack))
+
+
+@pytest.mark.parametrize("reference", (None, (0.5, -1.0)))
+def test_an_output_shorter_than_the_iterate_runs_as_the_scalar_loop(reference):
+    """The step pairs coordinates up to the shorter of iterate and output,
+    so a 2-D start with a 1-D output leaves 1-D iterates. Their distances
+    to a 2-D reference pair coordinates the same way, row by row."""
+    reference = None if reference is None else pt(*reference)
+    args = (lambda x: (0.6,), pt(2.0, 1.0), StepSchedule.harmonic(1.0),
+            DescentConfig(1.0, max_iters=6), reference)
+    new, ref = run_descent(*args), run_descent_ref(*args)
+    assert _reprs(new.rows) == _reprs(ref.rows)
+    assert [len(x) for x in new.xs] == [2] + [1] * 6
+    probe = pt(-1.0, 3.0)
+    assert (_reprs(replace(new, reference=probe).distances())
+            == _reprs(distances_ref(replace(ref, reference=probe))))
+    for slack in (0.0, 1e-10):
+        assert (quasi_fejer_check(new, probe, 1.0, slack)
+                == quasi_fejer_check_ref(ref, probe, 1.0, slack))
+
+
+@pytest.mark.parametrize("x1, x2, theta, holds", [
+    (1.2533578376502246, 1.2533578376502248, 9.466135053566102e-09, False),
+    (0.8743388384801343, 0.8743388384801345, 9.665546675519226e-09, True),
+])
+def test_the_fejer_bound_is_summed_left_to_right(x1, x2, theta, holds):
+    """d'^2 lies between (d^2 + theta^2 L^2) + slack (1 + d^2) and
+    d^2 + (theta^2 L^2 + slack (1 + d^2)), so only the order in which the
+    scalar check adds decides the verdict."""
+    reference, slack = pt(0.0), 1e-16
+    rows = (TraceRow(1, pt(x1), None, theta), TraceRow(2, pt(x2), None, None))
+    trace = DescentTrace.from_rows(rows, "maxIters", reference=reference)
+    d, d2 = distances_ref(trace)
+    budget, extra = theta * theta, slack * (1.0 + d * d)
+    assert (d2 * d2 > d * d + budget + extra) != (d2 * d2 > d * d + (budget + extra))
+    assert quasi_fejer_check(trace, reference, 1.0, slack) is holds
+    assert quasi_fejer_check_ref(trace, reference, 1.0, slack) is holds

@@ -7,13 +7,16 @@ from hypothesis import strategies as st
 
 from prefmax import (
     ContourSample,
+    DescentConfig,
     GapFunction,
+    StepSchedule,
     audit_gap_flags,
     gap_from_utility,
     normal_membership,
     plastria_membership,
     plastria_subgradient,
     pt,
+    run_descent,
     sample_contour,
     strict_normal_membership,
     zero_gap,
@@ -236,3 +239,22 @@ def test_zero_gap_reduces_to_normal_membership(vee, halfline, rng):
             for q in rng.uniform(-2, 2, size=(20, dim)):
                 assert plastria_membership(gap, sample, tuple(q)) \
                     == normal_membership(sample, tuple(q))
+
+
+def test_a_descent_run_evaluates_the_utility_at_its_reference_once(radial):
+    """u(reference) is kept between the run's gap calls; every other
+    utility call is one iterate's, in the order of the gap calls."""
+    calls = []
+
+    def u(x):
+        calls.append(x)
+        return -math.hypot(x[0] - 1.0, x[1] - 2.0)
+
+    ref = radial.reference.coords
+    trace = run_descent(radial.descent_oracle(), pt(-2.5, 4.0), StepSchedule.harmonic(1.0),
+                        DescentConfig(1.0, max_iters=300), reference=radial.reference,
+                        gap=gap_from_utility(u, 1.0))
+    assert len(trace) == 301
+    assert calls == [trace.xs[0], ref, *trace.xs[1:]]
+    assert [repr(g) for g in trace.gaps] == [repr(u(x) - u(ref)) for x in trace.xs]
+
