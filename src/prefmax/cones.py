@@ -10,11 +10,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache, reduce
+from itertools import groupby
 
 import numpy as np
 
 from .points import GroundSet, Point, axis_lattice, coord_array, ground_array, norm, scale
-from .relations import Relation, preference_matrix, strictly_better_mask
+from .relations import (Relation, _scored_strict, preference_matrix, strictly_better_mask,
+                        strictly_better_rows)
 
 DEFAULT_TOL = 1e-9
 STRICT_MARGIN = 1e-7
@@ -48,6 +50,25 @@ _WEDGE_MARGIN = 1e-9
 # Per-axis box lattices kept by `_box_axis`: a 31 x 31 grid of bases with
 # one radius and step needs 62.
 _BOX_AXES = 256
+
+# Entry budget of one block of the ground-level sampling passes
+# (`box_bodies`, `sampled_bodies`): the (base, candidate) pairs a block
+# scores, the displacements it stacks, and the (net row, displacement)
+# pairs one array of its body pass holds; at least one base per block. At
+# 2^14 entries a block's arrays stay under 1 MB, while a block still
+# spreads its fixed numpy cost over about 10 radial-bowl bases (1,697
+# candidates each).
+_GROUND_ENTRIES = 1 << 14
+
+# Largest score table of `_box_blocks`: a column form is scored once per
+# point of the bases' union lattice where it has at most this many points
+# (1 MB of scores) and no more than the bases have candidates.
+_TABLE_POINTS = 1 << 17
+
+# `contains_zero`'s slack: above `_hull_screen`'s at the origin for rows of
+# the unit net, 1e-12 (1 + max ||v||) < 3e-12, so that a net-gap verdict is
+# one the screen gives too.
+_ZERO_SLACK = 4.0 * _HULL_SLACK
 
 
 def _rowdot(A: np.ndarray, B: np.ndarray) -> np.ndarray:
@@ -317,11 +338,13 @@ def sample_contour(rel: Relation, x: Point, ground) -> ContourSample:
 def _lattice(axes) -> np.ndarray:
     """The product of per-axis coordinate arrays as an (m, dim) array, in
     the row-major order of `itertools.product`: column k is axis k
-    broadcast along the others."""
-    out = np.empty([len(a) for a in axes] + [len(axes)])
+    broadcast along the others. Per-axis arrays with a leading axis (one
+    row per base) give one product per row, as a (bases, m, dim) array."""
+    lead, dim = axes[0].shape[:-1], len(axes)
+    out = np.empty(lead + tuple(a.shape[-1] for a in axes) + (dim,), dtype=axes[0].dtype)
     for k, a in enumerate(axes):
-        out[..., k] = np.reshape(a, [-1 if j == k else 1 for j in range(len(axes))])
-    return out.reshape(-1, len(axes))
+        out[..., k] = a.reshape(lead + tuple(-1 if j == k else 1 for j in range(dim)))
+    return out.reshape(lead + (-1, dim))
 
 
 @lru_cache(maxsize=_BOX_AXES)
@@ -341,15 +364,135 @@ def _box_axis(c: float, radius: float, step: float) -> tuple[np.ndarray, np.ndar
     return arrays
 
 
+def _axis_union(coords: tuple, radius: float, step: float) -> tuple[np.ndarray, dict]:
+    """One axis of the box lattices at the given coordinates: the union U of
+    their `_box_axis` lattices, as distinct values (distinct by bits, so that
+    0.0 and -0.0 stay apart), and for each coordinate its coarse and fine
+    lattices as indices into U."""
+    parts = {c: _box_axis(c, radius, step) for c in coords}
+    bits = np.sort(np.concatenate([a.view(np.int64) for coarse, fine, _ in parts.values()
+                                   for a in (coarse, fine)]))
+    bits = bits[np.concatenate(([True], bits[1:] != bits[:-1]))]  # np.unique loads numpy.ma
+    return bits.view(float), {c: (np.searchsorted(bits, coarse.view(np.int64)),
+                                  np.searchsorted(bits, fine.view(np.int64)))
+                              for c, (coarse, fine, _) in parts.items()}
+
+
+@lru_cache(maxsize=_BOX_AXES)
+def _union_axes(coords: tuple, radius: float, step: float) -> tuple[list, list]:
+    """The box lattices at the given distinct coordinates per axis: the
+    per-axis values of their union lattice (`_axis_union`), and per axis,
+    for each coordinate, its entry: the shape of its lattices (the two
+    lengths and the number of fine points on the coarse lattice), the fine
+    lattice's on-coarse mask, the two lattices' coordinates, and their
+    flat-index offsets into the union lattice's row-major product. A
+    ground's sweeps, and each base's own box, share one entry."""
+    unions = [_axis_union(col, radius, step) for col in coords]
+    axes = [U for U, _ in unions]
+    strides = np.cumprod([1] + [len(U) for U in axes[:0:-1]])[::-1].tolist()
+    entries = []
+    for col, (_, at), st in zip(coords, unions, strides):
+        entries.append({})
+        for c in col:
+            coarse, fine, on = _box_axis(c, radius, step)
+            ci, fi = at[c]
+            entries[-1][c] = ((len(coarse), len(fine), int(on.sum())), on, (coarse, fine),
+                              (ci * st, fi * st))
+    return axes, entries
+
+
+def _union_lattice(B: np.ndarray, radius: float, step: float) -> tuple[list, list]:
+    """The union lattice of the box lattices at the bases B (`_union_axes`),
+    with each base's entries per axis."""
+    coords = tuple(tuple(dict.fromkeys(col)) for col in B.T.tolist())
+    axes, entries = _union_axes(coords, radius, step)
+    return axes, [[entries[k][c] for k, c in enumerate(row)] for row in B.tolist()]
+
+
+def _box_product(lats: list, part: int) -> np.ndarray:
+    """The box candidates of bases whose lattices have one shape, from their
+    per-axis entries of `_union_lattice`, as a (bases, candidates, dim)
+    array of coordinates (part 2) or of flat-index offsets, to be summed
+    (part 3): for each base the coarse lattice, then the fine lattice's
+    points not already in it, each in row-major order. A fine point is in
+    the coarse lattice exactly when each of its coordinates is on that
+    axis's coarse lattice, so the mask is built per axis and expanded in
+    the lattice's order."""
+    nb, dim = len(lats), len(lats[0])
+    coarse, fine = ([np.array([lat[k][part][i] for lat in lats]) for k in range(dim)]
+                    for i in (0, 1))
+    on = [np.array([lat[k][1] for lat in lats]) for k in range(dim)]
+    known = reduce(lambda a, b: (a[:, :, None] & b[:, None, :]).reshape(nb, -1), on)
+    return np.concatenate((_lattice(coarse), _lattice(fine)[~known].reshape(nb, -1, dim)), axis=1)
+
+
 def _box_candidates(x: Point, radius: float, step: float) -> np.ndarray:
     """The candidates of `box_sample` as an (m, dim) array: the coarse
     lattice, then the fine lattice's points not already in it, each in
-    row-major order. A fine point is in the coarse lattice exactly when each
-    of its coordinates is on that axis's coarse lattice, so the mask is
-    built per axis (`_box_axis`) and expanded in the lattice's order."""
-    coarse, fine, on_coarse = zip(*(_box_axis(c, radius, step) for c in x.coords))
-    known = reduce(np.logical_and.outer, on_coarse).ravel()
-    return np.concatenate([_lattice(coarse), _lattice(fine)[~known]])
+    row-major order (`_box_product` for one base)."""
+    return _box_product(_union_lattice(np.array([x.coords], dtype=float), radius, step)[1], 2)[0]
+
+
+def _blocks(sizes, budget: int):
+    """Consecutive slices of range(len(sizes)) whose sizes sum to at most
+    `budget`, with at least one item each."""
+    ends = np.cumsum(sizes)
+    s = 0
+    while s < len(ends):
+        e = int(np.searchsorted(ends, (ends[s - 1] if s else 0) + budget, side="right"))
+        e = max(e, s + 1)
+        yield slice(s, e)
+        s = e
+
+
+def _box_blocks(rel: Relation, B: np.ndarray, radius: float, step: float):
+    """The box samples of the bases B (rows), in blocks of consecutive bases
+    whose candidates number at most `_GROUND_ENTRIES` (at least one base
+    per block). Yields each block as a slice of the bases, its accepted
+    candidates stacked base after base, each base's in candidate order, and
+    their number per base.
+
+    Every base's candidates are cut from one lattice: the product of the
+    per-axis unions of the bases' `_box_axis` lattices (`_union_axes`). A
+    utility's column form is scored once per point of that lattice where it
+    has fewer points than the bases have candidates (and at most
+    `_TABLE_POINTS`; never for a single base, whose candidates are all
+    distinct): 18,769 points for radial-bowl's 169 bases, against 286,793
+    candidates. Each candidate's score is then read against its own base's
+    u(x) (`_scored_strict`, which scores the ambiguous ones again with u).
+    Otherwise, and for predicates and tables, a block's candidates are
+    stacked and each is met against its own base in one
+    `strictly_better_rows` call."""
+    axes, lats = _union_lattice(B, radius, step)
+    shapes = [tuple(a[0] for a in lat) for lat in lats]
+    size_of = {shape: math.prod(c for c, _, _ in shape) + math.prod(f for _, f, _ in shape)
+               - math.prod(n for _, _, n in shape) for shape in set(shapes)}
+    sizes = [size_of[shape] for shape in shapes]
+    table = None
+    if (rel.kind == "utility" and rel.columns is not None
+            and math.prod(map(len, axes)) < min(sum(sizes), _TABLE_POINTS)):
+        T = _lattice(axes)
+        table = np.broadcast_to(np.asarray(rel.columns(tuple(T.T)), dtype=float), (len(T),))
+    start = 0
+    for _, run in groupby(shapes):
+        stop, size = start + len(list(run)), sizes[start]
+        per = max(1, _GROUND_ENTRIES // size)
+        for s in range(start, stop, per):
+            blk = slice(s, min(stop, s + per))
+            counts = np.full(blk.stop - blk.start, size)
+            if table is None:
+                Y = _box_product(lats[blk], 2).reshape(-1, B.shape[1])
+                mask = strictly_better_rows(rel, B[blk], Y, counts)
+                P = Y[mask]
+            else:
+                # each axis's offsets added as a column: a sum over the short
+                # last axis is many times slower
+                idx = reduce(np.add, np.moveaxis(_box_product(lats[blk], 3), 2, 0)).ravel()
+                mask = _scored_strict(rel, table[idx], B[blk], counts,
+                                      lambda i: np.take(T, idx[i], axis=0))
+                P = np.take(T, idx[mask], axis=0)
+            yield blk, P, np.count_nonzero(mask.reshape(-1, size), axis=1)
+        start = stop
 
 
 def box_sample(rel: Relation, x: Point, radius: float, step: float) -> ContourSample:
@@ -357,12 +500,54 @@ def box_sample(rel: Relation, x: Point, radius: float, step: float) -> ContourSa
 
     The box has the given radius per axis; within distance 0.1 of the base
     point the lattice step is halved, since membership failures concentrate
-    there. Strict preference is evaluated for all of `_box_candidates` in one
-    `strictly_better_mask` call, and the accepted candidates, in that order,
-    become the rows of the sample's coordinate array.
+    there. Strict preference is evaluated for all of `_box_candidates` at
+    once, and the accepted candidates, in that order, become the rows of the
+    sample's coordinate array. This is the one-base call of the ground-level
+    pass `_box_blocks`.
     """
-    candidates = _box_candidates(x, radius, step)
-    return ContourSample(x, candidates[strictly_better_mask(rel, x, candidates)])
+    ((_, P, _),) = _box_blocks(rel, np.array([x.coords], dtype=float), radius, step)
+    return ContourSample(x, P)
+
+
+@dataclass(frozen=True)
+class BoxSampler:
+    """`box_sample` with its relation, radius and step fixed: a per-base
+    contour sampler, `sampler(x)`, which `vip.bodies_for_ground` runs for a
+    whole ground at once (`box_bodies`), as `samples` does for the samples
+    of a set of bases."""
+
+    rel: Relation
+    radius: float
+    step: float
+
+    def __call__(self, x: Point) -> ContourSample:
+        return box_sample(self.rel, x, self.radius, self.step)
+
+    def samples(self, X):
+        """The box samples of the points of X (a GroundSet or Points), in
+        order, from the ground-level pass `_box_blocks`: a block of bases is
+        sampled when its first sample is asked for."""
+        pts = list(X)
+        if not pts:
+            return
+        B = ground_array(X if isinstance(X, GroundSet) else pts, pts[0].dim)
+        for blk, P, kept in _box_blocks(self.rel, B, self.radius, self.step):
+            yield from map(ContourSample, pts[blk], np.split(P, np.cumsum(kept)[:-1]))
+
+
+def box_bodies(rel: Relation, B: np.ndarray, radius: float, step: float,
+               tol: float = DEFAULT_TOL) -> list:
+    """`body_from_sample(box_sample(rel, x, radius, step), tol)` for every
+    base x, a row of B, in ground-level passes: each block of `_box_blocks`
+    goes through the body pass (`_sampled_bodies`) as it is sampled, so
+    that no more than one block's samples are held at once. Passing
+    `BoxSampler.samples` to `sampled_bodies` instead would hold 2^14
+    displacements as ContourSamples beside the score table: 2.5 MB traced
+    for radial-bowl's ground, against 1.4 MB."""
+    bodies = []
+    for blk, P, kept in _box_blocks(rel, B, radius, step):
+        bodies += _sampled_bodies(P - np.repeat(B[blk], kept, axis=0), kept, tol)
+    return bodies
 
 
 def normal_cone_test(sample: ContourSample, probes, rhs) -> np.ndarray:
@@ -472,36 +657,180 @@ def cone_unit_hull(cone: Cone) -> ConvexBody:
     return ConvexBody(cone.dim, verts)
 
 
-def _exceeds(U: np.ndarray, D: np.ndarray, tol: float) -> np.ndarray:
+def _exceeds(U: np.ndarray, D: np.ndarray, tol: float, nu=None, nd=None) -> np.ndarray:
     """<u, d> > tol (1 + ||u|| ||d||) for the rows u of U and d of D,
     broadcast together: `normal_membership_many`'s rejection in the
     kernel's own float operations, so each entry is its verdict on that
-    pair."""
-    return _rowdot(U, D) > tol * (1.0 + np.sqrt(_rowdot(U, U)) * np.sqrt(_rowdot(D, D)))
+    pair. The norms nu = ||u|| and nd = ||d|| may be passed in, gathered
+    from norms computed once per row by the same expression."""
+    nu = np.sqrt(_rowdot(U, U)) if nu is None else nu
+    nd = np.sqrt(_rowdot(D, D)) if nd is None else nd
+    return _rowdot(U, D) > tol * (1.0 + nu * nd)
 
 
 @lru_cache(maxsize=None)
-def _net_angles() -> np.ndarray:
-    """The angles of the 2-D unit net's rows, from arctan2."""
+def _net_angles() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The angles of the 2-D unit net's rows, from arctan2, the same angles
+    in ascending order, and each row's place in that order."""
     net = unit_net(2)
-    return np.arctan2(net[:, 1], net[:, 0])
+    theta = np.arctan2(net[:, 1], net[:, 0])
+    order = np.argsort(theta, kind="stable")
+    place = np.empty(len(theta), dtype=np.intp)
+    place[order] = np.arange(len(theta))
+    return theta, theta[order], place
 
 
-def _nearest_directions(D: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """For each row of the 2-D unit net, the index of the row of D whose
-    direction is nearest on the circle, and the angle between the two: the
-    displacement angles are sorted once, and each net angle is placed among
-    them with `searchsorted`, its two neighbours wrapping around."""
-    theta = _net_angles()
+def _nearest_directions(D: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """For consecutive samples, counts[b] > 0 rows of D each, and each row
+    of the 2-D unit net: the index in D of the sample's displacement whose
+    direction is nearest on the circle, and the angle between the two.
+
+    The displacement angles are sorted once, and then stably by sample,
+    which leaves them sorted by (sample, angle). Each net angle is placed
+    among its sample's angles, as `searchsorted` would place it, by a count
+    per sample of the displacements below it: a histogram of the
+    displacements over the intervals between the sorted net angles, summed
+    cumulatively. Its two neighbours wrap around within the sample."""
+    theta, ordered, place = _net_angles()
+    k = len(theta) + 1
     ang = np.arctan2(D[:, 1], D[:, 0])
-    order = np.argsort(ang)
-    i = np.searchsorted(ang[order], theta)
-    near = order[np.stack((i - 1, i % len(ang)))]
+    by = np.argsort(ang)
+    # the number of net angles at or below each displacement angle, read off
+    # the places of the net angles among the sorted displacement angles
+    above = np.empty(len(ang), dtype=np.intp)
+    above[by] = np.cumsum(np.bincount(np.searchsorted(ang[by], ordered),
+                                      minlength=len(ang) + 1))[:len(ang)]
+    own = np.repeat(np.arange(len(counts), dtype=np.min_scalar_type(len(counts))), counts)
+    by = by[np.argsort(own[by], kind="stable")]
+    below = np.bincount(own.astype(np.intp) * k + above, minlength=len(counts) * k)
+    i = np.cumsum(below.reshape(-1, k), axis=1)[:, place]
+    first, n = (np.cumsum(counts) - counts)[:, None], counts[:, None]
+    near = by[first + np.stack((np.where(i > 0, i - 1, n - 1), np.where(i < n, i, 0)))]
     gap = np.abs(theta - ang[near])
     gap = np.minimum(gap, 2.0 * math.pi - gap)
-    pick = (gap[1] < gap[0]).astype(int)
-    cols = np.arange(len(theta))
-    return near[pick, cols], gap[pick, cols]
+    pick = gap[1] < gap[0]
+    return np.where(pick, near[1], near[0]), np.where(pick, gap[1], gap[0])
+
+
+def _direct_fails(fails: np.ndarray, D: np.ndarray, dn: np.ndarray, starts: np.ndarray,
+                  counts: np.ndarray, b: np.ndarray, j: np.ndarray, tol: float) -> None:
+    """Set fails[b, j], for each pair of a sample b and a net row j, to
+    whether `_exceeds` rejects row j at some displacement of sample b (rows
+    of D, with norms dn). The pairs meet their samples' displacements in
+    flat gathers, in blocks of at most `_GROUND_ENTRIES` (row,
+    displacement) pairs."""
+    net = unit_net(D.shape[1])
+    un = np.sqrt(_rowdot(net, net))
+    lens = counts[b]
+    for c in _blocks(lens, _GROUND_ENTRIES):
+        n = lens[c]
+        offs = np.cumsum(n) - n
+        rows = np.repeat(starts[b[c]] - offs, n) + np.arange(offs[-1] + n[-1])
+        js = np.repeat(j[c], n)
+        hits = _exceeds(np.take(net, js, axis=0), np.take(D, rows, axis=0), tol, un[js], dn[rows])
+        fails[b[c], j[c]] = np.logical_or.reduceat(hits, offs)
+
+
+def _net_fails(D: np.ndarray, counts, tol: float) -> np.ndarray:
+    """For consecutive samples, counts[b] displacement rows of D each, the
+    (samples, net rows) mask of the unit-net rows u that some displacement
+    d of the sample rejects: `_exceeds`, <u, d> > tol (1 + ||u|| ||d||).
+
+    In 2-D an exact filter settles most pairs, each row met first by its
+    sample's displacement nearest in angle (`_nearest_directions`), in one
+    pass for a block of samples:
+    - u passes if it is more than a right angle plus 1e-9 from every
+      displacement, at tol >= 0. The margin covers the rounding of the
+      angles, so the exact products a = u_1 d_1 and b = u_2 d_2 have
+      a + b < 0 at every d. Rounding is monotone, so fl(a) <= -fl(b), the
+      computed <u, d> is at most 0, and 0 is at most the threshold.
+    - u fails if it fails against its nearest displacement.
+    Only the pairs it leaves (rows near a right angle to some displacement,
+    or with a large tol / ||d||) meet the whole sample (`_direct_fails`).
+    In 1-D and 3-D every row meets every displacement, in one direct
+    product over the stacked rows. Either way a block holds at most
+    `_GROUND_ENTRIES` (net row, displacement) pairs, or one sample.
+    """
+    net = unit_net(D.shape[1])
+    counts = np.asarray(counts, dtype=np.intp)
+    starts = np.cumsum(counts) - counts
+    fails = np.zeros((len(counts), len(net)), dtype=bool)
+    live = np.flatnonzero(counts)
+    if D.shape[1] != 2:
+        for c in _blocks(counts[live] * len(net), _GROUND_ENTRIES):
+            at = starts[live[c]]
+            rows = D[at[0]:at[-1] + counts[live[c]][-1], None, :]
+            fails[live[c]] = np.logical_or.reduceat(_exceeds(net, rows, tol), at - at[0], axis=0)
+        return fails
+    un, dn = np.sqrt(_rowdot(net, net)), np.sqrt(_rowdot(D, D))
+    for c in _blocks(counts[live] + len(net), _GROUND_ENTRIES):
+        at = live[c]
+        lo = starts[at[0]]
+        near, gap = _nearest_directions(D[lo:starts[at[-1]] + counts[at[-1]]], counts[at])
+        near += lo
+        first = _exceeds(net, np.take(D, near, axis=0), tol, un, dn[near])
+        fails[at] = first
+        b, j = np.nonzero(~first & ~((gap > 0.5 * math.pi + _WEDGE_MARGIN) & (tol >= 0)))
+        _direct_fails(fails, D, dn, starts, counts, at[b], j, tol)
+    return fails
+
+
+def _largest_gaps(cols: np.ndarray, kept: np.ndarray, n: int) -> np.ndarray:
+    """For consecutive sets of net indices, kept[b] ascending indices of
+    `cols` each, the largest cyclic gap between consecutive indices of the
+    set: n for a single index, 0 for none."""
+    ends = np.cumsum(kept)
+    live = np.flatnonzero(kept)
+    first, last = ends[live] - kept[live], ends[live] - 1
+    step = np.empty(len(cols), dtype=np.intp)
+    step[1:] = cols[1:] - cols[:-1]
+    step[first] = cols[first] + n - cols[last]
+    gaps = np.zeros(len(kept), dtype=np.intp)
+    if live.size:
+        gaps[live] = np.maximum.reduceat(step, first)
+    return gaps
+
+
+def _net_bodies(dim: int, keep: np.ndarray) -> list:
+    """The bodies of the unit-net rows kept in each row of `keep` (bodies by
+    net rows), in net order. In 1-D and 2-D each non-empty body also
+    records the largest cyclic gap between the indices of its rows, which
+    `contains_zero` reads."""
+    net = unit_net(dim)
+    at, cols = np.nonzero(keep)
+    kept = np.bincount(at, minlength=len(keep))
+    gaps = _largest_gaps(cols, kept, len(net)).tolist() if dim <= 2 else [0] * len(kept)
+    bodies = []
+    for rows, gap in zip(np.split(np.take(net, cols, axis=0), np.cumsum(kept)[:-1]), gaps):
+        body = ConvexBody(dim, rows)
+        if gap:
+            object.__setattr__(body, "_net_gap", gap)
+        bodies.append(body)
+    return bodies
+
+
+def _sampled_bodies(D: np.ndarray, counts, tol: float) -> list:
+    """The bodies of `body_from_sample` for consecutive samples, counts[b]
+    displacement rows of D each: the unit-net rows that `_net_fails` leaves,
+    in net order (`_net_bodies`)."""
+    return _net_bodies(D.shape[1], ~_net_fails(D, counts, tol))
+
+
+def sampled_bodies(samples, tol: float = DEFAULT_TOL) -> list:
+    """`body_from_sample(sample, tol)` for each of an iterable of samples of
+    one dimension, in ground-level passes: consecutive samples are stacked
+    in blocks of at most `_GROUND_ENTRIES` displacements and samples (at
+    least one sample per block), each block one `_sampled_bodies` pass."""
+    bodies, block, size = [], [], 0
+    for sample in samples:
+        block.append(sample.points - np.array(sample.base.coords))
+        size += max(1, len(block[-1]))
+        if size >= _GROUND_ENTRIES:
+            bodies += _sampled_bodies(np.concatenate(block), list(map(len, block)), tol)
+            block, size = [], 0
+    if block:
+        bodies += _sampled_bodies(np.concatenate(block), list(map(len, block)), tol)
+    return bodies
 
 
 def body_from_sample(sample: ContourSample, tol: float = DEFAULT_TOL) -> ConvexBody:
@@ -510,33 +839,46 @@ def body_from_sample(sample: ContourSample, tol: float = DEFAULT_TOL) -> ConvexB
     every sampled displacement d), in net order. An empty sample leaves the
     cone unconstrained, so the body is the unit ball: the whole net.
 
-    Each row's verdict is `_exceeds`, the kernel's float expression, against
-    every displacement in one direct product. In 2-D an exact filter first
-    settles most rows, each met by the displacement nearest to it in angle
-    (`_nearest_directions`):
-    - u passes if it is more than a right angle plus 1e-9 from every
-      displacement, at tol >= 0. The margin covers the rounding of the
-      angles, so the exact products a = u_1 d_1 and b = u_2 d_2 have
-      a + b < 0 at every d. Rounding is monotone, so fl(a) <= -fl(b), the
-      computed <u, d> is at most 0, and 0 is at most the threshold.
-    - u fails if it fails against its nearest displacement.
-    Only the rows it leaves (near a right angle to some displacement, or
-    with a large tol / ||d||) meet the whole sample; in 1-D and 3-D every
-    row does.
+    Each row's verdict is `_exceeds`, the kernel's float expression (see
+    `_net_fails` for the exact 2-D filter in front of it). This is the
+    one-sample call of the ground-level pass `_sampled_bodies`.
     """
-    dim = sample.base.dim
-    net = unit_net(dim)
-    if sample.is_empty:
-        return ConvexBody(dim, net)
-    D = sample.points - np.array(sample.base.coords)
-    fails = np.zeros(len(net), dtype=bool)
-    direct = ~fails
-    if dim == 2:
-        near, gap = _nearest_directions(D)
-        fails = _exceeds(net, D[near], tol)
-        direct = ~fails & ~((gap > 0.5 * math.pi + _WEDGE_MARGIN) & (tol >= 0))
-    fails[direct] = _exceeds(net[direct][:, None], D[None], tol).any(axis=1)
-    return ConvexBody(dim, net[~fails])
+    return sampled_bodies([sample], tol)[0]
+
+
+def _net_gap_zero(body: ConvexBody, tol: float) -> bool | None:
+    """`body.contains(0, tol)` read off a sampled body's net rows, or None.
+
+    A body of `_net_bodies` in 1-D or 2-D is a set of rows of the unit net
+    (n rows, evenly spaced on the circle; the two of the 1-D net a
+    half-turn apart), and the largest cyclic gap g between their net
+    indices places the origin:
+    - 2g < n: the rows leave no gap of a half-turn, so the origin is
+      interior, and `_hull_screen` says True wherever tol is at least its
+      slack;
+    - 2g > n: the rows lie in an arc of (n - g) / n turns, less than a
+      half-turn; with c = cos(pi (n - g) / n), the hull residual of the
+      origin is at least c / sqrt(1 + c^2) (`_hull_screen`'s bisector
+      bound), so the answer is False where that exceeds tol plus the slack.
+    Everything else gives None: g = n / 2, a tol below the slack, a tol that
+    the bound does not clear, and a body that is not from the net."""
+    gap = getattr(body, "_net_gap", None)
+    if gap is None:
+        return None
+    n = len(unit_net(body.dim))
+    if 2 * gap < n:
+        return True if tol >= _ZERO_SLACK else None
+    if 2 * gap > n:
+        c = math.cos(math.pi * (n - gap) / n)
+        return False if c / math.sqrt(1.0 + c * c) > tol + _ZERO_SLACK else None
+    return None
+
+
+def contains_zero(body: ConvexBody, tol: float = DEFAULT_TOL) -> bool:
+    """`body.contains(0, tol)`: the net-gap verdict of a sampled body
+    (`_net_gap_zero`) where it gives one, else `ConvexBody.contains`."""
+    verdict = _net_gap_zero(body, tol)
+    return body.contains((0.0,) * body.dim, tol) if verdict is None else verdict
 
 
 def complete_equivalence_check(rel: Relation, x: Point, probes, ground: GroundSet,

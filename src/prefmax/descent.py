@@ -203,11 +203,14 @@ def run_descent(oracle: Callable[[tuple], tuple], x1: Point, schedule: StepSched
     The oracle receives the iterate's coordinates as a tuple of floats and
     must return a cone element of norm at most L; violations are hard
     errors, not clamped, since the step-square budget depends on the bound.
-    Its output is read once per step and converted with `float`. A
-    non-finite iterate or oracle output raises ValueError, as `Point` does,
-    the iterate checked first. The loop keeps only what the next step
-    needs: the oracle and gap calls, ||x*|| and its bound, theta_k and
-    x_{k+1}. Each step is screened by two numbers: a finite ||x*|| means
+    Its output is read once per step and converted with `float`. An output
+    with another number of coordinates than the iterate raises ValueError
+    at that step (after the coordinate checks of a Point made from it), and
+    so does a reference of another dimension than x1, before the first
+    step. A non-finite iterate or oracle output raises ValueError, as
+    `Point` does, the iterate checked first. The loop keeps only what the
+    next step needs: the oracle and gap calls, ||x*|| and its bound, theta_k
+    and x_{k+1}. Each step is screened by two numbers: a finite ||x*|| means
     every coordinate of x* is finite, and a finite sum of x_{k+1}'s
     coordinates means the same for x_{k+1}. Only where one of them is not
     finite are the coordinates checked one by one. The distance and Fejer
@@ -224,9 +227,16 @@ def run_descent(oracle: Callable[[tuple], tuple], x1: Point, schedule: StepSched
     with_gap = gap is not None and ref is not None
     xs, xstars, thetas, gaps = [], [], [], []
     x = tuple(x1)
+    dim = len(x)
+    if ref is not None and len(ref) != dim:
+        raise ValueError(f"reference has {len(ref)} coordinates, the start {dim}")
     termination = "maxIters"
     for k in range(1, config.max_iters + 1):
         out = tuple(oracle(x))
+        if len(out) != dim:
+            float_coords(out)
+            raise ValueError(f"oracle output has {len(out)} coordinates at iteration {k}, "
+                             f"the iterate {dim}")
         xstar = tuple(map(float, out))
         nxs = norm(xstar)
         if nxs > bound:
@@ -270,13 +280,11 @@ def _distance_column(xs, ref: tuple) -> np.ndarray:
     """||x - ref|| for every iterate x, as `points.dist` computes it: the
     squared differences summed coordinate by coordinate from the first,
     then a correctly rounded square root. Differences and squares that
-    overflow give inf or nan, as Python floats do, without a warning."""
+    overflow give inf or nan, as Python floats do, without a warning. An
+    iterate of another dimension than the reference raises ValueError."""
     dim = len(ref)
     if set(map(len, xs)) - {dim}:
-        # rows of another length (an oracle output shorter than the
-        # iterate shortens every later iterate): `dist` pairs coordinates
-        # up to the shorter of the two, row by row
-        return np.array([dist(x, ref) for x in xs], dtype=float)
+        raise ValueError(f"iterates and the {dim}-dimensional reference differ in dimension")
     X = np.fromiter(chain.from_iterable(xs), float, len(xs) * dim).reshape(-1, dim)
     with np.errstate(over="ignore", invalid="ignore"):
         T = X - np.array(ref, dtype=float)

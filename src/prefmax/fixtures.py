@@ -16,7 +16,7 @@ from typing import Callable
 
 import numpy as np
 
-from .cones import Cone, box_sample, normal_membership_many
+from .cones import BoxSampler, Cone, normal_membership_many
 from .plastria import GapFunction, gap_from_utility, zero_gap
 from .points import GroundSet, Point
 from .relations import Relation
@@ -57,7 +57,13 @@ class Fixture:
     notes: str = ""
 
     def contour_sampler(self, x: Point):
-        return box_sample(self.relation, x, self.sample_radius, self.sample_step)
+        return self.box_sampler(x)
+
+    @property
+    def box_sampler(self) -> BoxSampler:
+        """The box sampler of `contour_sampler`, which `bodies_for_ground`
+        runs for a whole ground at once."""
+        return BoxSampler(self.relation, self.sample_radius, self.sample_step)
 
     def me_ground(self, ground: GroundSet | None = None) -> GroundSet:
         """The ground on which the maximal elements of a window are decided:
@@ -395,9 +401,8 @@ def self_test_fixture(fixture: Fixture, probes: int = 100, bases: int = 5,
     picks = {0, len(ground) // 2, len(ground) - 1}
     while len(picks) < min(bases, len(ground)):
         picks.add(int(rng.integers(0, len(ground))))
-    for i in sorted(picks):
-        x = ground[i]
-        sample = fixture.contour_sampler(x)
+    bases = [ground[i] for i in sorted(picks)]
+    for x, sample in zip(bases, fixture.box_sampler.samples(bases)):
         cone = fixture.cone_oracle(x)
         P = rng.uniform(-3.0, 3.0, size=(probes, x.dim))
         bad = np.flatnonzero(cone.contains_many(P) != normal_membership_many(sample, P, tol))

@@ -181,8 +181,7 @@ def _run_check(name: str, fixture: Fixture, ground: GroundSet, spec: ExperimentS
             raise CapabilityError(f"fixture {fixture.name!r} declares no weak/strict gap query")
         query = tuple(float(c) for c in query)
         tested = 0
-        for x in ground:
-            sample = fixture.contour_sampler(x)
+        for x, sample in zip(ground, fixture.box_sampler.samples(ground)):
             if sample.is_empty:
                 continue
             tested += 1
@@ -219,7 +218,7 @@ def vip_solutions(spec: ExperimentSpec, kind: str) -> tuple[GroundSet, list[Poin
             raise CapabilityError(f"fixture {fixture.name!r} has no cone oracle")
         return ground, mvip_solutions(fixture.cone_oracle, ground, spec.tol)
     return ground, svip_solutions(fixture.relation, ground, fixture.cone_oracle, tol=spec.tol,
-                                  contour_sampler=fixture.contour_sampler)
+                                  contour_sampler=fixture.box_sampler)
 
 
 def run_experiment(spec: ExperimentSpec) -> RunReport:
@@ -347,8 +346,9 @@ def emit_trace(trace: DescentTrace, fmt: str, path: str) -> str:
 def load_trace_json(path: str) -> DescentTrace:
     """Read a trace `emit_trace` wrote as JSON. A file that is not one raises
     ValueError naming the file and the fault: bad JSON, another schema, a
-    missing key, no rows, or rows not numbered k = 1..n. A non-finite
-    coordinate raises the ValueError a Point gives."""
+    missing key, no rows, rows not numbered k = 1..n, or an x, xstar or
+    reference of another dimension than row 1's x. A non-finite coordinate
+    raises the ValueError a Point gives."""
     with open(path) as fh:
         try:
             payload = json.load(fh)
@@ -374,11 +374,18 @@ def load_trace_json(path: str) -> DescentTrace:
         if r["k"] != k:
             raise ValueError(f"{path}: row {k} has k = {r['k']!r}; "
                              f"rows must be numbered 1..{len(rows)}")
-        xstar = r["xstar"]
-        records.append((float_coords(tuple(r["x"])),
-                        None if xstar is None else float_coords(tuple(xstar)),
-                        r["theta"], r["dist_to_ref"], r["gap_to_ref"], r["fejer_residual"]))
+        x, xstar = float_coords(tuple(r["x"])), r["xstar"]
+        xstar = None if xstar is None else float_coords(tuple(xstar))
+        dim = len(records[0][0]) if records else len(x)
+        if len(x) != dim or (xstar is not None and len(xstar) != dim):
+            raise ValueError(f"{path}: row {k} has an x or xstar of another dimension "
+                             f"than row 1's x ({dim})")
+        records.append((x, xstar, r["theta"], r["dist_to_ref"], r["gap_to_ref"],
+                        r["fejer_residual"]))
     ref = Point(tuple(payload["reference"])) if payload["reference"] else None
+    if ref is not None and ref.dim != len(records[0][0]):
+        raise ValueError(f"{path}: the reference has {ref.dim} coordinates, "
+                         f"the rows {len(records[0][0])}")
     return DescentTrace(*zip(*records), payload["termination"], reference=ref,
                         lipschitz=payload["lipschitz"])
 

@@ -35,7 +35,7 @@ _SWEEP_ENTRIES = 1 << 16
 
 # Ulp bound of a utility's column form: columns(y) may differ from u(y) by
 # at most K * spacing(|columns(y)|), or by at most K floats (see
-# `strictly_better_mask`).
+# `_scored_strict`).
 K = 4
 
 
@@ -48,7 +48,7 @@ class Relation:
         (see `_holds` for the contract);
       * utility    -- x is weakly preferred to y iff u(x) >= u(y); an
         optional column form scores coordinate columns within K ulps of u
-        (see `strictly_better_mask`);
+        (see `_scored_strict`);
       * tabular    -- a read-only boolean matrix over an explicit finite
         ground set.
 
@@ -212,31 +212,59 @@ def strictly_prefers(rel: Relation, y: Point, x: Point) -> bool:
 def strictly_better_mask(rel: Relation, x: Point, candidates) -> np.ndarray:
     """`strictly_prefers(rel, y, x)` for every row y of `candidates` (a
     GroundSet, coordinate tuples or an (m, dim) array), as a boolean array,
-    without building a Point per candidate: a predicate meets all candidates
-    as columns, a table is indexed by coordinates, and a utility is called
-    once at x and, without a column form, once per candidate. Empty
-    candidates give an empty mask.
+    without building a Point per candidate: the one-base call of
+    `strictly_better_rows`. Empty candidates give an empty mask."""
+    return strictly_better_rows(rel, np.array([x.coords], dtype=float), candidates,
+                                [len(candidates)])
 
-    A utility's column form scores all candidates at once, and the score s
-    of y is trusted only where |s - u(x)| > K * spacing(max(|s|, |u(x)|));
-    every other candidate, a non-finite score among them, is scored again
-    by u. Given the contract that s is at most K ulps from u(y), either
-    |s - u(y)| <= K * spacing(|s|) or at most K floats apart, u(y) then lies
-    on the same side of u(x) as s, so every bit equals the scalar one.
-    """
+
+def strictly_better_rows(rel: Relation, B: np.ndarray, candidates, counts) -> np.ndarray:
+    """`strictly_prefers(rel, y, x)` for consecutive segments of candidate
+    rows (a GroundSet, coordinate tuples or an (m, dim) array): the first
+    counts[0] rows against the base row B[0], the next counts[1] against
+    B[1], and so on. A predicate meets every candidate as a column beside its
+    own base's, a table is indexed by coordinates, and a utility is called
+    once per base and, without a column form, once per candidate; a column
+    form scores all candidates at once (`_scored_strict`)."""
     if not len(candidates):
         return np.zeros(0, dtype=bool)
-    base = _operand(rel, [x.coords])
-    if rel.columns is None:
-        return _strict(rel, _operand(rel, candidates), base)
-    Y = _coordinates(rel, candidates)
-    sx = float(base[0])
-    s = np.broadcast_to(np.asarray(rel.columns(tuple(Y.T)), dtype=float), (len(Y),))
+    if rel.kind == "utility" and rel.columns is not None:
+        Y = _coordinates(rel, candidates)
+        s = np.broadcast_to(np.asarray(rel.columns(tuple(Y.T)), dtype=float), (len(Y),))
+        return _scored_strict(rel, s, B, counts, lambda i: Y[i])
+    base = _operand(rel, B)
+    return _strict(rel, _operand(rel, candidates),
+                   base if len(base) == 1 else np.repeat(base, counts, axis=0))
+
+
+def _scored_strict(rel: Relation, s: np.ndarray, B: np.ndarray, counts, rows) -> np.ndarray:
+    """u(y) > u(x) for column scores s of consecutive segments of
+    candidates, counts[b] of them against the base row B[b]: u is called
+    once per base, and each score is read against its own base's trust
+    band; every candidate inside the band or with a non-finite s is scored
+    again by u, so that every bit equals the scalar one. `rows(i)` returns
+    the coordinate rows of the candidates at the indices i.
+
+    The band is u(x) -/+ w, w = 4K spacing(|u(x)|). Given the contract that
+    s is at most K ulps from u(y) (|s - u(y)| <= K spacing(|s|), or at most
+    K floats apart), s above the band puts u(y) above u(x) and s below it
+    puts u(y) below: s clears u(x) by more than 2K spacing(|u(x)|) after the
+    rounding of u(x) -/+ w, which is more than K floats, and more than
+    K spacing(|s|) wherever |s| <= 2 |u(x)|; where |s| > 2 |u(x)| the
+    distance exceeds |s| / 2, far above K spacing(|s|). A non-finite u(x)
+    gives a nan band, which trusts no score."""
+    sx = _operand(rel, B)
     with np.errstate(invalid="ignore", over="ignore"):
-        sure = np.abs(s - sx) > K * np.spacing(np.maximum(np.abs(s), abs(sx)))
-    mask = sure & (s > sx)
-    redo = np.flatnonzero(~sure)
-    mask[redo] = [rel.utility(y) > sx for y in map(tuple, Y[redo].tolist())]
+        w = 4 * K * np.spacing(np.abs(sx))
+        lo, hi = sx - w, sx + w
+        if len(sx) > 1:
+            lo, hi = np.repeat(lo, counts), np.repeat(hi, counts)
+        mask = s > hi
+        redo = np.flatnonzero(~(mask | (s < lo)) | ~np.isfinite(s))
+    if redo.size:
+        at = sx[np.searchsorted(np.cumsum(counts), redo, side="right")]
+        u = rel.utility
+        mask[redo] = [u(y) > b for y, b in zip(map(tuple, rows(redo).tolist()), at.tolist())]
     return mask
 
 

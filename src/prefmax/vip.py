@@ -14,13 +14,16 @@ from typing import Callable
 import numpy as np
 
 from .cones import (
+    BoxSampler,
     Cone,
     ConvexBody,
     DEFAULT_TOL,
     _rowdot,
-    body_from_sample,
+    box_bodies,
     cone_unit_hull,
+    contains_zero,
     sample_contour,
+    sampled_bodies,
 )
 from .points import GroundSet, Point, ground_array, norm
 from .relations import Relation, maximal_elements
@@ -174,8 +177,10 @@ def _stampacchia(bodies: list, B: np.ndarray, G: np.ndarray, tol: float) -> list
     The stages are the same in every dimension. They run for all bases at
     once, and each passes on only the bases it leaves open:
     1. Zero: an empty body has no witness, and zero is the witness of a
-       body that contains it. `ConvexBody.contains` runs once per distinct
-       body object; bases on a grid share bodies.
+       body that contains it. `contains_zero` runs once per distinct body
+       object (bases on a grid share the bodies of a cone oracle); a
+       sampled body's verdict is read off the gaps between its net rows,
+       and every other body runs `ConvexBody.contains`.
     2. The vertex sweep and the Farkas screen (`_vertex_block`), in blocks
        of whole bases within the entry budget. The bases go in order of
        vertex count, so that little is padded. A base's witness is its
@@ -196,7 +201,7 @@ def _stampacchia(bodies: list, B: np.ndarray, G: np.ndarray, tol: float) -> list
         if body.is_empty:
             continue
         if id(body) not in holds_zero:
-            holds_zero[id(body)] = body.contains(zero, tol)
+            holds_zero[id(body)] = contains_zero(body, tol)
         if holds_zero[id(body)]:
             found[i] = zero
         else:
@@ -378,34 +383,45 @@ def mvip_solutions(cone_oracle: ConeOracle, X: GroundSet, tol: float = DEFAULT_T
 
 def bodies_for_ground(rel: Relation, X: GroundSet, cone_oracle: ConeOracle | None = None, *,
                       tol: float = DEFAULT_TOL, contour_sampler=None):
-    """Per-point convex bodies for the Stampacchia sweep, from closed-form
-    cones when available, else from sampled normal cones.
+    """Per-point convex bodies for the Stampacchia sweep, keyed by
+    coordinates: from closed-form cones when available, else from sampled
+    normal cones.
 
     Without an oracle, pass a contour_sampler that looks beyond the feasible
     grid: a base point that sees only one strictly-better grid point would
-    otherwise get a half-space cone, an artifact of the coarse sample.
-    Samples and bodies stay coordinate arrays: a sample is one
-    `strictly_better_mask` call over its candidates, and its body is the
-    rows of the unit net that the membership kernel accepts, in net order
-    (`body_from_sample`: an exact angular filter in 1-D and 2-D, the
-    screened kernel in 3-D). The Stampacchia sweep therefore meets
+    otherwise get a half-space cone, an artifact of the coarse sample. A
+    `BoxSampler` (`Fixture.box_sampler`) samples the whole ground at once
+    (`cones.box_bodies`): every base's box candidates are cut from one
+    lattice, whose points a column form scores once, and the bases go in
+    blocks of at most `cones._GROUND_ENTRIES` candidates, each block's
+    samples turned into bodies before the next is sampled. Any other
+    sampler (by default the ground sample `sample_contour`) is called once
+    per base, and its samples go through the same body pass, stacked in
+    blocks of as many displacements (`cones.sampled_bodies`). A sampled
+    body is the rows of the unit net that the membership kernel accepts,
+    in net order (`body_from_sample`: an exact angular filter in 2-D, one
+    direct product in 1-D and 3-D). The Stampacchia sweep therefore meets
     its candidates, and returns its witnesses, in the same order as a
     point-by-point evaluation would; only a witness becomes a Point.
     """
-    bodies = {}
-    hull_cache: dict[tuple, ConvexBody] = {}
-    sampler = contour_sampler or (lambda x: sample_contour(rel, x, X))
-    for x in X:
-        if cone_oracle is not None:
+    pts = list(X)
+    if cone_oracle is not None:
+        hull_cache: dict[tuple, ConvexBody] = {}
+        bodies = []
+        for x in pts:
             cone = cone_oracle(x)
             key = (cone.tag, cone.generators)
             body = hull_cache.get(key)
             if body is None:
                 body = hull_cache[key] = cone_unit_hull(cone)
-        else:
-            body = body_from_sample(sampler(x), tol)
-        bodies[x.coords] = body
-    return bodies
+            bodies.append(body)
+    elif isinstance(contour_sampler, BoxSampler) and pts:
+        bodies = box_bodies(contour_sampler.rel, ground_array(X, pts[0].dim),
+                            contour_sampler.radius, contour_sampler.step, tol)
+    else:
+        sampler = contour_sampler or (lambda x: sample_contour(rel, x, X))
+        bodies = sampled_bodies(map(sampler, pts), tol)
+    return {x.coords: body for x, body in zip(pts, bodies)}
 
 
 def svip_solutions(rel: Relation, X: GroundSet, cone_oracle: ConeOracle | None = None, *,
@@ -414,11 +430,15 @@ def svip_solutions(rel: Relation, X: GroundSet, cone_oracle: ConeOracle | None =
     """The points of X that solve the Stampacchia problem, in ground order,
     with the bodies of `bodies_for_ground`.
 
-    Every point of X is decided in the stacked stages of `_stampacchia`,
+    The bodies come from ground-level passes too: with a `BoxSampler`,
+    the box samples and bodies of a block of bases at a time, within the
+    entry budget `cones._GROUND_ENTRIES` (see `bodies_for_ground`). Every
+    point of X is then decided in the stacked stages of `_stampacchia`,
     whose one-base call is `svip_membership`, so a point is returned
     exactly where `svip_membership` gives it a certificate. The zero test
-    runs once per distinct body object; the vertex sweep and the Farkas
-    screen run for blocks of bases at once, within the entry budget
+    runs once per distinct body object, and a sampled body's is read off
+    its net rows (`contains_zero`); the vertex sweep and the Farkas screen
+    run for blocks of bases at once, within the entry budget
     `_SWEEP_ENTRIES`; only a base that neither decides goes on alone, to
     the midpoint sweep and then the LP, in every dimension.
 

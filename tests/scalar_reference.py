@@ -469,9 +469,15 @@ def run_descent_ref(oracle, x1: Point, schedule, config, reference=None,
         return d, g
 
     x = x1
+    if reference is not None and reference.dim != x.dim:
+        raise ValueError(f"reference has {reference.dim} coordinates, the start {x.dim}")
     termination = "maxIters"
     for k in range(1, config.max_iters + 1):
         xs = tuple(oracle(x))
+        if len(xs) != x.dim:
+            Point(xs)
+            raise ValueError(f"oracle output has {len(xs)} coordinates at iteration {k}, "
+                             f"the iterate {x.dim}")
         nxs = norm(xs)
         if nxs > L * (1.0 + 1e-12):
             raise OracleNormViolation(

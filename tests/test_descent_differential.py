@@ -170,7 +170,7 @@ def test_whole_fixture_runs_match(name, x0):
     exact zero cone element or a budget of 2000 steps, with the fixture's
     reference and gap."""
     fx = get_fixture(name)
-    reference = fx.reference if fx.reference is not None else pt(0.0)
+    reference = fx.reference if fx.reference is not None else pt(*(0.0,) * len(x0))
     trace = assert_same_run(fx.descent_oracle(), descent_oracle_ref(fx), pt(*x0),
                             StepSchedule.harmonic(1.0),
                             DescentConfig(lipschitz=fx.gap.lipschitz, max_iters=2000),
@@ -456,9 +456,10 @@ def test_runs_without_a_reference_match(dim, form):
 
 @pytest.mark.parametrize("with_reference", (True, False))
 def test_a_longer_output_is_checked_beyond_the_iterate(with_reference):
-    # the step reads as many coordinates as the iterate has, so only the
-    # coordinate check of the output itself sees the nan in its tail
-    make = switching_oracle((0.5, 0.0), (0.5, math.nan), 2)
+    # an output longer than the iterate raises, and the coordinate check of
+    # the output itself comes first, so the nan in its tail is what it
+    # reports
+    make = switching_oracle((0.5,), (0.5, math.nan), 2)
     message = assert_same_failure(make, pt(1.0), StepSchedule.harmonic(1.0),
                                   DescentConfig(1.0, max_iters=10), ValueError,
                                   pt(0.0) if with_reference else None)

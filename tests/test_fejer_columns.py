@@ -9,8 +9,6 @@ differences and squares overflow, and rows without a step in mid-trace.
 """
 
 import math
-from dataclasses import replace
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -112,23 +110,41 @@ def test_run_columns_match_the_scalar_loop(dim, data):
                 == quasi_fejer_check_ref(ref, reference, 1.0, slack))
 
 
+@pytest.mark.parametrize("output", ((0.6,), (0.6, 0.0, 0.0)))
 @pytest.mark.parametrize("reference", (None, (0.5, -1.0)))
-def test_an_output_shorter_than_the_iterate_runs_as_the_scalar_loop(reference):
-    """The step pairs coordinates up to the shorter of iterate and output,
-    so a 2-D start with a 1-D output leaves 1-D iterates. Their distances
-    to a 2-D reference pair coordinates the same way, row by row."""
+def test_an_output_of_another_length_raises_as_the_scalar_loop(reference, output):
+    """An oracle output with fewer or more coordinates than the iterate
+    raises ValueError at its step, as a non-finite one does, in the run and
+    in the scalar loop alike, instead of pairing coordinates up to the
+    shorter of the two."""
     reference = None if reference is None else pt(*reference)
-    args = (lambda x: (0.6,), pt(2.0, 1.0), StepSchedule.harmonic(1.0),
-            DescentConfig(1.0, max_iters=6), reference)
-    new, ref = run_descent(*args), run_descent_ref(*args)
-    assert _reprs(new.rows) == _reprs(ref.rows)
-    assert [len(x) for x in new.xs] == [2] + [1] * 6
-    probe = pt(-1.0, 3.0)
-    assert (_reprs(replace(new, reference=probe).distances())
-            == _reprs(distances_ref(replace(ref, reference=probe))))
-    for slack in (0.0, 1e-10):
-        assert (quasi_fejer_check(new, probe, 1.0, slack)
-                == quasi_fejer_check_ref(ref, probe, 1.0, slack))
+    calls = []
+
+    def oracle(x):
+        calls.append(x)
+        return (0.6, 0.0) if len(calls) < 3 else output
+
+    args = (oracle, pt(2.0, 1.0), StepSchedule.harmonic(1.0), DescentConfig(1.0, max_iters=6),
+            reference)
+    new = _outcome(run_descent, *args)
+    calls.clear()
+    assert new == _outcome(run_descent_ref, *args) == (
+        ValueError, f"oracle output has {len(output)} coordinates at iteration 3, the iterate 2")
+
+
+def test_a_reference_or_iterates_of_another_dimension_raise():
+    args = (lambda x: (0.6, 0.0), pt(2.0, 1.0), StepSchedule.harmonic(1.0),
+            DescentConfig(1.0, max_iters=6), pt(0.5))
+    assert _outcome(run_descent, *args) == _outcome(run_descent_ref, *args) == (
+        ValueError, "reference has 1 coordinates, the start 2")
+    trace = run_descent(*args[:4])
+    with pytest.raises(ValueError, match="differ in dimension"):
+        quasi_fejer_check(trace, pt(0.5), 1.0)
+    mixed = DescentTrace.from_rows((TraceRow(1, pt(2.0, 1.0), None, 0.5),
+                                    TraceRow(2, pt(1.4), None, None)),
+                                   "maxIters", reference=pt(0.0, 0.0))
+    with pytest.raises(ValueError, match="differ in dimension"):
+        mixed.distances()
 
 
 @pytest.mark.parametrize("x1, x2, theta, holds", [

@@ -496,17 +496,17 @@ def test_a_negative_seed_is_rejected_for_every_suite(suite):
 @pytest.mark.parametrize("name, grid", [("vee-peak", "50:51:0.5"), ("twin-plateau", "3:5:0.25"),
                                         ("mutual-zero", "5:6:0.5,-6:-5:0.5")])
 def test_the_cones_check_picks_its_bases_on_the_requested_window(monkeypatch, name, grid):
-    from prefmax.fixtures import Fixture
+    from prefmax.cones import BoxSampler
     from prefmax.points import parse_grid_spec
 
     bases = []
-    sampler = Fixture.contour_sampler
+    samples = BoxSampler.samples
 
-    def recording(self, x):
-        bases.append(x)
-        return sampler(self, x)
+    def recording(self, X):
+        bases.extend(X)
+        return samples(self, X)
 
-    monkeypatch.setattr(Fixture, "contour_sampler", recording)
+    monkeypatch.setattr(BoxSampler, "samples", recording)
     ground = parse_grid_spec(grid)
     report = run_experiment(ExperimentSpec(fixture=name, suite=("cones",), ground=ground))
     assert report.all_passed

@@ -103,23 +103,29 @@ def test_a_negative_tol_passes_no_row_unchecked(tol):
     _assert_body_is_the_kernels(sample, tol)
 
 
-def test_the_filter_leaves_few_rows_to_the_direct_product(monkeypatch):
-    # radial-bowl's default bodies from box samples: the full product would
-    # send 360 rows per non-empty sample (168 of them); the filter sends 120
-    calls = []
-    exceeds = cones._exceeds
+@pytest.mark.parametrize("stacked", (False, True))
+def test_the_filter_leaves_few_rows_to_the_direct_product(monkeypatch, stacked):
+    # radial-bowl's default bodies from box samples, per-base samples or the
+    # ground-level pass: the full product would send 360 rows per non-empty
+    # sample (168 of them); the filter sends 120 (sample, row) pairs
+    placed, direct = [], []
+    nearest, fails = cones._nearest_directions, cones._direct_fails
 
-    def spy(U, D, tol):
-        out = exceeds(U, D, tol)
-        if out.ndim == 2:
-            calls.append(out.shape[0])
-        return out
+    def spy_nearest(D, counts):
+        placed.append(len(counts))
+        return nearest(D, counts)
 
-    monkeypatch.setattr(cones, "_exceeds", spy)
+    def spy_direct(fails_, D, dn, starts, counts, b, j, tol):
+        direct.append(len(b))
+        return fails(fails_, D, dn, starts, counts, b, j, tol)
+
+    monkeypatch.setattr(cones, "_nearest_directions", spy_nearest)
+    monkeypatch.setattr(cones, "_direct_fails", spy_direct)
     fx = get_fixture("radial-bowl")
-    bodies = bodies_for_ground(fx.relation, fx.default_ground, contour_sampler=fx.contour_sampler)
-    assert len(bodies) == 169 and len(calls) == 168
-    assert sum(calls) <= 200
+    sampler = fx.box_sampler if stacked else fx.contour_sampler
+    bodies = bodies_for_ground(fx.relation, fx.default_ground, contour_sampler=sampler)
+    assert len(bodies) == 169 and sum(placed) == 168
+    assert sum(direct) <= 200
 
 
 def test_1d_and_2d_bodies_do_not_run_the_kernel(monkeypatch):

@@ -297,3 +297,18 @@ def test_non_finite_coordinates_raise_as_a_point_does(tmp_path, field):
     path.write_text(json.dumps(payload))
     with pytest.raises(ValueError, match=r"^non-finite coordinate in \(0\.5, nan\)$"):
         load_trace_json(str(path))
+
+
+@pytest.mark.parametrize("field, row, value", [("x", 1, [0.5]), ("x", 2, [0.5, 1.0, 2.0]),
+                                               ("xstar", 1, [0.5]), ("xstar", 3, [0.1, 0.2, 0.3])])
+def test_rejects_rows_of_another_dimension(tmp_path, field, row, value):
+    # a row whose x or xstar has another length than row 1's x
+    path, payload = _written(tmp_path)
+    payload["rows"][row][field] = value
+    _rejected(path, payload, f"row {row + 1} has an x or xstar of another dimension")
+
+
+def test_rejects_a_reference_of_another_dimension(tmp_path):
+    path, payload = _written(tmp_path)
+    _rejected(path, {**payload, "reference": [1.0, 2.0, 3.0]},
+              "the reference has 3 coordinates, the rows 2")
