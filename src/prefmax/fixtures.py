@@ -377,6 +377,8 @@ _BUILDERS = (
 
 _REGISTRY: dict[str, Fixture] | None = None
 _SELF_TEST_DONE = False
+SELF_TEST_PROBES = 100  # random probes per base
+SELF_TEST_BASES = 5  # bases per ground: its first, middle and last point, then random ones
 
 
 def _build_registry() -> dict[str, Fixture]:
@@ -389,8 +391,7 @@ def _build_registry() -> dict[str, Fixture]:
     return registry
 
 
-def self_test_fixture(fixture: Fixture, probes: int = 100, bases: int = 5,
-                      seed: int = 12345, tol: float = 1e-9,
+def self_test_fixture(fixture: Fixture, seed: int = 12345, tol: float = 1e-9,
                       ground: GroundSet | None = None) -> None:
     """Closed-form cones must agree with sampled membership on random probes,
     at bases picked from `ground` (default: the fixture's)."""
@@ -399,12 +400,12 @@ def self_test_fixture(fixture: Fixture, probes: int = 100, bases: int = 5,
     rng = np.random.default_rng(seed)
     ground = list(fixture.default_ground if ground is None else ground)
     picks = {0, len(ground) // 2, len(ground) - 1}
-    while len(picks) < min(bases, len(ground)):
+    while len(picks) < min(SELF_TEST_BASES, len(ground)):
         picks.add(int(rng.integers(0, len(ground))))
     bases = [ground[i] for i in sorted(picks)]
     for x, sample in zip(bases, fixture.box_sampler.samples(bases)):
         cone = fixture.cone_oracle(x)
-        P = rng.uniform(-3.0, 3.0, size=(probes, x.dim))
+        P = rng.uniform(-3.0, 3.0, size=(SELF_TEST_PROBES, x.dim))
         bad = np.flatnonzero(cone.contains_many(P) != normal_membership_many(sample, P, tol))
         if bad.size:
             raise AssertionError(

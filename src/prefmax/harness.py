@@ -6,6 +6,7 @@ import json
 import os
 import time
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import count
 from math import isfinite
 
@@ -13,11 +14,11 @@ import numpy as np
 
 from .cones import normal_membership, strict_normal_membership
 from .descent import DescentConfig, DescentTrace, StepSchedule, run_descent
-from .fixtures import Fixture, get_fixture, self_test_fixture
+from .fixtures import get_fixture, self_test_fixture
 from .plastria import zero_maximality_check
 from .points import GroundSet, Point, float_coords
 from .relations import check_property, maximal_elements, maxima
-from .vip import mvip_solutions, svip_solutions, uniqueness_check
+from .vip import mvip_solutions, svip_solutions, uniqueness_equivalence
 
 SCHEMA_VERSION = 1
 
@@ -82,15 +83,13 @@ class RunReport:
         }
 
 
-def _coords_set(points) -> set[tuple]:
-    return {p.coords for p in points}
+def _coords(points) -> set[tuple]:
+    """The coordinate tuples of Points, or of a fixture's declared points."""
+    return {tuple(map(float, p)) for p in points}
 
 
-def _expected_set(exp) -> set[tuple]:
-    return {tuple(float(c) for c in p) for p in exp}
-
-
-def _set_verdict(check: str, actual: set, expected: set) -> Verdict:
+def _set_verdict(check: str, actual, expected) -> Verdict:
+    actual, expected = _coords(actual), _coords(expected)
     if actual == expected:
         return Verdict(check, True, f"{len(actual)} points as expected")
     extra = sorted(actual - expected)[:3]
@@ -98,43 +97,74 @@ def _set_verdict(check: str, actual: set, expected: set) -> Verdict:
     return Verdict(check, False, f"extra={extra} missing={missing}")
 
 
-def _run_check(name: str, fixture: Fixture, ground: GroundSet, spec: ExperimentSpec) -> Verdict:
-    rel = fixture.relation
+class _Run:
+    """A spec's fixture, its ground (the spec's, else the fixture's default) and
+    the sets its checks read, each computed on first read and then shared by the
+    suite. A ground of another dimension than the fixture's raises CapabilityError."""
+
+    def __init__(self, spec: ExperimentSpec):
+        self.spec, self.fixture = spec, get_fixture(spec.fixture)
+        self.rel = rel = self.fixture.relation
+        self.ground = spec.ground if spec.ground is not None else self.fixture.default_ground
+        if self.ground.dim != rel.dim:
+            raise CapabilityError(f"fixture {self.fixture.name!r} is {rel.dim}-dimensional, "
+                                  f"got a grid of dim {self.ground.dim}")
+
+    def cone_oracle(self):
+        if self.fixture.cone_oracle is None:
+            raise CapabilityError(f"fixture {self.fixture.name!r} has no cone oracle")
+        return self.fixture.cone_oracle
+
+    @cached_property
+    def window_maximal(self) -> list[Point]:
+        """The maximal points of the window alone, where the Stampacchia problem is posed."""
+        return maximal_elements(self.rel, self.ground)
+
+    @cached_property
+    def maximal(self) -> list[Point]:
+        """The window's maximal points, decided on `Fixture.me_ground`."""
+        me_ground = self.fixture.me_ground(self.ground)
+        if me_ground is self.ground:
+            return self.window_maximal
+        return [p for p in maximal_elements(self.rel, me_ground) if p in self.ground]
+
+    @cached_property
+    def mvip(self) -> list[Point]:
+        return mvip_solutions(self.cone_oracle(), self.ground, self.spec.tol)
+
+    @cached_property
+    def svip(self) -> list[Point]:
+        return svip_solutions(self.rel, self.ground, self.fixture.cone_oracle, tol=self.spec.tol,
+                              contour_sampler=self.fixture.box_sampler)
+
+
+def _run_check(name: str, run: _Run) -> Verdict:
+    fixture, ground, spec, rel = run.fixture, run.ground, run.spec, run.rel
     exp = fixture.expectations
 
     if name == "maximal":
-        window = _coords_set(ground)
-        actual = {p.coords for p in maximal_elements(rel, fixture.me_ground(ground))
-                  if p.coords in window}
+        actual, window = _coords(run.maximal), _coords(ground)
         if exp.get("me") == "all":
             expected = window
         elif "me" in exp:
-            expected = _expected_set(exp["me"])
+            expected = exp["me"]
         elif "nonmaximal" in exp:
-            expected = window - _expected_set(exp["nonmaximal"])
+            expected = window - _coords(exp["nonmaximal"])
         else:
             return Verdict(name, True, f"{len(actual)} maximal points (no expectation declared)")
         return _set_verdict(name, actual, expected)
 
     if name == "maxima":
-        actual = _coords_set(maxima(rel, ground))
-        return _set_verdict(name, actual, _expected_set(exp.get("maxima", ())))
+        return _set_verdict(name, maxima(rel, ground), exp.get("maxima", ()))
 
     if name in ("mvip", "mvip-empty"):
-        actual = _coords_set(vip_solutions(spec, "mvip")[1])
-        expected = set() if name == "mvip-empty" else _expected_set(exp.get("mvip", ()))
-        return _set_verdict(name, actual, expected)
+        return _set_verdict(name, run.mvip, () if name == "mvip-empty" else exp.get("mvip", ()))
 
     if name in ("svip", "svip-all"):
-        actual = _coords_set(vip_solutions(spec, "svip")[1])
-        expected = _coords_set(ground) if name == "svip-all" else _expected_set(exp.get("svip", ()))
-        return _set_verdict(name, actual, expected)
+        return _set_verdict(name, run.svip, ground if name == "svip-all" else exp.get("svip", ()))
 
     if name == "svip-inclusion":
-        # the Stampacchia problem is posed on the window, so its solutions
-        # meet the window's own maximal set, not the extended ground's
-        svip = vip_solutions(spec, "svip")[1]
-        me = _coords_set(maximal_elements(rel, ground))
+        svip, me = run.svip, _coords(run.window_maximal)
         violators = sum(p.coords not in me for p in svip)
         held = violators == 0
         counts = (f"{len(svip)} solutions, all maximal" if held
@@ -144,24 +174,21 @@ def _run_check(name: str, fixture: Fixture, ground: GroundSet, spec: ExperimentS
                        f"(expected {'hold' if expected else 'failure'}); {counts}")
 
     if name == "uniqueness":
-        if fixture.cone_oracle is None:
-            raise CapabilityError(f"fixture {fixture.name!r} has no cone oracle")
-        got = uniqueness_check(rel, fixture.cone_oracle, ground, spec.tol,
-                               me_ground=fixture.me_ground(ground))
+        mv = run.mvip  # first, so a fixture without cones fails before any sweep
+        got = uniqueness_equivalence(run.maximal, mv)
         expected = exp.get("uniqueness", True)
         return Verdict(name, got == expected, f"equivalence={got}, expected {expected}")
 
     if name == "zero-maximality":
         if fixture.gap is None:
             raise CapabilityError(f"fixture {fixture.name!r} has no gap function")
-        rng = np.random.default_rng(spec.seed)
-        report = zero_maximality_check(fixture.gap, rel, ground, spec.tol, rng=rng)
+        report = zero_maximality_check(fixture.gap, rel, ground, spec.tol,
+                                       rng=np.random.default_rng(spec.seed))
         expected = exp.get("zero_maximality", True)
         return Verdict(name, report.holds == expected, report.detail or report.prop)
 
     if name == "cones":
-        if fixture.cone_oracle is None:
-            raise CapabilityError(f"fixture {fixture.name!r} has no cone oracle")
+        run.cone_oracle()  # CapabilityError where the fixture has no cones
         try:
             self_test_fixture(fixture, seed=spec.seed or 12345, tol=spec.tol, ground=ground)
         except AssertionError as exc:
@@ -195,46 +222,25 @@ def _run_check(name: str, fixture: Fixture, ground: GroundSet, spec: ExperimentS
                        f"query {query} weakly accepted, strictly rejected at {tested} base points")
 
 
-def _fixture_and_ground(spec: ExperimentSpec) -> tuple[Fixture, GroundSet]:
-    """The fixture `spec` names and its ground: the spec's, else the
-    fixture's default. A ground of another dimension than the fixture's
-    raises CapabilityError."""
-    fixture = get_fixture(spec.fixture)
-    ground = spec.ground if spec.ground is not None else fixture.default_ground
-    if ground.dim != fixture.relation.dim:
-        raise CapabilityError(
-            f"fixture {fixture.name!r} is {fixture.relation.dim}-dimensional, "
-            f"got a grid of dim {ground.dim}")
-    return fixture, ground
-
-
 def vip_solutions(spec: ExperimentSpec, kind: str) -> tuple[GroundSet, list[Point]]:
-    """The ground of `spec` and the Stampacchia ("svip") or Minty ("mvip")
-    solutions on it, with the fixture's cones and contour sampler. The svip,
-    mvip and svip-inclusion checks and `prefmax vip` all use these."""
-    fixture, ground = _fixture_and_ground(spec)
-    if kind == "mvip":
-        if fixture.cone_oracle is None:
-            raise CapabilityError(f"fixture {fixture.name!r} has no cone oracle")
-        return ground, mvip_solutions(fixture.cone_oracle, ground, spec.tol)
-    return ground, svip_solutions(fixture.relation, ground, fixture.cone_oracle, tol=spec.tol,
-                                  contour_sampler=fixture.box_sampler)
+    """The ground of `spec` and its run's Stampacchia ("svip") or Minty ("mvip") set."""
+    run = _Run(spec)
+    return run.ground, run.mvip if kind == "mvip" else run.svip
 
 
 def run_experiment(spec: ExperimentSpec) -> RunReport:
     """Run a named check suite against a fixture, in deterministic order."""
     started = time.perf_counter()
-    fixture, ground = _fixture_and_ground(spec)
-    suite = spec.suite if spec.suite else fixture.default_suite
+    run = _Run(spec)
+    suite = spec.suite if spec.suite else run.fixture.default_suite
     if not suite:
         raise CapabilityError(f"fixture {spec.fixture!r} declares no default suite; pass one")
     for name in suite:
         if name not in KNOWN_CHECKS:
             raise CapabilityError(f"unknown check {name!r}; known: {', '.join(KNOWN_CHECKS)}")
-    verdicts = tuple(_run_check(name, fixture, ground, spec) for name in suite)
+    verdicts = tuple(_run_check(name, run) for name in suite)
     command = f"check --fixture {spec.fixture} --suite {','.join(suite)}"
-    return RunReport(command, spec.fixture, verdicts,
-                     wall_time_s=time.perf_counter() - started)
+    return RunReport(command, spec.fixture, verdicts, wall_time_s=time.perf_counter() - started)
 
 
 def descend_fixture(name: str, x0, theta0: float = 1.0, schedule: StepSchedule | None = None,

@@ -460,21 +460,13 @@ def svip_solutions(rel: Relation, X: GroundSet, cone_oracle: ConeOracle | None =
     return [x for x, w in zip(pts, found) if w is not None]
 
 
-def uniqueness_check(rel: Relation, cone_oracle: ConeOracle, X: GroundSet,
-                     tol: float = DEFAULT_TOL, me_ground: GroundSet | None = None) -> bool:
-    """Whether [the maximal set is a singleton] coincides with [the maximal
-    set equals the Minty solution set], both enumerated over X.
+def uniqueness_equivalence(me: list[Point], mv: list[Point]) -> bool:
+    """Whether [the maximal set `me` is a singleton] coincides with [it equals
+    the Minty solution set `mv`]."""
+    return (len(me) == 1) == ({p.coords for p in me} == {p.coords for p in mv})
 
-    For relations whose natural domain is unbounded, me_ground supplies an
-    enlarged grid so that the window's edge points are not spuriously
-    maximal; the result is reported within X.
-    """
-    window = {p.coords for p in X}
-    if me_ground is not None:
-        me = [p for p in maximal_elements(rel, me_ground) if p.coords in window]
-    else:
-        me = maximal_elements(rel, X)
-    mv = mvip_solutions(cone_oracle, X, tol)
-    singleton = len(me) == 1
-    equal = {p.coords for p in me} == {p.coords for p in mv}
-    return singleton == equal
+
+def uniqueness_check(rel: Relation, cone_oracle: ConeOracle, X: GroundSet,
+                     tol: float = DEFAULT_TOL) -> bool:
+    """`uniqueness_equivalence` of the maximal and Minty sets, both over X."""
+    return uniqueness_equivalence(maximal_elements(rel, X), mvip_solutions(cone_oracle, X, tol))

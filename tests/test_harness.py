@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import pytest
 from click.testing import CliRunner
@@ -20,8 +21,8 @@ from prefmax import (
 )
 from prefmax.cli import main
 from prefmax.descent import DescentConfig, StepSchedule, run_descent
-from prefmax.harness import TRACE_COLUMNS
-from prefmax.points import pt
+from prefmax.harness import KNOWN_CHECKS, TRACE_COLUMNS
+from prefmax.points import GroundSet, pt
 
 
 # -------------------------------------------------------------- experiments
@@ -511,3 +512,80 @@ def test_the_cones_check_picks_its_bases_on_the_requested_window(monkeypatch, na
     report = run_experiment(ExperimentSpec(fixture=name, suite=("cones",), ground=ground))
     assert report.all_passed
     assert len(bases) == min(5, len(ground)) and all(x in ground for x in bases)
+
+
+# ------------------------------------------------------------ one run per spec
+
+SWEEPS = ("maximal_elements", "mvip_solutions", "svip_solutions")
+
+# the sweeps each check reads; every other check reads none of them
+READS = {
+    "maximal": {"maximal_elements"},
+    "mvip": {"mvip_solutions"},
+    "mvip-empty": {"mvip_solutions"},
+    "svip": {"svip_solutions"},
+    "svip-all": {"svip_solutions"},
+    "svip-inclusion": {"svip_solutions", "maximal_elements"},
+    "uniqueness": {"maximal_elements", "mvip_solutions"},
+}
+
+
+@pytest.fixture
+def sweeps(monkeypatch):
+    """The grounds of every sweep call, by sweep, made through the names
+    that the harness and vip call."""
+    from prefmax import harness, vip
+
+    calls = {name: [] for name in SWEEPS}
+    for module in (harness, vip):
+        for name in SWEEPS:
+            def counted(*args, _name=name, _fn=getattr(module, name), **kwargs):
+                calls[_name].append(tuple(p.coords for p in args[1]))
+                return _fn(*args, **kwargs)
+            monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("name", fixture_names())
+def test_a_default_suite_runs_each_sweep_once(sweeps, name):
+    # the checks of a suite share one run; a fixture that extends its window
+    # (kinked-threshold) may sweep both grounds for maximality
+    run_experiment(ExperimentSpec(fixture=name))
+    grounds = sweeps["maximal_elements"]
+    assert len(grounds) == len(set(grounds)), "a ground swept for maximality twice"
+    assert len(sweeps["mvip_solutions"]) <= 1 and len(sweeps["svip_solutions"]) <= 1
+
+
+@pytest.mark.parametrize("check", KNOWN_CHECKS)
+@pytest.mark.parametrize("name", fixture_names())
+def test_a_check_run_alone_calls_only_the_sweeps_it_reads(sweeps, name, check):
+    try:
+        run_experiment(ExperimentSpec(fixture=name, suite=(check,)))
+        reads = READS.get(check, set())
+    except CapabilityError:
+        reads = set()  # a refused check sweeps nothing
+    assert {s for s in SWEEPS if sweeps[s]} <= reads
+
+
+def _scaled(fx, factor):
+    return None if factor is None else GroundSet.grid(
+        [(lo, hi, step * factor) for lo, hi, step in fx.default_ground.axes])
+
+
+@pytest.mark.parametrize("factor", (None, 1.3))
+@pytest.mark.parametrize("tol", (0.0, 1e-9))
+@pytest.mark.parametrize("name", fixture_names())
+def test_a_suite_gives_the_verdicts_of_its_checks_run_alone(name, tol, factor):
+    spec = ExperimentSpec(fixture=name, ground=_scaled(get_fixture(name), factor), tol=tol)
+    suite = run_experiment(spec).verdicts
+    alone = [run_experiment(replace(spec, suite=(v.check,))).verdicts[0] for v in suite]
+    assert list(suite) == alone
+
+
+def test_kinked_uniqueness_fails_on_the_extended_ground():
+    # on the extended ground the maximal set is the singleton {0}, not the
+    # empty Minty set; on the window alone its edge 1 would be maximal too,
+    # and the equivalence would hold
+    (verdict,) = run_experiment(ExperimentSpec(fixture="kinked-threshold",
+                                               suite=("uniqueness",))).verdicts
+    assert verdict.passed and verdict.detail == "equivalence=False, expected False"
