@@ -14,7 +14,7 @@ from itertools import groupby
 
 import numpy as np
 
-from .points import GroundSet, Point, axis_lattice, coord_array, ground_array, norm, scale
+from .points import GroundSet, Point, axis_lattice, coord_array, ground_array, norm, scaled_to
 from .relations import (Relation, _scored_strict, preference_matrix, strictly_better_mask,
                         strictly_better_rows)
 
@@ -641,11 +641,11 @@ def cone_unit_hull(cone: Cone) -> ConvexBody:
         return ConvexBody(cone.dim, ())
     if len(cone.generators) == 1:
         g = cone.generators[0]
-        return ConvexBody(cone.dim, (scale(g, 1.0 / norm(g)),))
+        return ConvexBody(cone.dim, (scaled_to(g, 1.0),))
     verts: list[tuple] = []
     seen = set()
     for g in cone.generators:
-        u = tuple(round(c, 12) for c in scale(g, 1.0 / norm(g)))
+        u = tuple(round(c, 12) for c in scaled_to(g, 1.0))
         if u not in seen:
             seen.add(u)
             verts.append(u)

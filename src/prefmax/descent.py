@@ -10,10 +10,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, count, repeat
-from math import isfinite
-from operator import mul, sub
-from typing import Callable
+from itertools import chain, count, islice, repeat
+from math import isfinite, sqrt
+from operator import mul, sub, truediv
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -78,24 +78,14 @@ class StepSchedule:
                 "constant steps are inadmissible: the sum of squares diverges")
         raise ScheduleValidationError(f"unknown schedule kind {self.kind!r}")
 
-    def theta(self, k: int) -> float | None:
-        """Step for iteration k (1-indexed); None when an explicit list runs out."""
+    def steps(self) -> Iterator[float | None]:
+        """The steps theta_1, theta_2, ... without end: theta0 / k, or the
+        listed values and then None."""
         if self.kind == "harmonic":
-            return self.theta0 / k
+            return map(truediv, repeat(self.theta0), count(1))
         if self.kind == "list":
-            return self.values[k - 1] if k <= len(self.values) else None
-        return self.theta0
-
-    def partial_sums(self, horizon: int) -> tuple[float, float]:
-        """(sum theta_k, sum theta_k^2) over k = 1..horizon."""
-        s = s2 = 0.0
-        for k in range(1, horizon + 1):
-            t = self.theta(k)
-            if t is None:
-                break
-            s += t
-            s2 += t * t
-        return s, s2
+            return chain(self.values, repeat(None))
+        return repeat(self.theta0)
 
 
 @dataclass(frozen=True)
@@ -208,72 +198,66 @@ def run_descent(oracle: Callable[[tuple], tuple], x1: Point, schedule: StepSched
     at that step (after the coordinate checks of a Point made from it), and
     so does a reference of another dimension than x1, before the first
     step. A non-finite iterate or oracle output raises ValueError, as
-    `Point` does, the iterate checked first. The loop keeps only what the
-    next step needs: the oracle and gap calls, ||x*|| and its bound, theta_k
-    and x_{k+1}. Each step is screened by two numbers: a finite ||x*|| means
-    every coordinate of x* is finite, and a finite sum of x_{k+1}'s
-    coordinates means the same for x_{k+1}. Only where one of them is not
-    finite are the coordinates checked one by one. The distance and Fejer
-    residual columns are computed after the loop, in one array pass over
-    the stacked iterates (`_fejer_columns`), bit for bit as the scalar
-    `points.dist` and `d'*d' - d*d - theta*theta*L*L` give them.
+    `Point` does, the iterate checked first. The loop carries only x, x*
+    and theta_k (from `schedule.steps()`). Each step is screened by one
+    number: a finite sum of x_{k+1}'s coordinates means every coordinate of
+    x_{k+1} is finite, and so of x* (an infinite one exceeds the bound, a
+    nan one makes x_{k+1} nan). Only where that sum is not finite are the
+    coordinates checked one by one. After the loop, one array pass over the
+    stacked iterates gives the distance and Fejer residual columns
+    (`_fejer_columns`), bit for bit as `points.dist` and
+    `d'*d' - d*d - theta*theta*L*L`, and one `GapFunction.column` pass the
+    gaps: a gap that raises raises there, after every oracle call, not at
+    its iterate's step.
     """
     schedule.validate()
     L = config.lipschitz
     bound = L * (1.0 + 1e-12)
     eps = config.eps
-    theta_of = schedule.theta
     ref = tuple(reference) if reference is not None else None
-    with_gap = gap is not None and ref is not None
-    xs, xstars, thetas, gaps = [], [], [], []
+    xs, xstars = [], []
     x = tuple(x1)
     dim = len(x)
     if ref is not None and len(ref) != dim:
         raise ValueError(f"reference has {len(ref)} coordinates, the start {dim}")
     termination = "maxIters"
-    for k in range(1, config.max_iters + 1):
+    for k, theta in zip(range(1, config.max_iters + 1), schedule.steps()):
         out = tuple(oracle(x))
         if len(out) != dim:
             float_coords(out)
             raise ValueError(f"oracle output has {len(out)} coordinates at iteration {k}, "
                              f"the iterate {dim}")
         xstar = tuple(map(float, out))
-        nxs = norm(xstar)
+        nxs = sqrt(sum(map(mul, xstar, xstar)))
         if nxs > bound:
             raise OracleNormViolation(
                 f"oracle output norm {nxs} exceeds the declared bound {L} at iteration {k}")
-        g = gap(x, ref) if with_gap else None
-        if nxs == 0.0:
-            termination = "zeroSubgradient"
-        elif eps > 0.0 and nxs <= eps:
-            termination = "normBelowEps"
-        elif (theta := theta_of(k)) is None:
+        if nxs <= eps:  # eps >= 0, so also every zero norm
+            termination = "zeroSubgradient" if nxs == 0.0 else "normBelowEps"
+        elif theta is None:
             termination = "maxIters"
         else:
             x_next = tuple(map(sub, x, map(mul, xstar, repeat(theta))))
-            if not (isfinite(nxs) and isfinite(sum(x_next))):
+            if not isfinite(sum(x_next)):
                 _check_step(x, out, theta)
             xs.append(x)
             xstars.append(xstar)
-            thetas.append(theta)
-            gaps.append(g)
             x = x_next
             continue
         xstar = float_coords(out)
         break
     else:
         xstar = None
-        g = gap(x, ref) if with_gap else None
     xs.append(x)
     xstars.append(xstar)
-    thetas.append(None)
-    gaps.append(g)
+    thetas = [*islice(schedule.steps(), len(xs) - 1), None]
     if ref is None:
-        dists = residuals = (None,) * len(xs)
+        dists = gaps = residuals = (None,) * len(xs)
     else:
         dists, residuals = _fejer_columns(xs, thetas, ref, L)
-    return DescentTrace(tuple(xs), tuple(xstars), tuple(thetas), dists, tuple(gaps),
-                        residuals, termination, reference=reference, lipschitz=L)
+        gaps = (None,) * len(xs) if gap is None else tuple(gap.column(xs, ref))
+    return DescentTrace(tuple(xs), tuple(xstars), tuple(thetas), dists, gaps, residuals,
+                        termination, reference=reference, lipschitz=L)
 
 
 def _distance_column(xs, ref: tuple) -> np.ndarray:
@@ -336,7 +320,7 @@ def gap_convergence_stat(trace: DescentTrace, gap: GapFunction, reference: Point
     if not trace.xs:
         raise ValueError("empty trace")
     tail = max(1, math.ceil(0.05 * len(trace.xs)))
-    return max(abs(gap(x, reference.coords)) for x in trace.xs[-tail:])
+    return max(map(abs, gap.column(trace.xs[-tail:], reference.coords)))
 
 
 def reconstruction_residuals(trace: DescentTrace) -> list[float]:

@@ -11,14 +11,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from operator import mul
 from typing import Callable
 
 import numpy as np
 
 from .cones import BoxSampler, Cone, normal_membership_many
 from .plastria import GapFunction, gap_from_utility, zero_gap
-from .points import GroundSet, Point
+from .points import GroundSet, Point, scaled_to
 from .relations import Relation
 
 _EQ_TOL = 1e-9
@@ -81,10 +80,7 @@ class Fixture:
 
         def oracle(x: tuple) -> tuple:
             d = direction(x)
-            if d is None:
-                return (0.0,) * len(x)
-            s = L / math.sqrt(sum(map(mul, d, d)))
-            return tuple([c * s for c in d])
+            return (0.0,) * len(x) if d is None else scaled_to(d, L)
 
         return oracle
 

@@ -6,9 +6,10 @@ import json
 import os
 import time
 from dataclasses import dataclass
-from functools import cached_property
-from itertools import count
+from functools import cached_property, partial
+from itertools import chain, count, islice
 from math import isfinite
+from operator import is_not, itemgetter
 
 import numpy as np
 
@@ -259,33 +260,28 @@ def descend_fixture(name: str, x0, theta0: float = 1.0, schedule: StepSchedule |
                        reference=fixture.reference, gap=fixture.gap)
 
 
-def _fmt(value: float | None) -> str:
-    return "" if value is None else repr(value)
+def _csv_values(column) -> list[str]:
+    return ["" if v is None else repr(v) for v in column]
 
 
-def _fmt_coords(coords: tuple | None) -> str:
-    return "" if coords is None else ";".join(map(repr, coords))
+def _csv_coords(column) -> list[str]:
+    return ["" if c is None else ";".join(map(repr, c)) for c in column]
 
 
-def _json_value(value) -> str:
-    """The text `json.dumps` writes for one trace value: float.__repr__ for a
-    finite float, and json's own text for everything else (null, NaN,
+def _json_values(column) -> list[str]:
+    """The text `json.dumps` writes for each value of a column: the repr of
+    a finite float, and json's own text for everything else (null, NaN,
     Infinity, -Infinity, an int)."""
-    if value is None:
-        return "null"
-    if type(value) is float and isfinite(value):
-        return float.__repr__(value)
-    return json.dumps(value)
+    return ["null" if v is None else repr(v) if type(v) is float and isfinite(v)
+            else json.dumps(v) for v in column]
 
 
-def _json_coords(coords: tuple | None) -> str:
-    """A coordinate list as `json.dumps(..., indent=1)` lays it out inside a
-    trace row."""
-    if coords is None:
-        return "null"
-    if not coords:
-        return "[]"
-    return "[\n    " + ",\n    ".join(map(_json_value, coords)) + "\n   ]"
+def _json_coords(column) -> list[str]:
+    """Each coordinate tuple (or None) of a column as `json.dumps(..., indent=1)`
+    lays it out in a trace row: all values formatted at once, cut into rows."""
+    values = iter(_json_values(chain.from_iterable(filter(None, column))))
+    return ["null" if c is None else "[]" if not c
+            else "[\n    " + ",\n    ".join(islice(values, len(c))) + "\n   ]" for c in column]
 
 
 def _atomic_write(path: str, payload: str) -> None:
@@ -311,24 +307,23 @@ _JSON_ROW = ('{\n   "k": %d,\n   "x": %s,\n   "xstar": %s,\n   "theta": %s,\n'
              '   "dist_to_ref": %s,\n   "gap_to_ref": %s,\n   "fejer_residual": %s\n  }')
 
 
-def _formatted(trace: DescentTrace, coords, value):
-    """Each row's fields as text: k, then x and xstar through `coords`, then
-    theta, dist, gap and residual through `value`."""
-    return zip(count(1), map(coords, trace.xs), map(coords, trace.xstars),
-               *(map(value, column) for column in (trace.thetas, trace.dists, trace.gaps,
-                                                   trace.residuals)))
+def _formatted(trace: DescentTrace, coords, values):
+    """Each row's fields as text, formatted column by column: k, x and xstar
+    through `coords`, theta, dist, gap and residual through `values`."""
+    return zip(count(1), coords(trace.xs), coords(trace.xstars),
+               *map(values, (trace.thetas, trace.dists, trace.gaps, trace.residuals)))
 
 
 def emit_trace(trace: DescentTrace, fmt: str, path: str) -> str:
     """Write a trace as CSV (plot-ready columns) or JSON; atomic replace.
 
-    Rows are formatted straight from the columns, one template per row. The
-    CSV is what `csv.writer` writes for these rows: no field holds a comma,
-    a quote or a line break, so none is quoted. The JSON is what
-    `json.dumps(payload, indent=1)` writes; its header and trailer come from
-    json itself, around a one-row placeholder."""
+    Each column is formatted in one pass, then one template per row joins
+    the fields. The CSV is what `csv.writer` writes for these rows: no field
+    holds a comma, a quote or a line break, so none is quoted. The JSON is
+    what `json.dumps(payload, indent=1)` writes; its header and trailer come
+    from json itself, around a one-row placeholder."""
     if fmt == "csv":
-        rows = map(_CSV_ROW.__mod__, _formatted(trace, _fmt_coords, _fmt))
+        rows = map(_CSV_ROW.__mod__, _formatted(trace, _csv_coords, _csv_values))
         _atomic_write(path, ",".join(TRACE_COLUMNS) + "\n" + "".join(rows))
         return path
     if fmt == "json":
@@ -342,7 +337,7 @@ def emit_trace(trace: DescentTrace, fmt: str, path: str) -> str:
         text = json.dumps(payload, indent=1)
         if len(trace):
             head, _, tail = text.rpartition("0")
-            rows = map(_JSON_ROW.__mod__, _formatted(trace, _json_coords, _json_value))
+            rows = map(_JSON_ROW.__mod__, _formatted(trace, _json_coords, _json_values))
             text = head + ",\n  ".join(rows) + tail
         _atomic_write(path, text)
         return path
@@ -370,7 +365,40 @@ def load_trace_json(path: str) -> DescentTrace:
     rows = payload["rows"]
     if not isinstance(rows, list) or not rows:
         raise ValueError(f"{path}: trace has no rows")
-    records = []
+    columns = _trace_columns(rows)
+    if columns is None:
+        _raise_row_fault(path, rows)
+    dim = len(columns[0][0])
+    ref = Point(tuple(payload["reference"])) if payload["reference"] else None
+    if ref is not None and ref.dim != dim:
+        raise ValueError(f"{path}: the reference has {ref.dim} coordinates, the rows {dim}")
+    return DescentTrace(*columns, payload["termination"], reference=ref,
+                        lipschitz=payload["lipschitz"])
+
+
+def _trace_columns(rows: list):
+    """The trace columns of `rows` (x and xstar as tuples of floats), checked
+    column by column; None when some row is not a well-formed row of row 1's
+    dimension. A JSON x or xstar that is not a list of numbers fails a check
+    here: a string or an object iterates to strings, which are not finite."""
+    try:
+        ks, xs, xstars, *values = zip(*map(itemgetter(*TRACE_COLUMNS), rows))
+        coords = xs + tuple(filter(partial(is_not, None), xstars))
+        dim, flat = len(xs[0]), list(chain.from_iterable(coords))
+        if (ks != tuple(range(1, len(rows) + 1)) or set(map(len, coords)) != {dim} or not dim
+                or not all(map(isfinite, flat))):
+            return None
+    except (TypeError, KeyError, OverflowError):
+        return None
+    grouped = zip(*[map(float, flat)] * dim)
+    xs = tuple(islice(grouped, len(xs)))
+    return (xs, tuple(None if c is None else next(grouped) for c in xstars), *values)
+
+
+def _raise_row_fault(path: str, rows: list) -> None:
+    """Raise what the first malformed row gives, checked in row order: not an
+    object, a missing key, a wrong k, a coordinate a Point rejects, a wrong
+    dimension."""
     for k, r in enumerate(rows, 1):
         if not isinstance(r, dict):
             raise ValueError(f"{path}: row {k} is not an object")
@@ -382,18 +410,11 @@ def load_trace_json(path: str) -> DescentTrace:
                              f"rows must be numbered 1..{len(rows)}")
         x, xstar = float_coords(tuple(r["x"])), r["xstar"]
         xstar = None if xstar is None else float_coords(tuple(xstar))
-        dim = len(records[0][0]) if records else len(x)
+        if k == 1:
+            dim = len(x)
         if len(x) != dim or (xstar is not None and len(xstar) != dim):
             raise ValueError(f"{path}: row {k} has an x or xstar of another dimension "
                              f"than row 1's x ({dim})")
-        records.append((x, xstar, r["theta"], r["dist_to_ref"], r["gap_to_ref"],
-                        r["fejer_residual"]))
-    ref = Point(tuple(payload["reference"])) if payload["reference"] else None
-    if ref is not None and ref.dim != len(records[0][0]):
-        raise ValueError(f"{path}: the reference has {ref.dim} coordinates, "
-                         f"the rows {len(records[0][0])}")
-    return DescentTrace(*zip(*records), payload["termination"], reference=ref,
-                        lipschitz=payload["lipschitz"])
 
 
 def emit_report(report: RunReport, path: str) -> str:

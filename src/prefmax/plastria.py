@@ -16,7 +16,7 @@ from typing import Callable
 import numpy as np
 
 from .cones import DEFAULT_TOL, ContourSample, normal_cone_test
-from .points import GroundSet, Point, ground_array, norm, scale
+from .points import GroundSet, Point, ground_array, scaled_to
 from .relations import PropertyReport, Relation, preference_matrix
 
 # Sign flags, named by content:
@@ -31,6 +31,7 @@ class GapFunction:
     lipschitz: float
     negative_iff_better: bool = False
     positive_iff_worse: bool = False
+    utility: Callable[[tuple], float] | None = None  # u, where fn is u(x) - u(y)
 
     def __post_init__(self):
         if not math.isfinite(self.lipschitz):
@@ -41,28 +42,24 @@ class GapFunction:
     def __call__(self, x, y) -> float:
         return float(self.fn(tuple(x), tuple(y)))
 
+    def column(self, xs, y) -> list[float]:
+        """f(x, y) for every x of `xs`, each as `self(x, y)` gives it. A gap
+        from a utility evaluates u(y) once, ahead of the xs, then u at each
+        x in order."""
+        y, xs = tuple(y), map(tuple, xs)
+        if self.utility is None:
+            return [float(self.fn(x, y)) for x in xs]
+        uy = self.utility(y)
+        return [float(ux - uy) for ux in map(self.utility, xs)]
+
     def flags(self) -> dict[str, bool]:
         return {name: getattr(self, name) for name in FLAG_NAMES}
 
 
 def gap_from_utility(u: Callable[[tuple], float], lipschitz: float) -> GapFunction:
-    """The gap u(x) - u(y); satisfies both sign flags.
-
-    u(x) is evaluated first, as the plain expression does. u(y) is kept for
-    the last y by identity: a descent run asks about one reference tuple at
-    every step, so u(reference) is computed once. `GapFunction` passes
-    tuples, which cannot change under the same identity."""
-    memo = (object(), None)  # the last y and u(y), replaced as one tuple
-
-    def fn(x, y):
-        nonlocal memo
-        ux = u(x)
-        last = memo
-        if last[0] is not y:
-            last = memo = (y, u(y))
-        return ux - last[1]
-
-    return GapFunction(fn, lipschitz, negative_iff_better=True, positive_iff_worse=True)
+    """The gap u(x) - u(y); satisfies both sign flags."""
+    return GapFunction(lambda x, y: u(x) - u(y), lipschitz, negative_iff_better=True,
+                       positive_iff_worse=True, utility=u)
 
 
 def zero_gap(lipschitz: float = 1.0) -> GapFunction:
@@ -118,11 +115,11 @@ def plastria_membership(gap: GapFunction, sample: ContourSample, xstar,
 def plastria_subgradient(gap: GapFunction, x: Point, ustar) -> Point:
     """The constructive cone element L * u / ||u|| from a strict normal
     direction u at x. The result has norm exactly L."""
-    u = tuple(ustar)
-    nu = norm(u)
-    if nu == 0.0:
-        raise ValueError("ustar must be nonzero")
-    return Point(scale(u, gap.lipschitz / nu))
+    try:
+        u = scaled_to(tuple(ustar), gap.lipschitz)
+    except ZeroDivisionError:
+        raise ValueError("ustar must be nonzero") from None
+    return Point(u)
 
 
 def zero_maximality_check(gap: GapFunction, rel: Relation, ground: GroundSet,

@@ -5,7 +5,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
-from itertools import product
+from itertools import product, repeat
 
 import numpy as np
 
@@ -65,12 +65,14 @@ def sub(a, b) -> tuple[float, ...]:
     return tuple(x - y for x, y in zip(a, b))
 
 
-def scale(a, s: float) -> tuple[float, ...]:
-    return tuple(x * s for x in a)
-
-
 def norm(a) -> float:
     return math.sqrt(sum(map(operator.mul, a, a)))
+
+
+def scaled_to(u, length: float) -> tuple[float, ...]:
+    """u times length / ||u||, ||u|| as `norm` gives it: the vector of norm
+    `length` along u. A u whose norm is 0.0 raises ZeroDivisionError."""
+    return tuple(map(operator.mul, u, repeat(length / math.sqrt(sum(map(operator.mul, u, u))))))
 
 
 def dist(a, b) -> float:

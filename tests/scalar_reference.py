@@ -13,7 +13,8 @@ fixture oracle, its diagnostics and the trace writer are the original ones:
 Points and a TraceRow per iterate, a distance recomputed wherever one is
 needed, and trace files written row by row; `emit_trace_columns_ref` is the
 writer that came between, with `csv.writer` and `json.dumps` over the
-columns. The differential tests
+columns, and `load_trace_json_ref` the loader that checked a trace file row
+by row. The differential tests
 hold the array versions and the tuple descent loop to these, result for
 result and witness for witness, row for row.
 """
@@ -457,6 +458,16 @@ def descent_oracle_ref(fixture):
     return oracle
 
 
+def theta_ref(schedule, k: int) -> float | None:
+    """The original `StepSchedule.theta`: the step for iteration k
+    (1-indexed); None when an explicit list runs out."""
+    if schedule.kind == "harmonic":
+        return schedule.theta0 / k
+    if schedule.kind == "list":
+        return schedule.values[k - 1] if k <= len(schedule.values) else None
+    return schedule.theta0
+
+
 def run_descent_ref(oracle, x1: Point, schedule, config, reference=None,
                     gap=None) -> DescentTrace:
     schedule.validate()
@@ -491,7 +502,7 @@ def run_descent_ref(oracle, x1: Point, schedule, config, reference=None,
             rows.append(TraceRow(k, x, Point(xs), None, d, g, None))
             termination = "normBelowEps"
             break
-        theta = schedule.theta(k)
+        theta = theta_ref(schedule, k)
         if theta is None:
             rows.append(TraceRow(k, x, Point(xs), None, d, g, None))
             termination = "maxIters"
@@ -625,3 +636,47 @@ def emit_trace_columns_ref(trace: DescentTrace, fmt: str, path: str) -> str:
     with open(path, "w", newline="") as fh:
         fh.write(text)
     return path
+
+
+def load_trace_json_ref(path: str) -> DescentTrace:
+    """The row-by-row `load_trace_json` that reading by columns replaced:
+    each row checked and converted in turn, the first fault raised."""
+    with open(path) as fh:
+        try:
+            payload = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{path}: not a JSON trace: {exc}") from exc
+    if not isinstance(payload, dict):
+        raise ValueError(f"{path}: not a JSON trace: the top level is not an object")
+    for key in ("schema", "termination", "reference", "lipschitz", "rows"):
+        if key not in payload:
+            raise ValueError(f"{path}: trace has no {key!r} key")
+    if payload["schema"] != SCHEMA_VERSION:
+        raise ValueError(f"{path}: trace schema {payload['schema']!r}, expected {SCHEMA_VERSION}")
+    rows = payload["rows"]
+    if not isinstance(rows, list) or not rows:
+        raise ValueError(f"{path}: trace has no rows")
+    records = []
+    for k, r in enumerate(rows, 1):
+        if not isinstance(r, dict):
+            raise ValueError(f"{path}: row {k} is not an object")
+        for key in TRACE_COLUMNS:
+            if key not in r:
+                raise ValueError(f"{path}: row {k} has no {key!r} key")
+        if r["k"] != k:
+            raise ValueError(f"{path}: row {k} has k = {r['k']!r}; "
+                             f"rows must be numbered 1..{len(rows)}")
+        x, xstar = Point(tuple(r["x"])).coords, r["xstar"]
+        xstar = None if xstar is None else Point(tuple(xstar)).coords
+        dim = len(records[0][0]) if records else len(x)
+        if len(x) != dim or (xstar is not None and len(xstar) != dim):
+            raise ValueError(f"{path}: row {k} has an x or xstar of another dimension "
+                             f"than row 1's x ({dim})")
+        records.append((x, xstar, r["theta"], r["dist_to_ref"], r["gap_to_ref"],
+                        r["fejer_residual"]))
+    ref = Point(tuple(payload["reference"])) if payload["reference"] else None
+    if ref is not None and ref.dim != len(records[0][0]):
+        raise ValueError(f"{path}: the reference has {ref.dim} coordinates, "
+                         f"the rows {len(records[0][0])}")
+    return DescentTrace(*zip(*records), payload["termination"], reference=ref,
+                        lipschitz=payload["lipschitz"])

@@ -1,4 +1,5 @@
 import math
+from itertools import islice
 
 import pytest
 from hypothesis import given, settings
@@ -18,7 +19,7 @@ from prefmax import (
 )
 from prefmax.descent import DescentTrace, TraceRow, reconstruction_residuals
 
-from scalar_reference import norm, sub
+from scalar_reference import norm, sub, theta_ref
 
 
 # ----------------------------------------------------------------- schedules
@@ -30,20 +31,35 @@ def test_harmonic_schedule_valid():
         StepSchedule.harmonic(0.0).validate()
 
 
+def _partial_sums(schedule, horizon):
+    """(sum theta_k, sum theta_k^2) over the first `horizon` steps."""
+    thetas = list(islice(schedule.steps(), horizon))
+    return sum(thetas), sum(t * t for t in thetas)
+
+
 @settings(deadline=None, max_examples=40)
 @given(st.floats(0.1, 5.0), st.integers(10, 5000))
 def test_harmonic_square_sums_below_basel_bound(theta0, horizon):
-    sched = StepSchedule.harmonic(theta0)
-    _, s2 = sched.partial_sums(horizon)
+    _, s2 = _partial_sums(StepSchedule.harmonic(theta0), horizon)
     assert s2 < theta0 * theta0 * math.pi * math.pi / 6.0 + 1e-9
 
 
 def test_harmonic_linear_sums_grow_without_bound():
     sched = StepSchedule.harmonic(1.0)
-    s, _ = sched.partial_sums(200)
+    s, _ = _partial_sums(sched, 200)
     assert s > 5.0
-    s_long, _ = sched.partial_sums(25_000)
+    s_long, _ = _partial_sums(sched, 25_000)
     assert s_long > 10.0
+
+
+@pytest.mark.parametrize("schedule", [StepSchedule.harmonic(0.3), StepSchedule.harmonic(7),
+                                      StepSchedule.explicit([0.5, 0.25, 1e-3])])
+def test_steps_are_the_original_theta_of_k(schedule):
+    """The step iterator gives theta_k for k = 1, 2, ... bit for bit as the
+    original `StepSchedule.theta(k)` did, and None for ever once an explicit
+    list runs out."""
+    expected = [theta_ref(schedule, k) for k in range(1, 2001)]
+    assert [repr(t) for t in islice(schedule.steps(), 2000)] == [repr(t) for t in expected]
 
 
 def test_constant_schedule_rejected_before_any_iteration():

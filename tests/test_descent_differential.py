@@ -3,13 +3,16 @@
 Both loops run on the same start, schedule, budget, reference and gap: the
 library's `run_descent` with the fixture's tuple oracle, the reference with
 the original Point oracle. Traces must agree row for row by repr (every float
-to the last bit), with the same termination, the same oracle and gap calls,
-and the same `quasi_fejer_check`, `gap_convergence_stat`, `distances` and
-`reconstruction_residuals`. A run that fails must fail in both loops with the
-same exception and message, so at the same iteration.
+to the last bit), with the same termination, the same oracle calls in the
+same order, the gap evaluated once per row in row order (inside the reference
+loop, after the library's), and the same `quasi_fejer_check`,
+`gap_convergence_stat`, `distances` and `reconstruction_residuals`. A run
+that fails must fail in both loops with the same exception and message, so
+at the same iteration.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -48,23 +51,36 @@ FIXTURE_BOX = {
 }
 
 
-def _recorded(fn, calls):
+def _recorded(fn, calls, tag=None):
     def wrapper(*args):
-        calls.append(tuple(tuple(a) for a in args))
+        calls.append(tuple(tuple(a) for a in args) if tag is None else (tag, *map(tuple, args)))
         return fn(*args)
     return wrapper
 
 
 def _outcome(run, oracle, x1, schedule, config, reference, gap):
-    """The run's trace with its oracle and gap calls, or its error."""
-    calls = []
+    """The run's trace with its oracle calls and its gap calls, or its error.
+    The gap is the same GapFunction with its `fn` and `utility` recorded."""
+    calls, gap_calls = [], []
     oracle = _recorded(oracle, calls)
     if gap is not None:
-        gap = _recorded(gap, calls)
+        gap = replace(gap, fn=_recorded(gap.fn, gap_calls, "fn"),
+                      utility=gap.utility and _recorded(gap.utility, gap_calls, "u"))
     try:
-        return run(oracle, x1, schedule, config, reference, gap), calls
+        return run(oracle, x1, schedule, config, reference, gap), calls, gap_calls
     except (ValueError, OracleNormViolation) as exc:
-        return (type(exc), str(exc)), calls
+        return (type(exc), str(exc)), calls, gap_calls
+
+
+def _gap_pairs(gap_calls):
+    """The (x, y) pairs a run's gap calls evaluated f at. A utility gap's
+    column evaluates u(y) once, ahead of u at each x."""
+    if gap_calls and gap_calls[0][0] == "u":
+        (_, y), *xs = gap_calls
+        assert all(tag == "u" for tag, _ in xs)
+        return [(x, y) for _, x in xs]
+    assert all(tag == "fn" for tag, *_ in gap_calls)
+    return [(x, y) for _, x, y in gap_calls]
 
 
 def _reprs(items):
@@ -76,12 +92,21 @@ def assert_same_run(oracle, oracle_ref, x1, schedule, config, reference=None, ga
                     probes=()):
     """Run both loops and compare everything they return; `probes` are the
     reference points `quasi_fejer_check` and the gap statistic are asked
-    about. Returns the library's trace, or None when both raised."""
-    new, new_calls = _outcome(run_descent, oracle, x1, schedule, config, reference, gap)
-    ref, ref_calls = _outcome(run_descent_ref, oracle_ref, x1, schedule, config, reference, gap)
+    about. The oracle calls must agree in order. The reference loop calls
+    the gap at each row's iterate inside the loop, the library after it, in
+    one column pass: the gap must be evaluated once per row, in row order,
+    at the same points, and not at all in a run that raises. Returns the
+    library's trace, or None when both raised."""
+    new, new_calls, new_gap = _outcome(run_descent, oracle, x1, schedule, config, reference, gap)
+    ref, ref_calls, ref_gap = _outcome(run_descent_ref, oracle_ref, x1, schedule, config,
+                                       reference, gap)
     assert new_calls == ref_calls
+    if not isinstance(ref, tuple):
+        assert _gap_pairs(new_gap) == _gap_pairs(ref_gap)
+        assert len(_gap_pairs(new_gap)) == (len(ref) if gap and reference else 0)
     if isinstance(ref, tuple):
         assert new == ref
+        assert new_gap == []
         return None
     assert _reprs(new.rows) == _reprs(ref.rows)
     assert new.termination == ref.termination

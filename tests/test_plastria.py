@@ -242,8 +242,8 @@ def test_zero_gap_reduces_to_normal_membership(vee, halfline, rng):
 
 
 def test_a_descent_run_evaluates_the_utility_at_its_reference_once(radial):
-    """u(reference) is kept between the run's gap calls; every other
-    utility call is one iterate's, in the order of the gap calls."""
+    """The gap column evaluates u(reference) once, ahead of the iterates,
+    then u once per iterate, in iterate order."""
     calls = []
 
     def u(x):
@@ -255,6 +255,6 @@ def test_a_descent_run_evaluates_the_utility_at_its_reference_once(radial):
                         DescentConfig(1.0, max_iters=300), reference=radial.reference,
                         gap=gap_from_utility(u, 1.0))
     assert len(trace) == 301
-    assert calls == [trace.xs[0], ref, *trace.xs[1:]]
+    assert calls == [ref, *trace.xs]
     assert [repr(g) for g in trace.gaps] == [repr(u(x) - u(ref)) for x in trace.xs]
 

@@ -6,7 +6,9 @@ row-by-row writer and the columnar writer with `csv.writer` and `json.dumps`
 must produce the same bytes, non-finite distances, gaps and residuals
 included.
 `load_trace_json` must give back the written trace, and reject a file that
-is not one with a ValueError naming the file and the fault.
+is not one with a ValueError naming the file and the fault; on any file,
+well-formed or not, it must do what the row-by-row loader
+(`load_trace_json_ref`) does.
 """
 
 import json
@@ -27,8 +29,9 @@ from prefmax import (
     run_descent,
 )
 from prefmax.descent import DescentTrace, TraceRow
+from prefmax.harness import TRACE_COLUMNS
 
-from scalar_reference import emit_trace_columns_ref, emit_trace_ref
+from scalar_reference import emit_trace_columns_ref, emit_trace_ref, load_trace_json_ref
 
 REFERENCE_WRITERS = (emit_trace_ref, emit_trace_columns_ref)
 
@@ -180,6 +183,20 @@ def test_random_column_traces_give_byte_identical_files(tmp_path_factory, trace,
     assert_same_files(trace, fmt, tmp_path_factory.mktemp("trace"))
 
 
+def _columns_repr(trace):
+    return repr((trace.xs, trace.xstars, trace.thetas, trace.dists, trace.gaps,
+                 trace.residuals, trace.termination, trace.reference, trace.lipschitz))
+
+
+@settings(settings.get_profile("differential"), max_examples=150)
+@given(column_traces())
+def test_random_column_traces_load_back_to_their_columns(tmp_path_factory, trace):
+    """Read by columns, a written JSON trace gives back every column by repr:
+    nan, infinities, -0.0 and None included."""
+    path = str(tmp_path_factory.mktemp("trace") / "trace.json")
+    assert _columns_repr(load_trace_json(emit_trace(trace, "json", path))) == _columns_repr(trace)
+
+
 def test_json_trace_loads_back_to_the_written_trace(trace, tmp_path):
     path = tmp_path / "trace.json"
     emit_trace(trace, "json", str(path))
@@ -299,6 +316,16 @@ def test_non_finite_coordinates_raise_as_a_point_does(tmp_path, field):
         load_trace_json(str(path))
 
 
+def test_rows_without_coordinates_raise_as_a_point_does(tmp_path):
+    # every row of one dimension, but that dimension is 0
+    path, payload = _written(tmp_path)
+    for row in payload["rows"]:
+        row["x"], row["xstar"] = [], None
+    path.write_text(json.dumps(payload))
+    with pytest.raises(ValueError, match="^point needs at least one coordinate$"):
+        load_trace_json(str(path))
+
+
 @pytest.mark.parametrize("field, row, value", [("x", 1, [0.5]), ("x", 2, [0.5, 1.0, 2.0]),
                                                ("xstar", 1, [0.5]), ("xstar", 3, [0.1, 0.2, 0.3])])
 def test_rejects_rows_of_another_dimension(tmp_path, field, row, value):
@@ -312,3 +339,60 @@ def test_rejects_a_reference_of_another_dimension(tmp_path):
     path, payload = _written(tmp_path)
     _rejected(path, {**payload, "reference": [1.0, 2.0, 3.0]},
               "the reference has 3 coordinates, the rows 2")
+
+
+JUNK = (None, 3, 10 ** 400, "ab", "", [], {}, {"a": 1}, True, math.nan, [0.5], [0.5, 1.0, 2.0],
+        [math.nan, 0.5], [math.inf], [1, 2], [True, 0], [10 ** 400, 1.0], ["1", 2.0],
+        [[1.0], 2.0], [None, 1.0])
+
+
+@st.composite
+def malformed_payloads(draw):
+    """A written trace's JSON payload with up to four rows, keys or
+    coordinates replaced by junk, or none at all. The faults fall on the
+    first three rows, so one row often has two of them."""
+    trace = draw(column_traces())
+    payload = {"schema": 1, "termination": trace.termination,
+               "reference": list(trace.reference) if trace.reference else None,
+               "lipschitz": trace.lipschitz,
+               "rows": [{"k": k, "x": list(x), "xstar": None if xstar is None else list(xstar),
+                         "theta": t, "dist_to_ref": d, "gap_to_ref": g, "fejer_residual": r}
+                        for k, x, xstar, t, d, g, r in trace.records()]}
+    rows = payload["rows"]
+    for _ in range(draw(st.integers(0, 4))):
+        i = draw(st.integers(0, min(2, len(rows) - 1)))
+        what = draw(st.sampled_from(("row", "key", "k", "x", "xstar", "reference")))
+        if what == "row":
+            rows[i] = draw(st.sampled_from(JUNK))
+        elif not isinstance(rows[i], dict):
+            continue
+        elif what == "key":
+            rows[i].pop(draw(st.sampled_from(TRACE_COLUMNS)), None)
+        elif what == "k":
+            rows[i]["k"] = draw(st.sampled_from((0, i, i + 2, 1.0 * (i + 1), str(i + 1), None,
+                                                 True)))
+        elif what in ("x", "xstar"):
+            rows[i][what] = draw(st.sampled_from(JUNK))
+        else:
+            payload["reference"] = draw(st.sampled_from(JUNK))
+    return payload
+
+
+def _load_outcome(load, path):
+    try:
+        trace = load(path)
+    except Exception as exc:  # the type and message are what is compared
+        return type(exc), str(exc)
+    return _columns_repr(trace)
+
+
+@settings(settings.get_profile("differential"), max_examples=300)
+@given(malformed_payloads())
+def test_any_file_loads_as_the_row_loader_loads_it(tmp_path_factory, payload):
+    """The same columns, or the same exception with the same message, as
+    the row-by-row loader gives: the first faulty row decides, and within
+    it the first fault in the order object, keys, k, x, xstar, dimension."""
+    path = tmp_path_factory.mktemp("trace") / "trace.json"
+    path.write_text(json.dumps(payload))
+    assert _load_outcome(load_trace_json, str(path)) == _load_outcome(load_trace_json_ref,
+                                                                      str(path))
