@@ -23,7 +23,7 @@ def main() -> int:
     trace = descend_fixture("radial-bowl", (0.0, 0.0), theta0=1.0, max_iters=10_000)
     runtime = time.perf_counter() - start
 
-    dists = trace.distances()
+    dists = trace.dists
     print(f"start (0, 0), target {tuple(target.coords)}")
     print(f"termination: {trace.termination} after {len(trace) - 1} steps "
           f"({runtime * 1000:.0f} ms)")

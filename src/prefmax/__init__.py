@@ -6,7 +6,6 @@ from .cones import (
     ConvexBody,
     body_from_sample,
     box_sample,
-    complete_equivalence_check,
     cone_unit_hull,
     normal_membership,
     normal_membership_many,
@@ -44,7 +43,7 @@ from .plastria import (
     zero_gap,
     zero_maximality_check,
 )
-from .points import GroundSet, Point, parse_grid_spec, points_close, pt
+from .points import GroundSet, Point, parse_grid_spec, pt
 from .relations import (
     PropertyReport,
     Relation,
@@ -54,7 +53,6 @@ from .relations import (
     maxima,
     maximal_elements,
     preference_matrix,
-    random_tabular_relation,
     strictly_prefers,
 )
 from .vip import (

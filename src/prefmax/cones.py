@@ -15,8 +15,7 @@ from itertools import groupby
 import numpy as np
 
 from .points import GroundSet, Point, axis_lattice, coord_array, ground_array, norm, scaled_to
-from .relations import (Relation, _scored_strict, preference_matrix, strictly_better_mask,
-                        strictly_better_rows)
+from .relations import Relation, _scored_strict, strictly_better_mask, strictly_better_rows
 
 DEFAULT_TOL = 1e-9
 STRICT_MARGIN = 1e-7
@@ -879,18 +878,3 @@ def contains_zero(body: ConvexBody, tol: float = DEFAULT_TOL) -> bool:
     (`_net_gap_zero`) where it gives one, else `ConvexBody.contains`."""
     verdict = _net_gap_zero(body, tol)
     return body.contains((0.0,) * body.dim, tol) if verdict is None else verdict
-
-
-def complete_equivalence_check(rel: Relation, x: Point, probes, ground: GroundSet,
-                               tol: float = DEFAULT_TOL) -> bool:
-    """For a complete relation, membership in the sampled normal cone must
-    coincide with: every ground point on the strictly-positive side of the
-    probe is weakly worse than x. Both sides are evaluated for all probes at
-    once."""
-    sample = sample_contour(rel, x, ground)
-    P = np.array([tuple(p) for p in probes], dtype=float).reshape(-1, x.dim)
-    lhs = normal_membership_many(sample, P, tol)
-    ahead = _rowdot(P[:, None, :], (ground_array(ground, x.dim) - np.array(x.coords))[None]) > 0.0
-    worse = preference_matrix(rel, [x], ground)[0]
-    rhs = ~(ahead & ~worse).any(axis=1)
-    return bool(np.array_equal(lhs, rhs))

@@ -18,7 +18,7 @@ from typing import Callable, Iterator
 import numpy as np
 
 from .plastria import GapFunction
-from .points import Point, dist, float_coords, norm
+from .points import Point, float_coords
 
 
 class ScheduleValidationError(ValueError):
@@ -146,30 +146,12 @@ class DescentTrace:
                                      self.residuals)):
             raise ValueError("trace columns differ in length")
 
-    @classmethod
-    def from_rows(cls, rows, termination: str, reference: Point | None = None,
-                  lipschitz: float | None = None) -> "DescentTrace":
-        """The trace of TraceRows numbered k = 1..n."""
-        rows = tuple(rows)
-        for k, r in enumerate(rows, 1):
-            if r.k != k:
-                raise ValueError(f"row {k} has k = {r.k!r}; trace rows are numbered 1..n")
-        return cls(tuple(r.x.coords for r in rows),
-                   tuple(None if r.xstar is None else r.xstar.coords for r in rows),
-                   tuple(r.theta for r in rows), tuple(r.dist for r in rows),
-                   tuple(r.gap for r in rows), tuple(r.fejer_residual for r in rows),
-                   termination, reference=reference, lipschitz=lipschitz)
-
-    def records(self):
-        """(k, x, xstar, theta, dist, gap, residual) per row, read off the columns."""
-        return zip(count(1), self.xs, self.xstars, self.thetas, self.dists, self.gaps,
-                   self.residuals)
-
     @cached_property
     def rows(self) -> tuple[TraceRow, ...]:
         return tuple(
             TraceRow(k, Point(x), None if xstar is None else Point(xstar), theta, d, g, r)
-            for k, x, xstar, theta, d, g, r in self.records())
+            for k, x, xstar, theta, d, g, r in zip(count(1), self.xs, self.xstars, self.thetas,
+                                                   self.dists, self.gaps, self.residuals))
 
     def __len__(self) -> int:
         return len(self.xs)
@@ -177,11 +159,6 @@ class DescentTrace:
     @property
     def final_point(self) -> Point:
         return Point(self.xs[-1])
-
-    def distances(self) -> list[float]:
-        if self.reference is None:
-            raise ValueError("trace has no reference point")
-        return _distance_column(self.xs, tuple(self.reference)).tolist()
 
 
 def run_descent(oracle: Callable[[tuple], tuple], x1: Point, schedule: StepSchedule,
@@ -321,15 +298,3 @@ def gap_convergence_stat(trace: DescentTrace, gap: GapFunction, reference: Point
         raise ValueError("empty trace")
     tail = max(1, math.ceil(0.05 * len(trace.xs)))
     return max(map(abs, gap.column(trace.xs[-tail:], reference.coords)))
-
-
-def reconstruction_residuals(trace: DescentTrace) -> list[float]:
-    """Relative residuals of x_{k+1} = x_k - theta_k x_k^* along the trace."""
-    out = []
-    xs = trace.xs
-    for theta, xstar, x, x_next in zip(trace.thetas, trace.xstars, xs, xs[1:]):
-        if theta is None or xstar is None:
-            continue
-        predicted = map(sub, x, map(mul, xstar, repeat(theta)))
-        out.append(dist(x_next, predicted) / (1.0 + norm(x)))
-    return out

@@ -347,9 +347,10 @@ def emit_trace(trace: DescentTrace, fmt: str, path: str) -> str:
 def load_trace_json(path: str) -> DescentTrace:
     """Read a trace `emit_trace` wrote as JSON. A file that is not one raises
     ValueError naming the file and the fault: bad JSON, another schema, a
-    missing key, no rows, rows not numbered k = 1..n, or an x, xstar or
-    reference of another dimension than row 1's x. A non-finite coordinate
-    raises the ValueError a Point gives."""
+    missing key, no rows, rows not numbered k = 1..n, an x, xstar or
+    reference that is not a list of floats, or one of another dimension
+    than row 1's x. A non-finite coordinate raises the ValueError a Point
+    gives."""
     with open(path) as fh:
         try:
             payload = json.load(fh)
@@ -369,7 +370,8 @@ def load_trace_json(path: str) -> DescentTrace:
     if columns is None:
         _raise_row_fault(path, rows)
     dim = len(columns[0][0])
-    ref = Point(tuple(payload["reference"])) if payload["reference"] else None
+    ref = payload["reference"]
+    ref = Point(_coords_of(path, "the reference", ref)) if ref else None
     if ref is not None and ref.dim != dim:
         raise ValueError(f"{path}: the reference has {ref.dim} coordinates, the rows {dim}")
     return DescentTrace(*columns, payload["termination"], reference=ref,
@@ -408,13 +410,23 @@ def _raise_row_fault(path: str, rows: list) -> None:
         if r["k"] != k:
             raise ValueError(f"{path}: row {k} has k = {r['k']!r}; "
                              f"rows must be numbered 1..{len(rows)}")
-        x, xstar = float_coords(tuple(r["x"])), r["xstar"]
-        xstar = None if xstar is None else float_coords(tuple(xstar))
+        x, xstar = _coords_of(path, f"row {k}'s x", r["x"]), r["xstar"]
+        xstar = None if xstar is None else _coords_of(path, f"row {k}'s xstar", xstar)
         if k == 1:
             dim = len(x)
         if len(x) != dim or (xstar is not None and len(xstar) != dim):
             raise ValueError(f"{path}: row {k} has an x or xstar of another dimension "
                              f"than row 1's x ({dim})")
+
+
+def _coords_of(path: str, what: str, value) -> tuple[float, ...]:
+    """`value` as the coordinates of a Point. A value that is not a list of
+    floats (not a list, a string in it, an int too large for a float)
+    raises ValueError naming the file and `what`."""
+    try:
+        return float_coords(tuple(value))
+    except (TypeError, OverflowError) as exc:
+        raise ValueError(f"{path}: {what} is not a list of floats: {exc}") from exc
 
 
 def emit_report(report: RunReport, path: str) -> str:

@@ -9,9 +9,6 @@ from itertools import product, repeat
 
 import numpy as np
 
-# Absolute per-coordinate tolerance for treating two generated points as equal.
-COORD_ATOL = 1e-12
-
 # Default grid steps by dimension (1-D fine, 2-D coarser per axis).
 DEFAULT_STEP = {1: 0.01, 2: 0.05}
 
@@ -57,14 +54,6 @@ def float_coords(coords: tuple) -> tuple[float, ...]:
     return tuple(map(float, coords))
 
 
-def dot(a, b) -> float:
-    return sum(x * y for x, y in zip(a, b))
-
-
-def sub(a, b) -> tuple[float, ...]:
-    return tuple(x - y for x, y in zip(a, b))
-
-
 def norm(a) -> float:
     return math.sqrt(sum(map(operator.mul, a, a)))
 
@@ -79,12 +68,6 @@ def dist(a, b) -> float:
     """||a - b||, summed coordinate by coordinate from the first."""
     t = list(map(operator.sub, a, b))
     return math.sqrt(sum(map(operator.mul, t, t)))
-
-
-def points_close(a: Point, b: Point, atol: float = COORD_ATOL) -> bool:
-    if a.dim != b.dim:
-        return False
-    return all(abs(x - y) <= atol for x, y in zip(a, b))
 
 
 def check_same_dim(*items) -> int:

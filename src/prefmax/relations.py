@@ -441,24 +441,3 @@ def maxima(rel: Relation, ground: GroundSet) -> list[Point]:
     for blk in _row_blocks(len(pts), len(pts)):
         top[blk] = _holds(rel, g[blk, None], g[None]).all(axis=1)
     return [pts[i] for i in np.flatnonzero(top)]
-
-
-def random_tabular_relation(rng: np.random.Generator, n: int, style: str = "uniform",
-                            dim: int = 1) -> Relation:
-    """A random relation on n integer points, for property fuzzing.
-
-    styles: "uniform" raw random matrix, "closure" transitive closure of a
-    random matrix, "utility" complete preorder from random scores with ties.
-    """
-    ground = [Point(tuple(float(i) if d == 0 else 0.0 for d in range(dim))) for i in range(n)]
-    if style == "utility":
-        scores = rng.integers(0, max(2, n // 2), size=n)
-        mat = [[scores[i] >= scores[j] for j in range(n)] for i in range(n)]
-    else:
-        mat = (rng.random((n, n)) < rng.uniform(0.2, 0.8)).tolist()
-        if style == "closure":
-            m = np.array(mat, dtype=bool)
-            for _ in range(n):
-                m = m | (m @ m)
-            mat = m.tolist()
-    return Relation.from_table(f"random-{style}", ground, mat)

@@ -16,7 +16,9 @@ writer that came between, with `csv.writer` and `json.dumps` over the
 columns, and `load_trace_json_ref` the loader that checked a trace file row
 by row. The differential tests
 hold the array versions and the tuple descent loop to these, result for
-result and witness for witness, row for row.
+result and witness for witness, row for row. The module also holds test
+helpers with no library counterpart: `complete_equivalence_check`,
+`trace_from_rows`, `trace_records` and `random_tabular_relation`.
 """
 
 from __future__ import annotations
@@ -32,7 +34,8 @@ from itertools import chain, combinations, product
 import numpy as np
 from scipy.optimize import nnls
 
-from prefmax import ContourSample, ConvexBody, Point, PropertyReport, VipCertificate
+from prefmax import (ContourSample, ConvexBody, Point, PropertyReport, Relation, VipCertificate,
+                     holds, normal_membership_many, sample_contour)
 from prefmax.cones import unit_net
 from prefmax.descent import DescentTrace, OracleNormViolation, TraceRow
 from prefmax.harness import SCHEMA_VERSION, TRACE_COLUMNS
@@ -339,6 +342,18 @@ def normal_membership_ref(sample, xstar, tol: float) -> bool:
     return True
 
 
+def complete_equivalence_check(rel, x: Point, probes, ground, tol: float = 1e-9) -> bool:
+    """For a complete relation, membership in the sampled normal cone must
+    coincide with: every ground point on the strictly-positive side of the
+    probe is weakly worse than x. The cone side is `normal_membership_many`
+    on x's contour sample; the other side is checked pair by pair."""
+    P = np.array([tuple(p) for p in probes], dtype=float).reshape(-1, x.dim)
+    lhs = normal_membership_many(sample_contour(rel, x, ground), P, tol)
+    worse = [(y, holds(rel, x, y)) for y in ground]
+    rhs = [all(w for y, w in worse if dot(p, sub(y, x)) > 0.0) for p in P.tolist()]
+    return lhs.tolist() == rhs
+
+
 def strict_normal_membership_ref(sample, xstar, margin: float) -> bool:
     if margin <= 0:
         raise ValueError("margin must be positive")
@@ -517,7 +532,23 @@ def run_descent_ref(oracle, x1: Point, schedule, config, reference=None,
     else:
         d, g = diag(x)
         rows.append(TraceRow(config.max_iters + 1, x, None, None, d, g, None))
-    return DescentTrace.from_rows(rows, termination, reference=reference, lipschitz=L)
+    return trace_from_rows(rows, termination, reference=reference, lipschitz=L)
+
+
+def trace_from_rows(rows, termination: str, reference=None, lipschitz=None) -> DescentTrace:
+    """The trace whose rows are the TraceRows `rows`, numbered 1..n, through
+    the column constructor."""
+    return DescentTrace(tuple(r.x.coords for r in rows),
+                        tuple(None if r.xstar is None else r.xstar.coords for r in rows),
+                        tuple(r.theta for r in rows), tuple(r.dist for r in rows),
+                        tuple(r.gap for r in rows), tuple(r.fejer_residual for r in rows),
+                        termination, reference=reference, lipschitz=lipschitz)
+
+
+def trace_records(trace: DescentTrace):
+    """(k, x, xstar, theta, dist, gap, residual) per row, read off the columns."""
+    return zip(range(1, len(trace) + 1), trace.xs, trace.xstars, trace.thetas, trace.dists,
+               trace.gaps, trace.residuals)
 
 
 def distances_ref(trace: DescentTrace) -> list[float]:
@@ -595,8 +626,8 @@ def emit_trace_ref(trace: DescentTrace, fmt: str, path: str) -> str:
 
 def emit_trace_columns_ref(trace: DescentTrace, fmt: str, path: str) -> str:
     """The columnar `emit_trace` that `emit_trace_ref` gave way to: the same
-    fields read off `trace.records()`, one `csv.writer` call per row, and
-    `json.dumps(payload, indent=1)` over a list of row dicts."""
+    fields read off the columns (`trace_records`), one `csv.writer` call per
+    row, and `json.dumps(payload, indent=1)` over a list of row dicts."""
     def fmt_value(value):
         return "" if value is None else repr(value)
 
@@ -607,7 +638,7 @@ def emit_trace_columns_ref(trace: DescentTrace, fmt: str, path: str) -> str:
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(TRACE_COLUMNS)
-        for k, x, xstar, theta, d, g, r in trace.records():
+        for k, x, xstar, theta, d, g, r in trace_records(trace):
             writer.writerow([k, fmt_coords(x), fmt_coords(xstar), fmt_value(theta),
                              fmt_value(d), fmt_value(g), fmt_value(r)])
         text = buf.getvalue()
@@ -627,7 +658,7 @@ def emit_trace_columns_ref(trace: DescentTrace, fmt: str, path: str) -> str:
                     "gap_to_ref": g,
                     "fejer_residual": r,
                 }
-                for k, x, xstar, theta, d, g, r in trace.records()
+                for k, x, xstar, theta, d, g, r in trace_records(trace)
             ],
         }
         text = json.dumps(payload, indent=1)
@@ -666,17 +697,52 @@ def load_trace_json_ref(path: str) -> DescentTrace:
         if r["k"] != k:
             raise ValueError(f"{path}: row {k} has k = {r['k']!r}; "
                              f"rows must be numbered 1..{len(rows)}")
-        x, xstar = Point(tuple(r["x"])).coords, r["xstar"]
-        xstar = None if xstar is None else Point(tuple(xstar)).coords
+        x, xstar = _point_coords(path, f"row {k}'s x", r["x"]), r["xstar"]
+        xstar = None if xstar is None else _point_coords(path, f"row {k}'s xstar", xstar)
         dim = len(records[0][0]) if records else len(x)
         if len(x) != dim or (xstar is not None and len(xstar) != dim):
             raise ValueError(f"{path}: row {k} has an x or xstar of another dimension "
                              f"than row 1's x ({dim})")
         records.append((x, xstar, r["theta"], r["dist_to_ref"], r["gap_to_ref"],
                         r["fejer_residual"]))
-    ref = Point(tuple(payload["reference"])) if payload["reference"] else None
+    ref = payload["reference"]
+    ref = Point(_point_coords(path, "the reference", ref)) if ref else None
     if ref is not None and ref.dim != len(records[0][0]):
         raise ValueError(f"{path}: the reference has {ref.dim} coordinates, "
                          f"the rows {len(records[0][0])}")
     return DescentTrace(*zip(*records), payload["termination"], reference=ref,
                         lipschitz=payload["lipschitz"])
+
+
+def _point_coords(path: str, what: str, value) -> tuple[float, ...]:
+    """A Point's coordinates made from `value`; a value a Point cannot take
+    (not a list, a string in it, an int too large for a float) raises
+    ValueError naming the file."""
+    try:
+        return Point(tuple(value)).coords
+    except (TypeError, OverflowError) as exc:
+        raise ValueError(f"{path}: {what} is not a list of floats: {exc}") from exc
+
+
+# ------------------------------------------------------ random relations
+
+
+def random_tabular_relation(rng: np.random.Generator, n: int, style: str = "uniform",
+                            dim: int = 1) -> Relation:
+    """A random relation on n integer points, for property fuzzing.
+
+    styles: "uniform" raw random matrix, "closure" transitive closure of a
+    random matrix, "utility" complete preorder from random scores with ties.
+    """
+    ground = [Point(tuple(float(i) if d == 0 else 0.0 for d in range(dim))) for i in range(n)]
+    if style == "utility":
+        scores = rng.integers(0, max(2, n // 2), size=n)
+        mat = [[scores[i] >= scores[j] for j in range(n)] for i in range(n)]
+    else:
+        mat = (rng.random((n, n)) < rng.uniform(0.2, 0.8)).tolist()
+        if style == "closure":
+            m = np.array(mat, dtype=bool)
+            for _ in range(n):
+                m = m | (m @ m)
+            mat = m.tolist()
+    return Relation.from_table(f"random-{style}", ground, mat)

@@ -22,11 +22,12 @@ from prefmax import (
     plastria_membership,
     pt,
     quasi_fejer_check,
-    random_tabular_relation,
     strict_normal_membership,
     svip_solutions,
     zero_maximality_check,
 )
+
+from scalar_reference import random_tabular_relation
 
 
 def verdict(num: int, ok: bool, message: str) -> None:
@@ -48,7 +49,7 @@ def radial_run():
 
 def test_criterion_01_descent_convergence():
     trace, runtime = radial_run()
-    dists = trace.distances()
+    dists = trace.dists
     final = dists[-1]
     # the independent one-dimensional recursion for the radial dynamics
     e = dists[0]

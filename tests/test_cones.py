@@ -12,7 +12,6 @@ from prefmax import (
     GroundSet,
     box_sample,
     body_from_sample,
-    complete_equivalence_check,
     cone_unit_hull,
     maximal_elements,
     normal_membership,
@@ -22,6 +21,8 @@ from prefmax import (
     strict_normal_membership,
 )
 from prefmax.cones import unit_net
+
+from scalar_reference import complete_equivalence_check
 
 
 def line_sample(base, lo, hi, step=0.01, exclude=()):

@@ -17,9 +17,9 @@ from prefmax import (
     quasi_fejer_check,
     run_descent,
 )
-from prefmax.descent import DescentTrace, TraceRow, reconstruction_residuals
+from prefmax.descent import TraceRow
 
-from scalar_reference import norm, sub, theta_ref
+from scalar_reference import norm, reconstruction_residuals_ref, sub, theta_ref, trace_from_rows
 
 
 # ----------------------------------------------------------------- schedules
@@ -137,8 +137,8 @@ def test_radial_run_contracts_and_reconstructs(radial):
     trace = descend_fixture("radial-bowl", (0.0, 0.0), max_iters=500)
     assert trace.termination == "maxIters"
     assert len(trace.rows) == 501
-    assert trace.distances()[-1] < 0.05
-    assert max(reconstruction_residuals(trace)) <= 1e-12
+    assert trace.dists[-1] < 0.05
+    assert max(reconstruction_residuals_ref(trace)) <= 1e-12
     L = radial.gap.lipschitz
     for r in trace.rows:
         if r.xstar is not None:
@@ -184,7 +184,7 @@ def test_quasi_fejer_rejects_adversarial_trace():
         TraceRow(1, pt(0.0), pt(-1.0), 1.0),
         TraceRow(2, pt(1.0), None, None),
     )
-    trace = DescentTrace.from_rows(rows, "maxIters", reference=pt(0.0), lipschitz=0.1)
+    trace = trace_from_rows(rows, "maxIters", reference=pt(0.0), lipschitz=0.1)
     assert not quasi_fejer_check(trace, pt(0.0), L=0.1)
 
 
@@ -196,7 +196,7 @@ def test_gap_stat_zero_at_reference(radial):
 
 def test_gap_stat_flags_short_runs(radial):
     trace = descend_fixture("radial-bowl", (100.0, 100.0), max_iters=10)
-    d1 = trace.distances()[0]
+    d1 = trace.dists[0]
     stat = gap_convergence_stat(trace, radial.gap, pt(1.0, 2.0))
     assert stat > 0.9 * d1  # ten harmonic steps barely dent a far start
 
@@ -208,18 +208,18 @@ def test_gap_stat_reads_exactly_the_last_five_percent(n, tail):
     gap = gap_from_utility(lambda x: -abs(x[0]), 1.0)
     xs = [100.0 if k == n - tail else float(k) for k in range(1, n + 1)]
     rows = [TraceRow(k, pt(x), None, None) for k, x in enumerate(xs, 1)]
-    trace = DescentTrace.from_rows(rows, "maxIters")
+    trace = trace_from_rows(rows, "maxIters")
     assert gap_convergence_stat(trace, gap, pt(0.0)) == float(n)
 
 
 def test_gap_stat_rejects_empty_trace(radial):
     with pytest.raises(ValueError):
-        gap_convergence_stat(DescentTrace.from_rows((), "maxIters"), radial.gap, pt(1.0, 2.0))
+        gap_convergence_stat(trace_from_rows((), "maxIters"), radial.gap, pt(1.0, 2.0))
 
 
 def test_radial_distance_monotone_then_step_bounded():
     trace = descend_fixture("radial-bowl", (0.0, 0.0), max_iters=2000)
-    dists = trace.distances()
+    dists = trace.dists
     crossing = None
     for i, row in enumerate(trace.rows):
         if row.theta is not None and dists[i] < row.theta:
@@ -236,7 +236,7 @@ def test_radial_distance_monotone_then_step_bounded():
 
 def test_iterates_stay_within_theory_bound():
     trace = descend_fixture("radial-bowl", (0.0, 0.0), max_iters=2000)
-    d1 = trace.distances()[0]
+    d1 = trace.dists[0]
     s2 = sum(r.theta ** 2 for r in trace.rows if r.theta is not None)
     bound = norm(trace.rows[0].x.coords) + d1 + s2 + 1.0
     assert max(norm(r.x.coords) for r in trace.rows) <= bound

@@ -6,7 +6,7 @@ the original Point oracle. Traces must agree row for row by repr (every float
 to the last bit), with the same termination, the same oracle calls in the
 same order, the gap evaluated once per row in row order (inside the reference
 loop, after the library's), and the same `quasi_fejer_check`,
-`gap_convergence_stat`, `distances` and `reconstruction_residuals`. A run
+`gap_convergence_stat` and distance column. A run
 that fails must fail in both loops with the same exception and message, so
 at the same iteration.
 """
@@ -30,14 +30,14 @@ from prefmax import (
     quasi_fejer_check,
     run_descent,
 )
-from prefmax.descent import DescentTrace, TraceRow, reconstruction_residuals
+from prefmax.descent import TraceRow, _distance_column
 
 from scalar_reference import (
     descent_oracle_ref,
     distances_ref,
     quasi_fejer_check_ref,
-    reconstruction_residuals_ref,
     run_descent_ref,
+    trace_from_rows,
 )
 
 DIFFERENTIAL = settings(settings.get_profile("differential"), max_examples=60)
@@ -111,9 +111,8 @@ def assert_same_run(oracle, oracle_ref, x1, schedule, config, reference=None, ga
     assert _reprs(new.rows) == _reprs(ref.rows)
     assert new.termination == ref.termination
     assert repr((new.reference, new.lipschitz)) == repr((ref.reference, ref.lipschitz))
-    assert _reprs(reconstruction_residuals(new)) == _reprs(reconstruction_residuals_ref(ref))
     if reference is not None:
-        assert _reprs(new.distances()) == _reprs(distances_ref(ref))
+        assert _reprs(new.dists) == _reprs(distances_ref(ref))
     L = config.lipschitz
     for r in probes:
         for slack in (1e-10, 0.0):
@@ -294,12 +293,12 @@ def test_diagnostics_match_on_arbitrary_traces(dim, seed, n, stranded, slack):
         rows.append(TraceRow(k, pt(*x.tolist()), xstar, theta))
         x = 0.8 * x + rng.normal(scale=0.3, size=dim)
     reference = pt(*rng.uniform(-0.5, 0.5, size=dim).tolist())
-    trace = DescentTrace.from_rows(tuple(rows), "maxIters", reference=reference, lipschitz=1.0)
-    assert _reprs(trace.distances()) == _reprs(distances_ref(trace))
-    assert _reprs(reconstruction_residuals(trace)) == _reprs(reconstruction_residuals_ref(trace))
+    trace = trace_from_rows(rows, "maxIters", reference=reference, lipschitz=1.0)
+    assert (_reprs(_distance_column(trace.xs, tuple(reference)).tolist())
+            == _reprs(distances_ref(trace)))
     for m in range(1, n + 1):  # every prefix, so each pair decides one verdict
-        prefix = DescentTrace.from_rows(trace.rows[:m], "maxIters", reference=reference,
-                                        lipschitz=1.0)
+        prefix = trace_from_rows(trace.rows[:m], "maxIters", reference=reference,
+                                 lipschitz=1.0)
         for L in (0.1, 1.0):
             assert (quasi_fejer_check(prefix, reference, L, slack)
                     == quasi_fejer_check_ref(prefix, reference, L, slack))

@@ -1,8 +1,8 @@
 """The descent trace's column pass against the scalar reference loop.
 
 `run_descent` computes its dists and residuals columns after the loop, in
-one numpy pass over the stacked iterates, and `DescentTrace.distances()` and
-`quasi_fejer_check` use the same kernel. Each is compared by repr with
+one numpy pass over the stacked iterates (`_distance_column`), and
+`quasi_fejer_check` uses the same kernel. Each is compared by repr with
 tests/scalar_reference.py, which recomputes every distance with Python
 floats, on traces in 1-D to 3-D: coordinates near 1e154-1e308, where the
 differences and squares overflow, and rows without a step in mid-trace.
@@ -15,9 +15,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from prefmax import DescentConfig, OracleNormViolation, StepSchedule, pt, quasi_fejer_check
-from prefmax.descent import DescentTrace, TraceRow, run_descent
+from prefmax.descent import TraceRow, _distance_column, run_descent
 
-from scalar_reference import distances_ref, quasi_fejer_check_ref, run_descent_ref
+from scalar_reference import distances_ref, quasi_fejer_check_ref, run_descent_ref, trace_from_rows
 
 DIFFERENTIAL = settings(settings.get_profile("differential"), max_examples=80)
 
@@ -57,18 +57,19 @@ def traces(draw):
                            min_size=n, max_size=n))
     reference = draw(points(dim))
     rows = tuple(TraceRow(k, x, None, theta) for k, (x, theta) in enumerate(zip(xs, thetas), 1))
-    return DescentTrace.from_rows(rows, "maxIters", reference=reference, lipschitz=1.0)
+    return trace_from_rows(rows, "maxIters", reference=reference, lipschitz=1.0)
 
 
 @DIFFERENTIAL
 @given(traces(), st.sampled_from((1e-3, 1.0, 1e154)), st.sampled_from((0.0, 1e-10, 1.0)),
        st.data())
 def test_distances_and_the_fejer_check_match_on_any_trace(trace, L, slack, data):
-    assert _reprs(trace.distances()) == _reprs(distances_ref(trace))
+    dists = _distance_column(trace.xs, tuple(trace.reference)).tolist()
+    assert _reprs(dists) == _reprs(distances_ref(trace))
     probe = data.draw(points(len(trace.reference.coords)))
     for m in range(1, len(trace) + 1):  # every prefix, so each pair decides one verdict
-        prefix = DescentTrace.from_rows(trace.rows[:m], "maxIters", reference=trace.reference,
-                                        lipschitz=1.0)
+        prefix = trace_from_rows(trace.rows[:m], "maxIters", reference=trace.reference,
+                                 lipschitz=1.0)
         for reference in (trace.reference, probe):
             assert (quasi_fejer_check(prefix, reference, L, slack)
                     == quasi_fejer_check_ref(prefix, reference, L, slack))
@@ -104,7 +105,7 @@ def test_run_columns_match_the_scalar_loop(dim, data):
         assert new == ref
         return
     assert _reprs(new.rows) == _reprs(ref.rows)
-    assert _reprs(new.distances()) == _reprs(distances_ref(ref))
+    assert _reprs(new.dists) == _reprs(distances_ref(ref))
     for slack in (0.0, 1e-10):
         assert (quasi_fejer_check(new, reference, 1.0, slack)
                 == quasi_fejer_check_ref(ref, reference, 1.0, slack))
@@ -140,11 +141,8 @@ def test_a_reference_or_iterates_of_another_dimension_raise():
     trace = run_descent(*args[:4])
     with pytest.raises(ValueError, match="differ in dimension"):
         quasi_fejer_check(trace, pt(0.5), 1.0)
-    mixed = DescentTrace.from_rows((TraceRow(1, pt(2.0, 1.0), None, 0.5),
-                                    TraceRow(2, pt(1.4), None, None)),
-                                   "maxIters", reference=pt(0.0, 0.0))
     with pytest.raises(ValueError, match="differ in dimension"):
-        mixed.distances()
+        _distance_column(((2.0, 1.0), (1.4,)), (0.0, 0.0))
 
 
 @pytest.mark.parametrize("x1, x2, theta, holds", [
@@ -157,7 +155,7 @@ def test_the_fejer_bound_is_summed_left_to_right(x1, x2, theta, holds):
     scalar check adds decides the verdict."""
     reference, slack = pt(0.0), 1e-16
     rows = (TraceRow(1, pt(x1), None, theta), TraceRow(2, pt(x2), None, None))
-    trace = DescentTrace.from_rows(rows, "maxIters", reference=reference)
+    trace = trace_from_rows(rows, "maxIters", reference=reference)
     d, d2 = distances_ref(trace)
     budget, extra = theta * theta, slack * (1.0 + d * d)
     assert (d2 * d2 > d * d + budget + extra) != (d2 * d2 > d * d + (budget + extra))

@@ -208,7 +208,7 @@ def test_cli_descend_prints_the_final_distance(name, x0, max_iters):
     expected = [f"termination={trace.termination} iterations={len(trace) - 1} "
                 f"final={','.join(map(repr, trace.final_point.coords))}"]
     if trace.reference is not None:
-        expected.append(f"distance_to_reference={trace.distances()[-1]!r}")
+        expected.append(f"distance_to_reference={trace.dists[-1]!r}")
     assert result.stdout.splitlines() == expected
 
 

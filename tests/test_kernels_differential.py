@@ -48,7 +48,6 @@ from prefmax import (
     plastria_membership,
     preference_matrix,
     pt,
-    random_tabular_relation,
     sample_contour,
     strict_normal_membership,
     strictly_prefers,
@@ -75,6 +74,7 @@ from scalar_reference import (
     mvip_solutions_ref,
     normal_membership_ref,
     plastria_membership_ref,
+    random_tabular_relation,
     sample_contour_ref,
     scalar_holds,
     strict_normal_membership_ref,

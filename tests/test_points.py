@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from prefmax import GroundSet, Point, parse_grid_spec, points_close, pt
+from prefmax import GroundSet, Point, parse_grid_spec, pt
 from prefmax.points import axis_lattice
 
 
@@ -77,12 +77,6 @@ def test_axis_lattice_names_a_non_finite_value(lo, hi, step, message):
 def test_explicit_requires_distinct():
     with pytest.raises(ValueError):
         GroundSet.explicit([pt(1.0), pt(1.0)])
-
-
-def test_points_close():
-    assert points_close(pt(0.3), pt(0.3 + 1e-13))
-    assert not points_close(pt(0.3), pt(0.3 + 1e-9))
-    assert not points_close(pt(0.3), pt(0.3, 0.0))
 
 
 @given(st.floats(-100, 100), st.floats(1e-3, 100))

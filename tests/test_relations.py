@@ -12,9 +12,10 @@ from prefmax import (
     maxima,
     maximal_elements,
     pt,
-    random_tabular_relation,
     strictly_prefers,
 )
+
+from scalar_reference import random_tabular_relation
 
 
 def coords(points):

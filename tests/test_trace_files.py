@@ -28,10 +28,11 @@ from prefmax import (
     pt,
     run_descent,
 )
-from prefmax.descent import DescentTrace, TraceRow
+from prefmax.descent import DescentTrace
 from prefmax.harness import TRACE_COLUMNS
 
-from scalar_reference import emit_trace_columns_ref, emit_trace_ref, load_trace_json_ref
+from scalar_reference import (emit_trace_columns_ref, emit_trace_ref, load_trace_json_ref,
+                              trace_from_rows, trace_records)
 
 REFERENCE_WRITERS = (emit_trace_ref, emit_trace_columns_ref)
 
@@ -206,8 +207,7 @@ def test_json_trace_loads_back_to_the_written_trace(trace, tmp_path):
 
 
 def test_rows_round_trip_to_equal_columns(trace):
-    again = DescentTrace.from_rows(trace.rows, trace.termination, trace.reference,
-                                   trace.lipschitz)
+    again = trace_from_rows(trace.rows, trace.termination, trace.reference, trace.lipschitz)
     assert again == trace
     assert (again.xs, again.xstars, again.thetas, again.dists, again.gaps,
             again.residuals) == (trace.xs, trace.xstars, trace.thetas, trace.dists,
@@ -230,12 +230,6 @@ def test_columns_hold_float_tuples_from_any_oracle_output():
     assert all(type(c) is float for x in trace.xs for c in x)
     assert all(type(c) is float for xs in trace.xstars for c in xs)
     assert trace.xs == ((3.0, 1.0), (2.5, 1.0), (2.0, 1.0))
-
-
-def test_from_rows_needs_rows_numbered_from_one():
-    rows = (TraceRow(1, pt(0.0), pt(1.0), 0.5), TraceRow(3, pt(-0.5), None, None))
-    with pytest.raises(ValueError, match="row 2 has k = 3"):
-        DescentTrace.from_rows(rows, "maxIters")
 
 
 def test_columns_must_have_equal_lengths():
@@ -341,6 +335,23 @@ def test_rejects_a_reference_of_another_dimension(tmp_path):
               "the reference has 3 coordinates, the rows 2")
 
 
+@pytest.mark.parametrize("value, fault", [(1, "'int' object is not iterable"),
+                                          (["1", 2.0], "must be real number, not str"),
+                                          ([10 ** 400, 1.0], "int too large to convert to float")])
+@pytest.mark.parametrize("field", ("x", "xstar", "reference"))
+def test_rejects_coordinates_that_are_not_floats(tmp_path, field, value, fault):
+    # a value whose conversion to floats raises TypeError or OverflowError
+    path, payload = _written(tmp_path)
+    if field == "reference":
+        payload["reference"] = value
+        what = "the reference"
+    else:
+        payload["rows"][1][field] = value
+        what = f"row 2's {field}"
+    message = _rejected(path, payload, f"{what} is not a list of floats")
+    assert message.endswith(fault)
+
+
 JUNK = (None, 3, 10 ** 400, "ab", "", [], {}, {"a": 1}, True, math.nan, [0.5], [0.5, 1.0, 2.0],
         [math.nan, 0.5], [math.inf], [1, 2], [True, 0], [10 ** 400, 1.0], ["1", 2.0],
         [[1.0], 2.0], [None, 1.0])
@@ -357,7 +368,7 @@ def malformed_payloads(draw):
                "lipschitz": trace.lipschitz,
                "rows": [{"k": k, "x": list(x), "xstar": None if xstar is None else list(xstar),
                          "theta": t, "dist_to_ref": d, "gap_to_ref": g, "fejer_residual": r}
-                        for k, x, xstar, t, d, g, r in trace.records()]}
+                        for k, x, xstar, t, d, g, r in trace_records(trace)]}
     rows = payload["rows"]
     for _ in range(draw(st.integers(0, 4))):
         i = draw(st.integers(0, min(2, len(rows) - 1)))
