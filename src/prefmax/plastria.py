@@ -15,9 +15,9 @@ from typing import Callable
 
 import numpy as np
 
-from .cones import DEFAULT_TOL, ContourSample, normal_cone_test
+from .cones import DEFAULT_TOL, ContourSample, _rowdot, normal_cone_test
 from .points import GroundSet, Point, ground_array, scaled_to
-from .relations import PropertyReport, Relation, preference_matrix
+from .relations import PropertyReport, Relation, _row_blocks, preference_matrix
 
 # Sign flags, named by content:
 #   negative_iff_better  -- f(x,y) < 0 exactly on the strictly-better set of x
@@ -31,7 +31,7 @@ class GapFunction:
     lipschitz: float
     negative_iff_better: bool = False
     positive_iff_worse: bool = False
-    utility: Callable[[tuple], float] | None = None  # u, where fn is u(x) - u(y)
+    utility: Callable[[tuple], float] | None = None  # u, returning floats; fn is u(x) - u(y)
 
     def __post_init__(self):
         if not math.isfinite(self.lipschitz):
@@ -42,15 +42,28 @@ class GapFunction:
     def __call__(self, x, y) -> float:
         return float(self.fn(tuple(x), tuple(y)))
 
+    def table(self, xs, ys=None):
+        """f(x, y) for every x of `xs` and y of `ys` (`xs` by default), each
+        as `self(x, y)` gives it, as (rows, block) pairs: the rows `rows` (a
+        slice of xs) in row blocks of `relations._row_blocks`. A gap from a
+        utility calls u once per y, then once per x (once per point when
+        `ys` is omitted); any other gap calls `fn` once per pair, by rows."""
+        xs = list(map(tuple, xs))
+        ys = xs if ys is None else list(map(tuple, ys))
+        if self.utility is not None:
+            uy = np.fromiter(map(self.utility, ys), float, len(ys))
+            ux = uy if ys is xs else np.fromiter(map(self.utility, xs), float, len(xs))
+        for rows in _row_blocks(len(xs), len(ys)):
+            if self.utility is None:
+                F = np.array([[float(self.fn(x, y)) for y in ys] for x in xs[rows]], dtype=float)
+            else:
+                with np.errstate(over="ignore", invalid="ignore"):
+                    F = ux[rows, None] - uy
+            yield rows, F
+
     def column(self, xs, y) -> list[float]:
-        """f(x, y) for every x of `xs`, each as `self(x, y)` gives it. A gap
-        from a utility evaluates u(y) once, ahead of the xs, then u at each
-        x in order."""
-        y, xs = tuple(y), map(tuple, xs)
-        if self.utility is None:
-            return [float(self.fn(x, y)) for x in xs]
-        uy = self.utility(y)
-        return [float(ux - uy) for ux in map(self.utility, xs)]
+        """f(x, y) for every x of `xs`: the one-column `table`."""
+        return [v for _, F in self.table(xs, [y]) for v in F[:, 0].tolist()]
 
     def flags(self) -> dict[str, bool]:
         return {name: getattr(self, name) for name in FLAG_NAMES}
@@ -63,37 +76,18 @@ def gap_from_utility(u: Callable[[tuple], float], lipschitz: float) -> GapFuncti
 
 
 def zero_gap(lipschitz: float = 1.0) -> GapFunction:
-    """The identically-zero gap; the membership test then coincides with the
-    classical normal cone."""
-    return GapFunction(lambda x, y: 0.0, lipschitz,
-                       negative_iff_better=True, positive_iff_worse=True)
+    """The identically-zero gap, that of the zero utility; the membership
+    test then coincides with the classical normal cone."""
+    return gap_from_utility(lambda x: 0.0, lipschitz)
 
 
-def audit_gap_flags(gap: GapFunction, rel: Relation, ground: GroundSet,
-                    rng: np.random.Generator | None = None,
-                    samples: int = 1000) -> GapFunction:
-    """Sampled self-audit of the declared sign flags.
+def audit_gap_flags(gap: GapFunction, rel: Relation, ground: GroundSet) -> GapFunction:
+    """Exhaustive self-audit of the declared sign flags on every pair of
+    the ground, against one strict-preference matrix and the gap `table`.
 
     Violated flags are downgraded on the returned copy, and a warning names
-    the first offending pair on each side. Strict preference between
-    sampled points is read off one preference matrix of the ground; the gap
-    is called once per sampled pair, in sample order.
-    """
-    rng = rng or np.random.default_rng(0)
-    pts = list(ground)
-    I, J = rng.integers(0, len(pts), size=(samples, 2)).T
-    W = preference_matrix(rel, pts)
-    strict = W & ~W.T  # strict[i, j]: point i strictly preferred to point j
-    f = np.array([gap(pts[i].coords, pts[j].coords) for i, j in zip(I.tolist(), J.tolist())])
-    found = []
-    for name, side, bad in (("negative_iff_better", "negative", (f < 0.0) != strict[J, I]),
-                            ("positive_iff_worse", "positive", (f > 0.0) != strict[I, J])):
-        if getattr(gap, name) and bad.any():
-            found.append((int(np.argmax(bad)), name, side))
-    for k, name, side in sorted(found):
-        warnings.warn(f"gap sign ({side} side) disagrees with the relation "
-                      f"at ({pts[I[k]]}, {pts[J[k]]})")
-    return replace(gap, **{name: False for _, name, _ in found}) if found else gap
+    the first offending pair (x, y) on each side, pairs in ground order."""
+    return _sweep(gap, rel, ground)[0]
 
 
 def plastria_membership(gap: GapFunction, sample: ContourSample, xstar,
@@ -102,12 +96,10 @@ def plastria_membership(gap: GapFunction, sample: ContourSample, xstar,
     <xstar, y - x> <= f(x, y) for every sampled strictly-better y. An empty
     sample (a maximal base point) accepts everything. This is
     `normal_cone_test` with the right-hand side gap(x, y) + tol (1 + ||d||),
-    so the gap is evaluated once per sampled point."""
-    x = sample.base.coords
-
+    the gaps a one-row `table`."""
     def rhs(pn, dn):
-        gaps = [gap(x, y) for y in map(tuple, sample.points.tolist())]
-        return np.array(gaps, dtype=float) + tol * (1.0 + dn)
+        [(_, F)] = gap.table([sample.base.coords], sample.points.tolist())
+        return F[0] + tol * (1.0 + dn)
 
     return bool(normal_cone_test(sample, [tuple(xstar)], rhs)[0])
 
@@ -123,47 +115,54 @@ def plastria_subgradient(gap: GapFunction, x: Point, ustar) -> Point:
 
 
 def zero_maximality_check(gap: GapFunction, rel: Relation, ground: GroundSet,
-                          tol: float = DEFAULT_TOL,
-                          rng: np.random.Generator | None = None) -> PropertyReport:
+                          tol: float = DEFAULT_TOL, rng=None) -> PropertyReport:
     """Zero belongs to the gap-relaxed cone exactly at maximal points.
 
-    Requires the two sign flags; the audit runs first and, if either fails,
-    the check is skipped with a precondition report carrying the verdict.
-    Each base's sample is its row of one strict preference matrix of the
-    ground, and the base is maximal when that row is empty.
+    Requires the two sign flags: if the audit of `audit_gap_flags` fails
+    either, the check is skipped with a precondition report carrying the
+    verdict; otherwise the first base whose membership differs from its
+    maximality is reported, both from one `_sweep`. `rng` is ignored (nothing
+    is drawn at random); it stays only because `bench/ops.py` passes one.
     """
-    audited = audit_gap_flags(gap, rel, ground, rng=rng)
+    audited, report = _sweep(gap, rel, ground, tol)
     failed = [n for n in FLAG_NAMES if not getattr(audited, n)]
     if failed:
         return PropertyReport("zero_maximality_precondition", False,
-                              detail=f"sign flags failed the sampled audit: {', '.join(failed)}")
+                              detail=f"sign flags failed the audit: {', '.join(failed)}")
+    return PropertyReport("zero_maximality", True) if report is None else report
+
+
+def _sweep(gap: GapFunction, rel: Relation, ground: GroundSet, tol: float | None = None):
+    """One pass over the gap table of the ground beside one strict-preference
+    matrix: the audited copy of `gap` and, given tol, the failing report of
+    the first base whose zero-probe membership differs from its maximality,
+    or None. The probe fails at a strictly-better y where <0, d> = +-0
+    exceeds gap(x, y) + tol (1 + ||d||), d = y - x, as `normal_cone_test`
+    sums it."""
+    pts = list(ground)
     W = preference_matrix(rel, ground)
-    better = W.T & ~W  # better[i, j]: ground point j strictly preferred to point i
-    rows = ground_array(ground, ground.dim).tolist()
-    for x, row in zip(ground, better):
-        ys = [rows[j] for j in np.flatnonzero(row).tolist()]
-        maximal = not ys
-        member = _zero_member(gap, x.coords, ys, tol)
-        if member != maximal:
-            return PropertyReport("zero_maximality", False, (x,),
-                                  detail=f"membership={member}, maximal={maximal}")
-    return PropertyReport("zero_maximality", True)
-
-
-def _zero_member(gap: GapFunction, x: tuple, ys: list, tol: float) -> bool:
-    """`plastria_membership` of the zero probe at base x with the sample ys.
-    <0, d> is exactly +-0, so the probe fails at y exactly when gap(x, y) +
-    tol (1 + ||d||) < 0, d = y - x. ||d|| is summed coordinate by
-    coordinate from the first, as the kernel sums it. The rows are met in
-    order and the first failure decides: a non-maximal base stops at its
-    first failing point, where `plastria_membership` calls the gap at every
-    sampled point. That early exit is what keeps `zero_maximality_check`
-    at a few ms on the default grids; `plastria_membership` per base costs
-    3 to 10 times as much there."""
-    for y in ys:
-        dd = 0.0
-        for a, b in zip(x, y):
-            dd = dd + (b - a) * (b - a)
-        if gap(x, y) + tol * (1.0 + math.sqrt(dd)) < 0.0:
-            return False
-    return True
+    strict = W & ~W.T  # strict[i, j]: point i strictly preferred to point j
+    X = ground_array(ground, ground.dim)
+    found, report = {}, None
+    for rows, F in gap.table([p.coords for p in pts]):
+        better = strict.T[rows]  # better[i, j]: point j strictly preferred to x_i
+        for name, bad in (("negative_iff_better", (F < 0.0) != better),
+                          ("positive_iff_worse", (F > 0.0) != strict[rows])):
+            if getattr(gap, name) and name not in found and bad.any():
+                i, j = divmod(int(np.argmax(bad)), len(pts))
+                found[name] = (rows.start + i, j)
+        if tol is None or report is not None:
+            continue
+        D = X[None] - X[rows, None]
+        with np.errstate(over="ignore", invalid="ignore"):
+            fails = better & (F + tol * (1.0 + np.sqrt(_rowdot(D, D))) < 0.0)
+        member, maximal = ~fails.any(axis=1), ~better.any(axis=1)
+        off = np.flatnonzero(member != maximal)
+        if off.size:
+            k = off[0]
+            report = PropertyReport("zero_maximality", False, (pts[rows.start + k],),
+                                    detail=f"membership={member[k]}, maximal={maximal[k]}")
+    for (i, j), name in sorted((ij, name) for name, ij in found.items()):
+        warnings.warn(f"gap sign ({name.split('_')[0]} side) disagrees with the relation "
+                      f"at ({pts[i]}, {pts[j]})")
+    return (replace(gap, **dict.fromkeys(found, False)) if found else gap), report

@@ -1,11 +1,13 @@
-"""`GapFunction.column` against the gap called once per point, and the one
-formula L * u / ||u|| against the expressions it replaced.
+"""`GapFunction.table` and its one-column call `column` against the gap
+called once per pair, and the one formula L * u / ||u|| against the
+expressions it replaced.
 
 For each fixture gap that descent runs use, and for the zero gap,
 `column(xs, y)` must be `[gap(x, y) for x in xs]` by repr, nan and
-infinities included. A gap from a utility u evaluates u(y) once, ahead of
-the xs, then u at each x in order; any other gap calls its `fn` once per x,
-in order. `plastria_subgradient` and `Fixture.descent_oracle` must give
+infinities included, and `table(xs, ys)` the same for every pair, in row
+blocks of any size. A gap from a utility u evaluates u once per y, then
+once per x (once per point when ys is omitted); any other gap calls its
+`fn` once per pair, row by row. `plastria_subgradient` and `Fixture.descent_oracle` must give
 what `Point(scale(u, L / norm(u)))` and the original Point oracle
 (`descent_oracle_ref` in tests/scalar_reference.py) give, bit for bit.
 """
@@ -17,7 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from prefmax import GapFunction, Point, get_fixture, plastria_subgradient, pt, zero_gap
+from prefmax import GapFunction, Point, get_fixture, plastria_subgradient, pt, relations, zero_gap
 
 from scalar_reference import descent_oracle_ref, norm, scale
 
@@ -62,6 +64,35 @@ def test_column_is_the_gap_at_each_point(name, data):
         assert _reprs(recorded.column(xs, y)) == expected
         assert _reprs(calls) == _reprs((x, y) for x in xs)
     assert all(type(v) is float for v in recorded.column(xs, y))
+
+
+@DIFFERENTIAL
+@given(st.sampled_from(sorted(GAP_DIMS)), st.booleans(), st.sampled_from((1, 7, 1 << 16)),
+       st.data())
+def test_table_is_the_gap_at_each_pair(name, by_utility, entries, data):
+    gap = _gap(name)
+    if not by_utility:
+        gap = replace(gap, utility=None)  # the same u(x) - u(y), pair by pair
+    coords = st.tuples(*(st.floats(),) * GAP_DIMS[name])
+    xs = data.draw(st.lists(coords, max_size=12))
+    ys = data.draw(st.none() | st.lists(coords, max_size=12))
+    pairs = [(x, y) for x in xs for y in (xs if ys is None else ys)]
+    expected = _reprs(gap(x, y) for x, y in pairs)
+    calls = []
+    recorded = (replace(gap, utility=_recorded(gap.utility, calls)) if by_utility
+                else replace(gap, fn=_recorded(gap.fn, calls)))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(relations, "_SWEEP_ENTRIES", entries)
+        blocks = list(recorded.table(xs, ys))
+    n, m = len(xs), len(xs if ys is None else ys)
+    assert [i for rows, _ in blocks for i in range(n)[rows]] == list(range(n))
+    assert all(F.shape == (len(range(n)[rows]), m) and (F.size <= entries or len(F) == 1)
+               for rows, F in blocks)
+    assert _reprs(v for _, F in blocks for v in F.ravel().tolist()) == expected
+    if by_utility:
+        assert _reprs(calls) == _reprs((p,) for p in (xs if ys is None else ys + xs))
+    else:
+        assert _reprs(calls) == _reprs(pairs)
 
 
 @pytest.mark.parametrize("name", sorted(GAP_DIMS))

@@ -195,6 +195,31 @@ def test_audit_downgrades_bad_flags(kinked):
     assert not audited.positive_iff_worse
 
 
+def test_audit_finds_a_gap_wrong_on_one_pair(radial):
+    # radial-bowl's gap with its sign flipped on one of the 28,561 pairs of
+    # its default grid: only an audit of every pair finds it
+    x, y = pt(-0.5, 0.5), pt(1.0, 2.0)
+    fn = lambda a, b: -radial.gap(a, b) if (a, b) == (x.coords, y.coords) else radial.gap(a, b)
+    bad = GapFunction(fn, radial.gap.lipschitz, negative_iff_better=True, positive_iff_worse=True)
+    with pytest.warns(UserWarning) as caught:
+        audited = audit_gap_flags(bad, radial.relation, radial.default_ground)
+    assert audited.flags() == {"negative_iff_better": False, "positive_iff_worse": False}
+    assert [str(w.message) for w in caught] == [
+        f"gap sign ({side} side) disagrees with the relation at ({x}, {y})"
+        for side in ("negative", "positive")]
+    with pytest.warns(UserWarning):
+        report = zero_maximality_check(bad, radial.relation, radial.default_ground)
+    assert (report.prop, report.holds) == ("zero_maximality_precondition", False)
+
+
+def test_zero_maximality_calls_a_utility_once_per_point(radial):
+    calls = []
+    gap = gap_from_utility(lambda p: calls.append(p) or radial.relation.utility(p), 1.0)
+    report = zero_maximality_check(gap, radial.relation, radial.default_ground)
+    assert report.holds
+    assert calls == [p.coords for p in radial.default_ground]
+
+
 def test_audit_keeps_clean_flags(vee):
     import warnings
 

@@ -34,6 +34,7 @@ WAITS_P = "grid-convexity premise that ROADMAP P will expose as a check"
 WAITS_E = "certificate re-check that exact evidence (ROADMAP E) will run"
 WAITS_M = "last stage of the Stampacchia decider; no 1-D or 2-D fixture base reaches it"
 ERROR = "error path: no command that succeeds reaches it"
+AUDIT = "library API: the sign audit alone; zero-maximality runs it inside its own gap pass"
 
 UNCALLED = {
     "cones.Cone.contains": API,
@@ -62,7 +63,9 @@ UNCALLED = {
     "harness._trace_columns": API,
     "harness._raise_row_fault": ERROR,
     "harness._coords_of": ERROR,
+    "plastria.GapFunction.__call__": API,
     "plastria.GapFunction.flags": API,
+    "plastria.audit_gap_flags": AUDIT,
     "plastria.plastria_membership": WAITS_H,
     "plastria.plastria_subgradient": API,
     "points.pt": API,
