@@ -21,6 +21,10 @@ from .plastria import GapFunction
 from .points import Point, float_coords
 
 
+# The ways a run ends, as `DescentTrace.termination` names them.
+TERMINATIONS = ("zeroSubgradient", "maxIters", "normBelowEps")
+
+
 class ScheduleValidationError(ValueError):
     pass
 
@@ -136,7 +140,7 @@ class DescentTrace:
     dists: tuple[float | None, ...]
     gaps: tuple[float | None, ...]
     residuals: tuple[float | None, ...]
-    termination: str  # "zeroSubgradient" | "maxIters" | "normBelowEps"
+    termination: str  # one of TERMINATIONS
     reference: Point | None = None
     lipschitz: float | None = None
 
@@ -180,7 +184,11 @@ def run_descent(oracle: Callable[[tuple], tuple], x1: Point, schedule: StepSched
     number: a finite sum of x_{k+1}'s coordinates means every coordinate of
     x_{k+1} is finite, and so of x* (an infinite one exceeds the bound, a
     nan one makes x_{k+1} nan). Only where that sum is not finite are the
-    coordinates checked one by one. After the loop, one array pass over the
+    coordinates checked one by one. For a 1-D or 2-D iterate this
+    arithmetic (the conversion, ||x*||, x_{k+1} and its screen) is written
+    out coordinate by coordinate; it gives the floats that the `map` and
+    `sum` expressions of dimension 3 and up give, since `sum` starts from
+    the int 0 and 0 + a*a == a*a. After the loop, one array pass over the
     stacked iterates gives the distance and Fejer residual columns
     (`_fejer_columns`), bit for bit as `points.dist` and
     `d'*d' - d*d - theta*theta*L*L`, and one `GapFunction.column` pass the
@@ -204,8 +212,17 @@ def run_descent(oracle: Callable[[tuple], tuple], x1: Point, schedule: StepSched
             float_coords(out)
             raise ValueError(f"oracle output has {len(out)} coordinates at iteration {k}, "
                              f"the iterate {dim}")
-        xstar = tuple(map(float, out))
-        nxs = sqrt(sum(map(mul, xstar, xstar)))
+        if dim == 2:
+            a, b = float(out[0]), float(out[1])
+            xstar = (a, b)
+            nxs = sqrt(a * a + b * b)
+        elif dim == 1:
+            a = float(out[0])
+            xstar = (a,)
+            nxs = sqrt(a * a)
+        else:
+            xstar = tuple(map(float, out))
+            nxs = sqrt(sum(map(mul, xstar, xstar)))
         if nxs > bound:
             raise OracleNormViolation(
                 f"oracle output norm {nxs} exceeds the declared bound {L} at iteration {k}")
@@ -214,8 +231,18 @@ def run_descent(oracle: Callable[[tuple], tuple], x1: Point, schedule: StepSched
         elif theta is None:
             termination = "maxIters"
         else:
-            x_next = tuple(map(sub, x, map(mul, xstar, repeat(theta))))
-            if not isfinite(sum(x_next)):
+            if dim == 2:
+                n0, n1 = x[0] - a * theta, x[1] - b * theta
+                x_next = (n0, n1)
+                finite = isfinite(n0 + n1)
+            elif dim == 1:
+                n0 = x[0] - a * theta
+                x_next = (n0,)
+                finite = isfinite(n0)
+            else:
+                x_next = tuple(map(sub, x, map(mul, xstar, repeat(theta))))
+                finite = isfinite(sum(x_next))
+            if not finite:
                 _check_step(x, out, theta)
             xs.append(x)
             xstars.append(xstar)

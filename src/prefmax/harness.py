@@ -10,9 +10,10 @@ from functools import cached_property, partial
 from itertools import chain, count, islice
 from math import isfinite
 from operator import is_not, itemgetter
+from sys import float_info
 
 from .cones import normal_membership, strict_normal_membership
-from .descent import DescentConfig, DescentTrace, StepSchedule, run_descent
+from .descent import TERMINATIONS, DescentConfig, DescentTrace, StepSchedule, run_descent
 from .fixtures import get_fixture, self_test_fixture
 from .plastria import zero_maximality_check
 from .points import GroundSet, Point, float_coords
@@ -346,8 +347,12 @@ def load_trace_json(path: str) -> DescentTrace:
     ValueError naming the file and the fault: bad JSON, another schema, a
     missing key, no rows, rows not numbered k = 1..n, an x, xstar or
     reference that is not a list of floats, or one of another dimension
-    than row 1's x. A non-finite coordinate raises the ValueError a Point
-    gives."""
+    than row 1's x, then a termination that is not one of TERMINATIONS, a
+    lipschitz that is neither null nor a finite positive number, and a
+    theta, dist_to_ref, gap_to_ref or fejer_residual value that is neither
+    null nor a number (a float, nan and +-inf included, or an int no larger
+    than the largest float), checked column by column. A non-finite
+    coordinate raises the ValueError a Point gives."""
     with open(path) as fh:
         try:
             payload = json.load(fh)
@@ -371,8 +376,22 @@ def load_trace_json(path: str) -> DescentTrace:
     ref = Point(_coords_of(path, "the reference", ref)) if ref else None
     if ref is not None and ref.dim != dim:
         raise ValueError(f"{path}: the reference has {ref.dim} coordinates, the rows {dim}")
-    return DescentTrace(*columns, payload["termination"], reference=ref,
-                        lipschitz=payload["lipschitz"])
+    termination, lipschitz = payload["termination"], payload["lipschitz"]
+    if termination not in TERMINATIONS:
+        raise ValueError(f"{path}: trace termination {termination!r} is not one of "
+                         f"{', '.join(TERMINATIONS)}")
+    if lipschitz is not None and not (type(lipschitz) in (int, float)
+                                      and 0 < lipschitz <= float_info.max):
+        raise ValueError(f"{path}: trace lipschitz {lipschitz!r} is neither null nor a "
+                         f"finite positive number")
+    for name, column in zip(TRACE_COLUMNS[3:], columns[2:]):
+        if set(map(type, column)) <= {float, type(None)}:
+            continue
+        for k, v in enumerate(column, 1):
+            if not (v is None or type(v) is float
+                    or type(v) is int and -float_info.max <= v <= float_info.max):
+                raise ValueError(f"{path}: row {k}'s {name} {v!r} is neither null nor a number")
+    return DescentTrace(*columns, termination, reference=ref, lipschitz=lipschitz)
 
 
 def _trace_columns(rows: list):

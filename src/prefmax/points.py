@@ -60,7 +60,18 @@ def norm(a) -> float:
 
 def scaled_to(u, length: float) -> tuple[float, ...]:
     """u times length / ||u||, ||u|| as `norm` gives it: the vector of norm
-    `length` along u. A u whose norm is 0.0 raises ZeroDivisionError."""
+    `length` along u. A u whose norm is 0.0 raises ZeroDivisionError. In
+    1-D and 2-D the arithmetic is written out coordinate by coordinate and
+    gives the same numbers as the `map` and `sum` expressions of dimension 3
+    and up (`sum` starts from the int 0, and 0 + a*a == a*a)."""
+    u = tuple(u)
+    if len(u) == 2:
+        a, b = u
+        s = length / math.sqrt(a * a + b * b)
+        return (a * s, b * s)
+    if len(u) == 1:
+        a = u[0]
+        return (a * (length / math.sqrt(a * a)),)
     return tuple(map(operator.mul, u, repeat(length / math.sqrt(sum(map(operator.mul, u, u))))))
 
 

@@ -14,7 +14,10 @@ Points and a TraceRow per iterate, a distance recomputed wherever one is
 needed, and trace files written row by row; `emit_trace_columns_ref` is the
 writer that came between, with `csv.writer` and `json.dumps` over the
 columns, and `load_trace_json_ref` the loader that checked a trace file row
-by row. The differential tests
+by row (restated to reject a termination, a lipschitz, or a theta,
+distance, gap or residual value that `emit_trace` never writes);
+`scaled_to_ref` is `points.scaled_to` before its 1-D and 2-D arithmetic
+was written out coordinate by coordinate. The differential tests
 hold the array versions and the tuple descent loop to these, result for
 result and witness for witness, row for row. The module also holds test
 helpers with no library counterpart: `complete_equivalence_check`,
@@ -27,9 +30,11 @@ import csv
 import io
 import json
 import math
+import operator
+import sys
 import warnings
 from dataclasses import replace
-from itertools import chain, combinations, product
+from itertools import chain, combinations, product, repeat
 
 import numpy as np
 from scipy.optimize import nnls
@@ -59,6 +64,12 @@ def scale(a, s: float) -> tuple[float, ...]:
 
 def norm(a) -> float:
     return math.sqrt(sum(x * x for x in a))
+
+
+def scaled_to_ref(u, length: float) -> tuple[float, ...]:
+    """u times length / ||u||, by the `map` and `sum` expressions in every
+    dimension."""
+    return tuple(map(operator.mul, u, repeat(length / math.sqrt(sum(map(operator.mul, u, u))))))
 
 
 # ------------------------------------------------- scalar fixture rules
@@ -709,8 +720,29 @@ def load_trace_json_ref(path: str) -> DescentTrace:
     if ref is not None and ref.dim != len(records[0][0]):
         raise ValueError(f"{path}: the reference has {ref.dim} coordinates, "
                          f"the rows {len(records[0][0])}")
-    return DescentTrace(*zip(*records), payload["termination"], reference=ref,
-                        lipschitz=payload["lipschitz"])
+    termination, lipschitz = payload["termination"], payload["lipschitz"]
+    if termination not in ("zeroSubgradient", "maxIters", "normBelowEps"):
+        raise ValueError(f"{path}: trace termination {termination!r} is not one of "
+                         f"zeroSubgradient, maxIters, normBelowEps")
+    if lipschitz is not None and not (_json_number(lipschitz) and math.isfinite(lipschitz)
+                                      and lipschitz > 0):
+        raise ValueError(f"{path}: trace lipschitz {lipschitz!r} is neither null nor a "
+                         f"finite positive number")
+    for j, name in enumerate(("theta", "dist_to_ref", "gap_to_ref", "fejer_residual"), 2):
+        for k, record in enumerate(records, 1):
+            if record[j] is not None and not _json_number(record[j]):
+                raise ValueError(f"{path}: row {k}'s {name} {record[j]!r} is neither null "
+                                 f"nor a number")
+    return DescentTrace(*zip(*records), termination, reference=ref, lipschitz=lipschitz)
+
+
+def _json_number(value) -> bool:
+    """A float (nan and infinities included), or an int that is not a bool
+    and no larger in magnitude than the largest float."""
+    if isinstance(value, float):
+        return True
+    return (isinstance(value, int) and not isinstance(value, bool)
+            and abs(value) <= sys.float_info.max)
 
 
 def _point_coords(path: str, what: str, value) -> tuple[float, ...]:

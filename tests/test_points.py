@@ -1,11 +1,14 @@
 import math
 
+import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from prefmax import GroundSet, Point, parse_grid_spec, pt
-from prefmax.points import axis_lattice
+from prefmax.points import axis_lattice, scaled_to
+
+from scalar_reference import scaled_to_ref
 
 
 def test_point_rejects_nan_and_empty():
@@ -84,3 +87,51 @@ def test_point_scaling_preserves_dim(base, s):
     p = pt(base, base * s)
     assert p.dim == 2
     assert p[0] == base
+
+
+# Coordinates for `scaled_to`: exact zeros, magnitudes whose squares
+# underflow to 0 (1e-170) or overflow to inf (1e160), and plain values, as
+# floats, ints and np.float64
+SPECIAL = st.sampled_from((0.0, -0.0, 1e-170, -1e-170, 1e160, -1e160, 0.6, -0.8, 3.0))
+SCALED_COORDS = st.one_of(SPECIAL, st.floats(allow_nan=False, allow_infinity=False),
+                          st.integers(-10 ** 6, 10 ** 6), SPECIAL.map(np.float64),
+                          st.floats(-1e3, 1e3).map(np.float64))
+
+
+def _scaled_outcome(scale, u, length):
+    try:
+        with np.errstate(over="ignore", under="ignore"):
+            return repr(scale(u, length))
+    except ZeroDivisionError as exc:
+        return type(exc), str(exc)
+
+
+@st.composite
+def scaled_inputs(draw):
+    coords = draw(st.lists(SCALED_COORDS, min_size=1, max_size=3))
+    container = draw(st.sampled_from((tuple, list, Point)))
+    return container(coords), draw(st.one_of(st.floats(1e-3, 1e3), st.sampled_from((1.0, 1))))
+
+
+@settings(settings.get_profile("differential"), max_examples=400)
+@given(scaled_inputs())
+@example(((1e160,), 2.0))
+@example(((1e160, -1e160), 2.0))
+@example(([3, 4], 1))
+@example((Point((0.6, -0.8, 0.0)), 2.5))
+def test_scaled_to_matches_the_generic_expressions(inputs):
+    """The written-out 1-D and 2-D arithmetic gives, by repr, what the `map`
+    and `sum` expressions give; a norm that is 0.0, exactly or by underflow,
+    raises ZeroDivisionError on both."""
+    u, length = inputs
+    assert _scaled_outcome(scaled_to, u, length) == _scaled_outcome(scaled_to_ref, u, length)
+
+
+@pytest.mark.parametrize("coords", [(0.0,), (0.0, 0.0), (0.0, 0.0, 0.0), (1e-170,),
+                                    (1e-170, -1e-170), (0, 1e-170, 0.0)])
+@pytest.mark.parametrize("container", (tuple, list, Point))
+def test_scaled_to_a_zero_norm_raises_as_the_generic_expressions_do(coords, container):
+    u = container(coords)
+    outcome = _scaled_outcome(scaled_to, u, 1.0)
+    assert outcome == _scaled_outcome(scaled_to_ref, u, 1.0)
+    assert outcome[0] is ZeroDivisionError

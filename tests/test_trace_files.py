@@ -13,6 +13,7 @@ well-formed or not, it must do what the row-by-row loader
 
 import json
 import math
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -158,12 +159,14 @@ def test_a_finite_run_whose_distances_overflow_writes_the_same_files(tmp_path):
 
 finite = st.floats(allow_nan=False, allow_infinity=False)
 anything = st.floats()
+positive = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
 
 
 @st.composite
 def column_traces(draw):
     """Random float columns of one dimension; thetas finite or None, the
-    other values any float, nan and infinities included, or None."""
+    other values any float, nan and infinities included, or None; a
+    lipschitz that is None or positive, as a loadable trace has."""
     dim = draw(st.integers(1, 3))
     n = draw(st.integers(1, 12))
     coords = st.tuples(*(finite,) * dim)
@@ -175,7 +178,7 @@ def column_traces(draw):
         draw(st.lists(st.one_of(st.none(), finite), min_size=n, max_size=n)),
         draw(column), draw(column), draw(column),
         draw(st.sampled_from(("zeroSubgradient", "maxIters", "normBelowEps"))),
-        reference, draw(st.one_of(st.none(), finite)))
+        reference, draw(st.one_of(st.none(), positive)))
 
 
 @settings(settings.get_profile("differential"), max_examples=150)
@@ -352,16 +355,76 @@ def test_rejects_coordinates_that_are_not_floats(tmp_path, field, value, fault):
     assert message.endswith(fault)
 
 
+@pytest.mark.parametrize("value", (5, "bogus", None, True, ["maxIters"]))
+def test_rejects_an_unknown_termination(tmp_path, value):
+    path, payload = _written(tmp_path)
+    message = _rejected(path, {**payload, "termination": value},
+                        f"trace termination {re.escape(repr(value))} is not one of")
+    assert message.endswith("zeroSubgradient, maxIters, normBelowEps")
+
+
+HUGE = pytest.param(10 ** 400, id="int-1e400")
+
+
+@pytest.mark.parametrize("value", ("x", -1, 0, -0.0, math.nan, math.inf, True, HUGE, [1.0]))
+def test_rejects_a_lipschitz_that_is_not_a_finite_positive_number(tmp_path, value):
+    path, payload = _written(tmp_path)
+    _rejected(path, {**payload, "lipschitz": value},
+              "trace lipschitz .* is neither null nor a finite positive number")
+
+
+@pytest.mark.parametrize("value", ([1], "abc", True, {}, HUGE,
+                                   pytest.param(-10 ** 400, id="int-minus-1e400")))
+@pytest.mark.parametrize("field", ("theta", "dist_to_ref", "gap_to_ref", "fejer_residual"))
+def test_rejects_a_value_that_is_not_a_number(tmp_path, field, value):
+    path, payload = _written(tmp_path)
+    payload["rows"][1][field] = value
+    _rejected(path, payload, f"row 2's {field} .* is neither null nor a number$")
+
+
+def test_value_faults_come_last_and_by_columns(tmp_path):
+    # every fault a loader checked before comes first; then the termination,
+    # the lipschitz, and the value columns in file order, each from row 1
+    path, payload = _written(tmp_path)
+    payload["rows"][0]["fejer_residual"] = "abc"
+    payload["rows"][2]["theta"] = "abc"
+    _rejected(path, payload, "row 3's theta 'abc'")
+    _rejected(path, {**payload, "lipschitz": -1}, "trace lipschitz -1")
+    _rejected(path, {**payload, "lipschitz": -1, "termination": 5}, "trace termination 5")
+    _rejected(path, {**payload, "termination": 5, "reference": [1.0]},
+              "the reference has 1 coordinates")
+    payload["rows"][3]["x"] = [0.5]
+    _rejected(path, {**payload, "termination": 5}, "row 4 has an x or xstar of another dimension")
+
+
+def test_non_finite_int_and_null_values_load(tmp_path):
+    # nan and infinities are what `emit_trace` writes for such floats
+    path, payload = _written(tmp_path)
+    values = (math.nan, math.inf, -math.inf, 2, None)
+    for row, value in zip(payload["rows"], values):
+        row["theta"] = row["dist_to_ref"] = row["gap_to_ref"] = row["fejer_residual"] = value
+    path.write_text(json.dumps({**payload, "lipschitz": 3}))
+    trace = load_trace_json(str(path))
+    assert repr(trace.thetas) == repr(trace.residuals) == repr(values[:4])
+    assert trace.lipschitz == 3
+
+
 JUNK = (None, 3, 10 ** 400, "ab", "", [], {}, {"a": 1}, True, math.nan, [0.5], [0.5, 1.0, 2.0],
         [math.nan, 0.5], [math.inf], [1, 2], [True, 0], [10 ** 400, 1.0], ["1", 2.0],
         [[1.0], 2.0], [None, 1.0])
+# Values of the top-level and value fields, well-formed or not
+TERMINATION_JUNK = (5, "bogus", None, True, [], "maxIters", "normBelowEps")
+LIPSCHITZ_JUNK = (None, 2, 0.5, 0, -1, -0.0, "x", math.nan, math.inf, True, 10 ** 400, [1.0])
+VALUE_JUNK = (None, 1, -2.5, math.nan, math.inf, -math.inf, "abc", "", [1], {}, True,
+              10 ** 400, -10 ** 400)
 
 
 @st.composite
 def malformed_payloads(draw):
-    """A written trace's JSON payload with up to four rows, keys or
-    coordinates replaced by junk, or none at all. The faults fall on the
-    first three rows, so one row often has two of them."""
+    """A written trace's JSON payload with up to four rows, keys,
+    coordinates, values, its termination or its lipschitz replaced by junk,
+    or none at all. The faults fall on the first three rows, so one row
+    often has two of them."""
     trace = draw(column_traces())
     payload = {"schema": 1, "termination": trace.termination,
                "reference": list(trace.reference) if trace.reference else None,
@@ -372,7 +435,8 @@ def malformed_payloads(draw):
     rows = payload["rows"]
     for _ in range(draw(st.integers(0, 4))):
         i = draw(st.integers(0, min(2, len(rows) - 1)))
-        what = draw(st.sampled_from(("row", "key", "k", "x", "xstar", "reference")))
+        what = draw(st.sampled_from(("row", "key", "k", "x", "xstar", "reference",
+                                     "termination", "lipschitz", "value")))
         if what == "row":
             rows[i] = draw(st.sampled_from(JUNK))
         elif not isinstance(rows[i], dict):
@@ -384,6 +448,12 @@ def malformed_payloads(draw):
                                                  True)))
         elif what in ("x", "xstar"):
             rows[i][what] = draw(st.sampled_from(JUNK))
+        elif what == "value":
+            rows[i][draw(st.sampled_from(TRACE_COLUMNS[3:]))] = draw(st.sampled_from(VALUE_JUNK))
+        elif what == "termination":
+            payload["termination"] = draw(st.sampled_from(TERMINATION_JUNK))
+        elif what == "lipschitz":
+            payload["lipschitz"] = draw(st.sampled_from(LIPSCHITZ_JUNK))
         else:
             payload["reference"] = draw(st.sampled_from(JUNK))
     return payload
@@ -402,7 +472,9 @@ def _load_outcome(load, path):
 def test_any_file_loads_as_the_row_loader_loads_it(tmp_path_factory, payload):
     """The same columns, or the same exception with the same message, as
     the row-by-row loader gives: the first faulty row decides, and within
-    it the first fault in the order object, keys, k, x, xstar, dimension."""
+    it the first fault in the order object, keys, k, x, xstar, dimension;
+    then the reference, the termination, the lipschitz and the value
+    columns."""
     path = tmp_path_factory.mktemp("trace") / "trace.json"
     path.write_text(json.dumps(payload))
     assert _load_outcome(load_trace_json, str(path)) == _load_outcome(load_trace_json_ref,
