@@ -1,12 +1,14 @@
 """Command-line harness: fixture listing, check suites, descent runs, VIP sweeps.
 
-Exit codes: 0 all checks pass, 1 at least one check fails, 2 configuration
-error (unknown fixture, bad grid spec or config file, capability mismatch,
-invalid tolerance).
+Exit codes: 0 all checks pass, 1 at least one check fails or stdout was
+closed before the output was written, 2 configuration error (unknown
+fixture, bad grid spec or config file, capability mismatch, invalid
+tolerance).
 """
 
 from __future__ import annotations
 
+import errno
 import sys
 
 import click
@@ -79,12 +81,15 @@ def _write(emit, *args) -> None:
 class _Main(click.Group):
     """The command group. Every command runs inside its error boundary, where
     a rejected request (an unknown fixture, a bad value or config file, a
-    missing capability) becomes exit code 2."""
+    missing capability) becomes exit code 2. A closed stdout (EPIPE) is not
+    one: click ends the command quietly with exit code 1."""
 
     def invoke(self, ctx: click.Context):
         try:
             return super().invoke(ctx)
         except (UnknownFixture, ValueError, OSError) as exc:
+            if isinstance(exc, OSError) and exc.errno == errno.EPIPE:
+                raise
             _fail_config(str(exc))
 
 

@@ -10,11 +10,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache, reduce
-from itertools import groupby
+from itertools import groupby, product
 
 import numpy as np
 
-from .points import GroundSet, Point, axis_lattice, coord_array, ground_array, norm, scaled_to
+from . import points
+from .points import (GroundSet, Point, axis_lattice, blocks, coord_array, ground_array, norm,
+                     row_blocks, scaled_to)
 from .relations import Relation, _scored_strict, strictly_better_mask, strictly_better_rows
 
 DEFAULT_TOL = 1e-9
@@ -49,15 +51,6 @@ _WEDGE_MARGIN = 1e-9
 # Per-axis box lattices kept by `_box_axis`: a 31 x 31 grid of bases with
 # one radius and step needs 62.
 _BOX_AXES = 256
-
-# Entry budget of one block of the ground-level sampling passes
-# (`box_bodies`, `sampled_bodies`): the (base, candidate) pairs a block
-# scores, the displacements it stacks, and the (net row, displacement)
-# pairs one array of its body pass holds; at least one base per block. At
-# 2^14 entries a block's arrays stay under 1 MB, while a block still
-# spreads its fixed numpy cost over about 10 radial-bowl bases (1,697
-# candidates each).
-_GROUND_ENTRIES = 1 << 14
 
 # Largest score table of `_box_blocks`: a column form is scored once per
 # point of the bases' union lattice where it has at most this many points
@@ -326,12 +319,8 @@ def sample_contour(rel: Relation, x: Point, ground) -> ContourSample:
     """Strictly-preferred points of `ground` (a GroundSet or Points), as a
     membership sample at x: the rows of the ground's coordinate array that
     one `strictly_better_mask` call accepts, in ground order."""
-    if not isinstance(ground, GroundSet):
-        ground = list(ground)
-        mask = strictly_better_mask(rel, x, [p.coords for p in ground])
-    else:
-        mask = strictly_better_mask(rel, x, ground)
-    return ContourSample(x, ground_array(ground, x.dim)[mask])
+    Y = ground_array(ground, x.dim)
+    return ContourSample(x, Y[strictly_better_mask(rel, x, Y)])
 
 
 def _lattice(axes) -> np.ndarray:
@@ -432,24 +421,12 @@ def _box_candidates(x: Point, radius: float, step: float) -> np.ndarray:
     return _box_product(_union_lattice(np.array([x.coords], dtype=float), radius, step)[1], 2)[0]
 
 
-def _blocks(sizes, budget: int):
-    """Consecutive slices of range(len(sizes)) whose sizes sum to at most
-    `budget`, with at least one item each."""
-    ends = np.cumsum(sizes)
-    s = 0
-    while s < len(ends):
-        e = int(np.searchsorted(ends, (ends[s - 1] if s else 0) + budget, side="right"))
-        e = max(e, s + 1)
-        yield slice(s, e)
-        s = e
-
-
 def _box_blocks(rel: Relation, B: np.ndarray, radius: float, step: float):
     """The box samples of the bases B (rows), in blocks of consecutive bases
-    whose candidates number at most `_GROUND_ENTRIES` (at least one base
-    per block). Yields each block as a slice of the bases, its accepted
-    candidates stacked base after base, each base's in candidate order, and
-    their number per base.
+    of one lattice shape whose candidates number at most
+    `points.BLOCK_ENTRIES` (at least one base per block). Yields each block
+    as a slice of the bases, its accepted candidates stacked base after
+    base, each base's in candidate order, and their number per base.
 
     Every base's candidates are cut from one lattice: the product of the
     per-axis unions of the bases' `_box_axis` lattices (`_union_axes`). A
@@ -475,9 +452,8 @@ def _box_blocks(rel: Relation, B: np.ndarray, radius: float, step: float):
     start = 0
     for _, run in groupby(shapes):
         stop, size = start + len(list(run)), sizes[start]
-        per = max(1, _GROUND_ENTRIES // size)
-        for s in range(start, stop, per):
-            blk = slice(s, min(stop, s + per))
+        for r in row_blocks(stop - start, size):
+            blk = slice(start + r.start, start + r.stop)
             counts = np.full(blk.stop - blk.start, size)
             if table is None:
                 Y = _box_product(lats[blk], 2).reshape(-1, B.shape[1])
@@ -540,9 +516,9 @@ def box_bodies(rel: Relation, B: np.ndarray, radius: float, step: float,
     base x, a row of B, in ground-level passes: each block of `_box_blocks`
     goes through the body pass (`_sampled_bodies`) as it is sampled, so
     that no more than one block's samples are held at once. Passing
-    `BoxSampler.samples` to `sampled_bodies` instead would hold 2^14
-    displacements as ContourSamples beside the score table: 2.5 MB traced
-    for radial-bowl's ground, against 1.4 MB."""
+    `BoxSampler.samples` to `sampled_bodies` instead would hold a block of
+    displacements as ContourSamples beside the score table: 4.2 MB traced
+    for radial-bowl's ground, against 2.1 MB."""
     bodies = []
     for blk, P, kept in _box_blocks(rel, B, radius, step):
         bodies += _sampled_bodies(P - np.repeat(B[blk], kept, axis=0), kept, tol)
@@ -605,20 +581,8 @@ def unit_net(dim: int) -> np.ndarray:
         ang = np.arange(360) * math.pi / 180.0
         return np.c_[np.cos(ang), np.sin(ang)]
     if dim == 3:
-        base = []
-        for i in range(3):
-            for s in (1.0, -1.0):
-                v = [0.0, 0.0, 0.0]
-                v[i] = s
-                base.append(v)
-        for sx in (1.0, -1.0, 0.0):
-            for sy in (1.0, -1.0, 0.0):
-                for sz in (1.0, -1.0, 0.0):
-                    v = (sx, sy, sz)
-                    nz = sum(1 for c in v if c != 0.0)
-                    if nz >= 2:
-                        base.append(list(v))
-        arr = np.array(base)
+        # the 26 nonzero vectors of {-1, 0, 1}^3, normalised
+        arr = np.array([v for v in product((-1.0, 0.0, 1.0), repeat=3) if any(v)])
         arr /= np.linalg.norm(arr, axis=1)[:, None]
         return np.unique(np.round(arr, 12), axis=0)
     raise ValueError("unit nets are only built for dimensions 1-3")
@@ -716,12 +680,12 @@ def _direct_fails(fails: np.ndarray, D: np.ndarray, dn: np.ndarray, starts: np.n
     """Set fails[b, j], for each pair of a sample b and a net row j, to
     whether `_exceeds` rejects row j at some displacement of sample b (rows
     of D, with norms dn). The pairs meet their samples' displacements in
-    flat gathers, in blocks of at most `_GROUND_ENTRIES` (row,
+    flat gathers, in blocks of at most `points.BLOCK_ENTRIES` (row,
     displacement) pairs."""
     net = unit_net(D.shape[1])
     un = np.sqrt(_rowdot(net, net))
     lens = counts[b]
-    for c in _blocks(lens, _GROUND_ENTRIES):
+    for c in blocks(lens):
         n = lens[c]
         offs = np.cumsum(n) - n
         rows = np.repeat(starts[b[c]] - offs, n) + np.arange(offs[-1] + n[-1])
@@ -748,7 +712,7 @@ def _net_fails(D: np.ndarray, counts, tol: float) -> np.ndarray:
     or with a large tol / ||d||) meet the whole sample (`_direct_fails`).
     In 1-D and 3-D every row meets every displacement, in one direct
     product over the stacked rows. Either way a block holds at most
-    `_GROUND_ENTRIES` (net row, displacement) pairs, or one sample.
+    `points.BLOCK_ENTRIES` (net row, displacement) pairs, or one sample.
     """
     net = unit_net(D.shape[1])
     counts = np.asarray(counts, dtype=np.intp)
@@ -756,13 +720,13 @@ def _net_fails(D: np.ndarray, counts, tol: float) -> np.ndarray:
     fails = np.zeros((len(counts), len(net)), dtype=bool)
     live = np.flatnonzero(counts)
     if D.shape[1] != 2:
-        for c in _blocks(counts[live] * len(net), _GROUND_ENTRIES):
+        for c in blocks(counts[live] * len(net)):
             at = starts[live[c]]
             rows = D[at[0]:at[-1] + counts[live[c]][-1], None, :]
             fails[live[c]] = np.logical_or.reduceat(_exceeds(net, rows, tol), at - at[0], axis=0)
         return fails
     un, dn = np.sqrt(_rowdot(net, net)), np.sqrt(_rowdot(D, D))
-    for c in _blocks(counts[live] + len(net), _GROUND_ENTRIES):
+    for c in blocks(counts[live] + len(net)):
         at = live[c]
         lo = starts[at[0]]
         near, gap = _nearest_directions(D[lo:starts[at[-1]] + counts[at[-1]]], counts[at])
@@ -818,13 +782,14 @@ def _sampled_bodies(D: np.ndarray, counts, tol: float) -> list:
 def sampled_bodies(samples, tol: float = DEFAULT_TOL) -> list:
     """`body_from_sample(sample, tol)` for each of an iterable of samples of
     one dimension, in ground-level passes: consecutive samples are stacked
-    in blocks of at most `_GROUND_ENTRIES` displacements and samples (at
-    least one sample per block), each block one `_sampled_bodies` pass."""
+    in blocks of at most `points.BLOCK_ENTRIES` displacements and samples
+    (at least one sample per block), each block one `_sampled_bodies`
+    pass."""
     bodies, block, size = [], [], 0
     for sample in samples:
         block.append(sample.points - np.array(sample.base.coords))
         size += max(1, len(block[-1]))
-        if size >= _GROUND_ENTRIES:
+        if size >= points.BLOCK_ENTRIES:
             bodies += _sampled_bodies(np.concatenate(block), list(map(len, block)), tol)
             block, size = [], 0
     if block:

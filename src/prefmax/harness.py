@@ -347,12 +347,14 @@ def load_trace_json(path: str) -> DescentTrace:
     ValueError naming the file and the fault: bad JSON, another schema, a
     missing key, no rows, rows not numbered k = 1..n, an x, xstar or
     reference that is not a list of floats, or one of another dimension
-    than row 1's x, then a termination that is not one of TERMINATIONS, a
-    lipschitz that is neither null nor a finite positive number, and a
-    theta, dist_to_ref, gap_to_ref or fejer_residual value that is neither
-    null nor a number (a float, nan and +-inf included, or an int no larger
-    than the largest float), checked column by column. A non-finite
-    coordinate raises the ValueError a Point gives."""
+    than row 1's x (only a null reference means none, and a reference's
+    length is checked before its values), then a termination that is not
+    one of TERMINATIONS, a lipschitz that is neither null nor a finite
+    positive number, and a theta, dist_to_ref, gap_to_ref or fejer_residual
+    value that is neither null nor a number (a float, nan and +-inf
+    included, or an int no larger than the largest float), checked column
+    by column. A non-finite coordinate raises the ValueError a Point
+    gives."""
     with open(path) as fh:
         try:
             payload = json.load(fh)
@@ -373,9 +375,8 @@ def load_trace_json(path: str) -> DescentTrace:
         _raise_row_fault(path, rows)
     dim = len(columns[0][0])
     ref = payload["reference"]
-    ref = Point(_coords_of(path, "the reference", ref)) if ref else None
-    if ref is not None and ref.dim != dim:
-        raise ValueError(f"{path}: the reference has {ref.dim} coordinates, the rows {dim}")
+    if ref is not None:
+        ref = Point(_coords_of(path, "the reference", ref, dim))
     termination, lipschitz = payload["termination"], payload["lipschitz"]
     if termination not in TERMINATIONS:
         raise ValueError(f"{path}: trace termination {termination!r} is not one of "
@@ -435,12 +436,16 @@ def _raise_row_fault(path: str, rows: list) -> None:
                              f"than row 1's x ({dim})")
 
 
-def _coords_of(path: str, what: str, value) -> tuple[float, ...]:
+def _coords_of(path: str, what: str, value, dim: int | None = None) -> tuple[float, ...]:
     """`value` as the coordinates of a Point. A value that is not a list of
-    floats (not a list, a string in it, an int too large for a float)
-    raises ValueError naming the file and `what`."""
+    floats (not a list, a string in it, an int too large for a float), or,
+    given `dim`, one of another length, raises ValueError naming the file
+    and `what`."""
     try:
-        return float_coords(tuple(value))
+        coords = tuple(value)
+        if dim is not None and len(coords) != dim:
+            raise ValueError(f"{path}: {what} has {len(coords)} coordinates, the rows {dim}")
+        return float_coords(coords)
     except (TypeError, OverflowError) as exc:
         raise ValueError(f"{path}: {what} is not a list of floats: {exc}") from exc
 

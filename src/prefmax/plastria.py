@@ -16,8 +16,8 @@ from typing import Callable
 import numpy as np
 
 from .cones import DEFAULT_TOL, ContourSample, _rowdot, normal_cone_test
-from .points import GroundSet, Point, ground_array, scaled_to
-from .relations import PropertyReport, Relation, _row_blocks, preference_matrix
+from .points import GroundSet, Point, ground_array, row_blocks, scaled_to
+from .relations import PropertyReport, Relation, preference_matrix
 
 # Sign flags, named by content:
 #   negative_iff_better  -- f(x,y) < 0 exactly on the strictly-better set of x
@@ -45,7 +45,7 @@ class GapFunction:
     def table(self, xs, ys=None):
         """f(x, y) for every x of `xs` and y of `ys` (`xs` by default), each
         as `self(x, y)` gives it, as (rows, block) pairs: the rows `rows` (a
-        slice of xs) in row blocks of `relations._row_blocks`. A gap from a
+        slice of xs) in row blocks of `points.row_blocks`. A gap from a
         utility calls u once per y, then once per x (once per point when
         `ys` is omitted); any other gap calls `fn` once per pair, by rows."""
         xs = list(map(tuple, xs))
@@ -53,7 +53,7 @@ class GapFunction:
         if self.utility is not None:
             uy = np.fromiter(map(self.utility, ys), float, len(ys))
             ux = uy if ys is xs else np.fromiter(map(self.utility, xs), float, len(xs))
-        for rows in _row_blocks(len(xs), len(ys)):
+        for rows in row_blocks(len(xs), len(ys)):
             if self.utility is None:
                 F = np.array([[float(self.fn(x, y)) for y in ys] for x in xs[rows]], dtype=float)
             else:

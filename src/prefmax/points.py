@@ -16,6 +16,16 @@ DEFAULT_STEP = {1: 0.01, 2: 0.05}
 # grids have stable, hashable coordinates (grids are generated, not measured).
 _LATTICE_DECIMALS = 12
 
+# Entry budget of one block of the stacked array passes (relation sweeps and
+# gap tables, box samples and sampled bodies, the Stampacchia and Minty
+# sweeps): the entries of the arrays a block computes on, as each pass counts
+# them, with at least one row per block, so that a pass's temporaries stay
+# O(block) however large the ground is. At 2^15 entries (256 KB of floats)
+# a block still spreads numpy's fixed cost per call over many rows, while
+# the working memory stays near that of a one-point pass. `row_blocks` and
+# `blocks` read it at call time.
+BLOCK_ENTRIES = 1 << 15
+
 
 @dataclass(frozen=True)
 class Point:
@@ -88,29 +98,54 @@ def check_same_dim(*items) -> int:
     return dims.pop()
 
 
-def coord_array(rows, dim: int) -> np.ndarray:
-    """Rows of coordinates (Points, tuples or an array) as a read-only
-    (m, dim) float array. Shape and finiteness are checked once for the whole
-    array, and fail with ValueError as `Point` does for one point."""
-    if isinstance(rows, np.ndarray):
-        arr = np.array(rows, dtype=float)
+def ground_array(X, dim: int) -> np.ndarray:
+    """The rows of X as an (m, dim) float array: a GroundSet supplies its
+    cached array, an array is taken as it is (as floats), and Points or
+    coordinate tuples are stacked. Rows of any other dimension raise
+    ValueError."""
+    if isinstance(X, GroundSet):
+        arr = X.array()
+    elif isinstance(X, np.ndarray):
+        arr = np.asarray(X, dtype=float)
     else:
-        rows = [tuple(r) for r in rows]
-        arr = np.array(rows, dtype=float) if rows else np.empty((0, dim))
-    if arr.ndim != 2 or arr.shape[1] != dim:
+        rows = [tuple(r) for r in X]
+        same = set(map(len, rows)) <= {dim}
+        arr = np.array(rows, dtype=float).reshape(len(rows), dim) if same else None
+    if arr is None or arr.ndim != 2 or arr.shape[1] != dim:
         raise ValueError(f"dimension mismatch: expected rows of {dim} coordinates")
+    return arr
+
+
+def coord_array(rows, dim: int) -> np.ndarray:
+    """`ground_array(rows, dim)` as a read-only copy whose coordinates are
+    checked to be finite, failing with ValueError as `Point` does for one
+    point."""
+    arr = np.array(ground_array(rows, dim))
     if not np.isfinite(arr).all():
         raise ValueError("non-finite coordinate")
     arr.flags.writeable = False
     return arr
 
 
-def ground_array(X, dim: int) -> np.ndarray:
-    """Coordinates of the points of X as an (n, dim) array; a GroundSet
-    supplies its cached array."""
-    if isinstance(X, GroundSet):
-        return X.array()
-    return np.array([tuple(y) for y in X], dtype=float).reshape(-1, dim)
+def row_blocks(n: int, width: int) -> list[slice]:
+    """Consecutive slices of range(n) with at most BLOCK_ENTRIES // width
+    rows each (at least one): the blocks of a pass over rows of `width`
+    entries."""
+    step = max(1, BLOCK_ENTRIES // max(1, width))
+    return [slice(s, min(n, s + step)) for s in range(0, n, step)]
+
+
+def blocks(sizes):
+    """Consecutive slices of range(len(sizes)) whose sizes sum to at most
+    BLOCK_ENTRIES, with at least one item each: the blocks of a pass over
+    items of uneven sizes."""
+    ends = np.cumsum(sizes)
+    s = 0
+    while s < len(ends):
+        e = int(np.searchsorted(ends, (ends[s - 1] if s else 0) + BLOCK_ENTRIES, side="right"))
+        e = max(e, s + 1)
+        yield slice(s, e)
+        s = e
 
 
 def axis_lattice(lo: float, hi: float, step: float) -> list[float]:

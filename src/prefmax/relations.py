@@ -16,7 +16,8 @@ from typing import Callable
 
 import numpy as np
 
-from .points import GroundSet, Point, check_same_dim
+from . import points
+from .points import GroundSet, Point, check_same_dim, ground_array, row_blocks
 
 PROPERTIES = (
     "reflexive",
@@ -27,11 +28,6 @@ PROPERTIES = (
     "convex_upper",
     "convex_strict_upper",
 )
-
-# Upper bound on the entries of one block of a relation sweep (at least one
-# row per block), so that a sweep's temporaries stay O(block) however large
-# the ground is.
-_SWEEP_ENTRIES = 1 << 16
 
 # Ulp bound of a utility's column form: columns(y) may differ from u(y) by
 # at most K * spacing(|columns(y)|), or by at most K floats (see
@@ -97,39 +93,18 @@ class Relation:
 # ------------------------------------------------------------------ evaluator
 
 
-def _check_rows(rel: Relation, rows) -> None:
-    if isinstance(rows, GroundSet):
-        ok = rows.dim == rel.dim
-    elif isinstance(rows, np.ndarray):
-        ok = rows.ndim == 2 and rows.shape[1] == rel.dim
-    else:
-        ok = set(map(len, rows)) <= {rel.dim}
-    if not ok:
-        raise ValueError(f"dimension mismatch: relation is {rel.dim}-dimensional")
-
-
-def _coordinates(rel: Relation, rows) -> np.ndarray:
-    """The rows (as `_operand` takes them) as an (m, dim) float array."""
-    _check_rows(rel, rows)
-    if isinstance(rows, GroundSet):
-        return rows.array()
-    return np.asarray(rows, dtype=float).reshape(len(rows), rel.dim)
-
-
 def _operand(rel: Relation, rows) -> np.ndarray:
     """What the evaluator reads of each row, one entry per row along axis 0:
     the utility score, the table index, or the coordinates (predicates).
 
     rows: a GroundSet, a sequence of coordinate tuples, or an (m, dim)
-    array. The utility is called once per row, on a coordinate tuple.
+    array (`points.ground_array`). The utility is called once per row, on a
+    coordinate tuple.
     """
+    Y = ground_array(rows, rel.dim)
     if rel.kind == "predicate":
-        return _coordinates(rel, rows)
-    _check_rows(rel, rows)
-    if isinstance(rows, GroundSet):
-        rows = [p.coords for p in rows.points]
-    elif isinstance(rows, np.ndarray):
-        rows = map(tuple, rows.tolist())
+        return Y
+    rows = map(tuple, Y.tolist())
     if rel.kind == "utility":
         u = rel.utility
         return np.array([u(r) for r in rows], dtype=float)
@@ -167,17 +142,10 @@ def _strict(rel: Relation, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return _holds(rel, a, b) & ~_holds(rel, b, a)
 
 
-def _row_blocks(n: int, width: int):
-    """Consecutive slices of range(n) with at most _SWEEP_ENTRIES // width
-    rows each (at least one)."""
-    step = max(1, _SWEEP_ENTRIES // max(1, width))
-    return [slice(s, s + step) for s in range(0, n, step)]
-
-
 def _matrix(rel: Relation, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """W[i, j] = holds(rel, A_i, B_j), evaluated in row blocks."""
     W = np.empty((len(a), len(b)), dtype=bool)
-    for blk in _row_blocks(len(a), len(b)):
+    for blk in row_blocks(len(a), len(b)):
         W[blk] = _holds(rel, a[blk, None], b[None])
     return W
 
@@ -229,7 +197,7 @@ def strictly_better_rows(rel: Relation, B: np.ndarray, candidates, counts) -> np
     if not len(candidates):
         return np.zeros(0, dtype=bool)
     if rel.kind == "utility" and rel.columns is not None:
-        Y = _coordinates(rel, candidates)
+        Y = ground_array(candidates, rel.dim)
         s = np.broadcast_to(np.asarray(rel.columns(tuple(Y.T)), dtype=float), (len(Y),))
         return _scored_strict(rel, s, B, counts, lambda i: Y[i])
     base = _operand(rel, B)
@@ -364,7 +332,7 @@ def check_property(rel: Relation, ground: GroundSet, prop: str, m: int | None = 
 
     if prop == "complete":
         # pairs (x, y) with y at or after x, neither weakly preferred
-        for blk in _row_blocks(n, n):
+        for blk in row_blocks(n, n):
             bad = ~_holds(rel, g[blk, None], g[None]) & ~_holds(rel, g[None], g[blk, None])
             hit = _first(np.triu(bad, blk.start))
             if hit is not None:
@@ -374,11 +342,11 @@ def check_property(rel: Relation, ground: GroundSet, prop: str, m: int | None = 
     if prop == "transitive":
         # x beats y, y beats z, x does not beat z: row x of W @ W against W
         W = _matrix(rel, g, g)
-        for blk in _row_blocks(n, n):
+        for blk in row_blocks(n, n):
             bad = np.flatnonzero((np.matmul(W[blk], W) & ~W[blk]).any(axis=1))
             if bad.size:
                 x = W[blk.start + bad[0]]
-                for yb in _row_blocks(n, n):
+                for yb in row_blocks(n, n):
                     hit = _first(x[yb, None] & W[yb] & ~x[None])
                     if hit is not None:
                         return PropertyReport(prop, False, (pts[blk.start + bad[0]],
@@ -390,7 +358,7 @@ def check_property(rel: Relation, ground: GroundSet, prop: str, m: int | None = 
         # when no ground point weakly beats all of its members
         W = _matrix(rel, g, g)
         combos = combinations(range(n), m)
-        per = max(1, _SWEEP_ENTRIES // (n * m))
+        per = max(1, points.BLOCK_ENTRIES // (n * m))
         while chunk := list(islice(combos, per)):
             C = np.array(chunk, dtype=np.intp)
             miss = np.flatnonzero(~W[:, C].all(axis=2).any(axis=0))
@@ -404,7 +372,7 @@ def check_property(rel: Relation, ground: GroundSet, prop: str, m: int | None = 
         # y is weakly preferred to each of them, so the first empty prefix
         # ends at the largest count, over y, of leading points y beats.
         reach = np.empty(n, dtype=np.intp)
-        for blk in _row_blocks(n, n):
+        for blk in row_blocks(n, n):
             fails = ~_holds(rel, g[blk, None], g[None])
             reach[blk] = np.where(fails.any(axis=1), fails.argmax(axis=1), n)
         k = int(reach.max()) if n else n
@@ -413,7 +381,7 @@ def check_property(rel: Relation, ground: GroundSet, prop: str, m: int | None = 
     # convex_upper, convex_strict_upper
     test = _holds if prop == "convex_upper" else _strict
     slack = ground.resolution() / 2.0
-    for blk in _row_blocks(n, n):
+    for blk in row_blocks(n, n):
         for r, row in enumerate(test(rel, g[None], g[blk, None])):
             cont = [pts[j] for j in np.flatnonzero(row)]
             bad = _contour_is_grid_convex(cont, ground, slack)
@@ -428,7 +396,7 @@ def maximal_elements(rel: Relation, ground: GroundSet) -> list[Point]:
     pts, rows = _ground(ground)
     g = _operand(rel, rows)
     dominated = np.zeros(len(pts), dtype=bool)
-    for blk in _row_blocks(len(pts), len(pts)):
+    for blk in row_blocks(len(pts), len(pts)):
         dominated[blk] = _strict(rel, g[None], g[blk, None]).any(axis=1)
     return [pts[i] for i in np.flatnonzero(~dominated)]
 
@@ -438,6 +406,6 @@ def maxima(rel: Relation, ground: GroundSet) -> list[Point]:
     pts, rows = _ground(ground)
     g = _operand(rel, rows)
     top = np.zeros(len(pts), dtype=bool)
-    for blk in _row_blocks(len(pts), len(pts)):
+    for blk in row_blocks(len(pts), len(pts)):
         top[blk] = _holds(rel, g[blk, None], g[None]).all(axis=1)
     return [pts[i] for i in np.flatnonzero(top)]

@@ -25,7 +25,7 @@ from .cones import (
     sample_contour,
     sampled_bodies,
 )
-from .points import GroundSet, Point, ground_array, norm
+from .points import GroundSet, Point, blocks, ground_array, norm, row_blocks
 from .relations import Relation, maximal_elements
 
 ConeOracle = Callable[[Point], Cone]
@@ -62,19 +62,6 @@ def _lp_witness(V: np.ndarray, D: np.ndarray, floor: np.ndarray) -> np.ndarray |
     w = V.T @ (lam / lam.sum())
     return None if (_rowdot(w, D) < floor).any() else w
 
-
-# Entry budget of one block of the stacked sweeps: the floats of the array
-# a block is computed on. The Stampacchia vertex sweep takes whole bases
-# (vertex rows times ground points; at least one base), the midpoint sweep
-# midpoints of one base (times ground points; at least one), and the Minty
-# test candidates (times cone generators; at least one), a quarter of the
-# budget, since it holds about four arrays of that size at once where the
-# vertex sweep holds one. At 2^14 entries (128 KB) a block stays
-# cache-sized and the working memory stays near that of the one-point
-# sweeps, while a block still spreads its fixed numpy cost over several
-# bases. A base whose vertex products alone exceed the budget gets a block
-# of its own, as large as its one-base sweep.
-_SWEEP_ENTRIES = 1 << 14
 
 _EPS8 = 8.0 * float(np.finfo(float).eps)
 
@@ -155,12 +142,12 @@ def _vertex_block(Vs: list, B: np.ndarray, G: np.ndarray, tol: float):
 def _midpoint_witness(V: np.ndarray, D: np.ndarray, floor: np.ndarray) -> np.ndarray | None:
     """The first pairwise vertex midpoint (i, j), i < j, in row-major order
     that meets every floor, or None. The midpoints go in consecutive blocks
-    of that order within the entry budget, and the sweep stops at the first
-    block with a passing midpoint."""
+    of that order, each midpoint counting one entry per displacement
+    (`points.row_blocks`), and the sweep stops at the first block with a
+    passing midpoint."""
     I, J = np.triu_indices(len(V), 1)
-    block = max(1, _SWEEP_ENTRIES // max(1, len(D)))
-    for s in range(0, len(I), block):
-        mids = 0.5 * (V[I[s:s + block]] + V[J[s:s + block]])
+    for blk in row_blocks(len(I), len(D)):
+        mids = 0.5 * (V[I[blk]] + V[J[blk]])
         k = _first_passing(_rowdot(mids[:, None, :], D[None, :, :]) < floor)
         if k is not None:
             return mids[k]
@@ -182,9 +169,11 @@ def _stampacchia(bodies: list, B: np.ndarray, G: np.ndarray, tol: float) -> list
        sampled body's verdict is read off the gaps between its net rows,
        and every other body runs `ConvexBody.contains`.
     2. The vertex sweep and the Farkas screen (`_vertex_block`), in blocks
-       of whole bases within the entry budget. The bases go in order of
-       vertex count, so that little is padded. A base's witness is its
-       first passing vertex, and a refuted base has none.
+       of whole bases (`points.blocks`), a base counting one entry per
+       vertex and ground point; a base whose products alone exceed the
+       budget gets a block of its own. The bases go in order of vertex
+       count, so that little is padded. A base's witness is its first
+       passing vertex, and a refuted base has none.
     3. One base at a time, the midpoint sweep (`_midpoint_witness`).
     4. Last, one phase-1 LP (`_lp_witness`), which decides whether any
        point of the body meets every floor. It comes after the midpoints
@@ -207,13 +196,8 @@ def _stampacchia(bodies: list, B: np.ndarray, G: np.ndarray, tol: float) -> list
         else:
             open_.append(i)
     open_.sort(key=lambda i: len(bodies[i].vertices))
-    sizes = [len(bodies[i].vertices) * len(G) for i in open_]
-    s = 0
-    while s < len(open_):
-        e = s + 1
-        while e < len(open_) and (e + 1 - s) * sizes[e] <= _SWEEP_ENTRIES:
-            e += 1
-        block = open_[s:e]
+    for blk in blocks([len(bodies[i].vertices) * len(G) for i in open_]):
+        block = open_[blk]
         firsts, refuted = _vertex_block([bodies[i].vertices for i in block], B[block], G, tol)
         for i, w, no in zip(block, firsts, refuted.tolist()):
             if w is None and not no:
@@ -225,7 +209,6 @@ def _stampacchia(bodies: list, B: np.ndarray, G: np.ndarray, tol: float) -> list
                     w = _lp_witness(V, D, floor)
             if w is not None:
                 found[i] = tuple(w.tolist())
-        s = e
     return found
 
 
@@ -281,6 +264,7 @@ def certificate_valid(cert: VipCertificate, body: ConvexBody, X, tol: float | No
     coordinate, so each rounds as the scalar `dot` and `norm`.
     """
     tol = cert.tol if tol is None else tol
+    D = ground_array(X, cert.solution.dim) - np.array(cert.solution.coords, dtype=float)
     if cert.witness is None or body.is_empty:
         return False
     w = cert.witness.coords
@@ -289,7 +273,6 @@ def certificate_valid(cert: VipCertificate, body: ConvexBody, X, tol: float | No
     # contains() scales its tolerance by 1 + ||w||; the floor is absolute
     if not body.contains(w, max(tol, floor / (1.0 + norm(w)))):
         return False
-    D = ground_array(X, len(w)) - np.array(cert.solution.coords, dtype=float)
     return not (_rowdot(np.array(w), D) < -tol * (1.0 + np.sqrt(_rowdot(D, D)))).any()
 
 
@@ -308,6 +291,7 @@ def _cone_field(cone_oracle: ConeOracle, X, dim: int) -> _ConeField:
     """Call the oracle once per ground point and stack the cones."""
     if not isinstance(X, GroundSet):
         X = list(X)
+    ground = ground_array(X, dim)
     gens, owner, full = [], [], []
     for i, y in enumerate(X):
         cone = cone_oracle(y)
@@ -316,8 +300,7 @@ def _cone_field(cone_oracle: ConeOracle, X, dim: int) -> _ConeField:
         elif cone.tag == "generated":
             gens.extend(g.coords for g in cone.generators)
             owner.extend([i] * len(cone.generators))
-    G = np.array(gens, dtype=float).reshape(-1, dim)
-    ground = ground_array(X, dim)
+    G = ground_array(gens, dim)
     return _ConeField(G * (1.0 / np.sqrt(_rowdot(G, G)))[:, None],
                       ground[np.array(owner, dtype=int)], ground[np.array(full, dtype=int)])
 
@@ -328,15 +311,14 @@ def _minty_holds(field: _ConeField, C: np.ndarray, tol: float) -> np.ndarray:
     point y. A full cone is probed with the axis fan, whose worst case is
     max_i |d_i|, and with d / ||d|| itself when d = xhat - y != 0.
 
-    The candidates go in blocks, each tested against the whole stacked
-    field in one expression; a block's candidates times the field's
-    generators and full cones stay within a quarter of the entry budget.
-    Each entry is computed from xhat - y as a one-candidate test computes
-    it."""
+    The candidates go in blocks (`points.row_blocks`), each tested against
+    the whole stacked field in one expression; a candidate counts 4 entries
+    per generator and full cone, since a block holds about four arrays of
+    that size at once. Each entry is computed from xhat - y as a
+    one-candidate test computes it."""
     holds = np.empty(len(C), dtype=bool)
-    block = max(1, _SWEEP_ENTRIES // (4 * max(1, len(field.units) + len(field.full))))
-    for s in range(0, len(C), block):
-        X = C[s:s + block, None, :]
+    for blk in row_blocks(len(C), 4 * (len(field.units) + len(field.full))):
+        X = C[blk, None, :]
         D = X - field.at
         fails = (_rowdot(field.units, D) > tol * (1.0 + np.sqrt(_rowdot(D, D)))).any(axis=1)
         F = X - field.full
@@ -345,7 +327,7 @@ def _minty_holds(field: _ConeField, C: np.ndarray, tol: float) -> np.ndarray:
         fails |= (np.abs(F).max(axis=2) > ceiling).any(axis=1)
         moved = nf > 0.0
         own = _rowdot(F * (1.0 / np.where(moved, nf, 1.0))[..., None], F)
-        holds[s:s + block] = ~(fails | (moved & (own > ceiling)).any(axis=1))
+        holds[blk] = ~(fails | (moved & (own > ceiling)).any(axis=1))
     return holds
 
 
@@ -393,7 +375,7 @@ def bodies_for_ground(rel: Relation, X: GroundSet, cone_oracle: ConeOracle | Non
     `BoxSampler` (`Fixture.box_sampler`) samples the whole ground at once
     (`cones.box_bodies`): every base's box candidates are cut from one
     lattice, whose points a column form scores once, and the bases go in
-    blocks of at most `cones._GROUND_ENTRIES` candidates, each block's
+    blocks of at most `points.BLOCK_ENTRIES` candidates, each block's
     samples turned into bodies before the next is sampled. Any other
     sampler (by default the ground sample `sample_contour`) is called once
     per base, and its samples go through the same body pass, stacked in
@@ -432,15 +414,15 @@ def svip_solutions(rel: Relation, X: GroundSet, cone_oracle: ConeOracle | None =
 
     The bodies come from ground-level passes too: with a `BoxSampler`,
     the box samples and bodies of a block of bases at a time, within the
-    entry budget `cones._GROUND_ENTRIES` (see `bodies_for_ground`). Every
+    entry budget `points.BLOCK_ENTRIES` (see `bodies_for_ground`). Every
     point of X is then decided in the stacked stages of `_stampacchia`,
     whose one-base call is `svip_membership`, so a point is returned
     exactly where `svip_membership` gives it a certificate. The zero test
     runs once per distinct body object, and a sampled body's is read off
     its net rows (`contains_zero`); the vertex sweep and the Farkas screen
-    run for blocks of bases at once, within the entry budget
-    `_SWEEP_ENTRIES`; only a base that neither decides goes on alone, to
-    the midpoint sweep and then the LP, in every dimension.
+    run for blocks of bases at once, within the same budget; only a base
+    that neither decides goes on alone, to the midpoint sweep and then the
+    LP, in every dimension.
 
     `ball_on_empty` stays only because `bench/ops.py` still passes it as
     False. It chose a hull variant that gave an empty strictly-better set
@@ -451,11 +433,12 @@ def svip_solutions(rel: Relation, X: GroundSet, cone_oracle: ConeOracle | None =
     if ball_on_empty:
         raise ValueError(f"ball_on_empty={ball_on_empty!r} is not supported: "
                          "the hull of a full cone is already the ball")
-    bodies = bodies_for_ground(rel, X, cone_oracle, tol=tol, contour_sampler=contour_sampler)
     pts = list(X)
     if not pts:
         return []
-    G = ground_array(X if isinstance(X, GroundSet) else pts, pts[0].dim)
+    X = X if isinstance(X, GroundSet) else pts
+    G = ground_array(X, pts[0].dim)
+    bodies = bodies_for_ground(rel, X, cone_oracle, tol=tol, contour_sampler=contour_sampler)
     found = _stampacchia([bodies[x.coords] for x in pts], G, G, tol)
     return [x for x, w in zip(pts, found) if w is not None]
 

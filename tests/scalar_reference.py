@@ -302,6 +302,27 @@ def cone_contains_ref(cone, query) -> bool:
     return cone_residual_ref(cone, q) <= max(cone.tol, 1e-10)
 
 
+def unit_net3_ref() -> np.ndarray:
+    """The 3-D unit net as nested loops build it: the six axis vectors, then
+    every vector of {1, -1, 0}^3 with two or three nonzero coordinates,
+    normalised, rounded to 12 decimals and sorted by `np.unique`."""
+    base = []
+    for i in range(3):
+        for s in (1.0, -1.0):
+            v = [0.0, 0.0, 0.0]
+            v[i] = s
+            base.append(v)
+    for sx in (1.0, -1.0, 0.0):
+        for sy in (1.0, -1.0, 0.0):
+            for sz in (1.0, -1.0, 0.0):
+                v = (sx, sy, sz)
+                if sum(1 for c in v if c != 0.0) >= 2:
+                    base.append(list(v))
+    arr = np.array(base)
+    arr /= np.linalg.norm(arr, axis=1)[:, None]
+    return np.unique(np.round(arr, 12), axis=0)
+
+
 def cone_unit_hull_ref(cone) -> ConvexBody:
     """`cone_unit_hull` with the net rows tested one `cone_contains_ref`
     call at a time."""
@@ -716,10 +737,15 @@ def load_trace_json_ref(path: str) -> DescentTrace:
         records.append((x, xstar, r["theta"], r["dist_to_ref"], r["gap_to_ref"],
                         r["fejer_residual"]))
     ref = payload["reference"]
-    ref = Point(_point_coords(path, "the reference", ref)) if ref else None
-    if ref is not None and ref.dim != len(records[0][0]):
-        raise ValueError(f"{path}: the reference has {ref.dim} coordinates, "
-                         f"the rows {len(records[0][0])}")
+    if ref is not None:
+        try:
+            n = len(tuple(ref))
+        except TypeError as exc:
+            raise ValueError(f"{path}: the reference is not a list of floats: {exc}") from exc
+        if n != len(records[0][0]):
+            raise ValueError(f"{path}: the reference has {n} coordinates, "
+                             f"the rows {len(records[0][0])}")
+        ref = Point(_point_coords(path, "the reference", ref))
     termination, lipschitz = payload["termination"], payload["lipschitz"]
     if termination not in ("zeroSubgradient", "maxIters", "normBelowEps"):
         raise ValueError(f"{path}: trace termination {termination!r} is not one of "

@@ -22,7 +22,7 @@ from prefmax import (
 )
 from prefmax.cones import unit_net
 
-from scalar_reference import complete_equivalence_check
+from scalar_reference import complete_equivalence_check, unit_net3_ref
 
 
 def line_sample(base, lo, hi, step=0.01, exclude=()):
@@ -309,6 +309,12 @@ def test_unit_net_shapes():
     assert np.allclose(norms, 1.0)
     with pytest.raises(ValueError):
         unit_net(4)
+
+
+def test_unit_net_3d_is_the_nested_loops_net():
+    net, ref = unit_net(3), unit_net3_ref()
+    assert net.shape == ref.shape == (26, 3) and net.dtype == ref.dtype
+    assert net.tobytes() == ref.tobytes()
 
 
 def test_cone_validation():

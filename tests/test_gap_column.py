@@ -19,7 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from prefmax import GapFunction, Point, get_fixture, plastria_subgradient, pt, relations, zero_gap
+from prefmax import GapFunction, Point, get_fixture, plastria_subgradient, points, pt, zero_gap
 
 from scalar_reference import descent_oracle_ref, norm, scale
 
@@ -82,7 +82,7 @@ def test_table_is_the_gap_at_each_pair(name, by_utility, entries, data):
     recorded = (replace(gap, utility=_recorded(gap.utility, calls)) if by_utility
                 else replace(gap, fn=_recorded(gap.fn, calls)))
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(relations, "_SWEEP_ENTRIES", entries)
+        mp.setattr(points, "BLOCK_ENTRIES", entries)
         blocks = list(recorded.table(xs, ys))
     n, m = len(xs), len(xs if ys is None else ys)
     assert [i for rows, _ in blocks for i in range(n)[rows]] == list(range(n))

@@ -17,7 +17,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from prefmax import ConvexBody, GroundSet, Relation, fixture_names, get_fixture
-from prefmax import cones, relations
+from prefmax import cones, points, relations
 from prefmax.cones import BoxSampler, contains_zero, sampled_bodies, unit_net
 from prefmax.harness import ExperimentSpec, vip_solutions
 from prefmax.vip import bodies_for_ground
@@ -102,11 +102,11 @@ def windows(draw):
 
 @DIFFERENTIAL
 @given(windows(), st.sampled_from((0.0, 1e-9, 1e-3, -1e-9)),
-       st.sampled_from((1, 50, 700, cones._GROUND_ENTRIES)))
+       st.sampled_from((1, 50, 700, points.BLOCK_ENTRIES)))
 @example((_relation("exact", 2), GroundSet.grid([(-0.1, 0.3, 0.1), (-0.5, -0.2, 0.1)]), 0.25, 0.1),
          0.0, 50)
 @example((_relation("exact", 1), GroundSet.grid([(0.15, 0.3, 0.125)]), 0.25, 0.05), 0.0,
-         cones._GROUND_ENTRIES)  # the first candidate of the second base ties with it
+         points.BLOCK_ENTRIES)  # the first candidate of the second base ties with it
 @example((_relation("banded", 2), GroundSet.grid([(-0.1, 0.3, 0.1), (0.0, 0.1, 0.1)]), 0.2, 0.1),
          1e-9, 50)
 @example((_relation("nan", 2), GroundSet.grid([(0.013, 0.5, 0.3), (-0.21, 0.1, 0.3)]), 0.25, 0.1),
@@ -115,7 +115,7 @@ def test_stacked_samples_and_bodies_match_the_scalar_references(case, tol, budge
     (rel, h), ground, radius, step = case
     want = [box_sample_ref(h, x, radius, step) for x in ground]
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(cones, "_GROUND_ENTRIES", budget)
+        mp.setattr(points, "BLOCK_ENTRIES", budget)
         got, blocks = [], 0
         for _, P, kept in cones._box_blocks(rel, ground.array(), radius, step):
             got += np.split(P, np.cumsum(kept)[:-1])

@@ -1,5 +1,9 @@
 import json
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
@@ -176,6 +180,24 @@ def test_cli_unknown_fixture_exits_2():
     result = runner.invoke(main, ["check", "--fixture", "nosuch"])
     assert result.exit_code == 2
     assert "available" in result.output
+
+
+def test_a_closed_stdout_exits_1_without_an_error_line():
+    # the pipe's read end is closed before the child starts, so its first
+    # write fails with EPIPE whatever the timing
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "prefmax.cli", "vip", "--fixture",
+                               "segment-line", "--kind", "svip"], stdout=write,
+                              stderr=subprocess.PIPE, text=True, env=env, timeout=120)
+    finally:
+        os.close(write)
+    assert "error:" not in proc.stderr
+    assert proc.returncode == 1, proc.stderr
 
 
 def test_cli_descend_and_trace(tmp_path):

@@ -55,7 +55,7 @@ from prefmax import (
     zero_gap,
     zero_maximality_check,
 )
-from prefmax import relations, vip
+from prefmax import points, relations, vip
 from prefmax.cones import unit_net
 from prefmax.relations import PROPERTIES, strictly_better_mask
 from prefmax.vip import bodies_for_ground
@@ -491,7 +491,7 @@ def _bodies_and_grounds(draw):
 
 # block budgets that put one base, or a few, in each block of the stacked
 # sweeps, and the default
-_BUDGETS = st.sampled_from((1, 7, 64, vip._SWEEP_ENTRIES))
+_BUDGETS = st.sampled_from((1, 7, 64, points.BLOCK_ENTRIES))
 
 
 @st.composite
@@ -543,12 +543,12 @@ _MIDPOINT_CASE = ([pt(-1.0, -1.0), pt(0.0, -1.0), pt(1.0, -1.0), pt(0.0, 1.0)],
 
 @DIFFERENTIAL
 @given(_stacked_grounds(), st.sampled_from((0.0, 1e-9, 1e-3)), _BUDGETS)
-@example(_MIDPOINT_CASE, 0.0, vip._SWEEP_ENTRIES)
+@example(_MIDPOINT_CASE, 0.0, points.BLOCK_ENTRIES)
 @example(_MIDPOINT_CASE, 1e-9, 1)
 def test_stacked_stampacchia_matches_the_per_base_sweep(case, tol, budget):
     X, bodies = case
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(vip, "_SWEEP_ENTRIES", budget)
+        mp.setattr(points, "BLOCK_ENTRIES", budget)
         certs = _stacked_certificates(bodies, X, tol)
         for x, cert in zip(X, certs):
             reference = svip_sweep_ref(bodies[x.coords], x, X, tol)
@@ -734,11 +734,11 @@ def test_midpoint_sweep_returns_the_first_witness_across_blocks():
 @pytest.mark.parametrize("name", CONE_FIXTURES)
 def test_fixture_minty_sets_match(name, monkeypatch):
     fx = get_fixture(name)
-    budgets = (vip._SWEEP_ENTRIES, 997)  # the default blocks, and blocks of a few candidates
+    budgets = (points.BLOCK_ENTRIES, 997)  # the default blocks, and blocks of a few candidates
     for tol in TOLS:
         reference = mvip_solutions_ref(fx.cone_oracle, fx.default_ground, tol)
         for budget in budgets:
-            monkeypatch.setattr(vip, "_SWEEP_ENTRIES", budget)
+            monkeypatch.setattr(points, "BLOCK_ENTRIES", budget)
             assert mvip_solutions(fx.cone_oracle, fx.default_ground, tol) == reference
 
 
@@ -788,7 +788,7 @@ def test_random_2d_minty_fields_match(field, outside, tol, budget):
     X = [Point(p) for p in cones]
     oracle = lambda y: cones[y.coords]
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(vip, "_SWEEP_ENTRIES", budget)
+        mp.setattr(points, "BLOCK_ENTRIES", budget)
         assert mvip_solutions(oracle, X, tol) == mvip_solutions_ref(oracle, X, tol)
         # a candidate that need not lie in X
         xhat = Point(outside)
@@ -806,7 +806,7 @@ def test_random_1d_minty_fields_match(field, tol, budget):
     X = GroundSet.explicit(pt(x) for x, _ in field)
     oracle = lambda y: cones[y.coords]
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(vip, "_SWEEP_ENTRIES", budget)
+        mp.setattr(points, "BLOCK_ENTRIES", budget)
         assert mvip_solutions(oracle, X, tol) == mvip_solutions_ref(oracle, X, tol)
 
 
@@ -1003,7 +1003,7 @@ def test_sweeps_cross_a_block_boundary(kinked):
     # kinked-threshold's extended ground has 301 points, so its 301 x 301
     # matrix spans two blocks
     rel, ground = kinked.relation, kinked.me_ground()
-    assert len(ground) ** 2 > relations._SWEEP_ENTRIES
+    assert len(ground) ** 2 > points.BLOCK_ENTRIES
     h = scalar_holds(rel)
     pts = list(ground)
     assert maximal_elements(rel, ground) == maximal_elements_ref(h, ground)
@@ -1016,7 +1016,7 @@ def test_sweeps_cross_a_block_boundary(kinked):
 @pytest.mark.parametrize("entries", (1, 7, 64))
 def test_every_sweep_matches_in_small_blocks(entries, monkeypatch, band):
     # blocks of a row or a few, so each witness search crosses blocks
-    monkeypatch.setattr(relations, "_SWEEP_ENTRIES", entries)
+    monkeypatch.setattr(points, "BLOCK_ENTRIES", entries)
     rng = np.random.default_rng(entries)
     for style in ("uniform", "closure", "utility"):
         rel = random_tabular_relation(rng, 9, style)
@@ -1043,7 +1043,7 @@ def test_gap_checks_are_the_same_in_small_blocks(entries, monkeypatch):
     expected = results()
     assert {r.prop for r, _ in expected} == {"zero_maximality", "zero_maximality_precondition"}
     assert any(r.witness for r, _ in expected) and any(w for _, w in expected)
-    monkeypatch.setattr(relations, "_SWEEP_ENTRIES", entries)
+    monkeypatch.setattr(points, "BLOCK_ENTRIES", entries)
     assert results() == expected
 
 

@@ -338,6 +338,18 @@ def test_rejects_a_reference_of_another_dimension(tmp_path):
               "the reference has 3 coordinates, the rows 2")
 
 
+@pytest.mark.parametrize("value, fault", [([], "has 0 coordinates, the rows 2"),
+                                          ("", "has 0 coordinates, the rows 2"),
+                                          ({}, "has 0 coordinates, the rows 2"),
+                                          (0, "'int' object is not iterable"),
+                                          (False, "'bool' object is not iterable")])
+def test_only_a_null_reference_means_none(tmp_path, value, fault):
+    # a falsy reference is checked as any other is, not read as no reference
+    path, payload = _written(tmp_path)
+    message = _rejected(path, {**payload, "reference": value}, "the reference ")
+    assert message.endswith(fault)
+
+
 @pytest.mark.parametrize("value, fault", [(1, "'int' object is not iterable"),
                                           (["1", 2.0], "must be real number, not str"),
                                           ([10 ** 400, 1.0], "int too large to convert to float")])
@@ -409,9 +421,9 @@ def test_non_finite_int_and_null_values_load(tmp_path):
     assert trace.lipschitz == 3
 
 
-JUNK = (None, 3, 10 ** 400, "ab", "", [], {}, {"a": 1}, True, math.nan, [0.5], [0.5, 1.0, 2.0],
-        [math.nan, 0.5], [math.inf], [1, 2], [True, 0], [10 ** 400, 1.0], ["1", 2.0],
-        [[1.0], 2.0], [None, 1.0])
+JUNK = (None, 3, 0, False, 10 ** 400, "ab", "", [], {}, {"a": 1}, True, math.nan, [0.5],
+        [0.5, 1.0, 2.0], [math.nan, 0.5], [math.inf], [1, 2], [True, 0], [10 ** 400, 1.0],
+        ["1", 2.0], [[1.0], 2.0], [None, 1.0])
 # Values of the top-level and value fields, well-formed or not
 TERMINATION_JUNK = (5, "bogus", None, True, [], "maxIters", "normBelowEps")
 LIPSCHITZ_JUNK = (None, 2, 0.5, 0, -1, -0.0, "x", math.nan, math.inf, True, 10 ** 400, [1.0])

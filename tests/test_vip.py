@@ -31,6 +31,40 @@ def coords(points):
     return {p.coords for p in points}
 
 
+# ----------------------------------------------------------------- grounds
+
+MISMATCH = "^dimension mismatch: expected rows of 2 coordinates$"
+_BODY = ConvexBody(2, [(1.0, 0.0), (0.0, 1.0)])
+_MIXED = [pt(0.5, 0.0), pt(1.0, 0.0), pt(0.5, 0.0, 1.0)]
+
+
+def test_a_stampacchia_base_rejects_a_ground_of_another_dimension():
+    # six 1-D points are not three 2-D ones
+    with pytest.raises(ValueError, match=MISMATCH):
+        svip_membership(_BODY, pt(0.0, 0.0), [pt(float(i)) for i in range(6)])
+
+
+def test_a_certificate_is_not_checked_against_a_ground_of_another_dimension():
+    cert = svip_membership(_BODY, pt(0.0, 0.0), [pt(1.0, 1.0)])
+    assert certificate_valid(cert, _BODY, [pt(1.0, 1.0)])
+    with pytest.raises(ValueError, match=MISMATCH):
+        certificate_valid(cert, _BODY, [pt(1.0, 1.0, 1.0)])
+
+
+def test_a_minty_base_rejects_a_ground_of_another_dimension():
+    with pytest.raises(ValueError, match=MISMATCH):
+        mvip_membership(lambda y: Cone.full(2), pt(0.0, 0.0), [pt(1.0, 1.0, 1.0)])
+
+
+def test_the_solution_sets_reject_a_ground_of_mixed_dimensions(segment):
+    with pytest.raises(ValueError, match=MISMATCH):
+        svip_solutions(segment.relation, _MIXED, segment.cone_oracle)
+    with pytest.raises(ValueError, match=MISMATCH):
+        svip_solutions(segment.relation, _MIXED)
+    with pytest.raises(ValueError, match=MISMATCH):
+        mvip_solutions(segment.cone_oracle, _MIXED)
+
+
 # ------------------------------------------------------------- Stampacchia
 
 
