@@ -119,9 +119,10 @@ def _favored_one() -> Fixture:
         return _eq(y[0], x[0]) | _eq(y[0], 1.0)
 
     rel = Relation.from_predicate("favored-one", 1, rule)
+    zero, full = Cone.zero(1), Cone.full(1)
 
     def oracle(p: Point) -> Cone:
-        return Cone.zero(1) if _eq(p[0], 1.0) else Cone.full(1)
+        return zero if _eq(p[0], 1.0) else full
 
     return Fixture(
         name="favored-one",
@@ -146,9 +147,10 @@ def _kinked_threshold() -> Fixture:
         return both_zero | ((x[0] >= y[0] - _EQ_TOL) & ~_eq(y[0], 0.0))
 
     rel = Relation.from_predicate("kinked-threshold", 1, rule)
+    full, left = Cone.full(1), Cone.ray((-1.0,))
 
     def oracle(p: Point) -> Cone:
-        return Cone.full(1) if _eq(p[0], 0.0) else Cone.ray((-1.0,))
+        return full if _eq(p[0], 0.0) else left
 
     return Fixture(
         name="kinked-threshold",
@@ -168,11 +170,12 @@ def _vee_peak() -> Fixture:
     """Distance-to-0.7 utility on the unit interval: a single kinked peak."""
     u = lambda x: -abs(x[0] - 0.7)
     rel = Relation.from_utility("vee-peak", 1, u, columns=lambda x: -np.abs(x[0] - 0.7))
+    full, left, right = Cone.full(1), Cone.ray((-1.0,)), Cone.ray((1.0,))
 
     def oracle(p: Point) -> Cone:
         if _eq(p[0], 0.7):
-            return Cone.full(1)
-        return Cone.ray((-1.0,)) if p[0] < 0.7 else Cone.ray((1.0,))
+            return full
+        return left if p[0] < 0.7 else right
 
     def direction(p: tuple):
         if p[0] == 0.7:
@@ -250,11 +253,12 @@ def _mutual_zero() -> Fixture:
         return _eq(x[0], 0.0) & _eq(x[1], 0.0) & _eq(y[0], 0.0) & _eq(y[1], 0.0)
 
     rel = Relation.from_predicate("mutual-zero", 2, rule)
+    full = Cone.full(2)
     return Fixture(
         name="mutual-zero",
         relation=rel,
         default_ground=GroundSet.grid([(-1.0, 1.0, 0.25), (-1.0, 1.0, 0.25)]),
-        cone_oracle=lambda p: Cone.full(2),
+        cone_oracle=lambda p: full,
         gap=zero_gap(1.0),
         descent_direction=lambda p: None,
         lsc=True,
@@ -272,13 +276,14 @@ def _twin_plateau() -> Fixture:
     u = lambda x: -max(abs(x[0]) - 1.0, 0.0)
     rel = Relation.from_utility("twin-plateau", 1, u,
                                 columns=lambda x: -np.maximum(np.abs(x[0]) - 1.0, 0.0))
+    full, left, right = Cone.full(1), Cone.ray((-1.0,)), Cone.ray((1.0,))
 
     def oracle(p: Point) -> Cone:
         if p[0] > 1.0 + _EQ_TOL:
-            return Cone.ray((1.0,))
+            return right
         if p[0] < -1.0 - _EQ_TOL:
-            return Cone.ray((-1.0,))
-        return Cone.full(1)
+            return left
+        return full
 
     def direction(p: tuple):
         if p[0] > 1.0 + _EQ_TOL:
@@ -306,10 +311,14 @@ def _line_rule(x, y):
     return _eq(x[1], 0.0) & _eq(y[1], 0.0) & (x[0] >= y[0] - _EQ_TOL)
 
 
+# The two cones of the on-axis order, built once: a Cone is frozen, so every
+# point shares them.
+_PLANE = Cone.full(2)
+_LINE_NORMALS = Cone.generated(((-1.0, 0.0), (0.0, 1.0), (0.0, -1.0)))
+
+
 def _line_cone(p: Point) -> Cone:
-    if not _eq(p[1], 0.0):
-        return Cone.full(2)
-    return Cone.generated(((-1.0, 0.0), (0.0, 1.0), (0.0, -1.0)))
+    return _LINE_NORMALS if _eq(p[1], 0.0) else _PLANE
 
 
 def _halfline_plane() -> Fixture:

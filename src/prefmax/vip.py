@@ -9,6 +9,7 @@ grids, so set equality means symmetric difference empty at grid resolution.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 from typing import Callable
 
 import numpy as np
@@ -154,6 +155,35 @@ def _midpoint_witness(V: np.ndarray, D: np.ndarray, floor: np.ndarray) -> np.nda
     return None
 
 
+def _extreme_rows(G: np.ndarray) -> np.ndarray:
+    """Indices, in ground order, of the rows of G that maximise <v, y> for
+    some nonzero v in {-1, 0, 1}^dim, the first such row on ties: at most
+    2 rows in 1-D, 8 in 2-D and 26 in 3-D, a grid's corners among them, and
+    none for an empty ground."""
+    if not len(G):
+        return np.arange(0)
+    dirs = np.array([v for v in product((-1.0, 0.0, 1.0), repeat=G.shape[1]) if any(v)])
+    return np.unique(_rowdot(G[:, None, :], dirs).argmax(axis=0))
+
+
+def _unrefuted(bodies: list, open_: list, B: np.ndarray, E: np.ndarray, tol: float) -> list:
+    """The bases of `open_` that the vertex sweep and the Farkas screen
+    against the ground rows E leave open, in the same order: a base with no
+    passing vertex at E that `_refuted` refutes at E is dropped.
+
+    The screen only refutes. Each entry at a row of E is the float
+    expression the full sweep computes at that row, so a vertex that fails
+    at E fails in the full sweep, and a displacement that refutes at E is
+    one that the full `_refuted` finds too. Every base it keeps goes
+    through the full sweep, which alone picks its witness."""
+    keep = []
+    for blk in blocks([len(bodies[i].vertices) * len(E) for i in open_]):
+        block = open_[blk]
+        firsts, refuted = _vertex_block([bodies[i].vertices for i in block], B[block], E, tol)
+        keep += [i for i, w, no in zip(block, firsts, refuted.tolist()) if w is not None or not no]
+    return keep
+
+
 def _stampacchia(bodies: list, B: np.ndarray, G: np.ndarray, tol: float) -> list:
     """Stampacchia witnesses (coordinate tuples, or None) for the bases
     xhat, the rows of B, with the bodies `bodies`, against the ground rows
@@ -173,7 +203,12 @@ def _stampacchia(bodies: list, B: np.ndarray, G: np.ndarray, tol: float) -> list
        vertex and ground point; a base whose products alone exceed the
        budget gets a block of its own. The bases go in order of vertex
        count, so that little is padded. A base's witness is its first
-       passing vertex, and a refuted base has none.
+       passing vertex, and a refuted base has none. The same two tests
+       run first against the ground's extreme rows (`_extreme_rows`, at
+       most 3^dim - 1 of them), unless those are the whole ground: a base
+       they refute gets None there and never meets the whole ground
+       (`_unrefuted`). The screen only refutes, so every witness is the
+       full sweep's.
     3. One base at a time, the midpoint sweep (`_midpoint_witness`).
     4. Last, one phase-1 LP (`_lp_witness`), which decides whether any
        point of the body meets every floor. It comes after the midpoints
@@ -196,6 +231,9 @@ def _stampacchia(bodies: list, B: np.ndarray, G: np.ndarray, tol: float) -> list
         else:
             open_.append(i)
     open_.sort(key=lambda i: len(bodies[i].vertices))
+    E = _extreme_rows(G)
+    if len(E) < len(G):
+        open_ = _unrefuted(bodies, open_, B, G[E], tol)
     for blk in blocks([len(bodies[i].vertices) * len(G) for i in open_]):
         block = open_[blk]
         firsts, refuted = _vertex_block([bodies[i].vertices for i in block], B[block], G, tol)
@@ -305,29 +343,66 @@ def _cone_field(cone_oracle: ConeOracle, X, dim: int) -> _ConeField:
                       ground[np.array(owner, dtype=int)], ground[np.array(full, dtype=int)])
 
 
-def _minty_holds(field: _ConeField, C: np.ndarray, tol: float) -> np.ndarray:
-    """For each candidate xhat, a row of C: whether <g, xhat - y> <= tol (1 +
-    ||xhat - y||) for every unit generator g of the cone at every ground
-    point y. A full cone is probed with the axis fan, whose worst case is
-    max_i |d_i|, and with d / ||d|| itself when d = xhat - y != 0.
+def _minty_fails(field: _ConeField, C: np.ndarray, tol: float) -> np.ndarray:
+    """For each candidate xhat, a row of C: whether <g, xhat - y> > tol (1 +
+    ||xhat - y||) for some unit generator g of the cone at some ground
+    point y of the field. A full cone is probed with the axis fan, whose
+    worst case is max_i |d_i|, and with d / ||d|| itself when d = xhat - y
+    != 0.
 
     The candidates go in blocks (`points.row_blocks`), each tested against
     the whole stacked field in one expression; a candidate counts 4 entries
     per generator and full cone, since a block holds about four arrays of
     that size at once. Each entry is computed from xhat - y as a
     one-candidate test computes it."""
-    holds = np.empty(len(C), dtype=bool)
+    fails = np.empty(len(C), dtype=bool)
     for blk in row_blocks(len(C), 4 * (len(field.units) + len(field.full))):
         X = C[blk, None, :]
         D = X - field.at
-        fails = (_rowdot(field.units, D) > tol * (1.0 + np.sqrt(_rowdot(D, D)))).any(axis=1)
+        out = (_rowdot(field.units, D) > tol * (1.0 + np.sqrt(_rowdot(D, D)))).any(axis=1)
         F = X - field.full
         nf = np.sqrt(_rowdot(F, F))
         ceiling = tol * (1.0 + nf)
-        fails |= (np.abs(F).max(axis=2) > ceiling).any(axis=1)
+        out |= (np.abs(F).max(axis=2) > ceiling).any(axis=1)
         moved = nf > 0.0
         own = _rowdot(F * (1.0 / np.where(moved, nf, 1.0))[..., None], F)
-        holds[blk] = ~(fails | (moved & (own > ceiling)).any(axis=1))
+        fails[blk] = out | (moved & (own > ceiling)).any(axis=1)
+    return fails
+
+
+def _minty_screen(field: _ConeField) -> _ConeField:
+    """The sub-field that `_minty_holds` tests first: for each distinct
+    unit generator g, its entry with the least <g, y> (the first in ground
+    order on ties), which is where <g, xhat - y> is largest for every
+    candidate, and the first and the last full-cone point, of which a
+    candidate equals at most one. The entries keep their field order."""
+    # by generator, then by <g, y>, then in field order (lexsort is stable)
+    order = np.lexsort((_rowdot(field.units, field.at), *field.units.T))
+    U = field.units[order]
+    head = np.ones(len(U), dtype=bool)
+    head[1:] = (U[1:] != U[:-1]).any(axis=1)
+    heads = np.sort(order[head])
+    full = field.full[[0, -1]] if len(field.full) > 1 else field.full
+    return _ConeField(field.units[heads], field.at[heads], full)
+
+
+def _minty_holds(field: _ConeField, C: np.ndarray, tol: float) -> np.ndarray:
+    """For each candidate xhat, a row of C: whether <g, xhat - y> <= tol (1 +
+    ||xhat - y||) for every unit generator g of the cone at every ground
+    point y, with full cones probed as `_minty_fails` probes them.
+
+    The candidates are screened against a few entries of the field first
+    (`_minty_screen`), and only those that pass meet the whole field. The
+    screen only refutes: each of its entries is one of the field's, tested
+    with the same float expression, so a candidate it rejects fails the
+    whole field too, and the verdicts are those of the whole field alone.
+    A field that the screen would not shrink is tested once."""
+    sub = _minty_screen(field)
+    live = np.arange(len(C))
+    if len(sub.units) + len(sub.full) < len(field.units) + len(field.full):
+        live = live[~_minty_fails(sub, C, tol)]
+    holds = np.zeros(len(C), dtype=bool)
+    holds[live] = ~_minty_fails(field, C[live], tol)
     return holds
 
 
@@ -349,10 +424,13 @@ def mvip_solutions(cone_oracle: ConeOracle, X: GroundSet, tol: float = DEFAULT_T
     """The points of X that solve the Minty problem, in ground order.
 
     The oracle is called once per ground point (n calls, not one per pair).
-    The candidates, every point of X, are then tested against the stacked
-    field in blocks (`_minty_holds`), with the inequalities of
-    `mvip_membership`: each block is one array expression over its
-    candidates and all generators, bounded by the entry budget.
+    The candidates, every point of X, are then tested in blocks
+    (`_minty_holds`), with the inequalities of `mvip_membership`: first
+    against a few entries of the stacked field (one per distinct generator
+    and two full cones), then, only those that pass, against the whole
+    field. Each block is one array expression over its candidates and the
+    entries, bounded by the entry budget. The screen only refutes, so the
+    listing is that of the whole-field test.
     """
     pts = list(X)
     if not pts:
@@ -384,9 +462,11 @@ def bodies_for_ground(rel: Relation, X: GroundSet, cone_oracle: ConeOracle | Non
     in net order (`body_from_sample`: an exact angular filter in 2-D, one
     direct product in 1-D and 3-D). The Stampacchia sweep therefore meets
     its candidates, and returns its witnesses, in the same order as a
-    point-by-point evaluation would; only a witness becomes a Point.
+    point-by-point evaluation would; only a witness becomes a Point. X is
+    read once, so any iterable of points will do.
     """
     pts = list(X)
+    X = X if isinstance(X, GroundSet) else pts
     if cone_oracle is not None:
         hull_cache: dict[tuple, ConvexBody] = {}
         bodies = []
@@ -420,9 +500,12 @@ def svip_solutions(rel: Relation, X: GroundSet, cone_oracle: ConeOracle | None =
     exactly where `svip_membership` gives it a certificate. The zero test
     runs once per distinct body object, and a sampled body's is read off
     its net rows (`contains_zero`); the vertex sweep and the Farkas screen
-    run for blocks of bases at once, within the same budget; only a base
-    that neither decides goes on alone, to the midpoint sweep and then the
-    LP, in every dimension.
+    run for blocks of bases at once, within the same budget, first against
+    the ground's extreme rows, which refute most bases of a grid without
+    the whole ground, then for the bases left against every point; only a
+    base that neither decides goes on alone, to the midpoint sweep and then
+    the LP, in every dimension. The extreme-row screen only refutes, so the
+    listing is that of the full sweeps.
 
     `ball_on_empty` stays only because `bench/ops.py` still passes it as
     False. It chose a hull variant that gave an empty strictly-better set

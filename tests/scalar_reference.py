@@ -17,7 +17,11 @@ columns, and `load_trace_json_ref` the loader that checked a trace file row
 by row (restated to reject a termination, a lipschitz, or a theta,
 distance, gap or residual value that `emit_trace` never writes);
 `scaled_to_ref` is `points.scaled_to` before its 1-D and 2-D arithmetic
-was written out coordinate by coordinate. The differential tests
+was written out coordinate by coordinate. `stampacchia_unscreened_ref`
+and `minty_holds_unscreened_ref` are the Stampacchia stages and the Minty
+field test before their screens (every open base or candidate meets the
+whole ground or field), and `FIXTURE_CONES_REF` holds the fixtures' cone
+oracles as they first were, with a new Cone per call. The differential tests
 hold the array versions and the tuple descent loop to these, result for
 result and witness for witness, row for row. The module also holds test
 helpers with no library counterpart: `complete_equivalence_check`,
@@ -41,10 +45,11 @@ from scipy.optimize import nnls
 
 from prefmax import (ContourSample, ConvexBody, Point, PropertyReport, Relation, VipCertificate,
                      holds, normal_membership_many, sample_contour)
-from prefmax.cones import unit_net
+from prefmax.cones import Cone, _rowdot, contains_zero, unit_net
 from prefmax.descent import DescentTrace, OracleNormViolation, TraceRow
 from prefmax.harness import SCHEMA_VERSION, TRACE_COLUMNS
-from prefmax.points import axis_lattice
+from prefmax.points import axis_lattice, blocks, row_blocks
+from prefmax.vip import _lp_witness, _midpoint_witness, _vertex_block
 from prefmax.relations import _contour_is_grid_convex
 
 # ------------------------------------------------------ tuple helpers
@@ -474,6 +479,92 @@ def mvip_membership_ref(cone_oracle, xhat: Point, X, tol: float) -> bool:
 
 def mvip_solutions_ref(cone_oracle, X, tol: float) -> list[Point]:
     return [x for x in X if mvip_membership_ref(cone_oracle, x, X, tol)]
+
+
+def stampacchia_unscreened_ref(bodies: list, B: np.ndarray, G: np.ndarray, tol: float) -> list:
+    """`vip._stampacchia` before its screen against the ground's extreme
+    rows: after the zero test, every open base meets the vertex sweep and
+    the Farkas screen against the whole ground, in blocks of whole bases,
+    and a base they leave open goes on alone to the midpoint sweep and the
+    LP. The stages are the library's own."""
+    zero = (0.0,) * B.shape[1]
+    found: list = [None] * len(B)
+    holds_zero: dict[int, bool] = {}
+    open_ = []
+    for i, body in enumerate(bodies):
+        if body.is_empty:
+            continue
+        if id(body) not in holds_zero:
+            holds_zero[id(body)] = contains_zero(body, tol)
+        if holds_zero[id(body)]:
+            found[i] = zero
+        else:
+            open_.append(i)
+    open_.sort(key=lambda i: len(bodies[i].vertices))
+    for blk in blocks([len(bodies[i].vertices) * len(G) for i in open_]):
+        block = open_[blk]
+        firsts, refuted = _vertex_block([bodies[i].vertices for i in block], B[block], G, tol)
+        for i, w, no in zip(block, firsts, refuted.tolist()):
+            if w is None and not no:
+                V = bodies[i].vertices
+                D = G - B[i]
+                floor = -tol * (1.0 + np.sqrt(_rowdot(D, D)))
+                w = _midpoint_witness(V, D, floor)
+                if w is None:
+                    w = _lp_witness(V, D, floor)
+            if w is not None:
+                found[i] = tuple(w.tolist())
+    return found
+
+
+def minty_holds_unscreened_ref(field, C: np.ndarray, tol: float) -> np.ndarray:
+    """`vip._minty_holds` before its screen: every candidate, a row of C,
+    meets the whole stacked field, in blocks of candidates."""
+    holds = np.empty(len(C), dtype=bool)
+    for blk in row_blocks(len(C), 4 * (len(field.units) + len(field.full))):
+        X = C[blk, None, :]
+        D = X - field.at
+        fails = (_rowdot(field.units, D) > tol * (1.0 + np.sqrt(_rowdot(D, D)))).any(axis=1)
+        F = X - field.full
+        nf = np.sqrt(_rowdot(F, F))
+        ceiling = tol * (1.0 + nf)
+        fails |= (np.abs(F).max(axis=2) > ceiling).any(axis=1)
+        moved = nf > 0.0
+        own = _rowdot(F * (1.0 / np.where(moved, nf, 1.0))[..., None], F)
+        holds[blk] = ~(fails | (moved & (own > ceiling)).any(axis=1))
+    return holds
+
+
+def _line_cone_ref(p: Point) -> Cone:
+    if not _eq(p[1], 0.0):
+        return Cone.full(2)
+    return Cone.generated(((-1.0, 0.0), (0.0, 1.0), (0.0, -1.0)))
+
+
+def _vee_cone_ref(p: Point) -> Cone:
+    if _eq(p[0], 0.7):
+        return Cone.full(1)
+    return Cone.ray((-1.0,)) if p[0] < 0.7 else Cone.ray((1.0,))
+
+
+def _plateau_cone_ref(p: Point) -> Cone:
+    if p[0] > 1.0 + _EQ_TOL:
+        return Cone.ray((1.0,))
+    if p[0] < -1.0 - _EQ_TOL:
+        return Cone.ray((-1.0,))
+    return Cone.full(1)
+
+
+# Each fixture's cone oracle as it first was: a new Cone on every call.
+FIXTURE_CONES_REF = {
+    "favored-one": lambda p: Cone.zero(1) if _eq(p[0], 1.0) else Cone.full(1),
+    "kinked-threshold": lambda p: Cone.full(1) if _eq(p[0], 0.0) else Cone.ray((-1.0,)),
+    "vee-peak": _vee_cone_ref,
+    "mutual-zero": lambda p: Cone.full(2),
+    "twin-plateau": _plateau_cone_ref,
+    "halfline-plane": _line_cone_ref,
+    "segment-line": _line_cone_ref,
+}
 
 
 # ------------------------------------------------------------- descent

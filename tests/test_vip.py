@@ -65,6 +65,17 @@ def test_the_solution_sets_reject_a_ground_of_mixed_dimensions(segment):
         mvip_solutions(segment.cone_oracle, _MIXED)
 
 
+@pytest.mark.parametrize("route", ("box", "ground"))
+def test_bodies_for_a_one_shot_iterable_are_the_grounds(radial, route):
+    # the ground is read once: its iterator gives the ground's own bodies,
+    # on the box-sampler route and on the ground-sample route
+    sampler = radial.box_sampler if route == "box" else None
+    ground = radial.default_ground
+    expected = bodies_for_ground(radial.relation, ground, contour_sampler=sampler)
+    assert bodies_for_ground(radial.relation, iter(ground), contour_sampler=sampler) == expected
+    assert bodies_for_ground(radial.relation, list(ground), contour_sampler=sampler) == expected
+
+
 # ------------------------------------------------------------- Stampacchia
 
 
