@@ -15,7 +15,7 @@ from itertools import groupby, product
 import numpy as np
 
 from . import points
-from .points import (GroundSet, Point, axis_lattice, blocks, coord_array, ground_array, norm,
+from .points import (Point, axis_lattice, blocks, coord_array, ground_array, ground_points, norm,
                      row_blocks, scaled_to)
 from .relations import Relation, _scored_strict, strictly_better_mask, strictly_better_rows
 
@@ -499,13 +499,13 @@ class BoxSampler:
         return box_sample(self.rel, x, self.radius, self.step)
 
     def samples(self, X):
-        """The box samples of the points of X (a GroundSet or Points), in
-        order, from the ground-level pass `_box_blocks`: a block of bases is
-        sampled when its first sample is asked for."""
-        pts = list(X)
+        """The box samples of the points of X, read once at the relation's
+        dimension (`points.ground_points`), in order, from the ground-level
+        pass `_box_blocks`: a block of bases is sampled when its first
+        sample is asked for."""
+        pts, B = ground_points(X, self.rel.dim)
         if not pts:
             return
-        B = ground_array(X if isinstance(X, GroundSet) else pts, pts[0].dim)
         for blk, P, kept in _box_blocks(self.rel, B, self.radius, self.step):
             yield from map(ContourSample, pts[blk], np.split(P, np.cumsum(kept)[:-1]))
 

@@ -346,15 +346,15 @@ def load_trace_json(path: str) -> DescentTrace:
     """Read a trace `emit_trace` wrote as JSON. A file that is not one raises
     ValueError naming the file and the fault: bad JSON, another schema, a
     missing key, no rows, rows not numbered k = 1..n, an x, xstar or
-    reference that is not a list of floats, or one of another dimension
-    than row 1's x (only a null reference means none, and a reference's
-    length is checked before its values), then a termination that is not
-    one of TERMINATIONS, a lipschitz that is neither null nor a finite
-    positive number, and a theta, dist_to_ref, gap_to_ref or fejer_residual
-    value that is neither null nor a number (a float, nan and +-inf
-    included, or an int no larger than the largest float), checked column
-    by column. A non-finite coordinate raises the ValueError a Point
-    gives."""
+    reference that is not a list of floats or is empty, or one of another
+    dimension than row 1's x (only a null reference means none, and a
+    reference's length is checked before its values), then a termination
+    that is not one of TERMINATIONS, a lipschitz that is neither null nor a
+    finite positive number, and a theta, dist_to_ref, gap_to_ref or
+    fejer_residual value that is neither null nor a number (a float, nan
+    and +-inf included, or an int no larger than the largest float),
+    checked column by column. A non-finite coordinate raises the ValueError
+    a Point gives."""
     with open(path) as fh:
         try:
             payload = json.load(fh)
@@ -438,13 +438,15 @@ def _raise_row_fault(path: str, rows: list) -> None:
 
 def _coords_of(path: str, what: str, value, dim: int | None = None) -> tuple[float, ...]:
     """`value` as the coordinates of a Point. A value that is not a list of
-    floats (not a list, a string in it, an int too large for a float), or,
-    given `dim`, one of another length, raises ValueError naming the file
-    and `what`."""
+    floats (not a list, a string in it, an int too large for a float), an
+    empty list, or, given `dim`, one of another length, raises ValueError
+    naming the file and `what`."""
     try:
         coords = tuple(value)
         if dim is not None and len(coords) != dim:
             raise ValueError(f"{path}: {what} has {len(coords)} coordinates, the rows {dim}")
+        if not coords:
+            raise ValueError(f"{path}: {what} has no coordinates")
         return float_coords(coords)
     except (TypeError, OverflowError) as exc:
         raise ValueError(f"{path}: {what} is not a list of floats: {exc}") from exc

@@ -16,7 +16,7 @@ from typing import Callable
 import numpy as np
 
 from .cones import DEFAULT_TOL, ContourSample, _rowdot, normal_cone_test
-from .points import GroundSet, Point, ground_array, row_blocks, scaled_to
+from .points import GroundSet, Point, ground_points, row_blocks, scaled_to
 from .relations import PropertyReport, Relation, preference_matrix
 
 # Sign flags, named by content:
@@ -139,10 +139,9 @@ def _sweep(gap: GapFunction, rel: Relation, ground: GroundSet, tol: float | None
     or None. The probe fails at a strictly-better y where <0, d> = +-0
     exceeds gap(x, y) + tol (1 + ||d||), d = y - x, as `normal_cone_test`
     sums it."""
-    pts = list(ground)
-    W = preference_matrix(rel, ground)
+    pts, X = ground_points(ground, rel.dim)
+    W = preference_matrix(rel, X)
     strict = W & ~W.T  # strict[i, j]: point i strictly preferred to point j
-    X = ground_array(ground, ground.dim)
     found, report = {}, None
     for rows, F in gap.table([p.coords for p in pts]):
         better = strict.T[rows]  # better[i, j]: point j strictly preferred to x_i

@@ -116,6 +116,20 @@ def ground_array(X, dim: int) -> np.ndarray:
     return arr
 
 
+def ground_points(X, dim: int | None = None) -> tuple:
+    """The Points of a ground X, as a sequence, and its rows as an (n, dim)
+    array (`ground_array`). A GroundSet is its own sequence, with its cached
+    array, so a caller can pass on what it read at no cost; any other
+    iterable of Points is read once into a list. `dim` defaults to the
+    first point's."""
+    if isinstance(X, GroundSet):
+        pts, rows = X, X
+    else:
+        pts = list(X)
+        rows = [p.coords for p in pts]
+    return pts, ground_array(rows, (pts[0].dim if pts else 0) if dim is None else dim)
+
+
 def coord_array(rows, dim: int) -> np.ndarray:
     """`ground_array(rows, dim)` as a read-only copy whose coordinates are
     checked to be finite, failing with ValueError as `Point` does for one
@@ -188,6 +202,9 @@ class GroundSet:
 
     def __iter__(self):
         return iter(self.points)
+
+    def __getitem__(self, i):
+        return self.points[i]
 
     def __contains__(self, p: Point) -> bool:
         return p.coords in self._index()

@@ -17,7 +17,7 @@ from typing import Callable
 import numpy as np
 
 from . import points
-from .points import GroundSet, Point, check_same_dim, ground_array, row_blocks
+from .points import GroundSet, Point, check_same_dim, ground_array, ground_points, row_blocks
 
 PROPERTIES = (
     "reflexive",
@@ -97,9 +97,9 @@ def _operand(rel: Relation, rows) -> np.ndarray:
     """What the evaluator reads of each row, one entry per row along axis 0:
     the utility score, the table index, or the coordinates (predicates).
 
-    rows: a GroundSet, a sequence of coordinate tuples, or an (m, dim)
-    array (`points.ground_array`). The utility is called once per row, on a
-    coordinate tuple.
+    rows: a GroundSet, a sequence of Points or coordinate tuples, or an
+    (m, dim) array (`points.ground_array`). The utility is called once per
+    row, on a coordinate tuple.
     """
     Y = ground_array(rows, rel.dim)
     if rel.kind == "predicate":
@@ -150,21 +150,13 @@ def _matrix(rel: Relation, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return W
 
 
-def _ground(ground) -> tuple:
-    """The Points of a ground (a GroundSet or an iterable of Points), and the
-    rows `_operand` takes for them."""
-    if isinstance(ground, GroundSet):
-        return ground.points, ground
-    pts = list(ground)
-    return pts, [p.coords for p in pts]
-
-
 def preference_matrix(rel: Relation, ground, cols=None) -> np.ndarray:
     """The boolean matrix W[i, j] = holds(rel, ground[i], cols[j]), built in
     row blocks; `cols` defaults to the ground itself, giving n x n. Both are
-    GroundSets or sequences of Points. Nothing is kept between calls."""
-    a = _operand(rel, _ground(ground)[1])
-    return _matrix(rel, a, a if cols is None else _operand(rel, _ground(cols)[1]))
+    rows as `_operand` takes them: GroundSets, Points or (m, dim) arrays,
+    each read once. Nothing is kept between calls."""
+    a = _operand(rel, ground)
+    return _matrix(rel, a, a if cols is None else _operand(rel, cols))
 
 
 def holds(rel: Relation, x: Point, y: Point) -> bool:
@@ -242,11 +234,9 @@ def contour(rel: Relation, x: Point, ground: GroundSet, which: str) -> list[Poin
     which: "U" weakly better, "Us" strictly better, "L" weakly worse,
     "Ls" strictly worse.
     """
-    if x.dim != ground.dim:
-        raise ValueError("dimension mismatch between point and ground set")
     if which not in ("U", "Us", "L", "Ls"):
         raise ValueError(f"unknown contour selector {which!r}")
-    pts, rows = _ground(ground)
+    pts, rows = ground_points(ground, rel.dim)
     g, p = _operand(rel, rows), _operand(rel, [x.coords])
     test = _strict if which.endswith("s") else _holds
     mask = test(rel, g, p) if which.startswith("U") else test(rel, p, g)
@@ -317,7 +307,7 @@ def check_property(rel: Relation, ground: GroundSet, prop: str, m: int | None = 
     """
     if prop not in PROPERTIES:
         raise ValueError(f"unknown property {prop!r}; expected one of {PROPERTIES}")
-    pts, rows = _ground(ground)
+    pts, rows = ground_points(ground, rel.dim)
     n = len(pts)
     if prop == "mfip":
         if m is None or m < 1:
@@ -393,7 +383,7 @@ def check_property(rel: Relation, ground: GroundSet, prop: str, m: int | None = 
 def maximal_elements(rel: Relation, ground: GroundSet) -> list[Point]:
     """Points with no strictly better point in the ground set, from row
     blocks of the strict preference matrix."""
-    pts, rows = _ground(ground)
+    pts, rows = ground_points(ground, rel.dim)
     g = _operand(rel, rows)
     dominated = np.zeros(len(pts), dtype=bool)
     for blk in row_blocks(len(pts), len(pts)):
@@ -403,7 +393,7 @@ def maximal_elements(rel: Relation, ground: GroundSet) -> list[Point]:
 
 def maxima(rel: Relation, ground: GroundSet) -> list[Point]:
     """Points weakly preferred to every ground point."""
-    pts, rows = _ground(ground)
+    pts, rows = ground_points(ground, rel.dim)
     g = _operand(rel, rows)
     top = np.zeros(len(pts), dtype=bool)
     for blk in row_blocks(len(pts), len(pts)):

@@ -26,7 +26,8 @@ from .cones import (
     sample_contour,
     sampled_bodies,
 )
-from .points import GroundSet, Point, blocks, ground_array, norm, row_blocks
+from .points import (GroundSet, Point, blocks, check_same_dim, ground_array, ground_points, norm,
+                     row_blocks)
 from .relations import Relation, maximal_elements
 
 ConeOracle = Callable[[Point], Cone]
@@ -166,22 +167,15 @@ def _extreme_rows(G: np.ndarray) -> np.ndarray:
     return np.unique(_rowdot(G[:, None, :], dirs).argmax(axis=0))
 
 
-def _unrefuted(bodies: list, open_: list, B: np.ndarray, E: np.ndarray, tol: float) -> list:
-    """The bases of `open_` that the vertex sweep and the Farkas screen
-    against the ground rows E leave open, in the same order: a base with no
-    passing vertex at E that `_refuted` refutes at E is dropped.
-
-    The screen only refutes. Each entry at a row of E is the float
-    expression the full sweep computes at that row, so a vertex that fails
-    at E fails in the full sweep, and a displacement that refutes at E is
-    one that the full `_refuted` finds too. Every base it keeps goes
-    through the full sweep, which alone picks its witness."""
-    keep = []
-    for blk in blocks([len(bodies[i].vertices) * len(E) for i in open_]):
-        block = open_[blk]
-        firsts, refuted = _vertex_block([bodies[i].vertices for i in block], B[block], E, tol)
-        keep += [i for i, w, no in zip(block, firsts, refuted.tolist()) if w is not None or not no]
-    return keep
+def _vertex_sweep(bodies: list, bases: list, B: np.ndarray, G: np.ndarray, tol: float):
+    """Yields (base, first passing vertex or None, refuted) for each index
+    of `bases`, in that order: `_vertex_block` against the ground rows G,
+    in blocks of whole bases (`points.blocks`), a base counting one entry
+    per vertex and row of G."""
+    for blk in blocks([len(bodies[i].vertices) * len(G) for i in bases]):
+        block = bases[blk]
+        firsts, refuted = _vertex_block([bodies[i].vertices for i in block], B[block], G, tol)
+        yield from zip(block, firsts, refuted.tolist())
 
 
 def _stampacchia(bodies: list, B: np.ndarray, G: np.ndarray, tol: float) -> list:
@@ -198,17 +192,15 @@ def _stampacchia(bodies: list, B: np.ndarray, G: np.ndarray, tol: float) -> list
        object (bases on a grid share the bodies of a cone oracle); a
        sampled body's verdict is read off the gaps between its net rows,
        and every other body runs `ConvexBody.contains`.
-    2. The vertex sweep and the Farkas screen (`_vertex_block`), in blocks
-       of whole bases (`points.blocks`), a base counting one entry per
-       vertex and ground point; a base whose products alone exceed the
-       budget gets a block of its own. The bases go in order of vertex
-       count, so that little is padded. A base's witness is its first
-       passing vertex, and a refuted base has none. The same two tests
-       run first against the ground's extreme rows (`_extreme_rows`, at
-       most 3^dim - 1 of them), unless those are the whole ground: a base
-       they refute gets None there and never meets the whole ground
-       (`_unrefuted`). The screen only refutes, so every witness is the
-       full sweep's.
+    2. The vertex sweep and the Farkas screen (`_vertex_block`) in one
+       block loop (`_vertex_sweep`) over the bases in order of vertex
+       count, so that little is padded: first against the ground's extreme
+       rows (`_extreme_rows`, at most 3^dim - 1), unless those are the
+       whole ground, then against the whole ground for the bases that run
+       neither passes nor refutes. The first run only refutes, since each
+       of its entries is the float expression of the second at that row. A
+       base's witness is its first passing vertex in the second run, and a
+       refuted base has none.
     3. One base at a time, the midpoint sweep (`_midpoint_witness`).
     4. Last, one phase-1 LP (`_lp_witness`), which decides whether any
        point of the body meets every floor. It comes after the midpoints
@@ -222,6 +214,8 @@ def _stampacchia(bodies: list, B: np.ndarray, G: np.ndarray, tol: float) -> list
     holds_zero: dict[int, bool] = {}
     open_ = []
     for i, body in enumerate(bodies):
+        if body.dim != dim:
+            raise ValueError(f"dimension mismatch: {sorted({body.dim, dim})}")
         if body.is_empty:
             continue
         if id(body) not in holds_zero:
@@ -233,20 +227,18 @@ def _stampacchia(bodies: list, B: np.ndarray, G: np.ndarray, tol: float) -> list
     open_.sort(key=lambda i: len(bodies[i].vertices))
     E = _extreme_rows(G)
     if len(E) < len(G):
-        open_ = _unrefuted(bodies, open_, B, G[E], tol)
-    for blk in blocks([len(bodies[i].vertices) * len(G) for i in open_]):
-        block = open_[blk]
-        firsts, refuted = _vertex_block([bodies[i].vertices for i in block], B[block], G, tol)
-        for i, w, no in zip(block, firsts, refuted.tolist()):
-            if w is None and not no:
-                V = bodies[i].vertices
-                D = G - B[i]
-                floor = -tol * (1.0 + np.sqrt(_rowdot(D, D)))
-                w = _midpoint_witness(V, D, floor)
-                if w is None:
-                    w = _lp_witness(V, D, floor)
-            if w is not None:
-                found[i] = tuple(w.tolist())
+        open_ = [i for i, w, no in _vertex_sweep(bodies, open_, B, G[E], tol)
+                 if w is not None or not no]
+    for i, w, no in _vertex_sweep(bodies, open_, B, G, tol):
+        if w is None and not no:
+            V = bodies[i].vertices
+            D = G - B[i]
+            floor = -tol * (1.0 + np.sqrt(_rowdot(D, D)))
+            w = _midpoint_witness(V, D, floor)
+            if w is None:
+                w = _lp_witness(V, D, floor)
+        if w is not None:
+            found[i] = tuple(w.tolist())
     return found
 
 
@@ -302,6 +294,7 @@ def certificate_valid(cert: VipCertificate, body: ConvexBody, X, tol: float | No
     coordinate, so each rounds as the scalar `dot` and `norm`.
     """
     tol = cert.tol if tol is None else tol
+    check_same_dim(body, cert.solution)
     D = ground_array(X, cert.solution.dim) - np.array(cert.solution.coords, dtype=float)
     if cert.witness is None or body.is_empty:
         return False
@@ -326,12 +319,11 @@ class _ConeField:
 
 
 def _cone_field(cone_oracle: ConeOracle, X, dim: int) -> _ConeField:
-    """Call the oracle once per ground point and stack the cones."""
-    if not isinstance(X, GroundSet):
-        X = list(X)
-    ground = ground_array(X, dim)
+    """Call the oracle once per point of the ground X (`points.ground_points`)
+    and stack the cones."""
+    pts, ground = ground_points(X, dim)
     gens, owner, full = [], [], []
-    for i, y in enumerate(X):
+    for i, y in enumerate(pts):
         cone = cone_oracle(y)
         if cone.tag == "full":
             full.append(i)
@@ -430,14 +422,13 @@ def mvip_solutions(cone_oracle: ConeOracle, X: GroundSet, tol: float = DEFAULT_T
     and two full cones), then, only those that pass, against the whole
     field. Each block is one array expression over its candidates and the
     entries, bounded by the entry budget. The screen only refutes, so the
-    listing is that of the whole-field test.
+    listing is that of the whole-field test. X is read once
+    (`points.ground_points`), and the field gets the points of that read.
     """
-    pts = list(X)
+    pts, G = ground_points(X)
     if not pts:
         return []
-    dim = pts[0].dim
-    X = X if isinstance(X, GroundSet) else pts
-    holds = _minty_holds(_cone_field(cone_oracle, X, dim), ground_array(X, dim), tol)
+    holds = _minty_holds(_cone_field(cone_oracle, pts, G.shape[1]), G, tol)
     return [x for x, h in zip(pts, holds.tolist()) if h]
 
 
@@ -463,10 +454,10 @@ def bodies_for_ground(rel: Relation, X: GroundSet, cone_oracle: ConeOracle | Non
     direct product in 1-D and 3-D). The Stampacchia sweep therefore meets
     its candidates, and returns its witnesses, in the same order as a
     point-by-point evaluation would; only a witness becomes a Point. X is
-    read once, so any iterable of points will do.
+    read once, at the relation's dimension (`points.ground_points`), so any
+    iterable of points will do.
     """
-    pts = list(X)
-    X = X if isinstance(X, GroundSet) else pts
+    pts, rows = ground_points(X, rel.dim)
     if cone_oracle is not None:
         hull_cache: dict[tuple, ConvexBody] = {}
         bodies = []
@@ -478,10 +469,10 @@ def bodies_for_ground(rel: Relation, X: GroundSet, cone_oracle: ConeOracle | Non
                 body = hull_cache[key] = cone_unit_hull(cone)
             bodies.append(body)
     elif isinstance(contour_sampler, BoxSampler) and pts:
-        bodies = box_bodies(contour_sampler.rel, ground_array(X, pts[0].dim),
-                            contour_sampler.radius, contour_sampler.step, tol)
+        bodies = box_bodies(contour_sampler.rel, rows, contour_sampler.radius,
+                            contour_sampler.step, tol)
     else:
-        sampler = contour_sampler or (lambda x: sample_contour(rel, x, X))
+        sampler = contour_sampler or (lambda x: sample_contour(rel, x, rows))
         bodies = sampled_bodies(map(sampler, pts), tol)
     return {x.coords: body for x, body in zip(pts, bodies)}
 
@@ -497,15 +488,14 @@ def svip_solutions(rel: Relation, X: GroundSet, cone_oracle: ConeOracle | None =
     entry budget `points.BLOCK_ENTRIES` (see `bodies_for_ground`). Every
     point of X is then decided in the stacked stages of `_stampacchia`,
     whose one-base call is `svip_membership`, so a point is returned
-    exactly where `svip_membership` gives it a certificate. The zero test
-    runs once per distinct body object, and a sampled body's is read off
-    its net rows (`contains_zero`); the vertex sweep and the Farkas screen
-    run for blocks of bases at once, within the same budget, first against
-    the ground's extreme rows, which refute most bases of a grid without
-    the whole ground, then for the bases left against every point; only a
-    base that neither decides goes on alone, to the midpoint sweep and then
-    the LP, in every dimension. The extreme-row screen only refutes, so the
-    listing is that of the full sweeps.
+    exactly where `svip_membership` gives it a certificate. X is read once
+    (`points.ground_points`), and `bodies_for_ground` gets its Points. The
+    vertex sweep and the Farkas screen run in one block loop
+    (`_vertex_sweep`), first against the ground's extreme rows, which
+    refute most bases of a grid, then for the bases left against every
+    point; only a base that neither decides goes on alone, to the midpoint
+    sweep and then the LP. The screen only refutes, so the listing is that
+    of the full sweeps.
 
     `ball_on_empty` stays only because `bench/ops.py` still passes it as
     False. It chose a hull variant that gave an empty strictly-better set
@@ -516,12 +506,10 @@ def svip_solutions(rel: Relation, X: GroundSet, cone_oracle: ConeOracle | None =
     if ball_on_empty:
         raise ValueError(f"ball_on_empty={ball_on_empty!r} is not supported: "
                          "the hull of a full cone is already the ball")
-    pts = list(X)
+    pts, G = ground_points(X)
     if not pts:
         return []
-    X = X if isinstance(X, GroundSet) else pts
-    G = ground_array(X, pts[0].dim)
-    bodies = bodies_for_ground(rel, X, cone_oracle, tol=tol, contour_sampler=contour_sampler)
+    bodies = bodies_for_ground(rel, pts, cone_oracle, tol=tol, contour_sampler=contour_sampler)
     found = _stampacchia([bodies[x.coords] for x in pts], G, G, tol)
     return [x for x, w in zip(pts, found) if w is not None]
 

@@ -864,10 +864,14 @@ def _json_number(value) -> bool:
 
 def _point_coords(path: str, what: str, value) -> tuple[float, ...]:
     """A Point's coordinates made from `value`; a value a Point cannot take
-    (not a list, a string in it, an int too large for a float) raises
-    ValueError naming the file."""
+    (not a list, a string in it, an int too large for a float, an empty
+    list) raises ValueError naming the file. A non-finite coordinate raises
+    the ValueError a Point gives."""
     try:
-        return Point(tuple(value)).coords
+        coords = tuple(value)
+        if not coords:
+            raise ValueError(f"{path}: {what} has no coordinates")
+        return Point(coords).coords
     except (TypeError, OverflowError) as exc:
         raise ValueError(f"{path}: {what} is not a list of floats: {exc}") from exc
 

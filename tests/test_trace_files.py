@@ -313,14 +313,20 @@ def test_non_finite_coordinates_raise_as_a_point_does(tmp_path, field):
         load_trace_json(str(path))
 
 
-def test_rows_without_coordinates_raise_as_a_point_does(tmp_path):
+def test_rows_without_coordinates_name_the_file(tmp_path):
     # every row of one dimension, but that dimension is 0
     path, payload = _written(tmp_path)
     for row in payload["rows"]:
         row["x"], row["xstar"] = [], None
-    path.write_text(json.dumps(payload))
-    with pytest.raises(ValueError, match="^point needs at least one coordinate$"):
-        load_trace_json(str(path))
+    _rejected(path, payload, "row 1's x has no coordinates$")
+
+
+@pytest.mark.parametrize("field", ("x", "xstar"))
+@pytest.mark.parametrize("row", (0, 2))
+def test_an_empty_coordinate_list_names_the_file(tmp_path, field, row):
+    path, payload = _written(tmp_path)
+    payload["rows"][row][field] = []
+    _rejected(path, payload, f"row {row + 1}'s {field} has no coordinates$")
 
 
 @pytest.mark.parametrize("field, row, value", [("x", 1, [0.5]), ("x", 2, [0.5, 1.0, 2.0]),

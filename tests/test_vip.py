@@ -1,4 +1,5 @@
 import math
+import re
 from types import SimpleNamespace
 
 import numpy as np
@@ -12,14 +13,17 @@ from prefmax import (
     Relation,
     box_sample,
     certificate_valid,
+    maxima,
     maximal_elements,
     mvip_membership,
     mvip_solutions,
+    preference_matrix,
     pt,
     run_experiment,
     svip_membership,
     svip_solutions,
     uniqueness_check,
+    zero_maximality_check,
 )
 from prefmax import vip
 from prefmax.vip import VipCertificate, bodies_for_ground
@@ -56,6 +60,30 @@ def test_a_minty_base_rejects_a_ground_of_another_dimension():
         mvip_membership(lambda y: Cone.full(2), pt(0.0, 0.0), [pt(1.0, 1.0, 1.0)])
 
 
+@pytest.mark.parametrize("body", (ConvexBody(1, [(1.0,)]), ConvexBody(3, [(1.0, 0.0, 0.0)])))
+def test_a_body_of_another_dimension_gets_no_certificate(body):
+    # a 1-D vertex would meet only the first coordinate of each
+    # displacement, and a 3-D one would run past the last
+    ground = GroundSet.grid([(0.0, 1.0, 0.5), (0.0, 1.0, 0.5)])
+    mismatch = re.escape(f"dimension mismatch: {sorted({body.dim, 2})}")
+    with pytest.raises(ValueError, match=mismatch):
+        svip_membership(body, pt(0.0, 0.0), ground)
+    cert = VipCertificate(pt(0.0, 0.0), "stampacchia", pt(*body.vertices[0].tolist()), 1e-9)
+    with pytest.raises(ValueError, match=mismatch):
+        certificate_valid(cert, body, ground)
+
+
+def test_the_box_route_rejects_a_ground_of_another_dimension(radial):
+    # the ground is read at the relation's dimension, before any box is cut
+    ground = GroundSet.grid([(0.0, 1.0, 0.25)])
+    with pytest.raises(ValueError, match=MISMATCH):
+        bodies_for_ground(radial.relation, ground, contour_sampler=radial.box_sampler)
+    with pytest.raises(ValueError, match=MISMATCH):
+        svip_solutions(radial.relation, ground, contour_sampler=radial.box_sampler)
+    with pytest.raises(ValueError, match=MISMATCH):
+        list(radial.box_sampler.samples(ground))
+
+
 def test_the_solution_sets_reject_a_ground_of_mixed_dimensions(segment):
     with pytest.raises(ValueError, match=MISMATCH):
         svip_solutions(segment.relation, _MIXED, segment.cone_oracle)
@@ -66,14 +94,37 @@ def test_the_solution_sets_reject_a_ground_of_mixed_dimensions(segment):
 
 
 @pytest.mark.parametrize("route", ("box", "ground"))
-def test_bodies_for_a_one_shot_iterable_are_the_grounds(radial, route):
-    # the ground is read once: its iterator gives the ground's own bodies,
-    # on the box-sampler route and on the ground-sample route
+def test_bodies_for_a_one_shot_iterable_are_the_grounds(radial, vee, route):
+    # a ground is read once (`points.ground_points`): the same points as a
+    # GroundSet, a list, a tuple or a one-shot iterator give the same
+    # bodies, samples, solution sets, maximal sets, matrices and reports,
+    # with bodies from the box sampler, the ground sample or a cone oracle;
+    # an empty list gives none
     sampler = radial.box_sampler if route == "box" else None
-    ground = radial.default_ground
-    expected = bodies_for_ground(radial.relation, ground, contour_sampler=sampler)
-    assert bodies_for_ground(radial.relation, iter(ground), contour_sampler=sampler) == expected
-    assert bodies_for_ground(radial.relation, list(ground), contour_sampler=sampler) == expected
+    rel, oracle = radial.relation, vee.cone_oracle
+    calls = [
+        (radial, {
+            "bodies": lambda X: bodies_for_ground(rel, X, contour_sampler=sampler),
+            "svip": lambda X: svip_solutions(rel, X, contour_sampler=sampler),
+            "samples": lambda X: list(radial.box_sampler.samples(X)),
+            "maximal": lambda X: maximal_elements(rel, X),
+            "maxima": lambda X: maxima(rel, X),
+            "matrix": lambda X: preference_matrix(rel, X).tolist(),
+        }),
+        (vee, {
+            "svip-cones": lambda X: svip_solutions(vee.relation, X, oracle),
+            "mvip": lambda X: mvip_solutions(oracle, X),
+            "zero-maximality": lambda X: zero_maximality_check(vee.gap, vee.relation, X),
+        }),
+    ]
+    for fx, table in calls:
+        ground = fx.default_ground
+        for name, call in table.items():
+            expected = call(ground)
+            for X in (list(ground), tuple(ground), iter(ground)):
+                assert call(X) == expected, name
+            if name != "zero-maximality":
+                assert call([]) in ([], {}), name
 
 
 # ------------------------------------------------------------- Stampacchia
