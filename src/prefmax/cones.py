@@ -16,7 +16,7 @@ import numpy as np
 
 from . import points
 from .points import (Point, axis_lattice, blocks, coord_array, ground_array, ground_points, norm,
-                     row_blocks, scaled_to)
+                     row_blocks, rowdot, scaled_to)
 from .relations import Relation, _scored_strict, strictly_better_mask, strictly_better_rows
 
 DEFAULT_TOL = 1e-9
@@ -63,16 +63,6 @@ _TABLE_POINTS = 1 << 17
 _ZERO_SLACK = 4.0 * _HULL_SLACK
 
 
-def _rowdot(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """Sum over the last axis of A * B (broadcast), coordinate by coordinate
-    from the left, so that each entry rounds exactly as the scalar `dot`.
-    The sum accumulates in the first product's array."""
-    out = A[..., 0] * B[..., 0]
-    for k in range(1, A.shape[-1]):
-        out += A[..., k] * B[..., k]
-    return out
-
-
 def _rows(arr: np.ndarray) -> tuple:
     return tuple(map(tuple, arr.tolist()))
 
@@ -84,7 +74,6 @@ class Cone:
     dim: int
     tag: str  # "full" | "zero" | "generated"
     generators: tuple[Point, ...] = ()
-    tol: float = DEFAULT_TOL
 
     def __post_init__(self):
         if self.tag not in ("full", "zero", "generated"):
@@ -116,12 +105,12 @@ class Cone:
         gens = tuple(g if isinstance(g, Point) else Point(tuple(g)) for g in generators)
         return cls(gens[0].dim, "generated", gens)
 
-    def contains(self, query) -> bool:
+    def contains(self, query, tol: float = DEFAULT_TOL) -> bool:
         """Conic-combination membership; invariant under positive scaling.
         One row of `contains_many`."""
-        return bool(self.contains_many([tuple(query)])[0])
+        return bool(self.contains_many([tuple(query)], tol)[0])
 
-    def contains_many(self, queries) -> np.ndarray:
+    def contains_many(self, queries, tol: float = DEFAULT_TOL) -> np.ndarray:
         """Membership of each row q of an (m, dim) array, as a bool array.
 
         q is in the cone when ||q|| <= tol, or when the residual of
@@ -145,15 +134,15 @@ class Cone:
             raise ValueError("query dimension mismatch")
         if not np.isfinite(Q).all():
             raise ValueError("non-finite query")
-        nq = np.sqrt(_rowdot(Q, Q))
-        out = nq <= self.tol
+        nq = np.sqrt(rowdot(Q, Q))
+        out = nq <= tol
         if self.tag != "generated":
             return out | (self.tag == "full")
         live = ~out
         G = np.array([g.coords for g in self.generators])
-        G = G * (1.0 / np.sqrt(_rowdot(G, G)))[:, None]
+        G = G * (1.0 / np.sqrt(rowdot(G, G)))[:, None]
         Q = Q[live] * (1.0 / nq[live])[:, None]
-        thr = max(self.tol, _CONE_FLOOR)
+        thr = max(tol, _CONE_FLOOR)
         resid, unsure = _cone_residuals(G, Q)
         verdict = resid <= thr
         unsure |= np.abs(resid - thr) <= _CONE_SLACK
@@ -164,9 +153,9 @@ class Cone:
         out[live] = verdict
         return out
 
-    def unit_directions(self, net: np.ndarray) -> np.ndarray:
-        """Rows of `net` (unit vectors) lying in the cone."""
-        return net[self.contains_many(net)]
+    def unit_directions(self, net: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
+        """Rows of `net` (unit vectors) lying in the cone, within tol."""
+        return net[self.contains_many(net, tol)]
 
 
 def _cone_residuals(G: np.ndarray, Q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -268,9 +257,9 @@ def _hull_screen(V: np.ndarray, q: np.ndarray, thr: float) -> bool | None:
         if r + slack <= thr:
             return True
         return False if r > thr + slack else None
-    slack = _HULL_SLACK * (1.0 + math.sqrt(q @ q) + math.sqrt(_rowdot(V, V).max()))
+    slack = _HULL_SLACK * (1.0 + math.sqrt(q @ q) + math.sqrt(rowdot(V, V).max()))
     W = V - q
-    if math.sqrt(_rowdot(W, W).min()) + slack <= thr:
+    if math.sqrt(rowdot(W, W).min()) + slack <= thr:
         return True
     ang = np.arctan2(W[:, 1], W[:, 0])
     order = np.argsort(ang)
@@ -547,8 +536,8 @@ def normal_cone_test(sample: ContourSample, probes, rhs) -> np.ndarray:
     if sample.is_empty:
         return np.ones(len(P), dtype=bool)
     D = sample.points - np.array(sample.base.coords)
-    pn = np.sqrt(_rowdot(P, P))[:, None]
-    return ~(_rowdot(P[:, None], D[None]) > rhs(pn, np.sqrt(_rowdot(D, D)))).any(axis=1)
+    pn = np.sqrt(rowdot(P, P))[:, None]
+    return ~(rowdot(P[:, None], D[None]) > rhs(pn, np.sqrt(rowdot(D, D)))).any(axis=1)
 
 
 def normal_membership(sample: ContourSample, xstar, tol: float = DEFAULT_TOL) -> bool:
@@ -626,9 +615,9 @@ def _exceeds(U: np.ndarray, D: np.ndarray, tol: float, nu=None, nd=None) -> np.n
     kernel's own float operations, so each entry is its verdict on that
     pair. The norms nu = ||u|| and nd = ||d|| may be passed in, gathered
     from norms computed once per row by the same expression."""
-    nu = np.sqrt(_rowdot(U, U)) if nu is None else nu
-    nd = np.sqrt(_rowdot(D, D)) if nd is None else nd
-    return _rowdot(U, D) > tol * (1.0 + nu * nd)
+    nu = np.sqrt(rowdot(U, U)) if nu is None else nu
+    nd = np.sqrt(rowdot(D, D)) if nd is None else nd
+    return rowdot(U, D) > tol * (1.0 + nu * nd)
 
 
 @lru_cache(maxsize=None)
@@ -683,7 +672,7 @@ def _direct_fails(fails: np.ndarray, D: np.ndarray, dn: np.ndarray, starts: np.n
     flat gathers, in blocks of at most `points.BLOCK_ENTRIES` (row,
     displacement) pairs."""
     net = unit_net(D.shape[1])
-    un = np.sqrt(_rowdot(net, net))
+    un = np.sqrt(rowdot(net, net))
     lens = counts[b]
     for c in blocks(lens):
         n = lens[c]
@@ -725,7 +714,7 @@ def _net_fails(D: np.ndarray, counts, tol: float) -> np.ndarray:
             rows = D[at[0]:at[-1] + counts[live[c]][-1], None, :]
             fails[live[c]] = np.logical_or.reduceat(_exceeds(net, rows, tol), at - at[0], axis=0)
         return fails
-    un, dn = np.sqrt(_rowdot(net, net)), np.sqrt(_rowdot(D, D))
+    un, dn = np.sqrt(rowdot(net, net)), np.sqrt(rowdot(D, D))
     for c in blocks(counts[live] + len(net)):
         at = live[c]
         lo = starts[at[0]]

@@ -18,7 +18,7 @@ from typing import Callable, Iterator
 import numpy as np
 
 from .plastria import GapFunction
-from .points import Point, float_coords
+from .points import Point, float_coords, rowdot
 
 
 # The ways a run ends, as `DescentTrace.termination` names them.
@@ -190,10 +190,10 @@ def run_descent(oracle: Callable[[tuple], tuple], x1: Point, schedule: StepSched
     `sum` expressions of dimension 3 and up give, since `sum` starts from
     the int 0 and 0 + a*a == a*a. After the loop, one array pass over the
     stacked iterates gives the distance and Fejer residual columns
-    (`_fejer_columns`), bit for bit as `points.dist` and
-    `d'*d' - d*d - theta*theta*L*L`, and one `GapFunction.column` pass the
-    gaps: a gap that raises raises there, after every oracle call, not at
-    its iterate's step.
+    (`_fejer_columns`), bit for bit as the scalar `sqrt(sum(t*t ...))` over
+    x - ref and `d'*d' - d*d - theta*theta*L*L`, and one
+    `GapFunction.column` pass the gaps: a gap that raises raises there,
+    after every oracle call, not at its iterate's step.
     """
     schedule.validate()
     L = config.lipschitz
@@ -265,21 +265,19 @@ def run_descent(oracle: Callable[[tuple], tuple], x1: Point, schedule: StepSched
 
 
 def _distance_column(xs, ref: tuple) -> np.ndarray:
-    """||x - ref|| for every iterate x, as `points.dist` computes it: the
-    squared differences summed coordinate by coordinate from the first,
-    then a correctly rounded square root. Differences and squares that
-    overflow give inf or nan, as Python floats do, without a warning. An
-    iterate of another dimension than the reference raises ValueError."""
+    """||x - ref|| for every iterate x, as `math.sqrt(sum(t * t ...))`
+    over x - ref gives it: the squared differences summed coordinate by
+    coordinate from the first (`points.rowdot`), then a correctly rounded
+    square root. Differences and squares that overflow give inf or nan, as
+    Python floats do, without a warning. An iterate of another dimension
+    than the reference raises ValueError."""
     dim = len(ref)
     if set(map(len, xs)) - {dim}:
         raise ValueError(f"iterates and the {dim}-dimensional reference differ in dimension")
     X = np.fromiter(chain.from_iterable(xs), float, len(xs) * dim).reshape(-1, dim)
     with np.errstate(over="ignore", invalid="ignore"):
         T = X - np.array(ref, dtype=float)
-        sq = T[:, 0] * T[:, 0]
-        for j in range(1, dim):
-            sq = sq + T[:, j] * T[:, j]
-        return np.sqrt(sq)
+        return np.sqrt(rowdot(T, T))
 
 
 def _fejer_columns(xs, thetas, ref: tuple, L: float) -> tuple[tuple, tuple]:

@@ -56,12 +56,14 @@ class Fixture:
     notes: str = ""
 
     def contour_sampler(self, x: Point):
+        """The box sample of x: the per-base call of `box_sampler`. Only
+        `bench/` reads it."""
         return self.box_sampler(x)
 
     @property
     def box_sampler(self) -> BoxSampler:
-        """The box sampler of `contour_sampler`, which `bodies_for_ground`
-        runs for a whole ground at once."""
+        """The fixture's `BoxSampler`, which `bodies_for_ground` runs for a
+        whole ground at once; `contour_sampler(x)` is its call at one base."""
         return BoxSampler(self.relation, self.sample_radius, self.sample_step)
 
     def me_ground(self, ground: GroundSet | None = None) -> GroundSet:

@@ -15,8 +15,8 @@ from typing import Callable
 
 import numpy as np
 
-from .cones import DEFAULT_TOL, ContourSample, _rowdot, normal_cone_test
-from .points import GroundSet, Point, ground_points, row_blocks, scaled_to
+from .cones import DEFAULT_TOL, ContourSample, normal_cone_test
+from .points import GroundSet, Point, ground_points, row_blocks, rowdot, scaled_to
 from .relations import PropertyReport, Relation, preference_matrix
 
 # Sign flags, named by content:
@@ -154,7 +154,7 @@ def _sweep(gap: GapFunction, rel: Relation, ground: GroundSet, tol: float | None
             continue
         D = X[None] - X[rows, None]
         with np.errstate(over="ignore", invalid="ignore"):
-            fails = better & (F + tol * (1.0 + np.sqrt(_rowdot(D, D))) < 0.0)
+            fails = better & (F + tol * (1.0 + np.sqrt(rowdot(D, D))) < 0.0)
         member, maximal = ~fails.any(axis=1), ~better.any(axis=1)
         off = np.flatnonzero(member != maximal)
         if off.size:

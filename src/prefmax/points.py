@@ -85,10 +85,14 @@ def scaled_to(u, length: float) -> tuple[float, ...]:
     return tuple(map(operator.mul, u, repeat(length / math.sqrt(sum(map(operator.mul, u, u))))))
 
 
-def dist(a, b) -> float:
-    """||a - b||, summed coordinate by coordinate from the first."""
-    t = list(map(operator.sub, a, b))
-    return math.sqrt(sum(map(operator.mul, t, t)))
+def rowdot(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """Sum over the last axis of A * B (broadcast), coordinate by coordinate
+    from the left, so that each entry rounds exactly as the scalar `dot`.
+    The sum accumulates in the first product's array."""
+    out = A[..., 0] * B[..., 0]
+    for k in range(1, A.shape[-1]):
+        out += A[..., k] * B[..., k]
+    return out
 
 
 def check_same_dim(*items) -> int:
@@ -139,6 +143,25 @@ def coord_array(rows, dim: int) -> np.ndarray:
         raise ValueError("non-finite coordinate")
     arr.flags.writeable = False
     return arr
+
+
+def ground_spacing(pts, rows: np.ndarray) -> float:
+    """The smallest positive spacing of a ground read by `ground_points`:
+    a grid's smallest axis step, else the smallest positive distance
+    between two of its rows, each the square root of the squared
+    differences summed coordinate by coordinate (`rowdot`); inf for fewer
+    than two rows."""
+    if isinstance(pts, GroundSet) and pts.axes is not None:
+        return min(step for _, _, step in pts.axes)
+    res = math.inf
+    with np.errstate(over="ignore"):
+        for blk in row_blocks(len(rows), len(rows) * rows.shape[1]):
+            T = rows[blk, None] - rows[None]
+            d = np.sqrt(rowdot(T, T))
+            d = d[d > 0.0]
+            if d.size:
+                res = min(res, float(d.min()))
+    return res
 
 
 def row_blocks(n: int, width: int) -> list[slice]:
@@ -224,18 +247,6 @@ class GroundSet:
             arr.flags.writeable = False
             object.__setattr__(self, "_arr", arr)
         return arr
-
-    def resolution(self) -> float:
-        """Smallest positive spacing; half of this is the segment-membership slack."""
-        if self.axes is not None:
-            return min(step for _, _, step in self.axes)
-        res = math.inf
-        for i, p in enumerate(self.points):
-            for q in self.points[i + 1:]:
-                d = dist(p, q)
-                if 0 < d < res:
-                    res = d
-        return res
 
     @classmethod
     def explicit(cls, points) -> "GroundSet":

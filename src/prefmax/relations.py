@@ -17,7 +17,8 @@ from typing import Callable
 import numpy as np
 
 from . import points
-from .points import GroundSet, Point, check_same_dim, ground_array, ground_points, row_blocks
+from .points import (GroundSet, Point, check_same_dim, ground_array, ground_points, ground_spacing,
+                     row_blocks)
 
 PROPERTIES = (
     "reflexive",
@@ -255,30 +256,26 @@ class PropertyReport:
         return self.holds
 
 
-def _contour_is_grid_convex(points: list[Point], ground: GroundSet, slack: float) -> tuple[Point, ...] | None:
-    """None if convex at grid resolution, else a witness (p, q, gap point).
+def _contour_is_grid_convex(rows: np.ndarray, mask: np.ndarray, slack: float) -> tuple[int, ...] | None:
+    """None if the contour of the ground rows at `mask` is convex at grid
+    resolution, else the row indices (p, q, gap point) of a witness.
 
     Convexity on a grid: for every pair in the contour, every ground point
-    within `slack` of the segment between them is also in the contour.
+    within `slack` of the segment between them is also in the contour. In
+    1-D the pair is the contour's first lowest and first highest row.
     """
-    member = {p.coords for p in points}
-    outside = [g for g in ground if g.coords not in member]
-    if not outside or len(points) < 2:
+    inside, outside = np.flatnonzero(mask), np.flatnonzero(~mask)
+    if not outside.size or inside.size < 2:
         return None
-    if ground.dim == 1:
-        lo = min(p[0] for p in points)
-        hi = max(p[0] for p in points)
-        for g in outside:
-            if lo - slack <= g[0] <= hi + slack:
-                p = min(points, key=lambda q: q[0])
-                q = max(points, key=lambda q: q[0])
-                return (p, q, g)
-        return None
-    out = np.array([g.coords for g in outside])
-    for i, p in enumerate(points):
-        pa = np.array(p.coords)
-        for q in points[i + 1:]:
-            qa = np.array(q.coords)
+    if rows.shape[1] == 1:
+        x = rows[inside, 0]
+        p, q = int(inside[x.argmin()]), int(inside[x.argmax()])
+        lo, hi = rows[p, 0], rows[q, 0]
+        gap = np.flatnonzero((lo - slack <= rows[outside, 0]) & (rows[outside, 0] <= hi + slack))
+        return (p, q, int(outside[gap[0]])) if gap.size else None
+    P, out = rows[inside], rows[outside]
+    for i, pa in enumerate(P):
+        for j, qa in enumerate(P[i + 1:], i + 1):
             d = qa - pa
             dd = float(d @ d)
             if dd == 0.0:
@@ -288,7 +285,7 @@ def _contour_is_grid_convex(points: list[Point], ground: GroundSet, slack: float
             dist = np.linalg.norm(out - proj, axis=1)
             bad = np.nonzero(dist <= slack)[0]
             if bad.size:
-                return (p, q, outside[int(bad[0])])
+                return (int(inside[i]), int(inside[j]), int(outside[bad[0]]))
     return None
 
 
@@ -370,13 +367,12 @@ def check_property(rel: Relation, ground: GroundSet, prop: str, m: int | None = 
 
     # convex_upper, convex_strict_upper
     test = _holds if prop == "convex_upper" else _strict
-    slack = ground.resolution() / 2.0
+    slack = ground_spacing(pts, rows) / 2.0
     for blk in row_blocks(n, n):
         for r, row in enumerate(test(rel, g[None], g[blk, None])):
-            cont = [pts[j] for j in np.flatnonzero(row)]
-            bad = _contour_is_grid_convex(cont, ground, slack)
+            bad = _contour_is_grid_convex(rows, row, slack)
             if bad is not None:
-                return PropertyReport(prop, False, (pts[blk.start + r],) + bad)
+                return PropertyReport(prop, False, tuple(pts[i] for i in (blk.start + r, *bad)))
     return PropertyReport(prop, True)
 
 

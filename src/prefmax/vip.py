@@ -19,7 +19,6 @@ from .cones import (
     Cone,
     ConvexBody,
     DEFAULT_TOL,
-    _rowdot,
     box_bodies,
     cone_unit_hull,
     contains_zero,
@@ -27,7 +26,7 @@ from .cones import (
     sampled_bodies,
 )
 from .points import (GroundSet, Point, blocks, check_same_dim, ground_array, ground_points, norm,
-                     row_blocks)
+                     row_blocks, rowdot)
 from .relations import Relation, maximal_elements
 
 ConeOracle = Callable[[Point], Cone]
@@ -62,7 +61,7 @@ def _lp_witness(V: np.ndarray, D: np.ndarray, floor: np.ndarray) -> np.ndarray |
         return None
     lam = np.maximum(res.x[:k], 0.0)
     w = V.T @ (lam / lam.sum())
-    return None if (_rowdot(w, D) < floor).any() else w
+    return None if (rowdot(w, D) < floor).any() else w
 
 
 _EPS8 = 8.0 * float(np.finfo(float).eps)
@@ -100,10 +99,10 @@ def _refuted(S: np.ndarray, V: np.ndarray, D: np.ndarray) -> np.ndarray:
     """
     at = np.arange(len(S))
     j = S.min(axis=1).argmax(axis=1)
-    refuted = (S[at, :, j] > _EPS8 * _rowdot(np.abs(V), np.abs(D[at, j])[:, None, :])).all(axis=1)
+    refuted = (S[at, :, j] > _EPS8 * rowdot(np.abs(V), np.abs(D[at, j])[:, None, :])).all(axis=1)
     rest = np.flatnonzero(~refuted)
     if rest.size:
-        slack = _EPS8 * _rowdot(np.abs(V[rest])[:, :, None, :], np.abs(D[rest])[:, None, :, :])
+        slack = _EPS8 * rowdot(np.abs(V[rest])[:, :, None, :], np.abs(D[rest])[:, None, :, :])
         refuted[rest] = (S[rest] > slack).all(axis=1).any(axis=1)
     return refuted
 
@@ -126,8 +125,8 @@ def _vertex_block(Vs: list, B: np.ndarray, G: np.ndarray, tol: float):
     starts = np.cumsum(counts) - counts
     V = np.concatenate(Vs)[starts[:, None] + np.minimum(np.arange(counts.max()), counts[:, None] - 1)]
     D = G - B[:, None, :]
-    floor = -tol * (1.0 + np.sqrt(_rowdot(D, D)))
-    S = _rowdot(V[:, :, None, :], D[:, None, :, :])
+    floor = -tol * (1.0 + np.sqrt(rowdot(D, D)))
+    S = rowdot(V[:, :, None, :], D[:, None, :, :])
     np.subtract(floor[:, None, :], S, out=S)
     passing = ~(S > 0.0).any(axis=2)
     firsts = [V[b, k] if passing[b, k] else None
@@ -150,7 +149,7 @@ def _midpoint_witness(V: np.ndarray, D: np.ndarray, floor: np.ndarray) -> np.nda
     I, J = np.triu_indices(len(V), 1)
     for blk in row_blocks(len(I), len(D)):
         mids = 0.5 * (V[I[blk]] + V[J[blk]])
-        k = _first_passing(_rowdot(mids[:, None, :], D[None, :, :]) < floor)
+        k = _first_passing(rowdot(mids[:, None, :], D[None, :, :]) < floor)
         if k is not None:
             return mids[k]
     return None
@@ -164,7 +163,7 @@ def _extreme_rows(G: np.ndarray) -> np.ndarray:
     if not len(G):
         return np.arange(0)
     dirs = np.array([v for v in product((-1.0, 0.0, 1.0), repeat=G.shape[1]) if any(v)])
-    return np.unique(_rowdot(G[:, None, :], dirs).argmax(axis=0))
+    return np.unique(rowdot(G[:, None, :], dirs).argmax(axis=0))
 
 
 def _vertex_sweep(bodies: list, bases: list, B: np.ndarray, G: np.ndarray, tol: float):
@@ -233,7 +232,7 @@ def _stampacchia(bodies: list, B: np.ndarray, G: np.ndarray, tol: float) -> list
         if w is None and not no:
             V = bodies[i].vertices
             D = G - B[i]
-            floor = -tol * (1.0 + np.sqrt(_rowdot(D, D)))
+            floor = -tol * (1.0 + np.sqrt(rowdot(D, D)))
             w = _midpoint_witness(V, D, floor)
             if w is None:
                 w = _lp_witness(V, D, floor)
@@ -300,11 +299,11 @@ def certificate_valid(cert: VipCertificate, body: ConvexBody, X, tol: float | No
         return False
     w = cert.witness.coords
     V = body.vertices
-    floor = _WITNESS_HULL_FLOOR * (1.0 + float(np.sqrt(_rowdot(V, V).max())))
+    floor = _WITNESS_HULL_FLOOR * (1.0 + float(np.sqrt(rowdot(V, V).max())))
     # contains() scales its tolerance by 1 + ||w||; the floor is absolute
     if not body.contains(w, max(tol, floor / (1.0 + norm(w)))):
         return False
-    return not (_rowdot(np.array(w), D) < -tol * (1.0 + np.sqrt(_rowdot(D, D)))).any()
+    return not (rowdot(np.array(w), D) < -tol * (1.0 + np.sqrt(rowdot(D, D)))).any()
 
 
 @dataclass(frozen=True)
@@ -331,7 +330,7 @@ def _cone_field(cone_oracle: ConeOracle, X, dim: int) -> _ConeField:
             gens.extend(g.coords for g in cone.generators)
             owner.extend([i] * len(cone.generators))
     G = ground_array(gens, dim)
-    return _ConeField(G * (1.0 / np.sqrt(_rowdot(G, G)))[:, None],
+    return _ConeField(G * (1.0 / np.sqrt(rowdot(G, G)))[:, None],
                       ground[np.array(owner, dtype=int)], ground[np.array(full, dtype=int)])
 
 
@@ -351,13 +350,13 @@ def _minty_fails(field: _ConeField, C: np.ndarray, tol: float) -> np.ndarray:
     for blk in row_blocks(len(C), 4 * (len(field.units) + len(field.full))):
         X = C[blk, None, :]
         D = X - field.at
-        out = (_rowdot(field.units, D) > tol * (1.0 + np.sqrt(_rowdot(D, D)))).any(axis=1)
+        out = (rowdot(field.units, D) > tol * (1.0 + np.sqrt(rowdot(D, D)))).any(axis=1)
         F = X - field.full
-        nf = np.sqrt(_rowdot(F, F))
+        nf = np.sqrt(rowdot(F, F))
         ceiling = tol * (1.0 + nf)
         out |= (np.abs(F).max(axis=2) > ceiling).any(axis=1)
         moved = nf > 0.0
-        own = _rowdot(F * (1.0 / np.where(moved, nf, 1.0))[..., None], F)
+        own = rowdot(F * (1.0 / np.where(moved, nf, 1.0))[..., None], F)
         fails[blk] = out | (moved & (own > ceiling)).any(axis=1)
     return fails
 
@@ -369,7 +368,7 @@ def _minty_screen(field: _ConeField) -> _ConeField:
     candidate, and the first and the last full-cone point, of which a
     candidate equals at most one. The entries keep their field order."""
     # by generator, then by <g, y>, then in field order (lexsort is stable)
-    order = np.lexsort((_rowdot(field.units, field.at), *field.units.T))
+    order = np.lexsort((rowdot(field.units, field.at), *field.units.T))
     U = field.units[order]
     head = np.ones(len(U), dtype=bool)
     head[1:] = (U[1:] != U[:-1]).any(axis=1)
@@ -497,11 +496,8 @@ def svip_solutions(rel: Relation, X: GroundSet, cone_oracle: ConeOracle | None =
     sweep and then the LP. The screen only refutes, so the listing is that
     of the full sweeps.
 
-    `ball_on_empty` stays only because `bench/ops.py` still passes it as
-    False. It chose a hull variant that gave an empty strictly-better set
-    the ball, but such a set's normal cone is full, and the hull of a full
-    cone is already the ball; the variant changed no body and was removed,
-    so True raises ValueError.
+    `ball_on_empty` is accepted only as False, because `bench/ops.py`
+    still passes it; True raises ValueError.
     """
     if ball_on_empty:
         raise ValueError(f"ball_on_empty={ball_on_empty!r} is not supported: "

@@ -17,7 +17,10 @@ columns, and `load_trace_json_ref` the loader that checked a trace file row
 by row (restated to reject a termination, a lipschitz, or a theta,
 distance, gap or residual value that `emit_trace` never writes);
 `scaled_to_ref` is `points.scaled_to` before its 1-D and 2-D arithmetic
-was written out coordinate by coordinate. `stampacchia_unscreened_ref`
+was written out coordinate by coordinate; `contour_is_grid_convex_ref` and
+`resolution_ref` are the grid-convexity rule and its slack as they were
+read off Points and a `GroundSet`, before `check_property` read them off
+rows and contour masks. `stampacchia_unscreened_ref`
 and `minty_holds_unscreened_ref` are the Stampacchia stages and the Minty
 field test before their screens (every open base or candidate meets the
 whole ground or field), and `FIXTURE_CONES_REF` holds the fixtures' cone
@@ -45,12 +48,11 @@ from scipy.optimize import nnls
 
 from prefmax import (ContourSample, ConvexBody, Point, PropertyReport, Relation, VipCertificate,
                      holds, normal_membership_many, sample_contour)
-from prefmax.cones import Cone, _rowdot, contains_zero, unit_net
+from prefmax.cones import DEFAULT_TOL, Cone, contains_zero, unit_net
 from prefmax.descent import DescentTrace, OracleNormViolation, TraceRow
 from prefmax.harness import SCHEMA_VERSION, TRACE_COLUMNS
-from prefmax.points import axis_lattice, blocks, row_blocks
+from prefmax.points import axis_lattice, blocks, row_blocks, rowdot
 from prefmax.vip import _lp_witness, _midpoint_witness, _vertex_block
-from prefmax.relations import _contour_is_grid_convex
 
 # ------------------------------------------------------ tuple helpers
 
@@ -200,12 +202,63 @@ def check_property_ref(h, ground, prop: str, m: int | None = None) -> PropertyRe
                 return PropertyReport(prop, False, tuple(taken))
         return PropertyReport(prop, True)
     which = "U" if prop == "convex_upper" else "Us"
-    slack = ground.resolution() / 2.0
+    slack = resolution_ref(ground) / 2.0
     for x in pts:
-        bad = _contour_is_grid_convex(contour_ref(h, x, ground, which), ground, slack)
+        bad = contour_is_grid_convex_ref(contour_ref(h, x, ground, which), ground, slack)
         if bad is not None:
             return PropertyReport(prop, False, (x,) + bad)
     return PropertyReport(prop, True)
+
+
+def resolution_ref(ground) -> float:
+    """Smallest positive spacing: a grid's smallest axis step, else the
+    smallest positive distance over every pair of points, its squared
+    differences summed coordinate by coordinate from the first."""
+    if ground.axes is not None:
+        return min(step for _, _, step in ground.axes)
+    res = math.inf
+    for i, p in enumerate(ground.points):
+        for q in ground.points[i + 1:]:
+            t = list(map(operator.sub, p, q))
+            d = math.sqrt(sum(map(operator.mul, t, t)))
+            if 0 < d < res:
+                res = d
+    return res
+
+
+def contour_is_grid_convex_ref(points: list[Point], ground, slack: float):
+    """None if convex at grid resolution, else a witness (p, q, gap point):
+    the contour and the points outside it as Points, the 1-D interval
+    through `min` and `max`, and every pair of the contour in turn."""
+    member = {p.coords for p in points}
+    outside = [g for g in ground if g.coords not in member]
+    if not outside or len(points) < 2:
+        return None
+    if ground.dim == 1:
+        lo = min(p[0] for p in points)
+        hi = max(p[0] for p in points)
+        for g in outside:
+            if lo - slack <= g[0] <= hi + slack:
+                p = min(points, key=lambda q: q[0])
+                q = max(points, key=lambda q: q[0])
+                return (p, q, g)
+        return None
+    out = np.array([g.coords for g in outside])
+    for i, p in enumerate(points):
+        pa = np.array(p.coords)
+        for q in points[i + 1:]:
+            qa = np.array(q.coords)
+            d = qa - pa
+            dd = float(d @ d)
+            if dd == 0.0:
+                continue
+            t = np.clip((out - pa) @ d / dd, 0.0, 1.0)
+            proj = pa + t[:, None] * d
+            dist = np.linalg.norm(out - proj, axis=1)
+            bad = np.nonzero(dist <= slack)[0]
+            if bad.size:
+                return (p, q, outside[int(bad[0])])
+    return None
 
 
 def audit_gap_flags_ref(gap, h, ground):
@@ -294,17 +347,17 @@ def cone_residual_ref(cone, query) -> float:
     return nnls(G, qhat)[1]
 
 
-def cone_contains_ref(cone, query) -> bool:
+def cone_contains_ref(cone, query, tol: float = DEFAULT_TOL) -> bool:
     """`Cone.contains` as one NNLS solve: `cone_residual_ref` against
     max(tol, 1e-10)."""
     q = tuple(query)
-    if norm(q) <= cone.tol:
+    if norm(q) <= tol:
         return True
     if cone.tag == "full":
         return True
     if cone.tag == "zero":
         return False
-    return cone_residual_ref(cone, q) <= max(cone.tol, 1e-10)
+    return cone_residual_ref(cone, q) <= max(tol, 1e-10)
 
 
 def unit_net3_ref() -> np.ndarray:
@@ -508,7 +561,7 @@ def stampacchia_unscreened_ref(bodies: list, B: np.ndarray, G: np.ndarray, tol: 
             if w is None and not no:
                 V = bodies[i].vertices
                 D = G - B[i]
-                floor = -tol * (1.0 + np.sqrt(_rowdot(D, D)))
+                floor = -tol * (1.0 + np.sqrt(rowdot(D, D)))
                 w = _midpoint_witness(V, D, floor)
                 if w is None:
                     w = _lp_witness(V, D, floor)
@@ -524,13 +577,13 @@ def minty_holds_unscreened_ref(field, C: np.ndarray, tol: float) -> np.ndarray:
     for blk in row_blocks(len(C), 4 * (len(field.units) + len(field.full))):
         X = C[blk, None, :]
         D = X - field.at
-        fails = (_rowdot(field.units, D) > tol * (1.0 + np.sqrt(_rowdot(D, D)))).any(axis=1)
+        fails = (rowdot(field.units, D) > tol * (1.0 + np.sqrt(rowdot(D, D)))).any(axis=1)
         F = X - field.full
-        nf = np.sqrt(_rowdot(F, F))
+        nf = np.sqrt(rowdot(F, F))
         ceiling = tol * (1.0 + nf)
         fails |= (np.abs(F).max(axis=2) > ceiling).any(axis=1)
         moved = nf > 0.0
-        own = _rowdot(F * (1.0 / np.where(moved, nf, 1.0))[..., None], F)
+        own = rowdot(F * (1.0 / np.where(moved, nf, 1.0))[..., None], F)
         holds[blk] = ~(fails | (moved & (own > ceiling)).any(axis=1))
     return holds
 

@@ -10,7 +10,6 @@ in the same order, and `box_sample`'s lattice mask the `np.isin` one.
 """
 
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -19,6 +18,7 @@ from hypothesis import strategies as st
 
 from prefmax import Cone, ConvexBody, Point, cone_unit_hull, fixture_names, get_fixture
 from prefmax.cones import (
+    DEFAULT_TOL,
     _PAIR_DEPENDENT,
     _PAIR_SPANS,
     _box_candidates,
@@ -92,10 +92,10 @@ def probes(cone: Cone, extra) -> np.ndarray:
     return np.array(rows, dtype=float)
 
 
-def assert_matches_nnls(cone: Cone, P: np.ndarray) -> None:
-    want = [cone_contains_ref(cone, p) for p in P]
-    assert cone.contains_many(P).tolist() == want
-    assert [cone.contains(tuple(p)) for p in P] == want
+def assert_matches_nnls(cone: Cone, P: np.ndarray, tol: float = DEFAULT_TOL) -> None:
+    want = [cone_contains_ref(cone, p, tol) for p in P]
+    assert cone.contains_many(P, tol).tolist() == want
+    assert [cone.contains(tuple(p), tol) for p in P] == want
 
 
 # ---------------------------------------------------------------------- cones
@@ -104,13 +104,13 @@ def assert_matches_nnls(cone: Cone, P: np.ndarray) -> None:
 @DIFFERENTIAL
 @given(cones_2d(), st.lists(st.tuples(coord, coord), max_size=20), st.sampled_from(TOLS))
 def test_2d_cones_match_nnls(cone, extra, tol):
-    assert_matches_nnls(replace(cone, tol=tol), probes(cone, extra))
+    assert_matches_nnls(cone, probes(cone, extra), tol)
 
 
 @DIFFERENTIAL
 @given(cones_1d(), st.lists(st.tuples(coord), max_size=10), st.sampled_from(TOLS))
 def test_1d_cones_match_nnls(cone, extra, tol):
-    assert_matches_nnls(replace(cone, tol=tol), probes(cone, extra))
+    assert_matches_nnls(cone, probes(cone, extra), tol)
 
 
 @DIFFERENTIAL
@@ -121,7 +121,7 @@ def test_2d_near_ties_match_nnls(cone, q, ulps):
     tol = max(cone_residual_ref(cone, q), 1e-10)
     for _ in range(abs(ulps)):
         tol = np.nextafter(tol, np.inf if ulps > 0 else -np.inf)
-    assert_matches_nnls(replace(cone, tol=tol), np.array([q]))
+    assert_matches_nnls(cone, np.array([q]), tol)
 
 
 @DIFFERENTIAL
@@ -133,8 +133,8 @@ def test_unit_hulls_match_vertex_for_vertex(cone):
 @pytest.mark.parametrize("tag", ["full", "zero"])
 @pytest.mark.parametrize("tol", TOLS)
 def test_full_and_zero_cones_match_nnls(tag, tol):
-    cone = replace(getattr(Cone, tag)(2), tol=tol)
-    assert_matches_nnls(cone, np.array([(0.0, 0.0), (1e-4, 0.0), (1.0, -2.0)] + unit_net(2).tolist()))
+    assert_matches_nnls(getattr(Cone, tag)(2),
+                        np.array([(0.0, 0.0), (1e-4, 0.0), (1.0, -2.0)] + unit_net(2).tolist()), tol)
 
 
 @pytest.mark.parametrize("name", CONE_FIXTURES)
@@ -144,7 +144,7 @@ def test_fixture_cones_match_nnls_over_the_unit_net(name):
     seen = set()
     for x in fx.me_ground():
         cone = fx.cone_oracle(x)
-        key = (cone.tag, cone.generators, cone.tol)
+        key = (cone.tag, cone.generators)
         if key in seen:  # an equal cone gets equal verdicts
             continue
         seen.add(key)

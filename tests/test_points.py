@@ -6,7 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from prefmax import GroundSet, Point, parse_grid_spec, pt
-from prefmax.points import axis_lattice, scaled_to
+from prefmax.points import axis_lattice, ground_points, ground_spacing, scaled_to
 
 from scalar_reference import scaled_to_ref
 
@@ -75,6 +75,16 @@ def test_parse_grid_spec():
 def test_axis_lattice_names_a_non_finite_value(lo, hi, step, message):
     with pytest.raises(ValueError, match=message):
         axis_lattice(lo, hi, step)
+
+
+def test_ground_spacing_is_a_grids_smallest_step_or_the_smallest_distance():
+    # the grid's own step, 0.3, beats its points' smallest distance, 0.5
+    grid = GroundSet.grid([(0.0, 0.0, 0.3), (0.0, 1.0, 0.5)])
+    assert ground_spacing(*ground_points(grid)) == 0.3
+    assert ground_spacing(*ground_points(list(grid))) == 0.5
+    assert ground_spacing(*ground_points(GroundSet.explicit(grid))) == 0.5
+    assert ground_spacing(*ground_points([pt(0.0, 0.0), pt(3.0, 4.0), pt(3.0, 4.5)])) == 0.5
+    assert ground_spacing(*ground_points([pt(1.0)])) == math.inf
 
 
 def test_explicit_requires_distinct():

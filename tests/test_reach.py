@@ -70,8 +70,7 @@ UNCALLED = {
     "plastria.plastria_subgradient": API,
     "points.pt": API,
     "points.GroundSet.explicit": API,
-    "points.GroundSet.resolution": WAITS_P,
-    "points.dist": WAITS_P,
+    "points.ground_spacing": WAITS_P,
     "relations.PropertyReport.__bool__": API,
     "relations.Relation.from_table": BENCH,
     "relations.Relation._lookup": BENCH,

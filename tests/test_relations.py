@@ -8,12 +8,16 @@ from prefmax import (
     Relation,
     check_property,
     contour,
+    fixture_names,
+    get_fixture,
     holds,
     maxima,
     maximal_elements,
+    preference_matrix,
     pt,
     strictly_prefers,
 )
+from prefmax.relations import PROPERTIES
 
 from scalar_reference import random_tabular_relation
 
@@ -197,8 +201,6 @@ def test_convexity_counterexample_strict_only():
 
 
 def test_rational_relations_agree_on_both_convexities(vee):
-    from prefmax import get_fixture
-
     for fx in (vee, get_fixture("twin-plateau")):
         g = fx.default_ground
         assert check_property(fx.relation, g, "convex_upper").holds \
@@ -210,6 +212,29 @@ def test_rational_relations_agree_on_both_convexities(vee):
     g = GroundSet.grid([(0.0, 1.0, 0.05)])
     assert not check_property(rel, g, "convex_upper").holds
     assert not check_property(rel, g, "convex_strict_upper").holds
+
+
+@pytest.mark.parametrize("name", fixture_names())
+def test_a_list_an_iterator_and_a_ground_set_give_the_same_results(name):
+    # every relations entry point, the convexity properties included, on at
+    # most 30 points of the fixture's default grid
+    fx = get_fixture(name)
+    grid = list(fx.default_ground)
+    pts = grid[::-(-len(grid) // 30)]
+    rel = fx.relation
+    bases = (pts[0], pts[len(pts) // 2], pts[-1])
+
+    def results(ground):
+        out = [maximal_elements(rel, ground()), maxima(rel, ground()),
+               preference_matrix(rel, ground()).tolist()]
+        out += [contour(rel, x, ground(), which) for x in bases for which in ("U", "Us", "L", "Ls")]
+        out += [check_property(rel, ground(), prop, m=2 if prop == "mfip" else None)
+                for prop in PROPERTIES]
+        return out
+
+    want = results(lambda: GroundSet.explicit(pts))
+    assert results(lambda: list(pts)) == want
+    assert results(lambda: iter(pts)) == want
 
 
 # ------------------------------------------------------- maximal and maxima
