@@ -17,7 +17,7 @@ import numpy as np
 
 from .cones import DEFAULT_TOL, ContourSample, normal_cone_test
 from .points import GroundSet, Point, ground_points, row_blocks, rowdot, scaled_to
-from .relations import PropertyReport, Relation, preference_matrix
+from .relations import PropertyReport, Relation, _holds, _operand
 
 # Sign flags, named by content:
 #   negative_iff_better  -- f(x,y) < 0 exactly on the strictly-better set of x
@@ -83,7 +83,7 @@ def zero_gap(lipschitz: float = 1.0) -> GapFunction:
 
 def audit_gap_flags(gap: GapFunction, rel: Relation, ground: GroundSet) -> GapFunction:
     """Exhaustive self-audit of the declared sign flags on every pair of
-    the ground, against one strict-preference matrix and the gap `table`.
+    the ground, the gap `table` against the strict relation in row blocks.
 
     Violated flags are downgraded on the returned copy, and a warning names
     the first offending pair (x, y) on each side, pairs in ground order."""
@@ -121,8 +121,8 @@ def zero_maximality_check(gap: GapFunction, rel: Relation, ground: GroundSet,
     Requires the two sign flags: if the audit of `audit_gap_flags` fails
     either, the check is skipped with a precondition report carrying the
     verdict; otherwise the first base whose membership differs from its
-    maximality is reported, both from one `_sweep`. `rng` is ignored (nothing
-    is drawn at random); it stays only because `bench/ops.py` passes one.
+    maximality is reported, both from one row-block `_sweep`. `rng` is
+    ignored (nothing is drawn at random); `bench/ops.py` still passes one.
     """
     audited, report = _sweep(gap, rel, ground, tol)
     failed = [n for n in FLAG_NAMES if not getattr(audited, n)]
@@ -133,20 +133,20 @@ def zero_maximality_check(gap: GapFunction, rel: Relation, ground: GroundSet,
 
 
 def _sweep(gap: GapFunction, rel: Relation, ground: GroundSet, tol: float | None = None):
-    """One pass over the gap table of the ground beside one strict-preference
-    matrix: the audited copy of `gap` and, given tol, the failing report of
-    the first base whose zero-probe membership differs from its maximality,
-    or None. The probe fails at a strictly-better y where <0, d> = +-0
-    exceeds gap(x, y) + tol (1 + ||d||), d = y - x, as `normal_cone_test`
-    sums it."""
+    """One pass over the gap table of the ground, each row block beside the
+    same rows of the relation both ways, as `check_property` reads them: the
+    audited copy of `gap` and, given tol, the failing report of the first
+    base whose zero-probe membership differs from its maximality, or None.
+    The probe fails at a strictly-better y where <0, d> = +-0 exceeds
+    gap(x, y) + tol (1 + ||d||), d = y - x, as `normal_cone_test` sums it."""
     pts, X = ground_points(ground, rel.dim)
-    W = preference_matrix(rel, X)
-    strict = W & ~W.T  # strict[i, j]: point i strictly preferred to point j
-    found, report = {}, None
+    g, found, report = _operand(rel, X), {}, None
     for rows, F in gap.table([p.coords for p in pts]):
-        better = strict.T[rows]  # better[i, j]: point j strictly preferred to x_i
+        ahead = _holds(rel, g[rows, None], g[None])  # ahead[i, j]: x_i weakly beats point j
+        behind = _holds(rel, g[None], g[rows, None])  # behind[i, j]: point j weakly beats x_i
+        better = behind & ~ahead  # better[i, j]: point j strictly preferred to x_i
         for name, bad in (("negative_iff_better", (F < 0.0) != better),
-                          ("positive_iff_worse", (F > 0.0) != strict[rows])):
+                          ("positive_iff_worse", (F > 0.0) != (ahead & ~behind))):
             if getattr(gap, name) and name not in found and bad.any():
                 i, j = divmod(int(np.argmax(bad)), len(pts))
                 found[name] = (rows.start + i, j)

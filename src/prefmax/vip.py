@@ -319,11 +319,14 @@ class _ConeField:
 
 def _cone_field(cone_oracle: ConeOracle, X, dim: int) -> _ConeField:
     """Call the oracle once per point of the ground X (`points.ground_points`)
-    and stack the cones."""
+    and stack the cones. A cone of another dimension than the ground's
+    raises ValueError, whatever its tag."""
     pts, ground = ground_points(X, dim)
     gens, owner, full = [], [], []
     for i, y in enumerate(pts):
         cone = cone_oracle(y)
+        if cone.dim != dim:
+            raise ValueError(f"dimension mismatch: {sorted({cone.dim, dim})}")
         if cone.tag == "full":
             full.append(i)
         elif cone.tag == "generated":

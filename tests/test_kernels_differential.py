@@ -14,6 +14,7 @@ fields. The Stampacchia decider is checked in 2-D and 3-D against a grid of
 vertex weights.
 """
 
+import math
 import warnings
 from itertools import product
 
@@ -38,6 +39,7 @@ from prefmax import (
     check_property,
     contour,
     fixture_names,
+    gap_from_utility,
     get_fixture,
     maxima,
     maximal_elements,
@@ -1015,15 +1017,23 @@ def test_sweeps_cross_a_block_boundary(kinked):
 
 @pytest.mark.parametrize("entries", (1, 7, 64))
 def test_every_sweep_matches_in_small_blocks(entries, monkeypatch, band):
-    # blocks of a row or a few, so each witness search crosses blocks
+    # blocks of a row or a few, so each witness search crosses blocks; the
+    # gap checks read the relation in the same blocks as the gap table, and
+    # a gap that is nan at one ground point fails the audit with warnings
     monkeypatch.setattr(points, "BLOCK_ENTRIES", entries)
     rng = np.random.default_rng(entries)
-    for style in ("uniform", "closure", "utility"):
-        rel = random_tabular_relation(rng, 9, style)
-        _assert_sweeps_match(rel, GroundSet.explicit(rel.table_ground), scalar_holds(rel))
-    _assert_sweeps_match(band.relation, band.default_ground, scalar_holds(band.relation))
+    cases = [(rel, GroundSet.explicit(rel.table_ground))
+             for rel in (random_tabular_relation(rng, 9, style)
+                         for style in ("uniform", "closure", "utility"))]
     wells = Relation.from_utility("twin-wells", 1, lambda x: -min(abs(x[0] - 0.2), abs(x[0] - 0.8)))
-    _assert_sweeps_match(wells, GroundSet.grid([(0.0, 1.0, 0.05)]), scalar_holds(wells))
+    cases += [(band.relation, band.default_ground), (wells, GroundSet.grid([(0.0, 1.0, 0.05)]))]
+    for rel, ground in cases:
+        h = scalar_holds(rel)
+        _assert_sweeps_match(rel, ground, h)
+        nan_at = list(ground)[len(ground) // 2].coords
+        nan_gap = gap_from_utility(lambda x: math.nan if x == nan_at else sum(x), 1.0)
+        for gap in (zero_gap(), _AXIS_GAP, nan_gap):
+            _assert_gap_checks_match(gap, rel, ground, h)
 
 
 @pytest.mark.parametrize("entries", (1, 7))

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from prefmax import (
     audit_gap_flags,
     gap_from_utility,
     normal_membership,
+    parse_grid_spec,
     plastria_membership,
     plastria_subgradient,
     pt,
@@ -218,6 +220,21 @@ def test_zero_maximality_calls_a_utility_once_per_point(radial):
     report = zero_maximality_check(gap, radial.relation, radial.default_ground)
     assert report.holds
     assert calls == [p.coords for p in radial.default_ground]
+
+
+def test_zero_maximality_reads_the_relation_in_row_blocks(radial):
+    # one 3,721 x 3,721 boolean matrix alone would be 13.8 MB; the row
+    # blocks of the gap table and of the relation stay far below 8 MB
+    ground = parse_grid_spec("-0.5:2.5:0.05,0.5:3.5:0.05")
+    assert len(ground) == 3721
+    tracemalloc.start()
+    try:
+        report = zero_maximality_check(radial.gap, radial.relation, ground)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.holds
+    assert peak <= 8e6, f"traced peak {peak / 1e6:.1f} MB"
 
 
 def test_audit_keeps_clean_flags(vee):

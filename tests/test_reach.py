@@ -79,6 +79,7 @@ UNCALLED = {
     "relations.strictly_prefers": API,
     "relations.strictly_better_mask": API,
     "relations.contour": API,
+    "relations.preference_matrix": API,
     "vip._lp_witness": WAITS_M,
     "vip.svip_membership": API,
     "vip.mvip_membership": API,

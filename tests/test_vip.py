@@ -93,6 +93,25 @@ def test_the_solution_sets_reject_a_ground_of_mixed_dimensions(segment):
         mvip_solutions(segment.cone_oracle, _MIXED)
 
 
+_SUM = Relation.from_utility("sum", 2, lambda p: p[0] + p[1])
+
+
+@pytest.mark.parametrize("cone", (Cone.full(3), Cone.zero(1), Cone.ray((1.0, 0.0, 0.0))),
+                         ids=("full", "zero", "generated"))
+@pytest.mark.parametrize("run", (
+    lambda oracle, X: mvip_solutions(oracle, X),
+    lambda oracle, X: mvip_membership(oracle, pt(0.0, 0.0), X),
+    lambda oracle, X: uniqueness_check(_SUM, oracle, X),
+), ids=("solutions", "membership", "uniqueness"))
+def test_a_minty_cone_of_another_dimension_raises(cone, run):
+    # a full or a zero cone has no generator rows to be read at the ground's
+    # dimension: without its own check, a 3-D full cone refutes every
+    # candidate and a 1-D zero cone accepts every one
+    ground = GroundSet.grid([(0.0, 1.0, 0.5), (0.0, 1.0, 0.5)])
+    with pytest.raises(ValueError, match=re.escape(f"dimension mismatch: {sorted({cone.dim, 2})}")):
+        run(lambda y: cone, ground)
+
+
 @pytest.mark.parametrize("route", ("box", "ground"))
 def test_bodies_for_a_one_shot_iterable_are_the_grounds(radial, vee, route):
     # a ground is read once (`points.ground_points`): the same points as a
