@@ -8,9 +8,9 @@ enough diagnostics to re-check the quasi-Fejer inequality after the fact.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import chain, count, islice, repeat
+from itertools import chain, count, repeat
 from math import isfinite, sqrt
 from operator import mul, sub, truediv
 from typing import Callable, Iterator
@@ -91,6 +91,15 @@ class StepSchedule:
             return chain(self.values, repeat(None))
         return repeat(self.theta0)
 
+    def prefix(self, n: int) -> np.ndarray:
+        """theta_1, ..., theta_n as a float array, the first n values of
+        `steps()`: theta0 / arange(1, n + 1) for a harmonic schedule, each
+        entry the correctly rounded quotient that theta0 / k is, and the
+        first n listed values of an explicit one (n at most their number)."""
+        if self.kind == "harmonic":
+            return self.theta0 / np.arange(1.0, n + 1.0)
+        return np.array(self.values[:n], dtype=float)
+
 
 @dataclass(frozen=True)
 class DescentConfig:
@@ -131,7 +140,10 @@ class DescentTrace:
     the run stopped); dists, gaps and residuals the distance and gap to the
     reference and the quasi-Fejer residual d_{k+1}^2 - d_k^2 - theta_k^2 L^2
     (None without a reference). `rows` builds Points and TraceRows from the
-    columns on first access.
+    columns on first access. `array` is xs as a read-only (n, dim) float
+    array: the one `run_descent` stacked, or, for a trace built from its
+    columns, stacked from xs on first access; it takes no part in eq, repr,
+    hash or `rows`, and `dataclasses.replace` leaves it to be rebuilt.
     """
 
     xs: tuple[tuple[float, ...], ...]
@@ -143,6 +155,7 @@ class DescentTrace:
     termination: str  # one of TERMINATIONS
     reference: Point | None = None
     lipschitz: float | None = None
+    _array: np.ndarray | None = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         n = len(self.xs)
@@ -156,6 +169,12 @@ class DescentTrace:
             TraceRow(k, Point(x), None if xstar is None else Point(xstar), theta, d, g, r)
             for k, x, xstar, theta, d, g, r in zip(count(1), self.xs, self.xstars, self.thetas,
                                                    self.dists, self.gaps, self.residuals))
+
+    @property
+    def array(self) -> np.ndarray:
+        if self._array is None:
+            object.__setattr__(self, "_array", _iterate_array(self.xs))
+        return self._array
 
     def __len__(self) -> int:
         return len(self.xs)
@@ -188,12 +207,14 @@ def run_descent(oracle: Callable[[tuple], tuple], x1: Point, schedule: StepSched
     arithmetic (the conversion, ||x*||, x_{k+1} and its screen) is written
     out coordinate by coordinate; it gives the floats that the `map` and
     `sum` expressions of dimension 3 and up give, since `sum` starts from
-    the int 0 and 0 + a*a == a*a. After the loop, one array pass over the
-    stacked iterates gives the distance and Fejer residual columns
-    (`_fejer_columns`), bit for bit as the scalar `sqrt(sum(t*t ...))` over
-    x - ref and `d'*d' - d*d - theta*theta*L*L`, and one
-    `GapFunction.column` pass the gaps: a gap that raises raises there,
-    after every oracle call, not at its iterate's step.
+    the int 0 and 0 + a*a == a*a. After the loop the iterates are stacked
+    once into the trace's `array`, and the theta column is the schedule's
+    `prefix`. One array pass over them gives the distance and Fejer
+    residual columns (`_fejer_columns`), bit for bit as the scalar
+    `sqrt(sum(t*t ...))` over x - ref and `d'*d' - d*d - theta*theta*L*L`,
+    and one `GapFunction.column` pass the gaps (`_column`, as the iterates
+    are tuples already): a gap that raises raises there, after every
+    oracle call, not at its iterate's step.
     """
     schedule.validate()
     L = config.lipschitz
@@ -254,38 +275,57 @@ def run_descent(oracle: Callable[[tuple], tuple], x1: Point, schedule: StepSched
         xstar = None
     xs.append(x)
     xstars.append(xstar)
-    thetas = [*islice(schedule.steps(), len(xs) - 1), None]
+    n = len(xs)
+    X = _iterate_array(xs, dim)
+    T = schedule.prefix(n - 1)
     if ref is None:
-        dists = gaps = residuals = (None,) * len(xs)
+        dists = gaps = residuals = (None,) * n
     else:
-        dists, residuals = _fejer_columns(xs, thetas, ref, L)
-        gaps = (None,) * len(xs) if gap is None else tuple(gap.column(xs, ref))
-    return DescentTrace(tuple(xs), tuple(xstars), tuple(thetas), dists, gaps, residuals,
-                        termination, reference=reference, lipschitz=L)
+        dists, residuals = _fejer_columns(X, T, ref, L)
+        gaps = (None,) * n if gap is None else tuple(gap._column(xs, ref))
+    trace = DescentTrace(tuple(xs), tuple(xstars), (*T.tolist(), None), dists, gaps, residuals,
+                         termination, reference=reference, lipschitz=L)
+    object.__setattr__(trace, "_array", X)
+    return trace
 
 
-def _distance_column(xs, ref: tuple) -> np.ndarray:
-    """||x - ref|| for every iterate x, as `math.sqrt(sum(t * t ...))`
-    over x - ref gives it: the squared differences summed coordinate by
-    coordinate from the first (`points.rowdot`), then a correctly rounded
-    square root. Differences and squares that overflow give inf or nan, as
-    Python floats do, without a warning. An iterate of another dimension
-    than the reference raises ValueError."""
+def _iterate_array(xs, dim: int | None = None) -> np.ndarray:
+    """The iterates xs as a read-only (n, dim) float array, `dim` the
+    first iterate's by default. Iterates of different dimensions raise
+    ValueError."""
+    if dim is None:
+        dim = len(xs[0]) if xs else 0
+        if set(map(len, xs)) - {dim}:
+            raise ValueError("iterates differ in dimension")
+    X = np.fromiter(chain.from_iterable(xs), float, len(xs) * dim).reshape(len(xs), dim)
+    X.flags.writeable = False
+    return X
+
+
+def _distance_column(X: np.ndarray, ref: tuple) -> np.ndarray:
+    """||x - ref|| for every row x of the iterate array X, as
+    `math.sqrt(sum(t * t ...))` over x - ref gives it: the squared
+    differences summed coordinate by coordinate from the first
+    (`points.rowdot`), then a correctly rounded square root. Differences
+    and squares that overflow give inf or nan, as Python floats do, without
+    a warning. Iterates of another dimension than the reference raise
+    ValueError."""
     dim = len(ref)
-    if set(map(len, xs)) - {dim}:
+    if not len(X):
+        return np.empty(0)
+    if X.shape[1] != dim:
         raise ValueError(f"iterates and the {dim}-dimensional reference differ in dimension")
-    X = np.fromiter(chain.from_iterable(xs), float, len(xs) * dim).reshape(-1, dim)
     with np.errstate(over="ignore", invalid="ignore"):
         T = X - np.array(ref, dtype=float)
         return np.sqrt(rowdot(T, T))
 
 
-def _fejer_columns(xs, thetas, ref: tuple, L: float) -> tuple[tuple, tuple]:
-    """The dists and residuals columns of a run's trace. Every row but the
-    last took a step, and its residual d_{k+1}^2 - d_k^2 - theta_k^2 L^2 is
-    evaluated left to right, as the scalar expression is."""
-    D = _distance_column(xs, ref)
-    T = np.fromiter(thetas, float, len(thetas) - 1)
+def _fejer_columns(X: np.ndarray, T: np.ndarray, ref: tuple, L: float) -> tuple[tuple, tuple]:
+    """The dists and residuals columns of a run's trace from its iterate
+    array X and the steps T it took. Every row but the last took a step,
+    and its residual d_{k+1}^2 - d_k^2 - theta_k^2 L^2 is evaluated left to
+    right, as the scalar expression is."""
+    D = _distance_column(X, ref)
     with np.errstate(over="ignore", invalid="ignore"):
         R = D[1:] * D[1:] - D[:-1] * D[:-1] - T * T * L * L
     return tuple(D.tolist()), (*R.tolist(), None)
@@ -306,11 +346,14 @@ def quasi_fejer_check(trace: DescentTrace, reference: Point, L: float,
     distance to the reference may grow by at most theta_k^2 L^2 plus a
     relative slack. The reference must be a maximal point the caller trusts
     to lie in every iterate's strictly-better set. Distances are recomputed
-    from the iterates in one array pass (`_distance_column`), not read from
-    the trace. A row without a step reads its theta as nan, and a nan
+    in one array pass (`_distance_column`) over the trace's iterate array
+    (`DescentTrace.array`: the one the run stacked, or one stacked from xs
+    on first use), not read from the trace's dists. Iterates of different
+    dimensions, or of another dimension than the reference, raise
+    ValueError. A row without a step reads its theta as nan, and a nan
     budget fails no comparison, so such a row decides nothing."""
-    D = _distance_column(trace.xs, tuple(reference))
-    T = np.array(trace.thetas[:-1], dtype=float)
+    D = _distance_column(trace.array, tuple(reference))
+    T = np.fromiter(trace.thetas, float, max(len(trace) - 1, 0))
     prev, nxt = D[:-1], D[1:]
     with np.errstate(over="ignore", invalid="ignore"):
         grown = nxt * nxt > prev * prev + T * T * L * L + slack * (1.0 + prev * prev)

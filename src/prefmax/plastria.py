@@ -62,8 +62,21 @@ class GapFunction:
             yield rows, F
 
     def column(self, xs, y) -> list[float]:
-        """f(x, y) for every x of `xs`: the one-column `table`."""
-        return [v for _, F in self.table(xs, [y]) for v in F[:, 0].tolist()]
+        """f(x, y) for every x of `xs`: the one-column `table(xs, [y])`, the
+        same calls in the same order and the same floats, as a list."""
+        return self._column(list(map(tuple, xs)), tuple(y))
+
+    def _column(self, xs, y: tuple) -> list[float]:
+        """`column` of xs that are coordinate tuples already (a descent
+        run's iterates), each passed to the gap as it is: a gap from a
+        utility calls u at y, then at each x, and subtracts in one array
+        pass; any other gap calls `fn` once per x."""
+        if self.utility is None:
+            return [float(self.fn(x, y)) for x in xs]
+        uy = np.fromiter(map(self.utility, (y,)), float, 1)
+        ux = np.fromiter(map(self.utility, xs), float, len(xs))
+        with np.errstate(over="ignore", invalid="ignore"):
+            return (ux - uy).tolist()
 
     def flags(self) -> dict[str, bool]:
         return {name: getattr(self, name) for name in FLAG_NAMES}

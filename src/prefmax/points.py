@@ -26,6 +26,8 @@ _LATTICE_DECIMALS = 12
 # `blocks` read it at call time.
 BLOCK_ENTRIES = 1 << 15
 
+_INF = math.inf
+
 
 @dataclass(frozen=True)
 class Point:
@@ -73,16 +75,33 @@ def scaled_to(u, length: float) -> tuple[float, ...]:
     `length` along u. A u whose norm is 0.0 raises ZeroDivisionError. In
     1-D and 2-D the arithmetic is written out coordinate by coordinate and
     gives the same numbers as the `map` and `sum` expressions of dimension 3
-    and up (`sum` starts from the int 0, and 0 + a*a == a*a)."""
+    and up (`sum` starts from the int 0, and 0 + a*a == a*a). Only where the
+    squares sum to 0.0 or inf while every coordinate is finite and one is
+    nonzero (they underflow or overflow), u is first divided by its largest
+    magnitude m: u / m has the same direction, and its squares sum to
+    between 1 and dim. Every other u keeps the floats of the one
+    expression, so a zero u raises and one with an infinite coordinate is
+    scaled by 0.0."""
     u = tuple(u)
     if len(u) == 2:
         a, b = u
-        s = length / math.sqrt(a * a + b * b)
-        return (a * s, b * s)
-    if len(u) == 1:
+        q = a * a + b * b
+        if q != 0.0 and q != _INF:
+            s = length / math.sqrt(q)
+            return (a * s, b * s)
+    elif len(u) == 1:
         a = u[0]
-        return (a * (length / math.sqrt(a * a)),)
-    return tuple(map(operator.mul, u, repeat(length / math.sqrt(sum(map(operator.mul, u, u))))))
+        q = a * a
+        if q != 0.0 and q != _INF:
+            return (a * (length / math.sqrt(q)),)
+    else:
+        q = sum(map(operator.mul, u, u))
+        if q != 0.0 and q != _INF:
+            return tuple(map(operator.mul, u, repeat(length / math.sqrt(q))))
+    m = max(map(abs, u), default=0.0)
+    if 0.0 < m < _INF:
+        return scaled_to(tuple(c / m for c in u), length)
+    return tuple(map(operator.mul, u, repeat(length / math.sqrt(q))))
 
 
 def rowdot(A: np.ndarray, B: np.ndarray) -> np.ndarray:

@@ -294,7 +294,7 @@ def test_diagnostics_match_on_arbitrary_traces(dim, seed, n, stranded, slack):
         x = 0.8 * x + rng.normal(scale=0.3, size=dim)
     reference = pt(*rng.uniform(-0.5, 0.5, size=dim).tolist())
     trace = trace_from_rows(rows, "maxIters", reference=reference, lipschitz=1.0)
-    assert (_reprs(_distance_column(trace.xs, tuple(reference)).tolist())
+    assert (_reprs(_distance_column(trace.array, tuple(reference)).tolist())
             == _reprs(distances_ref(trace)))
     for m in range(1, n + 1):  # every prefix, so each pair decides one verdict
         prefix = trace_from_rows(trace.rows[:m], "maxIters", reference=reference,

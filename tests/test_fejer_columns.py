@@ -64,7 +64,7 @@ def traces(draw):
 @given(traces(), st.sampled_from((1e-3, 1.0, 1e154)), st.sampled_from((0.0, 1e-10, 1.0)),
        st.data())
 def test_distances_and_the_fejer_check_match_on_any_trace(trace, L, slack, data):
-    dists = _distance_column(trace.xs, tuple(trace.reference)).tolist()
+    dists = _distance_column(trace.array, tuple(trace.reference)).tolist()
     assert _reprs(dists) == _reprs(distances_ref(trace))
     probe = data.draw(points(len(trace.reference.coords)))
     for m in range(1, len(trace) + 1):  # every prefix, so each pair decides one verdict
@@ -141,8 +141,12 @@ def test_a_reference_or_iterates_of_another_dimension_raise():
     trace = run_descent(*args[:4])
     with pytest.raises(ValueError, match="differ in dimension"):
         quasi_fejer_check(trace, pt(0.5), 1.0)
+    ragged = trace_from_rows((TraceRow(1, pt(2.0, 1.0), None, 0.5),
+                              TraceRow(2, pt(1.4), None, None)), "maxIters")
     with pytest.raises(ValueError, match="differ in dimension"):
-        _distance_column(((2.0, 1.0), (1.4,)), (0.0, 0.0))
+        quasi_fejer_check(ragged, pt(0.0, 0.0), 1.0)
+    with pytest.raises(ValueError, match="differ in dimension"):
+        _distance_column(trace.array, (0.0,))
 
 
 @pytest.mark.parametrize("x1, x2, theta, holds", [

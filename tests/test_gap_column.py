@@ -111,11 +111,16 @@ def test_column_takes_points_and_lists(name):
 @given(st.lists(st.floats(), min_size=1, max_size=3), st.floats(1e-3, 1e3))
 def test_subgradient_is_the_scaled_direction_bit_for_bit(u, L):
     def subgradient_ref(gap, ustar):
-        # the formula before the shared helper
-        nu = norm(tuple(ustar))
+        # the formula before the shared helper, on u / max |u| where the
+        # squares of finite coordinates, not all zero, underflow or overflow
+        u = tuple(ustar)
+        m = max(map(abs, u))
+        if norm(u) in (0.0, math.inf) and 0.0 < m < math.inf:
+            u = tuple(c / m for c in u)
+        nu = norm(u)
         if nu == 0.0:
             raise ValueError("ustar must be nonzero")
-        return Point(scale(tuple(ustar), gap.lipschitz / nu))
+        return Point(scale(u, gap.lipschitz / nu))
 
     gap = GapFunction(lambda x, y: 0.0, L)
     outcomes = []
@@ -140,9 +145,10 @@ def test_descent_oracle_is_the_original_bit_for_bit(name, data):
 def test_a_zero_direction_is_rejected():
     with pytest.raises(ValueError, match="^ustar must be nonzero$"):
         plastria_subgradient(zero_gap(2.0), pt(0.0, 0.0), (0.0, -0.0))
-    # a direction whose squares underflow has norm 0.0 too
-    with pytest.raises(ValueError, match="^ustar must be nonzero$"):
-        plastria_subgradient(zero_gap(2.0), pt(0.0), (1e-200,))
+    # a direction whose squares underflow or overflow is a direction still
+    assert plastria_subgradient(zero_gap(2.0), pt(0.0), (1e-200,)) == pt(2.0)
+    assert plastria_subgradient(zero_gap(2.0), pt(0.0, 0.0), (1e-170, 0.0)) == pt(2.0, 0.0)
+    assert plastria_subgradient(zero_gap(2.0), pt(0.0, 0.0), (0.0, -1e200)) == pt(0.0, -2.0)
     assert plastria_subgradient(zero_gap(2.0), pt(0.0), (3e-150,)) == pt(2.0)
     assert math.isclose(norm(plastria_subgradient(zero_gap(3.0), pt(0.0, 0.0), (1.0, 1.0))),
                         3.0)

@@ -240,6 +240,19 @@ def test_cli_descend_capability_error():
     assert "gap" in result.output
 
 
+def test_cli_descend_from_a_start_whose_direction_overflows():
+    """From (1e200, 0) the squares of radial-bowl's direction overflow; the
+    oracle still returns a unit cone element, so the run steps instead of
+    stopping on a false zero."""
+    result = runner.invoke(main, ["descend", "--fixture", "radial-bowl", "--x0", "1e200,0",
+                                  "--max-iters", "5"])
+    assert result.exit_code == 0, result.output
+    assert result.output.startswith("termination=maxIters iterations=5 final=1e+200,")
+    trace = descend_fixture("radial-bowl", (1e200, 0.0), max_iters=5)
+    assert [x[1] > 0.0 for x in trace.xs] == [False] + [True] * 5
+    assert all(xstar[0] == 1.0 for xstar in trace.xstars[:5])
+
+
 def test_cli_descend_list_schedule(tmp_path):
     sched = tmp_path / "steps.txt"
     sched.write_text("0.5\n0.25\n0.125\n")

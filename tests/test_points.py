@@ -1,8 +1,10 @@
 import math
+import sys
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from prefmax import GroundSet, Point, parse_grid_spec, pt
@@ -131,17 +133,64 @@ def scaled_inputs(draw):
 @example((Point((0.6, -0.8, 0.0)), 2.5))
 def test_scaled_to_matches_the_generic_expressions(inputs):
     """The written-out 1-D and 2-D arithmetic gives, by repr, what the `map`
-    and `sum` expressions give; a norm that is 0.0, exactly or by underflow,
-    raises ZeroDivisionError on both."""
+    and `sum` expressions give; an exact zero raises ZeroDivisionError on
+    both, and squares that underflow or overflow are rescaled on both."""
     u, length = inputs
     assert _scaled_outcome(scaled_to, u, length) == _scaled_outcome(scaled_to_ref, u, length)
 
 
-@pytest.mark.parametrize("coords", [(0.0,), (0.0, 0.0), (0.0, 0.0, 0.0), (1e-170,),
-                                    (1e-170, -1e-170), (0, 1e-170, 0.0)])
+@pytest.mark.parametrize("coords", [(0.0,), (0.0, -0.0), (0.0, 0.0, 0.0), (-0.0,), (-0.0, 0),
+                                    (0, -0.0, 0.0)])
 @pytest.mark.parametrize("container", (tuple, list, Point))
 def test_scaled_to_a_zero_norm_raises_as_the_generic_expressions_do(coords, container):
     u = container(coords)
     outcome = _scaled_outcome(scaled_to, u, 1.0)
     assert outcome == _scaled_outcome(scaled_to_ref, u, 1.0)
     assert outcome[0] is ZeroDivisionError
+
+
+def _exact_scaled(u, length):
+    """length * u / ||u|| in 60-digit decimal arithmetic, rounded to floats."""
+    with localcontext() as ctx:
+        ctx.prec = 60
+        coords = [Decimal(c) for c in u]
+        s = Decimal(length) / sum(c * c for c in coords).sqrt()
+        return [float(c * s) for c in coords]
+
+
+@pytest.mark.parametrize("coords, expected", [
+    ((1e160,), (2.0,)),
+    ((-1e-170,), (-2.0,)),
+    ((1e200, 0.0), (2.0, 0.0)),
+    ((1e-170, -0.0), (2.0, -0.0)),
+    ((-1e-170, 1e-170), (-math.sqrt(2.0), math.sqrt(2.0))),
+    ((0.0, 1e300, 0.0), (0.0, 2.0, 0.0)),
+    ((1e-200, 1e-200, 1e-200), (2.0 / math.sqrt(3.0),) * 3),
+])
+@pytest.mark.parametrize("container", (tuple, list, Point))
+def test_squares_that_underflow_or_overflow_are_rescaled(coords, expected, container):
+    """A u whose squares sum to 0.0 or inf, with every coordinate finite and
+    one nonzero, is scaled along its direction to norm `length`, in 1-D to
+    3-D, instead of raising ZeroDivisionError or collapsing to zeros."""
+    got = scaled_to(container(coords), 2.0)
+    assert all(math.isclose(g, e, rel_tol=4e-16) for g, e in zip(got, expected))
+    assert [math.copysign(1.0, g) for g in got] == [math.copysign(1.0, e) for e in expected]
+    assert _scaled_outcome(scaled_to, container(coords), 2.0) == _scaled_outcome(
+        scaled_to_ref, container(coords), 2.0)
+
+
+@settings(settings.get_profile("differential"), max_examples=300)
+@given(st.lists(st.tuples(st.floats(-1.7, 1.7), st.sampled_from(
+    (1e-300, 1e-200, 1e-170, 1e-150, 1.0, 1e150, 1e160, 1e200, 1e300))), min_size=1, max_size=3),
+    st.floats(1e-3, 1e3))
+def test_scaled_to_has_the_length_and_direction_at_any_scale(coords, length):
+    """Every nonzero finite u whose squares sum to a normal float, 0.0 or
+    inf comes out as length * u / ||u|| to within a few ulps of `length`.
+    (A subnormal sum keeps the one expression's floats, and its lost
+    digits.)"""
+    u = tuple(c * scale for c, scale in coords)
+    q = sum(c * c for c in u)
+    assume(any(u) and (q in (0.0, math.inf) or q >= sys.float_info.min))
+    got = scaled_to(u, length)
+    for g, e in zip(got, _exact_scaled(u, length)):
+        assert abs(g - e) <= 4 * math.ulp(length)

@@ -49,6 +49,7 @@ UNCALLED = {
     "cones.sample_contour": API,
     "cones.sampled_bodies": API,
     "cones._box_candidates": TEST,
+    "descent.DescentTrace.array": WAITS_H,
     "descent.DescentTrace.rows": BENCH,
     "descent.DescentTrace.final_point": BENCH,
     "descent.StepSchedule.explicit": API,
@@ -64,6 +65,7 @@ UNCALLED = {
     "harness._raise_row_fault": ERROR,
     "harness._coords_of": ERROR,
     "plastria.GapFunction.__call__": API,
+    "plastria.GapFunction.column": API,
     "plastria.GapFunction.flags": API,
     "plastria.audit_gap_flags": AUDIT,
     "plastria.plastria_membership": WAITS_H,
