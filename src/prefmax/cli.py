@@ -13,6 +13,7 @@ import sys
 
 import click
 
+from .cones import DEFAULT_TOL
 from .descent import StepSchedule
 from .fixtures import UnknownFixture, fixture_names, get_fixture
 from .harness import (
@@ -130,7 +131,7 @@ def _parse_grid(ctx: click.Context, param: click.Parameter, spec: str | None):
 @click.option("--suite", default=None, help="Comma-separated check names")
 @click.option("--grid", default=None, callback=_parse_grid,
               help="lo:hi:step[,lo:hi:step...] ground override")
-@click.option("--tol", default=1e-9, type=float, show_default=True)
+@click.option("--tol", default=DEFAULT_TOL, type=float, show_default=True)
 @click.option("--seed", default=0, type=int, show_default=True)
 @click.option("--json", "json_path", default=None, help="Write the report as JSON")
 @_config_option("suite", "grid", "tol", "seed")
@@ -195,7 +196,7 @@ def descend(fixture_name, x0, theta0, schedule, max_iters, eps, trace_path):
 @click.option("--kind", required=True, type=click.Choice(["svip", "mvip"]))
 @click.option("--grid", default=None, callback=_parse_grid,
               help="lo:hi:step[,lo:hi:step...] ground override")
-@click.option("--tol", default=1e-9, type=float, show_default=True)
+@click.option("--tol", default=DEFAULT_TOL, type=float, show_default=True)
 @_config_option("grid", "tol")
 def vip(fixture_name, kind, grid, tol):
     """Enumerate the Stampacchia or Minty solution set over a fixture grid."""

@@ -326,9 +326,10 @@ def _lattice(axes) -> np.ndarray:
 
 @lru_cache(maxsize=_BOX_AXES)
 def _box_axis(c: float, radius: float, step: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """One axis of `_box_candidates` at coordinate c, as read-only arrays:
-    the coarse lattice, the fine lattice, and the mask of the fine points on
-    the coarse lattice (float ==, through a set). Bases on a grid share
+    """One axis of a base's box lattices at coordinate c, as read-only
+    arrays: the coarse lattice, the fine lattice, and the mask of the fine
+    points on the coarse lattice (float ==, through a set). Every base's
+    candidates are cut from these (`_box_product`); bases on a grid share
     their coordinates, so a sweep builds each axis once."""
     fine_r = min(0.1, radius)
     coarse = axis_lattice(c - radius, c + radius, step)
@@ -341,64 +342,39 @@ def _box_axis(c: float, radius: float, step: float) -> tuple[np.ndarray, np.ndar
     return arrays
 
 
-def _axis_union(coords: tuple, radius: float, step: float) -> tuple[np.ndarray, dict]:
-    """One axis of the box lattices at the given coordinates: the union U of
-    their `_box_axis` lattices, as distinct values (distinct by bits, so that
-    0.0 and -0.0 stay apart), and for each coordinate its coarse and fine
-    lattices as indices into U."""
-    parts = {c: _box_axis(c, radius, step) for c in coords}
-    bits = np.sort(np.concatenate([a.view(np.int64) for coarse, fine, _ in parts.values()
-                                   for a in (coarse, fine)]))
-    bits = bits[np.concatenate(([True], bits[1:] != bits[:-1]))]  # np.unique loads numpy.ma
-    return bits.view(float), {c: (np.searchsorted(bits, coarse.view(np.int64)),
-                                  np.searchsorted(bits, fine.view(np.int64)))
-                              for c, (coarse, fine, _) in parts.items()}
-
-
 @lru_cache(maxsize=_BOX_AXES)
 def _union_axes(coords: tuple, radius: float, step: float) -> tuple[list, list]:
-    """The box lattices at the given distinct coordinates per axis: the
-    per-axis values of their union lattice (`_axis_union`), and per axis,
-    for each coordinate, its entry: the shape of its lattices (the two
-    lengths and the number of fine points on the coarse lattice), the fine
-    lattice's on-coarse mask, the two lattices' coordinates, and their
-    flat-index offsets into the union lattice's row-major product. A
-    ground's sweeps, and each base's own box, share one entry."""
-    unions = [_axis_union(col, radius, step) for col in coords]
-    axes = [U for U, _ in unions]
+    """The union lattice of the box lattices at the given distinct
+    coordinates per axis: per axis, the distinct values of the coordinates'
+    `_box_axis` lattices (distinct by bits, so that 0.0 and -0.0 stay
+    apart), and for each coordinate the flat-index offsets of its coarse
+    and fine lattices into the row-major product of those values. Only a
+    column form scored over several bases reads it (`_box_blocks`)."""
+    axes, at = [], []
+    for col in coords:
+        parts = {c: _box_axis(c, radius, step)[:2] for c in col}
+        bits = np.sort(np.concatenate([a.view(np.int64) for lats in parts.values() for a in lats]))
+        bits = bits[np.concatenate(([True], bits[1:] != bits[:-1]))]  # np.unique loads numpy.ma
+        axes.append(bits.view(float))
+        at.append({c: [np.searchsorted(bits, a.view(np.int64)) for a in lats]
+                   for c, lats in parts.items()})
     strides = np.cumprod([1] + [len(U) for U in axes[:0:-1]])[::-1].tolist()
-    entries = []
-    for col, (_, at), st in zip(coords, unions, strides):
-        entries.append({})
-        for c in col:
-            coarse, fine, on = _box_axis(c, radius, step)
-            ci, fi = at[c]
-            entries[-1][c] = ((len(coarse), len(fine), int(on.sum())), on, (coarse, fine),
-                              (ci * st, fi * st))
-    return axes, entries
+    return axes, [{c: (ci * st, fi * st) for c, (ci, fi) in col.items()}
+                  for col, st in zip(at, strides)]
 
 
-def _union_lattice(B: np.ndarray, radius: float, step: float) -> tuple[list, list]:
-    """The union lattice of the box lattices at the bases B (`_union_axes`),
-    with each base's entries per axis."""
-    coords = tuple(tuple(dict.fromkeys(col)) for col in B.T.tolist())
-    axes, entries = _union_axes(coords, radius, step)
-    return axes, [[entries[k][c] for k, c in enumerate(row)] for row in B.tolist()]
-
-
-def _box_product(lats: list, part: int) -> np.ndarray:
-    """The box candidates of bases whose lattices have one shape, from their
-    per-axis entries of `_union_lattice`, as a (bases, candidates, dim)
-    array of coordinates (part 2) or of flat-index offsets, to be summed
-    (part 3): for each base the coarse lattice, then the fine lattice's
-    points not already in it, each in row-major order. A fine point is in
-    the coarse lattice exactly when each of its coordinates is on that
-    axis's coarse lattice, so the mask is built per axis and expanded in
-    the lattice's order."""
+def _box_product(lats: list) -> np.ndarray:
+    """The box candidates of bases whose lattices have one shape, from
+    their per-axis `(coarse, fine, on)` triples (`_box_axis`: coordinates;
+    or flat-index offsets into `_union_axes`' lattice, to be summed), as a
+    (bases, candidates, dim) array: for each base the coarse lattice, then
+    the fine lattice's points not already in it, each in row-major order.
+    A fine point is in the coarse lattice exactly when each of its
+    coordinates is on that axis's coarse lattice, so the mask is built per
+    axis and expanded in the lattice's order."""
     nb, dim = len(lats), len(lats[0])
-    coarse, fine = ([np.array([lat[k][part][i] for lat in lats]) for k in range(dim)]
-                    for i in (0, 1))
-    on = [np.array([lat[k][1] for lat in lats]) for k in range(dim)]
+    coarse, fine, on = ([np.array([lat[k][i] for lat in lats]) for k in range(dim)]
+                        for i in range(3))
     known = reduce(lambda a, b: (a[:, :, None] & b[:, None, :]).reshape(nb, -1), on)
     return np.concatenate((_lattice(coarse), _lattice(fine)[~known].reshape(nb, -1, dim)), axis=1)
 
@@ -406,8 +382,8 @@ def _box_product(lats: list, part: int) -> np.ndarray:
 def _box_candidates(x: Point, radius: float, step: float) -> np.ndarray:
     """The candidates of `box_sample` as an (m, dim) array: the coarse
     lattice, then the fine lattice's points not already in it, each in
-    row-major order (`_box_product` for one base)."""
-    return _box_product(_union_lattice(np.array([x.coords], dtype=float), radius, step)[1], 2)[0]
+    row-major order (`_box_product` of the base's own lattices)."""
+    return _box_product([[_box_axis(c, radius, step) for c in x.coords]])[0]
 
 
 def _box_blocks(rel: Relation, B: np.ndarray, radius: float, step: float):
@@ -417,27 +393,35 @@ def _box_blocks(rel: Relation, B: np.ndarray, radius: float, step: float):
     as a slice of the bases, its accepted candidates stacked base after
     base, each base's in candidate order, and their number per base.
 
-    Every base's candidates are cut from one lattice: the product of the
-    per-axis unions of the bases' `_box_axis` lattices (`_union_axes`). A
-    utility's column form is scored once per point of that lattice where it
-    has fewer points than the bases have candidates (and at most
-    `_TABLE_POINTS`; never for a single base, whose candidates are all
-    distinct): 18,769 points for radial-bowl's 169 bases, against 286,793
-    candidates. Each candidate's score is then read against its own base's
-    u(x) (`_scored_strict`, which scores the ambiguous ones again with u).
-    Otherwise, and for predicates and tables, a block's candidates are
+    Each base's candidates are cut from its own `_box_axis` lattices, read
+    once per distinct coordinate per axis. Over several bases (a single
+    base's candidates are all distinct, so a table never pays there) a
+    utility's column form is scored instead once per point of the union
+    lattice (`_union_axes`) where that has fewer points than the bases have
+    candidates and at most `_TABLE_POINTS`: 18,769 points for radial-bowl's
+    169 bases, against 286,793 candidates. Each candidate's score is then
+    read against its own base's u(x) (`_scored_strict`, which scores the
+    ambiguous ones again with u). Otherwise a block's candidates are
     stacked and each is met against its own base in one
     `strictly_better_rows` call."""
-    axes, lats = _union_lattice(B, radius, step)
-    shapes = [tuple(a[0] for a in lat) for lat in lats]
-    size_of = {shape: math.prod(c for c, _, _ in shape) + math.prod(f for _, f, _ in shape)
-               - math.prod(n for _, _, n in shape) for shape in set(shapes)}
-    sizes = [size_of[shape] for shape in shapes]
+    rows = B.tolist()
+    coords = tuple(tuple(dict.fromkeys(col)) for col in B.T.tolist())
+    per_axis = [{c: _box_axis(c, radius, step) for c in col} for col in coords]
+    shape = [{c: (len(coarse), len(fine), int(on.sum())) for c, (coarse, fine, on) in axis.items()}
+             for axis in per_axis]
+    shapes = [tuple(map(dict.__getitem__, shape, row)) for row in rows]
+    size_of = {s: math.prod(c for c, _, _ in s) + math.prod(f for _, f, _ in s)
+               - math.prod(n for _, _, n in s) for s in set(shapes)}
+    sizes = [size_of[s] for s in shapes]
     table = None
-    if (rel.kind == "utility" and rel.columns is not None
-            and math.prod(map(len, axes)) < min(sum(sizes), _TABLE_POINTS)):
-        T = _lattice(axes)
-        table = np.broadcast_to(np.asarray(rel.columns(tuple(T.T)), dtype=float), (len(T),))
+    if rel.kind == "utility" and rel.columns is not None and len(rows) > 1:
+        axes, offsets = _union_axes(coords, radius, step)
+        if math.prod(map(len, axes)) < min(sum(sizes), _TABLE_POINTS):
+            T = _lattice(axes)
+            table = np.broadcast_to(np.asarray(rel.columns(tuple(T.T)), dtype=float), (len(T),))
+            per_axis = [{c: (*at[c], on) for c, (_, _, on) in axis.items()}
+                        for axis, at in zip(per_axis, offsets)]
+    lats = [list(map(dict.__getitem__, per_axis, row)) for row in rows]
     start = 0
     for _, run in groupby(shapes):
         stop, size = start + len(list(run)), sizes[start]
@@ -445,13 +429,13 @@ def _box_blocks(rel: Relation, B: np.ndarray, radius: float, step: float):
             blk = slice(start + r.start, start + r.stop)
             counts = np.full(blk.stop - blk.start, size)
             if table is None:
-                Y = _box_product(lats[blk], 2).reshape(-1, B.shape[1])
+                Y = _box_product(lats[blk]).reshape(-1, B.shape[1])
                 mask = strictly_better_rows(rel, B[blk], Y, counts)
                 P = Y[mask]
             else:
                 # each axis's offsets added as a column: a sum over the short
                 # last axis is many times slower
-                idx = reduce(np.add, np.moveaxis(_box_product(lats[blk], 3), 2, 0)).ravel()
+                idx = reduce(np.add, np.moveaxis(_box_product(lats[blk]), 2, 0)).ravel()
                 mask = _scored_strict(rel, table[idx], B[blk], counts,
                                       lambda i: np.take(T, idx[i], axis=0))
                 P = np.take(T, idx[mask], axis=0)
@@ -467,7 +451,8 @@ def box_sample(rel: Relation, x: Point, radius: float, step: float) -> ContourSa
     there. Strict preference is evaluated for all of `_box_candidates` at
     once, and the accepted candidates, in that order, become the rows of the
     sample's coordinate array. This is the one-base call of the ground-level
-    pass `_box_blocks`.
+    pass `_box_blocks`, cut from the base's own cached axis lattices; no
+    union lattice is built.
     """
     ((_, P, _),) = _box_blocks(rel, np.array([x.coords], dtype=float), radius, step)
     return ContourSample(x, P)

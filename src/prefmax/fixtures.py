@@ -15,7 +15,7 @@ from typing import Callable
 
 import numpy as np
 
-from .cones import BoxSampler, Cone, normal_membership_many
+from .cones import DEFAULT_TOL, BoxSampler, Cone, normal_membership_many
 from .plastria import GapFunction, gap_from_utility, zero_gap
 from .points import GroundSet, Point, scaled_to
 from .relations import Relation
@@ -398,7 +398,7 @@ def _build_registry() -> dict[str, Fixture]:
     return registry
 
 
-def self_test_fixture(fixture: Fixture, seed: int = 12345, tol: float = 1e-9,
+def self_test_fixture(fixture: Fixture, seed: int = 12345, tol: float = DEFAULT_TOL,
                       ground: GroundSet | None = None) -> None:
     """Closed-form cones must agree with sampled membership on random probes,
     at bases picked from `ground` (default: the fixture's)."""

@@ -12,7 +12,7 @@ from math import isfinite
 from operator import is_not, itemgetter
 from sys import float_info
 
-from .cones import normal_membership, strict_normal_membership
+from .cones import DEFAULT_TOL, normal_membership, strict_normal_membership
 from .descent import TERMINATIONS, DescentConfig, DescentTrace, StepSchedule, run_descent
 from .fixtures import get_fixture, self_test_fixture
 from .plastria import zero_maximality_check
@@ -38,7 +38,7 @@ class ExperimentSpec:
     fixture: str
     suite: tuple[str, ...] | None = None
     ground: GroundSet | None = None
-    tol: float = 1e-9
+    tol: float = DEFAULT_TOL
     seed: int = 0
 
     def __post_init__(self):

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import operator
+import sys
 from dataclasses import dataclass
 from itertools import product, repeat
 
@@ -27,6 +28,7 @@ _LATTICE_DECIMALS = 12
 BLOCK_ENTRIES = 1 << 15
 
 _INF = math.inf
+_TINY = sys.float_info.min  # the least normal float
 
 
 @dataclass(frozen=True)
@@ -76,30 +78,31 @@ def scaled_to(u, length: float) -> tuple[float, ...]:
     1-D and 2-D the arithmetic is written out coordinate by coordinate and
     gives the same numbers as the `map` and `sum` expressions of dimension 3
     and up (`sum` starts from the int 0, and 0 + a*a == a*a). Only where the
-    squares sum to 0.0 or inf while every coordinate is finite and one is
-    nonzero (they underflow or overflow), u is first divided by its largest
-    magnitude m: u / m has the same direction, and its squares sum to
-    between 1 and dim. Every other u keeps the floats of the one
-    expression, so a zero u raises and one with an infinite coordinate is
-    scaled by 0.0."""
+    squares sum to less than the least normal float (0.0 or a subnormal,
+    which keeps few digits) or to inf while every coordinate is finite and
+    one is nonzero, u is first divided by its largest magnitude m: u / m
+    has the same direction, and its squares sum to between 1 and dim. Every
+    other u keeps the floats of the one expression, so a zero u raises, one
+    with an infinite coordinate is scaled by 0.0, and one with a nan
+    coordinate comes out nan."""
     u = tuple(u)
     if len(u) == 2:
         a, b = u
         q = a * a + b * b
-        if q != 0.0 and q != _INF:
+        if _TINY <= q < _INF:
             s = length / math.sqrt(q)
             return (a * s, b * s)
     elif len(u) == 1:
         a = u[0]
         q = a * a
-        if q != 0.0 and q != _INF:
+        if _TINY <= q < _INF:
             return (a * (length / math.sqrt(q)),)
     else:
         q = sum(map(operator.mul, u, u))
-        if q != 0.0 and q != _INF:
+        if _TINY <= q < _INF:
             return tuple(map(operator.mul, u, repeat(length / math.sqrt(q))))
     m = max(map(abs, u), default=0.0)
-    if 0.0 < m < _INF:
+    if 0.0 < m < _INF and not math.isnan(q):
         return scaled_to(tuple(c / m for c in u), length)
     return tuple(map(operator.mul, u, repeat(length / math.sqrt(q))))
 

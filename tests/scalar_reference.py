@@ -18,7 +18,7 @@ by row (restated to reject a termination, a lipschitz, or a theta,
 distance, gap or residual value that `emit_trace` never writes);
 `scaled_to_ref` is `points.scaled_to` before its 1-D and 2-D arithmetic
 was written out coordinate by coordinate, with its rescaling of a u whose
-squares underflow or overflow; `contour_is_grid_convex_ref` and
+squares sum to a subnormal, 0.0 or inf; `contour_is_grid_convex_ref` and
 `resolution_ref` are the grid-convexity rule and its slack as they were
 read off Points and a `GroundSet`, before `check_property` read them off
 rows and contour masks. `stampacchia_unscreened_ref`
@@ -76,11 +76,13 @@ def norm(a) -> float:
 
 def scaled_to_ref(u, length: float) -> tuple[float, ...]:
     """u times length / ||u||, by the `map` and `sum` expressions in every
-    dimension; where those squares sum to 0.0 or inf while every coordinate
-    is finite and one is nonzero, the same expressions on u / max |u|."""
+    dimension; where those squares sum to less than the least normal float
+    (0.0 or a subnormal) or to inf while every coordinate is finite and one
+    is nonzero, the same expressions on u / max |u|."""
     u = tuple(u)
     m = max(map(abs, u), default=0.0)
-    if sum(map(operator.mul, u, u)) in (0.0, math.inf) and 0.0 < m < math.inf:
+    q = sum(map(operator.mul, u, u))
+    if (q < sys.float_info.min or q == math.inf) and 0.0 < m < math.inf:
         u = tuple(c / m for c in u)
     return tuple(map(operator.mul, u, repeat(length / math.sqrt(sum(map(operator.mul, u, u))))))
 

@@ -1,8 +1,9 @@
 """Sampled Stampacchia bodies for a whole ground against the scalar references.
 
 `vip.bodies_for_ground` with a `BoxSampler` cuts every base's box candidates
-from one union lattice, scores a utility's column form once per lattice
-point, and turns each block of samples into bodies in one pass. Its samples
+from its own axis lattices, or, for a utility's column form, from one union
+lattice scored once per point, and turns each block of samples into bodies
+in one pass. Its samples
 must be `box_sample_ref`'s and its bodies the net rows that
 `normal_membership_ref` accepts, row by row, in any dimension, for column
 forms off by up to K floats or not finite, for predicates, and with block
@@ -149,6 +150,26 @@ def test_a_ground_of_one_lattice_scores_each_point_once(radial):
     assert len(blocks) > 1 and calls == [137 * 137]
     assert sum(len(P) for _, P, _ in blocks) == sum(
         len(radial.contour_sampler(x).points) for x in radial.default_ground)
+
+
+def test_the_union_lattice_is_built_only_for_a_column_form_over_several_bases():
+    # predicates, and a single base, cut their candidates from their own
+    # axis lattices: no union lattice is asked for
+    cones._union_axes.cache_clear()
+    for name in ("band-threshold", "halfline-plane"):
+        fx = get_fixture(name)
+        bodies_for_ground(fx.relation, fx.default_ground, contour_sampler=fx.box_sampler)
+        assert len(list(fx.box_sampler.samples(fx.default_ground))) == len(fx.default_ground)
+    radial = get_fixture("radial-bowl")
+    radial.box_sampler(radial.default_ground[0])
+    info = cones._union_axes.cache_info()
+    assert (info.hits, info.misses) == (0, 0)
+    # radial-bowl's column form scores one union lattice per ground pass
+    for hits in (0, 1):
+        bodies_for_ground(radial.relation, radial.default_ground,
+                          contour_sampler=radial.box_sampler)
+        info = cones._union_axes.cache_info()
+        assert (info.hits, info.misses) == (hits, 1)
 
 
 # ------------------------------------------------------------- zero test

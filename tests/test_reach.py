@@ -31,8 +31,9 @@ TEST = "test entry point: the differential tests check this stage of a ground pa
 BENCH = "read by bench/, which only a benchmark change may stop using"
 WAITS_H = "descent diagnostic that the convergence verdict (ROADMAP H) will read"
 WAITS_P = "grid-convexity premise that ROADMAP P will expose as a check"
-WAITS_E = "certificate re-check that exact evidence (ROADMAP E) will run"
-WAITS_M = "last stage of the Stampacchia decider; no 1-D or 2-D fixture base reaches it"
+WAITS_E = "certificate re-check that two-sided certificates will run (ROADMAP B.3, on X's signs)"
+WAITS_M = ("last stage of the Stampacchia decider; no scanned command reaches it, "
+           "while radial-bowl's 3,721-point grid at tol 0 does")
 ERROR = "error path: no command that succeeds reaches it"
 AUDIT = "library API: the sign audit alone; zero-maximality runs it inside its own gap pass"
 
