@@ -8,11 +8,12 @@ enough diagnostics to re-check the quasi-Fejer inequality after the fact.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, reduce
 from itertools import chain, count, repeat
 from math import isfinite, sqrt
-from operator import mul, sub, truediv
+from operator import add, mul, sub, truediv
 from typing import Callable, Iterator
 
 import numpy as np
@@ -206,15 +207,17 @@ def run_descent(oracle: Callable[[tuple], tuple], x1: Point, schedule: StepSched
     coordinates checked one by one. For a 1-D or 2-D iterate this
     arithmetic (the conversion, ||x*||, x_{k+1} and its screen) is written
     out coordinate by coordinate; it gives the floats that the `map` and
-    `sum` expressions of dimension 3 and up give, since `sum` starts from
-    the int 0 and 0 + a*a == a*a. After the loop the iterates are stacked
-    once into the trace's `array`, and the theta column is the schedule's
-    `prefix`. One array pass over them gives the distance and Fejer
-    residual columns (`_fejer_columns`), bit for bit as the scalar
-    `sqrt(sum(t*t ...))` over x - ref and `d'*d' - d*d - theta*theta*L*L`,
-    and one `GapFunction.column` pass the gaps (`_column`, as the iterates
-    are tuples already): a gap that raises raises there, after every
-    oracle call, not at its iterate's step.
+    left-fold expressions of dimension 3 and up give, since the fold starts
+    from the int 0 and 0 + a*a == a*a. The fold is `reduce(add, ..., 0)`,
+    not `sum`, whose floats Python 3.12 compensates. After the loop the
+    iterates are stacked once into the trace's `array`, and the theta
+    column is the schedule's `prefix`. One array pass over them gives the
+    distance and Fejer residual columns (`_fejer_columns`), bit for bit as
+    the scalar `sqrt(sum(t*t ...))` over x - ref and `d'*d' - d*d -
+    theta*theta*L*L` wherever the squares neither overflow nor underflow
+    (see `_distance_column`), and one `GapFunction.column` pass the gaps
+    (`_column`, as the iterates are tuples already): a gap that raises
+    raises there, after every oracle call, not at its iterate's step.
     """
     schedule.validate()
     L = config.lipschitz
@@ -243,7 +246,7 @@ def run_descent(oracle: Callable[[tuple], tuple], x1: Point, schedule: StepSched
             nxs = sqrt(a * a)
         else:
             xstar = tuple(map(float, out))
-            nxs = sqrt(sum(map(mul, xstar, xstar)))
+            nxs = sqrt(reduce(add, map(mul, xstar, xstar), 0))
         if nxs > bound:
             raise OracleNormViolation(
                 f"oracle output norm {nxs} exceeds the declared bound {L} at iteration {k}")
@@ -262,7 +265,7 @@ def run_descent(oracle: Callable[[tuple], tuple], x1: Point, schedule: StepSched
                 finite = isfinite(n0)
             else:
                 x_next = tuple(map(sub, x, map(mul, xstar, repeat(theta))))
-                finite = isfinite(sum(x_next))
+                finite = isfinite(reduce(add, x_next, 0))
             if not finite:
                 _check_step(x, out, theta)
             xs.append(x)
@@ -306,10 +309,14 @@ def _distance_column(X: np.ndarray, ref: tuple) -> np.ndarray:
     """||x - ref|| for every row x of the iterate array X, as
     `math.sqrt(sum(t * t ...))` over x - ref gives it: the squared
     differences summed coordinate by coordinate from the first
-    (`points.rowdot`), then a correctly rounded square root. Differences
-    and squares that overflow give inf or nan, as Python floats do, without
-    a warning. Iterates of another dimension than the reference raise
-    ValueError."""
+    (`points.rowdot`), then a correctly rounded square root. Only where
+    the squares sum below the least normal float or to inf while the
+    largest |difference| m is finite and nonzero (the rule of
+    `points.scaled_to`) is the row's distance m ||(x - ref) / m||, whose
+    squares sum to between 1 and dim; every other row keeps the one
+    expression. A difference that overflows gives inf without a warning,
+    as Python floats do. Iterates of another dimension than the reference
+    raise ValueError."""
     dim = len(ref)
     if not len(X):
         return np.empty(0)
@@ -317,17 +324,40 @@ def _distance_column(X: np.ndarray, ref: tuple) -> np.ndarray:
         raise ValueError(f"iterates and the {dim}-dimensional reference differ in dimension")
     with np.errstate(over="ignore", invalid="ignore"):
         T = X - np.array(ref, dtype=float)
-        return np.sqrt(rowdot(T, T))
+        Q = rowdot(T, T)
+        D = np.sqrt(Q)
+        odd = np.flatnonzero((Q < sys.float_info.min) | (Q == math.inf))
+        if odd.size:
+            m = np.abs(T[odd]).max(axis=1)
+            keep = (0.0 < m) & (m < math.inf)
+            odd, m = odd[keep], m[keep]
+            U = T[odd] / m[:, None]
+            D[odd] = m * np.sqrt(rowdot(U, U))
+    return D
+
+
+def _overflowing(D: np.ndarray) -> np.ndarray:
+    """The indices k of the pairs of consecutive distances D[k], D[k + 1]
+    of which one is finite and has a square that overflows."""
+    over = (D * D == math.inf) & (D < math.inf)
+    return np.flatnonzero(over[:-1] | over[1:])
 
 
 def _fejer_columns(X: np.ndarray, T: np.ndarray, ref: tuple, L: float) -> tuple[tuple, tuple]:
     """The dists and residuals columns of a run's trace from its iterate
     array X and the steps T it took. Every row but the last took a step,
     and its residual d_{k+1}^2 - d_k^2 - theta_k^2 L^2 is evaluated left to
-    right, as the scalar expression is."""
+    right, as the scalar expression is. Where a squared distance overflows
+    (`_overflowing`), d_{k+1}^2 - d_k^2 is (d_{k+1} - d_k)(d_{k+1} + d_k),
+    with the sum halved and the product doubled, which moves no float but
+    keeps the sum of two distances near the largest float finite."""
     D = _distance_column(X, ref)
     with np.errstate(over="ignore", invalid="ignore"):
         R = D[1:] * D[1:] - D[:-1] * D[:-1] - T * T * L * L
+        far = _overflowing(D)
+        if far.size:
+            prev, nxt = D[far], D[far + 1]
+            R[far] = (nxt - prev) * (0.5 * nxt + 0.5 * prev) * 2.0 - T[far] * T[far] * L * L
     return tuple(D.tolist()), (*R.tolist(), None)
 
 
@@ -351,12 +381,19 @@ def quasi_fejer_check(trace: DescentTrace, reference: Point, L: float,
     on first use), not read from the trace's dists. Iterates of different
     dimensions, or of another dimension than the reference, raise
     ValueError. A row without a step reads its theta as nan, and a nan
-    budget fails no comparison, so such a row decides nothing."""
+    budget fails no comparison, so such a row decides nothing. Where a
+    squared distance overflows (`_overflowing`), the pair is compared in
+    units of the larger distance m, with d'^2 - d^2 as (d' - d)(d' + d)."""
     D = _distance_column(trace.array, tuple(reference))
     T = np.fromiter(trace.thetas, float, max(len(trace) - 1, 0))
     prev, nxt = D[:-1], D[1:]
     with np.errstate(over="ignore", invalid="ignore"):
         grown = nxt * nxt > prev * prev + T * T * L * L + slack * (1.0 + prev * prev)
+        far = _overflowing(D)
+        if far.size:
+            m = np.maximum(prev[far], nxt[far])
+            p, q, b = prev[far] / m, nxt[far] / m, T[far] * L / m
+            grown[far] = (q - p) * (q + p) > b * b + slack * (1.0 / m / m + p * p)
     return not grown.any()
 
 

@@ -6,6 +6,7 @@ import math
 import operator
 import sys
 from dataclasses import dataclass
+from functools import reduce
 from itertools import product, repeat
 
 import numpy as np
@@ -69,15 +70,19 @@ def float_coords(coords: tuple) -> tuple[float, ...]:
 
 
 def norm(a) -> float:
-    return math.sqrt(sum(map(operator.mul, a, a)))
+    """||a||: the squares added left to right from the int 0, as Python
+    3.11's `sum` adds floats (3.12's compensates), then a correctly rounded
+    square root."""
+    return math.sqrt(reduce(operator.add, map(operator.mul, a, a), 0))
 
 
 def scaled_to(u, length: float) -> tuple[float, ...]:
     """u times length / ||u||, ||u|| as `norm` gives it: the vector of norm
     `length` along u. A u whose norm is 0.0 raises ZeroDivisionError. In
     1-D and 2-D the arithmetic is written out coordinate by coordinate and
-    gives the same numbers as the `map` and `sum` expressions of dimension 3
-    and up (`sum` starts from the int 0, and 0 + a*a == a*a). Only where the
+    gives the same numbers as the `map` and left-fold expressions of
+    dimension 3 and up (the fold, as in `norm`, starts from the int 0, and
+    0 + a*a == a*a). Only where the
     squares sum to less than the least normal float (0.0 or a subnormal,
     which keeps few digits) or to inf while every coordinate is finite and
     one is nonzero, u is first divided by its largest magnitude m: u / m
@@ -98,7 +103,7 @@ def scaled_to(u, length: float) -> tuple[float, ...]:
         if _TINY <= q < _INF:
             return (a * (length / math.sqrt(q)),)
     else:
-        q = sum(map(operator.mul, u, u))
+        q = reduce(operator.add, map(operator.mul, u, u), 0)
         if _TINY <= q < _INF:
             return tuple(map(operator.mul, u, repeat(length / math.sqrt(q))))
     m = max(map(abs, u), default=0.0)

@@ -67,20 +67,14 @@ def _lp_witness(V: np.ndarray, D: np.ndarray, floor: np.ndarray) -> np.ndarray |
 _EPS8 = 8.0 * float(np.finfo(float).eps)
 
 
-def _first_passing(fails: np.ndarray) -> int | None:
-    """Index of the first row of `fails` (candidates by displacements) with
-    no failure."""
-    hits = np.flatnonzero(~fails.any(axis=1))
-    return int(hits[0]) if hits.size else None
-
-
 def _refuted(S: np.ndarray, V: np.ndarray, D: np.ndarray) -> np.ndarray:
-    """For each base of a block, whether some displacement d refutes every
-    vertex v by more than the rounding of a midpoint's inner product can
-    make up: S[v, d] = floor - <v, d> > 8 eps sum_k |v_k| |d_k|. S holds the
-    computed margins (bases by vertices by displacements), V the vertices
-    (bases by vertices by coordinates) and D the displacements (bases by
-    displacements by coordinates).
+    """For each base of a block, whether its displacement d with the
+    largest smallest margin refutes every vertex v by more than the
+    rounding of a midpoint's inner product can make up: S[v, d] = floor -
+    <v, d> > 8 eps sum_k |v_k| |d_k|. S holds the computed margins (bases by
+    vertices by displacements), V the vertices (bases by vertices by
+    coordinates) and D the displacements (bases by displacements by
+    coordinates), as `_margin_blocks` yields them.
 
     A midpoint m = (v + w) / 2 is rounded once per coordinate and its
     product once per term, so its computed product is within about
@@ -88,56 +82,39 @@ def _refuted(S: np.ndarray, V: np.ndarray, D: np.ndarray) -> np.ndarray:
     where S_v = sum_k |v_k| |d_k|; with a margin of 8 eps S_v at every vertex
     it stays below the floor (barring underflow), and the sweep would
     reject every midpoint at d. The test is written as a difference, which
-    rounds monotonically, so a computed pass is an exact one. Near-ties fall
-    through to the sweep.
-
-    Each base is first tested only at its displacement with the largest
-    smallest margin, where the slack is computed for its vertices alone;
-    that settles a refuted base unless its margins there are within
-    rounding. Only a base that it leaves open meets every displacement, so
-    the verdicts are those of the test at every displacement.
+    rounds monotonically, so a computed pass is an exact one. The screen
+    only refutes: a base it leaves open, near-ties included, is decided by
+    the midpoint sweep and the LP.
     """
     at = np.arange(len(S))
     j = S.min(axis=1).argmax(axis=1)
-    refuted = (S[at, :, j] > _EPS8 * rowdot(np.abs(V), np.abs(D[at, j])[:, None, :])).all(axis=1)
-    rest = np.flatnonzero(~refuted)
-    if rest.size:
-        slack = _EPS8 * rowdot(np.abs(V[rest])[:, :, None, :], np.abs(D[rest])[:, None, :, :])
-        refuted[rest] = (S[rest] > slack).all(axis=1).any(axis=1)
-    return refuted
+    return (S[at, :, j] > _EPS8 * rowdot(np.abs(V), np.abs(D[at, j])[:, None, :])).all(axis=1)
 
 
-def _vertex_block(Vs: list, B: np.ndarray, G: np.ndarray, tol: float):
-    """The vertex sweep and the Farkas screen for a block of bases xhat, the
-    rows of B, with the vertex arrays Vs, against the ground rows G. Returns
-    each base's first passing vertex (or None) and whether the screen
-    refutes it; only bases without a passing vertex meet the screen.
+def _margin_blocks(bodies: list, bases: list, B: np.ndarray, G: np.ndarray, tol: float):
+    """Yields (block, V, D, S) for the indices `bases` of the rows of B, in
+    that order, in blocks of whole bases (`points.blocks`), a base counting
+    one entry per vertex and row of G: the block's indices, its bases'
+    vertices V (bases, vertices, dim), the displacements D = G - xhat
+    (bases, rows, dim) and the margins S = floor - <v, d> (bases, vertices,
+    rows), floor = -tol (1 + ||d||).
 
-    The vertex arrays are stacked into one (bases, vertices, dim) array, in
-    which a base with fewer vertices than the block's most repeats its last
+    A base with fewer vertices than the block's most repeats its last
     vertex: that moves neither its first passing vertex nor the screen's
-    verdict. Each base's displacements are G - xhat, and products are
-    summed coordinate by coordinate, so every entry rounds as in a one-base
-    sweep. A vertex fails at d when floor - <v, d> > 0, which holds exactly
-    when <v, d> < floor.
+    verdict. Products are summed coordinate by coordinate, so every entry
+    rounds as in a one-base sweep. A vertex fails at d when S > 0, which
+    holds exactly when <v, d> < floor.
     """
-    counts = np.array([len(V) for V in Vs])
-    starts = np.cumsum(counts) - counts
-    V = np.concatenate(Vs)[starts[:, None] + np.minimum(np.arange(counts.max()), counts[:, None] - 1)]
-    D = G - B[:, None, :]
-    floor = -tol * (1.0 + np.sqrt(rowdot(D, D)))
-    S = rowdot(V[:, :, None, :], D[:, None, :, :])
-    np.subtract(floor[:, None, :], S, out=S)
-    passing = ~(S > 0.0).any(axis=2)
-    firsts = [V[b, k] if passing[b, k] else None
-              for b, k in enumerate(passing.argmax(axis=1).tolist())]
-    live = np.flatnonzero(~passing.any(axis=1))
-    refuted = np.zeros(len(Vs), dtype=bool)
-    if live.size == len(Vs):
-        refuted = _refuted(S, V, D)
-    elif live.size:
-        refuted[live] = _refuted(S[live], V[live], D[live])
-    return firsts, refuted
+    for blk in blocks([len(bodies[i].vertices) * len(G) for i in bases]):
+        block = bases[blk]
+        counts = np.array([len(bodies[i].vertices) for i in block])
+        starts = np.cumsum(counts) - counts
+        V = np.concatenate([bodies[i].vertices for i in block])[
+            starts[:, None] + np.minimum(np.arange(counts.max()), counts[:, None] - 1)]
+        D = G - B[block][:, None, :]
+        S = rowdot(V[:, :, None, :], D[:, None, :, :])
+        np.subtract((-tol * (1.0 + np.sqrt(rowdot(D, D))))[:, None, :], S, out=S)
+        yield block, V, D, S
 
 
 def _midpoint_witness(V: np.ndarray, D: np.ndarray, floor: np.ndarray) -> np.ndarray | None:
@@ -149,9 +126,9 @@ def _midpoint_witness(V: np.ndarray, D: np.ndarray, floor: np.ndarray) -> np.nda
     I, J = np.triu_indices(len(V), 1)
     for blk in row_blocks(len(I), len(D)):
         mids = 0.5 * (V[I[blk]] + V[J[blk]])
-        k = _first_passing(rowdot(mids[:, None, :], D[None, :, :]) < floor)
-        if k is not None:
-            return mids[k]
+        hits = np.flatnonzero(~(rowdot(mids[:, None, :], D[None, :, :]) < floor).any(axis=1))
+        if hits.size:
+            return mids[hits[0]]
     return None
 
 
@@ -164,17 +141,6 @@ def _extreme_rows(G: np.ndarray) -> np.ndarray:
         return np.arange(0)
     dirs = np.array([v for v in product((-1.0, 0.0, 1.0), repeat=G.shape[1]) if any(v)])
     return np.unique(rowdot(G[:, None, :], dirs).argmax(axis=0))
-
-
-def _vertex_sweep(bodies: list, bases: list, B: np.ndarray, G: np.ndarray, tol: float):
-    """Yields (base, first passing vertex or None, refuted) for each index
-    of `bases`, in that order: `_vertex_block` against the ground rows G,
-    in blocks of whole bases (`points.blocks`), a base counting one entry
-    per vertex and row of G."""
-    for blk in blocks([len(bodies[i].vertices) * len(G) for i in bases]):
-        block = bases[blk]
-        firsts, refuted = _vertex_block([bodies[i].vertices for i in block], B[block], G, tol)
-        yield from zip(block, firsts, refuted.tolist())
 
 
 def _stampacchia(bodies: list, B: np.ndarray, G: np.ndarray, tol: float) -> list:
@@ -191,15 +157,15 @@ def _stampacchia(bodies: list, B: np.ndarray, G: np.ndarray, tol: float) -> list
        object (bases on a grid share the bodies of a cone oracle); a
        sampled body's verdict is read off the gaps between its net rows,
        and every other body runs `ConvexBody.contains`.
-    2. The vertex sweep and the Farkas screen (`_vertex_block`) in one
-       block loop (`_vertex_sweep`) over the bases in order of vertex
-       count, so that little is padded: first against the ground's extreme
-       rows (`_extreme_rows`, at most 3^dim - 1), unless those are the
-       whole ground, then against the whole ground for the bases that run
-       neither passes nor refutes. The first run only refutes, since each
-       of its entries is the float expression of the second at that row. A
-       base's witness is its first passing vertex in the second run, and a
-       refuted base has none.
+    2. The margins of every vertex at every displacement, in blocks of
+       bases (`_margin_blocks`) in order of vertex count, so that little
+       is padded. First, unless they are the whole ground, against the
+       ground's extreme rows (`_extreme_rows`, at most 3^dim - 1), where
+       only the Farkas screen (`_refuted`) is read: a base it refutes there
+       has no witness, since each of those margins is the float expression
+       of the whole-ground pass at that row. Then, for the bases left,
+       against the whole ground: a base's witness is its first passing
+       vertex, and only the bases with none meet the screen again.
     3. One base at a time, the midpoint sweep (`_midpoint_witness`).
     4. Last, one phase-1 LP (`_lp_witness`), which decides whether any
        point of the body meets every floor. It comes after the midpoints
@@ -226,18 +192,21 @@ def _stampacchia(bodies: list, B: np.ndarray, G: np.ndarray, tol: float) -> list
     open_.sort(key=lambda i: len(bodies[i].vertices))
     E = _extreme_rows(G)
     if len(E) < len(G):
-        open_ = [i for i, w, no in _vertex_sweep(bodies, open_, B, G[E], tol)
-                 if w is not None or not no]
-    for i, w, no in _vertex_sweep(bodies, open_, B, G, tol):
-        if w is None and not no:
-            V = bodies[i].vertices
-            D = G - B[i]
-            floor = -tol * (1.0 + np.sqrt(rowdot(D, D)))
-            w = _midpoint_witness(V, D, floor)
+        open_ = [i for block, V, D, S in _margin_blocks(bodies, open_, B, G[E], tol)
+                 for i, no in zip(block, _refuted(S, V, D).tolist()) if not no]
+    for block, V, D, S in _margin_blocks(bodies, open_, B, G, tol):
+        passing = ~(S > 0.0).any(axis=2)
+        for b, k in enumerate(passing.argmax(axis=1).tolist()):
+            if passing[b, k]:
+                found[block[b]] = tuple(V[b, k].tolist())
+        live = np.flatnonzero(~passing.any(axis=1))
+        for b in (live[~_refuted(S[live], V[live], D[live])] if live.size else live).tolist():
+            Vb, floor = bodies[block[b]].vertices, -tol * (1.0 + np.sqrt(rowdot(D[b], D[b])))
+            w = _midpoint_witness(Vb, D[b], floor)
             if w is None:
-                w = _lp_witness(V, D, floor)
-        if w is not None:
-            found[i] = tuple(w.tolist())
+                w = _lp_witness(Vb, D[b], floor)
+            if w is not None:
+                found[block[b]] = tuple(w.tolist())
     return found
 
 
@@ -256,13 +225,16 @@ def svip_membership(body: ConvexBody, xhat: Point, X: GroundSet | list,
     decides whether some point of the body meets every floor; its witness
     must meet every floor as the sweeps test them.
 
-    The vertex products are computed once and used twice: for the vertex
-    sweep, and for a Farkas screen (`_refuted`) that returns None, without
-    the midpoint sweep or the LP, when one displacement fails every vertex
-    by more than a midpoint's rounding can recover. Such a displacement
-    fails every point of the body. The midpoints go in blocks within the
-    entry budget. Where a vertex or midpoint passes, the witness is the
-    first that passes, the same one a one-at-a-time sweep returns.
+    The vertex margins are computed once (`_margin_blocks`) and read
+    twice: for the vertex sweep, and, where no vertex passes, for a Farkas
+    screen (`_refuted`) that returns None, without the midpoint sweep or
+    the LP, when the displacement with the largest smallest margin fails
+    every vertex by more than a midpoint's rounding can recover. Such a
+    displacement fails every point of the body; a base the screen leaves
+    open goes on to the midpoint sweep and the LP. The midpoints go in
+    blocks within the entry budget. Where a vertex or midpoint passes, the
+    witness is the first that passes, the same one a one-at-a-time sweep
+    returns.
     """
     w = _stampacchia([body], np.array([xhat.coords], dtype=float), ground_array(X, xhat.dim), tol)[0]
     return None if w is None else VipCertificate(xhat, "stampacchia", Point(w), tol)
@@ -492,12 +464,13 @@ def svip_solutions(rel: Relation, X: GroundSet, cone_oracle: ConeOracle | None =
     whose one-base call is `svip_membership`, so a point is returned
     exactly where `svip_membership` gives it a certificate. X is read once
     (`points.ground_points`), and `bodies_for_ground` gets its Points. The
-    vertex sweep and the Farkas screen run in one block loop
-    (`_vertex_sweep`), first against the ground's extreme rows, which
-    refute most bases of a grid, then for the bases left against every
-    point; only a base that neither decides goes on alone, to the midpoint
-    sweep and then the LP. The screen only refutes, so the listing is that
-    of the full sweeps.
+    vertex margins come from one block pass (`_margin_blocks`), run twice:
+    against the ground's extreme rows, where only the Farkas screen is
+    read and refutes most bases of a grid, then for the bases left against
+    every point, where a base takes its first passing vertex and only a
+    base with none meets the screen; a base the screen leaves open goes on
+    alone, to the midpoint sweep and then the LP. The screen only refutes,
+    so the listing is that of the full sweeps.
 
     `ball_on_empty` is accepted only as False, because `bench/ops.py`
     still passes it; True raises ValueError.

@@ -11,7 +11,10 @@ sampled point at a time with the original tuple helpers (defined below); the
 Minty test calls the cone oracle per (xhat, y) pair. The descent loop, its
 fixture oracle, its diagnostics and the trace writer are the original ones:
 Points and a TraceRow per iterate, a distance recomputed wherever one is
-needed, and trace files written row by row; `emit_trace_columns_ref` is the
+needed (`dist_ref`, restated to rescale a difference whose squares sum
+below the least normal float or to inf, with `fejer_residual_ref` and the
+Fejer check factoring d'^2 - d^2 where a squared distance overflows), and
+trace files written row by row; `emit_trace_columns_ref` is the
 writer that came between, with `csv.writer` and `json.dumps` over the
 columns, and `load_trace_json_ref` the loader that checked a trace file row
 by row (restated to reject a termination, a lipschitz, or a theta,
@@ -24,7 +27,8 @@ read off Points and a `GroundSet`, before `check_property` read them off
 rows and contour masks. `stampacchia_unscreened_ref`
 and `minty_holds_unscreened_ref` are the Stampacchia stages and the Minty
 field test before their screens (every open base or candidate meets the
-whole ground or field), and `FIXTURE_CONES_REF` holds the fixtures' cone
+whole ground or field; the Stampacchia one reads the library's margin
+blocks and one-displacement Farkas screen), and `FIXTURE_CONES_REF` holds the fixtures' cone
 oracles as they first were, with a new Cone per call. The differential tests
 hold the array versions and the tuple descent loop to these, result for
 result and witness for witness, row for row. The module also holds test
@@ -52,8 +56,8 @@ from prefmax import (ContourSample, ConvexBody, Point, PropertyReport, Relation,
 from prefmax.cones import DEFAULT_TOL, Cone, contains_zero, unit_net
 from prefmax.descent import DescentTrace, OracleNormViolation, TraceRow
 from prefmax.harness import SCHEMA_VERSION, TRACE_COLUMNS
-from prefmax.points import axis_lattice, blocks, row_blocks, rowdot
-from prefmax.vip import _lp_witness, _midpoint_witness, _vertex_block
+from prefmax.points import axis_lattice, row_blocks, rowdot
+from prefmax.vip import _lp_witness, _margin_blocks, _midpoint_witness, _refuted
 
 # ------------------------------------------------------ tuple helpers
 
@@ -72,6 +76,31 @@ def scale(a, s: float) -> tuple[float, ...]:
 
 def norm(a) -> float:
     return math.sqrt(sum(x * x for x in a))
+
+
+def dist_ref(a, b) -> float:
+    """||a - b|| as `norm` gives it, except where the squares of a - b sum
+    to less than the least normal float or to inf while the largest
+    |difference| m is finite and nonzero: there m ||(a - b) / m||."""
+    t = sub(a, b)
+    q = sum(x * x for x in t)
+    m = max(map(abs, t))
+    if (q < sys.float_info.min or q == math.inf) and 0.0 < m < math.inf:
+        return m * norm(tuple(c / m for c in t))
+    return math.sqrt(q)
+
+
+def _square_overflows(d: float) -> bool:
+    return d * d == math.inf and d < math.inf
+
+
+def fejer_residual_ref(d: float, d_next: float, theta: float, L: float) -> float:
+    """d_next^2 - d^2 - theta^2 L^2, left to right; where a finite d or
+    d_next has a square that overflows, d_next^2 - d^2 is
+    (d_next - d)(d_next + d), the sum halved and the product doubled."""
+    if _square_overflows(d) or _square_overflows(d_next):
+        return (d_next - d) * (0.5 * d_next + 0.5 * d) * 2.0 - theta * theta * L * L
+    return d_next * d_next - d * d - theta * theta * L * L
 
 
 def scaled_to_ref(u, length: float) -> tuple[float, ...]:
@@ -544,10 +573,11 @@ def mvip_solutions_ref(cone_oracle, X, tol: float) -> list[Point]:
 
 def stampacchia_unscreened_ref(bodies: list, B: np.ndarray, G: np.ndarray, tol: float) -> list:
     """`vip._stampacchia` before its screen against the ground's extreme
-    rows: after the zero test, every open base meets the vertex sweep and
-    the Farkas screen against the whole ground, in blocks of whole bases,
-    and a base they leave open goes on alone to the midpoint sweep and the
-    LP. The stages are the library's own."""
+    rows: after the zero test, every open base meets the vertex sweep
+    against the whole ground, in blocks of whole bases (`_margin_blocks`),
+    a base with no passing vertex meets the Farkas screen, and a base the
+    screen leaves open goes on alone to the midpoint sweep and the LP. The
+    stages are the library's own."""
     zero = (0.0,) * B.shape[1]
     found: list = [None] * len(B)
     holds_zero: dict[int, bool] = {}
@@ -562,19 +592,18 @@ def stampacchia_unscreened_ref(bodies: list, B: np.ndarray, G: np.ndarray, tol: 
         else:
             open_.append(i)
     open_.sort(key=lambda i: len(bodies[i].vertices))
-    for blk in blocks([len(bodies[i].vertices) * len(G) for i in open_]):
-        block = open_[blk]
-        firsts, refuted = _vertex_block([bodies[i].vertices for i in block], B[block], G, tol)
-        for i, w, no in zip(block, firsts, refuted.tolist()):
-            if w is None and not no:
-                V = bodies[i].vertices
-                D = G - B[i]
-                floor = -tol * (1.0 + np.sqrt(rowdot(D, D)))
-                w = _midpoint_witness(V, D, floor)
+    for block, V, D, S in _margin_blocks(bodies, open_, B, G, tol):
+        for b, i in enumerate(block):
+            fails = (S[b] > 0.0).any(axis=1)
+            if not fails.all():
+                found[i] = tuple(V[b, int(np.argmin(fails))].tolist())
+            elif not _refuted(S[b:b + 1], V[b:b + 1], D[b:b + 1])[0]:
+                floor = -tol * (1.0 + np.sqrt(rowdot(D[b], D[b])))
+                w = _midpoint_witness(bodies[i].vertices, D[b], floor)
                 if w is None:
-                    w = _lp_witness(V, D, floor)
-            if w is not None:
-                found[i] = tuple(w.tolist())
+                    w = _lp_witness(bodies[i].vertices, D[b], floor)
+                if w is not None:
+                    found[i] = tuple(w.tolist())
     return found
 
 
@@ -673,7 +702,7 @@ def run_descent_ref(oracle, x1: Point, schedule, config, reference=None,
     rows = []
 
     def diag(x: Point):
-        d = norm(sub(x, reference)) if reference is not None else None
+        d = dist_ref(x, reference) if reference is not None else None
         g = gap(x.coords, reference.coords) if (gap is not None and reference is not None) else None
         return d, g
 
@@ -708,8 +737,7 @@ def run_descent_ref(oracle, x1: Point, schedule, config, reference=None,
         x_next = Point(sub(x, scale(xs, theta)))
         residual = None
         if reference is not None:
-            d_next = norm(sub(x_next, reference))
-            residual = d_next * d_next - d * d - theta * theta * L * L
+            residual = fejer_residual_ref(d, dist_ref(x_next, reference), theta, L)
         rows.append(TraceRow(k, x, Point(xs), theta, d, g, residual))
         x = x_next
     else:
@@ -737,7 +765,7 @@ def trace_records(trace: DescentTrace):
 def distances_ref(trace: DescentTrace) -> list[float]:
     if trace.reference is None:
         raise ValueError("trace has no reference point")
-    return [norm(sub(r.x, trace.reference)) for r in trace.rows]
+    return [dist_ref(r.x, trace.reference) for r in trace.rows]
 
 
 def quasi_fejer_check_ref(trace: DescentTrace, reference: Point, L: float,
@@ -745,8 +773,15 @@ def quasi_fejer_check_ref(trace: DescentTrace, reference: Point, L: float,
     for prev, nxt in zip(trace.rows, trace.rows[1:]):
         if prev.theta is None:
             continue
-        d_prev = norm(sub(prev.x, reference))
-        d_next = norm(sub(nxt.x, reference))
+        d_prev = dist_ref(prev.x, reference)
+        d_next = dist_ref(nxt.x, reference)
+        if _square_overflows(d_prev) or _square_overflows(d_next):
+            # in units of the larger distance m
+            m = max(d_prev, d_next)
+            p, q, b = d_prev / m, d_next / m, prev.theta * L / m
+            if (q - p) * (q + p) > b * b + slack * (1.0 / m / m + p * p):
+                return False
+            continue
         budget = prev.theta * prev.theta * L * L
         if d_next * d_next > d_prev * d_prev + budget + slack * (1.0 + d_prev * d_prev):
             return False

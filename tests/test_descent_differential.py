@@ -439,21 +439,26 @@ def test_an_empty_output_still_needs_a_coordinate(with_reference):
                     DescentConfig(1.0, max_iters=5), reference)
 
 
-@pytest.mark.parametrize("x1, reference", [
-    ((1.5e308, 1.5e308), (-1.5e308, -1.5e308)),  # the differences overflow
-    ((1e308, 1e308), (0.0, 0.0)),  # the squares overflow
-    ((-1e200,), (1e200,)),
+@pytest.mark.parametrize("x1, reference, dist", [
+    ((1.5e308, 1.5e308), (-1.5e308, -1.5e308), math.inf),  # the differences overflow
+    ((1e308, 1e308), (0.0, 0.0), 1e308 * math.sqrt(2.0)),  # the squares overflow
+    ((-1e200,), (1e200,), 2e200),
 ])
 @pytest.mark.parametrize("schedule", (StepSchedule.harmonic(1.0),
                                       StepSchedule.explicit([0.5, 0.25, 0.125])),
                          ids=("harmonic", "runs-out"))
-def test_finite_iterates_whose_distance_overflows_still_run(x1, reference, schedule):
+def test_finite_iterates_whose_distance_overflows_still_run(x1, reference, dist, schedule):
+    # where only the squares overflow, the distance is rescaled and finite,
+    # and so is every residual, though two distances add up past the
+    # largest float
     dim = len(x1)
     out = (0.6, -0.8)[:dim] if dim == 2 else (1.0,)
     trace = assert_same_run(_constant(out), _constant(out), pt(*x1), schedule,
                             DescentConfig(1.0, max_iters=12), pt(*reference), None,
                             (pt(*reference),))
-    assert trace.dists[0] == math.inf
+    assert trace.dists[0] == dist
+    if dist < math.inf:
+        assert all(math.isfinite(r) for r in trace.residuals if r is not None)
     assert len(trace) == (13 if schedule.kind == "harmonic" else 4)
 
 

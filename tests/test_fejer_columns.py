@@ -11,10 +11,13 @@ differences and squares overflow, and rows without a step in mid-trace.
 import math
 import numpy as np
 import pytest
+from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from prefmax import DescentConfig, OracleNormViolation, StepSchedule, pt, quasi_fejer_check
+from prefmax import (DescentConfig, OracleNormViolation, StepSchedule, load_trace_json, pt,
+                     quasi_fejer_check)
+from prefmax.cli import main
 from prefmax.descent import TraceRow, _distance_column, run_descent
 
 from scalar_reference import distances_ref, quasi_fejer_check_ref, run_descent_ref, trace_from_rows
@@ -165,3 +168,27 @@ def test_the_fejer_bound_is_summed_left_to_right(x1, x2, theta, holds):
     assert (d2 * d2 > d * d + budget + extra) != (d2 * d2 > d * d + (budget + extra))
     assert quasi_fejer_check(trace, reference, 1.0, slack) is holds
     assert quasi_fejer_check_ref(trace, reference, 1.0, slack) is holds
+
+
+def test_descend_prints_a_distance_whose_square_overflows(tmp_path):
+    # from (1e200, 0) radial-bowl's peak (1, 2) is 1e200 away: the squared
+    # distance overflows, the distance and the residuals do not
+    path = tmp_path / "far.json"
+    result = CliRunner().invoke(main, ["descend", "--fixture", "radial-bowl", "--x0", "1e200,0",
+                                       "--max-iters", "5", "--trace", str(path)])
+    assert result.exit_code == 0, result.output
+    assert result.output.splitlines()[1] == "distance_to_reference=1e+200"
+    trace = load_trace_json(str(path))
+    assert trace.dists == (1e200,) * 6
+    assert trace.residuals[:-1] == tuple(-t * t for t in trace.thetas[:-1])
+
+
+def test_a_move_whose_squared_distances_overflow_is_refuted():
+    # from (1e200, 0) to (2e200, 0) with reference 0, theta 1 and L 1 the
+    # squared distance grows by 3e400, far past its budget of 1
+    reference = pt(0.0, 0.0)
+    rows = (TraceRow(1, pt(1e200, 0.0), None, 1.0), TraceRow(2, pt(2e200, 0.0), None, None))
+    trace = trace_from_rows(rows, "maxIters", reference=reference)
+    assert not quasi_fejer_check(trace, reference, 1.0)
+    assert not quasi_fejer_check_ref(trace, reference, 1.0)
+    assert distances_ref(trace) == [1e200, 2e200]

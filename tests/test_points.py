@@ -1,13 +1,15 @@
+import builtins
 import math
 from decimal import Decimal, localcontext
+from itertools import chain
 
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from prefmax import GroundSet, Point, parse_grid_spec, pt
-from prefmax.points import axis_lattice, ground_points, ground_spacing, scaled_to
+from prefmax import DescentConfig, GroundSet, Point, StepSchedule, parse_grid_spec, pt, run_descent
+from prefmax.points import axis_lattice, ground_points, ground_spacing, norm, scaled_to
 
 from scalar_reference import scaled_to_ref
 
@@ -196,3 +198,34 @@ def test_scaled_to_has_the_length_and_direction_at_any_scale(coords, length):
     got = scaled_to(u, length)
     for g, e in zip(got, _exact_scaled(u, length)):
         assert abs(g - e) <= 4 * math.ulp(length)
+
+
+def _compensated_sum(items, start=0):
+    return math.fsum(chain((start,), items))
+
+
+def test_library_floats_do_not_depend_on_a_compensated_sum(monkeypatch):
+    # Python 3.12 compensates sum() of floats; norm, scaled_to and a 3-D
+    # descent add their squares left to right whatever `sum` does
+    rng = np.random.default_rng(3)
+    vectors = [tuple((rng.normal(size=3) * 10.0 ** rng.integers(-3, 4, size=3)).tolist())
+               for _ in range(2000)]
+    peak = (0.3, -1.7, 2.9)
+
+    def away(x):
+        return scaled_to(tuple(a - b for a, b in zip(x, peak)), 1.0)
+
+    def floats():
+        trace = run_descent(away, pt(4.1, 0.7, -2.3), StepSchedule.harmonic(1.0),
+                            DescentConfig(1.0, max_iters=200), pt(*peak))
+        return {"norm": list(map(norm, vectors)),
+                "scaled_to": [scaled_to(v, 1.5) for v in vectors],
+                "run_descent": trace.rows + (trace.termination,)}
+
+    plain = floats()
+    monkeypatch.setattr(builtins, "sum", _compensated_sum)
+    compensated = floats()
+    monkeypatch.undo()
+    moved = {name: [repr(a) != repr(b) for a, b in zip(plain[name], compensated[name])].count(True)
+             for name in plain}
+    assert moved == {"norm": 0, "scaled_to": 0, "run_descent": 0}

@@ -156,33 +156,67 @@ def test_extreme_rows_are_the_first_maximisers_in_ground_order():
     assert vip._extreme_rows(np.zeros((0, 2))).tolist() == []
 
 
+def _blocks_met(monkeypatch) -> list:
+    # (bases, ground rows) of every block that `vip._margin_blocks` yields
+    met = []
+    margins = vip._margin_blocks
+
+    def spy(bodies, bases, B, G, tol):
+        for block, V, D, S in margins(bodies, bases, B, G, tol):
+            met.append((len(block), len(G)))
+            yield block, V, D, S
+
+    monkeypatch.setattr(vip, "_margin_blocks", spy)
+    return met
+
+
 def test_the_screen_settles_radial_bases_at_the_extreme_rows(radial, monkeypatch):
     # on radial-bowl's default grid every base but the peak, whose body
     # holds zero, is refuted at the grid's extreme rows, its 4 corners, and
     # none meets the whole ground
     ground = radial.default_ground
     bodies = bodies_for_ground(radial.relation, ground, contour_sampler=radial.box_sampler)
-    rows = []
-    sweep = vip._vertex_block
-    monkeypatch.setattr(vip, "_vertex_block",
-                        lambda Vs, B, G, tol: rows.append((len(Vs), len(G))) or sweep(Vs, B, G, tol))
+    met = _blocks_met(monkeypatch)
     G = ground.array()
     found = vip._stampacchia([bodies[x.coords] for x in ground], G, G, 1e-9)
     assert found == stampacchia_unscreened_ref([bodies[x.coords] for x in ground], G, G, 1e-9)
-    assert {g for _, g in rows} == {4}
-    assert sum(n for n, _ in rows) == len(ground) - 1
+    assert {g for _, g in met} == {4}
+    assert sum(n for n, _ in met) == len(ground) - 1
 
 
 def test_a_ground_of_extreme_rows_alone_is_swept_once(monkeypatch):
     # two 1-D points are both extreme rows: no screen, one sweep
-    rows = []
-    sweep = vip._vertex_block
-    monkeypatch.setattr(vip, "_vertex_block",
-                        lambda Vs, B, G, tol: rows.append(len(G)) or sweep(Vs, B, G, tol))
+    met = _blocks_met(monkeypatch)
     G = np.array([[0.0], [1.0]])
     body = ConvexBody(1, ((1.0,),))
     assert vip._stampacchia([body, body], G, G, 0.0) == [(1.0,), None]
-    assert rows == [2]
+    assert met == [(2, 2)]
+
+
+def test_a_base_the_screen_leaves_open_goes_to_the_midpoints_and_the_lp(monkeypatch):
+    # the segment (1, 1)-(2, 2) at xhat = 0, tol 0. At the far displacement
+    # d1 = (1e6, -(1e6 + u)), u = 2^-33 one ulp of 1e6, the vertices fail by
+    # u and 2u, below their rounding slack 8 eps sum_k |v_k| |d_k| (about
+    # 3.6e-9 and 7.1e-9); at the near one d2 = (-1e-11, -1e-11) they fail by
+    # 2e-11 and 4e-11, far above theirs. The screen tests only d1, where the
+    # smallest margin is largest, and leaves the base open, although d2
+    # refutes every vertex by more than rounding; the midpoint sweep and
+    # the LP then decide it, and both find no witness
+    u = 2.0 ** -33
+    G = np.array([[1e6, -(1e6 + u)], [-1e-11, -1e-11]])
+    B = np.zeros((1, 2))
+    body = ConvexBody(2, ((1.0, 1.0), (2.0, 2.0)))
+    [(block, V, D, S)] = vip._margin_blocks([body], [0], B, G, 0.0)
+    assert S.tolist() == [[[u, 2e-11], [2 * u, 4e-11]]]
+    slack = vip._EPS8 * points.rowdot(np.abs(V)[:, :, None, :], np.abs(D)[:, None, :, :])
+    assert (S[..., 0] <= slack[..., 0]).all() and (S[..., 1] > slack[..., 1]).all()
+    assert vip._refuted(S, V, D).tolist() == [False]
+    late = []
+    for name in ("_midpoint_witness", "_lp_witness"):
+        stage = getattr(vip, name)
+        monkeypatch.setattr(vip, name, lambda *args, stage=stage: late.append(stage(*args)) or late[-1])
+    assert vip._stampacchia([body], B, G, 0.0) == [None]
+    assert late == [None, None]
 
 
 # --------------------------------------------------------------------- Minty
