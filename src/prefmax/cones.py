@@ -9,14 +9,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache, reduce
+from functools import cached_property, lru_cache, reduce
 from itertools import groupby, product
 
 import numpy as np
 
 from . import points
-from .points import (Point, axis_lattice, blocks, coord_array, ground_array, ground_points, norm,
-                     row_blocks, rowdot, scaled_to)
+from .points import (Point, axis_lattice, blocks, coord_array, ground_array, ground_points,
+                     row_blocks, row_norms, rowdot, unit_rows)
 from .relations import Relation, _scored_strict, strictly_better_mask, strictly_better_rows
 
 DEFAULT_TOL = 1e-9
@@ -69,7 +69,8 @@ def _rows(arr: np.ndarray) -> tuple:
 
 @dataclass(frozen=True)
 class Cone:
-    """A closed convex cone: all of R^n, {0}, or generated by finitely many rays."""
+    """A closed convex cone: all of R^n, {0}, or generated by finitely many
+    nonzero rays, which every reader takes as the unit rows `units`."""
 
     dim: int
     tag: str  # "full" | "zero" | "generated"
@@ -84,7 +85,7 @@ class Cone:
             for g in self.generators:
                 if g.dim != self.dim:
                     raise ValueError("generator dimension mismatch")
-                if norm(g) == 0.0:
+                if not any(g.coords):
                     raise ValueError("generators must be nonzero")
 
     @classmethod
@@ -105,6 +106,15 @@ class Cone:
         gens = tuple(g if isinstance(g, Point) else Point(tuple(g)) for g in generators)
         return cls(gens[0].dim, "generated", gens)
 
+    @cached_property
+    def units(self) -> np.ndarray:
+        """The generators scaled to unit length by `points.unit_rows`, so
+        one whose squares overflow or underflow keeps its direction, as a
+        read-only (k, dim) array built on first use."""
+        U = unit_rows(np.array([g.coords for g in self.generators]).reshape(-1, self.dim))
+        U.flags.writeable = False
+        return U
+
     def contains(self, query, tol: float = DEFAULT_TOL) -> bool:
         """Conic-combination membership; invariant under positive scaling.
         One row of `contains_many`."""
@@ -114,10 +124,11 @@ class Cone:
         """Membership of each row q of an (m, dim) array, as a bool array.
 
         q is in the cone when ||q|| <= tol, or when the residual of
-        q / ||q|| against the cone of the unit generators, its distance to
-        that cone (what NNLS minimises), is at most max(tol, 1e-10). A full
-        cone holds every q and a zero cone only those with ||q|| <= tol. A
-        row that is not finite raises ValueError, whatever the cone.
+        q / ||q|| against the cone of `units`, its distance to that cone
+        (what NNLS minimises), is at most max(tol, 1e-10); ||q|| and q / ||q||
+        are `points.row_norms` and `points.unit_rows`. A full cone holds
+        every q and a zero cone only those with ||q|| <= tol. A row that is
+        not finite raises ValueError, whatever the cone.
 
         In 1-D the residual is 0 when some generator has q's sign, else 1.
         In 2-D it is 0 when q / ||q|| lies in the wedge of a pair of unit
@@ -134,14 +145,11 @@ class Cone:
             raise ValueError("query dimension mismatch")
         if not np.isfinite(Q).all():
             raise ValueError("non-finite query")
-        nq = np.sqrt(rowdot(Q, Q))
-        out = nq <= tol
+        out = row_norms(Q) <= tol
         if self.tag != "generated":
             return out | (self.tag == "full")
         live = ~out
-        G = np.array([g.coords for g in self.generators])
-        G = G * (1.0 / np.sqrt(rowdot(G, G)))[:, None]
-        Q = Q[live] * (1.0 / nq[live])[:, None]
+        G, Q = self.units, unit_rows(Q[live])
         thr = max(tol, _CONE_FLOOR)
         resid, unsure = _cone_residuals(G, Q)
         verdict = resid <= thr
@@ -152,10 +160,6 @@ class Cone:
             verdict[unsure] = [nnls(G.T, q)[1] <= thr for q in Q[unsure]]
         out[live] = verdict
         return out
-
-    def unit_directions(self, net: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
-        """Rows of `net` (unit vectors) lying in the cone, within tol."""
-        return net[self.contains_many(net, tol)]
 
 
 def _cone_residuals(G: np.ndarray, Q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -343,32 +347,39 @@ def _box_axis(c: float, radius: float, step: float) -> tuple[np.ndarray, np.ndar
 
 
 @lru_cache(maxsize=_BOX_AXES)
-def _union_axes(coords: tuple, radius: float, step: float) -> tuple[list, list]:
+def _union_axes(coords: tuple, radius: float, step: float) -> tuple:
     """The union lattice of the box lattices at the given distinct
     coordinates per axis: per axis, the distinct values of the coordinates'
-    `_box_axis` lattices (distinct by bits, so that 0.0 and -0.0 stay
-    apart), and for each coordinate the flat-index offsets of its coarse
-    and fine lattices into the row-major product of those values. Only a
-    column form scored over several bases reads it (`_box_blocks`)."""
-    axes, at = [], []
+    `_box_axis` lattices, sorted and told apart by their bits (so that 0.0
+    and -0.0 stay apart)."""
+    axes = []
     for col in coords:
-        parts = {c: _box_axis(c, radius, step)[:2] for c in col}
-        bits = np.sort(np.concatenate([a.view(np.int64) for lats in parts.values() for a in lats]))
-        bits = bits[np.concatenate(([True], bits[1:] != bits[:-1]))]  # np.unique loads numpy.ma
-        axes.append(bits.view(float))
-        at.append({c: [np.searchsorted(bits, a.view(np.int64)) for a in lats]
-                   for c, lats in parts.items()})
+        bits = np.sort(np.concatenate([a.view(np.int64) for c in col
+                                       for a in _box_axis(c, radius, step)[:2]]))
+        # not np.unique, which loads numpy.ma
+        axes.append(bits[np.concatenate(([True], bits[1:] != bits[:-1]))].view(float))
+    return tuple(axes)
+
+
+@lru_cache(maxsize=_BOX_AXES)
+def _union_offsets(coords: tuple, radius: float, step: float) -> list:
+    """Per axis, for each coordinate, the flat-index offsets of its coarse
+    and fine lattices into the row-major product of `_union_axes`' values,
+    which `_box_blocks` builds only for a union lattice it scores."""
+    axes = _union_axes(coords, radius, step)
     strides = np.cumprod([1] + [len(U) for U in axes[:0:-1]])[::-1].tolist()
-    return axes, [{c: (ci * st, fi * st) for c, (ci, fi) in col.items()}
-                  for col, st in zip(at, strides)]
+    return [{c: tuple(np.searchsorted(U.view(np.int64), a.view(np.int64)) * st
+                      for a in _box_axis(c, radius, step)[:2]) for c in col}
+            for col, U, st in zip(coords, axes, strides)]
 
 
 def _box_product(lats: list) -> np.ndarray:
     """The box candidates of bases whose lattices have one shape, from
     their per-axis `(coarse, fine, on)` triples (`_box_axis`: coordinates;
-    or flat-index offsets into `_union_axes`' lattice, to be summed), as a
-    (bases, candidates, dim) array: for each base the coarse lattice, then
-    the fine lattice's points not already in it, each in row-major order.
+    or `_union_offsets`: flat-index offsets into `_union_axes`' lattice, to
+    be summed), as a (bases, candidates, dim) array: for each base the
+    coarse lattice, then the fine lattice's points not already in it, each
+    in row-major order.
     A fine point is in the coarse lattice exactly when each of its
     coordinates is on that axis's coarse lattice, so the mask is built per
     axis and expanded in the lattice's order."""
@@ -399,7 +410,8 @@ def _box_blocks(rel: Relation, B: np.ndarray, radius: float, step: float):
     utility's column form is scored instead once per point of the union
     lattice (`_union_axes`) where that has fewer points than the bases have
     candidates and at most `_TABLE_POINTS`: 18,769 points for radial-bowl's
-    169 bases, against 286,793 candidates. Each candidate's score is then
+    169 bases, against 286,793 candidates. Only then are the bases'
+    offsets into it built (`_union_offsets`). Each candidate's score is then
     read against its own base's u(x) (`_scored_strict`, which scores the
     ambiguous ones again with u). Otherwise a block's candidates are
     stacked and each is met against its own base in one
@@ -415,8 +427,9 @@ def _box_blocks(rel: Relation, B: np.ndarray, radius: float, step: float):
     sizes = [size_of[s] for s in shapes]
     table = None
     if rel.kind == "utility" and rel.columns is not None and len(rows) > 1:
-        axes, offsets = _union_axes(coords, radius, step)
+        axes = _union_axes(coords, radius, step)
         if math.prod(map(len, axes)) < min(sum(sizes), _TABLE_POINTS):
+            offsets = _union_offsets(coords, radius, step)
             T = _lattice(axes)
             table = np.broadcast_to(np.asarray(rel.columns(tuple(T.T)), dtype=float), (len(T),))
             per_axis = [{c: (*at[c], on) for c, (_, _, on) in axis.items()}
@@ -557,8 +570,7 @@ def unit_net(dim: int) -> np.ndarray:
     if dim == 3:
         # the 26 nonzero vectors of {-1, 0, 1}^3, normalised
         arr = np.array([v for v in product((-1.0, 0.0, 1.0), repeat=3) if any(v)])
-        arr /= np.linalg.norm(arr, axis=1)[:, None]
-        return np.unique(np.round(arr, 12), axis=0)
+        return np.unique(np.round(unit_rows(arr), 12), axis=0)
     raise ValueError("unit nets are only built for dimensions 1-3")
 
 
@@ -566,8 +578,10 @@ def cone_unit_hull(cone: Cone) -> ConvexBody:
     """Hull of the cone's unit-sphere slice, as a vertex polytope.
 
     A full cone (the normal cone of an empty strictly-better set) gives the
-    whole unit net, the ball; a zero cone gives the empty body. A cone that
-    holds a direction and its opposite, such as the generators (-1, 0),
+    whole unit net, the ball; a zero cone gives the empty body; a ray its
+    unit generator. Otherwise the vertices are `Cone.units`, then the net
+    rows the cone holds, rounded to 12 decimals, without repeats. A cone
+    that holds a direction and its opposite, such as the generators (-1, 0),
     (0, 1), (0, -1) of segment-line's on-axis points, gives a body that
     contains zero.
     """
@@ -577,21 +591,9 @@ def cone_unit_hull(cone: Cone) -> ConvexBody:
     if cone.tag == "zero":
         return ConvexBody(cone.dim, ())
     if len(cone.generators) == 1:
-        g = cone.generators[0]
-        return ConvexBody(cone.dim, (scaled_to(g, 1.0),))
-    verts: list[tuple] = []
-    seen = set()
-    for g in cone.generators:
-        u = tuple(round(c, 12) for c in scaled_to(g, 1.0))
-        if u not in seen:
-            seen.add(u)
-            verts.append(u)
-    for row in cone.unit_directions(net):
-        u = tuple(round(float(c), 12) for c in row)
-        if u not in seen:
-            seen.add(u)
-            verts.append(u)
-    return ConvexBody(cone.dim, verts)
+        return ConvexBody(cone.dim, cone.units)
+    rows = np.concatenate((cone.units, net[cone.contains_many(net)])).tolist()
+    return ConvexBody(cone.dim, list(dict.fromkeys(tuple(round(c, 12) for c in u) for u in rows)))
 
 
 def _exceeds(U: np.ndarray, D: np.ndarray, tol: float, nu=None, nd=None) -> np.ndarray:

@@ -8,7 +8,6 @@ enough diagnostics to re-check the quasi-Fejer inequality after the fact.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass, field
 from functools import cached_property, reduce
 from itertools import chain, count, repeat
@@ -19,7 +18,7 @@ from typing import Callable, Iterator
 import numpy as np
 
 from .plastria import GapFunction
-from .points import Point, float_coords, rowdot
+from .points import Point, float_coords, row_norms
 
 
 # The ways a run ends, as `DescentTrace.termination` names them.
@@ -306,34 +305,18 @@ def _iterate_array(xs, dim: int | None = None) -> np.ndarray:
 
 
 def _distance_column(X: np.ndarray, ref: tuple) -> np.ndarray:
-    """||x - ref|| for every row x of the iterate array X, as
-    `math.sqrt(sum(t * t ...))` over x - ref gives it: the squared
-    differences summed coordinate by coordinate from the first
-    (`points.rowdot`), then a correctly rounded square root. Only where
-    the squares sum below the least normal float or to inf while the
-    largest |difference| m is finite and nonzero (the rule of
-    `points.scaled_to`) is the row's distance m ||(x - ref) / m||, whose
-    squares sum to between 1 and dim; every other row keeps the one
-    expression. A difference that overflows gives inf without a warning,
-    as Python floats do. Iterates of another dimension than the reference
-    raise ValueError."""
+    """||x - ref|| for every row x of the iterate array X: `points.row_norms`
+    of x - ref, which is `math.sqrt(sum(t * t ...))` wherever the squares
+    sum to a normal float. A difference that overflows gives inf without a
+    warning, as Python floats do. Iterates of another dimension than the
+    reference raise ValueError."""
     dim = len(ref)
     if not len(X):
         return np.empty(0)
     if X.shape[1] != dim:
         raise ValueError(f"iterates and the {dim}-dimensional reference differ in dimension")
-    with np.errstate(over="ignore", invalid="ignore"):
-        T = X - np.array(ref, dtype=float)
-        Q = rowdot(T, T)
-        D = np.sqrt(Q)
-        odd = np.flatnonzero((Q < sys.float_info.min) | (Q == math.inf))
-        if odd.size:
-            m = np.abs(T[odd]).max(axis=1)
-            keep = (0.0 < m) & (m < math.inf)
-            odd, m = odd[keep], m[keep]
-            U = T[odd] / m[:, None]
-            D[odd] = m * np.sqrt(rowdot(U, U))
-    return D
+    with np.errstate(over="ignore"):
+        return row_norms(X - np.array(ref, dtype=float))
 
 
 def _overflowing(D: np.ndarray) -> np.ndarray:
@@ -383,8 +366,11 @@ def quasi_fejer_check(trace: DescentTrace, reference: Point, L: float,
     ValueError. A row without a step reads its theta as nan, and a nan
     budget fails no comparison, so such a row decides nothing. Where a
     squared distance overflows (`_overflowing`), the pair is compared in
-    units of the larger distance m, with d'^2 - d^2 as (d' - d)(d' + d)."""
-    D = _distance_column(trace.array, tuple(reference))
+    units of the larger distance m, with d'^2 - d^2 as (d' - d)(d' + d);
+    where a distance is inf, so is m, and the pair's rows and reference are
+    first scaled by 2^-e, 2^e at or above their largest |coordinate|."""
+    X = trace.array
+    D = _distance_column(X, tuple(reference))
     T = np.fromiter(trace.thetas, float, max(len(trace) - 1, 0))
     prev, nxt = D[:-1], D[1:]
     with np.errstate(over="ignore", invalid="ignore"):
@@ -394,6 +380,14 @@ def quasi_fejer_check(trace: DescentTrace, reference: Point, L: float,
             m = np.maximum(prev[far], nxt[far])
             p, q, b = prev[far] / m, nxt[far] / m, T[far] * L / m
             grown[far] = (q - p) * (q + p) > b * b + slack * (1.0 / m / m + p * p)
+        lost = np.flatnonzero(np.isinf(prev) | np.isinf(nxt))
+        if lost.size:
+            ref, pair = np.array(tuple(reference), dtype=float), np.stack((X[lost], X[lost + 1]))
+            e = -np.frexp(np.maximum(np.abs(pair).max(axis=(0, 2)), np.abs(ref).max()))[1]
+            p, q = (row_norms(np.ldexp(R, e[:, None]) - np.ldexp(ref, e[:, None])) for R in pair)
+            m = np.maximum(p, q)
+            p, q, b, s = p / m, q / m, np.ldexp(T[lost] * L / m, e), np.ldexp(1.0 / m, e)
+            grown[lost] = (q - p) * (q + p) > b * b + slack * (s * s + p * p)
     return not grown.any()
 
 

@@ -69,20 +69,14 @@ def float_coords(coords: tuple) -> tuple[float, ...]:
     return tuple(map(float, coords))
 
 
-def norm(a) -> float:
-    """||a||: the squares added left to right from the int 0, as Python
-    3.11's `sum` adds floats (3.12's compensates), then a correctly rounded
-    square root."""
-    return math.sqrt(reduce(operator.add, map(operator.mul, a, a), 0))
-
-
 def scaled_to(u, length: float) -> tuple[float, ...]:
-    """u times length / ||u||, ||u|| as `norm` gives it: the vector of norm
-    `length` along u. A u whose norm is 0.0 raises ZeroDivisionError. In
-    1-D and 2-D the arithmetic is written out coordinate by coordinate and
-    gives the same numbers as the `map` and left-fold expressions of
-    dimension 3 and up (the fold, as in `norm`, starts from the int 0, and
-    0 + a*a == a*a). Only where the
+    """u times length / ||u||: the vector of norm `length` along u, ||u||
+    the square root of the squares added left to right from the int 0, as
+    Python 3.11's `sum` adds floats (3.12's compensates). A u whose norm is
+    0.0 raises ZeroDivisionError. In 1-D and 2-D the arithmetic is written
+    out coordinate by coordinate and gives the same numbers as the `map`
+    and left-fold expressions of dimension 3 and up (0 + a*a == a*a). Only
+    where the
     squares sum to less than the least normal float (0.0 or a subnormal,
     which keeps few digits) or to inf while every coordinate is finite and
     one is nonzero, u is first divided by its largest magnitude m: u / m
@@ -119,6 +113,46 @@ def rowdot(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     out = A[..., 0] * B[..., 0]
     for k in range(1, A.shape[-1]):
         out += A[..., k] * B[..., k]
+    return out
+
+
+def _rescaled(A: np.ndarray, Q: np.ndarray) -> tuple:
+    """The rows of A that `scaled_to` first divides by their largest
+    |coordinate| m, given their sums of squares Q (`rowdot`): those with Q
+    below the least normal float or inf and m finite and nonzero. Returns
+    their indices and their m."""
+    odd = np.flatnonzero((Q < _TINY) | (Q == _INF))
+    if not odd.size:
+        return odd, None
+    m = np.abs(A[odd]).max(axis=1)
+    keep = (0.0 < m) & (m < _INF)
+    return odd[keep], m[keep]
+
+
+def row_norms(A: np.ndarray) -> np.ndarray:
+    """||a|| for every row a of a 2-D array A, as `scaled_to` computes it:
+    the squares summed coordinate by coordinate (`rowdot`) and a correctly
+    rounded square root, or m ||a / m|| where `scaled_to` rescales a
+    (`_rescaled`). Overflow and nan stay silent."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        Q = rowdot(A, A)
+        out = np.sqrt(Q)
+        odd, m = _rescaled(A, Q)
+        if odd.size:
+            out[odd] = m * row_norms(A[odd] / m[:, None])
+    return out
+
+
+def unit_rows(A: np.ndarray) -> np.ndarray:
+    """The rows of a 2-D array A scaled to unit length, each finite nonzero
+    row with the floats of `scaled_to(row, 1.0)`; a zero or non-finite row
+    comes out nan or zero, silently."""
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        Q = rowdot(A, A)
+        out = A * (1.0 / np.sqrt(Q))[:, None]
+        odd, m = _rescaled(A, Q)
+        if odd.size:
+            out[odd] = unit_rows(A[odd] / m[:, None])
     return out
 
 

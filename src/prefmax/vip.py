@@ -25,8 +25,8 @@ from .cones import (
     sample_contour,
     sampled_bodies,
 )
-from .points import (GroundSet, Point, blocks, check_same_dim, ground_array, ground_points, norm,
-                     row_blocks, rowdot)
+from .points import (GroundSet, Point, blocks, check_same_dim, ground_array, ground_points,
+                     row_blocks, row_norms, rowdot)
 from .relations import Relation, maximal_elements
 
 ConeOracle = Callable[[Point], Cone]
@@ -216,25 +216,12 @@ def svip_membership(body: ConvexBody, xhat: Point, X: GroundSet | list,
     a witness w in the body with w . (y - xhat) >= -tol (1 + ||y - xhat||)
     for every y in X, or None.
 
-    This is the one-base call of the stages `svip_solutions` runs for a
-    whole ground (`_stampacchia`), the same in every dimension. The witness
-    search is a finite sweep: the zero vector first (a trivial solution
-    whenever the body contains it), then body vertices, then pairwise
-    vertex midpoints (i, j), i < j, in row-major order, each tested as an
-    array against all y at once. Last, one phase-1 LP (`_lp_witness`)
-    decides whether some point of the body meets every floor; its witness
-    must meet every floor as the sweeps test them.
-
-    The vertex margins are computed once (`_margin_blocks`) and read
-    twice: for the vertex sweep, and, where no vertex passes, for a Farkas
-    screen (`_refuted`) that returns None, without the midpoint sweep or
-    the LP, when the displacement with the largest smallest margin fails
-    every vertex by more than a midpoint's rounding can recover. Such a
-    displacement fails every point of the body; a base the screen leaves
-    open goes on to the midpoint sweep and the LP. The midpoints go in
-    blocks within the entry budget. Where a vertex or midpoint passes, the
-    witness is the first that passes, the same one a one-at-a-time sweep
-    returns.
+    This is the one-base call of the stages that `svip_solutions` runs for
+    a whole ground (`_stampacchia`, the same in every dimension): the zero
+    vector, the body's vertices, the Farkas screen, the pairwise vertex
+    midpoints (i, j), i < j, in row-major order, and last one phase-1 LP
+    (`_lp_witness`). Where a vertex or midpoint passes, the witness is the
+    first that passes, the same one a one-at-a-time sweep returns.
     """
     w = _stampacchia([body], np.array([xhat.coords], dtype=float), ground_array(X, xhat.dim), tol)[0]
     return None if w is None else VipCertificate(xhat, "stampacchia", Point(w), tol)
@@ -269,20 +256,20 @@ def certificate_valid(cert: VipCertificate, body: ConvexBody, X, tol: float | No
     D = ground_array(X, cert.solution.dim) - np.array(cert.solution.coords, dtype=float)
     if cert.witness is None or body.is_empty:
         return False
-    w = cert.witness.coords
+    w = np.array([cert.witness.coords])
     V = body.vertices
     floor = _WITNESS_HULL_FLOOR * (1.0 + float(np.sqrt(rowdot(V, V).max())))
     # contains() scales its tolerance by 1 + ||w||; the floor is absolute
-    if not body.contains(w, max(tol, floor / (1.0 + norm(w)))):
+    if not body.contains(w[0], max(tol, floor / (1.0 + float(row_norms(w)[0])))):
         return False
-    return not (rowdot(np.array(w), D) < -tol * (1.0 + np.sqrt(rowdot(D, D)))).any()
+    return not (rowdot(w, D) < -tol * (1.0 + np.sqrt(rowdot(D, D)))).any()
 
 
 @dataclass(frozen=True)
 class _ConeField:
-    """One cone per ground point, as arrays: every generator scaled to unit
-    length, with the ground point of its cone, and the ground points whose
-    cone is all of R^n. Zero cones contribute nothing."""
+    """One cone per ground point, as arrays: every unit generator, with the
+    ground point of its cone, and the ground points whose cone is all of
+    R^n. Zero cones contribute nothing."""
 
     units: np.ndarray  # (m, dim)
     at: np.ndarray  # (m, dim) the ground point of each generator's cone
@@ -291,10 +278,11 @@ class _ConeField:
 
 def _cone_field(cone_oracle: ConeOracle, X, dim: int) -> _ConeField:
     """Call the oracle once per point of the ground X (`points.ground_points`)
-    and stack the cones. A cone of another dimension than the ground's
-    raises ValueError, whatever its tag."""
+    and stack the cones, each generated one as its `Cone.units`. A cone of
+    another dimension than the ground's raises ValueError, whatever its
+    tag."""
     pts, ground = ground_points(X, dim)
-    gens, owner, full = [], [], []
+    units, owner, full = [], [], []
     for i, y in enumerate(pts):
         cone = cone_oracle(y)
         if cone.dim != dim:
@@ -302,11 +290,12 @@ def _cone_field(cone_oracle: ConeOracle, X, dim: int) -> _ConeField:
         if cone.tag == "full":
             full.append(i)
         elif cone.tag == "generated":
-            gens.extend(g.coords for g in cone.generators)
-            owner.extend([i] * len(cone.generators))
-    G = ground_array(gens, dim)
-    return _ConeField(G * (1.0 / np.sqrt(rowdot(G, G)))[:, None],
-                      ground[np.array(owner, dtype=int)], ground[np.array(full, dtype=int)])
+            units.append(cone.units)
+            owner.append(i)
+    sizes = np.fromiter(map(len, units), np.intp, len(units))
+    return _ConeField(np.concatenate(units) if units else np.empty((0, dim)),
+                      ground[np.repeat(np.array(owner, dtype=np.intp), sizes)],
+                      ground[np.array(full, dtype=int)])
 
 
 def _minty_fails(field: _ConeField, C: np.ndarray, tol: float) -> np.ndarray:
@@ -387,17 +376,11 @@ def mvip_membership(cone_oracle: ConeOracle, xhat: Point, X: GroundSet | list,
 
 
 def mvip_solutions(cone_oracle: ConeOracle, X: GroundSet, tol: float = DEFAULT_TOL) -> list[Point]:
-    """The points of X that solve the Minty problem, in ground order.
-
-    The oracle is called once per ground point (n calls, not one per pair).
-    The candidates, every point of X, are then tested in blocks
-    (`_minty_holds`), with the inequalities of `mvip_membership`: first
-    against a few entries of the stacked field (one per distinct generator
-    and two full cones), then, only those that pass, against the whole
-    field. Each block is one array expression over its candidates and the
-    entries, bounded by the entry budget. The screen only refutes, so the
-    listing is that of the whole-field test. X is read once
-    (`points.ground_points`), and the field gets the points of that read.
+    """The points of X that solve the Minty problem, in ground order. The
+    oracle is called once per ground point (`_cone_field`), and every point
+    of X is a candidate of `_minty_holds`, the test `mvip_membership` runs
+    for one: first against a few entries of the field, then, only those
+    that pass, against all of it. X is read once (`points.ground_points`).
     """
     pts, G = ground_points(X)
     if not pts:
@@ -423,13 +406,9 @@ def bodies_for_ground(rel: Relation, X: GroundSet, cone_oracle: ConeOracle | Non
     sampler (by default the ground sample `sample_contour`) is called once
     per base, and its samples go through the same body pass, stacked in
     blocks of as many displacements (`cones.sampled_bodies`). A sampled
-    body is the rows of the unit net that the membership kernel accepts,
-    in net order (`body_from_sample`: an exact angular filter in 2-D, one
-    direct product in 1-D and 3-D). The Stampacchia sweep therefore meets
-    its candidates, and returns its witnesses, in the same order as a
-    point-by-point evaluation would; only a witness becomes a Point. X is
-    read once, at the relation's dimension (`points.ground_points`), so any
-    iterable of points will do.
+    body is the unit-net rows that the membership kernel accepts, in net
+    order (`body_from_sample`). X is read once, at the relation's dimension
+    (`points.ground_points`), so any iterable of points will do.
     """
     pts, rows = ground_points(X, rel.dim)
     if cone_oracle is not None:
@@ -455,22 +434,12 @@ def svip_solutions(rel: Relation, X: GroundSet, cone_oracle: ConeOracle | None =
                    tol: float = DEFAULT_TOL, contour_sampler=None,
                    ball_on_empty: bool = False) -> list[Point]:
     """The points of X that solve the Stampacchia problem, in ground order,
-    with the bodies of `bodies_for_ground`.
-
-    The bodies come from ground-level passes too: with a `BoxSampler`,
-    the box samples and bodies of a block of bases at a time, within the
-    entry budget `points.BLOCK_ENTRIES` (see `bodies_for_ground`). Every
-    point of X is then decided in the stacked stages of `_stampacchia`,
-    whose one-base call is `svip_membership`, so a point is returned
-    exactly where `svip_membership` gives it a certificate. X is read once
-    (`points.ground_points`), and `bodies_for_ground` gets its Points. The
-    vertex margins come from one block pass (`_margin_blocks`), run twice:
-    against the ground's extreme rows, where only the Farkas screen is
-    read and refutes most bases of a grid, then for the bases left against
-    every point, where a base takes its first passing vertex and only a
-    base with none meets the screen; a base the screen leaves open goes on
-    alone, to the midpoint sweep and then the LP. The screen only refutes,
-    so the listing is that of the full sweeps.
+    with the bodies of `bodies_for_ground` (with a `BoxSampler`, from
+    ground-level passes within `points.BLOCK_ENTRIES`). Every point of X is
+    decided in the stacked stages of `_stampacchia`, whose one-base call is
+    `svip_membership`, so a point is returned exactly where
+    `svip_membership` gives it a certificate. X is read once
+    (`points.ground_points`), and `bodies_for_ground` gets its Points.
 
     `ball_on_empty` is accepted only as False, because `bench/ops.py`
     still passes it; True raises ValueError.

@@ -21,7 +21,15 @@ by row (restated to reject a termination, a lipschitz, or a theta,
 distance, gap or residual value that `emit_trace` never writes);
 `scaled_to_ref` is `points.scaled_to` before its 1-D and 2-D arithmetic
 was written out coordinate by coordinate, with its rescaling of a u whose
-squares sum to a subnormal, 0.0 or inf; `contour_is_grid_convex_ref` and
+squares sum to a subnormal, 0.0 or inf, and the cone references
+(`cone_residual_ref`, `cone_contains_ref`, `cone_unit_hull_ref`,
+`mvip_membership_ref`) scale generators and queries with it, as the
+library's cones do through `points.unit_rows`; `quasi_fejer_check_ref`
+compares a pair whose distance is inf after scaling its rows and the
+reference by a power of two. Every float sum here folds from the int 0
+(`reduce(operator.add, ..., 0)`), as the library's do, so that the
+references hold under Python 3.12's compensated `sum`;
+`contour_is_grid_convex_ref` and
 `resolution_ref` are the grid-convexity rule and its slack as they were
 read off Points and a `GroundSet`, before `check_property` read them off
 rows and contour masks. `stampacchia_unscreened_ref`
@@ -46,6 +54,7 @@ import operator
 import sys
 import warnings
 from dataclasses import replace
+from functools import reduce
 from itertools import chain, combinations, product, repeat
 
 import numpy as np
@@ -63,7 +72,7 @@ from prefmax.vip import _lp_witness, _margin_blocks, _midpoint_witness, _refuted
 
 
 def dot(a, b) -> float:
-    return sum(x * y for x, y in zip(a, b))
+    return reduce(operator.add, map(operator.mul, a, b), 0)
 
 
 def sub(a, b) -> tuple[float, ...]:
@@ -75,19 +84,23 @@ def scale(a, s: float) -> tuple[float, ...]:
 
 
 def norm(a) -> float:
-    return math.sqrt(sum(x * x for x in a))
+    return math.sqrt(dot(a, a))
 
 
-def dist_ref(a, b) -> float:
-    """||a - b|| as `norm` gives it, except where the squares of a - b sum
-    to less than the least normal float or to inf while the largest
-    |difference| m is finite and nonzero: there m ||(a - b) / m||."""
-    t = sub(a, b)
-    q = sum(x * x for x in t)
+def length_ref(t) -> float:
+    """||t|| as `norm` gives it, except where the squares of t sum to less
+    than the least normal float or to inf while the largest |coordinate| m
+    is finite and nonzero: there m ||t / m||."""
+    q = dot(t, t)
     m = max(map(abs, t))
     if (q < sys.float_info.min or q == math.inf) and 0.0 < m < math.inf:
         return m * norm(tuple(c / m for c in t))
     return math.sqrt(q)
+
+
+def dist_ref(a, b) -> float:
+    """`length_ref(a - b)`."""
+    return length_ref(sub(a, b))
 
 
 def _square_overflows(d: float) -> bool:
@@ -110,10 +123,10 @@ def scaled_to_ref(u, length: float) -> tuple[float, ...]:
     is nonzero, the same expressions on u / max |u|."""
     u = tuple(u)
     m = max(map(abs, u), default=0.0)
-    q = sum(map(operator.mul, u, u))
+    q = dot(u, u)
     if (q < sys.float_info.min or q == math.inf) and 0.0 < m < math.inf:
         u = tuple(c / m for c in u)
-    return tuple(map(operator.mul, u, repeat(length / math.sqrt(sum(map(operator.mul, u, u))))))
+    return tuple(map(operator.mul, u, repeat(length / math.sqrt(dot(u, u)))))
 
 
 # ------------------------------------------------- scalar fixture rules
@@ -257,7 +270,7 @@ def resolution_ref(ground) -> float:
     for i, p in enumerate(ground.points):
         for q in ground.points[i + 1:]:
             t = list(map(operator.sub, p, q))
-            d = math.sqrt(sum(map(operator.mul, t, t)))
+            d = math.sqrt(reduce(operator.add, map(operator.mul, t, t), 0))
             if 0 < d < res:
                 res = d
     return res
@@ -377,18 +390,18 @@ def box_candidates_isin_ref(x: Point, radius: float, step: float) -> np.ndarray:
 
 def cone_residual_ref(cone, query) -> float:
     """The NNLS residual of q / ||q|| against the unit generators of a
-    generated cone: the distance from q / ||q|| to the cone."""
-    q = tuple(query)
-    qhat = np.asarray(scale(q, 1.0 / norm(q)))
-    G = np.array([scale(g, 1.0 / norm(g)) for g in cone.generators]).T
+    generated cone, q and each generator scaled to unit length by
+    `scaled_to_ref`: the distance from q / ||q|| to the cone."""
+    qhat = np.asarray(scaled_to_ref(map(float, query), 1.0))
+    G = np.array([scaled_to_ref(g, 1.0) for g in cone.generators]).T
     return nnls(G, qhat)[1]
 
 
 def cone_contains_ref(cone, query, tol: float = DEFAULT_TOL) -> bool:
     """`Cone.contains` as one NNLS solve: `cone_residual_ref` against
-    max(tol, 1e-10)."""
-    q = tuple(query)
-    if norm(q) <= tol:
+    max(tol, 1e-10), for a q with `length_ref(q)` above tol."""
+    q = tuple(map(float, query))
+    if length_ref(q) <= tol:
         return True
     if cone.tag == "full":
         return True
@@ -420,17 +433,17 @@ def unit_net3_ref() -> np.ndarray:
 
 def cone_unit_hull_ref(cone) -> ConvexBody:
     """`cone_unit_hull` with the net rows tested one `cone_contains_ref`
-    call at a time."""
+    call at a time, and each generator scaled by `scaled_to_ref`."""
     net = unit_net(cone.dim)
     if cone.tag == "full":
         return ConvexBody(cone.dim, net)
     if cone.tag == "zero":
         return ConvexBody(cone.dim, ())
-    if len(cone.generators) == 1:
-        g = cone.generators[0]
-        return ConvexBody(cone.dim, (scale(g, 1.0 / norm(g)),))
+    units = [scaled_to_ref(g, 1.0) for g in cone.generators]
+    if len(units) == 1:
+        return ConvexBody(cone.dim, units)
     verts = []
-    rows = [tuple(round(c, 12) for c in scale(g, 1.0 / norm(g))) for g in cone.generators]
+    rows = [tuple(round(c, 12) for c in u) for u in units]
     rows += [tuple(round(float(c), 12) for c in row) for row in net
              if cone_contains_ref(cone, tuple(row))]
     for u in rows:
@@ -560,7 +573,7 @@ def mvip_membership_ref(cone_oracle, xhat: Point, X, tol: float) -> bool:
             if nd > 0.0:
                 dirs.append(scale(d, 1.0 / nd))
         else:
-            dirs = [scale(g, 1.0 / norm(g)) for g in cone.generators]
+            dirs = [scaled_to_ref(g, 1.0) for g in cone.generators]
         for g in dirs:
             if dot(g, d) > tol * (1.0 + nd):
                 return False
@@ -775,6 +788,19 @@ def quasi_fejer_check_ref(trace: DescentTrace, reference: Point, L: float,
             continue
         d_prev = dist_ref(prev.x, reference)
         d_next = dist_ref(nxt.x, reference)
+        if math.isinf(d_prev) or math.isinf(d_next):
+            # differences that overflow: the rows and the reference scaled by
+            # 2^-e, 2^e at or above their largest |coordinate|, then compared
+            # in units of the larger distance m 2^e
+            e = math.frexp(max(map(abs, chain(prev.x, nxt.x, reference))))[1]
+            r = [math.ldexp(c, -e) for c in reference]
+            d_prev, d_next = (dist_ref([math.ldexp(c, -e) for c in x], r) for x in (prev.x, nxt.x))
+            m = max(d_prev, d_next)
+            p, q = d_prev / m, d_next / m
+            b, s = math.ldexp(prev.theta * L / m, -e), math.ldexp(1.0 / m, -e)
+            if (q - p) * (q + p) > b * b + slack * (s * s + p * p):
+                return False
+            continue
         if _square_overflows(d_prev) or _square_overflows(d_next):
             # in units of the larger distance m
             m = max(d_prev, d_next)

@@ -14,13 +14,16 @@ from prefmax import (
     body_from_sample,
     cone_unit_hull,
     maximal_elements,
+    mvip_solutions,
     normal_membership,
     normal_membership_many,
+    parse_grid_spec,
     pt,
     sample_contour,
     strict_normal_membership,
 )
-from prefmax.cones import unit_net
+from prefmax.cones import DEFAULT_TOL, unit_net
+from prefmax.points import row_norms, scaled_to
 
 from scalar_reference import complete_equivalence_check, unit_net3_ref
 
@@ -324,6 +327,94 @@ def test_cone_validation():
         Cone.ray((0.0, 0.0))
     with pytest.raises(ValueError):
         Cone(2, "sideways")
+
+
+# --------------------------------------------- generators and queries at any scale
+
+
+def test_a_query_whose_squares_overflow_keeps_its_direction():
+    # ||(-1e200, 0)||^2 overflows; read as the zero vector, it was in the cone
+    assert not Cone.ray((1.0, 0.0)).contains((-1e200, 0.0))
+    assert Cone.ray((1.0, 0.0)).contains((1e200, 0.0))
+
+
+def test_a_generator_whose_squares_overflow_keeps_its_direction():
+    assert Cone.ray((1e200,)).contains((1.0,))
+    assert Cone.ray((1e200,)).units.tolist() == [[1.0]]
+
+
+def test_the_unit_hull_reads_the_direction_of_a_generator_whose_squares_overflow():
+    # read as the zero vector, (1e200, 0) let every net row in: the whole ball
+    big, unit = (cone_unit_hull(Cone.generated([g, (0.0, 1.0)]))
+                 for g in ((1e200, 0.0), (1.0, 0.0)))
+    assert len(unit.vertices) == 91
+    assert big == unit
+
+
+def test_the_minty_set_reads_the_direction_of_a_generator_whose_squares_overflow():
+    X = parse_grid_spec("0:1:0.25")
+    big, unit = Cone.ray((-1e200,)), Cone.ray((-1.0,))
+    assert mvip_solutions(lambda p: big, X) == mvip_solutions(lambda p: unit, X) == [pt(1.0)]
+
+
+def test_a_generator_whose_squares_underflow_is_a_direction():
+    cone = Cone.ray((1e-170, 0.0))
+    assert cone.units.tolist() == [[1.0, 0.0]]
+    assert cone.contains((3.0, 0.0)) and not cone.contains((0.0, 1.0))
+    with pytest.raises(ValueError, match="nonzero"):
+        Cone.ray((0.0, -0.0))
+
+
+def test_unit_generators_are_read_only_and_built_once():
+    gens = [(3.0, 4.0), (0.0, -2.0), (-1e-200, 1e-200)]
+    cone = Cone.generated(gens)
+    assert cone.units.tolist() == [list(scaled_to(g, 1.0)) for g in gens]
+    assert cone.units is cone.units and not cone.units.flags.writeable
+    assert Cone.full(2).units.shape == (0, 2) and Cone.zero(3).units.shape == (0, 3)
+
+
+# quarter-integers and floats in [0.1, 3], of either sign: times 2^k for
+# |k| <= 1000 every nonzero coordinate stays a normal float
+SCALABLE = st.one_of(st.integers(-8, 8).map(lambda n: n / 4.0),
+                     st.builds(lambda s, c: s * c, st.sampled_from((1.0, -1.0)),
+                               st.floats(0.1, 3.0)))
+
+
+@st.composite
+def scalable_cones(draw, dim):
+    gens = draw(st.lists(st.tuples(*[SCALABLE] * dim).filter(any), min_size=1, max_size=4))
+    return Cone.generated(gens)
+
+
+def _scaled(cone, s):
+    return Cone.generated([tuple(s * c for c in g) for g in cone.generators])
+
+
+@settings(settings.get_profile("differential"), max_examples=60)
+@given(st.integers(1, 3).flatmap(lambda d: st.tuples(
+    st.lists(scalable_cones(d), min_size=1, max_size=3),
+    st.lists(st.tuples(*[SCALABLE] * d), min_size=1, max_size=12))),
+    st.integers(-1000, 1000), st.sampled_from((0.0, DEFAULT_TOL)))
+def test_cone_verdicts_do_not_change_when_generators_and_queries_are_rescaled(drawn, k, tol):
+    # the squares of a generator or query overflow for k above about 510 and
+    # underflow below about -510
+    cones, queries = drawn
+    s = 2.0 ** k
+    Q = np.array(queries)
+    Q = Q[(row_norms(Q) > tol) & (row_norms(Q * s) > tol)]
+    net = unit_net(Q.shape[1])
+    for cone in cones:
+        big = _scaled(cone, s)
+        assert big.contains_many(Q * s, tol).tolist() == cone.contains_many(Q, tol).tolist()
+        assert big.contains_many(net).tolist() == cone.contains_many(net).tolist()
+        V, W = cone_unit_hull(big).vertices, cone_unit_hull(cone).vertices
+        assert V.shape == W.shape and np.abs(V - W).max() <= 2e-12
+    if Q.shape[1] <= 2:
+        X = parse_grid_spec(",".join(["-0.5:0.5:0.25"] * Q.shape[1]))
+        pick = {p: i % len(cones) for i, p in enumerate(X)}
+        scaled = [_scaled(cone, s) for cone in cones]
+        assert (mvip_solutions(lambda p: scaled[pick[p]], X)
+                == mvip_solutions(lambda p: cones[pick[p]], X))
 
 
 def test_cone_contains_basics():

@@ -192,3 +192,19 @@ def test_a_move_whose_squared_distances_overflow_is_refuted():
     assert not quasi_fejer_check(trace, reference, 1.0)
     assert not quasi_fejer_check_ref(trace, reference, 1.0)
     assert distances_ref(trace) == [1e200, 2e200]
+
+
+def test_a_move_whose_differences_overflow_is_refuted():
+    # from (1e308,) to (1.7e308,) with reference -1.7e308, theta 1 and L 1
+    # the distance grows from 2.7e308 to 3.4e308, both inf as floats; in
+    # units of 2^1024 the pair is 1.5 -> 1.9, far past its budget
+    reference = pt(-1.7e308)
+    rows = (TraceRow(1, pt(1e308), None, 1.0), TraceRow(2, pt(1.7e308), None, None))
+    trace = trace_from_rows(rows, "maxIters", reference=reference)
+    assert distances_ref(trace) == [math.inf, math.inf]
+    assert not quasi_fejer_check(trace, reference, 1.0)
+    assert not quasi_fejer_check_ref(trace, reference, 1.0)
+    # the move back shrinks the distance and passes
+    rows = (TraceRow(1, pt(1.7e308), None, 1.0), TraceRow(2, pt(1e308), None, None))
+    back = trace_from_rows(rows, "maxIters", reference=reference)
+    assert quasi_fejer_check(back, reference, 1.0)

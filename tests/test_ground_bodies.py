@@ -17,7 +17,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from prefmax import ConvexBody, GroundSet, Relation, fixture_names, get_fixture
+from prefmax import ConvexBody, GroundSet, Relation, fixture_names, get_fixture, parse_grid_spec
 from prefmax import cones, points, relations
 from prefmax.cones import BoxSampler, contains_zero, sampled_bodies, unit_net
 from prefmax.harness import ExperimentSpec, vip_solutions
@@ -155,21 +155,34 @@ def test_a_ground_of_one_lattice_scores_each_point_once(radial):
 def test_the_union_lattice_is_built_only_for_a_column_form_over_several_bases():
     # predicates, and a single base, cut their candidates from their own
     # axis lattices: no union lattice is asked for
-    cones._union_axes.cache_clear()
+    caches = (cones._union_axes, cones._union_offsets)
+    for cache in caches:
+        cache.cache_clear()
     for name in ("band-threshold", "halfline-plane"):
         fx = get_fixture(name)
         bodies_for_ground(fx.relation, fx.default_ground, contour_sampler=fx.box_sampler)
         assert len(list(fx.box_sampler.samples(fx.default_ground))) == len(fx.default_ground)
     radial = get_fixture("radial-bowl")
     radial.box_sampler(radial.default_ground[0])
-    info = cones._union_axes.cache_info()
-    assert (info.hits, info.misses) == (0, 0)
-    # radial-bowl's column form scores one union lattice per ground pass
+    assert [(c.cache_info().hits, c.cache_info().misses) for c in caches] == [(0, 0), (0, 0)]
+    # radial-bowl's column form scores one union lattice per ground pass: the
+    # first pass builds its values, then the offsets, which read the values
     for hits in (0, 1):
         bodies_for_ground(radial.relation, radial.default_ground,
                           contour_sampler=radial.box_sampler)
-        info = cones._union_axes.cache_info()
-        assert (info.hits, info.misses) == (hits, 1)
+        assert ([(c.cache_info().hits, c.cache_info().misses) for c in caches]
+                == [(hits + 1, 1), (hits, 1)])
+
+
+@pytest.mark.parametrize("spec", ["-0.5:2.5:0.07,0.5:3.5:0.07", "-0.5:2.5:0.03,0.5:3.5:0.03"])
+def test_a_union_lattice_too_large_to_score_builds_no_offsets(spec):
+    # 411,522 and 467,172 union points: above _TABLE_POINTS, so each
+    # base's candidates come from its own lattices and no offsets are built
+    radial = get_fixture("radial-bowl")
+    cones._union_offsets.cache_clear()
+    B = parse_grid_spec(spec).array()
+    next(cones._box_blocks(radial.relation, B, radial.sample_radius, radial.sample_step))
+    assert cones._union_offsets.cache_info().misses == 0
 
 
 # ------------------------------------------------------------- zero test

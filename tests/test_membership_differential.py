@@ -51,6 +51,11 @@ OFFSETS = (0.0, 1e-16, -1e-16, 1e-15, -1e-15, 5e-15, -5e-15, 1.2e-14, -1.2e-14,
 
 coord = st.floats(-3.0, 3.0, allow_nan=False)
 
+# A generator is drawn at unit scale or times 2^600 or 2^-600, where its
+# squares overflow or underflow: a cone does not change when a generator is
+# rescaled, and both sides read each generator's direction.
+SCALES = st.sampled_from((1.0, 2.0 ** 600, 2.0 ** -600))
+
 
 def near_antipode(g, e: float) -> tuple[float, float]:
     """-g / ||g|| rotated by e (to first order: cos e = 1 for these e)."""
@@ -74,13 +79,14 @@ def cones_2d(draw):
         else:
             g = tuple(draw(st.floats(0.1, 3.0)) * c for c in draw(st.sampled_from(gens)))
         gens.append(g)
-    return Cone.generated(gens)
+    scales = [draw(SCALES) for _ in gens]
+    return Cone.generated([tuple(k * c for c in g) for k, g in zip(scales, gens)])
 
 
 @st.composite
 def cones_1d(draw):
-    return Cone.generated([(draw(st.sampled_from((-1.0, 1.0))) * draw(st.floats(1e-3, 3.0)),)
-                           for _ in range(draw(st.integers(1, 5)))])
+    return Cone.generated([(draw(st.sampled_from((-1.0, 1.0))) * draw(st.floats(1e-3, 3.0))
+                            * draw(SCALES),) for _ in range(draw(st.integers(1, 5)))])
 
 
 def probes(cone: Cone, extra) -> np.ndarray:

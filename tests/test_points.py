@@ -8,10 +8,11 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from prefmax import DescentConfig, GroundSet, Point, StepSchedule, parse_grid_spec, pt, run_descent
-from prefmax.points import axis_lattice, ground_points, ground_spacing, norm, scaled_to
+from prefmax import (ContourSample, DescentConfig, GroundSet, Point, StepSchedule,
+                     normal_membership_many, parse_grid_spec, pt, run_descent)
+from prefmax.points import axis_lattice, ground_points, ground_spacing, row_norms, scaled_to, unit_rows
 
-from scalar_reference import scaled_to_ref
+from scalar_reference import length_ref, normal_membership_ref, run_descent_ref, scaled_to_ref
 
 
 def test_point_rejects_nan_and_empty():
@@ -200,13 +201,36 @@ def test_scaled_to_has_the_length_and_direction_at_any_scale(coords, length):
         assert abs(g - e) <= 4 * math.ulp(length)
 
 
+# Coordinates of either sign from 1e-320 (subnormal) to 1.7e308, and zeros
+MAGNITUDES = st.one_of(st.just(0.0), st.builds(lambda s, m, k: s * m * 10.0 ** k,
+                                               st.sampled_from((1.0, -1.0)), st.floats(1.0, 1.7),
+                                               st.integers(-320, 307)))
+
+
+@settings(settings.get_profile("differential"), max_examples=300)
+@given(st.integers(1, 3).flatmap(
+    lambda d: st.lists(st.lists(MAGNITUDES, min_size=d, max_size=d).filter(any),
+                       min_size=1, max_size=8)))
+@example([[1e200, 0.0], [1e-170, -0.0], [3.0, 4.0], [1e-320, 1.7e308]])
+def test_unit_rows_and_row_norms_are_scaled_to_and_its_norm_row_by_row(rows):
+    """Each finite nonzero row gets, by repr, the floats of `scaled_to(row,
+    1.0)`, and its norm is the square root of its squares added left to
+    right, or m ||row / m|| where `scaled_to` rescales."""
+    A = np.array(rows)
+    with np.errstate(over="raise", divide="raise", invalid="raise"):
+        got, lengths = unit_rows(A).tolist(), row_norms(A).tolist()
+    assert list(map(repr, chain.from_iterable(got))) == [
+        repr(c) for row in rows for c in scaled_to(row, 1.0)]
+    assert list(map(repr, lengths)) == [repr(length_ref(row)) for row in rows]
+
+
 def _compensated_sum(items, start=0):
     return math.fsum(chain((start,), items))
 
 
 def test_library_floats_do_not_depend_on_a_compensated_sum(monkeypatch):
-    # Python 3.12 compensates sum() of floats; norm, scaled_to and a 3-D
-    # descent add their squares left to right whatever `sum` does
+    # Python 3.12 compensates sum() of floats; scaled_to and a 3-D descent
+    # add their squares left to right whatever `sum` does
     rng = np.random.default_rng(3)
     vectors = [tuple((rng.normal(size=3) * 10.0 ** rng.integers(-3, 4, size=3)).tolist())
                for _ in range(2000)]
@@ -218,14 +242,26 @@ def test_library_floats_do_not_depend_on_a_compensated_sum(monkeypatch):
     def floats():
         trace = run_descent(away, pt(4.1, 0.7, -2.3), StepSchedule.harmonic(1.0),
                             DescentConfig(1.0, max_iters=200), pt(*peak))
-        return {"norm": list(map(norm, vectors)),
-                "scaled_to": [scaled_to(v, 1.5) for v in vectors],
+        return {"scaled_to": [scaled_to(v, 1.5) for v in vectors],
                 "run_descent": trace.rows + (trace.termination,)}
 
     plain = floats()
     monkeypatch.setattr(builtins, "sum", _compensated_sum)
     compensated = floats()
+    # the scalar references fold their float sums from the int 0 too, so a
+    # differential slice holds with the compensated sum: a 3-D descent, and
+    # normal-cone membership at tol 0, where 1e16 + 1 - 1e16 folds to 0.0
+    # and compensates to 1.0
+    ref = run_descent_ref(away, pt(4.1, 0.7, -2.3), StepSchedule.harmonic(1.0),
+                          DescentConfig(1.0, max_iters=200), pt(*peak))
+    samples = [ContourSample(pt(0.0, 0.0, 0.0), rows) for rows in ([(1.0, 1.0, 1.0)], vectors[:40])]
+    probes = np.array([(1e16, 1.0, -1e16)] + vectors[40:80])
+    membership = [[normal_membership_ref(s, p, 0.0) for p in probes.tolist()] for s in samples]
     monkeypatch.undo()
     moved = {name: [repr(a) != repr(b) for a, b in zip(plain[name], compensated[name])].count(True)
              for name in plain}
-    assert moved == {"norm": 0, "scaled_to": 0, "run_descent": 0}
+    assert moved == {"scaled_to": 0, "run_descent": 0}
+    assert repr(ref.rows) == repr(plain["run_descent"][:-1])
+    assert ref.termination == plain["run_descent"][-1]
+    assert [normal_membership_many(s, probes, 0.0).tolist() for s in samples] == membership
+    assert membership[0][0]
