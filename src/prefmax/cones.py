@@ -521,10 +521,11 @@ def normal_cone_test(sample: ContourSample, probes, rhs) -> np.ndarray:
     sides: tol (1 + ||x*|| ||d||), -margin ||d|| and gap(x, y) + tol (1 + ||d||).
     `rhs(pn, dn)` returns the thresholds for every sampled point, given the
     probe norms `pn` as a column and the norms `dn` of the displacements.
-    Every probe meets every displacement in one product. Inner products and
-    norms are summed coordinate by coordinate, so each entry rounds as the
-    scalar `dot` and `norm` do. An empty sample accepts every finite probe;
-    a probe that is not finite raises ValueError.
+    Every probe meets every displacement in one product. Inner products are
+    summed coordinate by coordinate, so each entry rounds as the scalar
+    `dot` does, and the norms are `points.row_norms`, which a displacement
+    whose squares overflow does not turn to inf. An empty sample accepts
+    every finite probe; a probe that is not finite raises ValueError.
     """
     P = np.asarray(probes, dtype=float)
     if P.ndim != 2 or P.shape[1] != sample.base.dim:
@@ -534,8 +535,7 @@ def normal_cone_test(sample: ContourSample, probes, rhs) -> np.ndarray:
     if sample.is_empty:
         return np.ones(len(P), dtype=bool)
     D = sample.points - np.array(sample.base.coords)
-    pn = np.sqrt(rowdot(P, P))[:, None]
-    return ~(rowdot(P[:, None], D[None]) > rhs(pn, np.sqrt(rowdot(D, D)))).any(axis=1)
+    return ~(rowdot(P[:, None], D[None]) > rhs(row_norms(P)[:, None], row_norms(D))).any(axis=1)
 
 
 def normal_membership(sample: ContourSample, xstar, tol: float = DEFAULT_TOL) -> bool:
@@ -600,10 +600,10 @@ def _exceeds(U: np.ndarray, D: np.ndarray, tol: float, nu=None, nd=None) -> np.n
     """<u, d> > tol (1 + ||u|| ||d||) for the rows u of U and d of D,
     broadcast together: `normal_membership_many`'s rejection in the
     kernel's own float operations, so each entry is its verdict on that
-    pair. The norms nu = ||u|| and nd = ||d|| may be passed in, gathered
-    from norms computed once per row by the same expression."""
-    nu = np.sqrt(rowdot(U, U)) if nu is None else nu
-    nd = np.sqrt(rowdot(D, D)) if nd is None else nd
+    pair. The norms nu = ||u|| and nd = ||d|| are `points.row_norms`, and
+    may be passed in, gathered from norms computed once per row."""
+    nu = row_norms(U) if nu is None else nu
+    nd = row_norms(D) if nd is None else nd
     return rowdot(U, D) > tol * (1.0 + nu * nd)
 
 
@@ -659,7 +659,7 @@ def _direct_fails(fails: np.ndarray, D: np.ndarray, dn: np.ndarray, starts: np.n
     flat gathers, in blocks of at most `points.BLOCK_ENTRIES` (row,
     displacement) pairs."""
     net = unit_net(D.shape[1])
-    un = np.sqrt(rowdot(net, net))
+    un = row_norms(net)
     lens = counts[b]
     for c in blocks(lens):
         n = lens[c]
@@ -701,7 +701,7 @@ def _net_fails(D: np.ndarray, counts, tol: float) -> np.ndarray:
             rows = D[at[0]:at[-1] + counts[live[c]][-1], None, :]
             fails[live[c]] = np.logical_or.reduceat(_exceeds(net, rows, tol), at - at[0], axis=0)
         return fails
-    un, dn = np.sqrt(rowdot(net, net)), np.sqrt(rowdot(D, D))
+    un, dn = row_norms(net), row_norms(D)
     for c in blocks(counts[live] + len(net)):
         at = live[c]
         lo = starts[at[0]]

@@ -16,7 +16,7 @@ from typing import Callable
 import numpy as np
 
 from .cones import DEFAULT_TOL, ContourSample, normal_cone_test
-from .points import GroundSet, Point, ground_points, row_blocks, rowdot, scaled_to
+from .points import GroundSet, Point, ground_points, row_blocks, scaled_to, tol_floor
 from .relations import PropertyReport, Relation, _holds, _operand
 
 # Sign flags, named by content:
@@ -151,7 +151,8 @@ def _sweep(gap: GapFunction, rel: Relation, ground: GroundSet, tol: float | None
     audited copy of `gap` and, given tol, the failing report of the first
     base whose zero-probe membership differs from its maximality, or None.
     The probe fails at a strictly-better y where <0, d> = +-0 exceeds
-    gap(x, y) + tol (1 + ||d||), d = y - x, as `normal_cone_test` sums it."""
+    gap(x, y) + tol (1 + ||d||), d = y - x: where gap(x, y) is below the
+    floor -tol (1 + ||d||) of `points.tol_floor`."""
     pts, X = ground_points(ground, rel.dim)
     g, found, report = _operand(rel, X), {}, None
     for rows, F in gap.table([p.coords for p in pts]):
@@ -167,7 +168,7 @@ def _sweep(gap: GapFunction, rel: Relation, ground: GroundSet, tol: float | None
             continue
         D = X[None] - X[rows, None]
         with np.errstate(over="ignore", invalid="ignore"):
-            fails = better & (F + tol * (1.0 + np.sqrt(rowdot(D, D))) < 0.0)
+            fails = better & (F < tol_floor(D, tol))
         member, maximal = ~fails.any(axis=1), ~better.any(axis=1)
         off = np.flatnonzero(member != maximal)
         if off.size:

@@ -130,30 +130,41 @@ def _rescaled(A: np.ndarray, Q: np.ndarray) -> tuple:
 
 
 def row_norms(A: np.ndarray) -> np.ndarray:
-    """||a|| for every row a of a 2-D array A, as `scaled_to` computes it:
-    the squares summed coordinate by coordinate (`rowdot`) and a correctly
-    rounded square root, or m ||a / m|| where `scaled_to` rescales a
-    (`_rescaled`). Overflow and nan stay silent."""
+    """||a|| for every row a of an array A, its rows running along the last
+    axis, as `scaled_to` computes it: the squares summed coordinate by
+    coordinate (`rowdot`) and a correctly rounded square root, or m ||a / m||
+    where `scaled_to` rescales a (`_rescaled`). The result has A's shape
+    without its last axis. Overflow and nan stay silent."""
+    R = A.reshape(-1, A.shape[-1])
     with np.errstate(over="ignore", invalid="ignore"):
-        Q = rowdot(A, A)
+        Q = rowdot(R, R)
         out = np.sqrt(Q)
-        odd, m = _rescaled(A, Q)
+        odd, m = _rescaled(R, Q)
         if odd.size:
-            out[odd] = m * row_norms(A[odd] / m[:, None])
-    return out
+            out[odd] = m * row_norms(R[odd] / m[:, None])
+    return out.reshape(A.shape[:-1])
 
 
 def unit_rows(A: np.ndarray) -> np.ndarray:
-    """The rows of a 2-D array A scaled to unit length, each finite nonzero
-    row with the floats of `scaled_to(row, 1.0)`; a zero or non-finite row
-    comes out nan or zero, silently."""
+    """The rows of an array A, along its last axis, scaled to unit length,
+    each finite nonzero row with the floats of `scaled_to(row, 1.0)`; a zero
+    or non-finite row comes out nan or zero, silently."""
+    R = A.reshape(-1, A.shape[-1])
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        Q = rowdot(A, A)
-        out = A * (1.0 / np.sqrt(Q))[:, None]
-        odd, m = _rescaled(A, Q)
+        Q = rowdot(R, R)
+        out = R * (1.0 / np.sqrt(Q))[:, None]
+        odd, m = _rescaled(R, Q)
         if odd.size:
-            out[odd] = unit_rows(A[odd] / m[:, None])
-    return out
+            out[odd] = unit_rows(R[odd] / m[:, None])
+    return out.reshape(A.shape)
+
+
+def tol_floor(D: np.ndarray, tol: float) -> np.ndarray:
+    """-tol (1 + ||d||) for every row d of D, ||d|| from `row_norms`: the
+    floor that a product <w, d> of the Stampacchia inequality, or a gap of
+    the zero probe, fails below; negated, the ceiling of the Minty one.
+    Where the squares of d overflow, ||d|| is still its length, not inf."""
+    return -tol * (1.0 + row_norms(D))
 
 
 def check_same_dim(*items) -> int:
@@ -209,16 +220,13 @@ def coord_array(rows, dim: int) -> np.ndarray:
 def ground_spacing(pts, rows: np.ndarray) -> float:
     """The smallest positive spacing of a ground read by `ground_points`:
     a grid's smallest axis step, else the smallest positive distance
-    between two of its rows, each the square root of the squared
-    differences summed coordinate by coordinate (`rowdot`); inf for fewer
-    than two rows."""
+    between two of its rows (`row_norms`); inf for fewer than two rows."""
     if isinstance(pts, GroundSet) and pts.axes is not None:
         return min(step for _, _, step in pts.axes)
     res = math.inf
     with np.errstate(over="ignore"):
         for blk in row_blocks(len(rows), len(rows) * rows.shape[1]):
-            T = rows[blk, None] - rows[None]
-            d = np.sqrt(rowdot(T, T))
+            d = row_norms(rows[blk, None] - rows[None])
             d = d[d > 0.0]
             if d.size:
                 res = min(res, float(d.min()))

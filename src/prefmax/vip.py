@@ -26,7 +26,7 @@ from .cones import (
     sampled_bodies,
 )
 from .points import (GroundSet, Point, blocks, check_same_dim, ground_array, ground_points,
-                     row_blocks, row_norms, rowdot)
+                     row_blocks, row_norms, rowdot, tol_floor, unit_rows)
 from .relations import Relation, maximal_elements
 
 ConeOracle = Callable[[Point], Cone]
@@ -97,7 +97,7 @@ def _margin_blocks(bodies: list, bases: list, B: np.ndarray, G: np.ndarray, tol:
     one entry per vertex and row of G: the block's indices, its bases'
     vertices V (bases, vertices, dim), the displacements D = G - xhat
     (bases, rows, dim) and the margins S = floor - <v, d> (bases, vertices,
-    rows), floor = -tol (1 + ||d||).
+    rows), floor = -tol (1 + ||d||) (`points.tol_floor`).
 
     A base with fewer vertices than the block's most repeats its last
     vertex: that moves neither its first passing vertex nor the screen's
@@ -113,7 +113,7 @@ def _margin_blocks(bodies: list, bases: list, B: np.ndarray, G: np.ndarray, tol:
             starts[:, None] + np.minimum(np.arange(counts.max()), counts[:, None] - 1)]
         D = G - B[block][:, None, :]
         S = rowdot(V[:, :, None, :], D[:, None, :, :])
-        np.subtract((-tol * (1.0 + np.sqrt(rowdot(D, D))))[:, None, :], S, out=S)
+        np.subtract(tol_floor(D, tol)[:, None, :], S, out=S)
         yield block, V, D, S
 
 
@@ -201,7 +201,7 @@ def _stampacchia(bodies: list, B: np.ndarray, G: np.ndarray, tol: float) -> list
                 found[block[b]] = tuple(V[b, k].tolist())
         live = np.flatnonzero(~passing.any(axis=1))
         for b in (live[~_refuted(S[live], V[live], D[live])] if live.size else live).tolist():
-            Vb, floor = bodies[block[b]].vertices, -tol * (1.0 + np.sqrt(rowdot(D[b], D[b])))
+            Vb, floor = bodies[block[b]].vertices, tol_floor(D[b], tol)
             w = _midpoint_witness(Vb, D[b], floor)
             if w is None:
                 w = _lp_witness(Vb, D[b], floor)
@@ -248,8 +248,8 @@ def certificate_valid(cert: VipCertificate, body: ConvexBody, X, tol: float | No
     20 above that and stays far below any distance a tolerance means to
     resolve: a unit body still rejects a point 1e-9 outside. The
     inequalities are checked at `tol` itself, with the floor test that
-    `_stampacchia`'s stages run: products and norms summed coordinate by
-    coordinate, so each rounds as the scalar `dot` and `norm`.
+    `_stampacchia`'s stages run: products summed coordinate by coordinate,
+    so each rounds as the scalar `dot`, against `points.tol_floor`.
     """
     tol = cert.tol if tol is None else tol
     check_same_dim(body, cert.solution)
@@ -258,11 +258,11 @@ def certificate_valid(cert: VipCertificate, body: ConvexBody, X, tol: float | No
         return False
     w = np.array([cert.witness.coords])
     V = body.vertices
-    floor = _WITNESS_HULL_FLOOR * (1.0 + float(np.sqrt(rowdot(V, V).max())))
+    floor = _WITNESS_HULL_FLOOR * (1.0 + float(row_norms(V).max()))
     # contains() scales its tolerance by 1 + ||w||; the floor is absolute
     if not body.contains(w[0], max(tol, floor / (1.0 + float(row_norms(w)[0])))):
         return False
-    return not (rowdot(w, D) < -tol * (1.0 + np.sqrt(rowdot(D, D)))).any()
+    return not (rowdot(w, D) < tol_floor(D, tol)).any()
 
 
 @dataclass(frozen=True)
@@ -301,9 +301,10 @@ def _cone_field(cone_oracle: ConeOracle, X, dim: int) -> _ConeField:
 def _minty_fails(field: _ConeField, C: np.ndarray, tol: float) -> np.ndarray:
     """For each candidate xhat, a row of C: whether <g, xhat - y> > tol (1 +
     ||xhat - y||) for some unit generator g of the cone at some ground
-    point y of the field. A full cone is probed with the axis fan, whose
-    worst case is max_i |d_i|, and with d / ||d|| itself when d = xhat - y
-    != 0.
+    point y of the field, the ceiling tol (1 + ||xhat - y||) the negated
+    `points.tol_floor`. A full cone is probed with the axis fan, whose
+    worst case is max_i |d_i|, and with d / ||d|| itself (`points.unit_rows`),
+    which is nan and refutes nothing when d = xhat - y = 0.
 
     The candidates go in blocks (`points.row_blocks`), each tested against
     the whole stacked field in one expression; a candidate counts 4 entries
@@ -314,14 +315,11 @@ def _minty_fails(field: _ConeField, C: np.ndarray, tol: float) -> np.ndarray:
     for blk in row_blocks(len(C), 4 * (len(field.units) + len(field.full))):
         X = C[blk, None, :]
         D = X - field.at
-        out = (rowdot(field.units, D) > tol * (1.0 + np.sqrt(rowdot(D, D)))).any(axis=1)
+        out = (rowdot(field.units, D) > -tol_floor(D, tol)).any(axis=1)
         F = X - field.full
-        nf = np.sqrt(rowdot(F, F))
-        ceiling = tol * (1.0 + nf)
+        ceiling = -tol_floor(F, tol)
         out |= (np.abs(F).max(axis=2) > ceiling).any(axis=1)
-        moved = nf > 0.0
-        own = rowdot(F * (1.0 / np.where(moved, nf, 1.0))[..., None], F)
-        fails[blk] = out | (moved & (own > ceiling)).any(axis=1)
+        fails[blk] = out | (rowdot(unit_rows(F), F) > ceiling).any(axis=1)
     return fails
 
 

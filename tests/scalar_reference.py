@@ -36,7 +36,11 @@ rows and contour masks. `stampacchia_unscreened_ref`
 and `minty_holds_unscreened_ref` are the Stampacchia stages and the Minty
 field test before their screens (every open base or candidate meets the
 whole ground or field; the Stampacchia one reads the library's margin
-blocks and one-displacement Farkas screen), and `FIXTURE_CONES_REF` holds the fixtures' cone
+blocks and one-displacement Farkas screen, and both read their floors from
+`points.tol_floor`). The normal-cone, gap-relaxed, Stampacchia and Minty
+references and `resolution_ref` take every length from `length_ref`, as the
+library takes it from `points.row_norms`, so a displacement whose squares
+overflow keeps its length. `FIXTURE_CONES_REF` holds the fixtures' cone
 oracles as they first were, with a new Cone per call. The differential tests
 hold the array versions and the tuple descent loop to these, result for
 result and witness for witness, row for row. The module also holds test
@@ -65,7 +69,7 @@ from prefmax import (ContourSample, ConvexBody, Point, PropertyReport, Relation,
 from prefmax.cones import DEFAULT_TOL, Cone, contains_zero, unit_net
 from prefmax.descent import DescentTrace, OracleNormViolation, TraceRow
 from prefmax.harness import SCHEMA_VERSION, TRACE_COLUMNS
-from prefmax.points import axis_lattice, row_blocks, rowdot
+from prefmax.points import axis_lattice, row_blocks, rowdot, tol_floor, unit_rows
 from prefmax.vip import _lp_witness, _margin_blocks, _midpoint_witness, _refuted
 
 # ------------------------------------------------------ tuple helpers
@@ -262,15 +266,13 @@ def check_property_ref(h, ground, prop: str, m: int | None = None) -> PropertyRe
 
 def resolution_ref(ground) -> float:
     """Smallest positive spacing: a grid's smallest axis step, else the
-    smallest positive distance over every pair of points, its squared
-    differences summed coordinate by coordinate from the first."""
+    smallest positive distance over every pair of points (`dist_ref`)."""
     if ground.axes is not None:
         return min(step for _, _, step in ground.axes)
     res = math.inf
     for i, p in enumerate(ground.points):
         for q in ground.points[i + 1:]:
-            t = list(map(operator.sub, p, q))
-            d = math.sqrt(reduce(operator.add, map(operator.mul, t, t), 0))
+            d = dist_ref(p, q)
             if 0 < d < res:
                 res = d
     return res
@@ -473,10 +475,10 @@ def normal_membership_ref(sample, xstar, tol: float) -> bool:
         raise ValueError("query dimension mismatch")
     if sample.is_empty:
         return True
-    nxs = norm(xs)
+    nxs = length_ref(xs)
     for y in sample.points.tolist():
         d = sub(y, sample.base)
-        if dot(xs, d) > tol * (1.0 + nxs * norm(d)):
+        if dot(xs, d) > tol * (1.0 + nxs * length_ref(d)):
             return False
     return True
 
@@ -503,7 +505,7 @@ def strict_normal_membership_ref(sample, xstar, margin: float) -> bool:
         return True
     for y in sample.points.tolist():
         d = sub(y, sample.base)
-        if dot(xs, d) > -margin * norm(d):
+        if dot(xs, d) > -margin * length_ref(d):
             return False
     return True
 
@@ -517,7 +519,7 @@ def plastria_membership_ref(gap, sample, xstar, tol: float) -> bool:
     x = sample.base.coords
     for y in sample.points.tolist():
         d = sub(y, x)
-        if dot(xs, d) > gap(x, tuple(y)) + tol * (1.0 + norm(d)):
+        if dot(xs, d) > gap(x, tuple(y)) + tol * (1.0 + length_ref(d)):
             return False
     return True
 
@@ -525,7 +527,7 @@ def plastria_membership_ref(gap, sample, xstar, tol: float) -> bool:
 def _passes_all(w, xhat: Point, X, tol: float) -> bool:
     for y in X:
         d = sub(y, xhat)
-        if dot(w, d) < -tol * (1.0 + norm(d)):
+        if dot(w, d) < -tol * (1.0 + length_ref(d)):
             return False
     return True
 
@@ -564,14 +566,14 @@ def _axis_fan(dim: int) -> list[tuple[float, ...]]:
 def mvip_membership_ref(cone_oracle, xhat: Point, X, tol: float) -> bool:
     for y in X:
         d = sub(xhat, y)
-        nd = norm(d)
+        nd = length_ref(d)
         cone = cone_oracle(y)
         if cone.tag == "zero":
             continue
         if cone.tag == "full":
             dirs = _axis_fan(xhat.dim)
             if nd > 0.0:
-                dirs.append(scale(d, 1.0 / nd))
+                dirs.append(scaled_to_ref(d, 1.0))
         else:
             dirs = [scaled_to_ref(g, 1.0) for g in cone.generators]
         for g in dirs:
@@ -611,7 +613,7 @@ def stampacchia_unscreened_ref(bodies: list, B: np.ndarray, G: np.ndarray, tol: 
             if not fails.all():
                 found[i] = tuple(V[b, int(np.argmin(fails))].tolist())
             elif not _refuted(S[b:b + 1], V[b:b + 1], D[b:b + 1])[0]:
-                floor = -tol * (1.0 + np.sqrt(rowdot(D[b], D[b])))
+                floor = tol_floor(D[b], tol)
                 w = _midpoint_witness(bodies[i].vertices, D[b], floor)
                 if w is None:
                     w = _lp_witness(bodies[i].vertices, D[b], floor)
@@ -627,14 +629,11 @@ def minty_holds_unscreened_ref(field, C: np.ndarray, tol: float) -> np.ndarray:
     for blk in row_blocks(len(C), 4 * (len(field.units) + len(field.full))):
         X = C[blk, None, :]
         D = X - field.at
-        fails = (rowdot(field.units, D) > tol * (1.0 + np.sqrt(rowdot(D, D)))).any(axis=1)
+        fails = (rowdot(field.units, D) > -tol_floor(D, tol)).any(axis=1)
         F = X - field.full
-        nf = np.sqrt(rowdot(F, F))
-        ceiling = tol * (1.0 + nf)
+        ceiling = -tol_floor(F, tol)
         fails |= (np.abs(F).max(axis=2) > ceiling).any(axis=1)
-        moved = nf > 0.0
-        own = rowdot(F * (1.0 / np.where(moved, nf, 1.0))[..., None], F)
-        holds[blk] = ~(fails | (moved & (own > ceiling)).any(axis=1))
+        holds[blk] = ~(fails | (rowdot(unit_rows(F), F) > ceiling).any(axis=1))
     return holds
 
 

@@ -337,8 +337,15 @@ def _samples_and_probes(draw):
 _TILTED_GAP = GapFunction(lambda x, y: 0.5 * (x[0] - y[0]), lipschitz=1.0)
 
 
+# displacements whose squares overflow: each keeps its length 1e200 (or
+# 1.4e200) in every right-hand side, where inf would let every probe pass
+_FAR_SAMPLE = (ContourSample(pt(0.0, 0.0), [(1e200, 0.0), (-1e200, 1e200)]),
+               [(1.0, 0.0), (0.0, 1.0), (-1.0, -1.0), (-1.0, 0.5), (0.0, 0.0)])
+
+
 @DIFFERENTIAL
 @given(_samples_and_probes())
+@example(_FAR_SAMPLE)
 def test_random_sample_memberships_match(case):
     sample, probes = case
     _assert_memberships_match(sample, probes, TOLS + (1e-3,), gap=_TILTED_GAP)
@@ -543,10 +550,18 @@ _MIDPOINT_CASE = ([pt(-1.0, -1.0), pt(0.0, -1.0), pt(1.0, -1.0), pt(0.0, 1.0)],
                    (0.0, 1.0): ConvexBody(2, ((0.0, 1.0),))})
 
 
+# the ground {0, 1e200}, whose squared distance overflows: the witness -1
+# fails at 0 (<-1, 1e200> is far below the floor) and passes at 1e200
+_FAR_CASE = ([pt(0.0), pt(1e200)],
+             {(0.0,): ConvexBody(1, ((-1.0,),)), (1e200,): ConvexBody(1, ((-1.0,), (0.5,)))})
+
+
 @DIFFERENTIAL
 @given(_stacked_grounds(), st.sampled_from((0.0, 1e-9, 1e-3)), _BUDGETS)
 @example(_MIDPOINT_CASE, 0.0, points.BLOCK_ENTRIES)
 @example(_MIDPOINT_CASE, 1e-9, 1)
+@example(_FAR_CASE, 0.0, points.BLOCK_ENTRIES)
+@example(_FAR_CASE, 1e-9, 1)
 def test_stacked_stampacchia_matches_the_per_base_sweep(case, tol, budget):
     X, bodies = case
     with pytest.MonkeyPatch.context() as mp:
@@ -785,6 +800,8 @@ _cone2 = st.one_of(st.just(Cone.full(2)), st.just(Cone.zero(2)),
 @given(st.lists(st.tuples(_point2, _cone2), min_size=1, max_size=25,
                 unique_by=lambda item: item[0]),
        _point2, st.sampled_from(TOLS + (1e-3, 0.5)), _BUDGETS)
+@example([((0.0, 0.0), Cone.ray((1.0, 0.0))), ((1e200, 0.0), Cone.full(2))],
+         (-1e200, 1e200), 1e-9, 1)
 def test_random_2d_minty_fields_match(field, outside, tol, budget):
     cones = {Point(p).coords: cone for p, cone in field}
     X = [Point(p) for p in cones]
@@ -801,6 +818,8 @@ def test_random_2d_minty_fields_match(field, outside, tol, budget):
 @given(st.lists(st.tuples(_quarter, st.sampled_from(("full", "zero", "left", "right", "both"))),
                 min_size=1, max_size=20, unique_by=lambda item: item[0]),
        st.sampled_from(TOLS + (1e-3, 0.5)), _BUDGETS)
+@example([(0.0, "right"), (1e200, "left"), (-1e200, "full")], 1e-9, 1)
+@example([(0.0, "right"), (1e200, "zero")], 0.0, points.BLOCK_ENTRIES)
 def test_random_1d_minty_fields_match(field, tol, budget):
     make = {"full": Cone.full(1), "zero": Cone.zero(1), "left": Cone.ray((-1.0,)),
             "right": Cone.ray((2.0,)), "both": Cone.generated(((-0.5,), (3.0,)))}

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -10,6 +11,8 @@ from prefmax import (
     ContourSample,
     DescentConfig,
     GapFunction,
+    GroundSet,
+    Relation,
     StepSchedule,
     audit_gap_flags,
     gap_from_utility,
@@ -177,6 +180,19 @@ def test_zero_maximality_on_zero_gap_fixture():
     fx = get_fixture("mutual-zero")
     report = zero_maximality_check(fx.gap, fx.relation, fx.default_ground)
     assert report.holds
+
+
+def test_zero_maximality_holds_on_a_ground_whose_squares_overflow():
+    # on {0, 1e200} with u(x) = x0, 1e200 is better than 0, and the gap
+    # -1e200 is below the floor -1e-9 (1 + 1e200) that `points.tol_floor`
+    # keeps finite: zero is a member at 1e200 alone, the maximal point
+    u = lambda x: x[0]
+    ground = GroundSet.explicit([pt(0.0), pt(1e200)])
+    rel = Relation.from_utility("first", 1, u)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = zero_maximality_check(gap_from_utility(u, 1.0), rel, ground)
+    assert report.holds, report.detail
 
 
 def test_zero_maximality_skips_on_bad_sign_flags(kinked):

@@ -217,11 +217,16 @@ def test_unit_rows_and_row_norms_are_scaled_to_and_its_norm_row_by_row(rows):
     1.0)`, and its norm is the square root of its squares added left to
     right, or m ||row / m|| where `scaled_to` rescales."""
     A = np.array(rows)
+    # the rows once more, stacked as a 3-D array with their reversal
+    stacked = np.stack((A, A[::-1]))
     with np.errstate(over="raise", divide="raise", invalid="raise"):
         got, lengths = unit_rows(A).tolist(), row_norms(A).tolist()
+        units3, lengths3 = unit_rows(stacked).tolist(), row_norms(stacked).tolist()
     assert list(map(repr, chain.from_iterable(got))) == [
         repr(c) for row in rows for c in scaled_to(row, 1.0)]
     assert list(map(repr, lengths)) == [repr(length_ref(row)) for row in rows]
+    assert repr(units3) == repr([got, got[::-1]])
+    assert repr(lengths3) == repr([lengths, lengths[::-1]])
 
 
 def _compensated_sum(items, start=0):

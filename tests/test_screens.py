@@ -129,6 +129,8 @@ def _grid_case(step: float):
 @given(_explicit_grounds(), TOLS, BUDGETS)
 @example(_grid_case(0.25), 0.0, 1)
 @example(_grid_case(0.1), 1e-9, points.BLOCK_ENTRIES)
+@example(([ConvexBody(1, ((-1.0,),))] * 3, np.array([[0.0], [1e200], [-1e200]]),
+          np.array([[0.0], [1e200], [-1e200]])), 1e-9, 1)
 def test_screened_stampacchia_is_the_unscreened_sweep(case, tol, budget):
     bodies, B, G = case
     with pytest.MonkeyPatch.context() as mp:
@@ -260,6 +262,8 @@ _TWO_FULL = ({(0.0,): Cone.full(1), (0.5,): Cone.ray((-1.0,)), (1.0,): Cone.full
        st.lists(st.floats(-2.0, 2.0), max_size=4))
 @example(_TWO_FULL, 0.0, 1, [])
 @example(_TWO_FULL, 1e-9, points.BLOCK_ENTRIES, [-0.75])
+@example(({(0.0,): Cone.ray((1.0,)), (1e200,): Cone.full(1), (-1e200,): Cone.zero(1)},
+          [pt(0.0), pt(1e200), pt(-1e200)], [pt(5e199)]), 1e-9, 1, [])
 def test_screened_minty_is_the_unscreened_test(case, tol, budget, shifts):
     # besides the ground and points off it, the candidates y + s tol g for
     # every entry (g, y) of the field, near the boundary of its inequality,

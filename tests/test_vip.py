@@ -1,5 +1,6 @@
 import math
 import re
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
@@ -274,6 +275,23 @@ def test_a_3d_bowl_is_decided_before_the_lp(monkeypatch):
     assert not late
 
 
+# The ground {0, 1e200}: the squared distance between its points overflows,
+# and a floor -tol (1 + ||d||) read from it would be -inf and pass every
+# product; `points.tol_floor` keeps ||d|| = 1e200. Run with numpy warnings
+# as errors, since an overflowing square warns.
+_FAR = GroundSet.explicit([pt(0.0), pt(1e200)])
+_LEFT = ConvexBody(1, [(-1.0,)])
+
+
+def test_a_far_ground_point_refutes_the_stampacchia_witness():
+    # <-1, 1e200 - 0> is far below -1e-9 (1 + 1e200)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert svip_membership(_LEFT, pt(0.0), _FAR, 1e-9) is None
+        cert = VipCertificate(pt(0.0), "stampacchia", pt(-1.0), 1e-9)
+        assert not certificate_valid(cert, _LEFT, _FAR)
+
+
 # ------------------------------------------------------------------- Minty
 
 
@@ -294,6 +312,15 @@ def test_full_cone_rejects_any_other_point():
     oracle = lambda p: Cone.full(2)
     assert mvip_membership(oracle, pt(0.0, 0.0), [pt(0.0, 0.0)])
     assert not mvip_membership(oracle, pt(0.0, 0.0), [pt(0.0, 0.0), pt(0.3, 0.1)])
+
+
+def test_a_far_ground_point_refutes_minty_candidates():
+    # from 1e200 the ray (1,) at 0 meets <1, 1e200> > 1e-9 (1 + 1e200), and
+    # a full cone at the other point rejects each candidate
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert mvip_solutions(lambda p: Cone.ray((1.0,)), _FAR, 1e-9) == [pt(0.0)]
+        assert mvip_solutions(lambda p: Cone.full(1), _FAR, 1e-9) == []
 
 
 def test_generator_check_consistent_with_random_cone_elements(rng):
