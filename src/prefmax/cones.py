@@ -16,7 +16,7 @@ import numpy as np
 
 from . import points
 from .points import (Point, axis_lattice, blocks, coord_array, ground_array, ground_points,
-                     row_blocks, row_norms, rowdot, unit_rows)
+                     row_blocks, row_norms, rowdot, tol_floor, unit_rows)
 from .relations import Relation, _scored_strict, strictly_better_mask, strictly_better_rows
 
 DEFAULT_TOL = 1e-9
@@ -211,26 +211,26 @@ class ConvexBody:
     def contains(self, query, tol: float = DEFAULT_TOL) -> bool:
         """Convex-combination feasibility over the vertices, within tol: the
         NNLS residual of [V^T; 1] lam = [q; 1], lam >= 0, is at most
-        tol (1 + ||q||). In 1-D and 2-D `_hull_screen` settles every query
-        whose residual is bounded clear of that threshold; the others
-        (near-ties, and at tol = 0 every query in the hull) are solved."""
+        tol (1 + ||q||), -`points.tol_floor(q, tol)`. In 1-D and 2-D
+        `_hull_screen` settles every query whose residual is bounded clear
+        of that threshold; the others (near-ties, and at tol = 0 every query
+        in the hull) are solved."""
         if self.is_empty:
             return False
         q = np.asarray(tuple(query), dtype=float)
-        if q.shape != (self.dim,) or not np.isfinite(q).all():
+        if q.shape != (self.dim,) or not all(map(math.isfinite, q.tolist())):
             raise ValueError("query must be a finite point of the body's dimension")
-        thr = tol * (1.0 + math.sqrt(q @ q))
         if self.dim <= 2:
-            verdict = _hull_screen(self.vertices, q, thr)
+            verdict = _hull_screen(self.vertices, q, tol)
             if verdict is not None:
                 return verdict
         from scipy.optimize import nnls
 
         A = np.r_[self.vertices.T, np.ones((1, len(self.vertices)))]
-        return nnls(A, np.r_[q, 1.0])[1] <= thr
+        return nnls(A, np.r_[q, 1.0])[1] <= float(-tol_floor(q, tol))
 
 
-def _hull_screen(V: np.ndarray, q: np.ndarray, thr: float) -> bool | None:
+def _hull_screen(V: np.ndarray, q: np.ndarray, tol: float) -> bool | None:
     """`ConvexBody.contains`' verdict in 1-D and 2-D where bounds on the
     NNLS residual r decide it, else None.
 
@@ -240,48 +240,56 @@ def _hull_screen(V: np.ndarray, q: np.ndarray, thr: float) -> bool | None:
     bounds decide. r <= ||p - q|| for every point p of the hull (weights
     summing to 1). For a unit d with m = min_v <v - q, d> > 0 and
     a = min_v <v, d>, weights summing to s give <p - q, d> >= m + (s - 1) a,
-    so r >= m / sqrt(1 + a^2). The angles of v - q around q pick p and d: if
+    so r >= m / ||(a, 1)||. The angles of v - q around q pick p and d: if
     the largest gap between them is below pi, q is interior (r = 0);
     otherwise p is the point nearest q on the chord across the gap, a hull
     segment, and d bisects the occupied arc. Each coordinate of v - q is
     rounded once, so the angles are within a few eps of the true ones, and a
     q wrongly taken as interior is within that much of the hull.
 
-    True needs an upper bound at most thr less the slack, False a lower
-    bound above thr plus the slack. The slack covers the rounding of the
-    bounds and of NNLS, so at tol = 0 every query in the hull goes to NNLS.
+    True needs an upper bound at most tol (1 + ||q||) less the slack, False
+    a lower bound above it plus the slack, which covers the rounding of the
+    bounds and of NNLS (at tol = 0 every query in the hull goes to NNLS).
+    The norms are one `points.row_norms` call (in 2-D over q, the v, the
+    v - q, p and (a, 1)), the products with d `points.rowdot`; the chord's
+    projection is in Python floats, which overflow silently.
     """
     if V.shape[1] == 1:
         x, lo, hi = float(q[0]), float(V.min()), float(V.max())
-        slack = _HULL_SLACK * (1.0 + abs(x) + max(abs(lo), abs(hi)))
+        nq, nlo, nhi, nx = row_norms(np.array([[x, 0.0], [lo, 1.0], [hi, 1.0], [x, 1.0]])).tolist()
+        thr = tol * (1.0 + nq)
+        slack = _HULL_SLACK * (1.0 + nq + max(abs(lo), abs(hi)))
         if lo <= x <= hi:
             return True if slack <= thr else None
-        r = min(abs(x - v) / math.sqrt(1.0 + v * v) if x * v + 1.0 > 0.0
-                else math.sqrt(x * x + 1.0) for v in (lo, hi))
+        r = min(abs(x - v) / nv if x * v + 1.0 > 0.0 else nx for v, nv in ((lo, nlo), (hi, nhi)))
         if r + slack <= thr:
             return True
         return False if r > thr + slack else None
-    slack = _HULL_SLACK * (1.0 + math.sqrt(q @ q) + math.sqrt(rowdot(V, V).max()))
-    W = V - q
-    if math.sqrt(rowdot(W, W).min()) + slack <= thr:
-        return True
+    W, k = V - q, len(V)
     ang = np.arctan2(W[:, 1], W[:, 0])
     order = np.argsort(ang)
     ang = ang[order]
     gaps = np.concatenate((ang[1:], [ang[0] + 2.0 * math.pi])) - ang
-    k = int(np.argmax(gaps))
-    if gaps[k] < math.pi:
-        return True if slack <= thr else None
-    a, b = W[order[k]], W[order[(k + 1) % len(W)]]
-    ab = b - a
-    den = float(ab @ ab)
-    p = a + (min(1.0, max(0.0, float(-a @ ab) / den)) if den > 0.0 else 0.0) * ab
-    if math.sqrt(p @ p) + slack <= thr:
+    j = int(gaps.argmax())
+    rows = [q[None], V, W]
+    if gaps[j] >= math.pi:
+        (a0, a1), (b0, b1) = W[order[j]].tolist(), W[order[(j + 1) % k]].tolist()
+        c0, c1 = b0 - a0, b1 - a1
+        den = c0 * c0 + c1 * c1
+        t = min(1.0, max(0.0, -(a0 * c0 + a1 * c1) / den)) if den > 0.0 else 0.0
+        phi = math.atan2(b1, b0) + 0.5 * (2.0 * math.pi - gaps[j])
+        d = np.array([math.cos(phi), math.sin(phi)])
+        rows.append(np.array([[a0 + t * c0, a1 + t * c1], [float(rowdot(V, d).min()), 1.0]]))
+    N = row_norms(np.concatenate(rows)).tolist()
+    thr = tol * (1.0 + N[0])
+    slack = _HULL_SLACK * (1.0 + N[0] + max(N[1:k + 1]))
+    if min(N[k + 1:2 * k + 1]) + slack <= thr:
         return True
-    phi = math.atan2(b[1], b[0]) + 0.5 * (2.0 * math.pi - gaps[k])
-    d = np.array([math.cos(phi), math.sin(phi)])
-    r = float((W @ d).min()) / math.sqrt(1.0 + float((V @ d).min()) ** 2)
-    return False if r > thr + slack else None
+    if gaps[j] < math.pi:
+        return True if slack <= thr else None
+    if N[-2] + slack <= thr:
+        return True
+    return False if float(rowdot(W, d).min()) / N[-1] > thr + slack else None
 
 
 @dataclass(frozen=True, eq=False)
@@ -574,6 +582,12 @@ def unit_net(dim: int) -> np.ndarray:
     raise ValueError("unit nets are only built for dimensions 1-3")
 
 
+@lru_cache(maxsize=None)
+def _net_norms(dim: int) -> np.ndarray:
+    """`points.row_norms` of `unit_net(dim)`, computed once."""
+    return row_norms(unit_net(dim))
+
+
 def cone_unit_hull(cone: Cone) -> ConvexBody:
     """Hull of the cone's unit-sphere slice, as a vertex polytope.
 
@@ -596,13 +610,12 @@ def cone_unit_hull(cone: Cone) -> ConvexBody:
     return ConvexBody(cone.dim, list(dict.fromkeys(tuple(round(c, 12) for c in u) for u in rows)))
 
 
-def _exceeds(U: np.ndarray, D: np.ndarray, tol: float, nu=None, nd=None) -> np.ndarray:
+def _exceeds(U: np.ndarray, D: np.ndarray, tol: float, nu: np.ndarray, nd=None) -> np.ndarray:
     """<u, d> > tol (1 + ||u|| ||d||) for the rows u of U and d of D,
     broadcast together: `normal_membership_many`'s rejection in the
     kernel's own float operations, so each entry is its verdict on that
-    pair. The norms nu = ||u|| and nd = ||d|| are `points.row_norms`, and
-    may be passed in, gathered from norms computed once per row."""
-    nu = row_norms(U) if nu is None else nu
+    pair. The norms nu = ||u|| and nd = ||d|| are `points.row_norms`, nu
+    and any nd passed in gathered from norms computed once per row."""
     nd = row_norms(D) if nd is None else nd
     return rowdot(U, D) > tol * (1.0 + nu * nd)
 
@@ -658,8 +671,7 @@ def _direct_fails(fails: np.ndarray, D: np.ndarray, dn: np.ndarray, starts: np.n
     of D, with norms dn). The pairs meet their samples' displacements in
     flat gathers, in blocks of at most `points.BLOCK_ENTRIES` (row,
     displacement) pairs."""
-    net = unit_net(D.shape[1])
-    un = row_norms(net)
+    net, un = unit_net(D.shape[1]), _net_norms(D.shape[1])
     lens = counts[b]
     for c in blocks(lens):
         n = lens[c]
@@ -690,7 +702,7 @@ def _net_fails(D: np.ndarray, counts, tol: float) -> np.ndarray:
     product over the stacked rows. Either way a block holds at most
     `points.BLOCK_ENTRIES` (net row, displacement) pairs, or one sample.
     """
-    net = unit_net(D.shape[1])
+    net, un = unit_net(D.shape[1]), _net_norms(D.shape[1])
     counts = np.asarray(counts, dtype=np.intp)
     starts = np.cumsum(counts) - counts
     fails = np.zeros((len(counts), len(net)), dtype=bool)
@@ -699,9 +711,9 @@ def _net_fails(D: np.ndarray, counts, tol: float) -> np.ndarray:
         for c in blocks(counts[live] * len(net)):
             at = starts[live[c]]
             rows = D[at[0]:at[-1] + counts[live[c]][-1], None, :]
-            fails[live[c]] = np.logical_or.reduceat(_exceeds(net, rows, tol), at - at[0], axis=0)
+            fails[live[c]] = np.logical_or.reduceat(_exceeds(net, rows, tol, un), at - at[0], axis=0)
         return fails
-    un, dn = row_norms(net), row_norms(D)
+    dn = row_norms(D)
     for c in blocks(counts[live] + len(net)):
         at = live[c]
         lo = starts[at[0]]

@@ -184,6 +184,14 @@ class DescentTrace:
         return Point(self.xs[-1])
 
 
+def _bounded_norm(xstar: tuple, bound: float, L: float, k: int) -> float:
+    """||x*|| by `points.row_norms`; OracleNormViolation above the bound."""
+    if (nxs := float(row_norms(np.array(xstar)))) > bound:
+        raise OracleNormViolation(
+            f"oracle output norm {nxs} exceeds the declared bound {L} at iteration {k}")
+    return nxs
+
+
 def run_descent(oracle: Callable[[tuple], tuple], x1: Point, schedule: StepSchedule,
                 config: DescentConfig, reference: Point | None = None,
                 gap: GapFunction | None = None) -> DescentTrace:
@@ -208,7 +216,9 @@ def run_descent(oracle: Callable[[tuple], tuple], x1: Point, schedule: StepSched
     out coordinate by coordinate; it gives the floats that the `map` and
     left-fold expressions of dimension 3 and up give, since the fold starts
     from the int 0 and 0 + a*a == a*a. The fold is `reduce(add, ..., 0)`,
-    not `sum`, whose floats Python 3.12 compensates. After the loop the
+    not `sum`, whose floats Python 3.12 compensates. An ||x*|| above the
+    bound or at most eps is read again by `points.row_norms` before it
+    raises or stops the run (`_bounded_norm`). After the loop the
     iterates are stacked once into the trace's `array`, and the theta
     column is the schedule's `prefix`. One array pass over them gives the
     distance and Fejer residual columns (`_fejer_columns`), bit for bit as
@@ -246,10 +256,7 @@ def run_descent(oracle: Callable[[tuple], tuple], x1: Point, schedule: StepSched
         else:
             xstar = tuple(map(float, out))
             nxs = sqrt(reduce(add, map(mul, xstar, xstar), 0))
-        if nxs > bound:
-            raise OracleNormViolation(
-                f"oracle output norm {nxs} exceeds the declared bound {L} at iteration {k}")
-        if nxs <= eps:  # eps >= 0, so also every zero norm
+        if (nxs <= eps or nxs > bound) and (nxs := _bounded_norm(xstar, bound, L, k)) <= eps:
             termination = "zeroSubgradient" if nxs == 0.0 else "normBelowEps"
         elif theta is None:
             termination = "maxIters"

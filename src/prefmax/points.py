@@ -119,16 +119,17 @@ def rowdot(A: np.ndarray, B: np.ndarray) -> np.ndarray:
 def _rescaled(A: np.ndarray, Q: np.ndarray) -> tuple:
     """The rows of A that `scaled_to` first divides by their largest
     |coordinate| m, given their sums of squares Q (`rowdot`): those with Q
-    below the least normal float or inf and m finite and nonzero. Returns
-    their indices and their m."""
-    odd = np.flatnonzero((Q < _TINY) | (Q == _INF))
-    if not odd.size:
-        return odd, None
-    m = np.abs(A[odd]).max(axis=1)
+    below the least normal float or inf and m finite and nonzero (none if
+    those rows are zero). Returns their indices and their m."""
+    odd = ((Q < _TINY) | (Q == _INF)).nonzero()[0]
+    if not (odd.size and np.count_nonzero(Z := A[odd])):
+        return odd[:0], None
+    m = np.abs(Z).max(axis=1)
     keep = (0.0 < m) & (m < _INF)
     return odd[keep], m[keep]
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def row_norms(A: np.ndarray) -> np.ndarray:
     """||a|| for every row a of an array A, its rows running along the last
     axis, as `scaled_to` computes it: the squares summed coordinate by
@@ -136,26 +137,25 @@ def row_norms(A: np.ndarray) -> np.ndarray:
     where `scaled_to` rescales a (`_rescaled`). The result has A's shape
     without its last axis. Overflow and nan stay silent."""
     R = A.reshape(-1, A.shape[-1])
-    with np.errstate(over="ignore", invalid="ignore"):
-        Q = rowdot(R, R)
-        out = np.sqrt(Q)
-        odd, m = _rescaled(R, Q)
-        if odd.size:
-            out[odd] = m * row_norms(R[odd] / m[:, None])
+    Q = rowdot(R, R)
+    out = np.sqrt(Q)
+    odd, m = _rescaled(R, Q)
+    if odd.size:
+        out[odd] = m * row_norms(R[odd] / m[:, None])
     return out.reshape(A.shape[:-1])
 
 
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def unit_rows(A: np.ndarray) -> np.ndarray:
     """The rows of an array A, along its last axis, scaled to unit length,
     each finite nonzero row with the floats of `scaled_to(row, 1.0)`; a zero
     or non-finite row comes out nan or zero, silently."""
     R = A.reshape(-1, A.shape[-1])
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        Q = rowdot(R, R)
-        out = R * (1.0 / np.sqrt(Q))[:, None]
-        odd, m = _rescaled(R, Q)
-        if odd.size:
-            out[odd] = unit_rows(R[odd] / m[:, None])
+    Q = rowdot(R, R)
+    out = R * (1.0 / np.sqrt(Q))[:, None]
+    odd, m = _rescaled(R, Q)
+    if odd.size:
+        out[odd] = unit_rows(R[odd] / m[:, None])
     return out.reshape(A.shape)
 
 

@@ -38,9 +38,11 @@ field test before their screens (every open base or candidate meets the
 whole ground or field; the Stampacchia one reads the library's margin
 blocks and one-displacement Farkas screen, and both read their floors from
 `points.tol_floor`). The normal-cone, gap-relaxed, Stampacchia and Minty
-references and `resolution_ref` take every length from `length_ref`, as the
-library takes it from `points.row_norms`, so a displacement whose squares
-overflow keeps its length. `FIXTURE_CONES_REF` holds the fixtures' cone
+references, `resolution_ref`, the hull threshold of `body_contains_ref` and
+the bound and stop tests of `run_descent_ref` take every length from
+`length_ref`, as the library takes it from `points.row_norms`, so a
+displacement, query or cone element whose squares overflow or underflow
+keeps its length. `FIXTURE_CONES_REF` holds the fixtures' cone
 oracles as they first were, with a new Cone per call. The differential tests
 hold the array versions and the tuple descent loop to these, result for
 result and witness for witness, row for row. The module also holds test
@@ -466,7 +468,7 @@ def body_contains_ref(body, query, tol: float) -> bool:
     if body.is_empty:
         return False
     q = np.asarray(tuple(query), dtype=float)
-    return hull_residual_ref(body, q) <= tol * (1.0 + float(np.linalg.norm(q)))
+    return hull_residual_ref(body, q) <= tol * (1.0 + length_ref(q.tolist()))
 
 
 def normal_membership_ref(sample, xstar, tol: float) -> bool:
@@ -728,7 +730,7 @@ def run_descent_ref(oracle, x1: Point, schedule, config, reference=None,
             Point(xs)
             raise ValueError(f"oracle output has {len(xs)} coordinates at iteration {k}, "
                              f"the iterate {x.dim}")
-        nxs = norm(xs)
+        nxs = length_ref(xs)
         if nxs > L * (1.0 + 1e-12):
             raise OracleNormViolation(
                 f"oracle output norm {nxs} exceeds the declared bound {L} at iteration {k}")

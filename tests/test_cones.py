@@ -1,3 +1,4 @@
+import warnings
 from dataclasses import FrozenInstanceError
 
 import numpy as np
@@ -371,6 +372,26 @@ def test_unit_generators_are_read_only_and_built_once():
     assert cone.units.tolist() == [list(scaled_to(g, 1.0)) for g in gens]
     assert cone.units is cone.units and not cone.units.flags.writeable
     assert Cone.full(2).units.shape == (0, 2) and Cone.zero(3).units.shape == (0, 3)
+
+
+@pytest.mark.parametrize("dim, vertices, query", [
+    (2, [(1.0, 0.0), (0.0, 1.0)], (1e200, 0.0)),
+    (2, [(1.0, 0.0), (0.0, 1.0)], (-1e200, 5.0)),
+    (1, [(0.0,), (1.0,)], (1e200,)),
+    (2, [(1e200, 1e200), (2e200, 1e200)], (0.0, 0.0)),
+])
+def test_a_far_query_or_body_is_measured_at_its_length(dim, vertices, query):
+    # with ||q||^2 read as inf the threshold tol (1 + ||q||) let every query
+    # in; the bisector bound squared its 1e200-scale product in Python
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert not ConvexBody(dim, vertices).contains(query)
+
+
+def test_a_query_inside_a_far_body_is_contained():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert ConvexBody(2, [(1e200, 1e200), (2e200, 1e200)]).contains((1.5e200, 1e200))
 
 
 # quarter-integers and floats in [0.1, 3], of either sign: times 2^k for

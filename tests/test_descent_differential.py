@@ -12,11 +12,12 @@ at the same iteration.
 """
 
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from prefmax import (
@@ -31,6 +32,7 @@ from prefmax import (
     run_descent,
 )
 from prefmax.descent import TraceRow, _distance_column
+from prefmax.points import scaled_to
 
 from scalar_reference import (
     descent_oracle_ref,
@@ -153,6 +155,22 @@ def points_in(draw, box):
     return pt(*(float(rng.uniform(lo, hi)) for lo, hi in box))
 
 
+class Draws:
+    """Stands in for `st.data()` in an explicit example: `draw` returns the
+    given values in order, whatever the strategy."""
+
+    def __init__(self, *values):
+        self._values = iter(values)
+
+    def draw(self, strategy, label=None):
+        return next(self._values)
+
+
+def scaled(p, s: float):
+    """The point p times s, or None for None."""
+    return None if p is None else pt(*(s * c for c in p))
+
+
 # ------------------------------------------------------------ fixtures
 
 
@@ -217,15 +235,16 @@ def test_vee_peak_ends_on_an_exact_peak():
 # ---------------------------------------------------- synthetic oracles
 
 
-def affine_field(dim, seed, L, form):
+def affine_field(dim, seed, L, form, scale=1.0):
     """x -> A x + b scaled back to norm L where it is longer, zero in a small
-    box around the origin; returned as a tuple, a list or a numpy array."""
+    box around the origin; returned as a tuple, a list or a numpy array.
+    With a scale s, x and the output are read in units of s: s f(x / s)."""
     rng = np.random.default_rng(seed)
     A = rng.normal(size=(dim, dim)).tolist()
     b = rng.normal(scale=0.5, size=dim).tolist()
 
     def field(x):
-        x = tuple(x)
+        x = tuple(c / scale for c in x)
         if all(abs(c) < 0.05 for c in x):
             v = [0.0] * dim
         else:
@@ -233,26 +252,41 @@ def affine_field(dim, seed, L, form):
             n = math.sqrt(sum(c * c for c in v))
             if n > L:
                 v = [c * (L / n) for c in v]
-        return {"tuple": tuple, "list": list, "array": np.array}[form](v)
+        return {"tuple": tuple, "list": list, "array": np.array}[form]([scale * c for c in v])
 
     return field
 
 
 @DIFFERENTIAL
 @given(st.integers(1, 3), st.integers(0, 2 ** 32 - 1), st.floats(0.25, 4.0),
-       st.sampled_from(("tuple", "list", "array")), st.data())
-def test_synthetic_oracles_match(dim, seed, L, form, data):
+       st.sampled_from(("tuple", "list", "array")), st.just(1.0), st.data())
+# the field, its bound, eps, the start and the reference at a scale where
+# the squares of every cone element underflow, or overflow
+@example(2, 7, 1.0, "array", 1e-170,
+         Draws(25, 0.0, pt(0.5, -0.5), False, pt(1.0, 1.0), pt(2.0, -1.0),
+               StepSchedule.harmonic(1.0)))
+@example(1, 3, 2.0, "list", 1e-170,
+         Draws(25, 1e-2, None, False, pt(-1.0), pt(2.5), StepSchedule.harmonic(0.5)))
+@example(2, 7, 1.0, "tuple", 1e200,
+         Draws(25, 0.0, pt(0.5, -0.5), False, pt(1.0, 1.0), pt(2.0, -1.0),
+               StepSchedule.harmonic(1.0)))
+@example(3, 11, 0.5, "list", 1e200,
+         Draws(25, 0.5, pt(0.0, 0.0, 1.0), False, pt(1.0, 1.0, 1.0), pt(2.0, -1.0, 0.5),
+               StepSchedule.harmonic(2.0)))
+def test_synthetic_oracles_match(dim, seed, L, form, scale, data):
     box = ((-3.0, 3.0),) * dim
-    oracle = affine_field(dim, seed, L, form)
-    config = DescentConfig(lipschitz=L, max_iters=data.draw(budgets),
-                           eps=data.draw(st.sampled_from((0.0, 1e-2, 0.5))))
-    reference = data.draw(st.one_of(st.none(), points_in(box)))
+    oracle = affine_field(dim, seed, L, form, scale)
+    config = DescentConfig(lipschitz=L * scale, max_iters=data.draw(budgets),
+                           eps=data.draw(st.sampled_from((0.0, 1e-2, 0.5))) * scale)
+    reference = scaled(data.draw(st.one_of(st.none(), points_in(box))), scale)
     gap = None
     if data.draw(st.booleans()):
         gap = gap_from_utility(lambda x: -math.sqrt(sum(c * c for c in x)), 1.0)
-    probes = [p for p in (reference, data.draw(points_in(box))) if p is not None]
-    assert_same_run(oracle, oracle, data.draw(points_in(box)), data.draw(schedules()), config,
-                    reference, gap, probes)
+    probes = [p for p in (reference, scaled(data.draw(points_in(box)), scale)) if p is not None]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert_same_run(oracle, oracle, scaled(data.draw(points_in(box)), scale),
+                        data.draw(schedules()), config, reference, gap, probes)
 
 
 def test_explicit_schedule_runs_out_the_same_way():
@@ -265,11 +299,17 @@ def test_explicit_schedule_runs_out_the_same_way():
     assert len(trace.rows) == 4 and trace.rows[-1].xstar is not None
 
 
+# at 1e-170 the square of the cone element underflows, at 1e200 it overflows
+@pytest.mark.parametrize("scale", (1.0, 1e-170, 1e200))
 @pytest.mark.parametrize("eps, termination", [(0.5, "normBelowEps"), (0.4999, "maxIters")])
-def test_a_norm_equal_to_eps_stops(eps, termination):
-    trace = assert_same_run(lambda x: (0.5,), lambda x: (0.5,), pt(3.0),
-                            StepSchedule.harmonic(1.0), DescentConfig(1.0, max_iters=4, eps=eps),
-                            pt(0.0), None, (pt(0.0),))
+def test_a_norm_equal_to_eps_stops(eps, termination, scale):
+    out = (0.5 * scale,)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        trace = assert_same_run(lambda x: out, lambda x: out, pt(3.0 * scale),
+                                StepSchedule.harmonic(1.0),
+                                DescentConfig(scale, max_iters=4, eps=eps * scale),
+                                pt(0.0), None, (pt(0.0),))
     assert trace.termination == termination
 
 
@@ -328,14 +368,56 @@ def assert_same_failure(make, x1, schedule, config, expected, reference=None):
     return new[1]
 
 
+# at 1e-170 the squares of both outputs underflow, at 1e200 they overflow
+@pytest.mark.parametrize("scale", (1.0, 1e-170, 1e200))
 @pytest.mark.parametrize("at", (1, 2, 7))
 @pytest.mark.parametrize("dim", (1, 2))
-def test_norm_violation_at_the_same_iteration(at, dim):
-    good, bad = (0.5,) + (0.0,) * (dim - 1), (0.0,) * (dim - 1) + (1.5,)
-    message = assert_same_failure(switching_oracle(good, bad, at), pt(*(0.0,) * dim),
-                                  StepSchedule.harmonic(1.0), DescentConfig(1.0, max_iters=20),
-                                  OracleNormViolation, reference=pt(*(1.0,) * dim))
+def test_norm_violation_at_the_same_iteration(at, dim, scale):
+    good, bad = (0.5 * scale,) + (0.0,) * (dim - 1), (0.0,) * (dim - 1) + (1.5 * scale,)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        message = assert_same_failure(switching_oracle(good, bad, at), pt(*(0.0,) * dim),
+                                      StepSchedule.harmonic(1.0),
+                                      DescentConfig(scale, max_iters=20), OracleNormViolation,
+                                      reference=pt(*(scale,) * dim))
     assert message.endswith(f"at iteration {at}")
+    assert message.startswith(f"oracle output norm {1.5 * scale} exceeds")
+
+
+@pytest.mark.parametrize("out", [(1e-170,), (1e-170, 0.0), (0.0, -1e-170)])
+def test_a_nonzero_cone_element_whose_squares_underflow_is_a_step(out):
+    # eps = 0 stops only on an exact zero; read as 0.0 this one stopped at k = 1
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        trace = assert_same_run(_constant(out), _constant(out), pt(*(1.0,) * len(out)),
+                                StepSchedule.harmonic(1.0), DescentConfig(1.0, max_iters=6),
+                                pt(*(0.0,) * len(out)), None, (pt(*(0.0,) * len(out)),))
+    assert trace.termination == "maxIters"
+    assert len(trace.rows) == 7
+
+
+def test_a_cone_element_of_norm_l_whose_squares_overflow_is_a_step():
+    # its norm is L = 1e200; read as inf it raised OracleNormViolation
+    out = scaled_to((1.0, 1.0), 1e200)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        trace = assert_same_run(_constant(out), _constant(out), pt(0.0, 0.0),
+                                StepSchedule.harmonic(1.0), DescentConfig(1e200, max_iters=3),
+                                pt(0.0, 0.0), None, (pt(0.0, 0.0),))
+    assert trace.termination == "maxIters"
+    assert len(trace.rows) == 4
+
+
+def test_an_exact_zero_still_stops_and_a_norm_of_twice_l_still_raises():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        trace = assert_same_run(_constant((0.0, 0.0)), _constant((0.0, 0.0)), pt(1.0, 1.0),
+                                StepSchedule.harmonic(1.0), DescentConfig(1.0, max_iters=6))
+        assert trace.termination == "zeroSubgradient" and len(trace.rows) == 1
+        message = assert_same_failure(switching_oracle(None, (2e200, 0.0), 1), pt(0.0, 0.0),
+                                      StepSchedule.harmonic(1.0),
+                                      DescentConfig(1e200, max_iters=6), OracleNormViolation)
+    assert message == "oracle output norm 2e+200 exceeds the declared bound 1e+200 at iteration 1"
 
 
 @pytest.mark.parametrize("bad, L, expected", [

@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from prefmax import Cone, ConvexBody, Point, cone_unit_hull, fixture_names, get_fixture
@@ -230,14 +230,24 @@ def assert_body_matches_nnls(body: ConvexBody, Q, tol: float) -> None:
     assert [body.contains(q, tol) for q in Q] == [body_contains_ref(body, q, tol) for q in Q]
 
 
+# Bodies and queries at 1e200, whose squares overflow: the threshold
+# tol (1 + ||q||) and the screen's norms keep their lengths, as the
+# reference's `length_ref` does.
 @DIFFERENTIAL
 @given(bodies_1d(), st.lists(st.tuples(coord), max_size=10), st.sampled_from(TOLS))
+@example(ConvexBody(1, [(0.0,), (1.0,)]), [(1e200,), (-1e200,)], 1e-9)
+@example(ConvexBody(1, [(1e200,), (3e200,)]), [(2e200,), (0.0,), (-1e200,), (4e200,)], 1e-3)
 def test_1d_bodies_match_nnls(body, extra, tol):
     assert_body_matches_nnls(body, queries(body, extra), tol)
 
 
 @DIFFERENTIAL
 @given(bodies_2d(), st.lists(st.tuples(coord, coord), max_size=10), st.sampled_from(TOLS))
+@example(ConvexBody(2, [(1.0, 0.0), (0.0, 1.0)]), [(1e200, 0.0), (-1e200, 5.0), (1e100, 0.0)],
+         1e-9)
+@example(ConvexBody(2, [(1e200, 1e200), (2e200, 1e200)]), [(1.5e200, 1e200), (0.0, 0.0)], 1e-9)
+@example(ConvexBody(2, [(1e200, 0.0), (0.0, 1e200), (-1e200, -1e200)]),
+         [(0.0, 0.0), (3e200, 0.0), (1e199, 1e199)], 0.0)
 def test_2d_bodies_match_nnls(body, extra, tol):
     assert_body_matches_nnls(body, queries(body, extra), tol)
 

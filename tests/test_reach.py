@@ -3,7 +3,8 @@
 A fresh interpreter imports prefmax and runs the CLI in-process under
 `sys.setprofile`: every fixture's default suite, every known check alone and
 `vip --kind svip|mvip`, each at tol 0 and 1e-9; `descend` with CSV and JSON
-traces; `fixtures list`; one `--grid`, one `--json` and one `--config` run.
+traces, and one run that stops on an exact zero cone element; `fixtures
+list`; one `--grid`, one `--json` and one `--config` run.
 Each code object it calls is mapped to a module-level function or a method
 of a module-level class by file and first line, as Python 3.10 has no
 `co_qualname` (a decorated function's code starts at its first decorator);
@@ -125,6 +126,7 @@ for name in prefmax.fixture_names():
 for fmt in ("csv", "json"):
     run("descend", "--fixture", "radial-bowl", "--x0", "0,0", "--max-iters", "200",
         "--trace", os.path.join(tmp, "trace." + fmt))
+run("descend", "--fixture", "vee-peak", "--x0", "2.1", "--max-iters", "2000")
 run("check", "--fixture", "kinked-threshold", "--grid", "-1:1:0.02")
 run("check", "--fixture", "vee-peak", "--json", os.path.join(tmp, "report.json"))
 config = os.path.join(tmp, "run.cfg")
