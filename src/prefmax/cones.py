@@ -1,8 +1,9 @@
 """Finite cone representations and sampled normal-cone membership oracles.
 
-Cones are stored as finite generator lists (with Full/Zero shortcuts); the
-hull of a cone's unit-sphere slice is materialised as a vertex polytope at a
-fixed angular resolution, which is all the downstream variational tests need.
+Cones are stored as finite generator lists (with Full/Zero shortcuts). In
+1-D and 2-D a cone is its shape and at most two edges, read by exact signs,
+and the hull of its unit-sphere slice is built from them; in 3-D from a
+fixed unit net.
 """
 
 from __future__ import annotations
@@ -15,8 +16,8 @@ from itertools import groupby, product
 import numpy as np
 
 from . import points
-from .points import (Point, axis_lattice, blocks, coord_array, ground_array, ground_points,
-                     row_blocks, row_norms, rowdot, tol_floor, unit_rows)
+from .points import (Point, axis_lattice, blocks, coord_array, dot_signs, ground_array,
+                     ground_points, row_blocks, row_norms, rowdot, tol_floor, unit_rows)
 from .relations import Relation, _scored_strict, strictly_better_mask, strictly_better_rows
 
 DEFAULT_TOL = 1e-9
@@ -28,25 +29,16 @@ STRICT_MARGIN = 1e-7
 _CONE_FLOOR = 1e-10
 _CONE_SLACK = 1e-12
 
-# NNLS (Lawson-Hanson) drops the second generator of a near-antipodal pair
-# as linearly dependent. Measured on scipy's nnls in the plane, it drops
-# every pair of unit generators whose cross product is below about 48 eps,
-# keeps every pair above about 102 eps, and in between decides by rounding.
-# The closed form spans a pair's wedge above _PAIR_SPANS, ignores it below
-# _PAIR_DEPENDENT, and leaves the queries that only a pair between the two
-# would put in the cone to NNLS.
-_PAIR_DEPENDENT = 32 * np.finfo(float).eps
-_PAIR_SPANS = 128 * np.finfo(float).eps
+# The shapes of a closed convex cone in 1-D and 2-D (`_shapes`): {0}, a
+# ray, a pointed wedge (an angle below a half-turn), a half-plane, a line,
+# or the whole space. 1-D cones are ZERO, RAY or FULL.
+ZERO, RAY, WEDGE, HALF, LINE, FULL = range(6)
+# the shape of the polar of a 2-D cone of each shape
+_POLAR = np.array([FULL, HALF, WEDGE, RAY, LINE, ZERO])
 
-# Slack of `_hull_screen`'s bounds, relative to 1 + ||q|| + max ||v||: it
-# covers the rounding of the bounds and of the NNLS residual, which is a few
-# eps on these problems.
-_HULL_SLACK = 1e-12
-
-# `body_from_sample` (2-D) passes a net row unchecked when its nearest
-# sampled direction is more than a right angle plus this margin away; the
-# margin covers the rounding of the angles, a few eps.
-_WEDGE_MARGIN = 1e-9
+# Float angles are within a few eps of the true ones; `_shapes` places by exact
+# signs each direction within this of a line or an end it is placed against.
+_ANGLE_BAND = 1e-9
 
 # Per-axis box lattices kept by `_box_axis`: a 31 x 31 grid of bases with
 # one radius and step needs 62.
@@ -56,11 +48,6 @@ _BOX_AXES = 256
 # point of the bases' union lattice where it has at most this many points
 # (1 MB of scores) and no more than the bases have candidates.
 _TABLE_POINTS = 1 << 17
-
-# `contains_zero`'s slack: above `_hull_screen`'s at the origin for rows of
-# the unit net, 1e-12 (1 + max ||v||) < 3e-12, so that a net-gap verdict is
-# one the screen gives too.
-_ZERO_SLACK = 4.0 * _HULL_SLACK
 
 
 def _rows(arr: np.ndarray) -> tuple:
@@ -115,6 +102,13 @@ class Cone:
         U.flags.writeable = False
         return U
 
+    @cached_property
+    def shape(self) -> tuple:
+        """In 1-D and 2-D, the cone's shape and edges (`_shapes`)."""
+        G = np.array([g.coords for g in self.generators], dtype=float).reshape(-1, self.dim)
+        shape, first, last = _shapes(G, [len(G)])
+        return (FULL if self.tag == "full" else int(shape[0])), first[0], last[0]
+
     def contains(self, query, tol: float = DEFAULT_TOL) -> bool:
         """Conic-combination membership; invariant under positive scaling.
         One row of `contains_many`."""
@@ -124,21 +118,15 @@ class Cone:
         """Membership of each row q of an (m, dim) array, as a bool array.
 
         q is in the cone when ||q|| <= tol, or when the residual of
-        q / ||q|| against the cone of `units`, its distance to that cone
-        (what NNLS minimises), is at most max(tol, 1e-10); ||q|| and q / ||q||
-        are `points.row_norms` and `points.unit_rows`. A full cone holds
-        every q and a zero cone only those with ||q|| <= tol. A row that is
-        not finite raises ValueError, whatever the cone.
+        q / ||q|| against the cone, its distance to that cone (what NNLS
+        minimises over `units`), is at most max(tol, 1e-10); ||q|| and
+        q / ||q|| are `points.row_norms` and `points.unit_rows`. A full cone
+        holds every q and a zero cone only those with ||q|| <= tol. A row
+        that is not finite raises ValueError, whatever the cone.
 
-        In 1-D the residual is 0 when some generator has q's sign, else 1.
-        In 2-D it is 0 when q / ||q|| lies in the wedge of a pair of unit
-        generators (g_i, g_j) with cross(g_i, g_j) > 128 eps; otherwise it
-        is the distance to the nearest generator ray, |cross(q, g)| where
-        <q, g> >= 0 and 1 where <q, g> < 0. The cutoff leaves out the
-        near-antipodal pairs that NNLS treats as dependent. NNLS decides
-        the rows the closed form cannot: a residual within 1e-12 of the
-        threshold, a wedge only a pair in NNLS's rank band (cross product
-        between 32 and 128 eps) would span, and every row in 3-D.
+        In 1-D and 2-D the residual is read off the cone's `shape`
+        (`_cone_residuals`). NNLS decides every row in 3-D, and a residual
+        within 1e-12 of the threshold (each rounds it by a few eps).
         """
         Q = np.asarray(queries, dtype=float)
         if Q.ndim != 2 or Q.shape[1] != self.dim:
@@ -151,9 +139,9 @@ class Cone:
         live = ~out
         G, Q = self.units, unit_rows(Q[live])
         thr = max(tol, _CONE_FLOOR)
-        resid, unsure = _cone_residuals(G, Q)
-        verdict = resid <= thr
-        unsure |= np.abs(resid - thr) <= _CONE_SLACK
+        # in 3-D every residual is left at the threshold, for NNLS
+        resid = _cone_residuals(self.shape, Q) if self.dim <= 2 else np.full(len(Q), thr)
+        verdict, unsure = resid <= thr, np.abs(resid - thr) <= _CONE_SLACK
         if unsure.any():
             from scipy.optimize import nnls
 
@@ -162,27 +150,24 @@ class Cone:
         return out
 
 
-def _cone_residuals(G: np.ndarray, Q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The closed forms of `Cone.contains_many`: the distance from each unit
-    row of Q to the cone of the unit rows of G, and a mask of the rows they
-    leave to NNLS (a wedge of a pair in the rank band; every row in 3-D)."""
-    if G.shape[1] == 1:
-        resid = np.where((np.outer(G[:, 0], Q[:, 0]) > 0.0).any(axis=0), 0.0, 1.0)
-        return resid, np.zeros(len(Q), dtype=bool)
-    if G.shape[1] != 2:
-        return np.zeros(len(Q)), np.ones(len(Q), dtype=bool)
-    C = np.outer(G[:, 0], Q[:, 1]) - np.outer(G[:, 1], Q[:, 0])  # cross(g, q)
-    D = np.outer(G[:, 0], Q[:, 0]) + np.outer(G[:, 1], Q[:, 1])  # <g, q>
-    pairs = np.outer(G[:, 0], G[:, 1]) - np.outer(G[:, 1], G[:, 0])  # cross(g_i, g_j)
+def _rot(E: np.ndarray) -> np.ndarray:
+    """2-D rows turned a right angle counterclockwise, exactly."""
+    return np.stack((-E[..., 1], E[..., 0]), axis=-1)
 
-    def in_wedge(mask):
-        I, J = np.nonzero(mask)
-        return ((C[I] >= 0.0) & (C[J] <= 0.0)).any(axis=0)
 
-    spans = in_wedge(pairs > _PAIR_SPANS)
-    resid = np.where(spans, 0.0, np.where(D >= 0.0, np.abs(C), 1.0).min(axis=0))
-    band = (pairs > _PAIR_DEPENDENT) & (pairs <= _PAIR_SPANS)
-    return resid, ~spans & in_wedge(band)
+def _cone_residuals(shape: tuple, Q: np.ndarray) -> np.ndarray:
+    """The distance from each unit row q of Q to a 1-D or 2-D cone of this
+    `Cone.shape`, unit edges f and l: 0 on the full space and inside a wedge
+    or half-plane (cross(f, q) >= 0 >= cross(l, q)); else to the nearer edge
+    ray e, |cross(e, q)| where <q, e> >= 0, or 1. In 1-D: 0 on a ray, else 1."""
+    kind, first, last = shape
+    f, l = unit_rows(np.array([first, last]))
+    if kind == FULL or Q.shape[1] == 1:
+        return np.where((Q[:, 0] * f[0] > 0.0) | (kind == FULL), 0.0, 1.0)
+    cf, cl = rowdot(Q, _rot(f)), rowdot(Q, _rot(l))  # cross(f, q), cross(l, q)
+    ray = np.minimum(np.where(rowdot(Q, f) >= 0.0, np.abs(cf), 1.0),
+                     np.where(rowdot(Q, l) >= 0.0, np.abs(cl), 1.0))
+    return np.where((kind in (WEDGE, HALF)) & (cf >= 0.0) & (cl <= 0.0), 0.0, ray)
 
 
 @dataclass(frozen=True, eq=False)
@@ -211,85 +196,16 @@ class ConvexBody:
     def contains(self, query, tol: float = DEFAULT_TOL) -> bool:
         """Convex-combination feasibility over the vertices, within tol: the
         NNLS residual of [V^T; 1] lam = [q; 1], lam >= 0, is at most
-        tol (1 + ||q||), -`points.tol_floor(q, tol)`. In 1-D and 2-D
-        `_hull_screen` settles every query whose residual is bounded clear
-        of that threshold; the others (near-ties, and at tol = 0 every query
-        in the hull) are solved."""
+        tol (1 + ||q||), -`points.tol_floor(q, tol)`."""
         if self.is_empty:
             return False
         q = np.asarray(tuple(query), dtype=float)
         if q.shape != (self.dim,) or not all(map(math.isfinite, q.tolist())):
             raise ValueError("query must be a finite point of the body's dimension")
-        if self.dim <= 2:
-            verdict = _hull_screen(self.vertices, q, tol)
-            if verdict is not None:
-                return verdict
         from scipy.optimize import nnls
 
         A = np.r_[self.vertices.T, np.ones((1, len(self.vertices)))]
         return nnls(A, np.r_[q, 1.0])[1] <= float(-tol_floor(q, tol))
-
-
-def _hull_screen(V: np.ndarray, q: np.ndarray, tol: float) -> bool | None:
-    """`ConvexBody.contains`' verdict in 1-D and 2-D where bounds on the
-    NNLS residual r decide it, else None.
-
-    r is the distance from (q, 1) to the cone of the points (v, 1). In 1-D
-    that cone lies in the plane with the rays (lo, 1) and (hi, 1), and r is
-    exact: 0 for lo <= q <= hi, else the distance to the nearer ray. In 2-D
-    bounds decide. r <= ||p - q|| for every point p of the hull (weights
-    summing to 1). For a unit d with m = min_v <v - q, d> > 0 and
-    a = min_v <v, d>, weights summing to s give <p - q, d> >= m + (s - 1) a,
-    so r >= m / ||(a, 1)||. The angles of v - q around q pick p and d: if
-    the largest gap between them is below pi, q is interior (r = 0);
-    otherwise p is the point nearest q on the chord across the gap, a hull
-    segment, and d bisects the occupied arc. Each coordinate of v - q is
-    rounded once, so the angles are within a few eps of the true ones, and a
-    q wrongly taken as interior is within that much of the hull.
-
-    True needs an upper bound at most tol (1 + ||q||) less the slack, False
-    a lower bound above it plus the slack, which covers the rounding of the
-    bounds and of NNLS (at tol = 0 every query in the hull goes to NNLS).
-    The norms are one `points.row_norms` call (in 2-D over q, the v, the
-    v - q, p and (a, 1)), the products with d `points.rowdot`; the chord's
-    projection is in Python floats, which overflow silently.
-    """
-    if V.shape[1] == 1:
-        x, lo, hi = float(q[0]), float(V.min()), float(V.max())
-        nq, nlo, nhi, nx = row_norms(np.array([[x, 0.0], [lo, 1.0], [hi, 1.0], [x, 1.0]])).tolist()
-        thr = tol * (1.0 + nq)
-        slack = _HULL_SLACK * (1.0 + nq + max(abs(lo), abs(hi)))
-        if lo <= x <= hi:
-            return True if slack <= thr else None
-        r = min(abs(x - v) / nv if x * v + 1.0 > 0.0 else nx for v, nv in ((lo, nlo), (hi, nhi)))
-        if r + slack <= thr:
-            return True
-        return False if r > thr + slack else None
-    W, k = V - q, len(V)
-    ang = np.arctan2(W[:, 1], W[:, 0])
-    order = np.argsort(ang)
-    ang = ang[order]
-    gaps = np.concatenate((ang[1:], [ang[0] + 2.0 * math.pi])) - ang
-    j = int(gaps.argmax())
-    rows = [q[None], V, W]
-    if gaps[j] >= math.pi:
-        (a0, a1), (b0, b1) = W[order[j]].tolist(), W[order[(j + 1) % k]].tolist()
-        c0, c1 = b0 - a0, b1 - a1
-        den = c0 * c0 + c1 * c1
-        t = min(1.0, max(0.0, -(a0 * c0 + a1 * c1) / den)) if den > 0.0 else 0.0
-        phi = math.atan2(b1, b0) + 0.5 * (2.0 * math.pi - gaps[j])
-        d = np.array([math.cos(phi), math.sin(phi)])
-        rows.append(np.array([[a0 + t * c0, a1 + t * c1], [float(rowdot(V, d).min()), 1.0]]))
-    N = row_norms(np.concatenate(rows)).tolist()
-    thr = tol * (1.0 + N[0])
-    slack = _HULL_SLACK * (1.0 + N[0] + max(N[1:k + 1]))
-    if min(N[k + 1:2 * k + 1]) + slack <= thr:
-        return True
-    if gaps[j] < math.pi:
-        return True if slack <= thr else None
-    if N[-2] + slack <= thr:
-        return True
-    return False if float(rowdot(W, d).min()) / N[-1] > thr + slack else None
 
 
 @dataclass(frozen=True, eq=False)
@@ -568,37 +484,130 @@ def strict_normal_membership(sample: ContourSample, xstar, margin: float = STRIC
 
 @lru_cache(maxsize=None)
 def unit_net(dim: int) -> np.ndarray:
-    """Symmetric unit-vector net: +-1 in 1-D, 1-degree fan in 2-D, axis plus
-    diagonal fan in 3-D. Hull construction is out of scope above 3-D."""
+    """Symmetric unit-vector net, the body of the full cone: +-1 in 1-D, the
+    axis plus diagonal fan in 3-D. Hulls are out of scope above 3-D."""
     if dim == 1:
         return np.array([[-1.0], [1.0]])
-    if dim == 2:
-        ang = np.arange(360) * math.pi / 180.0
-        return np.c_[np.cos(ang), np.sin(ang)]
     if dim == 3:
         # the 26 nonzero vectors of {-1, 0, 1}^3, normalised
         arr = np.array([v for v in product((-1.0, 0.0, 1.0), repeat=3) if any(v)])
         return np.unique(np.round(unit_rows(arr), 12), axis=0)
-    raise ValueError("unit nets are only built for dimensions 1-3")
+    raise ValueError("unit nets are only built for dimensions 1 and 3")
 
 
-@lru_cache(maxsize=None)
-def _net_norms(dim: int) -> np.ndarray:
-    """`points.row_norms` of `unit_net(dim)`, computed once."""
-    return row_norms(unit_net(dim))
+def _first_at(values: np.ndarray, seg: np.ndarray, best: np.ndarray) -> np.ndarray:
+    """For consecutive segments of `values` (entry i in segment seg[i]), the
+    index of the first entry of each segment that equals its `best`."""
+    hit = np.flatnonzero(values == best[seg])
+    return hit[np.searchsorted(seg[hit], np.arange(len(best)))]
+
+
+def _shapes(D: np.ndarray, counts) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The shape of the cone of each of consecutive sets of 1-D or 2-D
+    directions, counts[b] rows of D each (zero rows add nothing), and its
+    first and last edge, rows of D, counterclockwise (0 on {0} and the full
+    space). 1-D reads the signs. In 2-D each direction e lies left of its
+    set's first direction d, right of it, or on d's line (opposite d where
+    <d, e> < 0), by the sign of cross(d, e): float angles relative to d
+    place the directions away from d's line and locate each side's end, and
+    exact signs (`points.dot_signs`) place the rest and confirm each end
+    against those within `_ANGLE_BAND` of it (one beyond it becomes the end,
+    and the set is checked again). With an opposite direction the cone is
+    the plane, a half-plane or the line as both, one or no side is taken;
+    otherwise a ray, a wedge from or to d, or, with both sides, a wedge, a
+    half-plane or the plane by the sign of cross(right end, left end)."""
+    counts = np.asarray(counts, dtype=np.intp)
+    n, dim = len(counts), D.shape[1]
+    own = np.repeat(np.arange(n), counts)
+    live = (D != 0.0).any(axis=1) if dim == 1 else (D[:, 0] != 0.0) | (D[:, 1] != 0.0)
+    if not live.all():
+        D, own = D[live], own[live]
+    k = np.bincount(own, minlength=n)
+    shape, first, last = np.full(n, ZERO), np.zeros((n, dim)), np.zeros((n, dim))
+    if dim == 1:
+        pos = np.bincount(own, D[:, 0] > 0.0, minlength=n) > 0
+        neg = np.bincount(own, D[:, 0] < 0.0, minlength=n) > 0
+        shape[pos | neg] = RAY
+        shape[pos & neg] = FULL
+        first[:, 0] = last[:, 0] = np.where(shape == RAY, np.where(pos, 1.0, -1.0), 0.0)
+        return shape, first, last
+    sets = np.flatnonzero(k)
+    d = np.cumsum(k[sets]) - k[sets]  # the first direction of each set
+    seg = np.repeat(np.arange(len(sets)), k[sets])
+    ang = np.arctan2(D[:, 1], D[:, 0])
+    rel = ang - np.repeat(ang[d], k[sets])
+    rel[rel < -math.pi] += 2.0 * math.pi
+    rel[rel >= math.pi] -= 2.0 * math.pi
+    side, opposite = np.sign(rel), np.zeros(len(D), dtype=bool)
+    line = np.flatnonzero(np.abs(np.abs(rel) - 0.5 * math.pi) >= 0.5 * math.pi - _ANGLE_BAND)
+    cross, dot = dot_signs(np.stack((_rot(D[d][seg[line]]), D[d][seg[line]])), D[line])
+    side[line], opposite[line] = cross, (cross == 0) & (dot < 0)
+    # angles of the left side in (0, pi) and of the right one in (-pi, 0)
+    rel[line] += np.where(cross * rel[line] < -0.5 * math.pi, 2.0 * math.pi * cross, 0.0)
+    left, right = np.where(side > 0, rel, -np.inf), np.where(side < 0, rel, np.inf)
+    hi, lo = np.maximum.reduceat(left, d), np.minimum.reduceat(right, d)
+    l, r = _first_at(left, seg, hi), _first_at(right, seg, lo)
+    todo, turn = np.ones(len(sets), dtype=bool), np.zeros(len(sets), dtype=np.int8)
+    rows = np.arange(len(D))
+    while todo.any():
+        t = np.flatnonzero(todo)
+        rows = rows[todo[seg[rows]]]
+        rows = rows[(left[rows] >= np.maximum(hi[seg[rows]] - _ANGLE_BAND, -math.pi))
+                    | (right[rows] <= np.minimum(lo[seg[rows]] + _ANGLE_BAND, math.pi))]
+        # beyond an end: cross(l, e) > 0 on the left, cross(r, e) < 0 on the
+        # right; and the turn from the right end to the left one, cross(r, l)
+        m, ends = len(rows), _rot(D[np.concatenate((l[seg[rows]], r[seg[rows]], r[t]))])
+        signs = dot_signs(ends, np.concatenate((D[rows], D[rows], D[l[t]])))
+        turn[t], todo[:] = signs[2 * m:], False
+        for out, end, key, best, pick in (((signs[:m] > 0) & (side[rows] > 0), l, left, hi, np.maximum),
+                                          ((signs[m:2 * m] < 0) & (side[rows] < 0), r, right, lo,
+                                           np.minimum)):
+            o = rows[out]
+            outer = np.full(len(sets), -pick(-np.inf, np.inf))
+            pick.at(outer, seg[o], key[o])
+            o = o[key[o] == outer[seg[o]]]
+            end[seg[o]], best[seg[o]], todo[seg[o]] = o, key[o], True
+    has_l, has_r, has_o = hi > -np.inf, lo < np.inf, np.logical_or.reduceat(opposite, d)
+    o = np.full(len(sets), -1)
+    o[seg[line[opposite[line]]][::-1]] = line[opposite[line]][::-1]  # the first opposite
+    only_r = has_r & ~has_l
+    kind = np.select([has_o & has_l & has_r, has_o & (has_l | has_r), has_o, ~(has_l | has_r),
+                      ~(has_l & has_r), turn > 0, turn == 0], [FULL, HALF, LINE, RAY, WEDGE, WEDGE, HALF],
+                     FULL)
+    f = np.where(has_o, np.where(only_r, o, d), np.where(has_r, r, d))
+    e = np.where(has_o, np.where(only_r, d, o), np.where(has_l, l, d))
+    shape[sets], first[sets], last[sets] = kind, D[f], D[e]
+    first[shape == FULL] = last[shape == FULL] = 0.0
+    return shape, first, last
+
+
+def _shape_bodies(shape: np.ndarray, first: np.ndarray, last: np.ndarray) -> list:
+    """The unit hulls of 1-D and 2-D cones of these shapes, u and v the unit
+    first and last edges: {0} gives no vertex, a ray [u], a wedge [u, v], a
+    half-plane [u, u turned counterclockwise, -u], a line [u, -u], the full
+    space `unit_net(1)` or the unit axis vectors. Each records whether its
+    cone holds a line, and then it holds 0 exactly (`contains_zero`)."""
+    dim = first.shape[1]
+    U, V = unit_rows(first), unit_rows(last)
+    full = unit_net(1) if dim == 1 else np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]])
+    bodies = []
+    for kind, u, v in zip(shape.tolist(), U, V):
+        body = ConvexBody(dim, full if kind == FULL else u[None][:0] if kind == ZERO
+                          else u[None] if kind == RAY else np.array([u, v]) if kind == WEDGE
+                          else np.array([u, -u]) if kind == LINE else np.array([u, _rot(u), -u]))
+        object.__setattr__(body, "_holds_zero", kind in (HALF, LINE, FULL))
+        bodies.append(body)
+    return bodies
 
 
 def cone_unit_hull(cone: Cone) -> ConvexBody:
-    """Hull of the cone's unit-sphere slice, as a vertex polytope.
-
-    A full cone (the normal cone of an empty strictly-better set) gives the
-    whole unit net, the ball; a zero cone gives the empty body; a ray its
-    unit generator. Otherwise the vertices are `Cone.units`, then the net
-    rows the cone holds, rounded to 12 decimals, without repeats. A cone
-    that holds a direction and its opposite, such as the generators (-1, 0),
-    (0, 1), (0, -1) of segment-line's on-axis points, gives a body that
-    contains zero.
-    """
+    """Hull of the cone's unit-sphere slice, as a vertex polytope: in 1-D
+    and 2-D the body of its `shape` (`_shape_bodies`); in 3-D the unit net
+    for a full cone, else `Cone.units` and the net rows the cone holds,
+    rounded to 12 decimals, without repeats."""
+    if cone.dim <= 2:
+        shape, first, last = cone.shape
+        return _shape_bodies(np.array([shape]), first[None], last[None])[0]
     net = unit_net(cone.dim)
     if cone.tag == "full":
         return ConvexBody(cone.dim, net)
@@ -610,161 +619,45 @@ def cone_unit_hull(cone: Cone) -> ConvexBody:
     return ConvexBody(cone.dim, list(dict.fromkeys(tuple(round(c, 12) for c in u) for u in rows)))
 
 
-def _exceeds(U: np.ndarray, D: np.ndarray, tol: float, nu: np.ndarray, nd=None) -> np.ndarray:
-    """<u, d> > tol (1 + ||u|| ||d||) for the rows u of U and d of D,
-    broadcast together: `normal_membership_many`'s rejection in the
-    kernel's own float operations, so each entry is its verdict on that
-    pair. The norms nu = ||u|| and nd = ||d|| are `points.row_norms`, nu
-    and any nd passed in gathered from norms computed once per row."""
-    nd = row_norms(D) if nd is None else nd
-    return rowdot(U, D) > tol * (1.0 + nu * nd)
-
-
-@lru_cache(maxsize=None)
-def _net_angles() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The angles of the 2-D unit net's rows, from arctan2, the same angles
-    in ascending order, and each row's place in that order."""
-    net = unit_net(2)
-    theta = np.arctan2(net[:, 1], net[:, 0])
-    order = np.argsort(theta, kind="stable")
-    place = np.empty(len(theta), dtype=np.intp)
-    place[order] = np.arange(len(theta))
-    return theta, theta[order], place
-
-
-def _nearest_directions(D: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """For consecutive samples, counts[b] > 0 rows of D each, and each row
-    of the 2-D unit net: the index in D of the sample's displacement whose
-    direction is nearest on the circle, and the angle between the two.
-
-    The displacement angles are sorted once, and then stably by sample,
-    which leaves them sorted by (sample, angle). Each net angle is placed
-    among its sample's angles, as `searchsorted` would place it, by a count
-    per sample of the displacements below it: a histogram of the
-    displacements over the intervals between the sorted net angles, summed
-    cumulatively. Its two neighbours wrap around within the sample."""
-    theta, ordered, place = _net_angles()
-    k = len(theta) + 1
-    ang = np.arctan2(D[:, 1], D[:, 0])
-    by = np.argsort(ang)
-    # the number of net angles at or below each displacement angle, read off
-    # the places of the net angles among the sorted displacement angles
-    above = np.empty(len(ang), dtype=np.intp)
-    above[by] = np.cumsum(np.bincount(np.searchsorted(ang[by], ordered),
-                                      minlength=len(ang) + 1))[:len(ang)]
-    own = np.repeat(np.arange(len(counts), dtype=np.min_scalar_type(len(counts))), counts)
-    by = by[np.argsort(own[by], kind="stable")]
-    below = np.bincount(own.astype(np.intp) * k + above, minlength=len(counts) * k)
-    i = np.cumsum(below.reshape(-1, k), axis=1)[:, place]
-    first, n = (np.cumsum(counts) - counts)[:, None], counts[:, None]
-    near = by[first + np.stack((np.where(i > 0, i - 1, n - 1), np.where(i < n, i, 0)))]
-    gap = np.abs(theta - ang[near])
-    gap = np.minimum(gap, 2.0 * math.pi - gap)
-    pick = gap[1] < gap[0]
-    return np.where(pick, near[1], near[0]), np.where(pick, gap[1], gap[0])
-
-
-def _direct_fails(fails: np.ndarray, D: np.ndarray, dn: np.ndarray, starts: np.ndarray,
-                  counts: np.ndarray, b: np.ndarray, j: np.ndarray, tol: float) -> None:
-    """Set fails[b, j], for each pair of a sample b and a net row j, to
-    whether `_exceeds` rejects row j at some displacement of sample b (rows
-    of D, with norms dn). The pairs meet their samples' displacements in
-    flat gathers, in blocks of at most `points.BLOCK_ENTRIES` (row,
-    displacement) pairs."""
-    net, un = unit_net(D.shape[1]), _net_norms(D.shape[1])
-    lens = counts[b]
-    for c in blocks(lens):
-        n = lens[c]
-        offs = np.cumsum(n) - n
-        rows = np.repeat(starts[b[c]] - offs, n) + np.arange(offs[-1] + n[-1])
-        js = np.repeat(j[c], n)
-        hits = _exceeds(np.take(net, js, axis=0), np.take(D, rows, axis=0), tol, un[js], dn[rows])
-        fails[b[c], j[c]] = np.logical_or.reduceat(hits, offs)
-
-
 def _net_fails(D: np.ndarray, counts, tol: float) -> np.ndarray:
-    """For consecutive samples, counts[b] displacement rows of D each, the
-    (samples, net rows) mask of the unit-net rows u that some displacement
-    d of the sample rejects: `_exceeds`, <u, d> > tol (1 + ||u|| ||d||).
-
-    In 2-D an exact filter settles most pairs, each row met first by its
-    sample's displacement nearest in angle (`_nearest_directions`), in one
-    pass for a block of samples:
-    - u passes if it is more than a right angle plus 1e-9 from every
-      displacement, at tol >= 0. The margin covers the rounding of the
-      angles, so the exact products a = u_1 d_1 and b = u_2 d_2 have
-      a + b < 0 at every d. Rounding is monotone, so fl(a) <= -fl(b), the
-      computed <u, d> is at most 0, and 0 is at most the threshold.
-    - u fails if it fails against its nearest displacement.
-    Only the pairs it leaves (rows near a right angle to some displacement,
-    or with a large tol / ||d||) meet the whole sample (`_direct_fails`).
-    In 1-D and 3-D every row meets every displacement, in one direct
-    product over the stacked rows. Either way a block holds at most
-    `points.BLOCK_ENTRIES` (net row, displacement) pairs, or one sample.
-    """
-    net, un = unit_net(D.shape[1]), _net_norms(D.shape[1])
+    """For consecutive 3-D samples, counts[b] displacement rows of D each,
+    the (samples, net rows) mask of the unit-net rows u that some
+    displacement d of the sample rejects: <u, d> > tol (1 + ||u|| ||d||),
+    `normal_membership_many`'s rejection in the kernel's own float
+    operations, the norms `points.row_norms`. Every row meets every
+    displacement in one direct product over the stacked rows, a block
+    holding at most `points.BLOCK_ENTRIES` (net row, displacement) pairs, or
+    one sample."""
+    net = unit_net(D.shape[1])
+    un = row_norms(net)
     counts = np.asarray(counts, dtype=np.intp)
     starts = np.cumsum(counts) - counts
     fails = np.zeros((len(counts), len(net)), dtype=bool)
     live = np.flatnonzero(counts)
-    if D.shape[1] != 2:
-        for c in blocks(counts[live] * len(net)):
-            at = starts[live[c]]
-            rows = D[at[0]:at[-1] + counts[live[c]][-1], None, :]
-            fails[live[c]] = np.logical_or.reduceat(_exceeds(net, rows, tol, un), at - at[0], axis=0)
-        return fails
-    dn = row_norms(D)
-    for c in blocks(counts[live] + len(net)):
-        at = live[c]
-        lo = starts[at[0]]
-        near, gap = _nearest_directions(D[lo:starts[at[-1]] + counts[at[-1]]], counts[at])
-        near += lo
-        first = _exceeds(net, np.take(D, near, axis=0), tol, un, dn[near])
-        fails[at] = first
-        b, j = np.nonzero(~first & ~((gap > 0.5 * math.pi + _WEDGE_MARGIN) & (tol >= 0)))
-        _direct_fails(fails, D, dn, starts, counts, at[b], j, tol)
+    for c in blocks(counts[live] * len(net)):
+        at = starts[live[c]]
+        rows = D[at[0]:at[-1] + counts[live[c]][-1], None, :]
+        hits = rowdot(net, rows) > tol * (1.0 + un * row_norms(rows))
+        fails[live[c]] = np.logical_or.reduceat(hits, at - at[0], axis=0)
     return fails
-
-
-def _largest_gaps(cols: np.ndarray, kept: np.ndarray, n: int) -> np.ndarray:
-    """For consecutive sets of net indices, kept[b] ascending indices of
-    `cols` each, the largest cyclic gap between consecutive indices of the
-    set: n for a single index, 0 for none."""
-    ends = np.cumsum(kept)
-    live = np.flatnonzero(kept)
-    first, last = ends[live] - kept[live], ends[live] - 1
-    step = np.empty(len(cols), dtype=np.intp)
-    step[1:] = cols[1:] - cols[:-1]
-    step[first] = cols[first] + n - cols[last]
-    gaps = np.zeros(len(kept), dtype=np.intp)
-    if live.size:
-        gaps[live] = np.maximum.reduceat(step, first)
-    return gaps
-
-
-def _net_bodies(dim: int, keep: np.ndarray) -> list:
-    """The bodies of the unit-net rows kept in each row of `keep` (bodies by
-    net rows), in net order. In 1-D and 2-D each non-empty body also
-    records the largest cyclic gap between the indices of its rows, which
-    `contains_zero` reads."""
-    net = unit_net(dim)
-    at, cols = np.nonzero(keep)
-    kept = np.bincount(at, minlength=len(keep))
-    gaps = _largest_gaps(cols, kept, len(net)).tolist() if dim <= 2 else [0] * len(kept)
-    bodies = []
-    for rows, gap in zip(np.split(np.take(net, cols, axis=0), np.cumsum(kept)[:-1]), gaps):
-        body = ConvexBody(dim, rows)
-        if gap:
-            object.__setattr__(body, "_net_gap", gap)
-        bodies.append(body)
-    return bodies
 
 
 def _sampled_bodies(D: np.ndarray, counts, tol: float) -> list:
     """The bodies of `body_from_sample` for consecutive samples, counts[b]
-    displacement rows of D each: the unit-net rows that `_net_fails` leaves,
-    in net order (`_net_bodies`)."""
-    return _net_bodies(D.shape[1], ~_net_fails(D, counts, tol))
+    displacement rows of D each: in 1-D and 2-D the unit hulls of the exact
+    polars of the samples' cones, whatever tol; in 3-D the unit-net rows
+    that `_net_fails` leaves, in net order."""
+    if D.shape[1] <= 2:
+        shape, first, last = _shapes(D, counts)
+        if D.shape[1] == 1:  # the polar of a ray is the opposite ray
+            return _shape_bodies(np.where(shape == RAY, RAY, _POLAR[shape]), -first, -last)
+        # from f to l: from l turned counterclockwise to f turned clockwise
+        return _shape_bodies(_POLAR[shape], _rot(last), -_rot(first))
+    net = unit_net(D.shape[1])
+    at, cols = np.nonzero(~_net_fails(D, counts, tol))
+    kept = np.bincount(at, minlength=len(counts))
+    return [ConvexBody(D.shape[1], rows)
+            for rows in np.split(np.take(net, cols, axis=0), np.cumsum(kept)[:-1])]
 
 
 def sampled_bodies(samples, tol: float = DEFAULT_TOL) -> list:
@@ -786,48 +679,20 @@ def sampled_bodies(samples, tol: float = DEFAULT_TOL) -> list:
 
 
 def body_from_sample(sample: ContourSample, tol: float = DEFAULT_TOL) -> ConvexBody:
-    """Unit hull of the sampled normal cone, as the rows u of the unit net
-    that pass `normal_membership_many` (<u, d> <= tol (1 + ||u|| ||d||) at
-    every sampled displacement d), in net order. An empty sample leaves the
-    cone unconstrained, so the body is the unit ball: the whole net.
-
-    Each row's verdict is `_exceeds`, the kernel's float expression (see
-    `_net_fails` for the exact 2-D filter in front of it). This is the
-    one-sample call of the ground-level pass `_sampled_bodies`.
-    """
+    """Unit hull of the sampled normal cone, the polar of the cone of the
+    displacements d = y - x into the strictly-better set: in 1-D and 2-D
+    exact, whatever tol (an empty sample gives the full cone's body); in
+    3-D the unit-net rows u with <u, d> <= tol (1 + ||u|| ||d||) at every d
+    (`normal_membership_many`), in net order. The one-sample call of the
+    ground-level pass `_sampled_bodies`."""
     return sampled_bodies([sample], tol)[0]
 
 
-def _net_gap_zero(body: ConvexBody, tol: float) -> bool | None:
-    """`body.contains(0, tol)` read off a sampled body's net rows, or None.
-
-    A body of `_net_bodies` in 1-D or 2-D is a set of rows of the unit net
-    (n rows, evenly spaced on the circle; the two of the 1-D net a
-    half-turn apart), and the largest cyclic gap g between their net
-    indices places the origin:
-    - 2g < n: the rows leave no gap of a half-turn, so the origin is
-      interior, and `_hull_screen` says True wherever tol is at least its
-      slack;
-    - 2g > n: the rows lie in an arc of (n - g) / n turns, less than a
-      half-turn; with c = cos(pi (n - g) / n), the hull residual of the
-      origin is at least c / sqrt(1 + c^2) (`_hull_screen`'s bisector
-      bound), so the answer is False where that exceeds tol plus the slack.
-    Everything else gives None: g = n / 2, a tol below the slack, a tol that
-    the bound does not clear, and a body that is not from the net."""
-    gap = getattr(body, "_net_gap", None)
-    if gap is None:
-        return None
-    n = len(unit_net(body.dim))
-    if 2 * gap < n:
-        return True if tol >= _ZERO_SLACK else None
-    if 2 * gap > n:
-        c = math.cos(math.pi * (n - gap) / n)
-        return False if c / math.sqrt(1.0 + c * c) > tol + _ZERO_SLACK else None
-    return None
-
-
 def contains_zero(body: ConvexBody, tol: float = DEFAULT_TOL) -> bool:
-    """`body.contains(0, tol)`: the net-gap verdict of a sampled body
-    (`_net_gap_zero`) where it gives one, else `ConvexBody.contains`."""
-    verdict = _net_gap_zero(body, tol)
-    return body.contains((0.0,) * body.dim, tol) if verdict is None else verdict
+    """`body.contains(0, tol)` for the Stampacchia zero stage: exactly, at
+    tol >= 0, where its cone holds a line for a body of `_shape_bodies`;
+    for any other body, `ConvexBody.contains`."""
+    holds = getattr(body, "_holds_zero", None)
+    if holds is None:
+        return body.contains((0.0,) * body.dim, tol)
+    return holds and tol >= 0.0

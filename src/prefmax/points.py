@@ -116,6 +116,57 @@ def rowdot(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     return out
 
 
+_EPS = sys.float_info.epsilon
+_SAFE_LO, _SAFE_HI = 2.0 ** -450, 2.0 ** 450  # factors `_two_product` splits exactly
+
+
+def _two_product(a, b):
+    """fl(a b) and its error, exactly (Dekker, with Veltkamp's 2^27 + 1)."""
+    x = a * b
+    c = 134217729.0 * a
+    ah = c - (c - a)
+    c = 134217729.0 * b
+    bh = c - (c - b)
+    al, bl = a - ah, b - bh
+    return x, al * bl - (((x - ah * bh) - al * bh) - ah * bl)
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def dot_signs(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """The exact sign (-1, 0 or 1, as int8) of <a, b> for the rows of A and B
+    along the last axis, broadcast; cross(a, b) is <(a_0, -a_1), (b_1, b_0)>.
+    A float filter settles each `rowdot` that clears (dim + 1) eps
+    sum_k |a_k b_k| (Shewchuk, DCG 1997). In 2-D the rest compare the two
+    products exactly: rounding is monotone, so fl(p) > fl(q) means p > q,
+    and where they round alike their rounding errors decide
+    (`_two_product`). Factors outside [2^-450, 2^450], and other
+    dimensions, go to `fractions.Fraction`."""
+    A, B = np.broadcast_arrays(np.asarray(A, dtype=float), np.asarray(B, dtype=float))
+    shape, dim = A.shape[:-1], A.shape[-1]
+    A, B = A.reshape(-1, dim), B.reshape(-1, dim)
+    s = rowdot(A, B)
+    bound = (dim + 1) * _EPS * rowdot(np.abs(A), np.abs(B))
+    out = np.sign(s).astype(np.int8)
+    unsure = ~((np.abs(s) > bound) & (bound >= 2.0 ** -960))
+    if unsure.any():
+        Au, Bu = A[unsure], B[unsure]
+        mags = np.abs(np.concatenate((Au, Bu), axis=1))
+        fast = ((mags == 0.0) | ((mags >= _SAFE_LO) & (mags <= _SAFE_HI))).all(axis=1) & (dim == 2)
+        sign = np.zeros(len(Au), dtype=np.int8)
+        if fast.any():
+            p, ep = _two_product(Au[fast, 0], Bu[fast, 0])
+            q, eq = _two_product(-Au[fast, 1], Bu[fast, 1])
+            sign[fast] = np.sign(np.where(p != q, p - q, ep - eq))
+        if not fast.all():  # rare: fractions is not imported at start-up
+            from fractions import Fraction
+
+            sign[~fast] = [(t > 0) - (t < 0) for t in (
+                sum(map(operator.mul, map(Fraction, a), map(Fraction, b)))
+                for a, b in zip(Au[~fast].tolist(), Bu[~fast].tolist()))]
+        out[unsure] = sign
+    return out.reshape(shape)
+
+
 def _rescaled(A: np.ndarray, Q: np.ndarray) -> tuple:
     """The rows of A that `scaled_to` first divides by their largest
     |coordinate| m, given their sums of squares Q (`rowdot`): those with Q

@@ -25,8 +25,8 @@ from .cones import (
     sample_contour,
     sampled_bodies,
 )
-from .points import (GroundSet, Point, blocks, check_same_dim, ground_array, ground_points,
-                     row_blocks, row_norms, rowdot, tol_floor, unit_rows)
+from .points import (GroundSet, Point, blocks, check_same_dim, dot_signs, ground_array,
+                     ground_points, row_blocks, row_norms, rowdot, tol_floor, unit_rows)
 from .relations import Relation, maximal_elements
 
 ConeOracle = Callable[[Point], Cone]
@@ -40,14 +40,21 @@ class VipCertificate:
     tol: float
 
 
-def _lp_witness(V: np.ndarray, D: np.ndarray, floor: np.ndarray) -> np.ndarray | None:
+def _passing(W: np.ndarray, D: np.ndarray, floor: np.ndarray, tol: float) -> np.ndarray:
+    """Whether <w, d> >= floor at every row d of D, for each row w of W (leading
+    axes broadcast); at tol 0 by exact signs (`points.dot_signs`)."""
+    if tol == 0.0:
+        return ~(dot_signs(W[..., None, :], D) < 0).any(axis=-1)
+    return ~(rowdot(W[..., None, :], D) < floor).any(axis=-1)
+
+
+def _lp_witness(V: np.ndarray, D: np.ndarray, floor: np.ndarray, tol: float) -> np.ndarray | None:
     """Phase-1 LP over the vertex weights lam on the simplex: minimise t
     subject to D V^T lam + t >= floor. The bound t >= -1 keeps the LP
     bounded when X is empty. t* <= 0 gives the candidate V^T lam, with lam
-    clipped at 0 and renormalised, which is the witness if it meets every
-    floor as the other stages test it; t* > 0 means no point of the body
-    meets every floor. A solve that does not end optimal raises
-    RuntimeError."""
+    clipped at 0 and renormalised, which is the witness if it passes
+    `_passing`; t* > 0 means no point of the body meets every floor. A
+    solve that does not end optimal raises RuntimeError."""
     from scipy.optimize import linprog
 
     k = len(V)
@@ -61,7 +68,31 @@ def _lp_witness(V: np.ndarray, D: np.ndarray, floor: np.ndarray) -> np.ndarray |
         return None
     lam = np.maximum(res.x[:k], 0.0)
     w = V.T @ (lam / lam.sum())
-    return None if (rowdot(w, D) < floor).any() else w
+    return w if _passing(w[None], D, floor, tol)[0] else None
+
+
+def _segment_witness(V: np.ndarray, D: np.ndarray, floor: np.ndarray,
+                     tol: float) -> np.ndarray | None:
+    """The last stage for a body of two vertices v0, v1: of the t in [0, 1]
+    where a + t (b - a) >= floor (a = <v0, d>, b = <v1, d>) at every row d
+    of D, the middle one and, in 2-D, the segment's points along the rows
+    that cut the ends inside [0, 1], turned a right angle (exactly
+    orthogonal to d on an axis, as a one-point interval needs): the first
+    that passes `_passing`, or None."""
+    a, b = rowdot(V[0], D), rowdot(V[1], D)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cut = (floor - a) / (b - a)
+    up, down = np.where(b > a, cut, -np.inf), np.where(b < a, cut, np.inf)
+    t = min(1.0, max(0.0, 0.5 * (float(up.max(initial=0.0)) + float(down.min(initial=1.0)))))
+    W, chord = [(1.0 - t) * V[0] + t * V[1]], V[1] - V[0]
+    ends = [i for key, i in ((up, up.argmax()), (down, down.argmin())) if 0.0 <= key[i] <= 1.0]
+    for d in D[ends] if len(chord) == 2 else ():
+        den = chord[0] * d[0] + chord[1] * d[1]  # cross(chord, d turned)
+        if den != 0.0:
+            W.append((chord[0] * V[0][1] - chord[1] * V[0][0]) / den * np.array([-d[1], d[0]]))
+    W = np.array(W)
+    ok = np.flatnonzero(_passing(W, D, floor, tol))
+    return W[ok[0]] if ok.size else None
 
 
 _EPS8 = 8.0 * float(np.finfo(float).eps)
@@ -117,16 +148,17 @@ def _margin_blocks(bodies: list, bases: list, B: np.ndarray, G: np.ndarray, tol:
         yield block, V, D, S
 
 
-def _midpoint_witness(V: np.ndarray, D: np.ndarray, floor: np.ndarray) -> np.ndarray | None:
+def _midpoint_witness(V: np.ndarray, D: np.ndarray, floor: np.ndarray,
+                      tol: float) -> np.ndarray | None:
     """The first pairwise vertex midpoint (i, j), i < j, in row-major order
-    that meets every floor, or None. The midpoints go in consecutive blocks
+    that passes `_passing`, or None. The midpoints go in consecutive blocks
     of that order, each midpoint counting one entry per displacement
     (`points.row_blocks`), and the sweep stops at the first block with a
     passing midpoint."""
     I, J = np.triu_indices(len(V), 1)
     for blk in row_blocks(len(I), len(D)):
         mids = 0.5 * (V[I[blk]] + V[J[blk]])
-        hits = np.flatnonzero(~(rowdot(mids[:, None, :], D[None, :, :]) < floor).any(axis=1))
+        hits = np.flatnonzero(_passing(mids, D, floor, tol))
         if hits.size:
             return mids[hits[0]]
     return None
@@ -148,15 +180,16 @@ def _stampacchia(bodies: list, B: np.ndarray, G: np.ndarray, tol: float) -> list
     xhat, the rows of B, with the bodies `bodies`, against the ground rows
     G. Each base gets the witness of the sequential search: zero if its
     body contains it, else its first passing vertex, else its first passing
-    midpoint, else the LP's witness, or None.
+    midpoint, else the last stage's witness, or None. At tol 0 every test
+    is by exact signs (`_passing`): a witness's products are >= 0 exactly.
 
     The stages are the same in every dimension. They run for all bases at
     once, and each passes on only the bases it leaves open:
     1. Zero: an empty body has no witness, and zero is the witness of a
        body that contains it. `contains_zero` runs once per distinct body
-       object (bases on a grid share the bodies of a cone oracle); a
-       sampled body's verdict is read off the gaps between its net rows,
-       and every other body runs `ConvexBody.contains`.
+       object (bases on a grid share the bodies of a cone oracle); a 1-D or
+       2-D body that the library built holds zero exactly when its cone
+       holds a line, and every other body runs `ConvexBody.contains`.
     2. The margins of every vertex at every displacement, in blocks of
        bases (`_margin_blocks`) in order of vertex count, so that little
        is padded. First, unless they are the whole ground, against the
@@ -167,11 +200,11 @@ def _stampacchia(bodies: list, B: np.ndarray, G: np.ndarray, tol: float) -> list
        against the whole ground: a base's witness is its first passing
        vertex, and only the bases with none meet the screen again.
     3. One base at a time, the midpoint sweep (`_midpoint_witness`).
-    4. Last, one phase-1 LP (`_lp_witness`), which decides whether any
-       point of the body meets every floor. It comes after the midpoints
-       because its witness is a rounded convex combination: at tol 0 a
-       midpoint can meet a floor of exactly 0 that the LP's point misses
-       by rounding.
+    4. Last, the interval of a two-vertex body's points that meet every
+       floor (`_segment_witness`), or for more vertices one phase-1 LP
+       (`_lp_witness`) over the body. Both come after the midpoints: their
+       witness is rounded, and at tol 0 a midpoint can meet a floor of
+       exactly 0 that their point misses.
     """
     dim = B.shape[1]
     zero = (0.0,) * dim
@@ -195,16 +228,17 @@ def _stampacchia(bodies: list, B: np.ndarray, G: np.ndarray, tol: float) -> list
         open_ = [i for block, V, D, S in _margin_blocks(bodies, open_, B, G[E], tol)
                  for i, no in zip(block, _refuted(S, V, D).tolist()) if not no]
     for block, V, D, S in _margin_blocks(bodies, open_, B, G, tol):
-        passing = ~(S > 0.0).any(axis=2)
+        passing = _passing(V, D[:, None], None, tol) if tol == 0.0 else ~(S > 0.0).any(axis=2)
         for b, k in enumerate(passing.argmax(axis=1).tolist()):
             if passing[b, k]:
                 found[block[b]] = tuple(V[b, k].tolist())
         live = np.flatnonzero(~passing.any(axis=1))
         for b in (live[~_refuted(S[live], V[live], D[live])] if live.size else live).tolist():
             Vb, floor = bodies[block[b]].vertices, tol_floor(D[b], tol)
-            w = _midpoint_witness(Vb, D[b], floor)
-            if w is None:
-                w = _lp_witness(Vb, D[b], floor)
+            w = _midpoint_witness(Vb, D[b], floor, tol)
+            if w is None and len(Vb) > 1:
+                last = _segment_witness if len(Vb) == 2 else _lp_witness
+                w = last(Vb, D[b], floor, tol)
             if w is not None:
                 found[block[b]] = tuple(w.tolist())
     return found
@@ -219,9 +253,9 @@ def svip_membership(body: ConvexBody, xhat: Point, X: GroundSet | list,
     This is the one-base call of the stages that `svip_solutions` runs for
     a whole ground (`_stampacchia`, the same in every dimension): the zero
     vector, the body's vertices, the Farkas screen, the pairwise vertex
-    midpoints (i, j), i < j, in row-major order, and last one phase-1 LP
-    (`_lp_witness`). Where a vertex or midpoint passes, the witness is the
-    first that passes, the same one a one-at-a-time sweep returns.
+    midpoints (i, j), i < j, in row-major order, and last the segment's
+    interval or one phase-1 LP. Where a vertex or midpoint passes, the
+    witness is the first that passes, as a one-at-a-time sweep returns.
     """
     w = _stampacchia([body], np.array([xhat.coords], dtype=float), ground_array(X, xhat.dim), tol)[0]
     return None if w is None else VipCertificate(xhat, "stampacchia", Point(w), tol)
@@ -403,10 +437,9 @@ def bodies_for_ground(rel: Relation, X: GroundSet, cone_oracle: ConeOracle | Non
     samples turned into bodies before the next is sampled. Any other
     sampler (by default the ground sample `sample_contour`) is called once
     per base, and its samples go through the same body pass, stacked in
-    blocks of as many displacements (`cones.sampled_bodies`). A sampled
-    body is the unit-net rows that the membership kernel accepts, in net
-    order (`body_from_sample`). X is read once, at the relation's dimension
-    (`points.ground_points`), so any iterable of points will do.
+    blocks of as many displacements (`cones.sampled_bodies`), each body the
+    unit hull of the sampled normal cone (`body_from_sample`). X is read
+    once, at the relation's dimension (`points.ground_points`).
     """
     pts, rows = ground_points(X, rel.dim)
     if cone_oracle is not None:

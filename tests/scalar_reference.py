@@ -3,7 +3,7 @@
 These are the per-pair Python loops that the relation sweeps, `box_sample`,
 `sample_contour`, the normal-cone membership kernel, the 2-D Stampacchia
 vertex/midpoint sweep and the Minty field test replaced, and the NNLS solves
-that the closed-form cone and hull membership tests replaced in 1-D and 2-D. Relations are
+that the closed-form cone membership test replaced in 1-D and 2-D. Relations are
 evaluated one pair at a time through `scalar_holds`, which for predicate
 fixtures uses the scalar rules the fixtures were first written with;
 samples build a Point per lattice candidate; membership tests meet one
@@ -60,6 +60,7 @@ import operator
 import sys
 import warnings
 from dataclasses import replace
+from fractions import Fraction
 from functools import reduce
 from itertools import chain, combinations, product, repeat
 
@@ -71,8 +72,9 @@ from prefmax import (ContourSample, ConvexBody, Point, PropertyReport, Relation,
 from prefmax.cones import DEFAULT_TOL, Cone, contains_zero, unit_net
 from prefmax.descent import DescentTrace, OracleNormViolation, TraceRow
 from prefmax.harness import SCHEMA_VERSION, TRACE_COLUMNS
-from prefmax.points import axis_lattice, row_blocks, rowdot, tol_floor, unit_rows
-from prefmax.vip import _lp_witness, _margin_blocks, _midpoint_witness, _refuted
+from prefmax.points import axis_lattice, dot_signs, row_blocks, rowdot, tol_floor, unit_rows
+from prefmax.vip import (_lp_witness, _margin_blocks, _midpoint_witness, _refuted,
+                         _segment_witness)
 
 # ------------------------------------------------------ tuple helpers
 
@@ -435,9 +437,20 @@ def unit_net3_ref() -> np.ndarray:
     return np.unique(np.round(arr, 12), axis=0)
 
 
+def probe_fan(dim: int) -> np.ndarray:
+    """Probe directions: +-1 in 1-D, the unit vectors at whole degrees in
+    2-D, and the 3-D unit net."""
+    if dim == 2:
+        ang = np.arange(360) * math.pi / 180.0
+        return np.c_[np.cos(ang), np.sin(ang)]
+    return unit_net(dim)
+
+
 def cone_unit_hull_ref(cone) -> ConvexBody:
-    """`cone_unit_hull` with the net rows tested one `cone_contains_ref`
-    call at a time, and each generator scaled by `scaled_to_ref`."""
+    """`cone_unit_hull` in 3-D, with the net rows tested one
+    `cone_contains_ref` call at a time, and each generator scaled by
+    `scaled_to_ref`. (In 1-D and 2-D the hull is read off the cone's
+    shape; `tests/exact_reference.py` holds its reference.)"""
     net = unit_net(cone.dim)
     if cone.tag == "full":
         return ConvexBody(cone.dim, net)
@@ -527,19 +540,57 @@ def plastria_membership_ref(gap, sample, xstar, tol: float) -> bool:
 
 
 def _passes_all(w, xhat: Point, X, tol: float) -> bool:
+    """Whether <w, y - xhat> >= -tol (1 + ||y - xhat||) at every y of X, each
+    difference in floats; at tol 0 the products are summed exactly, in
+    `fractions.Fraction`."""
     for y in X:
         d = sub(y, xhat)
-        if dot(w, d) < -tol * (1.0 + length_ref(d)):
+        if tol == 0.0:
+            if sum(Fraction(a) * Fraction(b) for a, b in zip(w, d)) < 0:
+                return False
+        elif dot(w, d) < -tol * (1.0 + length_ref(d)):
             return False
     return True
 
 
+def _segment_ref(vertices, xhat: Point, X, tol: float):
+    """`vip._segment_witness`, one row of X at a time: the middle point of
+    the interval of t where (1 - t) v0 + t v1 meets every floor, clipped to
+    [0, 1], then in 2-D the points of the segment along the two rows that
+    cut its ends, where they cut it in [0, 1], turned a right angle; the
+    first that `_passes_all`, or None."""
+    v0, v1 = vertices
+    ends, up, down = [None, None], -math.inf, math.inf
+    for i, y in enumerate(X):
+        d = sub(y, xhat)
+        a, b = dot(v0, d), dot(v1, d)
+        if a == b:
+            continue
+        cut = (-tol * (1.0 + length_ref(d)) - a) / (b - a)
+        if b > a and (ends[0] is None or cut > up):
+            ends[0], up = (d, cut), cut
+        elif b < a and (ends[1] is None or cut < down):
+            ends[1], down = (d, cut), cut
+    t = min(1.0, max(0.0, 0.5 * (max(up, 0.0) + min(down, 1.0))))
+    points = [tuple((1.0 - t) * p + t * q for p, q in zip(v0, v1))]
+    chord = sub(v1, v0)
+    for d, cut in (e for e in ends if e is not None and len(v0) == 2 and 0.0 <= e[1] <= 1.0):
+        den = chord[0] * d[0] + chord[1] * d[1]
+        if den != 0.0:
+            s = (chord[0] * v0[1] - chord[1] * v0[0]) / den
+            points.append((s * -d[1], s * d[0]))
+    return next((w for w in points if _passes_all(w, xhat, X, tol)), None)
+
+
 def svip_sweep_ref(body, xhat: Point, X, tol: float) -> VipCertificate | None:
-    """The 1-D/2-D witness search: zero vector, vertices, then midpoints."""
+    """The witness search: the zero vector where `cones.contains_zero`
+    holds (a library body's exact shape, NNLS for any other body), the
+    vertices, the midpoints, then for a body of two vertices the segment
+    stage (`_segment_ref`), each point tested by `_passes_all`."""
     if body.is_empty:
         return None
     zero = (0.0,) * xhat.dim
-    if body.contains(zero, tol):
+    if contains_zero(body, tol):
         return VipCertificate(xhat, "stampacchia", Point(zero), tol)
     vertices = [Point(tuple(v)) for v in body.vertices.tolist()]
     for v in vertices:
@@ -552,6 +603,10 @@ def svip_sweep_ref(body, xhat: Point, X, tol: float) -> VipCertificate | None:
             mid = tuple(0.5 * (a + b) for a, b in zip(vi, vertices[j]))
             if _passes_all(mid, xhat, X, tol):
                 return VipCertificate(xhat, "stampacchia", Point(mid), tol)
+    if n == 2:
+        w = _segment_ref([v.coords for v in vertices], xhat, X, tol)
+        if w is not None:
+            return VipCertificate(xhat, "stampacchia", Point(w), tol)
     return None
 
 
@@ -611,14 +666,17 @@ def stampacchia_unscreened_ref(bodies: list, B: np.ndarray, G: np.ndarray, tol: 
     open_.sort(key=lambda i: len(bodies[i].vertices))
     for block, V, D, S in _margin_blocks(bodies, open_, B, G, tol):
         for b, i in enumerate(block):
-            fails = (S[b] > 0.0).any(axis=1)
+            if tol == 0.0:
+                fails = (dot_signs(V[b][:, None, :], D[b][None]) < 0).any(axis=1)
+            else:
+                fails = (S[b] > 0.0).any(axis=1)
             if not fails.all():
                 found[i] = tuple(V[b, int(np.argmin(fails))].tolist())
             elif not _refuted(S[b:b + 1], V[b:b + 1], D[b:b + 1])[0]:
-                floor = tol_floor(D[b], tol)
-                w = _midpoint_witness(bodies[i].vertices, D[b], floor)
-                if w is None:
-                    w = _lp_witness(bodies[i].vertices, D[b], floor)
+                Vi, floor = bodies[i].vertices, tol_floor(D[b], tol)
+                w = _midpoint_witness(Vi, D[b], floor, tol)
+                if w is None and len(Vi) > 1:
+                    w = (_segment_witness if len(Vi) == 2 else _lp_witness)(Vi, D[b], floor, tol)
                 if w is not None:
                     found[i] = tuple(w.tolist())
     return found

@@ -1,8 +1,10 @@
-"""Start-up imports neither scipy nor numpy.ma.
+"""Start-up imports neither scipy nor numpy.ma, and 1-D and 2-D runs no solver.
 
 `import prefmax`, the registry with its self-test and `prefmax fixtures
-list` run in a fresh interpreter; 3-D cone and hull membership then import
-NNLS on first use.
+list` run in a fresh interpreter. Then `check` and `vip --kind svip` run on
+every fixture (all 1-D or 2-D) at --tol 0 and 1e-9 without importing
+`scipy.optimize`: cones, bodies and witnesses there are read off exact
+shapes. 3-D cone and hull membership then import NNLS on first use.
 """
 
 import os
@@ -25,6 +27,15 @@ except SystemExit as exc:
     assert exc.code in (0, None), exc.code
 print("loaded at start-up:", sorted(m for m in ("scipy", "numpy.ma") if m in sys.modules))
 
+for name in prefmax.fixture_names():
+    for tol in ("0", "1e-9"):
+        for args in (["check"], ["vip", "--kind", "svip"]):
+            try:
+                cli.main(args + ["--fixture", name, "--tol", tol])
+            except SystemExit:
+                pass
+print("scipy.optimize after 1-D and 2-D runs:", "scipy.optimize" in sys.modules)
+
 cone = prefmax.Cone.generated([(1.0, 0.0, 0.0), (0.0, 1.0, 0.0)])
 assert cone.contains((1.0, 2.0, 0.0)) and not cone.contains((0.0, 0.0, 1.0))
 body = prefmax.ConvexBody(3, ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0)))
@@ -40,4 +51,5 @@ def test_start_up_imports_neither_scipy_nor_numpy_ma():
     assert proc.returncode == 0, proc.stderr
     assert "vee-peak" in proc.stdout
     assert "loaded at start-up: []" in proc.stdout
+    assert "scipy.optimize after 1-D and 2-D runs: False" in proc.stdout
     assert "scipy after 3-D membership: True" in proc.stdout

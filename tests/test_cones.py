@@ -26,7 +26,7 @@ from prefmax import (
 from prefmax.cones import DEFAULT_TOL, unit_net
 from prefmax.points import row_norms, scaled_to
 
-from scalar_reference import complete_equivalence_check, unit_net3_ref
+from scalar_reference import complete_equivalence_check, probe_fan, unit_net3_ref
 
 
 def line_sample(base, lo, hi, step=0.01, exclude=()):
@@ -306,13 +306,14 @@ def test_body_from_sample_matches_closed_form(vee):
 
 
 def test_unit_net_shapes():
+    # 1-D and 3-D only: 2-D bodies are read off cone shapes
     assert unit_net(1).shape == (2, 1)
-    assert unit_net(2).shape == (360, 2)
     assert unit_net(3).shape[1] == 3
     norms = np.linalg.norm(unit_net(3), axis=1)
     assert np.allclose(norms, 1.0)
-    with pytest.raises(ValueError):
-        unit_net(4)
+    for dim in (2, 4):
+        with pytest.raises(ValueError):
+            unit_net(dim)
 
 
 def test_unit_net_3d_is_the_nested_loops_net():
@@ -345,10 +346,11 @@ def test_a_generator_whose_squares_overflow_keeps_its_direction():
 
 
 def test_the_unit_hull_reads_the_direction_of_a_generator_whose_squares_overflow():
-    # read as the zero vector, (1e200, 0) let every net row in: the whole ball
+    # read as the zero vector, (1e200, 0) would leave a ray, or the ball;
+    # the quarter-plane wedge's body is its two unit edges
     big, unit = (cone_unit_hull(Cone.generated([g, (0.0, 1.0)]))
                  for g in ((1e200, 0.0), (1.0, 0.0)))
-    assert len(unit.vertices) == 91
+    assert unit.vertices.tolist() == [[1.0, 0.0], [0.0, 1.0]]
     assert big == unit
 
 
@@ -423,7 +425,7 @@ def test_cone_verdicts_do_not_change_when_generators_and_queries_are_rescaled(dr
     s = 2.0 ** k
     Q = np.array(queries)
     Q = Q[(row_norms(Q) > tol) & (row_norms(Q * s) > tol)]
-    net = unit_net(Q.shape[1])
+    net = probe_fan(Q.shape[1])
     for cone in cones:
         big = _scaled(cone, s)
         assert big.contains_many(Q * s, tol).tolist() == cone.contains_many(Q, tol).tolist()

@@ -1,0 +1,182 @@
+"""1-D and 2-D cone shapes and tol-0 Stampacchia listings against exact references.
+
+`cones._shapes` reads a set's cone from float angles confirmed by exact
+signs; `tests/exact_reference.py` reads it by integer signs alone, another
+way. They must give the same shape and edges of the same direction on sets
+built to sit on every edge case: parallel and opposite directions, near
+misses by one ulp, wedges a hair short of a half-turn, and coordinates
+whose squares overflow or underflow. The library's tol-0 `svip_solutions`
+must list exactly the reference's points on every fixture's default grid,
+on radial-bowl's 961- and 3,721-point grids, and on drawn windows of bowls,
+vee peaks and kinked-linear utilities with dyadic bounds, steps and box
+samplers, where every displacement is exact in floats.
+"""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from prefmax import (Cone, ContourSample, GroundSet, Point, Relation, body_from_sample,
+                     cone_unit_hull, fixture_names, get_fixture, parse_grid_spec, svip_solutions)
+from prefmax.cones import FULL, HALF, LINE, RAY, WEDGE, ZERO, BoxSampler, _shapes
+
+from exact_reference import (assert_body_is_the_shape, cone_shape_ref, corners, cross, dot,
+                             exact_ints, oracle_cone_ref, polar_ref, sample_normal_cone_ref,
+                             svip_listing_ref, window_utility)
+
+DIFFERENTIAL = settings(settings.get_profile("differential"), max_examples=150)
+
+
+def _same_direction(a, b) -> bool:
+    """Whether floats a and ints b point the same way, exactly."""
+    a = exact_ints([a])[0]
+    return cross(a, b) == 0 and dot(a, b) > 0 if len(a) == 2 else a[0] * b[0] > 0
+
+
+def _assert_shape_matches(got, want):
+    kind, f, l = got
+    assert kind == want[0]
+    if kind in (RAY, WEDGE, HALF):
+        assert _same_direction(f, want[1]) and _same_direction(l, want[2])
+    if kind == LINE:  # either direction of the line may come first
+        assert _same_direction(f, want[1]) or _same_direction(f, want[2])
+
+
+# ------------------------------------------------------------------ shapes
+
+# unit directions at whole degrees, and rotations by a few ulps: parallel,
+# opposite and near-opposite pairs, and wedges just short of a half-turn
+_SCALES = st.sampled_from((1.0, 0.05, 3.0, 2.0 ** 600, 2.0 ** -600))
+_NUDGES = (0.0, 1e-17, -1e-17, 1e-16, -1e-16, 1e-12, -1e-12, 1e-9, -1e-9, 2e-9, -2e-9)
+
+
+@st.composite
+def direction_sets(draw):
+    base = draw(st.integers(0, 359))
+    rows = []
+    for _ in range(draw(st.integers(0, 12))):
+        kind = draw(st.sampled_from(("degree", "opposite", "nudge", "lattice", "zero")))
+        if kind == "lattice":
+            d = (draw(st.integers(-4, 4)) * 0.05, draw(st.integers(-4, 4)) * 0.05)
+        elif kind == "zero":
+            d = (0.0, 0.0)
+        else:
+            a = math.radians(base + draw(st.sampled_from((0, 1, 90, 179, 180, 181, 270)))
+                             * (kind != "degree" or draw(st.booleans())))
+            a += math.pi * (kind == "opposite") + draw(st.sampled_from(_NUDGES)) * (kind == "nudge")
+            d = (math.cos(a), math.sin(a))
+        s = draw(_SCALES)
+        rows.append((d[0] * s, d[1] * s))
+    return rows
+
+
+@DIFFERENTIAL
+@given(st.lists(direction_sets(), min_size=1, max_size=4))
+@example([[(1.0, 0.0), (-1.0, 0.0), (0.0, 1.0)], [(1.0, 0.0), (-1.0, 1e-17), (0.0, 1.0)],
+          [(1.0, 0.0), (-1.0, -1e-17), (0.0, 1.0)], [(2.0, 1.0), (4.0, 2.0)], []])
+@example([[(0.15, 0.1), (0.1, 0.05 + 0.15 - 0.15), (0.3, 0.2)], [(1e200, 0.0), (-1e200, 1e200)]])
+def test_2d_shapes_match_the_exact_reference(sets):
+    D = np.array([r for s in sets for r in s], dtype=float).reshape(-1, 2)
+    shape, first, last = _shapes(D, [len(s) for s in sets])
+    for s, kind, f, l in zip(sets, shape.tolist(), first.tolist(), last.tolist()):
+        _assert_shape_matches((kind, f, l), cone_shape_ref(exact_ints(s) if s else []))
+
+
+@DIFFERENTIAL
+@given(st.lists(st.lists(st.sampled_from((-2.0, -1e-300, 0.0, 1e-300, 0.5, 1e300)), max_size=5),
+                min_size=1, max_size=4))
+def test_1d_shapes_match_the_exact_reference(sets):
+    D = np.array([r for s in sets for r in s], dtype=float).reshape(-1, 1)
+    shape, first, last = _shapes(D, [len(s) for s in sets])
+    for s, kind, f, l in zip(sets, shape.tolist(), first.tolist(), last.tolist()):
+        _assert_shape_matches((kind, f, l), cone_shape_ref(exact_ints([(c,) for c in s])))
+
+
+@DIFFERENTIAL
+@given(direction_sets(), st.sampled_from(((0.0, 0.0), (0.3, -1.7))), st.sampled_from((0.0, 1e-9, 0.5)))
+def test_sampled_bodies_are_the_exact_polar(rows, base, tol):
+    # the polar does not depend on tol in 1-D and 2-D
+    sample = ContourSample(Point(base), [(base[0] + a, base[1] + b) for a, b in rows])
+    assert_body_is_the_shape(body_from_sample(sample, tol), sample_normal_cone_ref(sample))
+
+
+@DIFFERENTIAL
+@given(direction_sets())
+def test_oracle_bodies_are_the_exact_cone(rows):
+    rows = [r for r in rows if any(r)]
+    cone = Cone.generated(rows) if rows else Cone.zero(2)
+    assert_body_is_the_shape(cone_unit_hull(cone), oracle_cone_ref(cone))
+
+
+# --------------------------------------------------------------- listings
+
+
+def _reference_listing(fx, ground):
+    if fx.cone_oracle is not None:
+        cones = {x.coords: oracle_cone_ref(fx.cone_oracle(x)) for x in ground}
+    else:
+        cones = {s.base.coords: sample_normal_cone_ref(s) for s in fx.box_sampler.samples(ground)}
+    return svip_listing_ref(cones, ground)
+
+
+@pytest.mark.parametrize("name", fixture_names())
+def test_fixture_listings_match_the_exact_reference(name):
+    fx = get_fixture(name)
+    ground = fx.default_ground
+    got = svip_solutions(fx.relation, ground, fx.cone_oracle, tol=0.0,
+                         contour_sampler=fx.box_sampler)
+    assert got == _reference_listing(fx, ground)
+
+
+@pytest.mark.parametrize("spec, count", [("-0.5:2.5:0.1,0.5:3.5:0.1", 1),
+                                         ("-0.5:2.5:0.05,0.5:3.5:0.05", 3)])
+def test_radial_listings_match_the_exact_reference(radial, spec, count):
+    ground = parse_grid_spec(spec)
+    got = svip_solutions(radial.relation, ground, tol=0.0, contour_sampler=radial.box_sampler)
+    assert got == _reference_listing(radial, ground) and len(got) == count
+
+
+# -------------------------------------------------- drawn dyadic windows
+
+
+def _utility(kind, dim, c, a):
+    u, cols = window_utility(kind, c[:dim], a[:dim])
+    return Relation.from_utility(f"{kind} c={c[:dim]} a={a[:dim]}", dim, u, columns=cols)
+
+
+_DYADIC = st.integers(-16, 16).map(lambda k: k / 8.0)
+
+
+@st.composite
+def dyadic_windows(draw):
+    dim = draw(st.integers(1, 2))
+    kind = draw(st.sampled_from(("bowl", "vee", "kinked")))
+    c = (draw(_DYADIC), draw(_DYADIC))
+    a = (draw(st.sampled_from((1.0, 2.0, -1.0, 0.5))), draw(st.sampled_from((1.0, -2.0, 0.25))))
+    step = draw(st.sampled_from((0.25, 0.125)))
+    axes = []
+    for _ in range(dim):
+        lo, n = draw(_DYADIC), draw(st.integers(2, 20 if dim == 1 else 10))
+        axes.append((lo, lo + (n - 1) * step, step))
+    radius, sstep = draw(st.sampled_from(((0.5, 0.125), (1.0, 0.25), (0.25, 0.0625))))
+    return _utility(kind, dim, c, a), GroundSet.grid(axes), BoxSampler(None, radius, sstep)
+
+
+@DIFFERENTIAL
+@given(dyadic_windows())
+def test_dyadic_window_listings_match_the_exact_reference(case):
+    rel, ground, box = case
+    sampler = BoxSampler(rel, box.radius, box.step)
+    got = svip_solutions(rel, ground, tol=0.0, contour_sampler=sampler)
+    cones = {s.base.coords: sample_normal_cone_ref(s) for s in sampler.samples(ground)}
+    assert got == svip_listing_ref(cones, ground)
+
+
+def test_the_hull_of_a_grid_is_its_corners():
+    ground = GroundSet.grid([(0.0, 1.0, 0.25), (-1.0, 0.0, 0.5)])
+    assert sorted(corners(ground)) == [(0.0, -1.0), (0.0, 0.0), (1.0, -1.0), (1.0, 0.0)]
+    assert polar_ref((RAY, (1,), (1,))) == (RAY, (-1,), (-1,))
+    assert polar_ref((FULL, None, None))[0] == ZERO

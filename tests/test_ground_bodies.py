@@ -3,13 +3,13 @@
 `vip.bodies_for_ground` with a `BoxSampler` cuts every base's box candidates
 from its own axis lattices, or, for a utility's column form, from one union
 lattice scored once per point, and turns each block of samples into bodies
-in one pass. Its samples
-must be `box_sample_ref`'s and its bodies the net rows that
-`normal_membership_ref` accepts, row by row, in any dimension, for column
-forms off by up to K floats or not finite, for predicates, and with block
-budgets that split a ground into many blocks. The zero stage reads a
-sampled body's verdict off the largest gap between its net rows, and must
-agree with `body_contains_ref` (one NNLS solve) wherever it gives one.
+in one pass. Its samples must be `box_sample_ref`'s, for column forms off
+by up to K floats or not finite, for predicates, and with block budgets
+that split a ground into many blocks. Its bodies must be the per-sample
+ones: in 3-D the net rows that `normal_membership_ref` accepts, row by row;
+in 1-D and 2-D the unit hulls of the exact polars of the samples' cones
+(`tests/exact_reference.py`). The zero stage reads a 1-D or 2-D body's
+verdict off its shape, exactly: it holds zero where the polar holds a line.
 """
 
 import numpy as np
@@ -23,7 +23,8 @@ from prefmax.cones import BoxSampler, contains_zero, sampled_bodies, unit_net
 from prefmax.harness import ExperimentSpec, vip_solutions
 from prefmax.vip import bodies_for_ground
 
-from scalar_reference import body_contains_ref, box_sample_ref, normal_membership_ref, scalar_holds
+from exact_reference import holds_line, sample_normal_cone_ref
+from scalar_reference import box_sample_ref, normal_membership_ref, scalar_holds
 
 DIFFERENTIAL = settings(settings.get_profile("differential"), max_examples=100)
 
@@ -127,11 +128,13 @@ def test_stacked_samples_and_bodies_match_the_scalar_references(case, tol, budge
     assert [g.tolist() for g in got] == [w.points.tolist() for w in want]
     if budget == 1:
         assert blocks == len(ground)
-    net = unit_net(ground.dim).tolist()
     for x, sample, body in zip(ground, want, per_sample):
-        rows = [u for u in net if normal_membership_ref(sample, u, tol)]
-        assert stacked[x.coords].vertices.tolist() == rows
-        assert body.vertices.tolist() == rows
+        assert stacked[x.coords] == body
+        if ground.dim == 3:
+            rows = [u for u in unit_net(3).tolist() if normal_membership_ref(sample, u, tol)]
+            assert body.vertices.tolist() == rows
+        else:
+            assert contains_zero(body, tol) == (tol >= 0.0 and holds_line(sample_normal_cone_ref(sample)))
 
 
 def test_a_ground_of_one_lattice_scores_each_point_once(radial):
@@ -189,74 +192,25 @@ def test_a_union_lattice_too_large_to_score_builds_no_offsets(spec):
 
 
 @pytest.mark.parametrize("name", fixture_names())
-def test_net_gap_verdicts_match_the_nnls_reference(name):
+def test_zero_verdicts_are_the_exact_polars(name):
     # every body that the fixture's box sampler gives on its default ground
+    # holds zero at tol >= 0 exactly where the exact polar holds a line, and
+    # at no negative tol
     fx = get_fixture(name)
-    for tol in (0.0, 1e-9):
+    samples = list(fx.box_sampler.samples(fx.default_ground))
+    for tol in (0.0, 1e-9, -1e-9):
         bodies = bodies_for_ground(fx.relation, fx.default_ground, tol=tol,
                                    contour_sampler=fx.box_sampler)
-        decided = 0
-        for body in bodies.values():
-            want = body_contains_ref(body, (0.0,) * body.dim, tol)
-            verdict = cones._net_gap_zero(body, tol)
-            if verdict is not None:
-                decided += 1
-                assert verdict == want
-            assert contains_zero(body, tol) == want
-        if tol > 0.0 and name == "radial-bowl":
-            assert decided == len(bodies)
+        for sample in samples:
+            assert contains_zero(bodies[sample.base.coords], tol) == (
+                tol >= 0.0 and holds_line(sample_normal_cone_ref(sample)))
 
 
-def _net_body(dim, rows):
-    keep = np.zeros((1, len(unit_net(dim))), dtype=bool)
-    keep[0, list(rows)] = True
-    return cones._net_bodies(dim, keep)[0]
-
-
-# rows of the 2-D net whose largest cyclic index gap is 179, 180 or 181
-# (degrees), a single row, no row, and the whole net; the two 1-D rows
-BUILT = [(2, (0, 179, 270), 179), (2, (0, 180, 270), 180), (2, (0, 179), 181),
-         (2, (5, 186), 181), (2, (90,), 360), (2, (), None), (2, tuple(range(360)), 1),
-         (1, (0,), 2), (1, (1,), 2), (1, (0, 1), 1), (1, (), None)]
-
-
-@pytest.mark.parametrize("tol", (0.0, 1e-13, 1e-9, 1e-3, 0.5, -1e-9))
-@pytest.mark.parametrize("dim, rows, gap", BUILT)
-def test_built_net_bodies_match_the_nnls_reference(dim, rows, gap, tol):
-    body = _net_body(dim, rows)
-    assert body.vertices.tolist() == unit_net(dim)[list(rows)].tolist()
-    assert getattr(body, "_net_gap", None) == gap
-    want = body_contains_ref(body, (0.0,) * dim, tol)
-    verdict = cones._net_gap_zero(body, tol)
-    assert verdict in (None, want)
-    n = len(unit_net(dim))
-    if gap is None or 2 * gap == n:
-        assert verdict is None  # no record, or exactly a half-turn
-    elif 2 * gap < n:
-        # interior, decided wherever tol clears the hull screen's slack
-        assert verdict is (True if tol >= 1e-9 else None)
-    elif tol <= 1e-3:
-        assert verdict is False  # the arc's bound clears tol
-    assert contains_zero(body, tol) == want
-
-
-def test_gaps_of_a_batch_are_each_bodys_own():
-    keep = np.zeros((len(BUILT), 360), dtype=bool)
-    for i, (dim, rows, _) in enumerate(BUILT):
-        if dim == 2:
-            keep[i, list(rows)] = True
-    batch = cones._net_bodies(2, keep)
-    for body, (dim, rows, gap) in zip(batch, BUILT):
-        if dim == 2:
-            assert getattr(body, "_net_gap", None) == gap
-
-
-def test_a_body_not_from_the_net_gets_no_net_verdict():
+def test_a_body_not_built_from_a_shape_runs_the_hull_test():
     body = ConvexBody(2, ((1.0, 0.0), (-1.0, 0.5), (-1.0, -0.5)))
-    assert cones._net_gap_zero(body, 1e-9) is None
+    assert not hasattr(body, "_holds_zero")
     assert contains_zero(body, 1e-9) is True
-    # the net rows copied into a new body lose the record
-    assert cones._net_gap_zero(ConvexBody(2, _net_body(2, (0, 179)).vertices), 1e-9) is None
+    assert contains_zero(ConvexBody(2, ((1.0, 0.0), (0.0, 1.0))), 1e-9) is False
 
 
 def test_the_radial_zero_stage_needs_no_solve(monkeypatch):

@@ -16,6 +16,7 @@ vertex weights.
 
 import math
 import warnings
+from fractions import Fraction
 from itertools import product
 
 import numpy as np
@@ -58,10 +59,11 @@ from prefmax import (
     zero_maximality_check,
 )
 from prefmax import points, relations, vip
-from prefmax.cones import unit_net
+from prefmax.cones import ZERO, contains_zero, unit_net
 from prefmax.relations import PROPERTIES, strictly_better_mask
 from prefmax.vip import bodies_for_ground
 
+from exact_reference import holds_line, sample_normal_cone_ref, unit_ref
 from scalar_reference import (
     SCALAR_RULES,
     _passes_all,
@@ -76,6 +78,7 @@ from scalar_reference import (
     mvip_solutions_ref,
     normal_membership_ref,
     plastria_membership_ref,
+    probe_fan,
     random_tabular_relation,
     sample_contour_ref,
     scalar_holds,
@@ -288,7 +291,7 @@ def _assert_memberships_match(sample, probes, tols=TOLS, gap=None):
 def _fixture_probes(dim, seed):
     rng = np.random.default_rng(seed)
     quarter = rng.integers(-8, 9, size=(6, dim)) / 4.0
-    return [tuple(p) for p in np.r_[unit_net(dim)[::9], quarter, rng.uniform(-3.0, 3.0, (6, dim))]]
+    return [tuple(p) for p in np.r_[probe_fan(dim)[::9], quarter, rng.uniform(-3.0, 3.0, (6, dim))]]
 
 
 @settings(DIFFERENTIAL, max_examples=25)
@@ -309,14 +312,22 @@ def test_fixture_ground_sample_memberships_match(name):
 
 
 @pytest.mark.parametrize("name", FIXTURES)
-def test_fixture_bodies_are_the_net_rows_the_scalar_test_accepts(name):
-    # the whole unit net, as body_from_sample tests it
+def test_fixture_bodies_are_the_exact_polars(name):
+    # every 17th base's box sample: the body's vertices are the unit edges
+    # of the exact polar of the sample's cone, or, where the polar holds a
+    # line, a body that holds zero
     fx = get_fixture(name)
     for x in list(fx.default_ground)[::17]:
         sample = fx.contour_sampler(x)
-        net = unit_net(x.dim)
-        want = [tuple(v) for v in net.tolist() if normal_membership_ref(sample, v, 1e-9)]
-        assert [tuple(v) for v in body_from_sample(sample).vertices.tolist()] == want
+        kind, f, l = sample_normal_cone_ref(sample)
+        body = body_from_sample(sample)
+        if holds_line((kind, f, l)):
+            assert contains_zero(body, 0.0)
+        elif kind == ZERO:
+            assert body.is_empty
+        else:
+            assert np.allclose(body.vertices, [unit_ref(f), unit_ref(l)][:len(body.vertices)],
+                               rtol=0.0, atol=1e-15)
 
 
 @st.composite
@@ -366,7 +377,7 @@ def test_membership_on_an_empty_sample_accepts_every_probe():
 
 def test_membership_on_a_short_sample():
     sample = _line_sample(13)
-    _assert_memberships_match(sample, [tuple(v) for v in unit_net(2)], gap=_TILTED_GAP)
+    _assert_memberships_match(sample, [tuple(v) for v in probe_fan(2)], gap=_TILTED_GAP)
 
 
 def test_every_probe_fails_from_the_first_row():
@@ -521,7 +532,7 @@ def _stacked_grounds(draw):
         if kind == "empty":
             pool.append(ConvexBody(dim, ()))
         elif kind == "net":
-            pool.append(ConvexBody(dim, unit_net(dim)))
+            pool.append(ConvexBody(dim, probe_fan(dim)))
         elif kind == "pair" and dim == 2:
             q = draw(st.sampled_from((0.25, 0.5, 1.0)))
             pool.append(ConvexBody(2, ((q, 1.0), (-q, 1.0))))
@@ -636,17 +647,19 @@ def test_midpoint_witness_found_after_vertices_fail():
     assert cert == svip_sweep_ref(body, pt(0.0, 0.0), X, 0.0)
 
 
-def test_a_near_tie_falls_through_the_screen_to_the_midpoint():
+def test_a_near_tie_at_tol_zero_gets_an_exact_witness_or_none():
     # both vertices fail at d by one rounding error (their products compute
-    # to -1.1e-16 < 0), while their midpoint's product computes to 0.0 and
-    # passes: within the screen's slack, so the sweep decides
+    # to -1.1e-16 < 0); their midpoint's product computes to 0.0 but is
+    # -1.56e-17 exactly, so at tol 0 it is no witness: the base gets a
+    # witness whose products are >= 0 exactly, or none
     v, w = pt(0.422128466173938, 0.4241708158072166), pt(0.4069278311689689, 0.4088966368131169)
     X = [pt(1.2351047705900675, -1.2291578367575862)]
     xhat = pt(0.0, 0.0)
     body = ConvexBody(2, (v, w))
-    mid = Point(tuple(0.5 * (a + b) for a, b in zip(v, w)))
+    mid = tuple(0.5 * (a + b) for a, b in zip(v, w))
+    assert sum(Fraction(a) * Fraction(b) for a, b in zip(mid, X[0].coords)) < 0
     cert = svip_membership(body, xhat, X, 0.0)
-    assert cert is not None and cert.witness == mid
+    assert cert is None or (cert.witness.coords != mid and _passes_all(cert.witness.coords, xhat, X, 0.0))
     assert cert == svip_sweep_ref(body, xhat, X, 0.0)
 
 
@@ -676,8 +689,8 @@ def test_an_lp_point_that_misses_a_floor_by_rounding_is_no_witness():
     body = ConvexBody(2, ((-1.0, 1.0), (2.0, -1.0)))
     X, xhat = [pt(1.0, 0.0), pt(-1.0, 0.0)], pt(0.0, 0.0)
     cert = svip_membership(body, xhat, X, 0.0)
-    assert cert is None or (certificate_valid(cert, body, X)
-                            and _passes_all(cert.witness.coords, xhat, X, 0.0))
+    assert cert is not None and (certificate_valid(cert, body, X)
+                                 and _passes_all(cert.witness.coords, xhat, X, 0.0))
     cert = svip_membership(body, xhat, X, 1e-9)
     assert cert is not None and certificate_valid(cert, body, X)
 

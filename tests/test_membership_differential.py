@@ -1,12 +1,14 @@
-"""Closed-form cone and hull membership against NNLS (tests/scalar_reference.py).
+"""Closed-form cone membership against NNLS (tests/scalar_reference.py).
 
-In 1-D and 2-D, `Cone.contains_many` computes the residual NNLS minimises
-in closed form, and `ConvexBody.contains` settles by bounds every query whose
-residual is clear of the threshold. Both must give NNLS's verdict on every
-fixture oracle and body, and on random cones and bodies with antipodal and
-near-antipodal generators, probes on and near the generators, at zero, and
-at near-tie tolerances. `cone_unit_hull` must give the reference's vertices
-in the same order, and `box_sample`'s lattice mask the `np.isin` one.
+In 1-D and 2-D, `Cone.contains_many` reads the residual NNLS minimises off
+the cone's exact shape and edges. It must give NNLS's verdict on every
+fixture oracle, and on random cones with antipodal and parallel generators,
+probes on and near the generators, at zero, and at near-tie tolerances.
+Where a pair of generators is within 1e-12 of opposite, NNLS's own rank
+test drops one of them as dependent; there the cone is the exact wedge the
+pair spans. `ConvexBody.contains` is one NNLS solve, and `cone_unit_hull`
+must give the body of the exact cone (`tests/exact_reference.py`), and
+`box_sample`'s lattice mask the `np.isin` one.
 """
 
 import math
@@ -17,30 +19,23 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from prefmax import Cone, ConvexBody, Point, cone_unit_hull, fixture_names, get_fixture
-from prefmax.cones import (
-    DEFAULT_TOL,
-    _PAIR_DEPENDENT,
-    _PAIR_SPANS,
-    _box_candidates,
-    _hull_screen,
-    unit_net,
-)
+from prefmax.cones import DEFAULT_TOL, _box_candidates
 from prefmax.vip import bodies_for_ground
 
+from exact_reference import assert_body_is_the_shape, oracle_cone_ref
 from scalar_reference import (
     body_contains_ref,
     box_candidates_isin_ref,
     cone_contains_ref,
     cone_residual_ref,
-    cone_unit_hull_ref,
     hull_residual_ref,
+    probe_fan,
 )
 
 DIFFERENTIAL = settings(settings.get_profile("differential"), max_examples=60)
 TOLS = (0.0, 1e-9, 1e-3)
 FIXTURES = fixture_names()
 CONE_FIXTURES = [n for n in FIXTURES if get_fixture(n).cone_oracle is not None]
-EPS = np.finfo(float).eps
 
 # Rotations (radians) that turn a unit generator into a near-antipode, on
 # both sides of the band of cross products (about 48 to 102 eps, 1.1e-14 to
@@ -73,7 +68,7 @@ def cones_2d(draw):
             a, r = draw(st.floats(0.0, 2.0 * math.pi)), draw(st.floats(0.1, 3.0))
             g = (r * math.cos(a), r * math.sin(a))
         elif kind == "net":
-            g = tuple(unit_net(2)[draw(st.integers(0, 359))].tolist())
+            g = tuple(probe_fan(2)[draw(st.integers(0, 359))].tolist())
         elif kind == "antipode":
             g = near_antipode(draw(st.sampled_from(gens)), draw(st.sampled_from(OFFSETS)))
         else:
@@ -90,12 +85,20 @@ def cones_1d(draw):
 
 
 def probes(cone: Cone, extra) -> np.ndarray:
-    """Each generator, its negation and 1e-12 times it, zero, the unit net
+    """Each generator, its negation and 1e-12 times it, zero, the probe fan
     and the extra rows."""
     G = [g.coords for g in cone.generators]
     rows = G + [tuple(-c for c in g) for g in G] + [tuple(1e-12 * c for c in g) for g in G]
-    rows += [(0.0,) * cone.dim] + unit_net(cone.dim).tolist() + [tuple(p) for p in extra]
+    rows += [(0.0,) * cone.dim] + probe_fan(cone.dim).tolist() + [tuple(p) for p in extra]
     return np.array(rows, dtype=float)
+
+
+def spans_exactly(cone: Cone) -> bool:
+    """Whether no two unit generators are within 1e-12 of opposite, where
+    NNLS's rank test drops one of them and the exact cone does not."""
+    U = cone.units
+    cross = np.outer(U[:, 0], U[:, 1]) - np.outer(U[:, 1], U[:, 0])
+    return not ((np.abs(cross) < 1e-12) & (U @ U.T < 0.0)).any()
 
 
 def assert_matches_nnls(cone: Cone, P: np.ndarray, tol: float = DEFAULT_TOL) -> None:
@@ -110,6 +113,7 @@ def assert_matches_nnls(cone: Cone, P: np.ndarray, tol: float = DEFAULT_TOL) -> 
 @DIFFERENTIAL
 @given(cones_2d(), st.lists(st.tuples(coord, coord), max_size=20), st.sampled_from(TOLS))
 def test_2d_cones_match_nnls(cone, extra, tol):
+    assume(spans_exactly(cone))
     assert_matches_nnls(cone, probes(cone, extra), tol)
 
 
@@ -123,7 +127,7 @@ def test_1d_cones_match_nnls(cone, extra, tol):
 @given(cones_2d(), st.tuples(coord, coord), st.integers(-3, 3))
 def test_2d_near_ties_match_nnls(cone, q, ulps):
     # tol puts the threshold within a few ulps of the reference's residual
-    assume(math.hypot(*q) > 1e-6)
+    assume(math.hypot(*q) > 1e-6 and spans_exactly(cone))
     tol = max(cone_residual_ref(cone, q), 1e-10)
     for _ in range(abs(ulps)):
         tol = np.nextafter(tol, np.inf if ulps > 0 else -np.inf)
@@ -132,15 +136,15 @@ def test_2d_near_ties_match_nnls(cone, q, ulps):
 
 @DIFFERENTIAL
 @given(st.one_of(cones_1d(), cones_2d()))
-def test_unit_hulls_match_vertex_for_vertex(cone):
-    assert cone_unit_hull(cone).vertices.tolist() == cone_unit_hull_ref(cone).vertices.tolist()
+def test_unit_hulls_are_the_exact_cones(cone):
+    assert_body_is_the_shape(cone_unit_hull(cone), oracle_cone_ref(cone))
 
 
 @pytest.mark.parametrize("tag", ["full", "zero"])
 @pytest.mark.parametrize("tol", TOLS)
 def test_full_and_zero_cones_match_nnls(tag, tol):
     assert_matches_nnls(getattr(Cone, tag)(2),
-                        np.array([(0.0, 0.0), (1e-4, 0.0), (1.0, -2.0)] + unit_net(2).tolist()), tol)
+                        np.array([(0.0, 0.0), (1e-4, 0.0), (1.0, -2.0)] + probe_fan(2).tolist()), tol)
 
 
 @pytest.mark.parametrize("name", CONE_FIXTURES)
@@ -154,22 +158,18 @@ def test_fixture_cones_match_nnls_over_the_unit_net(name):
         if key in seen:  # an equal cone gets equal verdicts
             continue
         seen.add(key)
-        assert_matches_nnls(cone, np.r_[unit_net(x.dim), rng.uniform(-3.0, 3.0, (20, x.dim))])
-        assert cone_unit_hull(cone).vertices.tolist() == cone_unit_hull_ref(cone).vertices.tolist()
+        assert_matches_nnls(cone, np.r_[probe_fan(x.dim), rng.uniform(-3.0, 3.0, (20, x.dim))])
+        assert_body_is_the_shape(cone_unit_hull(cone), oracle_cone_ref(cone))
 
 
-def test_near_antipodal_pairs_follow_nnls_through_its_rank_band():
-    # a wedge of a half-turn less e around (0, 1): nnls treats the pair as
-    # dependent below the band and spans the wedge above it; inside the band
-    # the closed form hands the query to nnls
-    for e, inside in ((1e-15, False), (5e-15, False), (1e-13, True), (1e-12, True)):
+def test_near_antipodal_pairs_span_their_exact_wedge():
+    # a wedge of a half-turn less e around (0, 1): NNLS treats the pair as
+    # dependent for e below about 1e-14; the cone is the wedge at every e
+    for e in (1e-16, 1e-15, 5e-15, 1.6e-14, 1e-13, 1e-12):
         cone = Cone.generated([(1.0, 0.0), near_antipode((1.0, 0.0), -e)])
-        assert cone_contains_ref(cone, (0.0, 1.0)) is inside
-        assert cone.contains((0.0, 1.0)) is inside
-    for e in np.linspace(1.0e-14, 2.6e-14, 33):
-        cone = Cone.generated([(1.0, 0.0), near_antipode((1.0, 0.0), -e)])
-        assert cone.contains((0.0, 1.0)) is cone_contains_ref(cone, (0.0, 1.0))
-    assert _PAIR_DEPENDENT < 48 * EPS and 102 * EPS < _PAIR_SPANS
+        assert cone.contains((0.0, 1.0))
+        assert not cone.contains((0.0, -1.0))
+        assert_body_is_the_shape(cone_unit_hull(cone), oracle_cone_ref(cone))
 
 
 def test_a_wedge_is_decided_by_its_pair_not_by_the_nearest_ray():
@@ -201,7 +201,7 @@ def bodies_2d(draw):
         return ConvexBody(2, draw(st.lists(st.tuples(coord, coord), min_size=1, max_size=6)))
     if kind == "arc":
         start, length = draw(st.integers(0, 359)), draw(st.integers(1, 360))
-        return ConvexBody(2, unit_net(2)[(start + np.arange(length)) % 360])
+        return ConvexBody(2, probe_fan(2)[(start + np.arange(length)) % 360])
     return cone_unit_hull(draw(cones_2d()))
 
 
@@ -290,22 +290,6 @@ def test_1d_residual_is_the_distance_to_the_nearer_ray():
     assert hull_residual_ref(body, (2.0,)) == pytest.approx(math.sqrt(5.0), abs=1e-15)
     for f, inside in ((1.0 + 1e-9, True), (1.0 - 1e-9, False)):
         assert body.contains((2.0,), f * math.sqrt(5.0) / 3.0) is inside
-
-
-@pytest.mark.parametrize("name", FIXTURES)
-def test_the_screen_settles_fixture_zero_and_vertex_queries(name):
-    # the Stampacchia sweep's zero test, and a vertex witness's hull test,
-    # at the default tol need no NNLS
-    fx = get_fixture(name)
-    oracles = [fx.cone_oracle] if fx.cone_oracle is not None else []
-    for oracle in oracles + [None]:
-        sampler = None if oracle is not None else fx.contour_sampler
-        bodies = bodies_for_ground(fx.relation, fx.default_ground, oracle,
-                                   contour_sampler=sampler)
-        for body in {b for b in bodies.values() if not b.is_empty}:
-            V = body.vertices
-            for q in [np.zeros(body.dim)] + [v + h for v in V[:5] for h in (0.0, 1e-11, -1e-11)]:
-                assert _hull_screen(V, q, 1e-9) is not None
 
 
 def test_body_query_is_checked():

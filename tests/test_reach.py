@@ -33,13 +33,18 @@ BENCH = "read by bench/, which only a benchmark change may stop using"
 WAITS_H = "descent diagnostic that the convergence verdict (ROADMAP H) will read"
 WAITS_P = "grid-convexity premise that ROADMAP P will expose as a check"
 WAITS_E = "certificate re-check that two-sided certificates will run (ROADMAP B.3, on X's signs)"
-WAITS_M = ("last stage of the Stampacchia decider; no scanned command reaches it, "
-           "while radial-bowl's 3,721-point grid at tol 0 does")
+WAITS_M = "3-D sampled bodies; no fixture is 3-D (ROADMAP M)"
+LATE = ("later stage of the Stampacchia decider: no scanned command's base gets past the "
+        "vertices (radial-bowl's 3,721-point grid neither); drawn windows in the tests do")
+POLYGON = ("last Stampacchia stage for a body of three or more vertices without zero: "
+           "3-D bodies and a caller's own polygons; no command builds one")
 ERROR = "error path: no command that succeeds reaches it"
 AUDIT = "library API: the sign audit alone; zero-maximality runs it inside its own gap pass"
 
 UNCALLED = {
     "cones.Cone.contains": API,
+    "cones.ConvexBody.contains": API,
+    "cones._net_fails": WAITS_M,
     "cones.ContourSample.__eq__": API,
     "cones.ContourSample.__hash__": API,
     "cones.ConvexBody.__eq__": API,
@@ -84,7 +89,9 @@ UNCALLED = {
     "relations.strictly_better_mask": API,
     "relations.contour": API,
     "relations.preference_matrix": API,
-    "vip._lp_witness": WAITS_M,
+    "vip._lp_witness": POLYGON,
+    "vip._midpoint_witness": LATE,
+    "vip._segment_witness": LATE,
     "vip.svip_membership": API,
     "vip.mvip_membership": API,
     "vip.uniqueness_check": API,

@@ -1,18 +1,14 @@
-"""Sampled cone bodies and box-sample lattices against their references.
+"""Sampled 3-D cone bodies and box-sample lattices against their references.
 
-In 2-D, `body_from_sample` settles most net rows without the net x sample
-product: a row far from every sampled direction passes, and a row that fails
-against its nearest displacement fails. In every dimension the rows it keeps
-must be those the membership kernel (`normal_membership_many`) and its
-scalar reference accept, in net order, on samples built to sit on the
-filter's edges and on random 3-D samples. `_box_candidates` takes each axis's lattices from a cache
+In 3-D the rows that `body_from_sample` keeps must be those the membership
+kernel (`normal_membership_many`) and its scalar reference accept, in net
+order, on random samples. (1-D and 2-D bodies are the exact polars of the
+samples' cones; `tests/test_exact_reference.py` holds them to their
+reference.) `_box_candidates` takes each axis's lattices from a cache
 shared across bases, and must still give the `np.isin` reference's
 candidates.
 """
 
-import math
-
-import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -21,15 +17,10 @@ from prefmax import ContourSample, Point, body_from_sample, get_fixture, normal_
 from prefmax import cones
 from prefmax.cones import _box_axis, _box_candidates, unit_net
 from prefmax.points import axis_lattice
-from prefmax.vip import bodies_for_ground
 
 from scalar_reference import box_candidates_isin_ref, normal_membership_ref
 
 DIFFERENTIAL = settings(settings.get_profile("differential"), max_examples=80)
-TOLS = (0.0, 1e-9, 1e-3, 0.5)
-
-# 10^e for e in [-10, 1]: below, at and above every tolerance in TOLS
-magnitude = st.floats(-10.0, 1.0).map(lambda e: 10.0 ** e)
 
 
 def _assert_body_is_the_kernels(sample, tol):
@@ -37,95 +28,6 @@ def _assert_body_is_the_kernels(sample, tol):
     got = body_from_sample(sample, tol).vertices.tolist()
     assert got == net[normal_membership_many(sample, net, tol)].tolist()
     assert got == [v for v in net.tolist() if normal_membership_ref(sample, v, tol)]
-
-
-# rotations past a right angle, on both sides of the filter's 1e-9 margin
-SKEWS = (0.0, 1e-15, -1e-15, 1e-12, -1e-12, 2e-9, -2e-9, 1e-6, -1e-6, 1e-3, -1e-3)
-
-
-@st.composite
-def wedge_samples(draw):
-    # directions within a span of net rows from row k: along a row, along an
-    # axis (as lattice displacements lie), at or near right angles to a row
-    # (rows the filter leaves to the direct product, or certifies just past
-    # the margin), exactly opposite row k, or between rows; a span of 179,
-    # 180 or 181 rows puts the sample just inside, on and just past a half
-    # turn
-    net = unit_net(2)
-    k = draw(st.one_of(st.sampled_from((0, 90, 180, 270)), st.integers(0, 359)))
-    span = draw(st.sampled_from((0, 1, 90, 179, 180, 181, 270, 359)))
-    rows = []
-    for _ in range(draw(st.integers(0, 64))):
-        j = (k + draw(st.integers(0, span))) % 360
-        kind = draw(st.sampled_from(("along", "axis", "right", "skew", "opposite", "between",
-                                     "zero")))
-        if kind == "along":
-            u = net[j]
-        elif kind == "axis":
-            u = np.array(draw(st.sampled_from(((1.0, 0.0), (0.0, 1.0), (-1.0, 0.0), (0.0, -1.0)))))
-        elif kind == "right":
-            u = np.array([-net[j][1], net[j][0]])
-        elif kind == "skew":
-            a = (math.radians(j) + draw(st.sampled_from((0.5, -0.5))) * math.pi
-                 + draw(st.sampled_from(SKEWS)))
-            u = np.array([math.cos(a), math.sin(a)])
-        elif kind == "opposite":
-            u = -net[k]
-        elif kind == "between":
-            a = math.radians(k + draw(st.floats(0.0, 1.0)) * span)
-            u = np.array([math.cos(a), math.sin(a)])
-        else:
-            u = np.zeros(2)
-        rows.append(tuple((draw(magnitude) * u).tolist()))
-    base = draw(st.sampled_from(((0.0, 0.0), (0.3, -1.7))))
-    return ContourSample(Point(base), [tuple(b + d for b, d in zip(base, r)) for r in rows])
-
-
-@DIFFERENTIAL
-@given(wedge_samples(), st.sampled_from(TOLS))
-def test_2d_bodies_are_the_net_rows_the_kernel_accepts(sample, tol):
-    _assert_body_is_the_kernels(sample, tol)
-
-
-@DIFFERENTIAL
-@given(st.lists(st.tuples(st.sampled_from((-1.0, 0.0, 1.0)), magnitude), max_size=64),
-       st.sampled_from((0.0, 0.3)), st.sampled_from(TOLS))
-def test_1d_bodies_are_the_net_rows_the_kernel_accepts(rows, base, tol):
-    sample = ContourSample(Point((base,)), [(base + s * m,) for s, m in rows])
-    _assert_body_is_the_kernels(sample, tol)
-
-
-@pytest.mark.parametrize("tol", [-1e-9, -0.1])
-def test_a_negative_tol_passes_no_row_unchecked(tol):
-    # below 0 the threshold is negative, so a row more than a right angle
-    # from every displacement (here rows 91 to 269) may still fail
-    sample = ContourSample(Point((0.0, 0.0)), [(1.0, 0.0), (2.0, 1e-3)])
-    _assert_body_is_the_kernels(sample, tol)
-
-
-@pytest.mark.parametrize("stacked", (False, True))
-def test_the_filter_leaves_few_rows_to_the_direct_product(monkeypatch, stacked):
-    # radial-bowl's default bodies from box samples, per-base samples or the
-    # ground-level pass: the full product would send 360 rows per non-empty
-    # sample (168 of them); the filter sends 120 (sample, row) pairs
-    placed, direct = [], []
-    nearest, fails = cones._nearest_directions, cones._direct_fails
-
-    def spy_nearest(D, counts):
-        placed.append(len(counts))
-        return nearest(D, counts)
-
-    def spy_direct(fails_, D, dn, starts, counts, b, j, tol):
-        direct.append(len(b))
-        return fails(fails_, D, dn, starts, counts, b, j, tol)
-
-    monkeypatch.setattr(cones, "_nearest_directions", spy_nearest)
-    monkeypatch.setattr(cones, "_direct_fails", spy_direct)
-    fx = get_fixture("radial-bowl")
-    sampler = fx.box_sampler if stacked else fx.contour_sampler
-    bodies = bodies_for_ground(fx.relation, fx.default_ground, contour_sampler=sampler)
-    assert len(bodies) == 169 and sum(placed) == 168
-    assert sum(direct) <= 200
 
 
 def test_1d_and_2d_bodies_do_not_run_the_kernel(monkeypatch):

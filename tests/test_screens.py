@@ -29,7 +29,6 @@ from prefmax import (
     pt,
 )
 from prefmax import points, vip
-from prefmax.cones import unit_net
 from prefmax.vip import bodies_for_ground
 
 from scalar_reference import (
@@ -37,6 +36,7 @@ from scalar_reference import (
     minty_holds_unscreened_ref,
     mvip_membership_ref,
     mvip_solutions_ref,
+    probe_fan,
     stampacchia_unscreened_ref,
 )
 
@@ -96,7 +96,7 @@ def _explicit_grounds(draw):
         if kind == "empty":
             pool.append(ConvexBody(dim, ()))
         elif kind == "net":
-            pool.append(ConvexBody(dim, unit_net(dim)))
+            pool.append(ConvexBody(dim, probe_fan(dim)))
         elif kind == "pair" and dim == 2:
             q = draw(st.sampled_from((0.25, 0.5, 1.0)))
             pool.append(ConvexBody(2, ((q, 1.0), (-q, 1.0))))
@@ -195,7 +195,7 @@ def test_a_ground_of_extreme_rows_alone_is_swept_once(monkeypatch):
     assert met == [(2, 2)]
 
 
-def test_a_base_the_screen_leaves_open_goes_to_the_midpoints_and_the_lp(monkeypatch):
+def test_a_base_the_screen_leaves_open_goes_to_the_midpoints_and_the_segment(monkeypatch):
     # the segment (1, 1)-(2, 2) at xhat = 0, tol 0. At the far displacement
     # d1 = (1e6, -(1e6 + u)), u = 2^-33 one ulp of 1e6, the vertices fail by
     # u and 2u, below their rounding slack 8 eps sum_k |v_k| |d_k| (about
@@ -203,7 +203,7 @@ def test_a_base_the_screen_leaves_open_goes_to_the_midpoints_and_the_lp(monkeypa
     # 2e-11 and 4e-11, far above theirs. The screen tests only d1, where the
     # smallest margin is largest, and leaves the base open, although d2
     # refutes every vertex by more than rounding; the midpoint sweep and
-    # the LP then decide it, and both find no witness
+    # the segment's interval then decide it, and both find no witness
     u = 2.0 ** -33
     G = np.array([[1e6, -(1e6 + u)], [-1e-11, -1e-11]])
     B = np.zeros((1, 2))
@@ -214,7 +214,7 @@ def test_a_base_the_screen_leaves_open_goes_to_the_midpoints_and_the_lp(monkeypa
     assert (S[..., 0] <= slack[..., 0]).all() and (S[..., 1] > slack[..., 1]).all()
     assert vip._refuted(S, V, D).tolist() == [False]
     late = []
-    for name in ("_midpoint_witness", "_lp_witness"):
+    for name in ("_midpoint_witness", "_segment_witness"):
         stage = getattr(vip, name)
         monkeypatch.setattr(vip, name, lambda *args, stage=stage: late.append(stage(*args)) or late[-1])
     assert vip._stampacchia([body], B, G, 0.0) == [None]
