@@ -1,6 +1,7 @@
 import builtins
 import math
 from decimal import Decimal, localcontext
+from fractions import Fraction
 from itertools import chain
 
 import numpy as np
@@ -10,7 +11,8 @@ from hypothesis import strategies as st
 
 from prefmax import (ContourSample, DescentConfig, GroundSet, Point, StepSchedule,
                      normal_membership_many, parse_grid_spec, pt, run_descent)
-from prefmax.points import axis_lattice, ground_points, ground_spacing, row_norms, scaled_to, unit_rows
+from prefmax.points import (axis_lattice, dot_signs, ground_points, ground_spacing, row_norms,
+                            scaled_to, unit_rows)
 
 from scalar_reference import length_ref, normal_membership_ref, run_descent_ref, scaled_to_ref
 
@@ -270,3 +272,24 @@ def test_library_floats_do_not_depend_on_a_compensated_sum(monkeypatch):
     assert ref.termination == plain["run_descent"][-1]
     assert [normal_membership_many(s, probes, 0.0).tolist() for s in samples] == membership
     assert membership[0][0]
+
+
+# ------------------------------------------------------------- exact signs
+
+_SIGN_SCALES = st.sampled_from((1.0, 0.05, 2.0 ** 500, 2.0 ** -500, 2.0 ** 1000, 2.0 ** -1000))
+
+
+@settings(settings.get_profile("differential"), max_examples=200)
+@given(st.integers(1, 3), st.lists(st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0),
+                                             st.floats(-1.0, 1.0)), min_size=1, max_size=20),
+       _SIGN_SCALES, _SIGN_SCALES, st.integers(-2, 2))
+def test_dot_signs_are_the_exact_signs(dim, rows, sa, sb, ulps):
+    # b is turned to be nearly orthogonal to a, then moved by a few ulps, so
+    # the float sum sits inside its rounding; scales put factors outside
+    # the error-free products' range, and products near overflow
+    A = np.array([r[:dim] for r in rows]) * sa
+    B = np.array([(r[1], -r[0], r[2])[:dim] if dim > 1 else r[:1] for r in rows]) * sb
+    B[:, 0] = [np.nextafter(b, np.inf if ulps > 0 else -np.inf) if ulps else b for b in B[:, 0]]
+    want = [(t > 0) - (t < 0) for t in (sum(Fraction(x) * Fraction(y) for x, y in zip(a, b))
+                                        for a, b in zip(A.tolist(), B.tolist()))]
+    assert dot_signs(A, B).tolist() == want
