@@ -10,21 +10,29 @@ ones: in 3-D the net rows that `normal_membership_ref` accepts, row by row;
 in 1-D and 2-D the unit hulls of the exact polars of the samples' cones
 (`tests/exact_reference.py`). The zero stage reads a 1-D or 2-D body's
 verdict off its shape, exactly: it holds zero where the polar holds a line.
+The bodies that `cones._shape_bodies` builds from sets of directions a hair
+inside, on and past a half-turn are the exact reference's shapes, and their
+containment is NNLS's at every tol.
 """
+
+import math
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from prefmax import ConvexBody, GroundSet, Relation, fixture_names, get_fixture, parse_grid_spec
+from prefmax import (Cone, ConvexBody, GroundSet, Relation, cone_unit_hull, fixture_names,
+                     get_fixture, parse_grid_spec)
 from prefmax import cones, points, relations
-from prefmax.cones import BoxSampler, contains_zero, sampled_bodies, unit_net
+from prefmax.cones import (FULL, HALF, RAY, WEDGE, ZERO, BoxSampler, contains_zero,
+                           sampled_bodies, unit_net)
 from prefmax.harness import ExperimentSpec, vip_solutions
 from prefmax.vip import bodies_for_ground
 
-from exact_reference import holds_line, sample_normal_cone_ref
-from scalar_reference import box_sample_ref, normal_membership_ref, scalar_holds
+from exact_reference import (assert_body_is_the_shape, cone_shape_ref, exact_ints, holds_line,
+                             sample_normal_cone_ref)
+from scalar_reference import body_contains_ref, box_sample_ref, normal_membership_ref, scalar_holds
 
 DIFFERENTIAL = settings(settings.get_profile("differential"), max_examples=100)
 
@@ -204,6 +212,63 @@ def test_zero_verdicts_are_the_exact_polars(name):
         for sample in samples:
             assert contains_zero(bodies[sample.base.coords], tol) == (
                 tol >= 0.0 and holds_line(sample_normal_cone_ref(sample)))
+
+
+def _degree(k):
+    """The unit vector at k whole degrees, exact on the axes."""
+    axes = {0: (1.0, 0.0), 90: (0.0, 1.0), 180: (-1.0, 0.0), 270: (0.0, -1.0)}
+    return axes.get(k % 360, (math.cos(math.radians(k)), math.sin(math.radians(k))))
+
+
+def _directions(dim, rows):
+    if dim == 1:
+        return np.array([unit_net(1)[k] for k in rows], dtype=float).reshape(-1, 1)
+    return np.array([_degree(k) for k in rows], dtype=float).reshape(-1, 2)
+
+
+# sets of directions at whole degrees whose largest cyclic gap is 179, 180
+# or 181 degrees (the plane, a half-plane, a wedge), a single direction, no
+# direction, and all 360; and the rows of unit_net(1), one, both or none
+BUILT = [(2, (0, 179, 270), FULL), (2, (0, 180, 270), HALF), (2, (0, 179), WEDGE),
+         (2, (5, 186), WEDGE), (2, (90,), RAY), (2, (), ZERO), (2, tuple(range(360)), FULL),
+         (1, (0,), RAY), (1, (1,), RAY), (1, (0, 1), FULL), (1, (), ZERO)]
+
+
+@pytest.mark.parametrize("tol", (0.0, 1e-13, 1e-9, 1e-3, 0.5, -1e-9))
+@pytest.mark.parametrize("dim, rows, kind", BUILT)
+def test_built_shape_bodies_match_the_nnls_reference(dim, rows, kind, tol):
+    # the body of the cone of each set: its shape is the exact reference's,
+    # its zero verdict holds exactly where the cone holds a line, and
+    # containment is NNLS's at every tol
+    D = _directions(dim, rows)
+    shape, first, last = cones._shapes(D, [len(D)])
+    assert shape.tolist() == [kind]
+    want = cone_shape_ref(exact_ints(D.tolist()))
+    assert want[0] == kind
+    body = cones._shape_bodies(shape, first, last)[0]
+    assert_body_is_the_shape(body, want)
+    if D.size:
+        assert body == cone_unit_hull(Cone.generated(D.tolist()))
+    line = holds_line(want)
+    assert contains_zero(body, tol) is (line and tol >= 0.0)
+    zero = (0.0,) * dim
+    nnls = body_contains_ref(body, zero, tol)
+    assert body.contains(zero, tol) == nnls
+    if line and tol >= 1e-13:
+        assert nnls  # zero inside the body, or on its segment through zero
+    elif not line and tol <= 1e-3:
+        assert not nnls  # the arc of a wedge short of a half-turn clears tol
+
+
+def test_shapes_of_a_batch_are_each_sets_own():
+    # one pass over all the 2-D sets, with empty sets between them, gives
+    # each set the shape and edges of a pass over that set alone
+    sets = [_directions(2, rows) for dim, rows, _ in BUILT if dim == 2]
+    sets = [s for t in sets for s in (t, np.zeros((0, 2)))]
+    shape, first, last = cones._shapes(np.concatenate(sets), [len(s) for s in sets])
+    for s, kind, f, l in zip(sets, shape.tolist(), first.tolist(), last.tolist()):
+        own = cones._shapes(s, [len(s)])
+        assert (kind, f, l) == (own[0][0], own[1][0].tolist(), own[2][0].tolist())
 
 
 def test_a_body_not_built_from_a_shape_runs_the_hull_test():

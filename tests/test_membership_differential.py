@@ -6,7 +6,8 @@ fixture oracle, and on random cones with antipodal and parallel generators,
 probes on and near the generators, at zero, and at near-tie tolerances.
 Where a pair of generators is within 1e-12 of opposite, NNLS's own rank
 test drops one of them as dependent; there the cone is the exact wedge the
-pair spans. `ConvexBody.contains` is one NNLS solve, and `cone_unit_hull`
+pair spans. `ConvexBody.contains` is one NNLS solve, the zero test of a
+fixture body reads its shape without one, and `cone_unit_hull`
 must give the body of the exact cone (`tests/exact_reference.py`), and
 `box_sample`'s lattice mask the `np.isin` one.
 """
@@ -19,7 +20,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from prefmax import Cone, ConvexBody, Point, cone_unit_hull, fixture_names, get_fixture
-from prefmax.cones import DEFAULT_TOL, _box_candidates
+from prefmax.cones import DEFAULT_TOL, _box_candidates, contains_zero
 from prefmax.vip import bodies_for_ground
 
 from exact_reference import assert_body_is_the_shape, oracle_cone_ref
@@ -290,6 +291,28 @@ def test_1d_residual_is_the_distance_to_the_nearer_ray():
     assert hull_residual_ref(body, (2.0,)) == pytest.approx(math.sqrt(5.0), abs=1e-15)
     for f, inside in ((1.0 + 1e-9, True), (1.0 - 1e-9, False)):
         assert body.contains((2.0,), f * math.sqrt(5.0) / 3.0) is inside
+
+
+@pytest.mark.parametrize("name", FIXTURES)
+def test_fixture_zero_queries_need_no_solve_and_vertex_queries_match_nnls(name, monkeypatch):
+    # every body of the fixture's oracle or sampler on its default ground:
+    # the Stampacchia sweep's zero test reads the body's shape and runs no
+    # NNLS solve, and a vertex witness's hull test, at and 1e-11 off each of
+    # the first five vertices, gives NNLS's verdict at the default tol
+    fx = get_fixture(name)
+    oracles = [fx.cone_oracle] if fx.cone_oracle is not None else []
+    for oracle in oracles + [None]:
+        sampler = None if oracle is not None else fx.contour_sampler
+        bodies = bodies_for_ground(fx.relation, fx.default_ground, oracle,
+                                   contour_sampler=sampler)
+        unique = {b for b in bodies.values() if not b.is_empty}
+        with monkeypatch.context() as m:
+            m.setattr(ConvexBody, "contains", lambda *args: pytest.fail("NNLS solve"))
+            verdicts = [contains_zero(body) for body in unique]
+        for body, zero in zip(unique, verdicts):
+            assert zero is body_contains_ref(body, np.zeros(body.dim), DEFAULT_TOL)
+            for q in [v + h for v in body.vertices[:5] for h in (0.0, 1e-11, -1e-11)]:
+                assert body.contains(q) is body_contains_ref(body, q, DEFAULT_TOL)
 
 
 def test_body_query_is_checked():
