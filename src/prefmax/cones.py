@@ -16,8 +16,9 @@ from itertools import groupby, product
 import numpy as np
 
 from . import points
-from .points import (Point, axis_lattice, blocks, coord_array, dot_signs, ground_array,
-                     ground_points, row_blocks, row_norms, rowdot, tol_floor, unit_rows)
+from .points import (Point, axis_lattice, blocks, centred_lattice, coord_array, dot_signs,
+                     ground_array, ground_points, row_blocks, row_norms, rowdot, tol_floor,
+                     unit_rows)
 from .relations import Relation, _scored_strict, strictly_better_mask, strictly_better_rows
 
 DEFAULT_TOL = 1e-9
@@ -255,13 +256,14 @@ def _lattice(axes) -> np.ndarray:
 @lru_cache(maxsize=_BOX_AXES)
 def _box_axis(c: float, radius: float, step: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """One axis of a base's box lattices at coordinate c, as read-only
-    arrays: the coarse lattice, the fine lattice, and the mask of the fine
-    points on the coarse lattice (float ==, through a set). Every base's
-    candidates are cut from these (`_box_product`); bases on a grid share
-    their coordinates, so a sweep builds each axis once."""
-    fine_r = min(0.1, radius)
+    arrays: the coarse lattice, the fine lattice c + k step / 2 for
+    |k| <= min(0.1, radius) / (step / 2) (`points.centred_lattice`, which
+    mirrors about c), and the mask of the fine points on the coarse lattice
+    (float ==, through a set). Every base's candidates are cut from these
+    (`_box_product`); bases on a grid share their coordinates, so a sweep
+    builds each axis once."""
     coarse = axis_lattice(c - radius, c + radius, step)
-    fine = axis_lattice(c - fine_r, c + fine_r, step / 2.0)
+    fine = centred_lattice(c, min(0.1, radius), step / 2.0)
     on_coarse = set(coarse)
     arrays = (np.array(coarse, dtype=float), np.array(fine, dtype=float),
               np.array([v in on_coarse for v in fine], dtype=bool))
@@ -422,16 +424,31 @@ class BoxSampler:
 
 
 def box_bodies(rel: Relation, B: np.ndarray, radius: float, step: float,
-               tol: float = DEFAULT_TOL) -> list:
+               tol: float = DEFAULT_TOL, extra: tuple | None = None) -> list:
     """`body_from_sample(box_sample(rel, x, radius, step), tol)` for every
     base x, a row of B, in ground-level passes: each block of `_box_blocks`
     goes through the body pass (`_sampled_bodies`) as it is sampled, so
     that no more than one block's samples are held at once. Passing
     `BoxSampler.samples` to `sampled_bodies` instead would hold a block of
     displacements as ContourSamples beside the score table: 4.2 MB traced
-    for radial-bowl's ground, against 2.1 MB."""
+    for radial-bowl's ground, against 2.1 MB.
+
+    `extra`, rows stacked base after base and their number per base, adds
+    each base's rows to its sample after its box points."""
     bodies = []
+    if extra is not None:
+        Q, q = extra
+        qstart = np.cumsum(q) - q
     for blk, P, kept in _box_blocks(rel, B, radius, step):
+        if extra is not None:
+            qb = q[blk]
+            rows = Q[qstart[blk.start]:qstart[blk.start] + qb.sum()]
+            total = kept + qb
+            start = np.cumsum(total) - total
+            merged = np.empty((total.sum(), B.shape[1]))
+            merged[np.repeat(start - np.cumsum(kept) + kept, kept) + np.arange(len(P))] = P
+            merged[np.repeat(start + kept - np.cumsum(qb) + qb, qb) + np.arange(len(rows))] = rows
+            P, kept = merged, total
         bodies += _sampled_bodies(P - np.repeat(B[blk], kept, axis=0), kept, tol)
     return bodies
 

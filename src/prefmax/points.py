@@ -257,6 +257,37 @@ def ground_points(X, dim: int | None = None) -> tuple:
     return pts, ground_array(rows, (pts[0].dim if pts else 0) if dim is None else dim)
 
 
+def ground_neighbours(rows: np.ndarray) -> np.ndarray:
+    """The neighbours of each row of a ground's (n, dim) array on the
+    ground's own per-axis coordinate lattice, as an (n, 3^dim - 1) array of
+    row indices: on each axis a neighbour has the row's own coordinate or
+    the next distinct coordinate of the ground below or above it, the
+    offsets in the order of `itertools.product` over (-1, 0, 1) per axis,
+    the row itself left out, and -1 where the ground has no such row. A
+    grid's neighbours are its points one step away along each axis and
+    diagonal. Rows are matched by their per-axis ranks, packed into one
+    int key each and looked up in the sorted keys."""
+    n, dim = rows.shape
+    offsets = np.array([o for o in product((-1, 0, 1), repeat=dim) if any(o)], dtype=np.int64)
+    if not n:
+        return np.empty((0, len(offsets)), dtype=np.int64)
+    key, stride = np.zeros(n, dtype=np.int64), 1
+    for k in range(dim - 1, -1, -1):
+        col = rows[:, k]
+        vals = np.sort(col)
+        vals = vals[np.concatenate(([True], vals[1:] != vals[:-1]))]
+        # ranks shifted by one, and one spare rank on each side, so that no
+        # offset wraps onto another rank
+        key += (np.searchsorted(vals, col) + 1) * stride
+        offsets[:, k] *= stride
+        stride *= len(vals) + 2
+    order = np.argsort(key, kind="stable")
+    keys = key[order]
+    want = key[:, None] + offsets.sum(axis=1)
+    at = np.minimum(np.searchsorted(keys, want), n - 1)
+    return np.where(keys[at] == want, order[at], -1)
+
+
 def coord_array(rows, dim: int) -> np.ndarray:
     """`ground_array(rows, dim)` as a read-only copy whose coordinates are
     checked to be finite, failing with ValueError as `Point` does for one
@@ -320,6 +351,15 @@ def axis_lattice(lo: float, hi: float, step: float) -> list[float]:
     while lo + n * step > hi + step * 1e-9:
         n -= 1
     return [round(lo + i * step, _LATTICE_DECIMALS) for i in range(n + 1)]
+
+
+def centred_lattice(c: float, reach: float, step: float) -> list[float]:
+    """Coordinates c + k * step for |k| <= reach / step (with the slack of
+    `axis_lattice`'s upper end), rounded to the lattice decimals: c itself
+    (k = 0) and as many points on each side of it, whatever reach and step
+    are."""
+    n = int(math.floor(reach / step + 1e-9))
+    return [round(c + k * step, _LATTICE_DECIMALS) for k in range(-n, n + 1)]
 
 
 @dataclass(frozen=True)

@@ -15,10 +15,17 @@ from typing import Callable
 import numpy as np
 
 from .cones import (
+    _POLAR,
+    RAY,
+    WEDGE,
+    ZERO,
     BoxSampler,
     Cone,
+    ContourSample,
     ConvexBody,
     DEFAULT_TOL,
+    _rot,
+    _shapes,
     box_bodies,
     cone_unit_hull,
     contains_zero,
@@ -26,8 +33,9 @@ from .cones import (
     sampled_bodies,
 )
 from .points import (GroundSet, Point, blocks, check_same_dim, dot_signs, ground_array,
-                     ground_points, row_blocks, row_norms, rowdot, tol_floor, unit_rows)
-from .relations import Relation, maximal_elements
+                     ground_neighbours, ground_points, row_blocks, row_norms, rowdot, tol_floor,
+                     unit_rows)
+from .relations import Relation, maximal_elements, strictly_better_rows
 
 ConeOracle = Callable[[Point], Cone]
 
@@ -173,6 +181,106 @@ def _extreme_rows(G: np.ndarray) -> np.ndarray:
         return np.arange(0)
     dirs = np.array([v for v in product((-1.0, 0.0, 1.0), repeat=G.shape[1]) if any(v)])
     return np.unique(rowdot(G[:, None, :], dirs).argmax(axis=0))
+
+
+# The neighbour screen's rounding slack at tol > 0, in units of 1 + tol:
+# it covers the rounding of the unit edges, of each product, floor and cut
+# point, and of the witnesses a larger sample's body tries.
+_SCREEN_SLACK = 64.0 * float(np.finfo(float).eps)
+
+
+def _wedge_refuted(B: np.ndarray, polar: np.ndarray, e1: np.ndarray, e2: np.ndarray,
+                   H: np.ndarray, tol: float) -> np.ndarray:
+    """For bases B (rows) whose normal cones are pointed, rays or wedges
+    `polar` from the direction e1 to e2 counterclockwise (e1 = e2 on a
+    ray), whether no point w = (1 - t) u + t v, t in [0, 1], of the cone's
+    unit hull (u, v the unit edges) meets <w, h - xhat> >= floor at every
+    row h of H.
+
+    Each row cuts [0, 1] where a + t (b - a) crosses its floor: a row
+    below its floor at both ends refutes the base alone, and otherwise a
+    row rising through its floor bounds t from below and one falling
+    through it from above. At tol 0 the floors are 0, the test is
+    homogeneous, and it reads the exact signs of a = <e1, d> and
+    b = <e2, d> (`points.dot_signs`): the lower bound of a rising row d_i
+    passes the upper bound of a falling row d_j exactly where
+    cross(d_i, d_j) > 0, since for e1 before e2 the determinant
+    b_i a_j - a_i b_j is -cross(e1, e2) cross(d_i, d_j).
+
+    At tol > 0 each floor is divided by rho = ||(u + v) / 2||, 1 for a
+    ray, and tol is raised by `_SCREEN_SLACK` (1 + tol). The body of a
+    larger sample is the unit hull of a cone inside this one, so each of
+    its points w' lies at least rho from 0, and if <w', d> >= floor then
+    its direction s has <s, d> >= floor / rho, and so has the point of
+    this hull along s, whose norm is at most 1. The bounds of t are then
+    compared in floats: the raised tol covers their rounding."""
+    D = H[None] - B[:, None]
+    e1, e2 = e1[:, None], e2[:, None]
+    if tol == 0.0:
+        a, b = dot_signs(e1, D), dot_signs(e2, D)
+        out = ((a < 0) & (b < 0)).any(axis=1)
+        rise, fall = (a < 0) & (b >= 0), (b < 0) & (a >= 0)
+        both = np.flatnonzero(rise.any(axis=1) & fall.any(axis=1))
+        if both.size:
+            Db = D[both]
+            late = dot_signs((Db * [1.0, -1.0])[:, :, None], Db[:, None, :, ::-1]) > 0
+            out[both] |= (rise[both][:, :, None] & fall[both][:, None, :] & late).any(axis=(1, 2))
+        return out
+    U, V = unit_rows(e1), unit_rows(e2)
+    rho = np.where(polar == RAY, 1.0, row_norms(0.5 * (U + V))[:, 0])
+    floor = tol_floor(D, tol + _SCREEN_SLACK * (1.0 + tol)) / rho[:, None]
+    f0, f1 = rowdot(U, D) - floor, rowdot(V, D) - floor
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t = f0 / (f0 - f1)
+    lo = np.where((f0 < 0.0) & (f1 >= 0.0), t, 0.0).max(axis=1)
+    hi = np.where((f1 < 0.0) & (f0 >= 0.0), t, 1.0).min(axis=1)
+    return ((f0 < 0.0) & (f1 < 0.0)).any(axis=1) | (lo > hi)
+
+
+def _neighbour_screen(rel: Relation, G: np.ndarray, tol: float) -> tuple:
+    """The neighbour screen of a 1-D or 2-D ground G (rows): for every base,
+    a row of G, its strictly-better ground neighbours and whether they
+    refute it. Returns the mask of refuted bases, the indices into G of the
+    strictly-better neighbours stacked base after base, and their number
+    per base.
+
+    Each base meets its neighbours on the ground's coordinate lattice
+    (`points.ground_neighbours`) in one stacked `strictly_better_rows`
+    pass, and `cones._shapes` reads the exact cone of their displacements
+    and its polar, the normal cone of the neighbours alone. A larger sample
+    of the strictly-better set only narrows that cone. So the base has no
+    Stampacchia witness for any sample that holds these neighbours, the
+    sampler's and the ground's, where the polar is {0}, or where it is a
+    ray or a wedge and no point of its unit hull meets every floor at the
+    ground's extreme rows (`_extreme_rows`, `_wedge_refuted`): a linear
+    form is least over the ground at a hull vertex, and those rows are
+    ground rows either way. A polar that holds a line has zero, a witness,
+    in its hull, and at tol < 0 only a {0} polar refutes. The bases go in
+    blocks (`points.row_blocks`), a base counting 3^dim - 1 entries per
+    extreme row."""
+    n, dim = G.shape
+    N = ground_neighbours(G)
+    H = G[_extreme_rows(G)]
+    refuted = np.zeros(n, dtype=bool)
+    better = N >= 0
+    for blk in row_blocks(n, N.shape[1] * len(H)):
+        nb, real = N[blk], better[blk]
+        real[real] = strictly_better_rows(rel, G[blk], G[nb[real]], real.sum(axis=1))
+        kept = real.sum(axis=1)
+        shape, first, last = _shapes(G[nb[real]] - np.repeat(G[blk], kept, axis=0), kept)
+        if dim == 1:  # the polar of a ray is the opposite ray
+            polar, e1 = np.where(shape == RAY, RAY, _POLAR[shape]), -first
+            e2 = e1
+        else:  # from f to l: from l turned counterclockwise to f turned clockwise
+            polar, e1 = _POLAR[shape], _rot(last)
+            e2 = np.where((polar == RAY)[:, None], e1, -_rot(first))
+        out = polar == ZERO
+        pointed = np.flatnonzero((polar == RAY) | (polar == WEDGE))
+        if pointed.size and tol >= 0.0:
+            out[pointed] = _wedge_refuted(G[blk][pointed], polar[pointed], e1[pointed],
+                                          e2[pointed], H, tol)
+        refuted[blk] = out
+    return refuted, N[better], better.sum(axis=1)
 
 
 def _stampacchia(bodies: list, B: np.ndarray, G: np.ndarray, tol: float) -> list:
@@ -440,6 +548,14 @@ def bodies_for_ground(rel: Relation, X: GroundSet, cone_oracle: ConeOracle | Non
     blocks of as many displacements (`cones.sampled_bodies`), each body the
     unit hull of the sampled normal cone (`body_from_sample`). X is read
     once, at the relation's dimension (`points.ground_points`).
+
+    In 1-D and 2-D a base's sample is its sampler's points plus its
+    strictly-better ground neighbours, and the neighbour screen
+    (`_neighbour_screen`) runs first: a base whose neighbours alone leave
+    no Stampacchia witness on X has none for any sample that holds them,
+    so it is not sampled, and its body is empty. Every other base is
+    sampled, its neighbours are added to its sample, and its body is that
+    sample's. 3-D bodies come from the sampler's points alone.
     """
     pts, rows = ground_points(X, rel.dim)
     if cone_oracle is not None:
@@ -452,12 +568,26 @@ def bodies_for_ground(rel: Relation, X: GroundSet, cone_oracle: ConeOracle | Non
             if body is None:
                 body = hull_cache[key] = cone_unit_hull(cone)
             bodies.append(body)
-    elif isinstance(contour_sampler, BoxSampler) and pts:
-        bodies = box_bodies(contour_sampler.rel, rows, contour_sampler.radius,
-                            contour_sampler.step, tol)
+        return {x.coords: body for x, body in zip(pts, bodies)}
+    n, dim = rows.shape
+    bodies, sampled, extra = [ConvexBody(dim, ())] * n, np.arange(n), None
+    if dim <= 2 and n:
+        refuted, better, kept = _neighbour_screen(rel, rows, tol)
+        sampled = np.flatnonzero(~refuted)
+        extra = rows[better[np.repeat(~refuted, kept)]], kept[sampled]
+    if isinstance(contour_sampler, BoxSampler):
+        found = box_bodies(contour_sampler.rel, rows[sampled], contour_sampler.radius,
+                           contour_sampler.step, tol, extra) if sampled.size else []
     else:
         sampler = contour_sampler or (lambda x: sample_contour(rel, x, rows))
-        bodies = sampled_bodies(map(sampler, pts), tol)
+        samples = map(sampler, (pts[i] for i in sampled.tolist()))
+        if extra is not None:
+            parts = np.split(extra[0], np.cumsum(extra[1])[:-1])
+            samples = (ContourSample(s.base, np.concatenate((s.points, q))) if len(q) else s
+                       for s, q in zip(samples, parts))
+        found = sampled_bodies(samples, tol)
+    for i, body in zip(sampled.tolist(), found):
+        bodies[i] = body
     return {x.coords: body for x, body in zip(pts, bodies)}
 
 
@@ -471,6 +601,15 @@ def svip_solutions(rel: Relation, X: GroundSet, cone_oracle: ConeOracle | None =
     `svip_membership`, so a point is returned exactly where
     `svip_membership` gives it a certificate. X is read once
     (`points.ground_points`), and `bodies_for_ground` gets its Points.
+
+    Without an oracle, in 1-D and 2-D, each base is decided on its
+    sampler's points plus its strictly-better ground neighbours: the
+    neighbour screen refutes most bases before any is sampled, and gives
+    them the empty body, which the first stage skips; a base it leaves is
+    sampled with its neighbours added. Since a larger sample only narrows
+    the normal cone, the screen refutes no base that its sample's body
+    would certify, and the listing is the unscreened decision on those
+    samples.
 
     `ball_on_empty` is accepted only as False, because `bench/ops.py`
     still passes it; True raises ValueError.

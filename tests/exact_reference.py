@@ -13,6 +13,13 @@ reads the angular range around d in floats and confirms its ends by signs
 (`cones._shapes`). A sample's displacements are its points less its base,
 as floats, the vectors every membership test reads.
 
+A sampled base's cone is read from its sample plus its strictly-better
+ground neighbours (`strictly_better_neighbours_ref`): on each axis the
+ground's sorted distinct coordinates, and a neighbour that has, on every
+axis, the base's own coordinate or the next one below or above it, found
+by ground coordinates in a set of tuples, as another route than the
+library's rank keys (`points.ground_neighbours`).
+
 `svip_listing_ref` is the tol-0 Stampacchia decision of each base x with
 the normal cone N at x: zero is a witness when N holds a line, there is
 none when N = {0}, and otherwise N is a ray or a wedge with edges e1, e2
@@ -31,7 +38,7 @@ from itertools import product
 
 import numpy as np
 
-from prefmax.cones import FULL, HALF, LINE, RAY, WEDGE, ZERO
+from prefmax.cones import FULL, HALF, LINE, RAY, WEDGE, ZERO, ContourSample
 
 
 def exact_ints(rows) -> list[tuple[int, ...]]:
@@ -159,6 +166,34 @@ def sample_normal_cone_ref(sample) -> tuple:
     coordinate one float subtraction), exactly."""
     D = exact_ints(sample.points - np.array(sample.base.coords))
     return polar_ref(cone_shape_ref(D))
+
+
+def strictly_better_neighbours_ref(better, ground) -> dict:
+    """coordinates -> the coordinates of the ground points one lattice step
+    from that point (on each axis its own coordinate or the ground's next
+    distinct one below or above, not all its own) that `better(y, x)` ranks
+    strictly above it, in the order of `itertools.product` over (-1, 0, 1)
+    per axis."""
+    pts = [tuple(p) for p in ground]
+    axes = [sorted(set(col)) for col in zip(*pts)]
+    rank = [{c: i for i, c in enumerate(a)} for a in axes]
+    have = set(pts)
+    out = {}
+    for x in pts:
+        near = []
+        for o in product((-1, 0, 1), repeat=len(x)):
+            at = [rank[k][c] + o[k] for k, c in enumerate(x)]
+            if any(o) and all(0 <= i < len(a) for i, a in zip(at, axes)):
+                y = tuple(a[i] for i, a in zip(at, axes))
+                if y in have and better(y, x):
+                    near.append(y)
+        out[x] = near
+    return out
+
+
+def with_neighbours(sample, near) -> ContourSample:
+    """The sample with the points `near` added after its own."""
+    return ContourSample(sample.base, sample.points.tolist() + [list(y) for y in near])
 
 
 def oracle_cone_ref(cone) -> tuple:

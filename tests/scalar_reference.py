@@ -360,12 +360,24 @@ def sample_contour_ref(h, x: Point, ground) -> ContourSample:
     return ContourSample(x, tuple(y for y in ground if strictly_prefers_ref(h, y, x)))
 
 
+def fine_axis_ref(c: float, radius: float, step: float) -> list[float]:
+    """A box axis's fine lattice, grown outwards from c: c, then c -/+ k h,
+    h = step / 2, for k = 1, 2, ... while k h stays within min(0.1, radius)
+    (with `axis_lattice`'s slack of 1e-9 h), each rounded to 12 decimals;
+    c = -0.0 gives 0.0, as the lattice's sums c + 0 h do."""
+    h = step / 2.0
+    out, k = [round(c, 12) + 0.0], 1
+    while k * h <= min(0.1, radius) + h * 1e-9:
+        out = [round(c - k * h, 12)] + out + [round(c + k * h, 12)]
+        k += 1
+    return out
+
+
 def box_candidates(x: Point, radius: float, step: float) -> list[tuple]:
     """The coarse box lattice, then the fine points not already in it, as
     coordinate tuples de-duplicated with `dict.fromkeys`."""
-    fine_r = min(0.1, radius)
     coarse = [axis_lattice(c - radius, c + radius, step) for c in x.coords]
-    fine = [axis_lattice(c - fine_r, c + fine_r, step / 2.0) for c in x.coords]
+    fine = [fine_axis_ref(c, radius, step) for c in x.coords]
     return list(dict.fromkeys(chain(product(*coarse), product(*fine))))
 
 
@@ -382,12 +394,12 @@ def _product_array(axes, dim: int) -> np.ndarray:
 
 def box_candidates_isin_ref(x: Point, radius: float, step: float) -> np.ndarray:
     """`box_sample`'s candidate array, each lattice built with
-    `itertools.product` and every axis with its own `axis_lattice` call,
+    `itertools.product` and every axis with its own `axis_lattice` or
+    `fine_axis_ref` call,
     with the fine points on the coarse lattice found by `np.isin`, column
     by column."""
-    fine_r = min(0.1, radius)
     coarse = [axis_lattice(c - radius, c + radius, step) for c in x.coords]
-    F = _product_array([axis_lattice(c - fine_r, c + fine_r, step / 2.0) for c in x.coords], x.dim)
+    F = _product_array([fine_axis_ref(c, radius, step) for c in x.coords], x.dim)
     known = np.ones(len(F), dtype=bool)
     for k, axis in enumerate(coarse):
         known &= np.isin(F[:, k], axis)

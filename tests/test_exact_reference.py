@@ -9,7 +9,9 @@ whose squares overflow or underflow. The library's tol-0 `svip_solutions`
 must list exactly the reference's points on every fixture's default grid,
 on radial-bowl's 961- and 3,721-point grids, and on drawn windows of bowls,
 vee peaks and kinked-linear utilities with dyadic bounds, steps and box
-samplers, where every displacement is exact in floats.
+samplers, where every displacement is exact in floats. A sampled base's
+reference cone is that of its box sample plus its strictly-better ground
+neighbours, which the reference finds by ground coordinates.
 """
 
 import math
@@ -20,12 +22,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from prefmax import (Cone, ContourSample, GroundSet, Point, Relation, body_from_sample,
-                     cone_unit_hull, fixture_names, get_fixture, parse_grid_spec, svip_solutions)
+                     cone_unit_hull, fixture_names, get_fixture, parse_grid_spec, strictly_prefers,
+                     svip_solutions)
 from prefmax.cones import FULL, HALF, LINE, RAY, WEDGE, ZERO, BoxSampler, _shapes
 
 from exact_reference import (assert_body_is_the_shape, cone_shape_ref, corners, cross, dot,
                              exact_ints, oracle_cone_ref, polar_ref, sample_normal_cone_ref,
-                             svip_listing_ref, window_utility)
+                             strictly_better_neighbours_ref, svip_listing_ref, window_utility,
+                             with_neighbours)
 
 DIFFERENTIAL = settings(settings.get_profile("differential"), max_examples=150)
 
@@ -114,11 +118,20 @@ def test_oracle_bodies_are_the_exact_cone(rows):
 # --------------------------------------------------------------- listings
 
 
+def _sample_cones(rel, sampler, ground) -> dict:
+    """Each base's exact normal cone from its sample plus its strictly-better
+    ground neighbours, those found by ground coordinates."""
+    near = strictly_better_neighbours_ref(
+        lambda y, x: strictly_prefers(rel, Point(y), Point(x)), ground)
+    return {s.base.coords: sample_normal_cone_ref(with_neighbours(s, near[s.base.coords]))
+            for s in sampler.samples(ground)}
+
+
 def _reference_listing(fx, ground):
     if fx.cone_oracle is not None:
         cones = {x.coords: oracle_cone_ref(fx.cone_oracle(x)) for x in ground}
     else:
-        cones = {s.base.coords: sample_normal_cone_ref(s) for s in fx.box_sampler.samples(ground)}
+        cones = _sample_cones(fx.relation, fx.box_sampler, ground)
     return svip_listing_ref(cones, ground)
 
 
@@ -171,8 +184,7 @@ def test_dyadic_window_listings_match_the_exact_reference(case):
     rel, ground, box = case
     sampler = BoxSampler(rel, box.radius, box.step)
     got = svip_solutions(rel, ground, tol=0.0, contour_sampler=sampler)
-    cones = {s.base.coords: sample_normal_cone_ref(s) for s in sampler.samples(ground)}
-    assert got == svip_listing_ref(cones, ground)
+    assert got == svip_listing_ref(_sample_cones(rel, sampler, ground), ground)
 
 
 def test_the_hull_of_a_grid_is_its_corners():

@@ -96,7 +96,8 @@ def moved_windows(draw):
     frame = Frame(dim == 2 and draw(st.booleans()),
                   [draw(st.sampled_from((1.0, -1.0))) for _ in range(dim)],
                   [draw(_DYADIC) for _ in range(dim)])
-    box = draw(st.sampled_from(((0.0625, 0.0625), (0.0625, 0.03125))))
+    box = draw(st.sampled_from(((0.0625, 0.0625), (0.0625, 0.03125), (0.25, 0.0625),
+                                (0.5, 0.125))))
     return kind, c, a, axes, frame, box
 
 

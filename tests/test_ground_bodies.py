@@ -7,9 +7,12 @@ in one pass. Its samples must be `box_sample_ref`'s, for column forms off
 by up to K floats or not finite, for predicates, and with block budgets
 that split a ground into many blocks. Its bodies must be the per-sample
 ones: in 3-D the net rows that `normal_membership_ref` accepts, row by row;
-in 1-D and 2-D the unit hulls of the exact polars of the samples' cones
-(`tests/exact_reference.py`). The zero stage reads a 1-D or 2-D body's
-verdict off its shape, exactly: it holds zero where the polar holds a line.
+in 1-D and 2-D the unit hulls of the exact polars of the cones of the
+samples plus each base's strictly-better ground neighbours
+(`tests/exact_reference.py`), or empty where those neighbours refute the
+base, whose sample's body then has no witness. The zero stage reads a 1-D
+or 2-D body's verdict off its shape, exactly: it holds zero where the
+polar holds a line.
 The bodies that `cones._shape_bodies` builds from sets of directions a hair
 inside, on and past a half-turn are the exact reference's shapes, and their
 containment is NNLS's at every tol.
@@ -22,17 +25,19 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from prefmax import (Cone, ConvexBody, GroundSet, Relation, cone_unit_hull, fixture_names,
-                     get_fixture, parse_grid_spec)
+from prefmax import (Cone, ConvexBody, GroundSet, Point, Relation, cone_unit_hull, fixture_names,
+                     get_fixture, parse_grid_spec, strictly_prefers)
 from prefmax import cones, points, relations
 from prefmax.cones import (FULL, HALF, RAY, WEDGE, ZERO, BoxSampler, contains_zero,
                            sampled_bodies, unit_net)
 from prefmax.harness import ExperimentSpec, vip_solutions
-from prefmax.vip import bodies_for_ground
+from prefmax.vip import bodies_for_ground, svip_membership
 
 from exact_reference import (assert_body_is_the_shape, cone_shape_ref, exact_ints, holds_line,
-                             sample_normal_cone_ref)
-from scalar_reference import body_contains_ref, box_sample_ref, normal_membership_ref, scalar_holds
+                             sample_normal_cone_ref, strictly_better_neighbours_ref,
+                             with_neighbours)
+from scalar_reference import (body_contains_ref, box_sample_ref, normal_membership_ref,
+                              scalar_holds, strictly_prefers_ref)
 
 DIFFERENTIAL = settings(settings.get_profile("differential"), max_examples=100)
 
@@ -122,8 +127,18 @@ def windows(draw):
 @example((_relation("nan", 2), GroundSet.grid([(0.013, 0.5, 0.3), (-0.21, 0.1, 0.3)]), 0.25, 0.1),
          -1e-9, 1)
 def test_stacked_samples_and_bodies_match_the_scalar_references(case, tol, budget):
+    # in 1-D and 2-D each sample also holds the base's strictly-better
+    # ground neighbours, found by ground coordinates; a base the neighbour
+    # screen refutes gets the empty body, and its sample's body has no
+    # witness on the ground either
     (rel, h), ground, radius, step = case
     want = [box_sample_ref(h, x, radius, step) for x in ground]
+    if ground.dim <= 2:
+        near = strictly_better_neighbours_ref(
+            lambda y, x: strictly_prefers_ref(h, Point(y), Point(x)), ground)
+        decided = [with_neighbours(w, near[w.base.coords]) for w in want]
+    else:
+        decided = want
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(points, "BLOCK_ENTRIES", budget)
         got, blocks = [], 0
@@ -132,17 +147,21 @@ def test_stacked_samples_and_bodies_match_the_scalar_references(case, tol, budge
             blocks += 1
         stacked = bodies_for_ground(rel, ground, tol=tol,
                                     contour_sampler=BoxSampler(rel, radius, step))
-        per_sample = sampled_bodies(want, tol)
+        per_sample = sampled_bodies(decided, tol)
     assert [g.tolist() for g in got] == [w.points.tolist() for w in want]
     if budget == 1:
         assert blocks == len(ground)
-    for x, sample, body in zip(ground, want, per_sample):
-        assert stacked[x.coords] == body
+    for x, sample, body in zip(ground, decided, per_sample):
         if ground.dim == 3:
+            assert stacked[x.coords] == body
             rows = [u for u in unit_net(3).tolist() if normal_membership_ref(sample, u, tol)]
             assert body.vertices.tolist() == rows
-        else:
-            assert contains_zero(body, tol) == (tol >= 0.0 and holds_line(sample_normal_cone_ref(sample)))
+            continue
+        zero = tol >= 0.0 and holds_line(sample_normal_cone_ref(sample))
+        assert contains_zero(body, tol) == zero
+        if stacked[x.coords] != body:
+            assert stacked[x.coords].is_empty and not zero
+            assert svip_membership(body, x, ground, tol) is None
 
 
 def test_a_ground_of_one_lattice_scores_each_point_once(radial):
@@ -201,17 +220,22 @@ def test_a_union_lattice_too_large_to_score_builds_no_offsets(spec):
 
 @pytest.mark.parametrize("name", fixture_names())
 def test_zero_verdicts_are_the_exact_polars(name):
-    # every body that the fixture's box sampler gives on its default ground
-    # holds zero at tol >= 0 exactly where the exact polar holds a line, and
-    # at no negative tol
+    # every body of a box sample plus its base's strictly-better ground
+    # neighbours on a fixture's default ground, and every body that
+    # `bodies_for_ground` gives there with the box sampler, holds zero at
+    # tol >= 0 exactly where the exact polar holds a line, and at no
+    # negative tol
     fx = get_fixture(name)
-    samples = list(fx.box_sampler.samples(fx.default_ground))
+    ground = fx.default_ground
+    near = strictly_better_neighbours_ref(
+        lambda y, x: strictly_prefers(fx.relation, Point(y), Point(x)), ground)
+    samples = [with_neighbours(s, near[s.base.coords]) for s in fx.box_sampler.samples(ground)]
     for tol in (0.0, 1e-9, -1e-9):
-        bodies = bodies_for_ground(fx.relation, fx.default_ground, tol=tol,
-                                   contour_sampler=fx.box_sampler)
-        for sample in samples:
-            assert contains_zero(bodies[sample.base.coords], tol) == (
-                tol >= 0.0 and holds_line(sample_normal_cone_ref(sample)))
+        bodies = bodies_for_ground(fx.relation, ground, tol=tol, contour_sampler=fx.box_sampler)
+        for sample, body in zip(samples, sampled_bodies(samples, tol)):
+            zero = tol >= 0.0 and holds_line(sample_normal_cone_ref(sample))
+            assert contains_zero(body, tol) == zero
+            assert contains_zero(bodies[sample.base.coords], tol) == zero
 
 
 def _degree(k):

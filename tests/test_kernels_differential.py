@@ -59,7 +59,7 @@ from prefmax import (
     zero_maximality_check,
 )
 from prefmax import points, relations, vip
-from prefmax.cones import ZERO, contains_zero, unit_net
+from prefmax.cones import ZERO, contains_zero, sampled_bodies, unit_net
 from prefmax.relations import PROPERTIES, strictly_better_mask
 from prefmax.vip import bodies_for_ground
 
@@ -456,12 +456,17 @@ def _stacked_certificates(bodies, X, tol):
 @pytest.mark.parametrize("name", FIXTURES)
 def test_fixture_witnesses_match(name, monkeypatch):
     # the one-base call and the whole-ground stages give every base the
-    # reference sweep's witness, with the screen and without it
+    # reference sweep's witness, with the screen and without it; a fixture
+    # without a cone oracle gives each base the body of its box sample
+    # alone, which the neighbour screen of `bodies_for_ground` would mostly
+    # leave empty
     fx = get_fixture(name)
     ground = fx.default_ground
     pts = list(ground)
-    bodies = bodies_for_ground(fx.relation, ground, fx.cone_oracle,
-                               contour_sampler=fx.contour_sampler)
+    if fx.cone_oracle is None:
+        bodies = dict(zip((x.coords for x in pts), sampled_bodies(map(fx.contour_sampler, pts))))
+    else:
+        bodies = bodies_for_ground(fx.relation, ground, fx.cone_oracle)
     reference = {tol: [svip_sweep_ref(bodies[x.coords], x, ground, tol) for x in pts]
                  for tol in TOLS}
     for screen in (True, False):
@@ -474,8 +479,11 @@ def test_fixture_witnesses_match(name, monkeypatch):
 
 
 def test_the_screen_refutes_most_radial_bases(radial, monkeypatch):
+    # the bodies of radial-bowl's box samples alone, which the neighbour
+    # screen of `bodies_for_ground` would mostly leave empty
     ground = radial.default_ground
-    bodies = bodies_for_ground(radial.relation, ground, contour_sampler=radial.contour_sampler)
+    bodies = {x.coords: body for x, body in zip(
+        ground, sampled_bodies(map(radial.contour_sampler, ground)))}
     verdicts = []
     screen = vip._refuted
     monkeypatch.setattr(vip, "_refuted", lambda *args: verdicts.append(screen(*args)) or verdicts[-1])

@@ -22,13 +22,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from prefmax import ContourSample, Point, body_from_sample, get_fixture, normal_membership_many
-from prefmax import cones
+from prefmax import cones, vip
 from prefmax.cones import _box_axis, _box_candidates, contains_zero, unit_net
 from prefmax.points import axis_lattice
 from prefmax.vip import bodies_for_ground
 
 from exact_reference import assert_body_is_the_shape, holds_line, sample_normal_cone_ref
-from scalar_reference import box_candidates_isin_ref, normal_membership_ref, probe_fan
+from scalar_reference import (box_candidates_isin_ref, fine_axis_ref, normal_membership_ref,
+                              probe_fan)
 
 DIFFERENTIAL = settings(settings.get_profile("differential"), max_examples=80)
 TOLS = (0.0, 1e-9, 1e-3, 0.5)
@@ -128,24 +129,32 @@ def test_a_negative_tol_leaves_the_body_exact(tol):
 @pytest.mark.parametrize("stacked", (False, True))
 def test_radial_bodies_take_one_shape_pass_per_sample(monkeypatch, stacked):
     # radial-bowl's default bodies from box samples, per-base samples or the
-    # ground-level pass: every one of the 169 samples is read by `_shapes`
-    # once, and no net row meets a displacement
-    sets = []
-    shapes = cones._shapes
+    # ground-level pass: the neighbour screen reads each of the 169 bases'
+    # strictly-better neighbours by `_shapes` once, every one of the 5
+    # samples it leaves (each with its base's neighbours) is read once
+    # more, and no net row meets a displacement
+    sets = {"neighbours": [], "samples": []}
 
-    def spy_shapes(D, counts):
-        sets.append(len(counts))
-        return shapes(D, counts)
+    def spy(module, what):
+        shapes = module._shapes
+
+        def spy_shapes(D, counts):
+            sets[what].append(len(counts))
+            return shapes(D, counts)
+
+        monkeypatch.setattr(module, "_shapes", spy_shapes)
 
     def refuse(*args):
         raise AssertionError("net product run in 2-D")
 
-    monkeypatch.setattr(cones, "_shapes", spy_shapes)
+    spy(vip, "neighbours")
+    spy(cones, "samples")
     monkeypatch.setattr(cones, "_net_fails", refuse)
     fx = get_fixture("radial-bowl")
     sampler = fx.box_sampler if stacked else fx.contour_sampler
     bodies = bodies_for_ground(fx.relation, fx.default_ground, contour_sampler=sampler)
-    assert len(bodies) == 169 and sum(sets) == 169
+    assert len(bodies) == 169
+    assert {k: sum(v) for k, v in sets.items()} == {"neighbours": 169, "samples": 5}
 
 
 def test_1d_and_2d_bodies_do_not_run_the_kernel(monkeypatch):
@@ -205,9 +214,29 @@ def test_box_axis_key_separates_radius_and_step():
     for radius, step in ((1.0, 0.1), (1.0, 0.01), (0.5, 0.1), (0.05, 0.01)):
         coarse, fine, _ = _box_axis(0.3, radius, step)
         assert coarse.tolist() == axis_lattice(0.3 - radius, 0.3 + radius, step)
-        fine_r = min(0.1, radius)
-        assert fine.tolist() == axis_lattice(0.3 - fine_r, 0.3 + fine_r, step / 2.0)
+        assert fine.tolist() == fine_axis_ref(0.3, radius, step)
     assert len(_box_axis(0.3, 1.0, 0.1)[0]) != len(_box_axis(0.3, 1.0, 0.01)[0])
+
+
+_DYADIC_BOXES = st.sampled_from(((0.0625, 0.0625), (0.0625, 0.03125), (0.25, 0.0625),
+                                 (0.5, 0.125), (1.0, 0.25), (2.0, 0.125), (0.03125, 0.015625)))
+
+
+@settings(settings.get_profile("differential"), max_examples=200)
+@given(st.integers(-64, 64).map(lambda k: k / 16.0), _DYADIC_BOXES)
+@example(1.375, (0.25, 0.125))
+def test_a_box_axis_mirrors_about_zero(c, box):
+    # with a dyadic coordinate, radius and step, the axis at -c is the
+    # mirror image of the axis at c, and the fine lattice holds c: with
+    # step 0.125, c = 1.375 gets 1.3125, 1.375 and 1.4375 (the fine
+    # lattice once ran 1.275, 1.3375, 1.4, 1.4625)
+    coarse, fine, on = _box_axis(c, *box)
+    mirror = _box_axis(-c, *box)
+    assert [a.tolist() for a in mirror] == [(-coarse[::-1]).tolist(), (-fine[::-1]).tolist(),
+                                           on[::-1].tolist()]
+    assert c in fine.tolist() and fine.tolist() == fine_axis_ref(c, *box)
+    if c == 1.375 and box == (0.25, 0.125):
+        assert fine.tolist() == [1.3125, 1.375, 1.4375]
 
 
 def test_cached_box_axes_are_read_only():

@@ -29,7 +29,7 @@ from prefmax import (
     pt,
 )
 from prefmax import points, vip
-from prefmax.vip import bodies_for_ground
+from prefmax.cones import sampled_bodies
 
 from scalar_reference import (
     FIXTURE_CONES_REF,
@@ -175,9 +175,12 @@ def _blocks_met(monkeypatch) -> list:
 def test_the_screen_settles_radial_bases_at_the_extreme_rows(radial, monkeypatch):
     # on radial-bowl's default grid every base but the peak, whose body
     # holds zero, is refuted at the grid's extreme rows, its 4 corners, and
-    # none meets the whole ground
+    # none meets the whole ground; the bodies are those of the box samples
+    # alone, which the neighbour screen of `bodies_for_ground` would mostly
+    # leave empty
     ground = radial.default_ground
-    bodies = bodies_for_ground(radial.relation, ground, contour_sampler=radial.box_sampler)
+    bodies = dict(zip((x.coords for x in ground),
+                      sampled_bodies(radial.box_sampler.samples(ground))))
     met = _blocks_met(monkeypatch)
     G = ground.array()
     found = vip._stampacchia([bodies[x.coords] for x in ground], G, G, 1e-9)
