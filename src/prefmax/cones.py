@@ -256,14 +256,16 @@ def _lattice(axes) -> np.ndarray:
 @lru_cache(maxsize=_BOX_AXES)
 def _box_axis(c: float, radius: float, step: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """One axis of a base's box lattices at coordinate c, as read-only
-    arrays: the coarse lattice, the fine lattice c + k step / 2 for
-    |k| <= min(0.1, radius) / (step / 2) (`points.centred_lattice`, which
-    mirrors about c), and the mask of the fine points on the coarse lattice
-    (float ==, through a set). Every base's candidates are cut from these
+    arrays: the coarse lattice, the fine lattice c + k h for |k| <= r / h,
+    r = min(0.1, radius) and h = min(step / 2, r) (`points.centred_lattice`,
+    which mirrors about c: a half-step beyond r still gives c - r, c and
+    c + r), and the mask of the fine points on the coarse lattice (float ==,
+    through a set). Every base's candidates are cut from these
     (`_box_product`); bases on a grid share their coordinates, so a sweep
     builds each axis once."""
     coarse = axis_lattice(c - radius, c + radius, step)
-    fine = centred_lattice(c, min(0.1, radius), step / 2.0)
+    reach = min(0.1, radius)
+    fine = centred_lattice(c, reach, min(step / 2.0, reach))
     on_coarse = set(coarse)
     arrays = (np.array(coarse, dtype=float), np.array(fine, dtype=float),
               np.array([v in on_coarse for v in fine], dtype=bool))
@@ -442,13 +444,11 @@ def box_bodies(rel: Relation, B: np.ndarray, radius: float, step: float,
     for blk, P, kept in _box_blocks(rel, B, radius, step):
         if extra is not None:
             qb = q[blk]
+            seg = np.arange(len(kept))
+            order = np.argsort(np.concatenate((np.repeat(seg, kept), np.repeat(seg, qb))),
+                               kind="stable")
             rows = Q[qstart[blk.start]:qstart[blk.start] + qb.sum()]
-            total = kept + qb
-            start = np.cumsum(total) - total
-            merged = np.empty((total.sum(), B.shape[1]))
-            merged[np.repeat(start - np.cumsum(kept) + kept, kept) + np.arange(len(P))] = P
-            merged[np.repeat(start + kept - np.cumsum(qb) + qb, qb) + np.arange(len(rows))] = rows
-            P, kept = merged, total
+            P, kept = np.concatenate((P, rows))[order], kept + qb
         bodies += _sampled_bodies(P - np.repeat(B[blk], kept, axis=0), kept, tol)
     return bodies
 
@@ -603,15 +603,27 @@ def _shape_bodies(shape: np.ndarray, first: np.ndarray, last: np.ndarray) -> lis
     first and last edges: {0} gives no vertex, a ray [u], a wedge [u, v], a
     half-plane [u, u turned counterclockwise, -u], a line [u, -u], the full
     space `unit_net(1)` or the unit axis vectors. Each records whether its
-    cone holds a line, and then it holds 0 exactly (`contains_zero`)."""
-    dim = first.shape[1]
-    U, V = unit_rows(first), unit_rows(last)
+    cone holds a line, and then it holds 0 exactly (`contains_zero`).
+
+    The bodies skip `ConvexBody`'s per-body copy and check: the edges are
+    checked to be finite at once, failing with `ConvexBody`'s ValueError
+    (the unit rows of finite edges are finite), and the vertices of a ray
+    or a wedge are read-only views of one stacked array of u and v."""
+    dim, edges = first.shape[1], np.stack((first, last), axis=1)
+    if not np.isfinite(edges).all():
+        raise ValueError("non-finite coordinate")
+    UV = unit_rows(edges)
     full = unit_net(1) if dim == 1 else np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]])
+    UV.flags.writeable = full.flags.writeable = False
     bodies = []
-    for kind, u, v in zip(shape.tolist(), U, V):
-        body = ConvexBody(dim, full if kind == FULL else u[None][:0] if kind == ZERO
-                          else u[None] if kind == RAY else np.array([u, v]) if kind == WEDGE
-                          else np.array([u, -u]) if kind == LINE else np.array([u, _rot(u), -u]))
+    for kind, uv in zip(shape.tolist(), UV):
+        rows = (full if kind == FULL else uv[:0] if kind == ZERO else uv[:1] if kind == RAY
+                else uv if kind == WEDGE else np.array([uv[0], -uv[0]]) if kind == LINE
+                else np.array([uv[0], _rot(uv[0]), -uv[0]]))
+        rows.flags.writeable = False
+        body = object.__new__(ConvexBody)
+        object.__setattr__(body, "dim", dim)
+        object.__setattr__(body, "vertices", rows)
         object.__setattr__(body, "_holds_zero", kind in (HALF, LINE, FULL))
         bodies.append(body)
     return bodies

@@ -357,8 +357,8 @@ def centred_lattice(c: float, reach: float, step: float) -> list[float]:
     """Coordinates c + k * step for |k| <= reach / step (with the slack of
     `axis_lattice`'s upper end), rounded to the lattice decimals: c itself
     (k = 0) and as many points on each side of it, whatever reach and step
-    are."""
-    n = int(math.floor(reach / step + 1e-9))
+    are; c alone where reach is not positive."""
+    n = int(math.floor(reach / step + 1e-9)) if reach > 0 else 0
     return [round(c + k * step, _LATTICE_DECIMALS) for k in range(-n, n + 1)]
 
 

@@ -15,17 +15,12 @@ from typing import Callable
 import numpy as np
 
 from .cones import (
-    _POLAR,
-    RAY,
-    WEDGE,
-    ZERO,
     BoxSampler,
     Cone,
     ContourSample,
     ConvexBody,
     DEFAULT_TOL,
-    _rot,
-    _shapes,
+    _sampled_bodies,
     box_bodies,
     cone_unit_hull,
     contains_zero,
@@ -183,60 +178,6 @@ def _extreme_rows(G: np.ndarray) -> np.ndarray:
     return np.unique(rowdot(G[:, None, :], dirs).argmax(axis=0))
 
 
-# The neighbour screen's rounding slack at tol > 0, in units of 1 + tol:
-# it covers the rounding of the unit edges, of each product, floor and cut
-# point, and of the witnesses a larger sample's body tries.
-_SCREEN_SLACK = 64.0 * float(np.finfo(float).eps)
-
-
-def _wedge_refuted(B: np.ndarray, polar: np.ndarray, e1: np.ndarray, e2: np.ndarray,
-                   H: np.ndarray, tol: float) -> np.ndarray:
-    """For bases B (rows) whose normal cones are pointed, rays or wedges
-    `polar` from the direction e1 to e2 counterclockwise (e1 = e2 on a
-    ray), whether no point w = (1 - t) u + t v, t in [0, 1], of the cone's
-    unit hull (u, v the unit edges) meets <w, h - xhat> >= floor at every
-    row h of H.
-
-    Each row cuts [0, 1] where a + t (b - a) crosses its floor: a row
-    below its floor at both ends refutes the base alone, and otherwise a
-    row rising through its floor bounds t from below and one falling
-    through it from above. At tol 0 the floors are 0, the test is
-    homogeneous, and it reads the exact signs of a = <e1, d> and
-    b = <e2, d> (`points.dot_signs`): the lower bound of a rising row d_i
-    passes the upper bound of a falling row d_j exactly where
-    cross(d_i, d_j) > 0, since for e1 before e2 the determinant
-    b_i a_j - a_i b_j is -cross(e1, e2) cross(d_i, d_j).
-
-    At tol > 0 each floor is divided by rho = ||(u + v) / 2||, 1 for a
-    ray, and tol is raised by `_SCREEN_SLACK` (1 + tol). The body of a
-    larger sample is the unit hull of a cone inside this one, so each of
-    its points w' lies at least rho from 0, and if <w', d> >= floor then
-    its direction s has <s, d> >= floor / rho, and so has the point of
-    this hull along s, whose norm is at most 1. The bounds of t are then
-    compared in floats: the raised tol covers their rounding."""
-    D = H[None] - B[:, None]
-    e1, e2 = e1[:, None], e2[:, None]
-    if tol == 0.0:
-        a, b = dot_signs(e1, D), dot_signs(e2, D)
-        out = ((a < 0) & (b < 0)).any(axis=1)
-        rise, fall = (a < 0) & (b >= 0), (b < 0) & (a >= 0)
-        both = np.flatnonzero(rise.any(axis=1) & fall.any(axis=1))
-        if both.size:
-            Db = D[both]
-            late = dot_signs((Db * [1.0, -1.0])[:, :, None], Db[:, None, :, ::-1]) > 0
-            out[both] |= (rise[both][:, :, None] & fall[both][:, None, :] & late).any(axis=(1, 2))
-        return out
-    U, V = unit_rows(e1), unit_rows(e2)
-    rho = np.where(polar == RAY, 1.0, row_norms(0.5 * (U + V))[:, 0])
-    floor = tol_floor(D, tol + _SCREEN_SLACK * (1.0 + tol)) / rho[:, None]
-    f0, f1 = rowdot(U, D) - floor, rowdot(V, D) - floor
-    with np.errstate(divide="ignore", invalid="ignore"):
-        t = f0 / (f0 - f1)
-    lo = np.where((f0 < 0.0) & (f1 >= 0.0), t, 0.0).max(axis=1)
-    hi = np.where((f1 < 0.0) & (f0 >= 0.0), t, 1.0).min(axis=1)
-    return ((f0 < 0.0) & (f1 < 0.0)).any(axis=1) | (lo > hi)
-
-
 def _neighbour_screen(rel: Relation, G: np.ndarray, tol: float) -> tuple:
     """The neighbour screen of a 1-D or 2-D ground G (rows): for every base,
     a row of G, its strictly-better ground neighbours and whether they
@@ -246,19 +187,20 @@ def _neighbour_screen(rel: Relation, G: np.ndarray, tol: float) -> tuple:
 
     Each base meets its neighbours on the ground's coordinate lattice
     (`points.ground_neighbours`) in one stacked `strictly_better_rows`
-    pass, and `cones._shapes` reads the exact cone of their displacements
-    and its polar, the normal cone of the neighbours alone. A larger sample
-    of the strictly-better set only narrows that cone. So the base has no
-    Stampacchia witness for any sample that holds these neighbours, the
-    sampler's and the ground's, where the polar is {0}, or where it is a
-    ray or a wedge and no point of its unit hull meets every floor at the
-    ground's extreme rows (`_extreme_rows`, `_wedge_refuted`): a linear
-    form is least over the ground at a hull vertex, and those rows are
-    ground rows either way. A polar that holds a line has zero, a witness,
-    in its hull, and at tol < 0 only a {0} polar refutes. The bases go in
-    blocks (`points.row_blocks`), a base counting 3^dim - 1 entries per
-    extreme row."""
-    n, dim = G.shape
+    pass, and its neighbours' body is the unit hull of the exact polar of
+    their displacements (`cones._sampled_bodies`), the normal cone of the
+    neighbours alone. A larger sample of the strictly-better set only
+    narrows that cone, and its unit hull lies beyond this one's along every
+    direction of the narrower cone, so a witness w' of the larger body
+    scales down to a point lam w', 0 < lam <= 1, of this one, whose products
+    are no further below 0 than those of w'. At tol >= 0, where every floor
+    is at most 0, a base whose neighbours' body has no Stampacchia witness
+    (`_stampacchia`) at the ground's extreme rows (`_extreme_rows`, a grid's
+    corners) therefore has none for any sample that holds these neighbours,
+    the sampler's and the ground's. At tol < 0 only an empty body, a {0}
+    polar, refutes. The bases go in blocks (`points.row_blocks`), a base
+    counting 3^dim - 1 entries per extreme row."""
+    n = len(G)
     N = ground_neighbours(G)
     H = G[_extreme_rows(G)]
     refuted = np.zeros(n, dtype=bool)
@@ -267,19 +209,9 @@ def _neighbour_screen(rel: Relation, G: np.ndarray, tol: float) -> tuple:
         nb, real = N[blk], better[blk]
         real[real] = strictly_better_rows(rel, G[blk], G[nb[real]], real.sum(axis=1))
         kept = real.sum(axis=1)
-        shape, first, last = _shapes(G[nb[real]] - np.repeat(G[blk], kept, axis=0), kept)
-        if dim == 1:  # the polar of a ray is the opposite ray
-            polar, e1 = np.where(shape == RAY, RAY, _POLAR[shape]), -first
-            e2 = e1
-        else:  # from f to l: from l turned counterclockwise to f turned clockwise
-            polar, e1 = _POLAR[shape], _rot(last)
-            e2 = np.where((polar == RAY)[:, None], e1, -_rot(first))
-        out = polar == ZERO
-        pointed = np.flatnonzero((polar == RAY) | (polar == WEDGE))
-        if pointed.size and tol >= 0.0:
-            out[pointed] = _wedge_refuted(G[blk][pointed], polar[pointed], e1[pointed],
-                                          e2[pointed], H, tol)
-        refuted[blk] = out
+        bodies = _sampled_bodies(G[nb[real]] - np.repeat(G[blk], kept, axis=0), kept, tol)
+        refuted[blk] = ([w is None for w in _stampacchia(bodies, G[blk], H, tol)] if tol >= 0.0
+                        else [body.is_empty for body in bodies])
     return refuted, N[better], better.sum(axis=1)
 
 

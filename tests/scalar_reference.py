@@ -362,12 +362,14 @@ def sample_contour_ref(h, x: Point, ground) -> ContourSample:
 
 def fine_axis_ref(c: float, radius: float, step: float) -> list[float]:
     """A box axis's fine lattice, grown outwards from c: c, then c -/+ k h,
-    h = step / 2, for k = 1, 2, ... while k h stays within min(0.1, radius)
-    (with `axis_lattice`'s slack of 1e-9 h), each rounded to 12 decimals;
-    c = -0.0 gives 0.0, as the lattice's sums c + 0 h do."""
-    h = step / 2.0
+    h = min(step / 2, r) and r = min(0.1, radius), for k = 1, 2, ... while
+    k h stays within r (with `axis_lattice`'s slack of 1e-9 h), each
+    rounded to 12 decimals; c = -0.0 gives 0.0, as the lattice's sums
+    c + 0 h do."""
+    r = min(0.1, radius)
+    h = min(step / 2.0, r)
     out, k = [round(c, 12) + 0.0], 1
-    while k * h <= min(0.1, radius) + h * 1e-9:
+    while k * h <= r + h * 1e-9:
         out = [round(c - k * h, 12)] + out + [round(c + k * h, 12)]
         k += 1
     return out

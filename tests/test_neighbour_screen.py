@@ -77,7 +77,7 @@ def test_neighbours_are_the_ground_coordinate_neighbours(case):
 
 
 @DIFFERENTIAL
-@given(windows(), st.sampled_from((0.0, 1e-9)), BUDGETS)
+@given(windows(), st.sampled_from((0.0, 1e-9, 1e-3)), BUDGETS)
 def test_the_screened_listing_is_the_decision_on_samples_plus_neighbours(case, tol, budget):
     rel, ground, sampler = case
     pts, G = ground_points(ground)
@@ -154,34 +154,42 @@ def test_the_finer_radial_grid_loses_two_points_to_their_neighbours(radial):
         assert [x.coords for x in got] == [(1.0, 1.97), (1.0, 2.0), (1.0, 2.03)]
 
 
-def test_the_rho_floor_leaves_a_near_bound_base_to_sampling():
+def test_the_plain_floor_refutes_a_narrow_wedge_and_leaves_a_near_bound_one():
     # the base (0, 0) on the lower edge of the grid {-1, 0, 1} x {0, 1}: its
     # strictly-better neighbours (1, 0) and (1, 1) span a 45-degree wedge,
-    # whose polar runs from (-1, 1) to (0, -1), rho = cos 67.5 deg. At tol
-    # 1/8 no point of the polar's unit hull meets the plain floors at the
-    # corners, while one meets the floors divided by rho: the screen
-    # leaves the base to its sampler. The 1/rho bound is conservative: the
-    # body of the neighbours, the widest any sample gives, has no witness
+    # whose polar runs from u = (-1, 1) / sqrt 2 to v = (0, -1). The point
+    # (1 - t) u + t v of the polar's unit hull meets the floors at the
+    # corners (1, 0) and (1, 1) where 1 - 2 sqrt 2 tol <= t and
+    # t <= (1 + sqrt 2) tol, so from tol = 1 / (1 + 3 sqrt 2) = 0.1907.
+    # At tol 3/16 the screen refutes the base, though the floors divided by
+    # rho = ||(u + v) / 2|| clear, and no larger sample gives it a witness;
+    # at tol 25/128 the screen leaves it to its sampler, and the sample of
+    # its neighbours alone certifies it
     ground = GroundSet.grid([(-1.0, 1.0, 1.0), (0.0, 1.0, 1.0)])
     rel = Relation.from_utility("tilted", 2, lambda p: p[0] - 0.1 * p[1])
-    tol = 0.125
     u, v = np.array([-1.0, 1.0]) / math.sqrt(2.0), np.array([0.0, -1.0])
     rho = float(np.linalg.norm(0.5 * (u + v)))
     D = np.array([[-1.0, 0.0], [1.0, 0.0], [-1.0, 1.0], [1.0, 1.0]])
-    floor = -tol * (1.0 + np.linalg.norm(D, axis=1))
     t = np.linspace(0.0, 1.0, 4097)[:, None]
     W = (1.0 - t) * u + t * v
-    assert not (W @ D.T >= floor).all(axis=1).any()
-    assert (W @ D.T >= floor / rho).all(axis=1).any()
     pts, G = ground_points(ground)
-    refuted, better, kept = vip._neighbour_screen(rel, G, tol)
     base = list(pts).index(pt(0.0, 0.0))
-    start = int(kept[:base].sum())
-    assert not refuted[base]
-    assert [pts[j].coords for j in better[start:start + kept[base]]] == [(1.0, 0.0), (1.0, 1.0)]
-    sampled = []
-    bodies = vip.bodies_for_ground(rel, ground, tol=tol,
-                                   contour_sampler=lambda x: sampled.append(x.coords)
-                                   or ContourSample(x, ()))
-    assert (0.0, 0.0) in sampled
-    assert svip_membership(bodies[(0.0, 0.0)], pt(0.0, 0.0), ground, tol) is None
+    near = _near(rel, pts)
+    assert near[(0.0, 0.0)] == [(1.0, 0.0), (1.0, 1.0)]
+    for tol, left in ((0.1875, False), (25 / 128, True)):
+        floor = -tol * (1.0 + np.linalg.norm(D, axis=1))
+        assert (W @ D.T >= floor / rho).all(axis=1).any()
+        assert (W @ D.T >= floor).all(axis=1).any() == left
+        refuted, _, _ = vip._neighbour_screen(rel, G, tol)
+        assert refuted[base] != left
+        sampled = []
+        bodies = vip.bodies_for_ground(rel, ground, tol=tol,
+                                       contour_sampler=lambda x: sampled.append(x.coords)
+                                       or ContourSample(x, ()))
+        assert ((0.0, 0.0) in sampled) == left
+        assert (svip_membership(bodies[(0.0, 0.0)], pt(0.0, 0.0), ground, tol) is None) != left
+        for sampler in (BoxSampler(rel, 1.0, 0.25), BoxSampler(rel, 0.5, 0.0625)):
+            body = sampled_bodies([with_neighbours(sampler(pt(0.0, 0.0)), near[(0.0, 0.0)])],
+                                  tol)[0]
+            if not left:
+                assert svip_membership(body, pt(0.0, 0.0), ground, tol) is None

@@ -22,7 +22,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from prefmax import ContourSample, Point, body_from_sample, get_fixture, normal_membership_many
-from prefmax import cones, vip
+from prefmax import cones
 from prefmax.cones import _box_axis, _box_candidates, contains_zero, unit_net
 from prefmax.points import axis_lattice
 from prefmax.vip import bodies_for_ground
@@ -129,32 +129,27 @@ def test_a_negative_tol_leaves_the_body_exact(tol):
 @pytest.mark.parametrize("stacked", (False, True))
 def test_radial_bodies_take_one_shape_pass_per_sample(monkeypatch, stacked):
     # radial-bowl's default bodies from box samples, per-base samples or the
-    # ground-level pass: the neighbour screen reads each of the 169 bases'
-    # strictly-better neighbours by `_shapes` once, every one of the 5
-    # samples it leaves (each with its base's neighbours) is read once
-    # more, and no net row meets a displacement
-    sets = {"neighbours": [], "samples": []}
+    # ground-level pass: `_shapes` reads the 169 bases' strictly-better
+    # neighbours in one pass (the neighbour screen), then the 5 samples it
+    # leaves, each with its base's neighbours, in one more, and no net row
+    # meets a displacement
+    passes = []
+    shapes = cones._shapes
 
-    def spy(module, what):
-        shapes = module._shapes
-
-        def spy_shapes(D, counts):
-            sets[what].append(len(counts))
-            return shapes(D, counts)
-
-        monkeypatch.setattr(module, "_shapes", spy_shapes)
+    def spy_shapes(D, counts):
+        passes.append(len(counts))
+        return shapes(D, counts)
 
     def refuse(*args):
         raise AssertionError("net product run in 2-D")
 
-    spy(vip, "neighbours")
-    spy(cones, "samples")
+    monkeypatch.setattr(cones, "_shapes", spy_shapes)
     monkeypatch.setattr(cones, "_net_fails", refuse)
     fx = get_fixture("radial-bowl")
     sampler = fx.box_sampler if stacked else fx.contour_sampler
     bodies = bodies_for_ground(fx.relation, fx.default_ground, contour_sampler=sampler)
     assert len(bodies) == 169
-    assert {k: sum(v) for k, v in sets.items()} == {"neighbours": 169, "samples": 5}
+    assert passes == [169, 5]
 
 
 def test_1d_and_2d_bodies_do_not_run_the_kernel(monkeypatch):

@@ -1,6 +1,7 @@
 import math
 import re
 import warnings
+from itertools import product
 from types import SimpleNamespace
 
 import numpy as np
@@ -259,10 +260,8 @@ def test_a_witness_lp_that_does_not_solve_raises(monkeypatch):
 def test_a_3d_bowl_is_decided_before_the_lp(monkeypatch):
     # u = -||x - a|| on the 7^3 grid of step 0.25 around a, with sampled
     # bodies: the zero test, the vertex sweep and the screen decide every
-    # base, and the solution set is the peak. The box step is 0.2, whose
-    # half-step lattice reaches 0.1 from the base; at step 0.25 the
-    # half-step 0.125 is beyond that reach, the fine lattice is the base
-    # alone, and each axis neighbour of the peak sees only the peak
+    # base, and the solution set is the peak, with box steps 0.25 (whose
+    # half-step is beyond the fine lattice's reach of 0.1) and 0.2
     a = (1.0, 2.0, 0.5)
     rel = Relation.from_utility(
         "bowl-3d", 3, lambda x: -math.dist(x, a),
@@ -271,9 +270,9 @@ def test_a_3d_bowl_is_decided_before_the_lp(monkeypatch):
     late = []
     monkeypatch.setattr(vip, "_midpoint_witness", lambda *args: late.append(args))
     monkeypatch.setattr(vip, "_lp_witness", lambda *args: late.append(args))
-    for tol in (0.0, 1e-9):
+    for tol, step in product((0.0, 1e-9), (0.25, 0.2)):
         sols = svip_solutions(rel, ground, tol=tol,
-                              contour_sampler=lambda x: box_sample(rel, x, 1.0, 0.2))
+                              contour_sampler=lambda x: box_sample(rel, x, 1.0, step))
         assert len(ground) == 343 and coords(sols) == {a}
     assert not late
 
