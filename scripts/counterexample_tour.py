@@ -47,7 +47,7 @@ def weak_strict_gap() -> None:
     query = (0.0, 1.0)
     print("== halfline-plane: weak vs strict normality of (0, 1) ==")
     for x in (0.0, 0.5, 1.0):
-        sample = fx.contour_sampler(pt(x, 0.0))
+        sample = fx.box_sampler(pt(x, 0.0))
         weak = normal_membership(sample, query)
         strict = strict_normal_membership(sample, query)
         print(f"base ({x}, 0): weak={weak} strict={strict}")

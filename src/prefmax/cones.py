@@ -19,7 +19,7 @@ from . import points
 from .points import (Point, axis_lattice, blocks, centred_lattice, coord_array, dot_signs,
                      ground_array, ground_points, row_blocks, row_norms, rowdot, tol_floor,
                      unit_rows)
-from .relations import Relation, _scored_strict, strictly_better_mask, strictly_better_rows
+from .relations import Relation, strictly_better_mask, strictly_better_rows
 
 DEFAULT_TOL = 1e-9
 STRICT_MARGIN = 1e-7
@@ -44,11 +44,6 @@ _ANGLE_BAND = 1e-9
 # Per-axis box lattices kept by `_box_axis`: a 31 x 31 grid of bases with
 # one radius and step needs 62.
 _BOX_AXES = 256
-
-# Largest score table of `_box_blocks`: a column form is scored once per
-# point of the bases' union lattice where it has at most this many points
-# (1 MB of scores) and no more than the bases have candidates.
-_TABLE_POINTS = 1 << 17
 
 
 def _rows(arr: np.ndarray) -> tuple:
@@ -274,40 +269,11 @@ def _box_axis(c: float, radius: float, step: float) -> tuple[np.ndarray, np.ndar
     return arrays
 
 
-@lru_cache(maxsize=_BOX_AXES)
-def _union_axes(coords: tuple, radius: float, step: float) -> tuple:
-    """The union lattice of the box lattices at the given distinct
-    coordinates per axis: per axis, the distinct values of the coordinates'
-    `_box_axis` lattices, sorted and told apart by their bits (so that 0.0
-    and -0.0 stay apart)."""
-    axes = []
-    for col in coords:
-        bits = np.sort(np.concatenate([a.view(np.int64) for c in col
-                                       for a in _box_axis(c, radius, step)[:2]]))
-        # not np.unique, which loads numpy.ma
-        axes.append(bits[np.concatenate(([True], bits[1:] != bits[:-1]))].view(float))
-    return tuple(axes)
-
-
-@lru_cache(maxsize=_BOX_AXES)
-def _union_offsets(coords: tuple, radius: float, step: float) -> list:
-    """Per axis, for each coordinate, the flat-index offsets of its coarse
-    and fine lattices into the row-major product of `_union_axes`' values,
-    which `_box_blocks` builds only for a union lattice it scores."""
-    axes = _union_axes(coords, radius, step)
-    strides = np.cumprod([1] + [len(U) for U in axes[:0:-1]])[::-1].tolist()
-    return [{c: tuple(np.searchsorted(U.view(np.int64), a.view(np.int64)) * st
-                      for a in _box_axis(c, radius, step)[:2]) for c in col}
-            for col, U, st in zip(coords, axes, strides)]
-
-
 def _box_product(lats: list) -> np.ndarray:
     """The box candidates of bases whose lattices have one shape, from
-    their per-axis `(coarse, fine, on)` triples (`_box_axis`: coordinates;
-    or `_union_offsets`: flat-index offsets into `_union_axes`' lattice, to
-    be summed), as a (bases, candidates, dim) array: for each base the
-    coarse lattice, then the fine lattice's points not already in it, each
-    in row-major order.
+    their per-axis `_box_axis` triples, as a (bases, candidates, dim) array:
+    for each base the coarse lattice, then the fine lattice's points not
+    already in it, each in row-major order.
     A fine point is in the coarse lattice exactly when each of its
     coordinates is on that axis's coarse lattice, so the mask is built per
     axis and expanded in the lattice's order."""
@@ -333,54 +299,25 @@ def _box_blocks(rel: Relation, B: np.ndarray, radius: float, step: float):
     base, each base's in candidate order, and their number per base.
 
     Each base's candidates are cut from its own `_box_axis` lattices, read
-    once per distinct coordinate per axis. Over several bases (a single
-    base's candidates are all distinct, so a table never pays there) a
-    utility's column form is scored instead once per point of the union
-    lattice (`_union_axes`) where that has fewer points than the bases have
-    candidates and at most `_TABLE_POINTS`: 18,769 points for radial-bowl's
-    169 bases, against 286,793 candidates. Only then are the bases'
-    offsets into it built (`_union_offsets`). Each candidate's score is then
-    read against its own base's u(x) (`_scored_strict`, which scores the
-    ambiguous ones again with u). Otherwise a block's candidates are
-    stacked and each is met against its own base in one
+    once per distinct coordinate per axis (`_box_product`), and a block's
+    candidates are stacked and each is met against its own base in one
     `strictly_better_rows` call."""
     rows = B.tolist()
-    coords = tuple(tuple(dict.fromkeys(col)) for col in B.T.tolist())
-    per_axis = [{c: _box_axis(c, radius, step) for c in col} for col in coords]
+    per_axis = [{c: _box_axis(c, radius, step) for c in dict.fromkeys(col)} for col in B.T.tolist()]
     shape = [{c: (len(coarse), len(fine), int(on.sum())) for c, (coarse, fine, on) in axis.items()}
              for axis in per_axis]
     shapes = [tuple(map(dict.__getitem__, shape, row)) for row in rows]
     size_of = {s: math.prod(c for c, _, _ in s) + math.prod(f for _, f, _ in s)
                - math.prod(n for _, _, n in s) for s in set(shapes)}
-    sizes = [size_of[s] for s in shapes]
-    table = None
-    if rel.kind == "utility" and rel.columns is not None and len(rows) > 1:
-        axes = _union_axes(coords, radius, step)
-        if math.prod(map(len, axes)) < min(sum(sizes), _TABLE_POINTS):
-            offsets = _union_offsets(coords, radius, step)
-            T = _lattice(axes)
-            table = np.broadcast_to(np.asarray(rel.columns(tuple(T.T)), dtype=float), (len(T),))
-            per_axis = [{c: (*at[c], on) for c, (_, _, on) in axis.items()}
-                        for axis, at in zip(per_axis, offsets)]
     lats = [list(map(dict.__getitem__, per_axis, row)) for row in rows]
     start = 0
-    for _, run in groupby(shapes):
-        stop, size = start + len(list(run)), sizes[start]
+    for s, run in groupby(shapes):
+        stop, size = start + len(list(run)), size_of[s]
         for r in row_blocks(stop - start, size):
             blk = slice(start + r.start, start + r.stop)
-            counts = np.full(blk.stop - blk.start, size)
-            if table is None:
-                Y = _box_product(lats[blk]).reshape(-1, B.shape[1])
-                mask = strictly_better_rows(rel, B[blk], Y, counts)
-                P = Y[mask]
-            else:
-                # each axis's offsets added as a column: a sum over the short
-                # last axis is many times slower
-                idx = reduce(np.add, np.moveaxis(_box_product(lats[blk]), 2, 0)).ravel()
-                mask = _scored_strict(rel, table[idx], B[blk], counts,
-                                      lambda i: np.take(T, idx[i], axis=0))
-                P = np.take(T, idx[mask], axis=0)
-            yield blk, P, np.count_nonzero(mask.reshape(-1, size), axis=1)
+            Y = _box_product(lats[blk]).reshape(-1, B.shape[1])
+            mask = strictly_better_rows(rel, B[blk], Y, np.full(blk.stop - blk.start, size))
+            yield blk, Y[mask], np.count_nonzero(mask.reshape(-1, size), axis=1)
         start = stop
 
 
@@ -392,8 +329,7 @@ def box_sample(rel: Relation, x: Point, radius: float, step: float) -> ContourSa
     there. Strict preference is evaluated for all of `_box_candidates` at
     once, and the accepted candidates, in that order, become the rows of the
     sample's coordinate array. This is the one-base call of the ground-level
-    pass `_box_blocks`, cut from the base's own cached axis lattices; no
-    union lattice is built.
+    pass `_box_blocks`, cut from the base's own cached axis lattices.
     """
     ((_, P, _),) = _box_blocks(rel, np.array([x.coords], dtype=float), radius, step)
     return ContourSample(x, P)
@@ -402,9 +338,9 @@ def box_sample(rel: Relation, x: Point, radius: float, step: float) -> ContourSa
 @dataclass(frozen=True)
 class BoxSampler:
     """`box_sample` with its relation, radius and step fixed: a per-base
-    contour sampler, `sampler(x)`, which `vip.bodies_for_ground` runs for a
-    whole ground at once (`box_bodies`), as `samples` does for the samples
-    of a set of bases."""
+    contour sampler, `sampler(x)`, whose `samples` samples a set of bases in
+    the ground-level passes of `_box_blocks`, as `vip.bodies_for_ground`
+    does."""
 
     rel: Relation
     radius: float
@@ -423,34 +359,6 @@ class BoxSampler:
             return
         for blk, P, kept in _box_blocks(self.rel, B, self.radius, self.step):
             yield from map(ContourSample, pts[blk], np.split(P, np.cumsum(kept)[:-1]))
-
-
-def box_bodies(rel: Relation, B: np.ndarray, radius: float, step: float,
-               tol: float = DEFAULT_TOL, extra: tuple | None = None) -> list:
-    """`body_from_sample(box_sample(rel, x, radius, step), tol)` for every
-    base x, a row of B, in ground-level passes: each block of `_box_blocks`
-    goes through the body pass (`_sampled_bodies`) as it is sampled, so
-    that no more than one block's samples are held at once. Passing
-    `BoxSampler.samples` to `sampled_bodies` instead would hold a block of
-    displacements as ContourSamples beside the score table: 4.2 MB traced
-    for radial-bowl's ground, against 2.1 MB.
-
-    `extra`, rows stacked base after base and their number per base, adds
-    each base's rows to its sample after its box points."""
-    bodies = []
-    if extra is not None:
-        Q, q = extra
-        qstart = np.cumsum(q) - q
-    for blk, P, kept in _box_blocks(rel, B, radius, step):
-        if extra is not None:
-            qb = q[blk]
-            seg = np.arange(len(kept))
-            order = np.argsort(np.concatenate((np.repeat(seg, kept), np.repeat(seg, qb))),
-                               kind="stable")
-            rows = Q[qstart[blk.start]:qstart[blk.start] + qb.sum()]
-            P, kept = np.concatenate((P, rows))[order], kept + qb
-        bodies += _sampled_bodies(P - np.repeat(B[blk], kept, axis=0), kept, tol)
-    return bodies
 
 
 def normal_cone_test(sample: ContourSample, probes, rhs) -> np.ndarray:

@@ -56,8 +56,8 @@ class Fixture:
     notes: str = ""
 
     def contour_sampler(self, x: Point):
-        """The box sample of x: the per-base call of `box_sampler`. Only
-        `bench/` reads it."""
+        """The box sample of x: the per-base call of `box_sampler`. Outside
+        the tests, only `bench/` reads it."""
         return self.box_sampler(x)
 
     @property

@@ -32,7 +32,7 @@ PROPERTIES = (
 
 # Ulp bound of a utility's column form: columns(y) may differ from u(y) by
 # at most K * spacing(|columns(y)|), or by at most K floats (see
-# `_scored_strict`).
+# `strictly_better_rows`).
 K = 4
 
 
@@ -45,7 +45,7 @@ class Relation:
         (see `_holds` for the contract);
       * utility    -- x is weakly preferred to y iff u(x) >= u(y); an
         optional column form scores coordinate columns within K ulps of u
-        (see `_scored_strict`);
+        (see `strictly_better_rows`);
       * tabular    -- a read-only boolean matrix over an explicit finite
         ground set.
 
@@ -185,28 +185,12 @@ def strictly_better_rows(rel: Relation, B: np.ndarray, candidates, counts) -> np
     counts[0] rows against the base row B[0], the next counts[1] against
     B[1], and so on. A predicate meets every candidate as a column beside its
     own base's, a table is indexed by coordinates, and a utility is called
-    once per base and, without a column form, once per candidate; a column
-    form scores all candidates at once (`_scored_strict`)."""
-    if not len(candidates):
-        return np.zeros(0, dtype=bool)
-    if rel.kind == "utility" and rel.columns is not None:
-        Y = ground_array(candidates, rel.dim)
-        s = np.broadcast_to(np.asarray(rel.columns(tuple(Y.T)), dtype=float), (len(Y),))
-        return _scored_strict(rel, s, B, counts, lambda i: Y[i])
-    base = _operand(rel, B)
-    return _strict(rel, _operand(rel, candidates),
-                   base if len(base) == 1 else np.repeat(base, counts, axis=0))
+    once per base and, without a column form, once per candidate.
 
-
-def _scored_strict(rel: Relation, s: np.ndarray, B: np.ndarray, counts, rows) -> np.ndarray:
-    """u(y) > u(x) for column scores s of consecutive segments of
-    candidates, counts[b] of them against the base row B[b]: u is called
-    once per base, and each score is read against its own base's trust
-    band; every candidate inside the band or with a non-finite s is scored
-    again by u, so that every bit equals the scalar one. `rows(i)` returns
-    the coordinate rows of the candidates at the indices i.
-
-    The band is u(x) -/+ w, w = 4K spacing(|u(x)|). Given the contract that
+    A column form scores all candidates at once, and each score s is read
+    against its own base's trust band u(x) -/+ w, w = 4K spacing(|u(x)|);
+    every candidate inside the band or with a non-finite s is scored again
+    by u, so that every bit equals the scalar one. Given the contract that
     s is at most K ulps from u(y) (|s - u(y)| <= K spacing(|s|), or at most
     K floats apart), s above the band puts u(y) above u(x) and s below it
     puts u(y) below: s clears u(x) by more than 2K spacing(|u(x)|) after the
@@ -214,18 +198,25 @@ def _scored_strict(rel: Relation, s: np.ndarray, B: np.ndarray, counts, rows) ->
     K spacing(|s|) wherever |s| <= 2 |u(x)|; where |s| > 2 |u(x)| the
     distance exceeds |s| / 2, far above K spacing(|s|). A non-finite u(x)
     gives a nan band, which trusts no score."""
-    sx = _operand(rel, B)
+    if not len(candidates):
+        return np.zeros(0, dtype=bool)
+    base = _operand(rel, B)
+    if rel.kind != "utility" or rel.columns is None:
+        return _strict(rel, _operand(rel, candidates),
+                       base if len(base) == 1 else np.repeat(base, counts, axis=0))
+    Y = ground_array(candidates, rel.dim)
+    s = np.broadcast_to(np.asarray(rel.columns(tuple(Y.T)), dtype=float), (len(Y),))
     with np.errstate(invalid="ignore", over="ignore"):
-        w = 4 * K * np.spacing(np.abs(sx))
-        lo, hi = sx - w, sx + w
-        if len(sx) > 1:
+        w = 4 * K * np.spacing(np.abs(base))
+        lo, hi = base - w, base + w
+        if len(base) > 1:
             lo, hi = np.repeat(lo, counts), np.repeat(hi, counts)
         mask = s > hi
         redo = np.flatnonzero(~(mask | (s < lo)) | ~np.isfinite(s))
     if redo.size:
-        at = sx[np.searchsorted(np.cumsum(counts), redo, side="right")]
+        at = base[np.searchsorted(np.cumsum(counts), redo, side="right")]
         u = rel.utility
-        mask[redo] = [u(y) > b for y, b in zip(map(tuple, rows(redo).tolist()), at.tolist())]
+        mask[redo] = [u(y) > b for y, b in zip(map(tuple, Y[redo].tolist()), at.tolist())]
     return mask
 
 

@@ -15,13 +15,11 @@ from typing import Callable
 import numpy as np
 
 from .cones import (
-    BoxSampler,
     Cone,
     ContourSample,
     ConvexBody,
     DEFAULT_TOL,
     _sampled_bodies,
-    box_bodies,
     cone_unit_hull,
     contains_zero,
     sample_contour,
@@ -470,16 +468,14 @@ def bodies_for_ground(rel: Relation, X: GroundSet, cone_oracle: ConeOracle | Non
     Without an oracle, pass a contour_sampler that looks beyond the feasible
     grid: a base point that sees only one strictly-better grid point would
     otherwise get a half-space cone, an artifact of the coarse sample. A
-    `BoxSampler` (`Fixture.box_sampler`) samples the whole ground at once
-    (`cones.box_bodies`): every base's box candidates are cut from one
-    lattice, whose points a column form scores once, and the bases go in
-    blocks of at most `points.BLOCK_ENTRIES` candidates, each block's
-    samples turned into bodies before the next is sampled. Any other
-    sampler (by default the ground sample `sample_contour`) is called once
-    per base, and its samples go through the same body pass, stacked in
-    blocks of as many displacements (`cones.sampled_bodies`), each body the
-    unit hull of the sampled normal cone (`body_from_sample`). X is read
-    once, at the relation's dimension (`points.ground_points`).
+    sampler with a `samples` method (a `BoxSampler`, `Fixture.box_sampler`)
+    samples its bases in ground-level passes (`BoxSampler.samples`); any
+    other (by default the ground sample `sample_contour`) is called once
+    per base. Every sampler's samples go through one body pass, stacked in
+    blocks of at most `points.BLOCK_ENTRIES` displacements
+    (`cones.sampled_bodies`), each body the unit hull of the sampled normal
+    cone (`body_from_sample`). X is read once, at the relation's dimension
+    (`points.ground_points`).
 
     In 1-D and 2-D a base's sample is its sampler's points plus its
     strictly-better ground neighbours, and the neighbour screen
@@ -502,22 +498,18 @@ def bodies_for_ground(rel: Relation, X: GroundSet, cone_oracle: ConeOracle | Non
             bodies.append(body)
         return {x.coords: body for x, body in zip(pts, bodies)}
     n, dim = rows.shape
-    bodies, sampled, extra = [ConvexBody(dim, ())] * n, np.arange(n), None
+    bodies, sampled, near = [ConvexBody(dim, ())] * n, np.arange(n), None
     if dim <= 2 and n:
         refuted, better, kept = _neighbour_screen(rel, rows, tol)
         sampled = np.flatnonzero(~refuted)
-        extra = rows[better[np.repeat(~refuted, kept)]], kept[sampled]
-    if isinstance(contour_sampler, BoxSampler):
-        found = box_bodies(contour_sampler.rel, rows[sampled], contour_sampler.radius,
-                           contour_sampler.step, tol, extra) if sampled.size else []
-    else:
-        sampler = contour_sampler or (lambda x: sample_contour(rel, x, rows))
-        samples = map(sampler, (pts[i] for i in sampled.tolist()))
-        if extra is not None:
-            parts = np.split(extra[0], np.cumsum(extra[1])[:-1])
-            samples = (ContourSample(s.base, np.concatenate((s.points, q))) if len(q) else s
-                       for s, q in zip(samples, parts))
-        found = sampled_bodies(samples, tol)
+        near = np.split(rows[better[np.repeat(~refuted, kept)]], np.cumsum(kept[sampled])[:-1])
+    sampler = contour_sampler or (lambda x: sample_contour(rel, x, rows))
+    bases = [pts[i] for i in sampled.tolist()]
+    samples = sampler.samples(bases) if hasattr(sampler, "samples") else map(sampler, bases)
+    if near is not None:
+        samples = (ContourSample(s.base, np.concatenate((s.points, q))) if len(q) else s
+                   for s, q in zip(samples, near))
+    found = sampled_bodies(samples, tol)
     for i, body in zip(sampled.tolist(), found):
         bodies[i] = body
     return {x.coords: body for x, body in zip(pts, bodies)}
@@ -527,12 +519,12 @@ def svip_solutions(rel: Relation, X: GroundSet, cone_oracle: ConeOracle | None =
                    tol: float = DEFAULT_TOL, contour_sampler=None,
                    ball_on_empty: bool = False) -> list[Point]:
     """The points of X that solve the Stampacchia problem, in ground order,
-    with the bodies of `bodies_for_ground` (with a `BoxSampler`, from
-    ground-level passes within `points.BLOCK_ENTRIES`). Every point of X is
-    decided in the stacked stages of `_stampacchia`, whose one-base call is
-    `svip_membership`, so a point is returned exactly where
-    `svip_membership` gives it a certificate. X is read once
-    (`points.ground_points`), and `bodies_for_ground` gets its Points.
+    with the bodies of `bodies_for_ground` (from ground-level passes within
+    `points.BLOCK_ENTRIES`). Every point of X is decided in the stacked
+    stages of `_stampacchia`, whose one-base call is `svip_membership`, so
+    a point is returned exactly where `svip_membership` gives it a
+    certificate. X is read once (`points.ground_points`), and
+    `bodies_for_ground` gets its Points.
 
     Without an oracle, in 1-D and 2-D, each base is decided on its
     sampler's points plus its strictly-better ground neighbours: the

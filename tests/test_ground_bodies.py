@@ -1,16 +1,17 @@
 """Sampled Stampacchia bodies for a whole ground against the scalar references.
 
 `vip.bodies_for_ground` with a `BoxSampler` cuts every base's box candidates
-from its own axis lattices, or, for a utility's column form, from one union
-lattice scored once per point, and turns each block of samples into bodies
-in one pass. Its samples must be `box_sample_ref`'s, for column forms off
-by up to K floats or not finite, for predicates, and with block budgets
-that split a ground into many blocks. Its bodies must be the per-sample
-ones: in 3-D the net rows that `normal_membership_ref` accepts, row by row;
-in 1-D and 2-D the unit hulls of the exact polars of the cones of the
-samples plus each base's strictly-better ground neighbours
-(`tests/exact_reference.py`), or empty where those neighbours refute the
-base, whose sample's body then has no witness. The zero stage reads a 1-D
+from its own axis lattices, meets each block of them against its bases in
+one pass, and turns the samples into bodies in one pass. Its samples must
+be `box_sample_ref`'s, for column forms off by up to K floats or not
+finite, for predicates, and with block budgets that split a ground into
+many blocks. Its bodies must be the per-sample ones, whether the samples
+come from `BoxSampler.samples` or from the per-base call: in 3-D the net
+rows that `normal_membership_ref` accepts, row by row; in 1-D and 2-D the
+unit hulls of the exact polars of the cones of the samples plus each
+base's strictly-better ground neighbours (`tests/exact_reference.py`), or
+empty where those neighbours refute the base, whose sample's body then
+has no witness. The zero stage reads a 1-D
 or 2-D body's verdict off its shape, exactly: it holds zero where the
 polar holds a line.
 The bodies that `cones._shape_bodies` builds from sets of directions a hair
@@ -164,55 +165,45 @@ def test_stacked_samples_and_bodies_match_the_scalar_references(case, tol, budge
             assert svip_membership(body, x, ground, tol) is None
 
 
-def test_a_ground_of_one_lattice_scores_each_point_once(radial):
-    # radial-bowl's 169 bases share a union lattice of 137 x 137 points
-    # (every multiple of 0.05 within the bases' boxes), against 286,793
-    # candidates: the column form runs once, on that lattice
+def test_a_column_form_scores_each_block_of_candidates_once(radial):
+    # radial-bowl's 169 bases, 286,793 candidates: the column form runs once
+    # per block, on exactly that block's candidates, base after base, and
+    # the stacked samples are the per-base box samples
     calls = []
 
     def columns(x):
-        calls.append(len(x[0]))
+        calls.append(np.column_stack(x))
         return radial.relation.columns(x)
 
     rel = Relation.from_utility("counted", 2, radial.relation.utility, columns=columns)
-    B = radial.default_ground.array()
-    blocks = list(cones._box_blocks(rel, B, radial.sample_radius, radial.sample_step))
-    assert len(blocks) > 1 and calls == [137 * 137]
-    assert sum(len(P) for _, P, _ in blocks) == sum(
-        len(radial.contour_sampler(x).points) for x in radial.default_ground)
+    ground, radius, step = radial.default_ground, radial.sample_radius, radial.sample_step
+    blocks = list(cones._box_blocks(rel, ground.array(), radius, step))
+    assert len(blocks) > 1 and len(calls) == len(blocks)
+    for (blk, P, kept), Y in zip(blocks, calls):
+        want = [cones._box_candidates(x, radius, step) for x in ground[blk]]
+        assert Y.tolist() == np.concatenate(want).tolist()
+        got = np.split(P, np.cumsum(kept)[:-1])
+        assert [g.tolist() for g in got] == [
+            cones.box_sample(radial.relation, x, radius, step).points.tolist() for x in ground[blk]]
+    assert blocks[-1][0].stop == len(ground)
 
 
-def test_the_union_lattice_is_built_only_for_a_column_form_over_several_bases():
-    # predicates, and a single base, cut their candidates from their own
-    # axis lattices: no union lattice is asked for
-    caches = (cones._union_axes, cones._union_offsets)
-    for cache in caches:
-        cache.cache_clear()
-    for name in ("band-threshold", "halfline-plane"):
-        fx = get_fixture(name)
-        bodies_for_ground(fx.relation, fx.default_ground, contour_sampler=fx.box_sampler)
-        assert len(list(fx.box_sampler.samples(fx.default_ground))) == len(fx.default_ground)
-    radial = get_fixture("radial-bowl")
-    radial.box_sampler(radial.default_ground[0])
-    assert [(c.cache_info().hits, c.cache_info().misses) for c in caches] == [(0, 0), (0, 0)]
-    # radial-bowl's column form scores one union lattice per ground pass: the
-    # first pass builds its values, then the offsets, which read the values
-    for hits in (0, 1):
-        bodies_for_ground(radial.relation, radial.default_ground,
-                          contour_sampler=radial.box_sampler)
-        assert ([(c.cache_info().hits, c.cache_info().misses) for c in caches]
-                == [(hits + 1, 1), (hits, 1)])
-
-
-@pytest.mark.parametrize("spec", ["-0.5:2.5:0.07,0.5:3.5:0.07", "-0.5:2.5:0.03,0.5:3.5:0.03"])
-def test_a_union_lattice_too_large_to_score_builds_no_offsets(spec):
-    # 411,522 and 467,172 union points: above _TABLE_POINTS, so each
-    # base's candidates come from its own lattices and no offsets are built
-    radial = get_fixture("radial-bowl")
-    cones._union_offsets.cache_clear()
-    B = parse_grid_spec(spec).array()
-    next(cones._box_blocks(radial.relation, B, radial.sample_radius, radial.sample_step))
-    assert cones._union_offsets.cache_info().misses == 0
+@pytest.mark.parametrize("tol", (0.0, 1e-9))
+@pytest.mark.parametrize("name, spec", [("radial-bowl", None), ("band-threshold", None),
+                                        ("radial-bowl", "-0.5:2.5:0.1,0.5:3.5:0.1")])
+def test_box_sampler_bodies_are_the_per_base_samplers(name, spec, tol):
+    # the ground-level `BoxSampler.samples` and the per-base callable give
+    # every base the same body: the harness decides through the one, the
+    # benchmark's `vip` reference lists through the other
+    fx = get_fixture(name)
+    ground = fx.default_ground if spec is None else parse_grid_spec(spec)
+    batched = bodies_for_ground(fx.relation, ground, tol=tol, contour_sampler=fx.box_sampler)
+    per_base = bodies_for_ground(fx.relation, ground, tol=tol, contour_sampler=fx.contour_sampler)
+    assert list(batched) == list(per_base) == [x.coords for x in ground]
+    for x in ground:
+        assert batched[x.coords] == per_base[x.coords]
+        assert (getattr(batched[x.coords], "_holds_zero", None)
+                == getattr(per_base[x.coords], "_holds_zero", None))
 
 
 # ------------------------------------------------------------- zero test

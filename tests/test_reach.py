@@ -54,7 +54,6 @@ UNCALLED = {
     "cones.box_sample": API,
     "cones.body_from_sample": API,
     "cones.sample_contour": API,
-    "cones.sampled_bodies": API,
     "cones._box_candidates": TEST,
     "descent.DescentTrace.array": WAITS_H,
     "descent.DescentTrace.rows": BENCH,
