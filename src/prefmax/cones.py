@@ -37,10 +37,6 @@ ZERO, RAY, WEDGE, HALF, LINE, FULL = range(6)
 # the shape of the polar of a 2-D cone of each shape
 _POLAR = np.array([FULL, HALF, WEDGE, RAY, LINE, ZERO])
 
-# Float angles are within a few eps of the true ones; `_shapes` places by exact
-# signs each direction within this of a line or an end it is placed against.
-_ANGLE_BAND = 1e-9
-
 # Per-axis box lattices kept by `_box_axis`: a 31 x 31 grid of bases with
 # one radius and step needs 62.
 _BOX_AXES = 256
@@ -87,7 +83,8 @@ class Cone:
     @classmethod
     def generated(cls, generators) -> "Cone":
         gens = tuple(g if isinstance(g, Point) else Point(tuple(g)) for g in generators)
-        return cls(gens[0].dim, "generated", gens)
+        # no generator: `__post_init__` refuses it, whatever the dimension
+        return cls(gens[0].dim if gens else 0, "generated", gens)
 
     @cached_property
     def units(self) -> np.ndarray:
@@ -420,24 +417,39 @@ def unit_net(dim: int) -> np.ndarray:
     raise ValueError("unit nets are only built for dimensions 1 and 3")
 
 
-def _first_at(values: np.ndarray, seg: np.ndarray, best: np.ndarray) -> np.ndarray:
-    """For consecutive segments of `values` (entry i in segment seg[i]), the
-    index of the first entry of each segment that equals its `best`."""
-    hit = np.flatnonzero(values == best[seg])
-    return hit[np.searchsorted(seg[hit], np.arange(len(best)))]
+def _outermost(N: np.ndarray, D: np.ndarray, rows: np.ndarray, group: np.ndarray) -> tuple:
+    """The first outermost row of each group, by a pairwise tournament:
+    `rows` (indices into D) lists each group's members in set order, groups
+    consecutive (`group` non-decreasing), and a member f lies beyond an
+    earlier one e where <N[e], f> > 0 exactly. Each round meets a group's
+    consecutive candidates in pairs in one `points.dot_signs` call, and a
+    pair keeps its later row only where that row lies beyond the earlier
+    one; an odd last candidate waits a round. Returns the winning rows and
+    their groups."""
+    starts = np.flatnonzero(np.diff(group, prepend=-1))
+    # each candidate's place in its group: a nonzero one follows a candidate of its group
+    pos = np.arange(len(rows)) - np.repeat(starts, np.diff(starts, append=len(rows)))
+    rows = rows.copy()
+    while pos.any():
+        lead = pos % 2 == 0
+        a = np.flatnonzero(lead[:-1] & (pos[1:] != 0))
+        b = rows[a + 1]
+        won = dot_signs(N[rows[a]], D[b]) > 0
+        rows[a[won]] = b[won]
+        rows, pos = rows[lead], pos[lead] // 2
+    return rows, group[starts]
 
 
 def _shapes(D: np.ndarray, counts) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The shape of the cone of each of consecutive sets of 1-D or 2-D
     directions, counts[b] rows of D each (zero rows add nothing), and its
     first and last edge, rows of D, counterclockwise (0 on {0} and the full
-    space). 1-D reads the signs. In 2-D each direction e lies left of its
-    set's first direction d, right of it, or on d's line (opposite d where
-    <d, e> < 0), by the sign of cross(d, e): float angles relative to d
-    place the directions away from d's line and locate each side's end, and
-    exact signs (`points.dot_signs`) place the rest and confirm each end
-    against those within `_ANGLE_BAND` of it (one beyond it becomes the end,
-    and the set is checked again). With an opposite direction the cone is
+    space). 1-D reads the signs. In 2-D every placement and choice is an
+    exact sign (`points.dot_signs`): each direction e lies left of its set's
+    first direction d, right of it, on d's ray or opposite it, by the signs
+    of cross(d, e) and <d, e>. One tournament over every set (`_outermost`)
+    takes each side's end, its first outermost direction in set order, and
+    the first opposite direction. With an opposite direction the cone is
     the plane, a half-plane or the line as both, one or no side is taken;
     otherwise a ray, a wedge from or to d, or, with both sides, a wedge, a
     half-plane or the plane by the sign of cross(right end, left end)."""
@@ -457,50 +469,28 @@ def _shapes(D: np.ndarray, counts) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         first[:, 0] = last[:, 0] = np.where(shape == RAY, np.where(pos, 1.0, -1.0), 0.0)
         return shape, first, last
     sets = np.flatnonzero(k)
-    d = np.cumsum(k[sets]) - k[sets]  # the first direction of each set
-    seg = np.repeat(np.arange(len(sets)), k[sets])
-    ang = np.arctan2(D[:, 1], D[:, 0])
-    rel = ang - np.repeat(ang[d], k[sets])
-    rel[rel < -math.pi] += 2.0 * math.pi
-    rel[rel >= math.pi] -= 2.0 * math.pi
-    side, opposite = np.sign(rel), np.zeros(len(D), dtype=bool)
-    line = np.flatnonzero(np.abs(np.abs(rel) - 0.5 * math.pi) >= 0.5 * math.pi - _ANGLE_BAND)
-    cross, dot = dot_signs(np.stack((_rot(D[d][seg[line]]), D[d][seg[line]])), D[line])
-    side[line], opposite[line] = cross, (cross == 0) & (dot < 0)
-    # angles of the left side in (0, pi) and of the right one in (-pi, 0)
-    rel[line] += np.where(cross * rel[line] < -0.5 * math.pi, 2.0 * math.pi * cross, 0.0)
-    left, right = np.where(side > 0, rel, -np.inf), np.where(side < 0, rel, np.inf)
-    hi, lo = np.maximum.reduceat(left, d), np.minimum.reduceat(right, d)
-    l, r = _first_at(left, seg, hi), _first_at(right, seg, lo)
-    todo, turn = np.ones(len(sets), dtype=bool), np.zeros(len(sets), dtype=np.int8)
-    rows = np.arange(len(D))
-    while todo.any():
-        t = np.flatnonzero(todo)
-        rows = rows[todo[seg[rows]]]
-        rows = rows[(left[rows] >= np.maximum(hi[seg[rows]] - _ANGLE_BAND, -math.pi))
-                    | (right[rows] <= np.minimum(lo[seg[rows]] + _ANGLE_BAND, math.pi))]
-        # beyond an end: cross(l, e) > 0 on the left, cross(r, e) < 0 on the
-        # right; and the turn from the right end to the left one, cross(r, l)
-        m, ends = len(rows), _rot(D[np.concatenate((l[seg[rows]], r[seg[rows]], r[t]))])
-        signs = dot_signs(ends, np.concatenate((D[rows], D[rows], D[l[t]])))
-        turn[t], todo[:] = signs[2 * m:], False
-        for out, end, key, best, pick in (((signs[:m] > 0) & (side[rows] > 0), l, left, hi, np.maximum),
-                                          ((signs[m:2 * m] < 0) & (side[rows] < 0), r, right, lo,
-                                           np.minimum)):
-            o = rows[out]
-            outer = np.full(len(sets), -pick(-np.inf, np.inf))
-            pick.at(outer, seg[o], key[o])
-            o = o[key[o] == outer[seg[o]]]
-            end[seg[o]], best[seg[o]], todo[seg[o]] = o, key[o], True
-    has_l, has_r, has_o = hi > -np.inf, lo < np.inf, np.logical_or.reduceat(opposite, d)
-    o = np.full(len(sets), -1)
-    o[seg[line[opposite[line]]][::-1]] = line[opposite[line]][::-1]  # the first opposite
+    d, ns = np.cumsum(k[sets]) - k[sets], len(sets)  # the first direction of each set
+    seg = np.repeat(np.arange(ns), k[sets])
+    side, along = dot_signs(np.stack((_rot(X := D[d[seg]]), X)), D)
+    # the groups: each set's left side, its right side, its opposite
+    # directions. Beyond e lies f where cross(e, f) > 0 on the left and < 0
+    # on the right; no opposite direction lies beyond another (N = 0 there)
+    parts = [np.flatnonzero(m) for m in (side > 0, side < 0, (side == 0) & (along < 0))]
+    rows = np.concatenate(parts)
+    group = seg[rows] + ns * np.repeat(np.arange(3), list(map(len, parts)))
+    won, group = _outermost(_rot(D) * side[:, None], D, rows, group)
+    ends = np.tile(d, 3)  # d where a group is empty
+    ends[group] = won
+    l, r, o = ends.reshape(3, ns)
+    has_l, has_r, has_o, turn = l != d, r != d, o != d, np.zeros(ns, dtype=np.int8)
+    both = has_l & has_r  # elsewhere cross(r, l) is not read
+    turn[both] = dot_signs(_rot(D[r[both]]), D[l[both]])
     only_r = has_r & ~has_l
     kind = np.select([has_o & has_l & has_r, has_o & (has_l | has_r), has_o, ~(has_l | has_r),
                       ~(has_l & has_r), turn > 0, turn == 0], [FULL, HALF, LINE, RAY, WEDGE, WEDGE, HALF],
                      FULL)
-    f = np.where(has_o, np.where(only_r, o, d), np.where(has_r, r, d))
-    e = np.where(has_o, np.where(only_r, d, o), np.where(has_l, l, d))
+    f = np.where(has_o, np.where(only_r, o, d), r)
+    e = np.where(has_o, np.where(only_r, d, o), l)
     shape[sets], first[sets], last[sets] = kind, D[f], D[e]
     first[shape == FULL] = last[shape == FULL] = 0.0
     return shape, first, last

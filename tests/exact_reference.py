@@ -9,9 +9,9 @@ fast enough for a whole ground.
 signs against its first direction d: the directions strictly on either side
 of d, each side's outermost one (by cross-product signs within the side),
 and whether -d is present. That is another route than the library's, which
-reads the angular range around d in floats and confirms its ends by signs
-(`cones._shapes`). A sample's displacements are its points less its base,
-as floats, the vectors every membership test reads.
+reads the signs of float products exactly and finds each side's end by a
+pairwise tournament (`cones._shapes`). A sample's displacements are its
+points less its base, as floats, the vectors every membership test reads.
 
 A sampled base's cone is read from its sample plus its strictly-better
 ground neighbours (`strictly_better_neighbours_ref`): on each axis the

@@ -329,6 +329,8 @@ def test_cone_validation():
         Cone.ray((0.0, 0.0))
     with pytest.raises(ValueError):
         Cone(2, "sideways")
+    with pytest.raises(ValueError, match="at least one generator"):
+        Cone.generated([])
 
 
 # --------------------------------------------- generators and queries at any scale

@@ -1,17 +1,21 @@
 """1-D and 2-D cone shapes and tol-0 Stampacchia listings against exact references.
 
-`cones._shapes` reads a set's cone from float angles confirmed by exact
-signs; `tests/exact_reference.py` reads it by integer signs alone, another
-way. They must give the same shape and edges of the same direction on sets
-built to sit on every edge case: parallel and opposite directions, near
-misses by one ulp, wedges a hair short of a half-turn, and coordinates
-whose squares overflow or underflow. The library's tol-0 `svip_solutions`
-must list exactly the reference's points on every fixture's default grid,
-on radial-bowl's 961- and 3,721-point grids, and on drawn windows of bowls,
-vee peaks and kinked-linear utilities with dyadic bounds, steps and box
-samplers, where every displacement is exact in floats. A sampled base's
-reference cone is that of its box sample plus its strictly-better ground
-neighbours, which the reference finds by ground coordinates.
+`cones._shapes` reads a set's cone by exact signs of float products
+(`points.dot_signs`), each side's end by a pairwise tournament;
+`tests/exact_reference.py` reads it by integer signs and one scan per side,
+another way. They must give the same shape and edges of the same direction
+on sets built to sit on every edge case: parallel and opposite directions,
+near misses by one ulp, wedges a hair short of a half-turn, and
+coordinates whose squares overflow or underflow. On large lattice sets
+crowded with multiples and ulp turns of their outermost rows, each edge
+must be the very row the reference picks, the first outermost one in set
+order. The library's tol-0 `svip_solutions` must list exactly the
+reference's points on every fixture's default grid, on radial-bowl's 961-
+and 3,721-point grids, and on drawn windows of bowls, vee peaks and
+kinked-linear utilities with dyadic bounds, steps and box samplers, where
+every displacement is exact in floats. A sampled base's reference cone is
+that of its box sample plus its strictly-better ground neighbours, which
+the reference finds by ground coordinates.
 """
 
 import math
@@ -87,6 +91,79 @@ def test_2d_shapes_match_the_exact_reference(sets):
     shape, first, last = _shapes(D, [len(s) for s in sets])
     for s, kind, f, l in zip(sets, shape.tolist(), first.tolist(), last.tolist()):
         _assert_shape_matches((kind, f, l), cone_shape_ref(exact_ints(s) if s else []))
+
+
+def _assert_first_rows(sets, got):
+    """The library's shapes against the reference's, each edge the very row
+    the reference picks: a side's first outermost direction in set order,
+    or the set's first opposite one."""
+    for s, kind, f, l in zip(sets, *(a.tolist() for a in got)):
+        E = exact_ints(s)
+        want = cone_shape_ref(E)
+        assert kind == want[0]
+        if want[1] is not None:
+            assert [f, l] == [list(map(float, s[E.index(e)])) for e in want[1:]]
+
+
+def _disc_displacements(rng) -> np.ndarray:
+    """A radial bowl's box sample at a lattice base x, as displacements:
+    the lattice points x + k h strictly nearer a peak p than x, less x, in
+    row-major order (100 to about 3,000 rows)."""
+    h = rng.choice((0.1, 0.05, 0.03, 0.07))
+    x = rng.integers(-20, 21, 2) * h
+    angle, reach = rng.uniform(0.0, 2.0 * math.pi), rng.uniform(6.0, 30.0)
+    p = x + reach * h * np.array([math.cos(angle), math.sin(angle)])
+    k = np.arange(-61, 62) * h
+    Y = np.stack(np.meshgrid(x[0] + k, x[1] + k, indexing="ij"), axis=-1).reshape(-1, 2)
+    return Y[((Y - p) ** 2).sum(axis=1) < ((x - p) ** 2).sum()] - x
+
+
+def _crowd_the_ends(rng, D: np.ndarray) -> np.ndarray:
+    """D with its outermost rows repeated at random places: times powers of
+    two and small integers (exact, or rounded a hair off the ray), and
+    turned by one or two ulps of a coordinate either way."""
+    rows, E = D.tolist(), exact_ints(D)
+    for e in cone_shape_ref(E)[1:]:
+        if e is None:
+            continue
+        v = D[E.index(e)]
+        near = [v * 2.0 ** j for j in (-3, -1, 1, 4)] + [v * m for m in (3.0, 5.0, 7.0)]
+        for _ in range(6):
+            w, c = v.copy(), rng.integers(0, 2)
+            for _ in range(rng.integers(1, 3)):
+                w[c] = np.nextafter(w[c], rng.choice((-np.inf, np.inf)))
+            near.append(w * rng.choice((1.0, 2.0, 3.0)))
+        for w in near:
+            rows.insert(int(rng.integers(0, len(rows) + 1)), w.tolist())
+    return np.array(rows)
+
+
+@settings(DIFFERENTIAL, max_examples=60)
+@given(st.integers(0, 2 ** 32 - 1), st.integers(1, 3))
+def test_large_sets_take_the_reference_ends(seed, n):
+    # the tournament meets thousands of rows of one side over a dozen
+    # rounds, carrying an odd last candidate, on lattice ties and ulp turns
+    rng = np.random.default_rng(seed)
+    sets = []
+    for _ in range(n):
+        D = _crowd_the_ends(rng, _disc_displacements(rng))
+        sets.append(np.roll(D, rng.integers(0, len(D)), axis=0) * rng.choice((1.0, -1.0), 2))
+    _assert_first_rows(sets, _shapes(np.concatenate(sets), list(map(len, sets))))
+
+
+def test_the_ends_are_the_first_outermost_rows():
+    # outermost directions at several lengths: each end is the first of
+    # them in set order, through odd and even group sizes
+    left = [(1.0, 1.0), (3.0, 9.0), (1.0, 3.0), (2.0, 3.0), (0.5, 1.5)]
+    right = [(3.0, -1.0), (1.0, -2.0), (2.0, -4.0)]
+    sets = [[(1.0, 0.0)] + left + right, [(1.0, 0.0)] + left[::-1] + right[::-1],
+            [(1.0, 0.0)] + left[:4], [(1.0, 0.0)] + right[1:] + [(-1.0, 0.0), (-2.0, 0.0)],
+            [(2.0, 1.0), (4.0, 2.0), (-1.0, -0.5), (-4.0, -2.0)]]
+    shape, first, last = got = _shapes(np.array([r for s in sets for r in s]), list(map(len, sets)))
+    assert shape.tolist() == [WEDGE, WEDGE, WEDGE, HALF, LINE]
+    assert first.tolist() == [[1.0, -2.0], [2.0, -4.0], [1.0, 0.0], [-1.0, 0.0], [2.0, 1.0]]
+    assert last.tolist() == [[3.0, 9.0], [0.5, 1.5], [3.0, 9.0], [1.0, 0.0], [-1.0, -0.5]]
+    _assert_first_rows([np.array(s) for s in sets], got)
 
 
 @DIFFERENTIAL
