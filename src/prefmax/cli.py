@@ -132,15 +132,19 @@ def _parse_grid(ctx: click.Context, param: click.Parameter, spec: str | None):
 @click.option("--grid", default=None, callback=_parse_grid,
               help="lo:hi:step[,lo:hi:step...] ground override")
 @click.option("--tol", default=DEFAULT_TOL, type=float, show_default=True)
-@click.option("--seed", default=0, type=int, show_default=True)
+@click.option("--seed", default=0, type=int, show_default=True,
+              help="Accepted and ignored: no check draws at random")
 @click.option("--json", "json_path", default=None, help="Write the report as JSON")
 @_config_option("suite", "grid", "tol", "seed")
 def check(fixture_name, suite, grid, tol, seed, json_path):
     """Run a fixture's check suite and report one verdict per check."""
-    report = run_experiment(ExperimentSpec(
+    spec = ExperimentSpec(
         fixture=fixture_name,
         suite=tuple(s.strip() for s in suite.split(",")) if suite else None,
-        ground=grid, tol=tol, seed=seed))
+        ground=grid, tol=tol)
+    if seed < 0:
+        raise ValueError(f"seed must be nonnegative, got {seed}")
+    report = run_experiment(spec)
     for v in report.verdicts:
         status = "PASS" if v.passed else "FAIL"
         click.echo(f"{status} {v.check}: {v.detail}")

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import product
 from typing import Callable
 
 import numpy as np
@@ -384,8 +385,7 @@ _BUILDERS = (
 
 _REGISTRY: dict[str, Fixture] | None = None
 _SELF_TEST_DONE = False
-SELF_TEST_PROBES = 100  # random probes per base
-SELF_TEST_BASES = 5  # bases per ground: its first, middle and last point, then random ones
+SELF_TEST_BASES = 5  # bases per ground, evenly spaced in ground order
 
 
 def _build_registry() -> dict[str, Fixture]:
@@ -398,26 +398,24 @@ def _build_registry() -> dict[str, Fixture]:
     return registry
 
 
-def self_test_fixture(fixture: Fixture, seed: int = 12345, tol: float = DEFAULT_TOL,
+def self_test_fixture(fixture: Fixture, tol: float = DEFAULT_TOL,
                       ground: GroundSet | None = None) -> None:
-    """Closed-form cones must agree with sampled membership on random probes,
-    at bases picked from `ground` (default: the fixture's)."""
+    """Closed-form cones must agree with sampled membership on the probes
+    {-2, ..., 2}^dim other than 0, at `SELF_TEST_BASES` bases evenly spaced in
+    the order of `ground` (default: the fixture's), its first and last among them."""
     if fixture.cone_oracle is None:
         return
-    rng = np.random.default_rng(seed)
     ground = list(fixture.default_ground if ground is None else ground)
-    picks = {0, len(ground) // 2, len(ground) - 1}
-    while len(picks) < min(SELF_TEST_BASES, len(ground)):
-        picks.add(int(rng.integers(0, len(ground))))
-    bases = [ground[i] for i in sorted(picks)]
+    last, steps = len(ground) - 1, SELF_TEST_BASES - 1
+    bases = [ground[i] for i in sorted({round(k * last / steps) for k in range(steps + 1)})]
+    P = np.array([p for p in product(range(-2, 3), repeat=fixture.relation.dim) if any(p)], float)
     for x, sample in zip(bases, fixture.box_sampler.samples(bases)):
         cone = fixture.cone_oracle(x)
-        P = rng.uniform(-3.0, 3.0, size=(SELF_TEST_PROBES, x.dim))
         bad = np.flatnonzero(cone.contains_many(P) != normal_membership_many(sample, P, tol))
         if bad.size:
             raise AssertionError(
                 f"fixture {fixture.name!r}: closed-form cone and sampled "
-                f"membership disagree at base {x}, probe {tuple(P[bad[0]])}")
+                f"membership disagree at base {x}, probe {tuple(P[bad[0]].tolist())}")
 
 
 def registry(self_test: bool = True) -> dict[str, Fixture]:

@@ -39,13 +39,10 @@ class ExperimentSpec:
     suite: tuple[str, ...] | None = None
     ground: GroundSet | None = None
     tol: float = DEFAULT_TOL
-    seed: int = 0
 
     def __post_init__(self):
         if not (isfinite(self.tol) and self.tol >= 0):
             raise ValueError(f"tolerance must be finite and nonnegative, got {self.tol}")
-        if self.seed < 0:
-            raise ValueError(f"seed must be nonnegative, got {self.seed}")
 
 
 @dataclass(frozen=True)
@@ -189,7 +186,7 @@ def _run_check(name: str, run: _Run) -> Verdict:
     if name == "cones":
         run.cone_oracle()  # CapabilityError where the fixture has no cones
         try:
-            self_test_fixture(fixture, seed=spec.seed or 12345, tol=spec.tol, ground=ground)
+            self_test_fixture(fixture, tol=spec.tol, ground=ground)
         except AssertionError as exc:
             return Verdict(name, False, str(exc))
         return Verdict(name, True, "closed-form cones match sampled membership")

@@ -1,6 +1,8 @@
+import dataclasses
+
 import pytest
 
-from prefmax import GroundSet, UnknownFixture, fixture_names, get_fixture, pt
+from prefmax import Cone, GroundSet, UnknownFixture, fixture_names, get_fixture, pt
 from prefmax import fixtures
 from prefmax.fixtures import self_test_fixture
 
@@ -23,6 +25,23 @@ def test_unknown_fixture_lists_available():
 def test_self_test_every_fixture():
     for name in fixture_names():
         self_test_fixture(get_fixture(name))
+
+
+def test_a_failing_self_test_names_its_probe_in_plain_floats():
+    # the zero cone misses (-2,), the first lattice probe, which every
+    # left-hand base's sampled normal cone holds
+    wrong = dataclasses.replace(get_fixture("vee-peak"), cone_oracle=lambda p: Cone.zero(1))
+    with pytest.raises(AssertionError, match=r"probe \(-2\.0,\)$"):
+        self_test_fixture(wrong)
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="the box sample of 0.702 is empty: the sampler's fine points 0.697 "
+                          "and 0.707 straddle its strictly-better interval (0.698, 0.702)")
+def test_vee_peaks_self_test_holds_at_base_0_702(vee):
+    # a base of vee-peak's 0:1:0.013 grid that the evenly spaced bases
+    # miss; samples refined where the decider lists (ROADMAP S) flip this
+    self_test_fixture(vee, ground=GroundSet.explicit([pt(0.702)]))
 
 
 def test_favored_one_cones(favored):

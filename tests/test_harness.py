@@ -521,15 +521,32 @@ def test_a_failed_replace_leaves_no_temporary_file(tmp_path):
 
 @pytest.mark.parametrize("suite", ("maximal", "zero-maximality", "cones"))
 def test_a_negative_seed_is_rejected_for_every_suite(suite):
-    with pytest.raises(ValueError, match="seed"):
-        run_experiment(ExperimentSpec(fixture="vee-peak", suite=(suite,), seed=-3))
     result = runner.invoke(main, ["check", "--fixture", "vee-peak", "--suite", suite,
                                   "--seed", "-3"])
     assert result.exit_code == 2
-    assert "error: seed must be nonnegative" in result.output
+    assert "error: seed must be nonnegative, got -3" in result.output
 
 
-@pytest.mark.parametrize("name, grid", [("vee-peak", "50:51:0.5"), ("twin-plateau", "3:5:0.25"),
+def test_the_cones_verdict_is_the_same_for_every_seed():
+    # 0.702 on this grid has an empty box sample, and the evenly spaced
+    # bases miss it (tests/test_fixtures.py pins that base)
+    args = ["check", "--fixture", "vee-peak", "--grid", "0:1:0.013", "--suite", "cones"]
+    results = [runner.invoke(main, args + ["--seed", seed]) for seed in ("0", "1", "37", "85")]
+    assert {(r.exit_code, r.output) for r in results} == {
+        (0, "PASS cones: closed-form cones match sampled membership\n")}
+
+
+# each window's bases, at indices round(k (n - 1) / 4) for k = 0..4
+CONES_BASES = {
+    "50:51:0.5": [(50.0,), (50.5,), (51.0,)],
+    "0:1:0.1": [(0.0,), (0.2,), (0.5,), (0.8,), (1.0,)],
+    "3:5:0.25": [(3.0,), (3.5,), (4.0,), (4.5,), (5.0,)],
+    "5:6:0.5,-6:-5:0.5": [(5.0, -6.0), (5.0, -5.0), (5.5, -5.5), (6.0, -6.0), (6.0, -5.0)],
+}
+
+
+@pytest.mark.parametrize("name, grid", [("vee-peak", "50:51:0.5"), ("vee-peak", "0:1:0.1"),
+                                        ("twin-plateau", "3:5:0.25"),
                                         ("mutual-zero", "5:6:0.5,-6:-5:0.5")])
 def test_the_cones_check_picks_its_bases_on_the_requested_window(monkeypatch, name, grid):
     from prefmax.cones import BoxSampler
@@ -546,7 +563,7 @@ def test_the_cones_check_picks_its_bases_on_the_requested_window(monkeypatch, na
     ground = parse_grid_spec(grid)
     report = run_experiment(ExperimentSpec(fixture=name, suite=("cones",), ground=ground))
     assert report.all_passed
-    assert len(bases) == min(5, len(ground)) and all(x in ground for x in bases)
+    assert [x.coords for x in bases] == CONES_BASES[grid]
 
 
 # ------------------------------------------------------------ one run per spec
