@@ -20,7 +20,7 @@ def main() -> int:
     fixture = get_fixture("radial-bowl")
     target = fixture.reference
     start = time.perf_counter()
-    trace = descend_fixture("radial-bowl", (0.0, 0.0), theta0=1.0, max_iters=10_000)
+    trace = descend_fixture("radial-bowl", (0.0, 0.0), max_iters=10_000)
     runtime = time.perf_counter() - start
 
     dists = trace.dists

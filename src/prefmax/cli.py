@@ -182,8 +182,7 @@ def descend(fixture_name, x0, theta0, schedule, max_iters, eps, trace_path):
     coords = tuple(float(c) for c in x0.split(","))
     sched = _parse_schedule(schedule, theta0)
     sched.validate()
-    trace = descend_fixture(fixture_name, coords, theta0=theta0, schedule=sched,
-                            max_iters=max_iters, eps=eps)
+    trace = descend_fixture(fixture_name, coords, schedule=sched, max_iters=max_iters, eps=eps)
     click.echo(f"termination={trace.termination} iterations={len(trace) - 1} "
                f"final={','.join(map(repr, trace.xs[-1]))}")
     if trace.reference is not None:

@@ -358,30 +358,50 @@ class BoxSampler:
             yield from map(ContourSample, pts[blk], np.split(P, np.cumsum(kept)[:-1]))
 
 
-def normal_cone_test(sample: ContourSample, probes, rhs) -> np.ndarray:
-    """For each probe x* (a row of `probes`), whether <x*, d> <= rhs holds at
-    every sampled displacement d = y - x into the strictly-better set.
+def normal_cone_test(D: np.ndarray, counts, probes, rhs) -> np.ndarray:
+    """For consecutive samples, counts[b] rows d = y - x of D each
+    (`_displacements`), the (samples, probes) mask of the probes x* (rows of
+    `probes`) with <x*, d> <= rhs at every displacement of the sample.
 
-    `normal_membership(_many)`, `strict_normal_membership` and
-    `plastria.plastria_membership` are this test with three right-hand
-    sides: tol (1 + ||x*|| ||d||), -margin ||d|| and gap(x, y) + tol (1 + ||d||).
-    `rhs(pn, dn)` returns the thresholds for every sampled point, given the
-    probe norms `pn` as a column and the norms `dn` of the displacements.
-    Every probe meets every displacement in one product. Inner products are
-    summed coordinate by coordinate, so each entry rounds as the scalar
-    `dot` does, and the norms are `points.row_norms`, which a displacement
-    whose squares overflow does not turn to inf. An empty sample accepts
-    every finite probe; a probe that is not finite raises ValueError.
+    The weak, strict and Plastria tests and the 3-D bodies are this test
+    with three right-hand sides: tol (1 + ||x*|| ||d||) (`_weak`), -margin
+    ||d|| and gap(x, y) + tol (1 + ||d||). `rhs(pn, dn)` gives the
+    thresholds of a block of whole samples (a one-sample call's block is its
+    sample) from the probe norms `pn`, a row, and the block's displacement
+    norms `dn`, a column. Each block, at most `points.BLOCK_ENTRIES`
+    (displacement, probe) pairs or one sample, is one direct product summed
+    coordinate by coordinate, as the scalar `dot` rounds, with the norms of
+    `points.row_norms`, which a displacement whose squares overflow does not
+    turn to inf. An empty sample accepts every finite probe; a probe that is
+    not finite or not of D's dimension raises ValueError.
     """
     P = np.asarray(probes, dtype=float)
-    if P.ndim != 2 or P.shape[1] != sample.base.dim:
+    if P.ndim != 2 or P.shape[1] != D.shape[1]:
         raise ValueError("query dimension mismatch")
     if not np.isfinite(P).all():
         raise ValueError("non-finite probe")
-    if sample.is_empty:
-        return np.ones(len(P), dtype=bool)
-    D = sample.points - np.array(sample.base.coords)
-    return ~(rowdot(P[:, None], D[None]) > rhs(row_norms(P)[:, None], row_norms(D))).any(axis=1)
+    counts = np.asarray(counts, dtype=np.intp)
+    starts, live, pn = np.cumsum(counts) - counts, np.flatnonzero(counts), row_norms(P)
+    out = np.ones((len(counts), len(P)), dtype=bool)
+    for c in blocks(counts[live] * len(P)):
+        at = starts[live[c]]
+        rows = D[at[0]:at[-1] + counts[live[c]][-1], None, :]
+        fails = rowdot(rows, P) > rhs(pn, row_norms(rows))
+        out[live[c]] = ~np.logical_or.reduceat(fails, at - at[0], axis=0)
+    return out
+
+
+def _displacements(samples) -> tuple[np.ndarray, list]:
+    """The displacements y - x of samples of one dimension, stacked sample
+    after sample, and their number per sample: `normal_cone_test`'s D and
+    counts."""
+    block = [s.points - np.array(s.base.coords) for s in samples]
+    return np.concatenate(block), list(map(len, block))
+
+
+def _weak(tol: float):
+    """The right-hand side tol (1 + ||x*|| ||d||) of `normal_membership`."""
+    return lambda pn, dn: tol * (1.0 + pn * dn)
 
 
 def normal_membership(sample: ContourSample, xstar, tol: float = DEFAULT_TOL) -> bool:
@@ -392,7 +412,7 @@ def normal_membership(sample: ContourSample, xstar, tol: float = DEFAULT_TOL) ->
 
 def normal_membership_many(sample: ContourSample, probes, tol: float = DEFAULT_TOL):
     """normal_membership over an (m, dim) array of probes."""
-    return normal_cone_test(sample, probes, lambda pn, dn: tol * (1.0 + pn * dn))
+    return normal_cone_test(*_displacements([sample]), probes, _weak(tol))[0]
 
 
 def strict_normal_membership(sample: ContourSample, xstar, margin: float = STRICT_MARGIN) -> bool:
@@ -400,8 +420,8 @@ def strict_normal_membership(sample: ContourSample, xstar, margin: float = STRIC
     margin of -margin * ||y - x|| at every sampled point."""
     if margin <= 0:
         raise ValueError("margin must be positive")
-    return bool(normal_cone_test(sample, [tuple(xstar)],
-                                 lambda pn, dn: -margin * dn)[0])
+    return bool(normal_cone_test(*_displacements([sample]), [tuple(xstar)],
+                                 lambda pn, dn: -margin * dn)[0, 0])
 
 
 @lru_cache(maxsize=None)
@@ -546,34 +566,11 @@ def cone_unit_hull(cone: Cone) -> ConvexBody:
     return ConvexBody(cone.dim, list(dict.fromkeys(tuple(round(c, 12) for c in u) for u in rows)))
 
 
-def _net_fails(D: np.ndarray, counts, tol: float) -> np.ndarray:
-    """For consecutive 3-D samples, counts[b] displacement rows of D each,
-    the (samples, net rows) mask of the unit-net rows u that some
-    displacement d of the sample rejects: <u, d> > tol (1 + ||u|| ||d||),
-    `normal_membership_many`'s rejection in the kernel's own float
-    operations, the norms `points.row_norms`. Every row meets every
-    displacement in one direct product over the stacked rows, a block
-    holding at most `points.BLOCK_ENTRIES` (net row, displacement) pairs, or
-    one sample."""
-    net = unit_net(D.shape[1])
-    un = row_norms(net)
-    counts = np.asarray(counts, dtype=np.intp)
-    starts = np.cumsum(counts) - counts
-    fails = np.zeros((len(counts), len(net)), dtype=bool)
-    live = np.flatnonzero(counts)
-    for c in blocks(counts[live] * len(net)):
-        at = starts[live[c]]
-        rows = D[at[0]:at[-1] + counts[live[c]][-1], None, :]
-        hits = rowdot(net, rows) > tol * (1.0 + un * row_norms(rows))
-        fails[live[c]] = np.logical_or.reduceat(hits, at - at[0], axis=0)
-    return fails
-
-
 def _sampled_bodies(D: np.ndarray, counts, tol: float) -> list:
     """The bodies of `body_from_sample` for consecutive samples, counts[b]
     displacement rows of D each: in 1-D and 2-D the unit hulls of the exact
     polars of the samples' cones, whatever tol; in 3-D the unit-net rows
-    that `_net_fails` leaves, in net order."""
+    that `normal_cone_test` accepts at tol (`_weak`), in net order."""
     if D.shape[1] <= 2:
         shape, first, last = _shapes(D, counts)
         if D.shape[1] == 1:  # the polar of a ray is the opposite ray
@@ -581,7 +578,7 @@ def _sampled_bodies(D: np.ndarray, counts, tol: float) -> list:
         # from f to l: from l turned counterclockwise to f turned clockwise
         return _shape_bodies(_POLAR[shape], _rot(last), -_rot(first))
     net = unit_net(D.shape[1])
-    at, cols = np.nonzero(~_net_fails(D, counts, tol))
+    at, cols = np.nonzero(normal_cone_test(D, counts, net, _weak(tol)))
     kept = np.bincount(at, minlength=len(counts))
     return [ConvexBody(D.shape[1], rows)
             for rows in np.split(np.take(net, cols, axis=0), np.cumsum(kept)[:-1])]
@@ -595,13 +592,13 @@ def sampled_bodies(samples, tol: float = DEFAULT_TOL) -> list:
     pass."""
     bodies, block, size = [], [], 0
     for sample in samples:
-        block.append(sample.points - np.array(sample.base.coords))
-        size += max(1, len(block[-1]))
+        block.append(sample)
+        size += max(1, len(sample.points))
         if size >= points.BLOCK_ENTRIES:
-            bodies += _sampled_bodies(np.concatenate(block), list(map(len, block)), tol)
+            bodies += _sampled_bodies(*_displacements(block), tol)
             block, size = [], 0
     if block:
-        bodies += _sampled_bodies(np.concatenate(block), list(map(len, block)), tol)
+        bodies += _sampled_bodies(*_displacements(block), tol)
     return bodies
 
 

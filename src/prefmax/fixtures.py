@@ -16,7 +16,7 @@ from typing import Callable
 
 import numpy as np
 
-from .cones import DEFAULT_TOL, BoxSampler, Cone, normal_membership_many
+from .cones import DEFAULT_TOL, BoxSampler, Cone, _displacements, _weak, normal_cone_test
 from .plastria import GapFunction, gap_from_utility, zero_gap
 from .points import GroundSet, Point, scaled_to
 from .relations import Relation
@@ -409,9 +409,9 @@ def self_test_fixture(fixture: Fixture, tol: float = DEFAULT_TOL,
     last, steps = len(ground) - 1, SELF_TEST_BASES - 1
     bases = [ground[i] for i in sorted({round(k * last / steps) for k in range(steps + 1)})]
     P = np.array([p for p in product(range(-2, 3), repeat=fixture.relation.dim) if any(p)], float)
-    for x, sample in zip(bases, fixture.box_sampler.samples(bases)):
-        cone = fixture.cone_oracle(x)
-        bad = np.flatnonzero(cone.contains_many(P) != normal_membership_many(sample, P, tol))
+    sampled = normal_cone_test(*_displacements(fixture.box_sampler.samples(bases)), P, _weak(tol))
+    for x, member in zip(bases, sampled):
+        bad = np.flatnonzero(fixture.cone_oracle(x).contains_many(P) != member)
         if bad.size:
             raise AssertionError(
                 f"fixture {fixture.name!r}: closed-form cone and sampled "

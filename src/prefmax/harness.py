@@ -12,7 +12,7 @@ from math import isfinite
 from operator import is_not, itemgetter
 from sys import float_info
 
-from .cones import DEFAULT_TOL, normal_membership, strict_normal_membership
+from .cones import DEFAULT_TOL, STRICT_MARGIN, _displacements, _weak, normal_cone_test
 from .descent import TERMINATIONS, DescentConfig, DescentTrace, StepSchedule, run_descent
 from .fixtures import get_fixture, self_test_fixture
 from .plastria import zero_maximality_check
@@ -203,19 +203,20 @@ def _run_check(name: str, run: _Run) -> Verdict:
         if query is None:
             raise CapabilityError(f"fixture {fixture.name!r} declares no weak/strict gap query")
         query = tuple(float(c) for c in query)
-        tested = 0
-        for x, sample in zip(ground, fixture.box_sampler.samples(ground)):
-            if sample.is_empty:
-                continue
-            tested += 1
-            if not normal_membership(sample, query, spec.tol):
-                return Verdict(name, False, f"query rejected by the weak cone at {x}")
-            if strict_normal_membership(sample, query):
-                return Verdict(name, False, f"query accepted by the strict cone at {x}")
-        if tested == 0:
+        live = [(x, sample) for x, sample in zip(ground, fixture.box_sampler.samples(ground))
+                if not sample.is_empty]
+        if not live:
             return Verdict(name, False, "no base point with a non-empty contour")
-        return Verdict(name, True,
-                       f"query {query} weakly accepted, strictly rejected at {tested} base points")
+        D, counts = _displacements(sample for _, sample in live)
+        weak = normal_cone_test(D, counts, [query], _weak(spec.tol))[:, 0]
+        strict = normal_cone_test(D, counts, [query], lambda pn, dn: -STRICT_MARGIN * dn)[:, 0]
+        for (x, _), w, s in zip(live, weak.tolist(), strict.tolist()):
+            if not w:
+                return Verdict(name, False, f"query rejected by the weak cone at {x}")
+            if s:
+                return Verdict(name, False, f"query accepted by the strict cone at {x}")
+        return Verdict(name, True, f"query {query} weakly accepted, strictly rejected at "
+                                   f"{len(live)} base points")
 
 
 def vip_solutions(spec: ExperimentSpec, kind: str) -> tuple[GroundSet, list[Point]]:
@@ -239,9 +240,10 @@ def run_experiment(spec: ExperimentSpec) -> RunReport:
     return RunReport(command, spec.fixture, verdicts, wall_time_s=time.perf_counter() - started)
 
 
-def descend_fixture(name: str, x0, theta0: float = 1.0, schedule: StepSchedule | None = None,
+def descend_fixture(name: str, x0, schedule: StepSchedule | None = None,
                     max_iters: int = 10_000, eps: float = 0.0) -> DescentTrace:
-    """Run the descent iteration on a fixture that carries a gap function."""
+    """Run the descent iteration on a fixture that carries a gap function,
+    with the harmonic schedule theta_k = 1 / k unless `schedule` is given."""
     fixture = get_fixture(name)
     if fixture.gap is None or fixture.descent_direction is None:
         raise CapabilityError(f"fixture {name!r} has no gap function registered")
@@ -249,7 +251,7 @@ def descend_fixture(name: str, x0, theta0: float = 1.0, schedule: StepSchedule |
     if x1.dim != fixture.relation.dim:
         raise CapabilityError(
             f"fixture {name!r} is {fixture.relation.dim}-dimensional, got x0 of dim {x1.dim}")
-    sched = schedule if schedule is not None else StepSchedule.harmonic(theta0)
+    sched = schedule if schedule is not None else StepSchedule.harmonic(1.0)
     config = DescentConfig(lipschitz=fixture.gap.lipschitz, max_iters=max_iters, eps=eps)
     return run_descent(fixture.descent_oracle(), x1, sched, config,
                        reference=fixture.reference, gap=fixture.gap)

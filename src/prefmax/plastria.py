@@ -15,7 +15,7 @@ from typing import Callable
 
 import numpy as np
 
-from .cones import DEFAULT_TOL, ContourSample, normal_cone_test
+from .cones import DEFAULT_TOL, ContourSample, _displacements, normal_cone_test
 from .points import GroundSet, Point, ground_points, row_blocks, scaled_to, tol_floor
 from .relations import PropertyReport, Relation, _holds, _operand
 
@@ -109,12 +109,12 @@ def plastria_membership(gap: GapFunction, sample: ContourSample, xstar,
     <xstar, y - x> <= f(x, y) for every sampled strictly-better y. An empty
     sample (a maximal base point) accepts everything. This is
     `normal_cone_test` with the right-hand side gap(x, y) + tol (1 + ||d||),
-    the gaps a one-row `table`."""
+    the gaps a one-row `table`, read only for a sample that is not empty."""
     def rhs(pn, dn):
         [(_, F)] = gap.table([sample.base.coords], sample.points.tolist())
-        return F[0] + tol * (1.0 + dn)
+        return F[0][:, None] + tol * (1.0 + dn)
 
-    return bool(normal_cone_test(sample, [tuple(xstar)], rhs)[0])
+    return bool(normal_cone_test(*_displacements([sample]), [tuple(xstar)], rhs)[0, 0])
 
 
 def plastria_subgradient(gap: GapFunction, x: Point, ustar) -> Point:

@@ -487,16 +487,10 @@ def bodies_for_ground(rel: Relation, X: GroundSet, cone_oracle: ConeOracle | Non
     """
     pts, rows = ground_points(X, rel.dim)
     if cone_oracle is not None:
-        hull_cache: dict[tuple, ConvexBody] = {}
-        bodies = []
-        for x in pts:
-            cone = cone_oracle(x)
-            key = (cone.tag, cone.generators)
-            body = hull_cache.get(key)
-            if body is None:
-                body = hull_cache[key] = cone_unit_hull(cone)
-            bodies.append(body)
-        return {x.coords: body for x, body in zip(pts, bodies)}
+        cones = list(map(cone_oracle, pts))
+        # one hull per distinct cone; a cone's equality includes its dimension
+        hulls = {cone: cone_unit_hull(cone) for cone in dict.fromkeys(cones)}
+        return {x.coords: hulls[cone] for x, cone in zip(pts, cones)}
     n, dim = rows.shape
     bodies, sampled, near = [ConvexBody(dim, ())] * n, np.arange(n), None
     if dim <= 2 and n:

@@ -41,7 +41,7 @@ _RADIAL_RUN = {}
 def radial_run():
     if "trace" not in _RADIAL_RUN:
         start = time.perf_counter()
-        trace = descend_fixture("radial-bowl", (0.0, 0.0), theta0=1.0, max_iters=10_000)
+        trace = descend_fixture("radial-bowl", (0.0, 0.0), max_iters=10_000)
         _RADIAL_RUN["runtime"] = time.perf_counter() - start
         _RADIAL_RUN["trace"] = trace
     return _RADIAL_RUN["trace"], _RADIAL_RUN["runtime"]

@@ -25,7 +25,7 @@ from prefmax import (
 )
 from prefmax.cli import main
 from prefmax.descent import DescentConfig, StepSchedule, run_descent
-from prefmax.harness import KNOWN_CHECKS, TRACE_COLUMNS
+from prefmax.harness import KNOWN_CHECKS, TRACE_COLUMNS, Verdict
 from prefmax.points import GroundSet, pt
 
 
@@ -564,6 +564,82 @@ def test_the_cones_check_picks_its_bases_on_the_requested_window(monkeypatch, na
     report = run_experiment(ExperimentSpec(fixture=name, suite=("cones",), ground=ground))
     assert report.all_passed
     assert [x.coords for x in bases] == CONES_BASES[grid]
+
+
+def _strict_gap_per_base(fx, ground, query, tol):
+    """The strict-gap verdict's detail, one base at a time in ground order."""
+    from prefmax import normal_membership, strict_normal_membership
+
+    tested = 0
+    for x in ground:
+        sample = fx.contour_sampler(x)
+        if sample.is_empty:
+            continue
+        tested += 1
+        if not normal_membership(sample, query, tol):
+            return f"query rejected by the weak cone at {x}"
+        if strict_normal_membership(sample, query):
+            return f"query accepted by the strict cone at {x}"
+    if not tested:
+        return "no base point with a non-empty contour"
+    return f"query {query} weakly accepted, strictly rejected at {tested} base points"
+
+
+_HALFLINE_GROUNDS = (None, "0:2:0.1,-0.5:0.5:0.1", "0:2:0.175,-0.5:0.5:0.175")
+# on vee-peak a base right of the peak 0.7 fails the query (1,) strictly and
+# one left of it weakly, so the ground's order picks the failure
+_VEE_GROUNDS = ("0:1:0.05", [1.0, 0.9, 0.5, 0.2], [0.7, 0.9, 0.6])
+STRICT_GAP_CASES = (
+    [("halfline-plane", q, g) for g in _HALFLINE_GROUNDS for q in (
+        (0.0, 1.0), (0.0, -2.0), (1.0, 0.0), (-1.0, 0.0), (-1.0, 1e-9), (0.5, 1.0), (0.0, 0.0))]
+    + [("vee-peak", q, g) for g in _VEE_GROUNDS for q in ((1.0,), (-1.0,), (0.0,))])
+
+
+@pytest.mark.parametrize("name, query, grid", STRICT_GAP_CASES)
+@pytest.mark.parametrize("tol", (0.0, 1e-9))
+def test_the_strict_gap_verdict_is_the_per_base_one(monkeypatch, name, query, grid, tol):
+    # every base's sample in one weak and one strict kernel pass still
+    # reports the first failing base in ground order
+    from prefmax.points import parse_grid_spec
+
+    fx = get_fixture(name)
+    monkeypatch.setitem(fx.expectations, "weak_not_strict_query", query)
+    ground = (fx.default_ground if grid is None else parse_grid_spec(grid) if isinstance(grid, str)
+              else GroundSet.explicit([pt(c) for c in grid]))
+    [verdict] = run_experiment(ExperimentSpec(fixture=name, suite=("strict-gap",),
+                                              ground=ground, tol=tol)).verdicts
+    want = _strict_gap_per_base(fx, ground, query, tol)
+    assert (verdict.passed, verdict.detail) == (want.startswith("query ("), want)
+
+
+def test_a_strict_gap_query_of_another_dimension_raises_only_on_a_sample(monkeypatch):
+    from prefmax.points import parse_grid_spec
+
+    fx = get_fixture("halfline-plane")
+    monkeypatch.setitem(fx.expectations, "weak_not_strict_query", (0.0,))
+    with pytest.raises(ValueError, match="query dimension mismatch"):
+        run_experiment(ExperimentSpec(fixture=fx.name, suite=("strict-gap",)))
+    # no base of this grid lies on the axis, so every sample is empty
+    off_axis = parse_grid_spec("0:2:0.175,-0.5:0.5:0.175")
+    [verdict] = run_experiment(ExperimentSpec(fixture=fx.name, suite=("strict-gap",),
+                                              ground=off_axis)).verdicts
+    assert verdict == Verdict("strict-gap", False, "no base point with a non-empty contour")
+
+
+@pytest.mark.parametrize("name, suite, calls", [("halfline-plane", "strict-gap", 2),
+                                                ("halfline-plane", "cones", 1),
+                                                ("vee-peak", "cones", 1),
+                                                ("mutual-zero", "cones", 1)])
+def test_a_sampled_membership_check_is_one_pass_per_side(monkeypatch, name, suite, calls):
+    from prefmax import fixtures, harness
+
+    seen = []
+    for module in (fixtures, harness):
+        kernel = module.normal_cone_test
+        monkeypatch.setattr(module, "normal_cone_test",
+                            lambda *args, _k=kernel: seen.append(args) or _k(*args))
+    assert run_experiment(ExperimentSpec(fixture=name, suite=(suite,))).all_passed
+    assert len(seen) == calls
 
 
 # ------------------------------------------------------------ one run per spec

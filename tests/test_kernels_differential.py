@@ -433,6 +433,69 @@ def test_plastria_membership_evaluates_the_gap_once_per_sampled_row():
         assert plastria_membership_ref(gap, sample, (0.0, 0.0), 1e-9) is member
 
 
+@st.composite
+def _stacked_samples_and_probes(draw):
+    # 0 to 6 samples of one dimension (1-D, 2-D or 3-D), each of 0 to 12
+    # rows, so that empty and one-row samples sit among the others
+    dim = draw(st.integers(1, 3))
+    point = st.tuples(*[_coord] * dim)
+    samples = [ContourSample(pt(*draw(point)), draw(st.lists(point, max_size=12)))
+               for _ in range(draw(st.integers(0, 6)))]
+    return samples, draw(st.lists(point, min_size=1, max_size=8))
+
+
+def _stacked(samples, dim):
+    D = [s.points - np.array(s.base.coords) for s in samples]
+    return (np.concatenate(D) if D else np.empty((0, dim))), [len(d) for d in D]
+
+
+# an empty sample, a one-row sample and the far sample of overflowing squares
+_STACKED_CASE = ([ContourSample(pt(0.0, 0.0), ()), ContourSample(pt(1.0, 1.0), [(1.0, 2.0)]),
+                  _FAR_SAMPLE[0]], _FAR_SAMPLE[1])
+
+
+@DIFFERENTIAL
+@given(_stacked_samples_and_probes(), st.sampled_from((None, 1, 5, 40)))
+@example(_STACKED_CASE, None)
+@example(_STACKED_CASE, 1)
+def test_stacked_samples_are_the_one_sample_calls(case, block):
+    # `normal_cone_test` over consecutive samples gives, row for row, what
+    # the one-sample calls give under the three right-hand sides, whatever
+    # the block size (at most `block` pairs, or one sample, per block)
+    from prefmax.cones import _weak, normal_cone_test
+
+    samples, probes = case
+    D, counts = _stacked(samples, len(probes[0]))
+    with pytest.MonkeyPatch.context() as patch:
+        if block is not None:
+            patch.setattr(points, "BLOCK_ENTRIES", block)
+        for tol in TOLS + (1e-3,):
+            assert normal_cone_test(D, counts, probes, _weak(tol)).tolist() \
+                == [normal_membership_many(s, probes, tol).tolist() for s in samples]
+        for margin in (1e-7, 0.5):
+            assert normal_cone_test(D, counts, probes, lambda pn, dn: -margin * dn).tolist() \
+                == [[strict_normal_membership(s, p, margin) for p in probes] for s in samples]
+    # the gap side reads the gaps of the stacked rows, so the stack is one block
+    gaps = np.array([_TILTED_GAP(s.base.coords, y) for s in samples
+                     for y in map(tuple, s.points.tolist())]).reshape(-1, 1)
+    for tol in TOLS:
+        assert normal_cone_test(D, counts, probes, lambda pn, dn: gaps + tol * (1.0 + dn)).tolist() \
+            == [[plastria_membership(_TILTED_GAP, s, p, tol) for p in probes] for s in samples]
+
+
+@pytest.mark.parametrize("probe, message", [((1.0,), "query dimension mismatch"),
+                                            ((1.0, 2.0, 3.0), "query dimension mismatch"),
+                                            ((np.nan, 0.0), "non-finite probe"),
+                                            ((0.0, np.inf), "non-finite probe")])
+def test_stacked_samples_refuse_a_bad_probe(probe, message):
+    # also where every sample is empty
+    from prefmax.cones import _weak, normal_cone_test
+
+    for samples in (_STACKED_CASE[0], [ContourSample(pt(0.0, 0.0), ())]):
+        with pytest.raises(ValueError, match=message):
+            normal_cone_test(*_stacked(samples, 2), [probe], _weak(1e-9))
+
+
 # --------------------------------------------------------------- Stampacchia
 
 

@@ -33,7 +33,6 @@ BENCH = "read by bench/, which only a benchmark change may stop using"
 WAITS_H = "descent diagnostic that the convergence verdict (ROADMAP H) will read"
 WAITS_P = "grid-convexity premise that ROADMAP P will expose as a check"
 WAITS_E = "certificate re-check that two-sided certificates will run (ROADMAP B.3, on X's signs)"
-WAITS_M = "3-D sampled bodies; no fixture is 3-D (ROADMAP M)"
 LATE = ("later stage of the Stampacchia decider: no scanned command's base gets past the "
         "vertices (radial-bowl's 3,721-point grid neither); drawn windows in the tests do")
 POLYGON = ("last Stampacchia stage for a body of three or more vertices without zero: "
@@ -44,7 +43,6 @@ AUDIT = "library API: the sign audit alone; zero-maximality runs it inside its o
 UNCALLED = {
     "cones.Cone.contains": API,
     "cones.ConvexBody.contains": API,
-    "cones._net_fails": WAITS_M,
     "cones.ContourSample.__eq__": API,
     "cones.ContourSample.__hash__": API,
     "cones.ConvexBody.__eq__": API,
@@ -54,6 +52,9 @@ UNCALLED = {
     "cones.box_sample": API,
     "cones.body_from_sample": API,
     "cones.sample_contour": API,
+    "cones.normal_membership": API,
+    "cones.normal_membership_many": API,
+    "cones.strict_normal_membership": API,
     "cones._box_candidates": TEST,
     "descent.DescentTrace.array": WAITS_H,
     "descent.DescentTrace.rows": BENCH,
@@ -80,8 +81,8 @@ UNCALLED = {
     "points.GroundSet.explicit": API,
     "points.ground_spacing": WAITS_P,
     "relations.PropertyReport.__bool__": API,
-    "relations.Relation.from_table": BENCH,
-    "relations.Relation._lookup": BENCH,
+    "relations.Relation.from_table": API,
+    "relations.Relation._lookup": API,
     "relations._contour_is_grid_convex": WAITS_P,
     "relations.holds": API,
     "relations.strictly_prefers": API,

@@ -144,7 +144,7 @@ def test_radial_bodies_take_one_shape_pass_per_sample(monkeypatch, stacked):
         raise AssertionError("net product run in 2-D")
 
     monkeypatch.setattr(cones, "_shapes", spy_shapes)
-    monkeypatch.setattr(cones, "_net_fails", refuse)
+    monkeypatch.setattr(cones, "normal_cone_test", refuse)
     fx = get_fixture("radial-bowl")
     sampler = fx.box_sampler if stacked else fx.contour_sampler
     bodies = bodies_for_ground(fx.relation, fx.default_ground, contour_sampler=sampler)

@@ -114,6 +114,23 @@ def test_a_minty_cone_of_another_dimension_raises(cone, run):
         run(lambda y: cone, ground)
 
 
+_BOWL = Relation.from_utility("neg-sq", 2, lambda p: -(p[0] ** 2 + p[1] ** 2))
+
+
+@pytest.mark.parametrize("dims", ((2, 1), (1, 2)), ids=("right-first", "wrong-first"))
+@pytest.mark.parametrize("make", (Cone.full, Cone.zero), ids=("full", "zero"))
+def test_a_stampacchia_cone_of_another_dimension_raises(make, dims):
+    # one oracle cone per point, of the right dimension at one and the wrong
+    # one at the other: a body cached by tag alone would let the second cone
+    # reuse the first one's, whichever comes first
+    ground = GroundSet.explicit([pt(0.0, 0.0), pt(1.0, 0.0)])
+    cones = dict(zip(((0.0, 0.0), (1.0, 0.0)), map(make, dims)))
+    oracle = lambda x: cones[x.coords]
+    for run in (lambda: svip_solutions(_BOWL, ground, oracle), lambda: mvip_solutions(oracle, ground)):
+        with pytest.raises(ValueError, match=re.escape("dimension mismatch: [1, 2]")):
+            run()
+
+
 @pytest.mark.parametrize("route", ("box", "ground"))
 def test_bodies_for_a_one_shot_iterable_are_the_grounds(radial, vee, route):
     # a ground is read once (`points.ground_points`): the same points as a
