@@ -8,7 +8,7 @@ enough diagnostics to re-check the quasi-Fejer inequality after the fact.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property, reduce
 from itertools import chain, count, repeat
 from math import isfinite, sqrt
@@ -142,8 +142,8 @@ class DescentTrace:
     (None without a reference). `rows` builds Points and TraceRows from the
     columns on first access. `array` is xs as a read-only (n, dim) float
     array: the one `run_descent` stacked, or, for a trace built from its
-    columns, stacked from xs on first access; it takes no part in eq, repr,
-    hash or `rows`, and `dataclasses.replace` leaves it to be rebuilt.
+    columns, stacked from xs on first access. Like `rows` it is a cached
+    view, not a field, so `dataclasses.replace` leaves it to be rebuilt.
     """
 
     xs: tuple[tuple[float, ...], ...]
@@ -155,7 +155,6 @@ class DescentTrace:
     termination: str  # one of TERMINATIONS
     reference: Point | None = None
     lipschitz: float | None = None
-    _array: np.ndarray | None = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         n = len(self.xs)
@@ -170,11 +169,9 @@ class DescentTrace:
             for k, x, xstar, theta, d, g, r in zip(count(1), self.xs, self.xstars, self.thetas,
                                                    self.dists, self.gaps, self.residuals))
 
-    @property
+    @cached_property
     def array(self) -> np.ndarray:
-        if self._array is None:
-            object.__setattr__(self, "_array", _iterate_array(self.xs))
-        return self._array
+        return _iterate_array(self.xs)
 
     def __len__(self) -> int:
         return len(self.xs)
@@ -224,9 +221,9 @@ def run_descent(oracle: Callable[[tuple], tuple], x1: Point, schedule: StepSched
     distance and Fejer residual columns (`_fejer_columns`), bit for bit as
     the scalar `sqrt(sum(t*t ...))` over x - ref and `d'*d' - d*d -
     theta*theta*L*L` wherever the squares neither overflow nor underflow
-    (see `_distance_column`), and one `GapFunction.column` pass the gaps
-    (`_column`, as the iterates are tuples already): a gap that raises
-    raises there, after every oracle call, not at its iterate's step.
+    (see `_distance_column`), and one `GapFunction.column` pass the gaps:
+    a gap that raises raises there, after every oracle call, not at its
+    iterate's step.
     """
     schedule.validate()
     L = config.lipschitz
@@ -291,10 +288,10 @@ def run_descent(oracle: Callable[[tuple], tuple], x1: Point, schedule: StepSched
         dists = gaps = residuals = (None,) * n
     else:
         dists, residuals = _fejer_columns(X, T, ref, L)
-        gaps = (None,) * n if gap is None else tuple(gap._column(xs, ref))
+        gaps = (None,) * n if gap is None else tuple(gap.column(xs, ref))
     trace = DescentTrace(tuple(xs), tuple(xstars), (*T.tolist(), None), dists, gaps, residuals,
                          termination, reference=reference, lipschitz=L)
-    object.__setattr__(trace, "_array", X)
+    trace.__dict__["array"] = X
     return trace
 
 

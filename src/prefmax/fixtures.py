@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from itertools import product
-from typing import Callable
+from typing import Callable, ClassVar
 
 import numpy as np
 
@@ -49,7 +49,7 @@ class Fixture:
     reference: Point | None = None
     lsc: bool = False
     complete: bool = False
-    sample_radius: float = 2.0
+    sample_radius: ClassVar[float] = 2.0  # the box sampler's radius, one for every fixture
     sample_step: float = 0.01
     me_margin: float = 0.0  # grid extension for relations whose domain is unbounded
     expectations: dict = field(default_factory=dict)

@@ -433,10 +433,16 @@ class GroundSet:
         return cls(points, axes=tuple(full))
 
     def extended(self, margin: float) -> "GroundSet":
-        """Grid enlarged by `margin` on every axis, keeping the step."""
+        """Grid enlarged on every axis by the fewest whole steps that reach
+        `margin` (with `axis_lattice`'s slack), so that it keeps the grid's
+        lattice and every one of its points."""
         if self.axes is None:
             raise ValueError("only grid-sourced ground sets can be extended")
-        return GroundSet.grid([(lo - margin, hi + margin, step) for lo, hi, step in self.axes])
+        axes = []
+        for lo, hi, step in self.axes:
+            k = math.ceil(margin / step - 1e-9)
+            axes.append((lo - k * step, hi + k * step, step))
+        return GroundSet.grid(axes)
 
 
 def parse_grid_spec(spec: str) -> GroundSet:

@@ -4,11 +4,12 @@ expressions it replaced.
 
 For each fixture gap that descent runs use, and for the zero gap,
 `column(xs, y)` must be `[gap(x, y) for x in xs]` by repr, nan and
-infinities included, and `table(xs, ys)` the same for every pair, in row
-blocks of any size. A gap from a utility u evaluates u once per y, then
-once per x (once per point when ys is omitted); any other gap calls its
-`fn` once per pair, row by row. `plastria_subgradient` and `Fixture.descent_oracle` must give
-what `Point(scale(u, L / norm(u)))` and the original Point oracle
+infinities included, over one row block or several, and `table(xs, ys)`
+the same for every pair, in row blocks of any size. A gap from a utility
+u evaluates u once per y, then once per x (once per point when ys is
+omitted); any other gap calls its `fn` once per pair, row by row.
+`plastria_subgradient` and `Fixture.descent_oracle` must give what
+`Point(scale(u, L / norm(u)))` and the original Point oracle
 (`descent_oracle_ref` in tests/scalar_reference.py) give, bit for bit.
 """
 
@@ -46,9 +47,12 @@ def _reprs(items):
     return [repr(item) for item in items]
 
 
+@pytest.mark.parametrize("entries", (1, 7))
 @DIFFERENTIAL
 @given(st.sampled_from(sorted(GAP_DIMS)), st.data())
-def test_column_is_the_gap_at_each_point(name, data):
+def test_column_is_the_gap_at_each_point(entries, name, data):
+    # a block budget of 1 or 7 entries makes `column` span several row
+    # blocks of `table`, 1 or 7 rows each
     gap = _gap(name)
     coords = st.tuples(*(st.floats(),) * GAP_DIMS[name])
     xs = data.draw(st.lists(coords, max_size=30))
@@ -57,13 +61,16 @@ def test_column_is_the_gap_at_each_point(name, data):
     calls = []
     if gap.utility is not None:
         recorded = replace(gap, utility=_recorded(gap.utility, calls))
-        assert _reprs(recorded.column(xs, y)) == expected
-        assert _reprs(calls) == _reprs([(y,), *((x,) for x in xs)])
+        expected_calls = _reprs([(y,), *((x,) for x in xs)])
     else:
         recorded = replace(gap, fn=_recorded(gap.fn, calls))
-        assert _reprs(recorded.column(xs, y)) == expected
-        assert _reprs(calls) == _reprs((x, y) for x in xs)
-    assert all(type(v) is float for v in recorded.column(xs, y))
+        expected_calls = _reprs((x, y) for x in xs)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(points, "BLOCK_ENTRIES", entries)
+        got = recorded.column(xs, y)
+    assert _reprs(got) == expected
+    assert _reprs(calls) == expected_calls
+    assert all(type(v) is float for v in got)
 
 
 @DIFFERENTIAL

@@ -717,3 +717,16 @@ def test_kinked_uniqueness_fails_on_the_extended_ground():
     (verdict,) = run_experiment(ExperimentSpec(fixture="kinked-threshold",
                                                suite=("uniqueness",))).verdicts
     assert verdict.passed and verdict.detail == "equivalence=False, expected False"
+
+
+@pytest.mark.parametrize("grid", ("-0.9:0.9:0.3", "-0.99:0.99:0.03"))
+def test_a_kinked_window_off_the_margins_lattice_keeps_its_maximal_point(grid):
+    # me_margin 0.5 is no whole number of these steps: the extension adds
+    # whole steps, so it keeps the window's 0.0, the one maximal point
+    from prefmax.points import parse_grid_spec
+
+    report = run_experiment(ExperimentSpec(fixture="kinked-threshold", ground=parse_grid_spec(grid),
+                                           suite=("maximal", "uniqueness")))
+    assert [(v.check, v.passed) for v in report.verdicts] == [("maximal", True),
+                                                             ("uniqueness", True)]
+    assert pt(0.0) in get_fixture("kinked-threshold").me_ground(parse_grid_spec(grid))

@@ -52,11 +52,20 @@ def test_default_steps_by_dimension():
 
 
 def test_extended_keeps_lattice_alignment():
-    g = GroundSet.grid([(-1.0, 1.0, 0.01)])
-    ext = g.extended(0.5)
-    inner = {p.coords for p in g}
-    assert inner <= {p.coords for p in ext}
-    assert len(ext) == 301
+    # the extension adds whole steps, so it keeps every grid point (where
+    # a margin off the lattice would shift it, off all the window's
+    # points), and it reaches at least `margin` beyond the grid's extreme
+    # points on every axis
+    assert len(GroundSet.grid([(-1.0, 1.0, 0.01)]).extended(0.5)) == 301
+    for axes, margin in (([(-1.0, 1.0, 0.01)], 0.5), ([(-0.9, 0.9, 0.3)], 0.5),
+                         ([(-0.99, 0.99, 0.03)], 0.5), ([(-1.0, 1.0, 0.07)], 0.5),
+                         ([(0.0, 1.0, 0.3)], 0.2), ([(-0.9, 0.9, 0.3), (0.1, 0.8, 0.07)], 0.5)):
+        g = GroundSet.grid(axes)
+        ext = g.extended(margin)
+        assert {p.coords for p in g} <= {p.coords for p in ext}, axes
+        for i in range(g.dim):
+            inner, outer = ([p[i] for p in s] for s in (g, ext))
+            assert min(outer) <= min(inner) - margin and max(outer) >= max(inner) + margin, axes
 
 
 def test_parse_grid_spec():

@@ -72,7 +72,6 @@ UNCALLED = {
     "harness._raise_row_fault": ERROR,
     "harness._coords_of": ERROR,
     "plastria.GapFunction.__call__": API,
-    "plastria.GapFunction.column": API,
     "plastria.GapFunction.flags": API,
     "plastria.audit_gap_flags": AUDIT,
     "plastria.plastria_membership": WAITS_H,
