@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cache
 from itertools import product
 from typing import Callable, ClassVar
 
@@ -383,11 +384,10 @@ _BUILDERS = (
     _segment_line,
 )
 
-_REGISTRY: dict[str, Fixture] | None = None
-_SELF_TEST_DONE = False
 SELF_TEST_BASES = 5  # bases per ground, evenly spaced in ground order
 
 
+@cache
 def _build_registry() -> dict[str, Fixture]:
     registry = {}
     for build in _BUILDERS:
@@ -411,22 +411,25 @@ def self_test_fixture(fixture: Fixture, tol: float = DEFAULT_TOL,
     P = np.array([p for p in product(range(-2, 3), repeat=fixture.relation.dim) if any(p)], float)
     sampled = normal_cone_test(*_displacements(fixture.box_sampler.samples(bases)), P, _weak(tol))
     for x, member in zip(bases, sampled):
-        bad = np.flatnonzero(fixture.cone_oracle(x).contains_many(P) != member)
+        bad = np.flatnonzero(fixture.cone_oracle(x).contains_many(P, tol) != member)
         if bad.size:
             raise AssertionError(
                 f"fixture {fixture.name!r}: closed-form cone and sampled "
                 f"membership disagree at base {x}, probe {tuple(P[bad[0]].tolist())}")
 
 
+@cache
+def _self_tested() -> None:
+    """The start-up self-test of every fixture, run once per process (a
+    self-test that raises is not cached, so it runs again)."""
+    for fx in _build_registry().values():
+        self_test_fixture(fx)
+
+
 def registry(self_test: bool = True) -> dict[str, Fixture]:
-    global _REGISTRY, _SELF_TEST_DONE
-    if _REGISTRY is None:
-        _REGISTRY = _build_registry()
-    if self_test and not _SELF_TEST_DONE:
-        for fx in _REGISTRY.values():
-            self_test_fixture(fx)
-        _SELF_TEST_DONE = True
-    return _REGISTRY
+    if self_test:
+        _self_tested()
+    return _build_registry()
 
 
 def get_fixture(name: str) -> Fixture:

@@ -6,7 +6,7 @@ import math
 import operator
 import sys
 from dataclasses import dataclass
-from functools import reduce
+from functools import cached_property, reduce
 from itertools import product, repeat
 
 import numpy as np
@@ -231,7 +231,7 @@ def ground_array(X, dim: int) -> np.ndarray:
     coordinate tuples are stacked. Rows of any other dimension raise
     ValueError."""
     if isinstance(X, GroundSet):
-        arr = X.array()
+        arr = X.array
     elif isinstance(X, np.ndarray):
         arr = np.asarray(X, dtype=float)
     else:
@@ -350,7 +350,8 @@ def axis_lattice(lo: float, hi: float, step: float) -> list[float]:
     # hi may fall off-lattice; enumerate only lattice points inside [lo, hi].
     while lo + n * step > hi + step * 1e-9:
         n -= 1
-    return [round(lo + i * step, _LATTICE_DECIMALS) for i in range(n + 1)]
+    # + 0.0 turns a -0.0 that the rounding leaves into 0.0
+    return [round(lo + i * step, _LATTICE_DECIMALS) + 0.0 for i in range(n + 1)]
 
 
 def centred_lattice(c: float, reach: float, step: float) -> list[float]:
@@ -359,7 +360,7 @@ def centred_lattice(c: float, reach: float, step: float) -> list[float]:
     (k = 0) and as many points on each side of it, whatever reach and step
     are; c alone where reach is not positive."""
     n = int(math.floor(reach / step + 1e-9)) if reach > 0 else 0
-    return [round(c + k * step, _LATTICE_DECIMALS) for k in range(-n, n + 1)]
+    return [round(c + k * step, _LATTICE_DECIMALS) + 0.0 for k in range(-n, n + 1)]
 
 
 @dataclass(frozen=True)
@@ -390,22 +391,18 @@ class GroundSet:
         return self.points[i]
 
     def __contains__(self, p: Point) -> bool:
-        return p.coords in self._index()
+        return p.coords in self.positions
 
-    def _index(self) -> frozenset:
-        idx = getattr(self, "_idx", None)
-        if idx is None:
-            idx = frozenset(p.coords for p in self.points)
-            object.__setattr__(self, "_idx", idx)
-        return idx
+    @cached_property
+    def positions(self) -> dict[tuple[float, ...], int]:
+        """Each point's coordinates -> its place in the ground, built on first use."""
+        return {p.coords: i for i, p in enumerate(self.points)}
 
+    @cached_property
     def array(self) -> np.ndarray:
-        """The coordinates as a read-only (n, dim) float array, built once."""
-        arr = getattr(self, "_arr", None)
-        if arr is None:
-            arr = np.array([p.coords for p in self.points], dtype=float)
-            arr.flags.writeable = False
-            object.__setattr__(self, "_arr", arr)
+        """The coordinates as a read-only (n, dim) float array, built on first use."""
+        arr = np.array([p.coords for p in self.points], dtype=float)
+        arr.flags.writeable = False
         return arr
 
     @classmethod

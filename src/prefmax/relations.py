@@ -10,15 +10,14 @@ reports are reproducible.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import combinations, islice
 from typing import Callable
 
 import numpy as np
 
 from . import points
-from .points import (GroundSet, Point, check_same_dim, ground_array, ground_points, ground_spacing,
-                     row_blocks)
+from .points import GroundSet, Point, ground_array, ground_points, ground_spacing, row_blocks
 
 PROPERTIES = (
     "reflexive",
@@ -47,7 +46,7 @@ class Relation:
         optional column form scores coordinate columns within K ulps of u
         (see `strictly_better_rows`);
       * tabular    -- a read-only boolean matrix over an explicit finite
-        ground set.
+        ground set, `table_ground`, a GroundSet.
 
     Relations compare and hash by identity.
     """
@@ -58,9 +57,8 @@ class Relation:
     predicate: Callable[[tuple, tuple], np.ndarray] | None = None
     utility: Callable[[tuple], float] | None = None
     columns: Callable[[tuple], np.ndarray] | None = None
-    table_ground: tuple[Point, ...] | None = None
+    table_ground: GroundSet | None = None
     table: np.ndarray | None = None
-    _table_index: dict = field(default_factory=dict, repr=False)
 
     @classmethod
     def from_predicate(cls, name: str, dim: int, rule) -> "Relation":
@@ -72,23 +70,12 @@ class Relation:
 
     @classmethod
     def from_table(cls, name: str, ground, matrix) -> "Relation":
-        ground = tuple(ground)
-        dim = check_same_dim(*ground)
-        index = {p.coords: i for i, p in enumerate(ground)}
-        if len(index) != len(ground):
-            raise ValueError("tabular ground points must be distinct")
+        ground = GroundSet.explicit(ground)
         if len(matrix) != len(ground) or any(len(row) != len(ground) for row in matrix):
             raise ValueError("tabular matrix must be square with side |ground|")
         table = np.array(matrix, dtype=bool)
         table.flags.writeable = False
-        return cls(name=name, dim=dim, kind="tabular", table_ground=ground, table=table,
-                   _table_index=index)
-
-    def _lookup(self, coords: tuple) -> int:
-        try:
-            return self._table_index[coords]
-        except KeyError:
-            raise ValueError(f"point {Point(coords)} is not in the tabular ground set") from None
+        return cls(name=name, dim=ground.dim, kind="tabular", table_ground=ground, table=table)
 
 
 # ------------------------------------------------------------------ evaluator
@@ -109,7 +96,11 @@ def _operand(rel: Relation, rows) -> np.ndarray:
     if rel.kind == "utility":
         u = rel.utility
         return np.array([u(r) for r in rows], dtype=float)
-    return np.array([rel._lookup(r) for r in rows], dtype=np.intp)
+    positions = rel.table_ground.positions
+    try:
+        return np.array([positions[r] for r in rows], dtype=np.intp)
+    except KeyError as exc:
+        raise ValueError(f"point {Point(exc.args[0])} is not in the tabular ground set") from None
 
 
 def _holds(rel: Relation, a: np.ndarray, b: np.ndarray) -> np.ndarray:

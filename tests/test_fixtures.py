@@ -35,6 +35,18 @@ def test_a_failing_self_test_names_its_probe_in_plain_floats():
         self_test_fixture(wrong)
 
 
+def test_the_self_test_reads_the_oracles_cone_at_its_tol(halfline):
+    # halfline-plane's on-axis cone tilted by 5e-10: at tol 0 it misses the
+    # probe (0, -1), which the sampled cone at tol 0 holds
+    tilted = Cone.generated(((-1.0, 0.0), (5e-10, 1.0), (-5e-10, -1.0)))
+    assert not tilted.contains((0.0, -1.0), 0.0)
+    fx = dataclasses.replace(
+        halfline, cone_oracle=lambda p: tilted if p[1] == 0.0 else halfline.cone_oracle(p))
+    self_test_fixture(fx, tol=1e-9)
+    with pytest.raises(AssertionError, match=r"base P\(1\.0, 0\.0\), probe \(0\.0, -2\.0\)$"):
+        self_test_fixture(fx, tol=0.0)
+
+
 @pytest.mark.xfail(strict=True, raises=AssertionError,
                    reason="the box sample of 0.702 is empty: the sampler's fine points 0.697 "
                           "and 0.707 straddle its strictly-better interval (0.698, 0.702)")
@@ -93,10 +105,46 @@ def test_me_ground_extends_the_given_window(name):
     assert set(window) <= set(got)
 
 
-def test_get_fixture_does_not_run_the_self_test(monkeypatch):
+@pytest.fixture
+def fresh_registry():
+    """The registry and its self-test uncached before and after the test."""
+    caches = (fixtures._build_registry, fixtures._self_tested)
+    for cached in caches:
+        cached.cache_clear()
+    yield
+    for cached in caches:
+        cached.cache_clear()
+
+
+def test_the_registry_is_built_once_and_self_tested_once(monkeypatch, fresh_registry):
     calls = []
-    monkeypatch.setattr(fixtures, "_REGISTRY", None)
-    monkeypatch.setattr(fixtures, "_SELF_TEST_DONE", False)
+    monkeypatch.setattr(fixtures, "self_test_fixture", lambda fx: calls.append(fx.name))
+    assert fixtures.registry() is fixtures.registry() is fixtures.registry(self_test=False)
+    assert calls == list(fixtures.registry())
+
+
+def test_a_self_test_that_raised_runs_again(monkeypatch, fresh_registry):
+    calls = []
+
+    def failing(fx):
+        calls.append(fx.name)
+        raise AssertionError(fx.name)
+
+    monkeypatch.setattr(fixtures, "self_test_fixture", failing)
+    names = list(fixtures.registry(self_test=False))
+    first = names[0]
+    for _ in range(2):
+        with pytest.raises(AssertionError, match=first):
+            fixtures.registry()
+    assert calls == [first, first]
+    monkeypatch.setattr(fixtures, "self_test_fixture", lambda fx: calls.append(fx.name))
+    fixtures.registry()
+    fixtures.registry()
+    assert calls == [first, first] + names
+
+
+def test_get_fixture_does_not_run_the_self_test(monkeypatch, fresh_registry):
+    calls = []
     monkeypatch.setattr(fixtures, "self_test_fixture", lambda fx: calls.append(fx.name))
     get_fixture("vee-peak")
     fixture_names()

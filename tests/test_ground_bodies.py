@@ -143,7 +143,7 @@ def test_stacked_samples_and_bodies_match_the_scalar_references(case, tol, budge
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(points, "BLOCK_ENTRIES", budget)
         got, blocks = [], 0
-        for _, P, kept in cones._box_blocks(rel, ground.array(), radius, step):
+        for _, P, kept in cones._box_blocks(rel, ground.array, radius, step):
             got += np.split(P, np.cumsum(kept)[:-1])
             blocks += 1
         stacked = bodies_for_ground(rel, ground, tol=tol,
@@ -177,7 +177,7 @@ def test_a_column_form_scores_each_block_of_candidates_once(radial):
 
     rel = Relation.from_utility("counted", 2, radial.relation.utility, columns=columns)
     ground, radius, step = radial.default_ground, radial.sample_radius, radial.sample_step
-    blocks = list(cones._box_blocks(rel, ground.array(), radius, step))
+    blocks = list(cones._box_blocks(rel, ground.array, radius, step))
     assert len(blocks) > 1 and len(calls) == len(blocks)
     for (blk, P, kept), Y in zip(blocks, calls):
         want = [cones._box_candidates(x, radius, step) for x in ground[blk]]

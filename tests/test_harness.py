@@ -299,6 +299,17 @@ def test_cli_vip_commands():
     assert "101 of 101" in result.output
 
 
+@pytest.mark.parametrize("fixture, grid, line", [
+    ("kinked-threshold", "-0.9:0.9:0.3", "  0.0"),
+    ("mutual-zero", "-0.9:0.9:0.3,-0.9:0.9:0.3", "  -0.9,0.0"),
+])
+def test_cli_grid_coordinates_print_no_negative_zero(fixture, grid, line):
+    result = runner.invoke(main, ["vip", "--fixture", fixture, "--kind", "svip", "--grid", grid])
+    assert result.exit_code == 0
+    assert line in result.output.splitlines()
+    assert "-0.0" not in result.output.replace(",", " ").split()
+
+
 @pytest.mark.parametrize("args, grid, dims", [
     (["vip", "--fixture", "twin-plateau", "--kind", "mvip"], "0:1:0.5,0:1:0.5", (1, 2)),
     (["vip", "--fixture", "vee-peak", "--kind", "svip"], "0:1:0.5,0:1:0.5", (1, 2)),

@@ -11,8 +11,8 @@ from hypothesis import strategies as st
 
 from prefmax import (ContourSample, DescentConfig, GroundSet, Point, StepSchedule,
                      normal_membership_many, parse_grid_spec, pt, run_descent)
-from prefmax.points import (axis_lattice, dot_signs, ground_points, ground_spacing, row_norms,
-                            scaled_to, unit_rows)
+from prefmax.points import (axis_lattice, centred_lattice, dot_signs, ground_points,
+                            ground_spacing, row_norms, scaled_to, unit_rows)
 
 from scalar_reference import length_ref, normal_membership_ref, run_descent_ref, scaled_to_ref
 
@@ -105,6 +105,32 @@ def test_ground_spacing_is_a_grids_smallest_step_or_the_smallest_distance():
 def test_explicit_requires_distinct():
     with pytest.raises(ValueError):
         GroundSet.explicit([pt(1.0), pt(1.0)])
+
+
+def test_a_grounds_array_is_built_once_and_read_only():
+    g = GroundSet.grid([(0.0, 1.0, 0.5), (0.0, 1.0, 0.5)])
+    assert g.array is g.array
+    assert g.array.tolist() == [list(p.coords) for p in g]
+    with pytest.raises(ValueError):
+        g.array[0, 0] = 7.0
+
+
+def test_positions_place_each_point_and_membership_reads_them():
+    g = GroundSet.explicit([pt(0.5, 1.0), pt(-1.0, 0.0), pt(2.0, 2.0)])
+    assert g.positions == {(0.5, 1.0): 0, (-1.0, 0.0): 1, (2.0, 2.0): 2}
+    assert g.positions is g.positions
+    for p in (pt(0.5, 1.0), pt(2.0, 2.0), pt(0.0, 0.0), pt(1.0, 0.5), pt(-0.0, 1e-300)):
+        assert (p in g) == (p.coords in g.positions) == (p in list(g))
+
+
+def test_lattice_coordinates_hold_no_negative_zero():
+    # lo + i * step rounds to -0.0 where the sum is a tiny negative number;
+    # -0.0 == 0.0, so only its printed form would differ
+    for step in (0.1, 0.3, 0.03, 0.07, 0.01, 0.05, 0.25, 0.013):
+        for k in range(1, 100):
+            lattice = axis_lattice(-k * step, 1.0, step)
+            assert "-0.0" not in map(repr, lattice), (k, step)
+    assert "-0.0" not in map(repr, centred_lattice(-0.9, 0.9, 0.3))
 
 
 @given(st.floats(-100, 100), st.floats(1e-3, 100))

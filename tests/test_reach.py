@@ -38,6 +38,7 @@ LATE = ("later stage of the Stampacchia decider: no scanned command's base gets 
 POLYGON = ("last Stampacchia stage for a body of three or more vertices without zero: "
            "3-D bodies and a caller's own polygons; no command builds one")
 ERROR = "error path: no command that succeeds reaches it"
+STARTUP = "the start-up self-test that only `prefmax.registry()` runs; no command calls it"
 AUDIT = "library API: the sign audit alone; zero-maximality runs it inside its own gap pass"
 
 UNCALLED = {
@@ -67,6 +68,7 @@ UNCALLED = {
     "fixtures.UnknownFixture.__init__": ERROR,
     "fixtures.UnknownFixture.__str__": ERROR,
     "fixtures.Fixture.contour_sampler": BENCH,
+    "fixtures._self_tested": STARTUP,
     "harness.load_trace_json": API,
     "harness._trace_columns": API,
     "harness._raise_row_fault": ERROR,
@@ -81,7 +83,6 @@ UNCALLED = {
     "points.ground_spacing": WAITS_P,
     "relations.PropertyReport.__bool__": API,
     "relations.Relation.from_table": API,
-    "relations.Relation._lookup": API,
     "relations._contour_is_grid_convex": WAITS_P,
     "relations.holds": API,
     "relations.strictly_prefers": API,

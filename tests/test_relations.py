@@ -57,6 +57,26 @@ def test_tabular_ground_points_must_be_distinct():
                             [[1, 0, 0], [1, 1, 1], [0, 1, 1]])
 
 
+def test_a_tabular_relations_ground_is_a_ground_set():
+    points = [pt(0.0, 1.0), pt(1.0, 0.0), pt(2.0, 2.0)]
+    rel = Relation.from_table("t", iter(points), np.eye(3, dtype=bool))
+    assert isinstance(rel.table_ground, GroundSet)
+    assert rel.table_ground == GroundSet.explicit(points)
+    assert rel.dim == 2
+    with pytest.raises(ValueError, match=r"point P\(0\.5, 0\.5\) is not in the tabular ground set"):
+        preference_matrix(rel, [pt(0.0, 1.0), pt(0.5, 0.5)])
+
+
+@pytest.mark.parametrize("ground, matrix, message", [
+    ([], [], "non-empty"),
+    ([pt(0.0), pt(1.0, 1.0)], [[1, 0], [0, 1]], "dimension mismatch"),
+    ([pt(1.0), pt(1.0)], [[1, 1], [1, 1]], "distinct"),
+])
+def test_a_tabular_ground_is_checked_as_a_ground_set(ground, matrix, message):
+    with pytest.raises(ValueError, match=message):
+        Relation.from_table("bad", ground, matrix)
+
+
 # ------------------------------------------------------ strictly_prefers
 
 

@@ -119,7 +119,7 @@ def _explicit_grounds(draw):
 def _grid_case(step: float):
     # every point of a grid a base, each with a body that keeps zero out:
     # arcs of unit vectors that face the grid's middle from two sides
-    G = GroundSet.grid([(0.0, 1.0, step), (0.0, 1.0, step)]).array()
+    G = GroundSet.grid([(0.0, 1.0, step), (0.0, 1.0, step)]).array
     left = ConvexBody(2, ((1.0, 0.0), (0.8, 0.6)))
     right = ConvexBody(2, ((-1.0, 0.0), (-0.8, -0.6)))
     return [left if x < 0.5 else right for x, _ in G], G, G
@@ -142,7 +142,7 @@ def test_screened_stampacchia_is_the_unscreened_sweep(case, tol, budget):
 def test_extreme_rows_are_the_first_maximisers_in_ground_order():
     # a grid's ties go to its corners: a 3 x 3 grid's edge midpoints tie
     # with a corner that comes first in ground order
-    G = GroundSet.grid([(0.0, 1.0, 0.5), (0.0, 1.0, 0.5)]).array()
+    G = GroundSet.grid([(0.0, 1.0, 0.5), (0.0, 1.0, 0.5)]).array
     assert vip._extreme_rows(G).tolist() == [0, 2, 6, 8]
     G = np.array(list(product((0.0, 1.0, 2.0), repeat=3)))
     assert vip._extreme_rows(G).tolist() == [0, 2, 6, 8, 18, 20, 24, 26]
@@ -182,7 +182,7 @@ def test_the_screen_settles_radial_bases_at_the_extreme_rows(radial, monkeypatch
     bodies = dict(zip((x.coords for x in ground),
                       sampled_bodies(radial.box_sampler.samples(ground))))
     met = _blocks_met(monkeypatch)
-    G = ground.array()
+    G = ground.array
     found = vip._stampacchia([bodies[x.coords] for x in ground], G, G, 1e-9)
     assert found == stampacchia_unscreened_ref([bodies[x.coords] for x in ground], G, G, 1e-9)
     assert {g for _, g in met} == {4}
